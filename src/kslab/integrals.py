@@ -17,6 +17,7 @@ the box only truncates the integration domain.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -182,10 +183,22 @@ def hardrod_anchored(L, a, anchors, m) -> float:
 # -- panel Gauss quadrature ---------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def gauss_legendre(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], cached by order.
+
+    The arrays are shared by every caller and therefore read-only.
+    """
+    x, w = leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def panel_rule(lo, hi, breakpoints, order):
     """Gauss-Legendre nodes/weights on [lo, hi] split at interior breakpoints."""
     cuts = sorted({lo, hi} | {b for b in breakpoints if lo < b < hi})
-    base_x, base_w = leggauss(max(2, int(order)))
+    base_x, base_w = gauss_legendre(max(2, int(order)))
     nodes, weights = [], []
     for left, right in zip(cuts[:-1], cuts[1:]):
         half = 0.5 * (right - left)
@@ -433,15 +446,6 @@ class IntegralTable:
     @property
     def fingerprint(self):
         return table_fingerprint(self.potential, self.box)
-
-    def values(self):
-        return np.array([e.value for e in self.entries])
-
-    def errors(self):
-        return np.array([e.error for e in self.entries])
-
-    def entry(self, m):
-        return self.entries[m]
 
     def to_json(self):
         return {

@@ -20,7 +20,10 @@ is implemented as a verifier only, with panel quadrature whose panels are
 aligned to the contact lattice of the anchors.  The kernel vanishes beyond
 the interaction range, so the y-integrals live on a short interval around
 x_1; for hard rods every integrand is then piecewise polynomial on the
-panels and the quadrature is exact to rounding.
+panels and the quadrature is exact to rounding.  The nested panel nodes of
+the ordered sector are built one nesting level at a time on numpy arrays,
+all live prefixes at once, from the Gauss-Legendre rules that
+integrals.gauss_legendre caches by order.
 
 Truncation bookkeeping, fixed here once and used by the residual check:
 with the degree-M family on the left, the exact finite-truncation identity
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .integrals import Box, contact_lattice, panel_rule
+from .integrals import Box, contact_lattice, gauss_legendre
 from .partition import PartitionPolynomial, correlation, evaluate
 from .potentials import PairPotential
 
@@ -200,8 +203,15 @@ def _ordered_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax):
     """Node rows and weights for the ordered sector y_1 <= ... <= y_m in the window.
 
     Panels split at the static contact lattice of the anchors plus, per
-    nesting level, at offsets from the already-placed y nodes, so that
-    piecewise-defined integrands never straddle a panel.
+    nesting level, at offsets y + k*a (k = 1, 2, 3) from the already-placed
+    y nodes, so that piecewise-defined integrands never straddle a panel.
+
+    The nest is built level by level on arrays: every live prefix row gets
+    its own sorted cut list (candidates outside (left, hi) collapse onto
+    hi, so empty panels drop out), and each row is repeated once per node
+    of its panels, in row-major order.  That is the depth-first order of
+    the nested sum, and the arithmetic is panel_rule's, so rows and weights
+    equal a recursive build over panel_rule bit for bit.
     """
     window = _kernel_window(p, box, x1)
     if window is None:
@@ -213,27 +223,31 @@ def _ordered_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax):
     # crosses the window edge, and those crossings sit on the anchor lattice
     anchor_pts = np.append(rest_coords, x1)
     static = _static_breaks(p, box, anchor_pts, kmax)
-    static = sorted(set(static) | {float(c) for c in anchor_pts
-                                   if 0.0 < c < box.extents[0]})
+    static = np.array(sorted(set(static) | {float(c) for c in anchor_pts
+                                            if 0.0 < c < box.extents[0]}))
+    offsets = np.array([k * a for k in (1, 2, 3)])
 
-    rows, weights = [], []
-
-    def rec(level, y_prev, prefix, wacc):
-        left = lo if level == 1 else y_prev
-        if left >= hi:
-            return
-        dyn = [y + k * a for y in prefix for k in (1, 2, 3)]
-        nodes, ws = panel_rule(left, hi, static + dyn, order if level == 1 else inner_order)
-        if level == m:
-            for nd, w in zip(nodes, ws):
-                rows.append(prefix + [nd])
-                weights.append(wacc * w)
-        else:
-            for nd, w in zip(nodes, ws):
-                rec(level + 1, nd, prefix + [nd], wacc * w)
-
-    rec(1, lo, [], 1.0)
-    return np.asarray(rows).reshape(-1, m), np.asarray(weights)
+    rows = np.empty((1, 0))  # live prefixes (y_1..y_{level-1})
+    wacc = np.ones(1)        # their accumulated weights
+    left = np.array([lo])    # lower end of the next coordinate's range
+    for level in range(1, m + 1):
+        keep = left < hi
+        rows, wacc, left = rows[keep], wacc[keep], left[keep]
+        n = len(rows)
+        dyn = (rows[:, :, None] + offsets).reshape(n, -1)
+        cand = np.concatenate([np.broadcast_to(static, (n, len(static))), dyn], axis=1)
+        cand = np.where((cand > left[:, None]) & (cand < hi), cand, hi)
+        cand.sort(axis=1)
+        cuts = np.concatenate([left[:, None], cand, np.full((n, 1), hi)], axis=1)
+        live = cuts[:, 1:] > cuts[:, :-1]
+        owner = np.nonzero(live)[0]
+        panel_lo = cuts[:, :-1][live]
+        half = 0.5 * (cuts[:, 1:][live] - panel_lo)
+        x, w = gauss_legendre(order if level == 1 else inner_order)
+        left = (half[:, None] * (x + 1.0) + panel_lo[:, None]).reshape(-1)
+        wacc = (wacc[owner, None] * (half[:, None] * w)).reshape(-1)
+        rows = np.concatenate([rows[np.repeat(owner, len(x))], left[:, None]], axis=1)
+    return rows, wacc
 
 
 def _term_quadrature(p, box, phi, n, x1, rest, m, order, inner_order, kmax):
@@ -447,6 +461,10 @@ def ks_residual(poly: PartitionPolynomial, z, n_max, strategy="quadrature",
     M = poly.M
     if n_max < 1 or n_max > M - 1:
         raise ConfigError("need 1 <= n_max <= M-1")
+    if order < 2:
+        raise ConfigError(f"quadrature order {order} is below 2")
+    if count < 1:
+        raise ConfigError(f"probe count {count} is below 1")
     from .partition import smallest_zero, zeros
 
     z_c = smallest_zero(zeros(poly)).z_c

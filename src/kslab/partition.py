@@ -20,7 +20,6 @@ residuals and near-pole guards are measured against.
 from __future__ import annotations
 
 import cmath
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -552,35 +551,6 @@ def numerator_coefficients(poly: PartitionPolynomial, anchors, degree=None):
     return out, errs
 
 
-def series_divide(num, den, K):
-    """First K+1 Taylor coefficients of num(z)/den(z); den[0] must be nonzero."""
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
-    if den[0] == 0.0:
-        raise ZeroDivisionError("series division needs den[0] != 0")
-    out = np.zeros(K + 1)
-    for k in range(K + 1):
-        acc = num[k] if k < len(num) else 0.0
-        jmax = min(k, len(den) - 1)
-        for j in range(1, jmax + 1):
-            acc -= den[j] * out[k - j]
-        out[k] = acc / den[0]
-    return out
-
-
-def taylor_coefficients(poly: PartitionPolynomial, anchors, K):
-    """Taylor coefficients of z -> rho(z; anchors)/z^n at 0, orders 0..K.
-
-    Power-series division of the anchored numerator by Xi; the ratios of
-    these coefficients converge to the reciprocal of the smallest zero.
-    """
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    n = anchors.shape[0]
-    num, _ = numerator_coefficients(poly, anchors)
-    shifted = num[n:]  # divide out z^n
-    return series_divide(shifted, poly.coeffs, K)
-
-
 # -- exports -----------------------------------------------------------------------
 
 
@@ -600,15 +570,6 @@ def zeros_to_rows(zs: ZeroSet, smallest: SmallestZero = None):
             }
         )
     return rows
-
-
-def zeros_to_csv(zs: ZeroSet, path, smallest: SmallestZero = None):
-    rows = zeros_to_rows(zs, smallest)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["re", "im", "residual", "is_smallest", "gap"])
-        writer.writeheader()
-        writer.writerows(rows)
-    return path
 
 
 def zeros_to_json(zs: ZeroSet, smallest: SmallestZero = None):

@@ -41,38 +41,8 @@ class SLog:
         except OverflowError:
             return self.sign * float("inf")
 
-    def is_representable(self) -> bool:
-        return self.sign == 0 or abs(self.log_mag) < 700.0
-
-    def mul(self, other: "SLog") -> "SLog":
-        if self.sign == 0 or other.sign == 0:
-            return SLog(0, float("-inf"))
-        return SLog(self.sign * other.sign, self.log_mag + other.log_mag)
-
-    def div(self, other: "SLog") -> "SLog":
-        if other.sign == 0:
-            raise ZeroDivisionError("SLog division by zero")
-        if self.sign == 0:
-            return SLog(0, float("-inf"))
-        return SLog(self.sign * other.sign, self.log_mag - other.log_mag)
-
     def scaled(self, factor_log: float) -> "SLog":
         """Multiply by exp(factor_log) without leaving log space."""
         if self.sign == 0:
             return self
         return SLog(self.sign, self.log_mag + factor_log)
-
-
-def slog_sum(terms) -> SLog:
-    """Signed logsumexp over an iterable of SLog values."""
-    terms = [t for t in terms if t.sign != 0]
-    if not terms:
-        return SLog(0, float("-inf"))
-    top = max(t.log_mag for t in terms)
-    acc = 0.0
-    for t in terms:
-        acc += t.sign * math.exp(t.log_mag - top)
-    if acc == 0.0:
-        # exact cancellation at this precision
-        return SLog(0, float("-inf"))
-    return SLog(1 if acc > 0 else -1, top + math.log(abs(acc)))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContourError, Degenerate, InsufficientData, NearEigenvalue
+from .errors import ContourError, Degenerate, InsufficientData
 from .ksop import KSMatrix
 from .partition import (PartitionPolynomial, evaluate, evaluate_derivative,
                         numerator_coefficients, smallest_zero, zeros)
@@ -126,21 +126,6 @@ def spectrum(ks: KSMatrix, polish=True) -> Spectrum:
     if normalized:
         nu = nu / pairing
     return Spectrum(lam, lam_c, lam2, dist, tie, v, nu, normalized, ks.scale)
-
-
-def resolvent_apply(mat, lam, rhs, eigs=None):
-    """(K - lam)^{-1} rhs, guarding against shifts at an eigenvalue."""
-    mat = np.asarray(mat)
-    if eigs is not None:
-        d = np.abs(np.asarray(eigs) - lam)
-        j = int(np.argmin(d))
-        if d[j] <= 1e-12 * max(1.0, abs(lam)):
-            raise NearEigenvalue(lam, complex(np.asarray(eigs)[j]))
-    A = mat.astype(complex) - lam * np.eye(mat.shape[0])
-    try:
-        return np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NearEigenvalue(lam, None) from exc
 
 
 @dataclass

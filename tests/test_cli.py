@@ -110,6 +110,12 @@ def test_config_errors_exit_2(capsys):
                  "--anchors", "a,b"]) == 2
     err = capsys.readouterr().err
     assert err.count("configuration error") == 5
+    # quadrature orders and probe counts the residual check cannot use
+    assert main(["residual", "--L", "3", "--M", "4", "--z", "0.2", "--n-max", "1",
+                 "--order", "-3"]) == 2
+    assert main(["residual", "--L", "3", "--M", "4", "--z", "0.2", "--n-max", "1",
+                 "--probes", "0"]) == 2
+    assert capsys.readouterr().err.count("configuration error") == 2
 
 
 def test_degenerate_polynomial_exits_4(capsys):

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from kslab.errors import ConfigError
-from kslab.integrals import Box
+from kslab.integrals import Box, gauss_legendre, panel_rule
 from kslab.ksop import (
     CallableFamily,
     CorrelationFamily,
+    _kernel_window,
+    _ordered_nodes,
+    _static_breaks,
     apply_ks_function,
     build_ks_matrix,
     dxi_norm,
@@ -173,3 +176,72 @@ def test_dxi_norm_closed_form():
     assert dxi_norm([1.0, 1.0, 1.0], 1.0) == pytest.approx(1.0)
     with pytest.raises(ConfigError):
         dxi_norm([1.0], 0.0)
+
+
+def _recursive_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax):
+    """Reference: the nested panel rule built by depth-first recursion."""
+    window = _kernel_window(p, box, x1)
+    if window is None:
+        return np.empty((0, m)), np.empty(0)
+    lo, hi = window
+    r = p.interaction_range
+    anchor_pts = np.append(rest_coords, x1)
+    static = sorted(set(_static_breaks(p, box, anchor_pts, kmax))
+                    | {float(c) for c in anchor_pts if 0.0 < c < box.extents[0]})
+    rows, weights = [], []
+
+    def rec(level, y_prev, prefix, wacc):
+        left = lo if level == 1 else y_prev
+        if left >= hi:
+            return
+        dyn = [y + k * r for y in prefix for k in (1, 2, 3)]
+        nodes, ws = panel_rule(left, hi, static + dyn, order if level == 1 else inner_order)
+        for nd, w in zip(nodes, ws):
+            if level == m:
+                rows.append(prefix + [nd])
+                weights.append(wacc * w)
+            else:
+                rec(level + 1, nd, prefix + [nd], wacc * w)
+
+    rec(1, lo, [], 1.0)
+    return np.asarray(rows).reshape(-1, m), np.asarray(weights)
+
+
+def test_ordered_nodes_match_recursive_reference():
+    potentials = [PairPotential.hardcore(1.0), PairPotential.hardcore(0.37),
+                  PairPotential.step(0.8, 1.3)]
+    checked = 0
+    for p in potentials:
+        a = p.interaction_range
+        for L in (2.0, 5.0, 7.3):
+            box = Box((L,))
+            x1 = 0.45 * L
+            # the last anchor sits exactly on the window's upper edge
+            anchor_sets = [np.empty(0), np.array([0.1 * L]), np.array([0.8 * L, x1 + a])]
+            # m = 3 only at small orders and one kmax, to keep the reference cheap
+            cases = [(m, order, inner, kmax)
+                     for m, order, inner in ((1, 64, 12), (2, 24, 11), (2, 5, 8), (2, 3, 5))
+                     for kmax in (3, 12)] + [(3, 5, 3, 3)]
+            for rest in anchor_sets:
+                for m, order, inner, kmax in cases:
+                    got = _ordered_nodes(p, box, x1, rest, m, order, inner, kmax)
+                    want = _recursive_nodes(p, box, x1, rest, m, order, inner, kmax)
+                    assert got[0].shape == want[0].shape
+                    assert got[1].shape == want[1].shape
+                    assert np.array_equal(got[0], want[0])
+                    assert np.array_equal(got[1], want[1])
+                    checked += len(want[1]) > 0
+    assert checked == 3 * 3 * 3 * 9
+    rows, weights = _ordered_nodes(PairPotential.ideal(), Box((5.0,)), 2.0,
+                                   np.array([3.0]), 2, 16, 8, 3)
+    assert rows.shape == (0, 2) and weights.shape == (0,)
+
+
+def test_gauss_legendre_rule_is_shared_read_only():
+    x, w = gauss_legendre(7)
+    assert gauss_legendre(7)[0] is x
+    np.testing.assert_allclose(w.sum(), 2.0, rtol=1e-15)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
