@@ -5,7 +5,7 @@ The pipeline runs from a pair potential to certified spectral data:
 1. `potentials` defines the interaction and its stability/regularity
    diagnostics.
 2. `integrals` evaluates configuration integrals Z_m over a box, exactly
-   where a closed form exists and by quadrature or importance sampling
+   where a closed form exists and by quadrature or scrambled Sobol sampling
    otherwise, with per-entry error estimates and a JSON cache.
 3. `partition` assembles the grand-canonical polynomial, finds all its
    zeros with extended-precision safeguards, and certifies the smallest

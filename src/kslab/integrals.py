@@ -10,6 +10,12 @@ gas in any dimension, hard rods on a segment, both plain and anchored),
 "quadrature" (tensorized panel Gauss-Legendre, capped in total dimension),
 and "sampling" (scrambled Sobol averages with replicate standard errors).
 
+The quadrature gives every particle the same node set, so its tensor sum
+over all N^m node tuples is contracted pairwise: one N x N matrix of pair
+Boltzmann factors, per-node anchor factors, and prefixes extended one
+particle at a time in bounded blocks, closed by a quadratic form.  No
+m-particle configuration is ever materialised.
+
 Boxes have per-axis extents with coordinates in [0, extent]; particles are
 points (rod centers in one dimension) and there is no wall potential, so
 the box only truncates the integration domain.
@@ -40,6 +46,7 @@ log = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 DIMENSION_CAP = 6  # tensor quadrature refuses beyond nu*m axes
 _POINT_BUDGET = 400_000  # total tensor nodes per integral
+_BLOCK = 1 << 18  # elements per working array of the tensor contraction
 
 
 @dataclass(frozen=True)
@@ -227,36 +234,71 @@ def contact_lattice(extent, a, kmax, anchors=()):
     return sorted(p for p in pts if 0.0 < p < extent)
 
 
-def _tensor_axes(box, m, order, breaks_per_axis):
-    """Per-axis panel rules for an m-particle tensor integral."""
-    axes = []
-    for _ in range(m):
-        for d, ext in enumerate(box.extents):
-            axes.append(panel_rule(0.0, ext, breaks_per_axis[d], order))
-    return axes
+def _pair_matrix(p, X):
+    """Boltzmann factors e(|X_i - X_j|) between all pairs of nodes, (N, N)."""
+    N = len(X)
+    E = np.empty((N, N))
+    rows = max(1, _BLOCK // (N * X.shape[1]))
+    for s in range(0, N, rows):
+        diff = X[s : s + rows, None, :] - X[None, :, :]
+        E[s : s + rows] = p.boltzmann(np.sqrt((diff**2).sum(axis=-1)))
+    return E
+
+
+def _contract(E, W, R, k):
+    """Sum over k more particles placed on the nodes, given live prefixes.
+
+    Prefix p carries its weight W[p] and, in R[p, j], the weight of the
+    next particle at node j: the node's own weight times its Boltzmann
+    factors with the anchors and every particle of the prefix.  The last
+    two particles close as the quadratic form R E R^T; earlier levels
+    extend each prefix by one node, a block of prefixes at a time so that
+    no working array exceeds _BLOCK elements (or one N x N slab), and drop
+    extensions of weight zero (hard-core overlaps).
+    """
+    if k == 2:
+        return float(W @ np.einsum("pj,pj->p", R @ E, R))
+    N = len(E)
+    rows = max(1, _BLOCK // (N * N))
+    total = 0.0
+    for s in range(0, len(W), rows):
+        Wn = (W[s : s + rows, None] * R[s : s + rows]).reshape(-1)
+        Rn = (R[s : s + rows, None, :] * E).reshape(-1, N)
+        live = Wn != 0.0
+        total += _contract(E, Wn[live], Rn[live], k - 1)
+    return total
 
 
 def _tensor_eval(p, box, m, order, breaks_per_axis, anchors=None):
-    """Tensor quadrature of the Boltzmann weight, optionally with anchors."""
-    axes = _tensor_axes(box, m, order, breaks_per_axis)
-    node_list = [ax[0] for ax in axes]
-    wt_list = [ax[1] for ax in axes]
-    mesh = np.meshgrid(*node_list, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)  # (N, m*dim)
-    wmesh = np.meshgrid(*wt_list, indexing="ij")
-    wts = np.prod(np.stack([g.reshape(-1) for g in wmesh], axis=-1), axis=-1)
+    """Tensor quadrature of the Boltzmann weight, optionally with anchors.
 
-    configs = pts.reshape(-1, m, box.dimension)
-    if anchors is not None:
-        anc = np.broadcast_to(anchors, (configs.shape[0],) + anchors.shape)
-        configs = np.concatenate([anc, configs], axis=1)
-    # chunk the weight evaluation to bound memory
-    total = 0.0
-    N = configs.shape[0]
-    step = 200_000
-    for i in range(0, N, step):
-        total += float(np.dot(wts[i : i + step], p.weights_many(configs[i : i + step])))
-    return total
+    Every particle ranges over the same node set X (the product of the
+    per-axis panel rules) with weights w, so the tensor sum over all
+    m-tuples of nodes,
+
+        sum_{i_1..i_m} prod_k w_{i_k} c_{i_k} prod_{k<l} E[i_k, i_l],
+
+    is contracted pairwise from the single N x N Boltzmann matrix E and
+    the per-node anchor factors c_i = prod_a e(|X_i - anchor_a|), times
+    the anchors' own Boltzmann weight.  Only the order of summation
+    differs from evaluating the weight of each of the N^m configurations.
+    """
+    axes = [panel_rule(0.0, ext, breaks_per_axis[d], order)
+            for d, ext in enumerate(box.extents)]
+    grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
+    X = np.stack([g.reshape(-1) for g in grids], axis=-1)  # (N, dim)
+    w = functools.reduce(np.multiply.outer, [ax[1] for ax in axes]).reshape(-1)
+
+    scale = 1.0
+    if anchors is not None and len(anchors):
+        scale = float(p.weights_many(anchors[None])[0])
+        if scale == 0.0:
+            return 0.0
+        for anc in anchors:
+            w = w * p.boltzmann(np.sqrt(((X - anc) ** 2).sum(axis=-1)))
+    if m == 1:
+        return scale * float(w.sum())
+    return scale * _contract(_pair_matrix(p, X), np.ones(1), w[None, :], m)
 
 
 def _axis_budget(box, m, order, npanels):
@@ -542,7 +584,7 @@ def build_table(p: PairPotential, box: Box, M, order=16, n_samples=1 << 16, seed
             entries.append(ZEntry(0, SLog(1, 0.0), 0.0, "exact"))
             continue
         if p.family == "ideal":
-            entries.append(ZEntry(m, SLog.from_value(box.volume**m), 0.0, "exact"))
+            entries.append(ZEntry(m, SLog(1, m * math.log(box.volume)), 0.0, "exact"))
             continue
         if m == 1:
             entries.append(ZEntry(1, SLog.from_value(box.volume), 0.0, "exact"))

@@ -203,8 +203,10 @@ def _ordered_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax):
     """Node rows and weights for the ordered sector y_1 <= ... <= y_m in the window.
 
     Panels split at the static contact lattice of the anchors plus, per
-    nesting level, at offsets y + k*a (k = 1, 2, 3) from the already-placed
-    y nodes, so that piecewise-defined integrands never straddle a panel.
+    nesting level, at the offsets y + a from the already-placed y nodes,
+    so that piecewise-defined integrands never straddle a panel.  Farther
+    offsets y + k*a (k >= 2) never cut the window: it lies inside
+    [x1 - a, x1 + a] and every placed y >= x1 - a, so y + 2a >= hi.
 
     The nest is built level by level on arrays: every live prefix row gets
     its own sorted cut list (candidates outside (left, hi) collapse onto
@@ -225,7 +227,6 @@ def _ordered_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax):
     static = _static_breaks(p, box, anchor_pts, kmax)
     static = np.array(sorted(set(static) | {float(c) for c in anchor_pts
                                             if 0.0 < c < box.extents[0]}))
-    offsets = np.array([k * a for k in (1, 2, 3)])
 
     rows = np.empty((1, 0))  # live prefixes (y_1..y_{level-1})
     wacc = np.ones(1)        # their accumulated weights
@@ -234,7 +235,7 @@ def _ordered_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax):
         keep = left < hi
         rows, wacc, left = rows[keep], wacc[keep], left[keep]
         n = len(rows)
-        dyn = (rows[:, :, None] + offsets).reshape(n, -1)
+        dyn = rows + a
         cand = np.concatenate([np.broadcast_to(static, (n, len(static))), dyn], axis=1)
         cand = np.where((cand > left[:, None]) & (cand < hi), cand, hi)
         cand.sort(axis=1)

@@ -2,11 +2,14 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 import kslab
@@ -67,6 +70,31 @@ def test_table_csv_free_gas(tmp_path):
     assert [int(r["m"]) for r in rows] == [0, 1, 2, 3, 4]
     assert all(float(r["value"]) == 1.0 for r in rows)
     assert all(r["method"] == "exact" for r in rows)
+
+
+def test_wide_free_gas_box_exits_0(tmp_path):
+    # Z_52 = V^52 = 1e312 is past the float range; the table keeps it in
+    # log form, so both commands finish and w = z_c V is a zero of
+    # sum_m w^m / m!, whatever the box
+    L, M = 1e6, 52
+    argv = ["--potential", "ideal", "--L", str(L), "--M", str(M)]
+    rc, out = run(tmp_path, "z.json", ["zeros"] + argv)
+    assert rc == 0
+    sm = read_json(out)["zeros"]["smallest"]
+    # smallest-modulus pair of mp.polyroots on that polynomial at 80 digits
+    with mp.workdps(40):
+        ref = mp.mpc("-15.446431970948245948363951763112", "0.71168587927276825616197603053615")
+        terms = [ref**m / mp.factorial(m) for m in range(M + 1)]
+        assert abs(mp.fsum(terms)) <= mp.mpf("1e-30") * mp.fsum(abs(t) for t in terms)
+    w = complex(sm["re"], sm["im"]) * L
+    rel = min(abs(w - complex(r)) for r in (ref, mp.conj(ref))) / abs(complex(ref))
+    # each coefficient carries the rounding of its log, M log V units of
+    # eps at most, which the reported root conditioning amplifies
+    assert rel <= sm["root_conditioning"] * M * math.log(L) * np.finfo(float).eps
+
+    rc, out = run(tmp_path, "s.json", ["spectral"] + argv)
+    assert rc == 0
+    assert all(math.isfinite(v) for v in read_json(out)["leading"]["lambda_c"])
 
 
 def test_spectral_deterministic_up_to_timestamp(tmp_path):

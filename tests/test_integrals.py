@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -6,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kslab.integrals import (Box, anchored_integral, build_table, cache_path,
-                             exact_mp_Z, hardrod_anchored_many, load_table)
+from kslab import integrals
+from kslab.integrals import (DIMENSION_CAP, Box, anchored_integral, build_table,
+                             cache_path, contact_lattice, exact_mp_Z,
+                             hardrod_anchored_many, load_table, panel_rule,
+                             quadrature_Z)
 from kslab.potentials import PairPotential
 
 
@@ -137,3 +141,114 @@ def test_anchored_integral_routes_and_agrees():
     quad, err1 = anchored_integral(p, box, anchors, 1, order=24,
                                    strategy="quadrature")
     assert abs(quad - exact) <= err1 + 1e-9 * abs(exact)
+
+
+def _reference_tensor_eval(p, box, m, order, breaks_per_axis, anchors=None):
+    """Tensor quadrature by weighing every configuration of the full mesh.
+
+    One panel rule per particle and axis, the N^m-point meshgrid of all of
+    them, and p.weights_many on every configuration, anchors prepended: the
+    same sum as integrals._tensor_eval, in configuration order.
+    """
+    axes = [panel_rule(0.0, ext, breaks_per_axis[d], order)
+            for _ in range(m) for d, ext in enumerate(box.extents)]
+    mesh = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
+    pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
+    wmesh = np.meshgrid(*[ax[1] for ax in axes], indexing="ij")
+    wts = np.prod(np.stack([g.reshape(-1) for g in wmesh], axis=-1), axis=-1)
+    configs = pts.reshape(-1, m, box.dimension)
+    if anchors is not None:
+        anc = np.broadcast_to(anchors, (configs.shape[0],) + anchors.shape)
+        configs = np.concatenate([anc, configs], axis=1)
+    return float(np.dot(wts, p.weights_many(configs)))
+
+
+def _core_table():
+    # +inf core up to r = 0.5, an attractive well, zero from r = 1
+    return [0.0, 0.5, 0.55, 1.0], [math.inf, math.inf, -0.5, 0.0]
+
+
+def _potentials(dim):
+    r, phi = _core_table()
+    return [PairPotential.step(0.8, 1.3, dimension=dim),
+            PairPotential.hardcore(0.7, dimension=dim),
+            PairPotential.custom(r, phi, dimension=dim)]
+
+
+_BOXES = {1: Box((2.5,)), 2: Box((2.0, 1.5))}
+_ANCHORS = {  # the last set of each dimension has its two anchors overlapping
+    1: [None, np.array([[1.1]]), np.array([[0.4], [2.0]]), np.array([[1.0], [1.3]])],
+    2: [None, np.array([[0.9, 0.6]]), np.array([[0.3, 0.4], [1.6, 1.1]]),
+        np.array([[1.0, 0.7], [1.2, 0.8]])],
+}
+_REFERENCE_CONFIGS = 250_000  # largest mesh the reference is asked to weigh
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_tensor_contraction_matches_configuration_sum(dim):
+    # orders 2, 4 and 12, every m up to the dimension cap and 0, 1 or 2
+    # anchors; a combination is skipped when the reference's mesh would
+    # exceed _REFERENCE_CONFIGS configurations, and the tally at the end
+    # checks that every m and every order still ran
+    box = _BOXES[dim]
+    checked = set()
+    for p in _potentials(dim):
+        for anchors in _ANCHORS[dim]:
+            breaks = [contact_lattice(ext, p.interaction_range, 1,
+                                      anchors=() if anchors is None else anchors[:, d])
+                      for d, ext in enumerate(box.extents)]
+            for m in range(1, DIMENSION_CAP // dim + 1):
+                for order in (2, 4, 12):
+                    n_nodes = math.prod(len(panel_rule(0.0, ext, b, order)[0])
+                                        for ext, b in zip(box.extents, breaks))
+                    if n_nodes**m > _REFERENCE_CONFIGS:
+                        continue
+                    got = integrals._tensor_eval(p, box, m, order, breaks, anchors)
+                    want = _reference_tensor_eval(p, box, m, order, breaks, anchors)
+                    assert abs(got - want) <= 1e-12 * abs(want), (p.family, m, order)
+                    overlap = anchors is _ANCHORS[dim][-1] and p.has_hard_core
+                    if overlap:
+                        assert got == 0.0 and want == 0.0
+                    checked.add((m, order, 0 if anchors is None else len(anchors), overlap))
+    assert {c[0] for c in checked} == set(range(1, DIMENSION_CAP // dim + 1))
+    assert {c[1] for c in checked} == {2, 4, 12}
+    assert {c[2] for c in checked} == {0, 1, 2}
+    assert any(c[3] for c in checked)
+
+
+def test_quadrature_routes_match_configuration_sum(monkeypatch):
+    # values and refinement errors through quadrature_Z and anchored_integral
+    cases = []
+    for p in _potentials(1):
+        cases += [("Z", p, Box((2.5,)), None, m, 8) for m in (2, 3, 4)]
+        cases.append(("A", p, Box((2.5,)), np.array([[1.1], [2.0]]), 2, 8))
+    for p in _potentials(2):
+        cases.append(("Z", p, Box((2.0, 1.5)), None, 2, 4))
+        cases.append(("A", p, Box((2.0, 1.5)), np.array([[0.9, 0.6]]), 1, 12))
+        cases.append(("A", p, Box((2.0, 1.5)), np.array([[0.9, 0.6]]), 2, 2))
+
+    def route(kind, p, box, anchors, m, order):
+        if kind == "Z":
+            return quadrature_Z(p, box, m, order=order)
+        return anchored_integral(p, box, anchors, m, order=order, strategy="quadrature")
+
+    got = [route(*c) for c in cases]
+    monkeypatch.setattr(integrals, "_tensor_eval", _reference_tensor_eval)
+    want = [route(*c) for c in cases]
+    for c, (v, e), (rv, re) in zip(cases, got, want):
+        assert abs(v - rv) <= 1e-12 * abs(rv), c
+        assert abs(e - re) <= 1e-12 * abs(re), c
+
+
+def test_disk_z3_quadrature_memory_is_bounded():
+    # 196 nodes per particle: summing configuration by configuration holds
+    # 196^3 = 7.5M configurations at once, 1.4 GB
+    p = PairPotential.hardcore(0.7, dimension=2)
+    tracemalloc.start()
+    try:
+        value, error = quadrature_Z(p, Box((3.0, 3.0)), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value > 0.0 and np.isfinite(error)
+    assert peak < 256 * 2**20
