@@ -121,6 +121,15 @@ def _emit(args, command, payload, rows, row_fields):
         print(text)
 
 
+def _finite_pair(poly, N):
+    """(density, pressure) activity series of one finite box."""
+    ls = log_series(poly, N)
+    volume = poly.box.volume
+    return (density_series(ls, volume),
+            PowerSeries.from_values(ls.values / volume, "z"),
+            {"box": list(poly.box.extents)})
+
+
 def _series_pair(args):
     """(density, pressure) activity series, finite box or extrapolated."""
     p = _potential(args)
@@ -132,22 +141,14 @@ def _series_pair(args):
         lengths = (ext[0], 2 * ext[0], 4 * ext[0])
         dens, errs, _ = density_coefficients_extrapolated(
             p, lengths, N, cache_dir=args.cache_dir)
-        # pressure coefficients extrapolate the same way: ell_k / L
+        # pressure coefficients ell_k / L are density coefficients over k,
+        # and Richardson is linear, so the density ladder carries them too
+        vals = dens.values
         pres_vals = np.zeros(N + 1)
-        per_len = []
-        for L in lengths:
-            table = build_table(p, Box((float(L),)), N, cache_dir=args.cache_dir)
-            poly = assemble(table)
-            per_len.append(log_series(poly, N).values / L)
-        from .cluster import richardson
-
-        for k in range(1, N + 1):
-            pres_vals[k], _ = richardson([v[k] for v in per_len],
-                                         ratio=lengths[1] / lengths[0])
+        pres_vals[1:] = vals[1:] / np.arange(1, N + 1)
         # keep only orders the ladder actually resolves: high orders lose
         # all significant digits to cancellation in the finite-volume
         # recurrence and come out comparable to their own error estimate
-        vals = dens.values
         cut = N
         for k in range(1, N + 1):
             if vals[k] != 0.0 and errs[k] >= 0.1 * abs(vals[k]):
@@ -158,12 +159,8 @@ def _series_pair(args):
         return dens, pres, {"lengths": list(lengths), "kept_orders": cut,
                             "errors": errs[: cut + 1].tolist()}
     # coefficient k of log Xi needs c_1..c_k, so the table must reach N
-    _, box, table = _table(args, M=max(args.M, N))
-    poly = assemble(table)
-    ls = log_series(poly, N)
-    return (density_series(ls, box.volume),
-            PowerSeries.from_values(ls.values / box.volume, "z"),
-            {"box": list(box.extents)})
+    _, _, table = _table(args, M=max(args.M, N))
+    return _finite_pair(assemble(table), N)
 
 
 # -- commands ----------------------------------------------------------------------
@@ -328,7 +325,9 @@ def cmd_claimcheck(args):
         rows.append(claim_row("spectral radius vs 1/xi", rad["xi_inverse"],
                               rad["spectral_radius"], relation="at_most"))
 
-    dens, pres, _ = _series_pair(args)
+    # the finite-box series come from the table built above
+    dens, pres, _ = (_series_pair(args) if args.extrapolate
+                     else _finite_pair(poly, args.terms))
     try:
         est = radius_estimate(dens, method=args.radius_method)
         measured_R = est.R

@@ -368,6 +368,24 @@ def quadrature_Z(p: PairPotential, box: Box, m, order=16):
     return vals[0], _refinement_error(vals)
 
 
+def sobol_replicates(dim, n_samples, seed, replicates, estimate):
+    """Mean and standard error of a sample mean over scrambled Sobol replicates.
+
+    The n_samples points are split into `replicates` independently
+    scrambled Sobol blocks of 2^k points in [0, 1)^dim, scrambled from
+    SeedSequence(seed).spawn(replicates); estimate maps one block to its
+    sample mean.  Returns the mean of the replicate means and its standard
+    error, std(ddof=1)/sqrt(replicates).  Deterministic for a given seed.
+    """
+    k = max(1, math.ceil(math.log2(max(2, n_samples // replicates))))
+    means = []
+    for ss in np.random.SeedSequence(seed).spawn(replicates):
+        eng = qmc.Sobol(d=dim, scramble=True, seed=np.random.default_rng(ss))
+        means.append(estimate(eng.random_base2(k)))
+    means = np.asarray(means)
+    return means.mean(), means.std(ddof=1) / math.sqrt(replicates)
+
+
 def sampled_Z(p: PairPotential, box: Box, m, n_samples=1 << 16, seed=42, replicates=8):
     """Scrambled-Sobol estimate of Z_m with a replicate standard error.
 
@@ -379,23 +397,14 @@ def sampled_Z(p: PairPotential, box: Box, m, n_samples=1 << 16, seed=42, replica
         raise ConfigError("sampled_Z needs at least 1000 samples")
     if m == 0:
         return 1.0, 0.0
-    dim_total = box.dimension * m
     vol = box.volume**m
     if p.family == "ideal":
         return vol, 0.0
-    k = max(1, math.ceil(math.log2(max(2, n_samples // replicates))))
-    seeds = np.random.SeedSequence(seed).spawn(replicates)
-    ext = np.asarray(box.extents)
-    means = []
-    for ss in seeds:
-        eng = qmc.Sobol(d=dim_total, scramble=True, seed=np.random.default_rng(ss))
-        u = eng.random_base2(k)
-        configs = (u * np.tile(ext, m)).reshape(-1, m, box.dimension)
-        means.append(float(p.weights_many(configs).mean()))
-    means = np.asarray(means)
-    value = vol * float(means.mean())
-    stderr = vol * float(means.std(ddof=1) / math.sqrt(replicates))
-    return value, stderr
+    ext = np.tile(box.extents, m)
+    mean, err = sobol_replicates(
+        box.dimension * m, n_samples, seed, replicates,
+        lambda u: float(p.weights_many((u * ext).reshape(-1, m, box.dimension)).mean()))
+    return vol * float(mean), vol * float(err)
 
 
 # -- anchored integrals --------------------------------------------------------
@@ -429,7 +438,16 @@ def anchored_integral(p: PairPotential, box: Box, anchors, m, order=16, seed=42,
 
     dim_total = box.dimension * m
     if strategy == "sampling" or dim_total > DIMENSION_CAP:
-        return _anchored_sampled(p, box, anchors, m, seed)
+        ext = np.tile(box.extents, m)
+
+        def estimate(u):
+            configs = (u * ext).reshape(-1, m, box.dimension)
+            anc = np.broadcast_to(anchors, (len(configs),) + anchors.shape)
+            return float(p.weights_many(np.concatenate([anc, configs], axis=1)).mean())
+
+        mean, err = sobol_replicates(dim_total, 1 << 14, seed, 8, estimate)
+        vol = box.volume**m
+        return vol * float(mean), vol * float(err)
 
     rng_a = p.interaction_range
     breaks = []
@@ -440,24 +458,6 @@ def anchored_integral(p: PairPotential, box: Box, anchors, m, order=16, seed=42,
     orders = _ladder_orders(_axis_budget(box, m, order, npanels))
     vals = [_tensor_eval(p, box, m, o, breaks, anchors=anchors) for o in orders]
     return vals[0], _refinement_error(vals)
-
-
-def _anchored_sampled(p, box, anchors, m, seed, n_samples=1 << 14, replicates=8):
-    dim_total = box.dimension * m
-    vol = box.volume**m
-    k = max(1, math.ceil(math.log2(max(2, n_samples // replicates))))
-    seeds = np.random.SeedSequence(seed).spawn(replicates)
-    ext = np.asarray(box.extents)
-    means = []
-    for ss in seeds:
-        eng = qmc.Sobol(d=dim_total, scramble=True, seed=np.random.default_rng(ss))
-        u = eng.random_base2(k)
-        configs = (u * np.tile(ext, m)).reshape(-1, m, box.dimension)
-        anc = np.broadcast_to(anchors, (configs.shape[0],) + anchors.shape)
-        full = np.concatenate([anc, configs], axis=1)
-        means.append(float(p.weights_many(full).mean()))
-    means = np.asarray(means)
-    return vol * float(means.mean()), vol * float(means.std(ddof=1) / math.sqrt(replicates))
 
 
 # -- integral tables with a JSON cache ----------------------------------------

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .integrals import Box, contact_lattice, gauss_legendre
+from .integrals import Box, contact_lattice, gauss_legendre, sobol_replicates
 from .partition import PartitionPolynomial, correlation, evaluate
 from .potentials import PairPotential
 
@@ -284,26 +284,19 @@ def _term_sampled(p, box, phi, n, x1, rest, m, seed):
     if window is None:
         return 0.0 + 0.0j, 0.0
     lo, hi = window
-    from scipy.stats import qmc
+    level = n - 1 + m
 
-    seeds = np.random.SeedSequence(seed).spawn(8)
-    means = []
-    k = max(4, int(math.log2(_SOBOL_SAMPLES // 8)))
-    for ss in seeds:
-        eng = qmc.Sobol(d=m, scramble=True, seed=np.random.default_rng(ss))
-        ys = lo + (hi - lo) * eng.random_base2(k)
+    def estimate(u):
+        ys = lo + (hi - lo) * u
         kern = np.prod(p.mayer_f(np.abs(ys - x1)), axis=1)
-        level = n - 1 + m
         configs = np.concatenate(
             [np.broadcast_to(rest, (len(ys), n - 1)), ys], axis=1
         ).reshape(-1, level, 1)
-        vals = phi(level, configs)
-        means.append(np.mean(kern * vals) * (hi - lo) ** m)
-    means = np.asarray(means)
-    val = complex(means.mean()) / math.factorial(m)
-    # standard error of the replicate mean, not the spread of |deviations|
-    err = float(means.std(ddof=1)) / math.sqrt(len(means)) / math.factorial(m)
-    return val, err
+        return np.mean(kern * phi(level, configs)) * (hi - lo) ** m
+
+    mean, err = sobol_replicates(m, _SOBOL_SAMPLES, seed, 8, estimate)
+    fac = math.factorial(m)
+    return complex(mean) / fac, float(err) / fac
 
 
 def apply_ks_function(p: PairPotential, box: Box, phi, n, anchors, M,

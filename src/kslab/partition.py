@@ -115,6 +115,31 @@ def assemble(table: IntegralTable, scale=None) -> PartitionPolynomial:
 # -- evaluation ----------------------------------------------------------------
 
 
+def horner(c, w, magnitude=False):
+    """sum_m c_m w^m by Horner in 80-bit extended precision.
+
+    w may be a scalar or an array; the value has w's shape, as clongdouble.
+    With magnitude the pair (value, sum_m |c_m| |w|^m) is returned, the
+    magnitude sum accumulated the same way in longdouble.  Both stay in
+    extended precision: the huge outer roots of wide coefficient ranges
+    push intermediate magnitudes past float64 overflow, so callers must
+    divide before casting down.
+    """
+    x = np.asarray(w, dtype=_LONG)
+    acc = np.zeros_like(x)
+    for cm in np.asarray(c, dtype=_LONG)[::-1]:
+        acc = acc * x + cm
+    if not magnitude:
+        return acc
+    w = np.asarray(w, dtype=complex)
+    # hypot, as scalar abs(): numpy's array abs of complex128 rounds differently
+    ax = np.hypot(w.real, w.imag).astype(np.longdouble)
+    mag = np.zeros_like(ax)
+    for cm in np.abs(c).astype(np.longdouble)[::-1]:
+        mag = mag * ax + cm
+    return acc, mag
+
+
 def evaluate(poly: PartitionPolynomial, z):
     """Xi(z) by extended-precision Horner, with a condition estimate.
 
@@ -124,22 +149,15 @@ def evaluate(poly: PartitionPolynomial, z):
     """
     b = poly.scaled_coeffs()
     w = complex(z) / poly.scale
-    acc = _LONG(0.0) + 0j
-    for bm in b[::-1]:
-        acc = acc * _LONG(w) + _LONG(bm)
     cond = float(np.polyval(np.abs(b)[::-1], abs(w)))
-    return complex(acc), cond
+    return complex(horner(b, w)), cond
 
 
 def evaluate_derivative(poly: PartitionPolynomial, z):
     """d Xi/dz at z, same evaluation scheme as evaluate()."""
     b = poly.scaled_coeffs()
     db = (b * np.arange(len(b)))[1:]  # derivative in w; unscale by 1/s below
-    w = complex(z) / poly.scale
-    acc = _LONG(0.0) + 0j
-    for bm in db[::-1]:
-        acc = acc * _LONG(w) + _LONG(bm)
-    return complex(acc) / poly.scale
+    return complex(horner(db, complex(z) / poly.scale)) / poly.scale
 
 
 def evaluate_second_derivative(poly: PartitionPolynomial, z):
@@ -147,11 +165,7 @@ def evaluate_second_derivative(poly: PartitionPolynomial, z):
     b = poly.scaled_coeffs()
     k = np.arange(len(b))
     ddb = (b * k * (k - 1))[2:]
-    w = complex(z) / poly.scale
-    acc = _LONG(0.0) + 0j
-    for bm in ddb[::-1]:
-        acc = acc * _LONG(w) + _LONG(bm)
-    return complex(acc) / poly.scale**2
+    return complex(horner(ddb, complex(z) / poly.scale)) / poly.scale**2
 
 
 # -- zeros ---------------------------------------------------------------------
@@ -174,26 +188,10 @@ class ZeroSet:
         return d.min(axis=1)
 
 
-def _poly_eval_scaled(b, w):
-    """Horner value of sum b_m w^m in extended precision, plus magnitude sum.
-
-    Both stay in extended precision: the huge outer roots of wide
-    coefficient ranges push intermediate magnitudes past float64 overflow,
-    so callers must divide before casting down.
-    """
-    acc = _LONG(0.0) + 0j
-    mag = np.longdouble(0.0)
-    aw = np.longdouble(abs(w))
-    for bm in b[::-1]:
-        acc = acc * _LONG(w) + _LONG(bm)
-        mag = mag * aw + np.longdouble(abs(bm))
-    return acc, mag
-
-
 def _scaled_residual(b, w):
     """|p(w)| relative to the accumulated coefficient magnitude at w."""
-    acc, mag = _poly_eval_scaled(b, w)
-    return float(np.abs(acc) / (mag + np.longdouble(1e-300)))
+    acc, mag = horner(b, w, magnitude=True)
+    return (np.abs(acc) / (mag + np.longdouble(1e-300))).astype(float)
 
 
 def _aberth_polish(b, roots, tol=1e-12, max_iter=60):
@@ -202,13 +200,10 @@ def _aberth_polish(b, roots, tol=1e-12, max_iter=60):
     db = b[1:] * np.arange(1, deg + 1)
     w = roots.astype(complex).copy()
     for _ in range(max_iter):
-        res = np.empty(deg)
-        newton = np.empty(deg, dtype=complex)
-        for i, wi in enumerate(w):
-            pv, mag = _poly_eval_scaled(b, wi)
-            dv, _ = _poly_eval_scaled(db, wi)
-            res[i] = float(np.abs(pv) / (mag + np.longdouble(1e-300)))
-            newton[i] = complex(pv / dv) if dv != 0 else 0.0
+        pv, mag = horner(b, w, magnitude=True)
+        dv = horner(db, w)
+        res = (np.abs(pv) / (mag + np.longdouble(1e-300))).astype(float)
+        newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0).astype(complex)
         if res.max() <= tol:
             break
         diff = w[:, None] - w[None, :]
@@ -217,7 +212,7 @@ def _aberth_polish(b, roots, tol=1e-12, max_iter=60):
         denom = 1.0 - newton * sums
         step = np.where(np.abs(denom) > 1e-30, newton / denom, newton)
         w = w - step
-    return w, np.array([_scaled_residual(b, wi) for wi in w])
+    return w, _scaled_residual(b, w)
 
 
 def _pair_conjugates(w):
@@ -277,6 +272,25 @@ def _newton_polygon_starts(b):
     return starts
 
 
+def mp_horner(b, db, x):
+    """(p(x), p'(x), sum_m |b_m| |x|^m) for p = sum b_m x^m, by mpmath Horner.
+
+    db are the derivative coefficients m b_m, m = 1..deg; everything runs
+    at the caller's working precision, b and db ascending.
+    """
+    from mpmath import mp
+
+    ax = abs(x)
+    p = dp = mp.mpc(0)
+    mag = mp.mpf(0)
+    for bm in b[::-1]:
+        p = p * x + bm
+        mag = mag * ax + abs(bm)
+    for dm in db[::-1]:
+        dp = dp * x + dm
+    return p, dp, mag
+
+
 def _mp_aberth(b, max_sweeps=200):
     """All roots of sum b_m w^m (b_0, b_deg nonzero) at the working precision.
 
@@ -289,6 +303,7 @@ def _mp_aberth(b, max_sweeps=200):
     from mpmath import mp
 
     deg = len(b) - 1
+    db = [m * b[m] for m in range(1, deg + 1)]
     eps = mp.eps
     w = _newton_polygon_starts(b)
     live = list(range(deg))
@@ -296,13 +311,7 @@ def _mp_aberth(b, max_sweeps=200):
         still = []
         for i in live:
             x = w[i]
-            ax = abs(x)
-            p = dp = mp.mpc(0)
-            mag = mp.mpf(0)
-            for bm in b[::-1]:
-                dp = dp * x + p
-                p = p * x + bm
-                mag = mag * ax + abs(bm)
+            p, dp, mag = mp_horner(b, db, x)
             if abs(p) <= (deg + 1) * eps * mag:
                 continue
             if dp == 0:
@@ -372,7 +381,7 @@ def zeros(poly: PartitionPolynomial, polish_tol=1e-12) -> ZeroSet:
         method = "lapack"
 
     w = _pair_conjugates(w)
-    res = np.array([_scaled_residual(b, wi) for wi in w])
+    res = _scaled_residual(b, w)
     zs = w * poly.scale
     order = np.lexsort((zs.imag, zs.real, np.abs(zs)))
     return ZeroSet(zs[order], res[order], method, poly)

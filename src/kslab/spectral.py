@@ -1,9 +1,9 @@
 """Spectral analysis of the operator matrix.
 
 Eigenvalues are computed in the rescaled companion frame and mapped back;
-contour objects (projection, reduced resolvent, nilpotent part) are
-computed and reported in the balanced frame, where norm ratios are
-meaningful.  The resolvent sign convention is
+the leading eigenvalue's Laurent data (projection, reduced resolvent,
+nilpotent part) are computed and reported in the balanced frame, where
+norm ratios are meaningful.  The resolvent sign convention is
 
     R(lam) = (K - lam)^(-1),      P = -(1/2 pi i) oint R(lam) dlam,
 
@@ -14,12 +14,12 @@ expansion), which satisfies PS = SP = 0 and (K - lam_c) S = I - P.
 
 Companion matrices of clustered zeros are strongly non-normal: their
 pseudospectra swallow any contour long before float64 runs out of digits.
-When double precision cannot certify the projection algebra, the leading
-eigenvalue's Laurent data come in closed form from the companion
-eigenvectors in mpmath (P = v nu^T / nu^T v and the reduced resolvent,
-O(M^2) in all); only when that finds no simple eigenvalue or does not
-certify does the solver integrate exact-structure resolvent rows over the
-contour in mpmath, O(M^2) per node.
+When double precision cannot certify the projection algebra, the Laurent
+data of the leading eigenvalue come in closed form from the companion
+eigenvectors in mpmath, P = v nu^T / nu^T v and S = (K - lam + P)^{-1} - P
+(Kato I §5), at 40, 60 or 90 digits and O(M^2) in all.  A circle
+isolating lam_c encloses one computed eigenvalue, which is simple, so no
+extended-precision contour integral is needed.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import numpy as np
 from .errors import ContourError, Degenerate, InsufficientData
 from .ksop import KSMatrix
 from .partition import (PartitionPolynomial, evaluate, evaluate_derivative,
-                        numerator_coefficients, smallest_zero, zeros)
+                        horner, mp_horner, numerator_coefficients,
+                        smallest_zero, zeros)
 
 _TIE_REL = 1e-9
 _LONG = np.clongdouble
@@ -56,20 +57,21 @@ class Spectrum:
         return abs(self.lam_c)
 
 
-def _companion_vectors(lam_scaled, coeffs, scale):
-    """Exact eigenvector pair of the scaled companion at one eigenvalue.
+def _left_vector(b, lam):
+    """Left eigenvector of the companion with first row -b_1..-b_M at lam.
 
-    Right vector (lam^{M-1}, .., lam, 1); the left one follows the first-row
-    recurrence nu_{j+1} = lam nu_j + b_{j+1} nu_0.
+    Backward recurrence nu_{M-1} = -b_M/lam, nu_k = (nu_{k+1} - b_{k+1})/lam,
+    normalized to nu_0 = 1 at an exact eigenvalue; the forward recurrence
+    nu_{j+1} = lam nu_j + b_{j+1} is unstable (relative left residual O(1)
+    for hard rods at L = 20).  Plain arithmetic, so float64 and mpmath
+    share it; returns a list.
     """
-    M = len(coeffs) - 1
-    b = coeffs * scale ** np.arange(M + 1)
-    v = lam_scaled ** np.arange(M - 1, -1, -1)
-    nu = np.empty(M, dtype=complex)
-    nu[0] = 1.0
-    for j in range(M - 1):
-        nu[j + 1] = lam_scaled * nu[j] + b[j + 1]
-    return v.astype(complex), nu
+    M = len(b) - 1
+    nu = [None] * M
+    nu[M - 1] = -b[M] / lam
+    for k in range(M - 2, -1, -1):
+        nu[k] = (nu[k + 1] - b[k + 1]) / lam
+    return nu
 
 
 def _polish_reciprocal(lam_scaled, b):
@@ -80,26 +82,18 @@ def _polish_reciprocal(lam_scaled, b):
     w = 1/lam is well conditioned instead.  Steps are kept only when they
     shrink |Xi| (extended precision throughout).
     """
-    bl = b.astype(_LONG)
-    dbl = (bl * np.arange(len(bl)))[1:]
+    dbl = (b.astype(_LONG) * np.arange(len(b)))[1:]
     out = lam_scaled.astype(complex).copy()
     live = np.abs(out) > 1e-12 * max(1.0, np.abs(out).max())
     w = np.zeros_like(out, dtype=_LONG)
     w[live] = 1.0 / out[live].astype(_LONG)
-
-    def horner(c, x):
-        acc = np.zeros_like(x)
-        for ck in c[::-1]:
-            acc = acc * x + ck
-        return acc
-
     for _ in range(3):
-        val = horner(bl, w)
+        val = horner(b, w)
         dval = horner(dbl, w)
         ok = live & (np.abs(dval) > 0)
         step = np.where(ok, val / np.where(dval == 0, 1, dval), 0)
         w_try = w - step
-        better = np.abs(horner(bl, w_try)) < np.abs(val)
+        better = np.abs(horner(b, w_try)) < np.abs(val)
         w = np.where(ok & better, w_try, w)
     out[live] = (1.0 / w[live]).astype(complex)
     return out
@@ -120,7 +114,9 @@ def spectrum(ks: KSMatrix, polish=True) -> Spectrum:
     lam2 = float(np.max(np.abs(rest))) if len(rest) else 0.0
     tie = len(rest) > 0 and (abs(lam_c) - lam2) <= _TIE_REL * abs(lam_c)
     dist = float(np.min(np.abs(rest - lam_c))) if len(rest) else math.inf
-    v, nu = _companion_vectors(lam_c * ks.scale, ks.coeffs, ks.scale)
+    lam_s = lam_c * ks.scale
+    v = (lam_s ** np.arange(ks.M - 1, -1, -1)).astype(complex)
+    nu = np.array(_left_vector(b, lam_s), dtype=complex)
     pairing = complex(np.dot(nu, v))  # bilinear nu^T v, no conjugation
     normalized = abs(pairing) > 1e-12 * np.linalg.norm(nu) * np.linalg.norm(v)
     if normalized:
@@ -131,10 +127,10 @@ def spectrum(ks: KSMatrix, polish=True) -> Spectrum:
 @dataclass
 class RieszResult:
     P: np.ndarray
-    S: np.ndarray            # reduced resolvent, node average of R
+    S: np.ndarray            # reduced resolvent (node average of R on the contour)
     center: complex
     radius: float            # isolating disc; no contour is drawn when n_nodes is 0
-    n_nodes: int             # trapezoid nodes; 0 on the closed-form route
+    n_nodes: int             # float64 trapezoid nodes; 0 on the mpmath closed form
     idempotency_defect: float          # ||P^2 - P|| / ||P||
     annihilation_defect: float         # max(||PS||, ||SP||) / (||P|| ||S||)
     reduced_identity_defect: float     # ||(K-c)S - (I-P)|| / ||I-P||
@@ -142,7 +138,7 @@ class RieszResult:
     pole_order: int                    # pole order at the center; 0 = not resolved in chain cap
     rank: int
     second_singular_ratio: float
-    precision: str           # "float64" or "mp<digits>" (closed form or contour)
+    precision: str           # "float64" (contour) or "mp40"/"mp60"/"mp90" (closed form)
 
     @property
     def algebra_defect(self):
@@ -237,7 +233,7 @@ def riesz_projection(mat, center, radius, eigs=None, n_start=64, n_max=1024,
                        idem, annih, red, nil, pole, rank, ratio, "float64")
 
 
-# -- exact-structure companion resolvent, escalated precision ---------------------
+# -- closed-form Laurent data, escalated precision ---------------------------------
 
 
 def _mp_center(bmp, center):
@@ -248,16 +244,11 @@ def _mp_center(bmp, center):
     """
     from mpmath import mp, mpc, mpf
 
-    M = len(bmp) - 1
+    dbmp = [m * bmp[m] for m in range(1, len(bmp))]
     w = 1 / mpc(center)
     for _ in range(8):
-        val = mpc(0)
-        dval = mpc(0)  # d/dw sum b_m w^m, accumulated by the same Horner pass
-        for m in range(M, 0, -1):
-            val = val * w + bmp[m]
-            dval = dval * w + m * bmp[m]
-        val = val * w + bmp[0]
-        if abs(dval) == 0:
+        val, dval, _ = mp_horner(bmp, dbmp, w)
+        if dval == 0:
             break
         step = val / dval
         w -= step
@@ -270,15 +261,15 @@ def _mp_closed_form(b, dvec, center, dps):
     """Laurent data at a simple leading eigenvalue in closed form, in mpmath.
 
     With companion eigenvectors v_i = lam^{M-1-i} (right) and the backward
-    recurrence nu_{M-1} = -b_M/lam, nu_k = (nu_{k+1} - b_{k+1})/lam (left),
-    both balanced, P = v nu^T / (nu^T v) and S = (A - lam + P)^{-1} - P
-    (Kato I §5).  S is built column by column as the solution of
-    (A - lam) x = (I - P) e_j with nu^T x = 0: the subdiagonal rows give x
-    up to a multiple of v, the pairing fixes the multiple.  Every defect
-    and the nilpotent chain are measured on the result through the
-    rank-one form of P, so the whole route is O(M^2).  Returns the tuple
-    of _mp_contour, or None when the pairing nu^T v vanishes (the leading
-    eigenvalue is not simple).
+    recurrence of _left_vector (left), both balanced, P = v nu^T / (nu^T v)
+    and S = (A - lam + P)^{-1} - P (Kato I §5).  S is built column by
+    column as the solution of (A - lam) x = (I - P) e_j with nu^T x = 0:
+    the subdiagonal rows give x up to a multiple of v, the pairing fixes
+    the multiple.  Every defect and the nilpotent chain are measured on
+    the result through the rank-one form of P, so the whole route is
+    O(M^2).  Returns (P, S, idempotency, annihilation and reduced-identity
+    defects, nilpotent ratio, pole order, refined center), or None when
+    the pairing nu^T v vanishes (the leading eigenvalue is not simple).
     """
     from mpmath import mp, mpf
 
@@ -291,11 +282,7 @@ def _mp_closed_form(b, dvec, center, dps):
         a0 = [-bmp[k + 1] * d[k] / d[0] for k in range(M)]
         sub = [None] + [d[i - 1] / d[i] for i in range(1, M)]
         v = [lam ** (M - 1 - i) / d[i] for i in range(M)]
-        nu = [None] * M
-        nu[M - 1] = -bmp[M] / lam
-        for k in range(M - 2, -1, -1):
-            nu[k] = (nu[k + 1] - bmp[k + 1]) / lam
-        nu = [nu[i] * d[i] for i in range(M)]
+        nu = [x * d[i] for i, x in enumerate(_left_vector(bmp, lam))]
 
         def dot(x, y):
             return mp.fsum(xi * yi for xi, yi in zip(x, y))
@@ -354,110 +341,18 @@ def _mp_closed_form(b, dvec, center, dps):
                 pole, complex(lam))
 
 
-def _mp_contour(b, dvec, center, radius, n_nodes, dps):
-    """Contour sums of the balanced companion resolvent in mpmath.
-
-    The companion inverse has closed-form rows: a suffix Horner pass gives
-    the top row, every other row follows by shift-and-divide, and the
-    balancing similarity is an entrywise diagonal scale.  O(M^2) per node.
-    Returns P, S (numpy complex), certified Frobenius defects, the pole
-    order from the nilpotent chain, and the refined center.
-    """
-    from mpmath import mp, mpc, mpf
-
-    M = len(b) - 1
-    with mp.workdps(dps):
-        bmp = [mpf(float(x)) for x in b]
-        dmp = [mpf(float(x)) for x in dvec]
-        cen = _mp_center(bmp, center)
-
-        P = [[mpc(0)] * M for _ in range(M)]
-        S = [[mpc(0)] * M for _ in range(M)]
-        r = mpf(radius)
-        for k in range(n_nodes):
-            th = 2 * mp.pi * (k + mpf("0.5")) / n_nodes
-            eio = mp.expjpi(2 * (k + mpf("0.5")) / n_nodes)  # e^{i theta}
-            lam = cen + r * eio
-            # suffix pass h_j = (b_{j+1} + h_{j+1}) / lam
-            h = [mpc(0)] * (M + 1)
-            for j in range(M - 1, -1, -1):
-                h[j] = (bmp[j + 1] + h[j + 1]) / lam
-            q = lam * (1 + h[0])
-            x0 = [mpc(0)] * M
-            x0[0] = -1 / q
-            for kk in range(1, M):
-                x0[kk] = h[kk] / q
-            wA = -r * eio / n_nodes
-            wS = mpf(1) / n_nodes
-            inv_lam = 1 / lam
-            row = list(x0)  # X[0, :]
-            for i in range(M):
-                if i > 0:
-                    # X[i, :] = (X[i-1, :] - e_i) / lam
-                    prev = row
-                    row = [v * inv_lam for v in prev]
-                    row[i] -= inv_lam
-                di = dmp[i]
-                Pi, Si = P[i], S[i]
-                for kcol in range(M):
-                    scaled = row[kcol] * (dmp[kcol] / di)
-                    Pi[kcol] += wA * scaled
-                    Si[kcol] += wS * scaled
-
-        # balanced companion A[r, c] = C[r, c] d_c / d_r
-        A = [[mpc(0)] * M for _ in range(M)]
-        for kcol in range(M):
-            A[0][kcol] = -bmp[kcol + 1] * dmp[kcol] / dmp[0]
-        for i in range(1, M):
-            A[i][i - 1] = dmp[i - 1] / dmp[i]
-
-        def matmul(X, Y):
-            return [[sum(X[i][j] * Y[j][k] for j in range(M)) for k in range(M)]
-                    for i in range(M)]
-
-        def fro(X):
-            return mp.sqrt(sum(abs(v) ** 2 for rw in X for v in rw))
-
-        def sub(X, Y):
-            return [[X[i][k] - Y[i][k] for k in range(M)] for i in range(M)]
-
-        I = [[mpc(1 if i == k else 0) for k in range(M)] for i in range(M)]
-        shifted = [[A[i][k] - (cen if i == k else 0) for k in range(M)]
-                   for i in range(M)]
-        nP, nS = fro(P), fro(S)
-        idem = fro(sub(matmul(P, P), P)) / nP
-        annih = max(fro(matmul(P, S)), fro(matmul(S, P))) / (nP * nS)
-        ImP = sub(I, P)
-        red = fro(sub(matmul(shifted, S), ImP)) / max(mpf(1), fro(ImP))
-        # nilpotent chain in the same precision: the float64 cast of P is
-        # far too coarse for (A - c)P once ||P|| passes 1/eps
-        D = matmul(shifted, P)
-        nA = fro(A)
-        nil = fro(D) / nA
-        chain = [nil]
-        Dq = D
-        for q in range(2, 4):
-            Dq = matmul(Dq, D)
-            chain.append(fro(Dq) / nA**q)
-        pole = _pole_from_chain(chain)
-
-        Pf = np.array([[complex(v) for v in rw] for rw in P])
-        Sf = np.array([[complex(v) for v in rw] for rw in S])
-        return (Pf, Sf, float(idem), float(annih), float(red), float(nil),
-                pole, complex(cen))
-
-
 def leading_projection(ks: KSMatrix, spec: Spectrum = None, radius=None,
                        rtol=1e-10) -> RieszResult:
     """Riesz projection onto the leading eigenvalue of the operator matrix.
 
     Tries the dense double-precision contour first.  When the algebra will
-    not certify there, the closed-form Laurent data of a simple eigenvalue
-    are computed in mpmath at 40 digits (n_nodes 0, precision "mp40"), and
-    the exact-structure mpmath contour ladder (96/192/256 nodes at 40/60/90
-    digits) runs only when the eigenvector pairing vanishes or a measured
-    defect exceeds min(rtol, 1e-12).  The returned defects are the
-    certified ones, measured at the precision that produced P and S.
+    not certify there, the closed-form Laurent data of the simple leading
+    eigenvalue are computed in mpmath at 40, then 60, then 90 digits
+    (n_nodes 0, precision "mp40"/"mp60"/"mp90"), stopping at the first
+    rung whose measured defects are all within min(rtol, 1e-12).  The
+    returned defects are the certified ones, measured at the precision
+    that produced P and S.  Raises ContourError naming the float64 failure
+    and the last rung's when no route certifies.
     """
     if spec is None:
         spec = spectrum(ks)
@@ -470,8 +365,8 @@ def leading_projection(ks: KSMatrix, spec: Spectrum = None, radius=None,
     try:
         return riesz_projection(ks.conditioned_matrix(), center, radius,
                                 eigs=eigs_scaled, rtol=rtol)
-    except ContourError:
-        pass
+    except ContourError as exc:
+        float_failure = str(exc)
 
     from scipy.linalg import matrix_balance
 
@@ -479,24 +374,22 @@ def leading_projection(ks: KSMatrix, spec: Spectrum = None, radius=None,
     _, T = matrix_balance(ks.scaled_matrix(), permute=False)
     dvec = np.diag(T)
     tol_mp = min(rtol, 1e-12)  # headroom below the certification target
-    # n_nodes 0 is the closed form; the contour ladder only runs when it
-    # finds no simple eigenvalue or does not certify
-    for n_nodes, dps in ((0, 40), (96, 40), (192, 60), (256, 90)):
-        if n_nodes == 0:
-            laurent = _mp_closed_form(b, dvec, center, dps)
-            if laurent is None:
-                continue
-        else:
-            laurent = _mp_contour(b, dvec, center, radius, n_nodes, dps)
+    for dps in (40, 60, 90):
+        laurent = _mp_closed_form(b, dvec, center, dps)
+        if laurent is None:
+            mp_failure = "the pairing nu^T v vanishes"
+            continue
         P, S, idem, annih, red, nil, pole, cen = laurent
-        if max(idem, annih, red) <= tol_mp:
+        defect = max(idem, annih, red)
+        if defect <= tol_mp:
             rank, ratio = _svd_ratio(P)
-            return RieszResult(P, S, cen, float(radius), n_nodes,
+            return RieszResult(P, S, cen, float(radius), 0,
                                idem, annih, red, nil, pole, rank, ratio,
                                f"mp{dps}")
+        mp_failure = f"defect {defect:.3e} above {tol_mp:g}"
     raise ContourError(
-        f"projection algebra failed to certify at {rtol} even at dps 90 "
-        f"(defect {max(idem, annih, red)})")
+        f"leading projection did not certify: float64 contour: {float_failure}; "
+        f"closed form at {dps} digits: {mp_failure}")
 
 
 @dataclass

@@ -151,6 +151,51 @@ def test_degenerate_polynomial_exits_4(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_unconverged_projection_exits_4(capsys, monkeypatch):
+    # with the closed form out of the way nothing certifies at L = 20; the
+    # failure reaches the shell as one message, not a traceback
+    from kslab import spectral
+
+    monkeypatch.setattr(spectral, "_mp_closed_form", lambda *args: None)
+    assert main(["spectral", "--L", "20", "--M", "21"]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure: leading projection did not certify" in err
+    assert "float64 contour" in err
+    assert "Traceback" not in err
+
+
+def _count_build_table(monkeypatch):
+    import kslab.cluster
+    import kslab.integrals
+
+    calls = []
+    real = kslab.integrals.build_table
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].extents)
+        return real(*args, **kwargs)
+
+    for mod in (kslab.cli, kslab.cluster):
+        monkeypatch.setattr(mod, "build_table", counting)
+    return calls
+
+
+def test_extrapolated_virial_builds_each_table_once(tmp_path, monkeypatch):
+    calls = _count_build_table(monkeypatch)
+    rc, _ = run(tmp_path, "v.json",
+                ["virial", "--L", "20", "--terms", "12", "--extrapolate"])
+    assert rc == 0
+    assert sorted(calls) == [(20.0,), (40.0,), (80.0,)]
+
+
+def test_claimcheck_builds_its_table_once(tmp_path, monkeypatch):
+    calls = _count_build_table(monkeypatch)
+    rc, _ = run(tmp_path, "cc.json",
+                ["claimcheck", "--L", "5", "--M", "6", "--terms", "14"])
+    assert rc == 0
+    assert calls == [(5.0,)]
+
+
 def test_residual_csv_levels(tmp_path):
     rc, out = run(tmp_path, "r.csv",
                   ["residual", "--potential", "ideal", "--L", "1", "--M", "4",

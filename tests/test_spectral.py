@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from kslab.errors import InsufficientData
+from kslab import spectral
+from kslab.errors import ContourError, InsufficientData
 from kslab.ksop import build_ks_matrix
 from kslab.partition import smallest_zero, zeros
 from kslab.spectral import (
-    _mp_contour,
+    _mp_center,
+    _pole_from_chain,
     coefficient_asymptotics,
     leading_asymptotics,
     leading_projection,
@@ -24,6 +26,106 @@ from kslab.spectral import (
 )
 
 from conftest import make_ideal, make_tonks
+
+
+# reference for the closed form: the exact-structure mpmath contour sums
+def _mp_contour(b, dvec, center, radius, n_nodes, dps):
+    """Contour sums of the balanced companion resolvent in mpmath.
+
+    The companion inverse has closed-form rows: a suffix Horner pass gives
+    the top row, every other row follows by shift-and-divide, and the
+    balancing similarity is an entrywise diagonal scale.  O(M^2) per node.
+    Returns P, S (numpy complex), certified Frobenius defects, the pole
+    order from the nilpotent chain, and the refined center.
+    """
+    from mpmath import mp, mpc, mpf
+
+    M = len(b) - 1
+    with mp.workdps(dps):
+        bmp = [mpf(float(x)) for x in b]
+        dmp = [mpf(float(x)) for x in dvec]
+        cen = _mp_center(bmp, center)
+
+        P = [[mpc(0)] * M for _ in range(M)]
+        S = [[mpc(0)] * M for _ in range(M)]
+        r = mpf(radius)
+        for k in range(n_nodes):
+            th = 2 * mp.pi * (k + mpf("0.5")) / n_nodes
+            eio = mp.expjpi(2 * (k + mpf("0.5")) / n_nodes)  # e^{i theta}
+            lam = cen + r * eio
+            # suffix pass h_j = (b_{j+1} + h_{j+1}) / lam
+            h = [mpc(0)] * (M + 1)
+            for j in range(M - 1, -1, -1):
+                h[j] = (bmp[j + 1] + h[j + 1]) / lam
+            q = lam * (1 + h[0])
+            x0 = [mpc(0)] * M
+            x0[0] = -1 / q
+            for kk in range(1, M):
+                x0[kk] = h[kk] / q
+            wA = -r * eio / n_nodes
+            wS = mpf(1) / n_nodes
+            inv_lam = 1 / lam
+            row = list(x0)  # X[0, :]
+            for i in range(M):
+                if i > 0:
+                    # X[i, :] = (X[i-1, :] - e_i) / lam
+                    prev = row
+                    row = [v * inv_lam for v in prev]
+                    row[i] -= inv_lam
+                di = dmp[i]
+                Pi, Si = P[i], S[i]
+                for kcol in range(M):
+                    scaled = row[kcol] * (dmp[kcol] / di)
+                    Pi[kcol] += wA * scaled
+                    Si[kcol] += wS * scaled
+
+        # balanced companion A[r, c] = C[r, c] d_c / d_r
+        A = [[mpc(0)] * M for _ in range(M)]
+        for kcol in range(M):
+            A[0][kcol] = -bmp[kcol + 1] * dmp[kcol] / dmp[0]
+        for i in range(1, M):
+            A[i][i - 1] = dmp[i - 1] / dmp[i]
+
+        def matmul(X, Y):
+            return [[sum(X[i][j] * Y[j][k] for j in range(M)) for k in range(M)]
+                    for i in range(M)]
+
+        def fro(X):
+            return mp.sqrt(sum(abs(v) ** 2 for rw in X for v in rw))
+
+        def sub(X, Y):
+            return [[X[i][k] - Y[i][k] for k in range(M)] for i in range(M)]
+
+        I = [[mpc(1 if i == k else 0) for k in range(M)] for i in range(M)]
+        shifted = [[A[i][k] - (cen if i == k else 0) for k in range(M)]
+                   for i in range(M)]
+        nP, nS = fro(P), fro(S)
+        idem = fro(sub(matmul(P, P), P)) / nP
+        annih = max(fro(matmul(P, S)), fro(matmul(S, P))) / (nP * nS)
+        ImP = sub(I, P)
+        red = fro(sub(matmul(shifted, S), ImP)) / max(mpf(1), fro(ImP))
+        # nilpotent chain in the same precision: the float64 cast of P is
+        # far too coarse for (A - c)P once ||P|| passes 1/eps
+        D = matmul(shifted, P)
+        nA = fro(A)
+        nil = fro(D) / nA
+        chain = [nil]
+        Dq = D
+        for q in range(2, 4):
+            Dq = matmul(Dq, D)
+            chain.append(fro(Dq) / nA**q)
+        pole = _pole_from_chain(chain)
+
+        Pf = np.array([[complex(v) for v in rw] for rw in P])
+        Sf = np.array([[complex(v) for v in rw] for rw in S])
+        return (Pf, Sf, float(idem), float(annih), float(red), float(nil),
+                pole, complex(cen))
+
+
+
+@pytest.fixture(scope="module")
+def ks20():
+    return build_ks_matrix(make_tonks(20.0))
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +198,42 @@ def test_closed_form_projection_matches_mp_contour():
                            0.5 * spec.dist_gap * ks.scale, 96, 40)
     assert np.linalg.norm(rz.P - P) <= 1e-12 * np.linalg.norm(P)
     assert np.linalg.norm(rz.S - S) <= 1e-10 * np.linalg.norm(S)
+
+
+@pytest.mark.parametrize("L", [20.0, 40.0])
+def test_left_eigenvector_residual_wide_boxes(L):
+    # the backward recurrence keeps the left pair accurate where the
+    # forward one loses every digit (relative residual O(1) at L >= 20)
+    ks = build_ks_matrix(make_tonks(L))
+    spec = spectrum(ks)
+    A = ks.scaled_matrix()
+    lam_s = spec.lam_c * ks.scale
+    nu = spec.left
+    res = np.linalg.norm(nu @ A - lam_s * nu) / (abs(lam_s) * np.linalg.norm(nu))
+    assert res <= 1e-12
+
+
+def test_leading_projection_failure_names_both_routes(ks20, monkeypatch):
+    monkeypatch.setattr(spectral, "_mp_closed_form", lambda *args: None)
+    with pytest.raises(ContourError) as err:
+        leading_projection(ks20)
+    msg = str(err.value)
+    assert "float64 contour: projection algebra stalled at defect" in msg
+    assert "closed form at 90 digits: the pairing nu^T v vanishes" in msg
+
+
+def test_leading_projection_escalates_to_mp60(ks20, monkeypatch):
+    real = spectral._mp_closed_form
+
+    def failing_mp40(b, dvec, center, dps):
+        out = real(b, dvec, center, dps)
+        return out[:2] + (1e-6,) + out[3:] if dps == 40 else out
+
+    monkeypatch.setattr(spectral, "_mp_closed_form", failing_mp40)
+    rz = leading_projection(ks20)
+    assert (rz.precision, rz.n_nodes) == ("mp60", 0)
+    assert rz.algebra_defect <= 1e-12
+    assert rz.rank == 1 and rz.pole_order == 1
 
 
 def test_riesz_projection_on_jordan_companion():
