@@ -44,7 +44,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .integrals import Box, contact_lattice, gauss_legendre, sobol_replicates
-from .partition import PartitionPolynomial, correlation, evaluate
+from .partition import (PartitionPolynomial, correlation, evaluate,
+                        scaled_coefficients)
 from .potentials import PairPotential
 
 _SOBOL_SAMPLES = 1 << 12
@@ -67,8 +68,9 @@ class KSMatrix:
 
         Its eigenvalues are scale times the unscaled ones; eigensolvers run
         on this better-conditioned variant and divide out the scale.
+        Raises NumericalError when b leaves the float64 range.
         """
-        b = self.coeffs * self.scale ** np.arange(self.M + 1)
+        b = scaled_coefficients(self.coeffs, self.scale)
         out = np.zeros_like(self.matrix)
         out[0, :] = -b[1:]
         out[1:, :-1] = np.eye(self.M - 1)

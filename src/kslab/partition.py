@@ -8,9 +8,12 @@ assembled from an integral table.  Everything downstream hangs off its
 zeros, so the zero finder is deliberately careful: balanced companion
 eigenvalues, an Aberth-Ehrlich polish to small scaled residuals, enforced
 conjugate symmetry, and, when the companion matrix still spans too many
-orders of magnitude, an Aberth-Ehrlich iteration in mpmath started on the
-circles of the coefficients' Newton polygon (Bini 1996; Bini and Robol,
-MPSolve, 2014).
+orders of magnitude or the smallest zero is too ill-conditioned for
+float64 coefficients, an Aberth-Ehrlich iteration in mpmath.  That pass is
+seeded by Jacobi Aberth sweeps in double-double arithmetic (Dekker 1971),
+vectorized over all roots from the circles of the coefficients' Newton
+polygon (Bini 1996; Bini and Robol, MPSolve, 2014), so the mpmath
+Gauss-Seidel sweeps only finish a few Newton steps per root.
 
 Evaluation uses Horner in 80-bit extended precision together with the
 coefficient-magnitude sum as a condition estimate, which is what the zero
@@ -57,9 +60,11 @@ class PartitionPolynomial:
         return self.table.potential
 
     def scaled_coeffs(self):
-        """b_m = c_m * scale^m, the polynomial actually handed to solvers."""
-        m = np.arange(self.M + 1)
-        return self.coeffs * self.scale**m
+        """b_m = c_m * scale^m, the polynomial actually handed to solvers.
+
+        Raises NumericalError when the product leaves the float64 range.
+        """
+        return scaled_coefficients(self.coeffs, self.scale)
 
     def mp_coefficients(self):
         """Coefficients rebuilt in arbitrary precision, or None.
@@ -83,6 +88,16 @@ class PartitionPolynomial:
                 return None
             out.append(zval / mp.factorial(e.m))
         return out
+
+
+def scaled_coefficients(c, scale):
+    """b_m = c_m * scale^m; NumericalError when some b_m is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = c * scale ** np.arange(len(c))
+    if not np.all(np.isfinite(b)):
+        raise NumericalError(
+            f"scaled coefficients c_m * {scale:.6g}^m leave the float64 range")
+    return b
 
 
 def assemble(table: IntegralTable, scale=None) -> PartitionPolynomial:
@@ -273,54 +288,63 @@ def _newton_polygon_starts(b):
 
 
 def mp_horner(b, db, x):
-    """(p(x), p'(x), sum_m |b_m| |x|^m) for p = sum b_m x^m, by mpmath Horner.
+    """(p(x), p'(x)) for p = sum b_m x^m, by mpmath Horner.
 
     db are the derivative coefficients m b_m, m = 1..deg; everything runs
     at the caller's working precision, b and db ascending.
     """
     from mpmath import mp
 
-    ax = abs(x)
     p = dp = mp.mpc(0)
-    mag = mp.mpf(0)
     for bm in b[::-1]:
         p = p * x + bm
-        mag = mag * ax + abs(bm)
     for dm in db[::-1]:
         dp = dp * x + dm
-    return p, dp, mag
+    return p, dp
 
 
-def _mp_aberth(b, max_sweeps=200):
+def _mp_aberth(b, max_sweeps=200, starts=None):
     """All roots of sum b_m w^m (b_0, b_deg nonzero) at the working precision.
 
-    Gauss-Seidel Aberth-Ehrlich sweeps from the Newton-polygon starts.  A
-    root is frozen once its Horner residual reaches the rounding level of
-    the evaluation, (deg + 1) eps sum_m |b_m| |w|^m, or its correction
-    drops below eps |w|; the iteration raises NumericalError when some root
-    is still moving after max_sweeps.
+    Gauss-Seidel Aberth-Ehrlich sweeps from starts (default: the Newton
+    polygon's).  Only p and p' are evaluated in mpmath; the repulsion
+    sum_j 1/(w_i - w_j) and the magnitude sum_m |b_m| |w|^m come from a
+    complex128 copy of the roots, as both only need a few digits.  A root
+    is frozen once its Horner residual reaches the rounding level of the
+    evaluation, (deg + 1) eps sum_m |b_m| |w|^m, or its correction drops
+    below eps |w|; the iteration raises NumericalError when some root is
+    still moving after max_sweeps.
     """
     from mpmath import mp
 
     deg = len(b) - 1
     db = [m * b[m] for m in range(1, deg + 1)]
     eps = mp.eps
-    w = _newton_polygon_starts(b)
+    # the magnitude sum is 2^e sum_m 2^(l_m - e), l_m = log2 |b_m| |w|^m, so
+    # neither |b_m| nor |w|^m has to fit in a float
+    log2b = np.array([float(mp.log(abs(bm), 2)) for bm in b])
+    powers = np.arange(deg + 1)
+    w = list(_newton_polygon_starts(b) if starts is None else starts)
+    wc = np.array([complex(x) for x in w])
     live = list(range(deg))
     for _ in range(max_sweeps):
         still = []
         for i in live:
             x = w[i]
-            p, dp, mag = mp_horner(b, db, x)
-            if abs(p) <= (deg + 1) * eps * mag:
+            p, dp = mp_horner(b, db, x)
+            l2 = log2b + powers * math.log2(abs(wc[i]))
+            e = math.floor(l2.max())
+            if abs(p) <= (deg + 1) * eps * mp.ldexp(float(np.sum(np.exp2(l2 - e))), e):
                 continue
             if dp == 0:
                 still.append(i)
                 continue
             newton = p / dp
-            repulsion = mp.fsum(1 / (x - w[j]) for j in range(deg) if j != i)
-            step = newton / (1 - newton * repulsion)
+            d = wc[i] - wc
+            d[i] = np.inf
+            step = newton / (1 - newton * complex(np.sum(1.0 / d)))
             w[i] = x - step
+            wc[i] = complex(w[i])
             if abs(step) > eps * abs(w[i]):
                 still.append(i)
         live = still
@@ -331,15 +355,126 @@ def _mp_aberth(b, max_sweeps=200):
         f"{max_sweeps} sweeps at {mp.dps} digits")
 
 
+# -- double-double seeds (Dekker 1971) -----------------------------------------
+
+_SPLIT = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
+_DD_EPS = 2.0**-104
+_DD_SWEEPS = 30
+_MINUS_PLUS = np.array([[-1.0], [1.0]])  # (re, im) signs of the cross terms
+
+
+def _dd_add(x, y):
+    """x + y for double-doubles x = (hi, lo): two-sum, then renormalize."""
+    s = x[0] + y[0]
+    v = s - x[0]
+    e = ((x[0] - (s - v)) + (y[0] - v)) + (x[1] + y[1])
+    h = s + e
+    return h, e - (h - s)
+
+
+def _dd_mul(x, y):
+    """x * y for double-doubles: Dekker's two-product, no fused multiply-add."""
+    p = x[0] * y[0]
+    t, u = _SPLIT * x[0], _SPLIT * y[0]
+    ah, bh = t - (t - x[0]), u - (u - y[0])
+    al, bl = x[0] - ah, y[0] - bh
+    e = (((ah * bh - p) + ah * bl + al * bh) + al * bl) + (x[0] * y[1] + x[1] * y[0])
+    h = p + e
+    return h, e - (h - p)
+
+
+def _dd_cmul(x, w):
+    """x * w for complex double-doubles; axis -2 is (re, im), w is (2, n)."""
+    i, j = [0, 1, 0, 1], [0, 1, 1, 0]
+    ph, pl = _dd_mul((x[0][..., i, :], x[1][..., i, :]), (w[0][j], w[1][j]))
+    # re = xr wr - xi wi, im = xr wi + xi wr
+    return _dd_add((ph[..., ::2, :], pl[..., ::2, :]),
+                   (_MINUS_PLUS * ph[..., 1::2, :], _MINUS_PLUS * pl[..., 1::2, :]))
+
+
+def _dd_horner(bh, bl, w):
+    """Scaled p and p' of p = sum b_m w^m at complex double-double points.
+
+    b = bh + bl ascending; w = (hi, lo), each (2, n): real and imaginary
+    parts.  Per point, w' = 2^-k w with k the binary exponent of |w|, and
+    b_m becomes 2^(m k - E) b_m with E = floor(max_m log2 |b_m| |w|^m).
+    Both shifts are exact and keep q(w') = 2^-E p(w) near 1, with no
+    overflow for |w| from 1e-3 to past 1e24.  Returns (q, dq, mag, k, E):
+    q and dq = dq/dw' = 2^(k-E) p'(w) as double-doubles of shape (2, n),
+    and mag = 2^-E sum_m |b_m| |w|^m in float64.
+    """
+    n = w[0].shape[1]
+    m = np.arange(len(bh))[:, None]
+    absw = np.hypot(w[0][0], w[0][1])
+    k = np.frexp(absw)[1]
+    with np.errstate(divide="ignore"):
+        E = np.floor(np.max(np.log2(np.abs(bh))[:, None] + m * np.log2(absw), axis=0))
+    shift = m * k - E.astype(int)
+    Bh, Bl = np.ldexp(bh[:, None], shift), np.ldexp(bl[:, None], shift)
+    ws = (np.ldexp(w[0], -k), np.ldexp(w[1], -k))
+    mag = np.sum(np.abs(Bh) * np.ldexp(absw, -k) ** m, axis=0)
+    acc, zero = (np.zeros((2, 2, n)), np.zeros((2, 2, n))), np.zeros(n)
+    for bm, bml in zip(Bh[::-1], Bl[::-1]):
+        # [p, dp] <- [p w' + b_m, dp w' + p]
+        acc = _dd_add(_dd_cmul(acc, ws), (np.array([[bm, zero], acc[0][0]]),
+                                          np.array([[bml, zero], acc[1][0]])))
+    return (acc[0][0], acc[1][0]), (acc[0][1], acc[1][1]), mag, k, E
+
+
+def _dd_aberth_seeds(b):
+    """Starts for _mp_aberth from Jacobi Aberth sweeps in double-double.
+
+    All roots move at once from the Newton-polygon starts, p and p' by
+    _dd_horner, the repulsion in complex128.  A root stops once its
+    residual reaches (deg + 1) 2^-104 of the magnitude sum or its step
+    drops below 2^-104 |w|, all roots after _DD_SWEEPS; the mpmath
+    Gauss-Seidel pass resolves what Jacobi leaves (pairs of approximations
+    sharing a root of a dense cluster).  Returns mpc seeds, or None when
+    the coefficients do not fit in float64 or a value turns non-finite.
+    """
+    from mpmath import mp
+
+    bh = np.array([float(x) for x in b])
+    bl = np.array([float(x - h) for x, h in zip(b, bh)])
+    if not np.all(np.isfinite(bh)) or any((h == 0) != (x == 0) for x, h in zip(b, bh)):
+        return None
+    deg = len(b) - 1
+    w0 = np.array([complex(x) for x in _newton_polygon_starts(b)])
+    wh, wl = np.array([w0.real, w0.imag]), np.zeros((2, deg))
+    live = np.arange(deg)
+    with np.errstate(all="ignore"):
+        for _ in range(_DD_SWEEPS):
+            q, dq, mag, k, _ = _dd_horner(bh, bl, (wh[:, live], wl[:, live]))
+            wc = wh[0] + 1j * wh[1]
+            newton = np.ldexp(1.0, k) * (q[0][0] + 1j * q[0][1]) / (dq[0][0] + 1j * dq[0][1])
+            diff = wc[live, None] - wc[None, :]
+            diff[np.arange(live.size), live] = np.inf
+            step = newton / (1 - newton * np.sum(1.0 / diff, axis=1))
+            if not np.all(np.isfinite(step)):
+                return None
+            step[np.hypot(q[0][0], q[0][1]) <= (deg + 1) * _DD_EPS * mag] = 0
+            wh[:, live], wl[:, live] = _dd_add((wh[:, live], wl[:, live]),
+                                               (-np.array([step.real, step.imag]), 0.0))
+            live = live[np.abs(step) > _DD_EPS * np.abs(wc[live])]
+            if not live.size:
+                break
+    return [mp.mpc(mp.mpf(wh[0, i]) + wl[0, i], mp.mpf(wh[1, i]) + wl[1, i])
+            for i in range(deg)]
+
+
 def zeros(poly: PartitionPolynomial, polish_tol=1e-12) -> ZeroSet:
     """All zeros of Xi, polished to scaled residual <= polish_tol.
 
     Balanced companion eigenvalues seed an Aberth-Ehrlich iteration on the
-    activity-rescaled coefficients; when the balanced companion still has
-    entry dynamic range past 1e14 the roots come instead from an
-    Aberth-Ehrlich iteration in mpmath at max(60, 2 deg + 20) digits,
-    started on the circles of the coefficients' Newton polygon.  Raises
-    NumericalError when that iteration does not converge.
+    activity-rescaled coefficients.  The roots come instead from an
+    Aberth-Ehrlich iteration in mpmath at max(60, 2 deg + 20) digits when
+    the balanced companion has entry dynamic range past 1e14, or when the
+    exact coefficients exist and the smallest root's conditioning times
+    float64 unit roundoff passes 1e-10.  That iteration starts from
+    double-double seeds (_dd_aberth_seeds), or from the circles of the
+    coefficients' Newton polygon when those do not fit in float64.  Raises
+    NumericalError when it does not converge, or when the scaled
+    coefficients leave the float64 range.
     """
     b = poly.scaled_coeffs()
     # strip exactly-vanishing leading coefficients (smaller boxes cut the degree)
@@ -358,27 +493,30 @@ def zeros(poly: PartitionPolynomial, polish_tol=1e-12) -> ZeroSet:
     nz = np.abs(comp[comp != 0.0])
     dynamic = nz.max() / nz.min() if nz.size else 1.0
 
-    if dynamic > 1e14:
+    w, kappa, method = None, math.inf, "lapack"
+    if dynamic <= 1e14:
+        w, _ = _aberth_polish(b, np.linalg.eigvals(comp), tol=polish_tol)
+        x = w[np.argmin(np.abs(w))]
+        _, mag = horner(b, x, magnitude=True)
+        kappa = mag / abs(x * horner(b[1:] * np.arange(1, deg + 1), x))
+    # coefficient rounding alone moves z_c by (unit roundoff) x (root
+    # conditioning), so past 1e-10 closed-form families are rebuilt in full
+    # precision rather than re-read from the float64 table
+    if kappa * np.finfo(float).eps > 1e-10:
         import mpmath as mp
 
-        # coefficient rounding alone moves clustered roots by (unit roundoff)
-        # x (root condition number), so closed-form families are rebuilt in
-        # full precision rather than re-read from the float64 table
         with mp.workdps(max(60, 2 * deg + 20)):
             cs = poly.mp_coefficients()
             if cs is not None:
                 s = mp.mpf(poly.scale)
                 bmp = [cs[m] * s**m for m in range(deg + 1)]
                 method = "mpmath-exact"
-            else:
+            elif w is None:
                 bmp = [mp.mpf(float(c)) for c in b]
                 method = "mpmath"
-            raw = _mp_aberth(bmp)
-        w = np.array([complex(r) for r in raw])
-    else:
-        w = np.linalg.eigvals(comp)
-        w, _ = _aberth_polish(b, w, tol=polish_tol)
-        method = "lapack"
+            if method != "lapack":
+                raw = _mp_aberth(bmp, starts=_dd_aberth_seeds(bmp))
+                w = np.array([complex(r) for r in raw])
 
     w = _pair_conjugates(w)
     res = _scaled_residual(b, w)

@@ -34,7 +34,7 @@ from .errors import ContourError, Degenerate, InsufficientData
 from .ksop import KSMatrix
 from .partition import (PartitionPolynomial, evaluate, evaluate_derivative,
                         horner, mp_horner, numerator_coefficients,
-                        smallest_zero, zeros)
+                        scaled_coefficients, smallest_zero, zeros)
 
 _TIE_REL = 1e-9
 _LONG = np.clongdouble
@@ -103,7 +103,7 @@ def spectrum(ks: KSMatrix, polish=True) -> Spectrum:
     """Eigenvalues of the operator matrix with the leading pair identified."""
     A = ks.scaled_matrix()
     lam_scaled = np.linalg.eigvals(A)
-    b = ks.coeffs * ks.scale ** np.arange(ks.M + 1)
+    b = scaled_coefficients(ks.coeffs, ks.scale)
     if polish:
         lam_scaled = _polish_reciprocal(lam_scaled, b)
     lam = lam_scaled / ks.scale
@@ -185,19 +185,27 @@ def riesz_projection(mat, center, radius, eigs=None, n_start=64, n_max=1024,
 
     Doubles the node count until the projection algebra certifies at rtol;
     trapezoid sums of analytic integrands converge geometrically, so the
-    loop settles fast once the contour resolves the spectrum.  Dense
-    float64 route for general matrices; operator companions with wide
-    coefficient ranges go through leading_projection instead.
+    loop settles fast once the contour resolves the spectrum.  With eigs
+    given, the aliasing error at n nodes is about q^n, q = max(rho_in / r,
+    r / delta_out) (farthest eigenvalue inside, nearest outside); doubling
+    stops once q^n is below rtol, as the defect left is rounding, which
+    more nodes cannot lower.  Dense float64 route for general matrices;
+    wide operator companions go through leading_projection instead.
     """
     mat = np.asarray(mat, dtype=complex)
     dim = mat.shape[0]
     if radius <= 0:
         raise ContourError("contour radius must be positive")
+    n_enough = math.inf
     if eigs is not None:
-        d = np.abs(np.abs(np.asarray(eigs) - center) - radius)
-        if np.min(d) <= 1e-9 * radius:
+        dist = np.abs(np.asarray(eigs) - center)
+        if np.min(np.abs(dist - radius)) <= 1e-9 * radius:
             raise ContourError(
                 f"eigenvalue within 1e-9 of the contour (radius {radius})")
+        inside = dist < radius
+        q = max(np.max(dist[inside], initial=0.0) / radius,
+                radius / np.min(dist[~inside], initial=math.inf), 1e-300)
+        n_enough = math.log(rtol) / math.log(q)
     I = np.eye(dim)
     n = n_start
     while True:
@@ -213,7 +221,7 @@ def riesz_projection(mat, center, radius, eigs=None, n_start=64, n_max=1024,
         S /= n
         idem, annih, red, nil = _algebra_defects(mat, center, P, S)
         defect = max(idem, annih, red)
-        if defect <= rtol or n >= n_max:
+        if defect <= rtol or n >= min(n_max, n_enough):
             break
         n *= 2
     if defect > rtol:
@@ -247,7 +255,7 @@ def _mp_center(bmp, center):
     dbmp = [m * bmp[m] for m in range(1, len(bmp))]
     w = 1 / mpc(center)
     for _ in range(8):
-        val, dval, _ = mp_horner(bmp, dbmp, w)
+        val, dval = mp_horner(bmp, dbmp, w)
         if dval == 0:
             break
         step = val / dval
@@ -345,8 +353,10 @@ def leading_projection(ks: KSMatrix, spec: Spectrum = None, radius=None,
                        rtol=1e-10) -> RieszResult:
     """Riesz projection onto the leading eigenvalue of the operator matrix.
 
-    Tries the dense double-precision contour first.  When the algebra will
-    not certify there, the closed-form Laurent data of the simple leading
+    Tries the dense double-precision contour first, with the spectrum
+    passed, so its doubling stops once the aliasing is below rtol (at 64
+    nodes when the radius is half the gap).  When the algebra will not
+    certify there, the closed-form Laurent data of the simple leading
     eigenvalue are computed in mpmath at 40, then 60, then 90 digits
     (n_nodes 0, precision "mp40"/"mp60"/"mp90"), stopping at the first
     rung whose measured defects are all within min(rtol, 1e-12).  The
@@ -370,7 +380,7 @@ def leading_projection(ks: KSMatrix, spec: Spectrum = None, radius=None,
 
     from scipy.linalg import matrix_balance
 
-    b = ks.coeffs * ks.scale ** np.arange(ks.M + 1)
+    b = scaled_coefficients(ks.coeffs, ks.scale)
     _, T = matrix_balance(ks.scaled_matrix(), permute=False)
     dvec = np.diag(T)
     tol_mp = min(rtol, 1e-12)  # headroom below the certification target

@@ -97,6 +97,31 @@ def test_wide_free_gas_box_exits_0(tmp_path):
     assert all(math.isfinite(v) for v in read_json(out)["leading"]["lambda_c"])
 
 
+def test_wide_free_gas_box_zeros_route_on_conditioning(tmp_path):
+    # root conditioning 3.9e11 leaves float64 coefficients only ~1e-4 on z_c;
+    # the exact coefficients exist, so zeros takes the mpmath route
+    L, M = 1e6, 52
+    rc, out = run(tmp_path, "z.json",
+                  ["zeros", "--potential", "ideal", "--L", str(L), "--M", str(M)])
+    assert rc == 0
+    doc = read_json(out)["zeros"]
+    assert doc["method"] == "mpmath-exact"
+    sm = doc["smallest"]
+    ref = complex(mp.mpc("-15.446431970948245948363951763112",
+                         "0.71168587927276825616197603053615"))
+    w = complex(sm["re"], sm["im"]) * L
+    assert min(abs(w - ref), abs(w - ref.conjugate())) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("command", ["zeros", "spectral"])
+def test_box_past_float_range_exits_4(command, capsys):
+    # at L = 200 the scaled coefficients c_m s^m overflow float64
+    assert main([command, "--potential", "hardcore", "--L", "200", "--M", "201"]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure: scaled coefficients" in err
+    assert "Traceback" not in err
+
+
 def test_spectral_deterministic_up_to_timestamp(tmp_path):
     argv = ["spectral", "--L", "5", "--M", "6"]
     _, out1 = run(tmp_path, "s1.json", argv)

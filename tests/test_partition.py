@@ -8,7 +8,11 @@ import pytest
 from kslab.errors import Degenerate, NearPole, NumericalError
 from kslab.integrals import Box, build_table
 from kslab.partition import (
+    PartitionPolynomial,
+    _dd_aberth_seeds,
+    _dd_horner,
     _mp_aberth,
+    _pair_conjugates,
     assemble,
     correlation,
     evaluate,
@@ -193,3 +197,134 @@ def test_gaps_are_mutual(tonks5):
     d = np.abs(zs.zeros - zs.zeros[i])
     d[i] = np.inf
     assert g[int(np.argmin(d))] == pytest.approx(g[i])
+
+
+# -- the double-double seeds of the wide-box route --------------------------------
+
+
+def _exact_scaled(L, dps):
+    """mpmath scaled coefficients of hard rods at L, as the zeros route builds them."""
+    import mpmath as mp
+
+    poly = make_tonks(L)
+    with mp.workdps(dps):
+        s = mp.mpf(poly.scale)
+        b = [c * s**m for m, c in enumerate(poly.mp_coefficients())]
+    while b[-1] == 0:  # rods past packing
+        b.pop()
+    return b
+
+
+def _dd_coeffs(b):
+    bh = np.array([float(x) for x in b])
+    return bh, np.array([float(x - h) for x, h in zip(b, bh)])
+
+
+def test_dd_horner_matches_mpmath_across_magnitudes():
+    import mpmath as mp
+
+    with mp.workdps(100):
+        b = _exact_scaled(40.0, 100)
+        bh, bl = _dd_coeffs(b)
+        bx = [mp.mpf(h) + l for h, l in zip(bh, bl)]
+        radii = np.logspace(-3, 24, 28)
+        w = radii * np.exp(1j * np.linspace(0.3, 3.0, len(radii)))
+        q, dq, mag, k, E = _dd_horner(bh, bl, (np.array([w.real, w.imag]),
+                                               np.zeros((2, len(w)))))
+        for arr in (*q, *dq, mag):
+            assert np.all(np.isfinite(arr))
+        for i, x in enumerate(w):
+            xm = mp.mpc(x)
+            ref = mp.polyval(bx[::-1], xm)
+            dref = mp.polyval([m * c for m, c in enumerate(bx)][:0:-1], xm)
+            scale = mp.ldexp(1, int(E[i]))
+            got = (mp.mpf(q[0][0, i]) + q[1][0, i]) + 1j * (mp.mpf(q[0][1, i]) + q[1][1, i])
+            dgot = (mp.mpf(dq[0][0, i]) + dq[1][0, i]) + 1j * (mp.mpf(dq[0][1, i]) + dq[1][1, i])
+            size = mp.fsum(abs(c) * abs(xm) ** m for m, c in enumerate(bx))
+            dsize = mp.fsum(m * abs(c) * abs(xm) ** (m - 1) for m, c in enumerate(bx))
+            assert mag[i] == pytest.approx(float(size / scale), rel=1e-12)
+            assert abs(got * scale - ref) <= 1e-29 * size
+            assert abs(dgot * mp.ldexp(scale, -int(k[i])) - dref) <= 1e-29 * dsize
+
+
+def test_dd_horner_residual_at_exact_roots():
+    import mpmath as mp
+
+    with mp.workdps(100):
+        b = _exact_scaled(40.0, 100)
+        roots = _mp_aberth(b)
+    bh, bl = _dd_coeffs(b)
+    parts = [[float(r.real), float(r.imag)] for r in roots]
+    hi = np.array(parts).T
+    with mp.workdps(100):
+        lo = np.array([[float(r.real - h[0]), float(r.imag - h[1])]
+                       for r, h in zip(roots, parts)]).T
+    q, _, mag, _, _ = _dd_horner(bh, bl, (hi, lo))
+    assert np.max(np.hypot(q[0][0], q[0][1]) / mag) <= 1e-30
+
+
+@pytest.mark.parametrize("L", [20.0, 30.0])
+def test_seeded_aberth_matches_newton_polygon_start(L):
+    import mpmath as mp
+
+    dps = max(60, 2 * int(L) + 20)
+    with mp.workdps(dps):
+        b = _exact_scaled(L, dps)
+        seeds = _dd_aberth_seeds(b)
+        assert seeds is not None
+        seeded = _mp_aberth(b, starts=seeds)
+        plain = _mp_aberth(b)
+    as128 = [_pair_conjugates(np.array([complex(r) for r in w])) for w in (seeded, plain)]
+    assert np.array_equal(*as128)
+
+
+def test_seeded_aberth_evaluation_count(monkeypatch):
+    # the seeds leave the mpmath pass a few Newton steps per root
+    import mpmath as mp
+
+    from kslab import partition
+
+    calls = []
+    real = partition.mp_horner
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    with mp.workdps(100):
+        b = _exact_scaled(40.0, 100)
+        seeds = _dd_aberth_seeds(b)
+        monkeypatch.setattr(partition, "mp_horner", counting)
+        _mp_aberth(b, starts=seeds)
+    assert len(calls) / (len(b) - 1) <= 8
+
+
+def test_seeds_skipped_past_float_range(monkeypatch):
+    # a common factor 1e400 leaves the roots alone but takes the coefficients
+    # out of float64: no seeds, the Newton-polygon starts, the same zeros
+    import mpmath as mp
+
+    poly = make_tonks(20.0)
+    want = zeros(poly)
+    with mp.workdps(60):
+        assert _dd_aberth_seeds([c * mp.mpf("1e400") for c in _exact_scaled(20.0, 60)]) is None
+    real = PartitionPolynomial.mp_coefficients
+    monkeypatch.setattr(PartitionPolynomial, "mp_coefficients",
+                        lambda self: [c * mp.mpf("1e400") for c in real(self)])
+    got = zeros(poly)
+    assert got.method == "mpmath-exact"
+    assert np.array_equal(got.zeros, want.zeros)
+
+
+def test_mp_aberth_huge_root_past_extended_range():
+    # (w - 1e90)(1 + w + ... + w^59): |w|^60 = 1e5400 passes even longdouble,
+    # so the freeze test must not take sum_m |b_m| |w|^m from plain powers
+    import mpmath as mp
+
+    with mp.workdps(80):
+        R = mp.mpf("1e90")
+        b = [-R] + [1 - R] * 59 + [mp.mpf(1)]
+        roots = _mp_aberth(b)
+        assert min(abs(r - R) for r in roots) <= mp.mpf("1e-70") * R
+        unity = sorted(roots, key=abs)[:59]
+        assert max(abs(r**60 - 1) for r in unity) <= mp.mpf("1e-70")

@@ -245,6 +245,27 @@ def test_riesz_projection_on_jordan_companion():
     assert rz.algebra_defect <= 1e-8
 
 
+def test_float64_contour_stops_once_nodes_cannot_help(ks20, monkeypatch):
+    # q = r / delta_out = 1/2: at 64 nodes the aliasing is 5e-20, so the
+    # 3e-8 defect is rounding and doubling stops there
+    monkeypatch.setattr(spectral, "_mp_closed_form", lambda *args: None)
+    with pytest.raises(ContourError) as err:
+        leading_projection(ks20)
+    assert "stalled at defect" in str(err.value)
+    assert "with 64 nodes;" in str(err.value)
+
+
+def test_riesz_projection_on_jordan_companion_wide_radius():
+    # radius 1.4 against the outside eigenvalue at distance 1.5: q = 0.93
+    # needs 512 nodes, and knowing the eigenvalues must not cut that short
+    comp = np.array([[4.5, -6.0, 2.0], [1, 0, 0], [0, 1, 0]])
+    rz = riesz_projection(comp, 2.0, 1.4, eigs=np.linalg.eigvals(comp))
+    assert rz.n_nodes == 512
+    assert rz.rank == 2
+    assert rz.pole_order == 2
+    assert rz.algebra_defect <= 1e-10
+
+
 def test_nilpotent_and_pole_orders():
     diag = np.diag([2.0, 1.0, 0.5])
     P = np.diag([1.0, 0.0, 0.0])
