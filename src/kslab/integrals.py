@@ -9,6 +9,11 @@ are implemented and tagged on every value: "exact" (closed forms: ideal
 gas in any dimension, hard rods on a segment, both plain and anchored),
 "quadrature" (tensorized panel Gauss-Legendre, capped in total dimension),
 and "sampling" (scrambled Sobol averages with replicate standard errors).
+The Sobol points are generated here in numpy from the Joe-Kuo direction
+numbers that scipy ships, with scipy's linear matrix scramble and digital
+shift, and equal those of scipy's Sobol engine bit for bit.  Only the
+table file is read; scipy's statistics package, over a second of import
+time, is never loaded.
 
 The quadrature gives every particle the same node set, so its tensor sum
 over all N^m node tuples is contracted pairwise: one N x N matrix of pair
@@ -32,10 +37,11 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+import scipy
 from numpy.polynomial.legendre import leggauss
-from scipy.stats import qmc
 
 from .errors import ConfigError, UseSampling
 from .potentials import PairPotential
@@ -47,6 +53,8 @@ SCHEMA_VERSION = 1
 DIMENSION_CAP = 6  # tensor quadrature refuses beyond nu*m axes
 _POINT_BUDGET = 400_000  # total tensor nodes per integral
 _BLOCK = 1 << 18  # elements per working array of the tensor contraction
+_SOBOL_BITS = 30  # digits per Sobol coordinate, scipy's default
+_SOBOL_MAXDIM = 21201  # coordinates in the Joe-Kuo table
 
 
 @dataclass(frozen=True)
@@ -368,20 +376,90 @@ def quadrature_Z(p: PairPotential, box: Box, m, order=16):
     return vals[0], _refinement_error(vals)
 
 
+@functools.lru_cache(maxsize=1)
+def _sobol_table():
+    """(poly, vinit) of the Joe-Kuo table (SIAM J. Sci. Comput. 30, 2008), read-only."""
+    path = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+    with np.load(path) as npz:
+        table = npz["poly"], npz["vinit"]
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=16)
+def sobol_directions(dim):
+    """Direction numbers of the first dim Sobol coordinates, (dim, 30) uint32.
+
+    Entry (d, j) is v_j 2^(29-j).  Coordinate 0 has v_j = 1; coordinate d
+    takes its first s initial numbers from the table, s the degree of its
+    primitive polynomial with coefficients a_1..a_s (a_s = 1), and extends
+    them by the Bratley-Fox recurrence v_j = v_{j-s} ^ XOR_k a_k 2^k v_{j-k}.
+    Shared by every caller and therefore read-only.
+    """
+    poly, vinit = _sobol_table()
+    poly = poly[:dim]
+    deg = np.array([int(a).bit_length() - 1 for a in poly])
+    v = np.zeros((dim, _SOBOL_BITS), dtype=np.int64)
+    v[:, : vinit.shape[1]] = vinit[:dim]
+    v[0] = 1
+    for s in np.unique(deg[1:]):
+        rows = np.flatnonzero(deg == s)
+        taps = (poly[rows, None] >> (s - np.arange(1, s + 1))) & 1  # a_1..a_s
+        blk = v[rows]
+        for j in range(s, _SOBOL_BITS):
+            blk[:, j] = blk[:, j - s]
+            for k in range(1, s + 1):
+                blk[:, j] ^= taps[:, k - 1] * (blk[:, j - k] << k)
+        v[rows] = blk
+    v = (v << (_SOBOL_BITS - 1 - np.arange(_SOBOL_BITS))).astype(np.uint32)
+    v.setflags(write=False)
+    return v
+
+
+def scrambled_sobol(dim, k, seed_seq):
+    """The first 2^k scrambled Sobol points in [0, 1)^dim, shape (2^k, dim).
+
+    The same float64 array as scipy's Sobol engine gives for d=dim,
+    scramble=True, seed=default_rng(seed_seq) and random_base2(k).  The
+    scramble draws from seed_seq's next spawned child, first the digital
+    shift, then one random lower-triangular binary matrix with unit
+    diagonal per coordinate, which multiplies each direction number's bit
+    vector (most significant bit first) over GF(2).  Points follow in
+    Gray-code order: block b of the doubling below is the previous block
+    reversed and XORed with the scrambled v_b.
+    """
+    if not 1 <= dim <= _SOBOL_MAXDIM:
+        raise ConfigError(f"Sobol dimension {dim} is outside 1..{_SOBOL_MAXDIM}")
+    if not 0 <= k <= _SOBOL_BITS:
+        raise ConfigError(f"2^{k} Sobol points: k is outside 0..{_SOBOL_BITS}")
+    rng = np.random.default_rng(seed_seq.spawn(1)[0])
+    msb = np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)  # bit of column i
+    shift = rng.integers(2, size=(dim, _SOBOL_BITS), dtype=np.uint32) @ (1 << msb[::-1])
+    ltm = np.tril(rng.integers(2, size=(dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, np.arange(_SOBOL_BITS), np.arange(_SOBOL_BITS)] = 1
+    bits = (sobol_directions(dim)[:, :, None] >> msb) & 1
+    sv = ((bits @ ltm.transpose(0, 2, 1)) & 1) @ (1 << msb)
+    q = shift[None, :]
+    for b in range(k):
+        q = np.concatenate([q, q[::-1] ^ sv[:, b]])
+    return q * 2.0**-_SOBOL_BITS
+
+
 def sobol_replicates(dim, n_samples, seed, replicates, estimate):
     """Mean and standard error of a sample mean over scrambled Sobol replicates.
 
     The n_samples points are split into `replicates` independently
-    scrambled Sobol blocks of 2^k points in [0, 1)^dim, scrambled from
-    SeedSequence(seed).spawn(replicates); estimate maps one block to its
-    sample mean.  Returns the mean of the replicate means and its standard
-    error, std(ddof=1)/sqrt(replicates).  Deterministic for a given seed.
+    scrambled Sobol blocks of 2^k points in [0, 1)^dim (scrambled_sobol),
+    scrambled from SeedSequence(seed).spawn(replicates); estimate maps one
+    block to its sample mean.  Returns the mean of the replicate means and
+    its standard error, std(ddof=1)/sqrt(replicates).  Deterministic for a
+    given seed.
     """
     k = max(1, math.ceil(math.log2(max(2, n_samples // replicates))))
     means = []
     for ss in np.random.SeedSequence(seed).spawn(replicates):
-        eng = qmc.Sobol(d=dim, scramble=True, seed=np.random.default_rng(ss))
-        means.append(estimate(eng.random_base2(k)))
+        means.append(estimate(scrambled_sobol(dim, k, ss)))
     means = np.asarray(means)
     return means.mean(), means.std(ddof=1) / math.sqrt(replicates)
 

@@ -134,25 +134,40 @@ def horner(c, w, magnitude=False):
     """sum_m c_m w^m by Horner in 80-bit extended precision.
 
     w may be a scalar or an array; the value has w's shape, as clongdouble.
-    With magnitude the pair (value, sum_m |c_m| |w|^m) is returned, the
-    magnitude sum accumulated the same way in longdouble.  Both stay in
-    extended precision: the huge outer roots of wide coefficient ranges
-    push intermediate magnitudes past float64 overflow, so callers must
-    divide before casting down.
+    With magnitude the triple (value, mag, E) is returned: mag = sum_m
+    |c_m| |w|^m is accumulated the same way in longdouble, and value and
+    mag are both divided by 2^E per point, E = floor(max_m log2 |c_m||w|^m).
+    As in _dd_horner, w runs as 2^-k w, k the binary exponent of |w|, and
+    c_m as 2^(m k - E) c_m.  Both shifts are exact, so every intermediate
+    is 2^-E times the unscaled one: value / mag is unchanged wherever the
+    unscaled sums fit, and stays finite past |w|^deg ~ 1e4932, where they
+    overflow even longdouble.
     """
     x = np.asarray(w, dtype=_LONG)
-    acc = np.zeros_like(x)
-    for cm in np.asarray(c, dtype=_LONG)[::-1]:
-        acc = acc * x + cm
     if not magnitude:
+        acc = np.zeros_like(x)
+        for cm in np.asarray(c, dtype=_LONG)[::-1]:
+            acc = acc * x + cm
         return acc
     w = np.asarray(w, dtype=complex)
     # hypot, as scalar abs(): numpy's array abs of complex128 rounds differently
-    ax = np.hypot(w.real, w.imag).astype(np.longdouble)
-    mag = np.zeros_like(ax)
-    for cm in np.abs(c).astype(np.longdouble)[::-1]:
-        mag = mag * ax + cm
-    return acc, mag
+    absw = np.hypot(w.real, w.imag)
+    k = np.frexp(absw)[1]
+    m = np.arange(len(c)).reshape((-1,) + (1,) * absw.ndim)
+    c = np.asarray(c, dtype=np.longdouble).reshape(m.shape)
+    with np.errstate(divide="ignore"):
+        E = np.floor(np.max(np.log2(np.abs(c)) + m * np.log2(np.where(absw > 0, absw, 1.0)),
+                            axis=0))
+    E = np.where(np.isfinite(E), E, 0).astype(int)
+    cs = np.ldexp(c, m * k - E)
+    xs = np.empty_like(x)
+    xs.real, xs.imag = np.ldexp(x.real, -k), np.ldexp(x.imag, -k)
+    ax = np.ldexp(absw.astype(np.longdouble), -k)
+    acc, mag = np.zeros_like(xs), np.zeros_like(ax)
+    for cm, am in zip(cs[::-1], np.abs(cs[::-1])):
+        acc = acc * xs + cm
+        mag = mag * ax + am
+    return acc, mag, E
 
 
 def evaluate(poly: PartitionPolynomial, z):
@@ -205,7 +220,7 @@ class ZeroSet:
 
 def _scaled_residual(b, w):
     """|p(w)| relative to the accumulated coefficient magnitude at w."""
-    acc, mag = horner(b, w, magnitude=True)
+    acc, mag, _ = horner(b, w, magnitude=True)
     return (np.abs(acc) / (mag + np.longdouble(1e-300))).astype(float)
 
 
@@ -215,9 +230,10 @@ def _aberth_polish(b, roots, tol=1e-12, max_iter=60):
     db = b[1:] * np.arange(1, deg + 1)
     w = roots.astype(complex).copy()
     for _ in range(max_iter):
-        pv, mag = horner(b, w, magnitude=True)
+        pv, mag, E = horner(b, w, magnitude=True)
         dv = horner(db, w)
         res = (np.abs(pv) / (mag + np.longdouble(1e-300))).astype(float)
+        pv = pv * np.ldexp(np.longdouble(1), E)
         newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0).astype(complex)
         if res.max() <= tol:
             break
@@ -497,8 +513,8 @@ def zeros(poly: PartitionPolynomial, polish_tol=1e-12) -> ZeroSet:
     if dynamic <= 1e14:
         w, _ = _aberth_polish(b, np.linalg.eigvals(comp), tol=polish_tol)
         x = w[np.argmin(np.abs(w))]
-        _, mag = horner(b, x, magnitude=True)
-        kappa = mag / abs(x * horner(b[1:] * np.arange(1, deg + 1), x))
+        _, mag, E = horner(b, x, magnitude=True)
+        kappa = np.ldexp(mag, E) / abs(x * horner(b[1:] * np.arange(1, deg + 1), x))
     # coefficient rounding alone moves z_c by (unit roundoff) x (root
     # conditioning), so past 1e-10 closed-form families are rebuilt in full
     # precision rather than re-read from the float64 table

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as _sciint
 
 from .errors import ConfigError, NotRegular, NotStable
 
@@ -335,6 +334,8 @@ def regularity_C(p: PairPotential):
     if p.family == "step":
         return (1.0 - math.exp(-p.beta * p.epsilon)) * _ball_volume(p.a, dim), 0.0
 
+    from scipy import integrate
+
     r_knots, phi = p.table
     if not np.all(np.isfinite(phi)):
         raise NotRegular("custom table contains non-finite potential values")
@@ -343,8 +344,9 @@ def regularity_C(p: PairPotential):
     def integrand(r):
         return abs(p.mayer_f(r)) * r ** (dim - 1)
 
-    val, err = _sciint.quad(integrand, 0.0, rmax, limit=200,
-                            points=list(map(float, r_knots[:-1])) if len(r_knots) <= 50 else None)
+    val, err = integrate.quad(
+        integrand, 0.0, rmax, limit=200,
+        points=list(map(float, r_knots[:-1])) if len(r_knots) <= 50 else None)
     if not np.isfinite(val):
         raise NotRegular("radial quadrature of |f| diverged")
     s = _sphere_surface(dim)

@@ -169,6 +169,11 @@ def test_config_errors_exit_2(capsys):
     assert main(["residual", "--L", "3", "--M", "4", "--z", "0.2", "--n-max", "1",
                  "--probes", "0"]) == 2
     assert capsys.readouterr().err.count("configuration error") == 2
+    # a negative seed is refused before any command runs
+    for cmd in ("table", "zeros"):
+        assert main([cmd, "--potential", "hardcore", "--a", "0.7", "--L", "3,3",
+                     "--M", "4", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.count("configuration error") == 2
 
 
 def test_degenerate_polynomial_exits_4(capsys):
@@ -311,16 +316,31 @@ def test_asymptotics_free_gas_agreement(tmp_path, capsys):
     assert "agreement" in capsys.readouterr().out
 
 
-def test_module_entry_point(tmp_path):
+def _child_env():
     # a relative import path (PYTHONPATH=src) would not survive cwd=tmp_path,
     # so the child gets the absolute directory this process imported kslab from
     env = dict(os.environ)
     src = str(Path(kslab.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "kslab.cli", "zeros", "--potential", "ideal",
          "--L", "1", "--M", "2"],
-        capture_output=True, text=True, cwd=str(tmp_path), env=env)
+        capture_output=True, text=True, cwd=str(tmp_path), env=_child_env())
     assert proc.returncode == 0
     assert "smallest zero" in proc.stdout
+
+
+def test_cli_import_skips_scipy_stats_and_integrate(tmp_path):
+    # the two packages cost over a second of start-up; kslab reads the Sobol
+    # table file directly and imports quad only for custom potentials
+    code = ("import sys, kslab.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=str(tmp_path), env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kslab import integrals
+from kslab.errors import ConfigError
 from kslab.integrals import (DIMENSION_CAP, Box, anchored_integral, build_table,
                              cache_path, contact_lattice, exact_mp_Z,
                              hardrod_anchored_many, load_table, panel_rule,
-                             quadrature_Z)
+                             quadrature_Z, scrambled_sobol, sobol_directions)
 from kslab.potentials import PairPotential
 
 
@@ -99,6 +100,40 @@ def test_sampling_reproducible():
     t1 = build_table(p, Box((3.0, 3.0)), 4, order=8, seed=7)
     t2 = build_table(p, Box((3.0, 3.0)), 4, order=8, seed=7)
     assert t1.entries[4].value == t2.entries[4].value
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**40 + 3])
+def test_scrambled_sobol_matches_scipy(seed):
+    # every dimension 1..40 and every k = 0..16 (k = dim mod 17), each from
+    # two spawned children: the same float64 array as scipy's engine
+    from scipy.stats import qmc
+
+    for dim in range(1, 41):
+        k = dim % 17
+        for child in range(2):
+            ref = qmc.Sobol(d=dim, scramble=True, seed=np.random.default_rng(
+                np.random.SeedSequence(seed).spawn(2)[child])).random_base2(k)
+            got = scrambled_sobol(dim, k, np.random.SeedSequence(seed).spawn(2)[child])
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), (dim, k, child)
+
+
+def test_sobol_directions_match_scipy_table():
+    from scipy.stats import qmc
+    from scipy.stats._sobol import _initialize_v
+
+    dim = qmc.Sobol.MAXDIM
+    ref = np.zeros((dim, 30), dtype=np.uint32)
+    _initialize_v(ref, dim=dim, bits=30)
+    got = sobol_directions(dim)
+    assert got.dtype == np.uint32 and np.array_equal(got, ref)
+    assert not got.flags.writeable
+
+
+def test_scrambled_sobol_limits():
+    ss = np.random.SeedSequence(1)
+    for dim, k in [(0, 3), (21202, 0), (2, -1), (2, 31)]:
+        with pytest.raises(ConfigError):
+            scrambled_sobol(dim, k, ss)
 
 
 def test_cache_round_trip(tmp_path):

@@ -13,6 +13,7 @@ from kslab.partition import (
     _dd_horner,
     _mp_aberth,
     _pair_conjugates,
+    _scaled_residual,
     assemble,
     correlation,
     evaluate,
@@ -245,6 +246,28 @@ def test_dd_horner_matches_mpmath_across_magnitudes():
             assert mag[i] == pytest.approx(float(size / scale), rel=1e-12)
             assert abs(got * scale - ref) <= 1e-29 * size
             assert abs(dgot * mp.ldexp(scale, -int(k[i])) - dref) <= 1e-29 * dsize
+
+
+def test_scaled_residual_past_extended_range():
+    # hard rods at L = 160: |w|^deg passes 1e4932 at the largest zero's
+    # modulus, where unscaled extended-precision sums overflow to NaN
+    import warnings
+
+    import mpmath as mp
+
+    poly = make_tonks(160.0, 161)
+    b = poly.scaled_coeffs()
+    w = -1.2e50 / poly.scale * np.exp(1j * np.array([0.0, 1e-3, 2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = _scaled_residual(b, w)
+    assert np.all(np.isfinite(res))
+    with mp.workdps(40):
+        for r, x in zip(res, w):
+            xm = mp.mpc(x)
+            ref = abs(mp.polyval([mp.mpf(c) for c in b[::-1]], xm)) / mp.fsum(
+                abs(c) * abs(xm) ** m for m, c in enumerate(b))
+            assert r == pytest.approx(float(ref), rel=1e-12)
 
 
 def test_dd_horner_residual_at_exact_roots():
