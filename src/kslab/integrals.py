@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import logging
 import math
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,7 +43,7 @@ import numpy as np
 import scipy
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigError, UseSampling
+from .errors import ConfigError, NumericalError, UseSampling
 from .potentials import PairPotential
 from .slog import SLog
 
@@ -128,65 +128,50 @@ def exact_mp_Z(p, box, m):
     return None
 
 
-def _compositions(total, parts):
-    """All tuples of nonnegative ints of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def hardrod_anchored_series(L, a, anchors, jmax):
+    """A_j / j! for j = 0..jmax and a batch of hard-rod anchor rows, exactly.
 
-
-def hardrod_anchored_many(L, a, anchors, m):
-    """Anchored hard-rod integrals for a batch of anchor rows, exactly.
-
-    anchors has shape (nc, n) (n may be 0); returns shape (nc,) with
-
-        A_m(x_1..x_n) = integral over [0,L]^m of exp(-beta*U(x, y)) dy,
-
-    which for hard rods counts the free volume of m labeled rods among the
-    fixed ones.  Sorting the anchors splits [0, L] into n+1 gaps; each way
-    of distributing the m rods over the gaps contributes a multinomial
-    times the per-gap free volume (ell - (k-1)a)_+^k.
+    anchors has shape (nc, n) (n may be 0); returns shape (nc, jmax + 1).
+    A_j(x_1..x_n), the integral over [0,L]^j of exp(-beta*U(x, y)) dy, is
+    the free volume of j labeled rods among the fixed ones.  Sorting the
+    anchors splits [0, L] into n+1 gaps, and the rods in a gap of length g
+    only see each other (Tonks, Phys. Rev. 50, 955, 1936), so the
+    generating function sum_j A_j t^j / j! is the product over the gaps of
+    sum_k (g - (k-1)a)_+^k t^k / k!.  One truncated Cauchy product gives
+    every order at once; rows with overlapping anchors are zero.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     nc, n = anchors.shape
-    if m < 0:
-        raise ValueError("m must be >= 0")
-
-    if n == 0:
-        val = exact_hardrod_Z(L, a, m).value
-        return np.full(nc, val)
-
+    if jmax < 0:
+        raise ValueError("the order must be >= 0")
     srt = np.sort(anchors, axis=1)
-    alive = np.ones(nc, dtype=bool)
+    # gap lengths available to free rod centers; with no anchors, the box
+    gaps = np.full((nc, 1), float(L))
+    if n:
+        gaps = np.concatenate([srt[:, :1] - a, np.diff(srt, axis=1) - 2.0 * a,
+                               L - srt[:, -1:] - a], axis=1)
+    k = np.arange(jmax + 1)
+    free = np.maximum(gaps[:, :, None] - (k - 1) * a, 0.0)
+    series = free**k / np.array([math.factorial(i) for i in k], dtype=float)
+    out = series[:, 0]
+    for s in series.transpose(1, 0, 2)[1:]:
+        prod = np.zeros_like(out)
+        for i in k:
+            prod[:, i:] += out[:, i, None] * s[:, : jmax + 1 - i]
+        out = prod
     if n >= 2:
-        alive &= (np.diff(srt, axis=1) >= a).all(axis=1)
-    if m == 0:
-        return alive.astype(float)
-
-    # gap lengths available to free rod centers
-    gaps = np.empty((nc, n + 1))
-    gaps[:, 0] = srt[:, 0] - a
-    if n >= 2:
-        gaps[:, 1:n] = np.diff(srt, axis=1) - 2.0 * a
-    gaps[:, n] = L - srt[:, -1] - a
-
-    out = np.zeros(nc)
-    m_fact = math.factorial(m)
-    for comp in _compositions(m, n + 1):
-        coef = m_fact
-        term = np.ones(nc)
-        for k, g in zip(comp, gaps.T):
-            if k == 0:
-                continue
-            coef //= math.factorial(k)
-            free = g - (k - 1) * a
-            term = term * np.where(free > 0.0, free, 0.0) ** k
-        out += coef * term
-    out[~alive] = 0.0
+        out[(np.diff(srt, axis=1) < a).any(axis=1)] = 0.0
     return out
+
+
+def hardrod_anchored_many(L, a, anchors, m):
+    """Anchored hard-rod integrals A_m for a batch of anchor rows, shape (nc,).
+
+    Column m of hardrod_anchored_series times m!, for callers that need a
+    single order (anchored_integral); a caller that sums over orders takes
+    the whole series in one pass instead.
+    """
+    return hardrod_anchored_series(L, a, anchors, m)[:, m] * math.factorial(m)
 
 
 def hardrod_anchored(L, a, anchors, m) -> float:
@@ -376,15 +361,43 @@ def quadrature_Z(p: PairPotential, box: Box, m, order=16):
     return vals[0], _refinement_error(vals)
 
 
-@functools.lru_cache(maxsize=1)
-def _sobol_table():
-    """(poly, vinit) of the Joe-Kuo table (SIAM J. Sci. Comput. 30, 2008), read-only."""
+def _npy_columns(fh, rows, ncols):
+    """Leading rows of the first ncols columns of a column-major int64 .npy stream.
+
+    Reads the header, then each column's first rows entries, skipping the
+    rest of the column; nothing past the last wanted entry is read.
+    """
+    version = np.lib.format.read_magic(fh)
+    read_header = {(1, 0): np.lib.format.read_array_header_1_0,
+                   (2, 0): np.lib.format.read_array_header_2_0}.get(version)
+    shape, fortran, dtype = read_header(fh) if read_header else ((), False, None)
+    if dtype != np.int64 or not (len(shape) == 1 or fortran and len(shape) == 2):
+        raise NumericalError(f"Sobol table {fh.name}: expected column-major int64")
+    rows = min(rows, shape[0])
+    cols = []
+    for c in range(ncols):
+        if c:
+            fh.seek(8 * (shape[0] - rows), 1)
+        cols.append(np.frombuffer(fh.read(8 * rows), dtype))
+    return np.stack(cols, axis=1)
+
+
+def _sobol_table(dim):
+    """(poly, vinit) rows 0..dim-1 of the Joe-Kuo table (SIAM J. Sci. Comput. 30, 2008).
+
+    Streamed from scipy's deflated npz.  vinit is stored column by column
+    and only its first s columns are read, s the highest polynomial degree
+    among the rows, because the recurrence of sobol_directions overwrites
+    every later one.  For a few dozen coordinates that inflates well under
+    a tenth of the 3 MB file.
+    """
     path = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
-    with np.load(path) as npz:
-        table = npz["poly"], npz["vinit"]
-    for arr in table:
-        arr.setflags(write=False)
-    return table
+    with zipfile.ZipFile(path) as zf:
+        with zf.open("poly.npy") as fh:
+            poly = _npy_columns(fh, dim, 1)[:, 0]
+        with zf.open("vinit.npy") as fh:
+            vinit = _npy_columns(fh, dim, max(1, int(poly.max()).bit_length() - 1))
+    return poly, vinit
 
 
 @functools.lru_cache(maxsize=16)
@@ -397,11 +410,10 @@ def sobol_directions(dim):
     them by the Bratley-Fox recurrence v_j = v_{j-s} ^ XOR_k a_k 2^k v_{j-k}.
     Shared by every caller and therefore read-only.
     """
-    poly, vinit = _sobol_table()
-    poly = poly[:dim]
+    poly, vinit = _sobol_table(dim)
     deg = np.array([int(a).bit_length() - 1 for a in poly])
     v = np.zeros((dim, _SOBOL_BITS), dtype=np.int64)
-    v[:, : vinit.shape[1]] = vinit[:dim]
+    v[:, : vinit.shape[1]] = vinit
     v[0] = 1
     for s in np.unique(deg[1:]):
         rows = np.flatnonzero(deg == s)

@@ -23,7 +23,8 @@ x_1; for hard rods every integrand is then piecewise polynomial on the
 panels and the quadrature is exact to rounding.  The nested panel nodes of
 the ordered sector are built one nesting level at a time on numpy arrays,
 all live prefixes at once, from the Gauss-Legendre rules that
-integrals.gauss_legendre caches by order.
+integrals.gauss_legendre caches by order.  For a family that vanishes on
+hard-core overlap, no panel is built where two rods overlap.
 
 Truncation bookkeeping, fixed here once and used by the residual check:
 with the degree-M family on the left, the exact finite-truncation identity
@@ -36,6 +37,7 @@ separately.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -43,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .integrals import Box, contact_lattice, gauss_legendre, sobol_replicates
+from .integrals import (Box, contact_lattice, gauss_legendre, hardrod_anchored_series,
+                        sobol_replicates)
 from .partition import (PartitionPolynomial, correlation, evaluate,
                         scaled_coefficients)
 from .potentials import PairPotential
@@ -122,8 +125,10 @@ class CorrelationFamily:
 
     Evaluates rho(z; configs) at a fixed activity for whole batches of
     configurations, with the numerator truncated at total degree `degree`.
-    The hard-rod and ideal families get the exact closed-form fast path;
-    anything else falls back to per-row quadrature.
+    The hard-rod and ideal families get the exact closed-form fast path:
+    for hard rods one gap-series pass (hardrod_anchored_series) gives every
+    A_j / j! of a batch, and the numerator is that matrix times the powers
+    z^(level + j).  Anything else falls back to per-row quadrature.
     """
 
     def __init__(self, poly: PartitionPolynomial, z, degree=None):
@@ -146,14 +151,8 @@ class CorrelationFamily:
         if jmax < 0:
             return np.zeros(nc, dtype=complex)
         if p.family == "hardcore" and box.dimension == 1:
-            from .integrals import hardrod_anchored_many
-
-            rows = configs.reshape(nc, level)
-            num = np.zeros(nc, dtype=complex)
-            for j in range(jmax + 1):
-                A = hardrod_anchored_many(box.extents[0], p.a, rows, j)
-                num += self.z ** (level + j) * A / math.factorial(j)
-            return num / self.xi
+            S = hardrod_anchored_series(box.extents[0], p.a, configs.reshape(nc, level), jmax)
+            return S @ self.z ** (level + np.arange(jmax + 1)) / self.xi
         if p.family == "ideal":
             V = box.volume
             num = sum(self.z ** (level + j) * V**j / math.factorial(j) for j in range(jmax + 1))
@@ -201,7 +200,7 @@ def _static_breaks(p, box, anchors_1d, kmax):
     return contact_lattice(box.extents[0], p.interaction_range, kmax, anchors=anchors_1d)
 
 
-def _ordered_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax):
+def _ordered_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax, prune=False):
     """Node rows and weights for the ordered sector y_1 <= ... <= y_m in the window.
 
     Panels split at the static contact lattice of the anchors plus, per
@@ -216,6 +215,14 @@ def _ordered_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax):
     of its panels, in row-major order.  That is the depth-first order of
     the nested sum, and the arithmetic is panel_rule's, so rows and weights
     equal a recursive build over panel_rule bit for bit.
+
+    prune drops the panels on which a family that vanishes on hard-core
+    overlap is zero: at level >= 2 the next coordinate starts at y + a
+    instead of y (the previous node), and panels inside [r - a, r + a] of
+    an anchor r in rest_coords are skipped.  y + a and r +- a are cuts
+    already, so the panels that stay, their nodes and their weights are
+    unchanged bit for bit: the rows are the unpruned rows at which such a
+    family is nonzero, in the same order.
     """
     window = _kernel_window(p, box, x1)
     if window is None:
@@ -243,13 +250,17 @@ def _ordered_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax):
         cand.sort(axis=1)
         cuts = np.concatenate([left[:, None], cand, np.full((n, 1), hi)], axis=1)
         live = cuts[:, 1:] > cuts[:, :-1]
+        if prune:
+            for r in rest_coords:
+                live &= (cuts[:, :-1] < r - a) | (cuts[:, 1:] > r + a)
         owner = np.nonzero(live)[0]
         panel_lo = cuts[:, :-1][live]
         half = 0.5 * (cuts[:, 1:][live] - panel_lo)
         x, w = gauss_legendre(order if level == 1 else inner_order)
-        left = (half[:, None] * (x + 1.0) + panel_lo[:, None]).reshape(-1)
+        y = (half[:, None] * (x + 1.0) + panel_lo[:, None]).reshape(-1)
         wacc = (wacc[owner, None] * (half[:, None] * w)).reshape(-1)
-        rows = np.concatenate([rows[np.repeat(owner, len(x))], left[:, None]], axis=1)
+        rows = np.concatenate([rows[np.repeat(owner, len(x))], y[:, None]], axis=1)
+        left = y + a if prune else y
     return rows, wacc
 
 
@@ -258,16 +269,14 @@ def _term_quadrature(p, box, phi, n, x1, rest, m, order, inner_order, kmax):
     if m == 0:
         return complex(phi(n - 1, rest.reshape(1, n - 1, 1))[0])
     # ordered sector times m! cancels the 1/m! prefactor
-    if p.family == "hardcore":
+    # the kernel itself does not exclude the y's from each other; only a
+    # family that dies on overlaps justifies the packing cutoff and pruning
+    prune = p.family == "hardcore" and getattr(phi, "vanishes_on_overlap", False)
+    if prune:
         window = _kernel_window(p, box, x1)
-        if window is None:
+        if window is None or (m - 1) * p.a >= window[1] - window[0]:
             return 0.0 + 0.0j
-        # the kernel itself does not exclude the y's from each other; only
-        # a family that dies on overlaps justifies the packing cutoff
-        if (getattr(phi, "vanishes_on_overlap", False)
-                and (m - 1) * p.a >= window[1] - window[0]):
-            return 0.0 + 0.0j
-    ys, ws = _ordered_nodes(p, box, x1, rest, m, order, inner_order, kmax)
+    ys, ws = _ordered_nodes(p, box, x1, rest, m, order, inner_order, kmax, prune=prune)
     if len(ws) == 0:
         return 0.0 + 0.0j
     kern = np.prod(p.mayer_f(np.abs(ys - x1)), axis=1)
@@ -455,6 +464,11 @@ def ks_residual(poly: PartitionPolynomial, z, n_max, strategy="quadrature",
     """
     p, box = poly.potential, poly.box
     M = poly.M
+    if box.dimension != 1:
+        raise ConfigError(f"the residual check is one-dimensional; the box has "
+                          f"{box.dimension} axes")
+    if not cmath.isfinite(z):
+        raise ConfigError(f"activity z = {z} is not finite")
     if n_max < 1 or n_max > M - 1:
         raise ConfigError("need 1 <= n_max <= M-1")
     if order < 2:
@@ -479,6 +493,9 @@ def ks_residual(poly: PartitionPolynomial, z, n_max, strategy="quadrature",
         sup_b = 0.0
         sup_rho = 0.0
         probes = probe_anchor_sets(box, p, n, count=count)
+        if not probes:
+            raise ConfigError(f"no probe configuration fits level {n} in the box; "
+                              f"lower n_max or raise the probe count")
         for anchors in probes:
             lhs = correlation(poly, z, anchors, degree=M)
             op, op_err = apply_ks_function(p, box, fam, n, anchors, M,

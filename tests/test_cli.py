@@ -174,6 +174,15 @@ def test_config_errors_exit_2(capsys):
         assert main([cmd, "--potential", "hardcore", "--a", "0.7", "--L", "3,3",
                      "--M", "4", "--seed", "-1"]) == 2
     assert capsys.readouterr().err.count("configuration error") == 2
+    # a non-finite activity, a level that no probe reaches and a 2-D box
+    assert main(["residual", "--L", "5", "--M", "6", "--z", "nan", "--n-max", "1"]) == 2
+    assert main(["residual", "--L", "5", "--M", "6", "--z", "0.2", "--n-max", "5",
+                 "--probes", "2"]) == 2
+    assert main(["residual", "--potential", "hardcore", "--L", "2,2", "--M", "3",
+                 "--z", "0.1", "--n-max", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("configuration error") == 3
+    assert "not finite" in err and "level 5" in err and "one-dimensional" in err
 
 
 def test_degenerate_polynomial_exits_4(capsys):

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 
@@ -8,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kslab import integrals
-from kslab.errors import ConfigError
+from kslab.errors import ConfigError, NumericalError
 from kslab.integrals import (DIMENSION_CAP, Box, anchored_integral, build_table,
                              cache_path, contact_lattice, exact_mp_Z,
-                             hardrod_anchored_many, load_table, panel_rule,
+                             hardrod_anchored_many, hardrod_anchored_series,
+                             load_table, panel_rule,
                              quadrature_Z, scrambled_sobol, sobol_directions)
 from kslab.potentials import PairPotential
 
@@ -129,6 +131,27 @@ def test_sobol_directions_match_scipy_table():
     assert not got.flags.writeable
 
 
+def _npy_stream(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    buf.seek(0)
+    buf.name = "table.npy"
+    return buf
+
+
+def test_sobol_table_reader_reads_column_prefixes():
+    # the direction-number reader takes leading rows of leading columns of a
+    # column-major int64 array and refuses any other layout
+    arr = np.asfortranarray(np.arange(60, dtype=np.int64).reshape(12, 5))
+    got = integrals._npy_columns(_npy_stream(arr), 4, 3)
+    assert np.array_equal(got, arr[:4, :3])
+    assert np.array_equal(integrals._npy_columns(_npy_stream(arr[:, 0].copy()), 20, 1),
+                          arr[:, :1])
+    for bad in (np.ascontiguousarray(arr), arr.astype(np.int32)):
+        with pytest.raises(NumericalError):
+            integrals._npy_columns(_npy_stream(bad), 4, 3)
+
+
 def test_scrambled_sobol_limits():
     ss = np.random.SeedSequence(1)
     for dim, k in [(0, 3), (21202, 0), (2, -1), (2, 31)]:
@@ -165,6 +188,62 @@ def test_anchored_hardrod_batch_identities():
     # overlapping anchors kill the whole integrand
     bad = hardrod_anchored_many(L, a, np.array([[1.0, 1.4]]), 1)
     assert bad[0] == 0.0
+
+
+def _compositions(total, parts):
+    """All tuples of nonnegative ints of the given length summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def _composition_sum(L, a, anchors, m):
+    """Reference A_m: every way of spreading m labeled rods over the gaps.
+
+    Each distribution (k_0..k_n) contributes the multinomial m!/prod k_i!
+    times the per-gap free volumes (g_i - (k_i - 1)a)_+^k_i; rows with
+    overlapping anchors are zero.
+    """
+    nc, n = anchors.shape
+    srt = np.sort(anchors, axis=1)
+    gaps = np.full((nc, 1), L)
+    if n:
+        gaps = np.concatenate([srt[:, :1] - a, np.diff(srt, axis=1) - 2.0 * a,
+                               L - srt[:, -1:] - a], axis=1)
+    out = np.zeros(nc)
+    for comp in _compositions(m, n + 1):
+        coef = math.factorial(m)
+        term = np.ones(nc)
+        for k, g in zip(comp, gaps.T):
+            coef //= math.factorial(k)
+            term = term * np.where(g - (k - 1) * a > 0.0, g - (k - 1) * a, 0.0) ** k
+        out += coef * term
+    out[(np.diff(srt, axis=1) < a).any(axis=1)] = 0.0
+    return out
+
+
+def test_anchored_series_matches_composition_sum():
+    rng = np.random.default_rng(5)
+    for L, a in ((5.0, 1.0), (7.3, 0.37)):
+        for n in range(4):
+            rows = rng.uniform(0.0, L, size=(200, n))
+            if n >= 2:
+                rows[:20, 1] = rows[:20, 0] + 0.5 * a  # overlapping anchors
+            series = hardrod_anchored_series(L, a, rows, 8)
+            assert series.shape == (200, 9)
+            for j in range(9):
+                want = _composition_sum(L, a, rows, j)
+                # atol 0: a zero of the reference must be an exact zero
+                np.testing.assert_allclose(series[:, j] * math.factorial(j), want,
+                                           rtol=1e-14, atol=0.0)
+                np.testing.assert_allclose(hardrod_anchored_many(L, a, rows, j), want,
+                                           rtol=1e-14, atol=0.0)
+            if n >= 2:
+                assert np.all(series[:20] == 0.0)
+            assert np.count_nonzero(series[:, 1:]) > 0
 
 
 def test_anchored_integral_routes_and_agrees():

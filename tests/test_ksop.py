@@ -237,6 +237,60 @@ def test_ordered_nodes_match_recursive_reference():
     assert rows.shape == (0, 2) and weights.shape == (0,)
 
 
+def test_pruned_nodes_are_the_nonzero_rows():
+    # for a family that vanishes on hard-core overlap, pruning keeps exactly
+    # the unpruned rows at which the family is nonzero, bit for bit and in
+    # order, and every row it drops is a zero of the family
+    checked = dropped = 0
+    for a in (1.0, 0.37):
+        for L in (2.0, 5.0, 7.3):
+            p, box = PairPotential.hardcore(a), Box((L,))
+            fam = CorrelationFamily(make_tonks(L, a=a), 0.05)
+            x1 = 0.45 * L
+            # x1 + 0.6a lies inside the kernel window
+            anchor_sets = [np.empty(0), np.array([0.1 * L]), np.array([x1 + 0.6 * a]),
+                           np.array([0.1 * L, x1 + 0.6 * a])]
+            for rest in anchor_sets:
+                for m, order, inner in ((1, 64, 12), (2, 24, 11), (2, 5, 8)):
+                    args = (p, box, x1, rest, m, order, inner, 3)
+                    rows, weights = _ordered_nodes(*args)
+                    prows, pweights = _ordered_nodes(*args, prune=True)
+                    configs = np.concatenate(
+                        [np.broadcast_to(rest, (len(rows), len(rest))), rows], axis=1)
+                    vals = fam(len(rest) + m, configs.reshape(len(rows), -1, 1))
+                    nonzero = vals != 0
+                    assert np.array_equal(prows, rows[nonzero])
+                    assert np.array_equal(pweights, weights[nonzero])
+                    kept = {tuple(r) for r in prows}
+                    gone = np.array([tuple(r) not in kept for r in rows], dtype=bool)
+                    assert np.all(vals[gone] == 0)
+                    checked += len(pweights) > 0
+                    dropped += gone.sum()
+    # 45 of the 72 cases keep rows: an anchor inside the window leaves room
+    # for one y only, and so does the anchor at 0.2 when L = 2, a = 1, where
+    # the pair of anchors leaves room for none
+    assert checked == 45 and dropped > 0
+
+
+def test_workload_residual_feeds_only_live_rows(monkeypatch, tmp_path):
+    # the hard-rod residual of the benchmark's residual workload hands the
+    # family 111,942 node rows; the 743,136 overlap rows it used to receive
+    # as well are zeros of the family and are no longer built
+    from kslab.cli import main
+
+    rows = []
+    real = CorrelationFamily.__call__
+
+    def counting(self, level, configs):
+        rows.append(len(configs))
+        return real(self, level, configs)
+
+    monkeypatch.setattr(CorrelationFamily, "__call__", counting)
+    assert main(["residual", "--L", "5", "--M", "6", "--z", "0.2", "--n-max", "2",
+                 "--order", "64", "--probes", "32", "--out", str(tmp_path / "r.json")]) == 0
+    assert sum(rows) == 111_942
+
+
 def test_gauss_legendre_rule_is_shared_read_only():
     x, w = gauss_legendre(7)
     assert gauss_legendre(7)[0] is x
