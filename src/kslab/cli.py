@@ -64,9 +64,7 @@ def _extents(args):
         ext = tuple(float(x) for x in str(args.L).split(","))
     except ValueError as exc:
         raise ConfigError(f"cannot parse --L {args.L!r}: {exc}") from None
-    if not ext or any(e <= 0 for e in ext):
-        raise ConfigError("box extents must be positive")
-    return ext
+    return Box(ext).extents
 
 
 def _table(args, M=None):
@@ -251,10 +249,12 @@ def cmd_asymptotics(args):
     poly = assemble(table)
     if args.anchors:
         try:
-            anchors = [[float(c) for c in part.split(",")]
-                       for part in args.anchors.split(";")]
+            anchors = np.array([[float(c) for c in part.split(",")]
+                                for part in args.anchors.split(";")])
         except ValueError as exc:
             raise ConfigError(f"cannot parse --anchors {args.anchors!r}: {exc}") from None
+        if not np.all(np.isfinite(anchors)):
+            raise ConfigError(f"--anchors {args.anchors!r} has a non-finite coordinate")
     else:
         anchors = [[0.5 * e for e in box.extents]]
     res = leading_asymptotics(poly, anchors)
@@ -474,12 +474,18 @@ _DISPATCH = {
 }
 
 
+# least admissible values of integer options (two Gauss nodes per panel)
+_INT_FLOORS = (("seed", 0), ("M", 0), ("order", 2), ("terms", 0), ("power_terms", 1))
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+        for name, floor in _INT_FLOORS:
+            value = getattr(args, name, floor)
+            if value < floor:
+                raise ConfigError(f"--{name.replace('_', '-')} {value} is below {floor}")
         return _DISPATCH[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

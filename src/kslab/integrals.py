@@ -4,9 +4,10 @@ The central objects are the canonical integrals
 
     Z_m = integral over Lambda^m of exp(-beta * U(y_1..y_m)) dy
 
-and their anchored variants where n points are held fixed.  Three methods
-are implemented and tagged on every value: "exact" (closed forms: ideal
-gas in any dimension, hard rods on a segment, both plain and anchored),
+and their anchored variants A_m with n points held fixed, which
+anchored_series returns for all orders and a batch of anchor sets at once.
+Three methods are implemented: "exact" (closed forms: ideal gas in any
+dimension, hard rods on a segment, both plain and anchored),
 "quadrature" (tensorized panel Gauss-Legendre, capped in total dimension),
 and "sampling" (scrambled Sobol averages with replicate standard errors).
 The Sobol points are generated here in numpy from the Joe-Kuo direction
@@ -65,8 +66,8 @@ class Box:
 
     def __post_init__(self):
         ext = tuple(float(e) for e in np.atleast_1d(self.extents))
-        if any(e <= 0 for e in ext):
-            raise ConfigError("box extents must be positive")
+        if not all(0.0 < e < math.inf for e in ext):
+            raise ConfigError(f"box extents must be positive and finite, got {ext}")
         object.__setattr__(self, "extents", ext)
 
     @property
@@ -78,9 +79,9 @@ class Box:
         return float(np.prod(self.extents))
 
     def contains(self, points):
+        """Whether each configuration (..., n, dim), or one point, is inside; NaN is not."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ext = np.asarray(self.extents)
-        return bool(np.all(pts >= 0.0) and np.all(pts <= ext[None, :]))
+        return np.all((pts >= 0.0) & (pts <= self.extents), axis=(-2, -1))
 
     def to_json(self):
         return list(self.extents)
@@ -162,22 +163,6 @@ def hardrod_anchored_series(L, a, anchors, jmax):
     if n >= 2:
         out[(np.diff(srt, axis=1) < a).any(axis=1)] = 0.0
     return out
-
-
-def hardrod_anchored_many(L, a, anchors, m):
-    """Anchored hard-rod integrals A_m for a batch of anchor rows, shape (nc,).
-
-    Column m of hardrod_anchored_series times m!, for callers that need a
-    single order (anchored_integral); a caller that sums over orders takes
-    the whole series in one pass instead.
-    """
-    return hardrod_anchored_series(L, a, anchors, m)[:, m] * math.factorial(m)
-
-
-def hardrod_anchored(L, a, anchors, m) -> float:
-    """Single-configuration variant of hardrod_anchored_many."""
-    anchors = np.atleast_1d(np.asarray(anchors, dtype=float))
-    return float(hardrod_anchored_many(L, a, anchors.reshape(1, -1), m)[0])
 
 
 # -- panel Gauss quadrature ---------------------------------------------------
@@ -500,14 +485,48 @@ def sampled_Z(p: PairPotential, box: Box, m, n_samples=1 << 16, seed=42, replica
 # -- anchored integrals --------------------------------------------------------
 
 
+def anchored_route(p: PairPotential, box: Box):
+    """"ideal" or "hardrod" where anchored_series has a closed form, else "numeric"."""
+    if p.family == "ideal":
+        return "ideal"
+    return "hardrod" if p.family == "hardcore" and box.dimension == 1 else "numeric"
+
+
+def anchored_series(p: PairPotential, box: Box, anchors, jmax):
+    """A_j / j! and its error bound for j = 0..jmax over a batch of anchor rows.
+
+    anchors has shape (nc, n, dim), n >= 0; returns (S, E), each of shape
+    (nc, jmax + 1).  By anchored_route: the ideal gas is V^j / j!, hard rods
+    on a segment take one gap-series pass (hardrod_anchored_series), and
+    anything else is anchored_integral per row and per order, divided by j!.
+    A row with a coordinate outside [0, extent] is zero at every order.
+    """
+    anchors = np.asarray(anchors, dtype=float)
+    if anchors.ndim != 3 or anchors.shape[2] != box.dimension:
+        raise ConfigError("anchor dimension does not match the box")
+    S, E = np.zeros((2, len(anchors), max(jmax + 1, 0)))
+    inside = box.contains(anchors)
+    route = anchored_route(p, box)
+    if route == "ideal":
+        S[inside] = [box.volume**j / math.factorial(j) for j in range(jmax + 1)]
+    elif route == "hardrod" and jmax >= 0:
+        S[inside] = hardrod_anchored_series(box.extents[0], p.a, anchors[inside, :, 0], jmax)
+    elif route == "numeric":
+        for i in np.flatnonzero(inside):
+            for j in range(jmax + 1):
+                A = anchored_integral(p, box, anchors[i], j)
+                S[i, j], E[i, j] = np.divide(A, math.factorial(j))
+    return S, E
+
+
 def anchored_integral(p: PairPotential, box: Box, anchors, m, order=16, seed=42,
                       strategy=None):
-    """A_m(anchors): Boltzmann integral with n points held fixed.
+    """A_m(anchors) and its error bound for n fixed points, shape (n, dim).
 
-    Routes to the exact closed form when one exists (ideal gas anywhere,
-    hard rods in one dimension), otherwise to panel quadrature with panels
-    aligned to the anchor contact lattice, falling back to Sobol sampling
-    past the dimension cap.  Returns (value, error_bound).
+    A closed form is column m of anchored_series times m!.  Otherwise panel
+    quadrature with panels aligned to the anchor contact lattice, falling
+    back to Sobol sampling past the dimension cap (or always, with
+    strategy="sampling").  Anchors outside the box give zero.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     if anchors.size == 0:
@@ -515,12 +534,11 @@ def anchored_integral(p: PairPotential, box: Box, anchors, m, order=16, seed=42,
     n = anchors.shape[0]
     if anchors.shape[1] != box.dimension:
         raise ConfigError("anchor dimension does not match the box")
-
-    if p.family == "ideal":
-        return box.volume**m, 0.0
-    if p.family == "hardcore" and box.dimension == 1:
-        val = hardrod_anchored(box.extents[0], p.a, anchors[:, 0], m)
-        return val, 0.0
+    if anchored_route(p, box) != "numeric":
+        S, _ = anchored_series(p, box, anchors[None], m)
+        return float(S[0, m] * math.factorial(m)), 0.0
+    if not box.contains(anchors):
+        return 0.0, 0.0
 
     if m == 0:
         _, w = p.total_energy(anchors)

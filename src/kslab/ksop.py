@@ -45,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .integrals import (Box, contact_lattice, gauss_legendre, hardrod_anchored_series,
-                        sobol_replicates)
+from .integrals import (Box, anchored_route, anchored_series, contact_lattice,
+                        gauss_legendre, sobol_replicates)
 from .partition import (PartitionPolynomial, correlation, evaluate,
                         scaled_coefficients)
 from .potentials import PairPotential
@@ -124,11 +124,10 @@ class CorrelationFamily:
     """Correlations as a vectorized anchored-function family.
 
     Evaluates rho(z; configs) at a fixed activity for whole batches of
-    configurations, with the numerator truncated at total degree `degree`.
-    The hard-rod and ideal families get the exact closed-form fast path:
-    for hard rods one gap-series pass (hardrod_anchored_series) gives every
-    A_j / j! of a batch, and the numerator is that matrix times the powers
-    z^(level + j).  Anything else falls back to per-row quadrature.
+    configurations, with the numerator truncated at total degree `degree`:
+    one anchored_series call gives every A_j / j! of a batch, times the
+    powers z^(level + j).  Numeric-route rows are kept for one ks_residual
+    call, as neighbouring probe windows share panels.
     """
 
     def __init__(self, poly: PartitionPolynomial, z, degree=None):
@@ -137,32 +136,32 @@ class CorrelationFamily:
         self.degree = poly.M if degree is None else int(degree)
         xi, cond = evaluate(poly, z)
         self.xi = xi
-        self.error_scale = 0.0  # closed-form families carry no integral error
+        self.error_scale = 0.0  # the operator's bound does not carry integral errors
         # correlations of a hard-core gas are zero on overlapping
         # configurations, which licenses the rod-packing cutoff in the
         # operator quadrature
         self.vanishes_on_overlap = bool(poly.potential.has_hard_core)
+        # row bytes -> the row's A_j / j!; closed forms recompute faster
+        self._memo = {} if anchored_route(poly.potential, poly.box) == "numeric" else None
+
+    def _series(self, rows, jmax):
+        p, box = self.poly.potential, self.poly.box
+        if self._memo is None:
+            return anchored_series(p, box, rows, jmax)[0]
+        new = {r.tobytes(): r for r in rows if r.tobytes() not in self._memo}
+        if new:
+            S, _ = anchored_series(p, box, np.array(list(new.values())), jmax)
+            self._memo.update(zip(new, S))
+        return np.array([self._memo[r.tobytes()] for r in rows]).reshape(-1, jmax + 1)
 
     def __call__(self, level, configs):
         configs = np.asarray(configs, dtype=float)
         nc = configs.shape[0]
-        p, box = self.poly.potential, self.poly.box
-        jmax = min(self.poly.M - level, self.degree - level)
+        jmax = min(self.poly.M, self.degree) - level
         if jmax < 0:
             return np.zeros(nc, dtype=complex)
-        if p.family == "hardcore" and box.dimension == 1:
-            S = hardrod_anchored_series(box.extents[0], p.a, configs.reshape(nc, level), jmax)
-            return S @ self.z ** (level + np.arange(jmax + 1)) / self.xi
-        if p.family == "ideal":
-            V = box.volume
-            num = sum(self.z ** (level + j) * V**j / math.factorial(j) for j in range(jmax + 1))
-            return np.full(nc, num / self.xi, dtype=complex)
-        out = np.empty(nc, dtype=complex)
-        for i in range(nc):
-            cv = correlation(self.poly, self.z, configs[i].reshape(level, -1),
-                             degree=self.degree)
-            out[i] = cv.value
-        return out
+        S = self._series(configs.reshape(nc, level, self.poly.box.dimension), jmax)
+        return S @ self.z ** (level + np.arange(jmax + 1)) / self.xi
 
 
 class CallableFamily:

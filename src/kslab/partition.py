@@ -25,12 +25,12 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import Degenerate, NearPole, NumericalError
-from .integrals import IntegralTable, anchored_integral
+from .integrals import IntegralTable, anchored_series
 from .slog import SLog
 
 _LONG = np.clongdouble
@@ -45,7 +45,6 @@ class PartitionPolynomial:
     coeff_errors: np.ndarray
     scale: float
     table: IntegralTable
-    _anchored_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def M(self):
@@ -648,21 +647,13 @@ class CorrelationValue:
     degree: int  # total z-degree kept in the numerator
 
 
-def _anchored_cached(poly: PartitionPolynomial, anchors, m):
-    key = (anchors.tobytes(), anchors.shape, int(m))
-    hit = poly._anchored_cache.get(key)
-    if hit is None:
-        hit = anchored_integral(poly.potential, poly.box, anchors, m)
-        poly._anchored_cache[key] = hit
-    return hit
-
-
 def correlation(poly: PartitionPolynomial, z, anchors, degree=None) -> CorrelationValue:
     """n-point correlation rho(z; x_1..x_n) at truncation M.
 
     The numerator keeps every term z^{n+m} A_m / m! with total degree
-    n + m <= degree (default M); the denominator is the full Xi.  Raises
-    NearPole when z is numerically on a partition zero.
+    n + m <= degree (default M), all orders from one anchored_series call;
+    the denominator is the full Xi.  Anchors outside the box give zero.
+    Raises NearPole when z is numerically on a partition zero.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     n = anchors.shape[0]
@@ -678,18 +669,14 @@ def correlation(poly: PartitionPolynomial, z, anchors, degree=None) -> Correlati
     if abs(xi) <= 1e-10 * cond:
         zc = smallest_zero(zeros(poly)).z_c
         raise NearPole(f"Xi({z}) is numerically zero", z=z, nearest_zero=zc)
-    if chi == 0.0:
-        return CorrelationValue(0.0, 0.0, 0.0, n, complex(z), degree)
 
-    mmax = min(poly.M - n, degree - n)
+    S, E = anchored_series(poly.potential, poly.box, anchors[None], min(poly.M, degree) - n)
     num = 0.0 + 0.0j
     num_err = 0.0
     zlc = complex(z)
-    for m in range(mmax + 1):
-        A, Aerr = _anchored_cached(poly, anchors, m)
-        fac = math.factorial(m)
-        num += zlc ** (n + m) * (A / fac)
-        num_err += abs(zlc) ** (n + m) * (Aerr / fac)
+    for m, (s, e) in enumerate(zip(S[0], E[0])):
+        num += zlc ** (n + m) * s
+        num_err += abs(zlc) ** (n + m) * e
 
     # propagate both the numerator error and the table error inside Xi
     xi_err = float(np.polyval(poly.coeff_errors[::-1], abs(zlc)))
@@ -699,18 +686,17 @@ def correlation(poly: PartitionPolynomial, z, anchors, degree=None) -> Correlati
 
 
 def numerator_coefficients(poly: PartitionPolynomial, anchors, degree=None):
-    """Coefficients of N(z) = sum_m A_m z^{n+m}/m! as a plain z-polynomial."""
+    """Coefficients of N(z) = sum_m A_m z^{n+m}/m! and their error bounds,
+    indexed by the power of z up to degree (default M)."""
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     n = anchors.shape[0]
     if degree is None:
         degree = poly.M
+    S, E = anchored_series(poly.potential, poly.box, anchors[None], min(poly.M, degree) - n)
     out = np.zeros(degree + 1)
     errs = np.zeros(degree + 1)
-    for m in range(min(poly.M - n, degree - n) + 1):
-        A, Aerr = _anchored_cached(poly, anchors, m)
-        fac = math.factorial(m)
-        out[n + m] = A / fac
-        errs[n + m] = Aerr / fac
+    out[n : n + S.shape[1]] = S[0]
+    errs[n : n + S.shape[1]] = E[0]
     return out, errs
 
 

@@ -99,14 +99,10 @@ def _polish_reciprocal(lam_scaled, b):
     return out
 
 
-def spectrum(ks: KSMatrix, polish=True) -> Spectrum:
-    """Eigenvalues of the operator matrix with the leading pair identified."""
-    A = ks.scaled_matrix()
-    lam_scaled = np.linalg.eigvals(A)
+def spectrum(ks: KSMatrix) -> Spectrum:
+    """Polished eigenvalues of the operator matrix, the leading pair identified."""
     b = scaled_coefficients(ks.coeffs, ks.scale)
-    if polish:
-        lam_scaled = _polish_reciprocal(lam_scaled, b)
-    lam = lam_scaled / ks.scale
+    lam = _polish_reciprocal(np.linalg.eigvals(ks.scaled_matrix()), b) / ks.scale
     order = np.lexsort((lam.imag, lam.real, -np.abs(lam)))
     lam = lam[order]
     lam_c = complex(lam[0])

@@ -48,3 +48,39 @@ def rel_err(x, y):
 @pytest.fixture(scope="session")
 def tonks5():
     return make_tonks(5.0)
+
+
+def _compositions(total, parts):
+    """All tuples of nonnegative ints of the given length summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def hardrod_composition_sum(L, a, anchors, m):
+    """Reference hard-rod A_m of anchor rows (nc, n): every way of spreading
+    m labeled rods over the gaps.
+
+    Each distribution (k_0..k_n) contributes the multinomial m!/prod k_i!
+    times the per-gap free volumes (g_i - (k_i - 1)a)_+^k_i; rows with
+    overlapping anchors are zero.
+    """
+    nc, n = anchors.shape
+    srt = np.sort(anchors, axis=1)
+    gaps = np.full((nc, 1), L)
+    if n:
+        gaps = np.concatenate([srt[:, :1] - a, np.diff(srt, axis=1) - 2.0 * a,
+                               L - srt[:, -1:] - a], axis=1)
+    out = np.zeros(nc)
+    for comp in _compositions(m, n + 1):
+        coef = math.factorial(m)
+        term = np.ones(nc)
+        for k, g in zip(comp, gaps.T):
+            coef //= math.factorial(k)
+            term = term * np.where(g - (k - 1) * a > 0.0, g - (k - 1) * a, 0.0) ** k
+        out += coef * term
+    out[(np.diff(srt, axis=1) < a).any(axis=1)] = 0.0
+    return out

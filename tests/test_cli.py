@@ -183,6 +183,20 @@ def test_config_errors_exit_2(capsys):
     err = capsys.readouterr().err
     assert err.count("configuration error") == 3
     assert "not finite" in err and "level 5" in err and "one-dimensional" in err
+    # counts below their least value, a box that is not finite and anchors
+    # that are not numbers
+    assert main(["zeros", "--L", "5", "--M", "-1"]) == 2
+    assert main(["table", "--L", "5", "--M", "-1"]) == 2
+    assert main(["cluster", "--L", "5", "--terms", "-2"]) == 2
+    assert main(["spectral", "--L", "5", "--M", "6", "--power-terms", "0"]) == 2
+    assert main(["table", "--potential", "step", "--a", "1", "--epsilon", "1", "--L", "5",
+                 "--M", "3", "--order", "0"]) == 2
+    assert main(["zeros", "--L", "inf", "--M", "4"]) == 2
+    assert main(["zeros", "--L", "nan", "--M", "4"]) == 2
+    assert main(["asymptotics", "--L", "5", "--M", "6", "--anchors", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("configuration error") == 8
+    assert captured.out == ""
 
 
 def test_degenerate_polynomial_exits_4(capsys):

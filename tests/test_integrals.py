@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from kslab import integrals
 from kslab.errors import ConfigError, NumericalError
-from kslab.integrals import (DIMENSION_CAP, Box, anchored_integral, build_table,
-                             cache_path, contact_lattice, exact_mp_Z,
-                             hardrod_anchored_many, hardrod_anchored_series,
-                             load_table, panel_rule,
+from kslab.integrals import (DIMENSION_CAP, Box, anchored_integral, anchored_series,
+                             build_table, cache_path, contact_lattice, exact_mp_Z,
+                             hardrod_anchored_series, load_table, panel_rule,
                              quadrature_Z, scrambled_sobol, sobol_directions)
 from kslab.potentials import PairPotential
+
+from conftest import hardrod_composition_sum
 
 
 def test_hardrod_table_exact():
@@ -177,52 +178,22 @@ def test_cache_round_trip(tmp_path):
     assert other != path
 
 
+def _hardrod_A(L, a, rows, m):
+    """A_m of a batch of hard-rod anchor rows: series column m times m!."""
+    return hardrod_anchored_series(L, a, rows, m)[:, m] * math.factorial(m)
+
+
 def test_anchored_hardrod_batch_identities():
     # permutation invariance and the m=0 normalization
     L, a = 5.0, 1.0
     rows = np.array([[1.0, 3.2], [3.2, 1.0]])
-    A1 = hardrod_anchored_many(L, a, rows, 2)
+    A1 = _hardrod_A(L, a, rows, 2)
     assert A1[0] == pytest.approx(A1[1], rel=1e-14)
-    A0 = hardrod_anchored_many(L, a, rows, 0)
+    A0 = _hardrod_A(L, a, rows, 0)
     assert np.all(A0 == 1.0)
     # overlapping anchors kill the whole integrand
-    bad = hardrod_anchored_many(L, a, np.array([[1.0, 1.4]]), 1)
+    bad = _hardrod_A(L, a, np.array([[1.0, 1.4]]), 1)
     assert bad[0] == 0.0
-
-
-def _compositions(total, parts):
-    """All tuples of nonnegative ints of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def _composition_sum(L, a, anchors, m):
-    """Reference A_m: every way of spreading m labeled rods over the gaps.
-
-    Each distribution (k_0..k_n) contributes the multinomial m!/prod k_i!
-    times the per-gap free volumes (g_i - (k_i - 1)a)_+^k_i; rows with
-    overlapping anchors are zero.
-    """
-    nc, n = anchors.shape
-    srt = np.sort(anchors, axis=1)
-    gaps = np.full((nc, 1), L)
-    if n:
-        gaps = np.concatenate([srt[:, :1] - a, np.diff(srt, axis=1) - 2.0 * a,
-                               L - srt[:, -1:] - a], axis=1)
-    out = np.zeros(nc)
-    for comp in _compositions(m, n + 1):
-        coef = math.factorial(m)
-        term = np.ones(nc)
-        for k, g in zip(comp, gaps.T):
-            coef //= math.factorial(k)
-            term = term * np.where(g - (k - 1) * a > 0.0, g - (k - 1) * a, 0.0) ** k
-        out += coef * term
-    out[(np.diff(srt, axis=1) < a).any(axis=1)] = 0.0
-    return out
 
 
 def test_anchored_series_matches_composition_sum():
@@ -235,15 +206,68 @@ def test_anchored_series_matches_composition_sum():
             series = hardrod_anchored_series(L, a, rows, 8)
             assert series.shape == (200, 9)
             for j in range(9):
-                want = _composition_sum(L, a, rows, j)
+                want = hardrod_composition_sum(L, a, rows, j)
                 # atol 0: a zero of the reference must be an exact zero
                 np.testing.assert_allclose(series[:, j] * math.factorial(j), want,
                                            rtol=1e-14, atol=0.0)
-                np.testing.assert_allclose(hardrod_anchored_many(L, a, rows, j), want,
+                np.testing.assert_allclose(_hardrod_A(L, a, rows, j), want,
                                            rtol=1e-14, atol=0.0)
             if n >= 2:
                 assert np.all(series[:20] == 0.0)
             assert np.count_nonzero(series[:, 1:]) > 0
+
+
+def test_anchored_series_matches_single_orders():
+    # row i, column j of the batch is A_j(row i) / j! with its error bound,
+    # on every route, against references that bypass the series: V^j for the
+    # ideal gas, the composition sum for hard rods and anchored_integral's
+    # quadrature for the step; a row with a coordinate outside the box or a
+    # NaN is zero at every order
+    cases = [(PairPotential.step(0.8, 1.3), Box((2.5,)), 3),
+             (PairPotential.hardcore(0.7), Box((2.5,)), 3),
+             (PairPotential.ideal(), Box((2.5,)), 3),
+             (PairPotential.step(0.8, 1.3, dimension=2), Box((2.0, 1.5)), 2)]
+    rng = np.random.default_rng(9)
+    for p, box, jmax in cases:
+        ext = np.array(box.extents)
+        for n in range(3):
+            rows = rng.uniform(0.0, 1.0, size=(3, n, box.dimension)) * ext
+            if n:
+                outside = np.repeat(rows[:1], 3, axis=0)
+                outside[0, -1, 0] = -0.1
+                outside[1, 0, -1] = ext[-1] + 0.1
+                outside[2, 0, 0] = np.nan
+                rows = np.concatenate([rows, outside])
+            inside = np.all((rows >= 0.0) & (rows <= ext), axis=(1, 2))
+            S, E = anchored_series(p, box, rows, jmax)
+            assert S.shape == E.shape == (len(rows), jmax + 1)
+            for row, ok, s, e in zip(rows, inside, S, E):
+                for j in range(jmax + 1):
+                    fac = math.factorial(j)
+                    if not ok:
+                        want, err, rtol = 0.0, 0.0, 0.0
+                    elif p.family == "ideal":
+                        want, err, rtol = 2.5**j, 0.0, 0.0
+                    elif p.family == "hardcore":
+                        want = hardrod_composition_sum(2.5, 0.7, row[None, :, 0], j)[0]
+                        err, rtol = 0.0, 1e-14
+                    else:
+                        want, err = anchored_integral(p, box, row, j)
+                        rtol = 1e-15
+                    assert abs(s[j] - want / fac) <= rtol * abs(s[j]), (p.family, n, j)
+                    assert abs(e[j] - err / fac) <= 1e-15 * e[j], (p.family, n, j)
+            if n == 0:
+                # with no anchors, A_j is Z_j
+                for j in range(2, jmax + 1):
+                    zq, zerr = quadrature_Z(p, box, j, order=8)
+                    fac = math.factorial(j)
+                    assert abs(S[0, j] * fac - zq) <= (E[0, j] * fac + zerr) + 1e-12 * zq
+
+
+def test_box_contains_single_point_and_batches():
+    box = Box((2.0, 1.0))
+    assert box.contains([1.0, 0.5]) and not box.contains([1.0, 1.5])
+    assert box.contains([[[1.0, 0.5]], [[np.nan, 0.5]]]).tolist() == [True, False]
 
 
 def test_anchored_integral_routes_and_agrees():

@@ -291,6 +291,38 @@ def test_workload_residual_feeds_only_live_rows(monkeypatch, tmp_path):
     assert sum(rows) == 111_942
 
 
+def test_residual_series_calls(monkeypatch, tmp_path):
+    # the left side of the workload's hard-rod residual takes every order of
+    # a probe from one series call: 47 calls, one per probe (one per probe
+    # and order would be 275).  On the step command the family keeps the
+    # rows of the numeric route for the whole check, which holds it to the
+    # 11,747 evaluations of a per-(row, order) cache shared by both sides
+    from kslab import integrals, partition
+    from kslab.cli import main
+
+    calls = {"left": 0, "numeric": 0}
+    series, numeric = partition.anchored_series, integrals.anchored_integral
+
+    def left(*args, **kwargs):
+        calls["left"] += 1
+        return series(*args, **kwargs)
+
+    def counted(*args, **kwargs):
+        calls["numeric"] += 1
+        return numeric(*args, **kwargs)
+
+    monkeypatch.setattr(partition, "anchored_series", left)
+    monkeypatch.setattr(integrals, "anchored_integral", counted)
+    out = str(tmp_path / "r.json")
+    assert main(["residual", "--L", "5", "--M", "6", "--z", "0.2", "--n-max", "2",
+                 "--order", "64", "--probes", "32", "--out", out]) == 0
+    assert calls == {"left": 47, "numeric": 0}
+    assert main(["residual", "--potential", "step", "--a", "0.8", "--epsilon", "1.3",
+                 "--L", "3", "--M", "3", "--z", "0.1", "--n-max", "1", "--order", "4",
+                 "--probes", "1", "--out", out]) == 0
+    assert 0 < calls["numeric"] <= 11_747
+
+
 def test_gauss_legendre_rule_is_shared_read_only():
     x, w = gauss_legendre(7)
     assert gauss_legendre(7)[0] is x

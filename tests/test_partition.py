@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kslab.errors import Degenerate, NearPole, NumericalError
-from kslab.integrals import Box, build_table
+from kslab.integrals import Box, anchored_integral, build_table, hardrod_anchored_series
 from kslab.partition import (
     PartitionPolynomial,
     _dd_aberth_seeds,
@@ -19,6 +19,7 @@ from kslab.partition import (
     evaluate,
     evaluate_derivative,
     evaluate_second_derivative,
+    numerator_coefficients,
     smallest_zero,
     zeros,
     zeros_to_rows,
@@ -180,6 +181,56 @@ def test_correlation_refuses_a_pole(tonks5):
 def test_correlation_vanishes_outside_box(tonks5):
     val = correlation(tonks5, 0.2, np.array([[7.5]]))
     assert val.value == 0.0 and val.chi == 0.0
+
+
+def _per_order_reference(poly, z, anchors, degree):
+    """Numerator coefficients and correlation, one order at a time.
+
+    This is the loop correlation and numerator_coefficients ran before they
+    took every order from one anchored_series call, with its per-family
+    branches written out: V^m for the ideal gas, column m of the gap series
+    for hard rods and anchored_integral's quadrature for anything else.
+    Anchors outside the box give zero.
+    """
+    p, box = poly.potential, poly.box
+    n = len(anchors)
+    inside = np.all((anchors >= 0.0) & (anchors <= box.extents))
+    coeffs = np.zeros(degree + 1)
+    num = 0.0 + 0.0j
+    for m in range(min(poly.M, degree) - n + 1):
+        if not inside:
+            A = 0.0
+        elif p.family == "ideal":
+            A = box.volume**m
+        elif p.family == "hardcore":
+            A = hardrod_anchored_series(box.extents[0], p.a, anchors.T, m)[0, m]
+            A *= math.factorial(m)
+        else:
+            A, _ = anchored_integral(p, box, anchors, m)
+        coeffs[n + m] = A / math.factorial(m)
+        num += complex(z) ** (n + m) * coeffs[n + m]
+    return coeffs, num / evaluate(poly, z)[0]
+
+
+def test_batched_correlation_matches_per_order_loop(tonks5):
+    step = assemble(build_table(PairPotential.step(0.8, 1.3), Box((3.0,)), 3))
+    cases = [(tonks5, [[1.1]], 0.2), (tonks5, [[0.4], [2.0]], 0.1 + 0.05j),
+             (tonks5, [[1.0], [1.3]], 0.2),  # overlapping rods: exactly zero
+             (make_ideal(V=1.0, M=6), [[0.3], [0.9]], 0.5),
+             (step, [[1.1]], 0.1), (step, [[0.4], [2.0]], 0.1)]
+    for poly, anchors, z in cases:
+        anchors = np.array(anchors)
+        for degree in range(len(anchors), poly.M + 1):
+            want_c, want_rho = _per_order_reference(poly, z, anchors, degree)
+            got_c, _ = numerator_coefficients(poly, anchors, degree=degree)
+            rho = correlation(poly, z, anchors, degree=degree).value
+            assert np.all(np.abs(got_c - want_c) <= 1e-15 * np.abs(want_c))
+            assert abs(rho - want_rho) <= 1e-15 * abs(want_rho)
+        # anchors outside the box, or not numbers, carry no weight
+        for bad in ([[-0.5]], [[poly.box.extents[0] + 1.0]], [[1.0], [np.nan]]):
+            got_c, got_e = numerator_coefficients(poly, np.array(bad))
+            assert np.all(got_c == 0.0) and np.all(got_e == 0.0)
+            assert correlation(poly, z, np.array(bad)).value == 0.0
 
 
 def test_mp_coefficients_only_for_closed_forms(tonks5):

@@ -305,6 +305,13 @@ def test_leading_asymptotics_ideal_agrees_with_residue():
     assert {"ray_value", "residue_value", "agreement", "z_c"} <= set(doc)
 
 
+def test_leading_asymptotics_vanish_outside_box(tonks5):
+    # rho is zero outside the box, so both routes must read exactly zero
+    for x in (9.0, -1.0):
+        res = leading_asymptotics(tonks5, np.array([[x]]))
+        assert res.ray_value == 0.0 and res.residue_value == 0.0
+
+
 def test_matrix_leading_is_left_component(ks5, spec5):
     assert matrix_leading(ks5, spec5) == complex(spec5.left[0])
 
