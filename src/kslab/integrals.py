@@ -8,19 +8,22 @@ and their anchored variants A_m with n points held fixed, which
 anchored_series returns for all orders and a batch of anchor sets at once.
 Three methods are implemented: "exact" (closed forms: ideal gas in any
 dimension, hard rods on a segment, both plain and anchored),
-"quadrature" (tensorized panel Gauss-Legendre, capped in total dimension),
-and "sampling" (scrambled Sobol averages with replicate standard errors).
-The Sobol points are generated here in numpy from the Joe-Kuo direction
-numbers that scipy ships, with scipy's linear matrix scramble and digital
-shift, and equal those of scipy's Sobol engine bit for bit.  Only the
-table file is read; scipy's statistics package, over a second of import
-time, is never loaded.
+"quadrature" (tensorized panel Gauss-Legendre for the tables, and the
+ordered-sector nest for one-dimensional anchored integrals, both capped in
+total dimension), and "sampling" (scrambled Sobol averages with replicate
+standard errors).  The Sobol points are generated here in numpy from the
+Joe-Kuo direction numbers that scipy ships, with scipy's linear matrix
+scramble and digital shift, and equal those of scipy's Sobol engine bit for
+bit.  Only the table file is read; scipy's statistics package, over a
+second of import time, is never loaded.
 
-The quadrature gives every particle the same node set, so its tensor sum
-over all N^m node tuples is contracted pairwise: one N x N matrix of pair
-Boltzmann factors, per-node anchor factors, and prefixes extended one
-particle at a time in bounded blocks, closed by a quadratic form.  No
-m-particle configuration is ever materialised.
+The table quadrature gives every particle the same node set, so its
+tensor sum over all N^m node tuples is contracted pairwise: one N x N
+matrix of pair Boltzmann factors and prefixes extended one particle at a
+time in bounded blocks, closed by a quadratic form.  No m-particle
+configuration is ever materialised.  The nest (ordered_sector) builds the
+ordered sector y_1 < ... < y_j level by level for a batch of anchor rows,
+each level's sum being one order; it also gives ksop its kernel windows.
 
 Boxes have per-axis extents with coordinates in [0, extent]; particles are
 points (rod centers in one dimension) and there is no wall potential, so
@@ -51,9 +54,9 @@ from .slog import SLog
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
-DIMENSION_CAP = 6  # tensor quadrature refuses beyond nu*m axes
-_POINT_BUDGET = 400_000  # total tensor nodes per integral
-_BLOCK = 1 << 18  # elements per working array of the tensor contraction
+DIMENSION_CAP = 6  # quadrature refuses beyond nu*m axes
+_POINT_BUDGET = 400_000  # tensor nodes per integral, nest rows per anchor row and level
+_BLOCK = 1 << 18  # elements per working array of the tensor contraction and sampling
 _SOBOL_BITS = 30  # digits per Sobol coordinate, scipy's default
 _SOBOL_MAXDIM = 21201  # coordinates in the Joe-Kuo table
 
@@ -193,23 +196,72 @@ def panel_rule(lo, hi, breakpoints, order):
 
 
 def contact_lattice(extent, a, kmax, anchors=()):
-    """Axis breakpoints at multiples of the interaction range a.
+    """Sorted axis breakpoints in (0, extent) where hard-core and step weights switch:
+    offsets k*a (1 <= k <= kmax) from the walls and from the anchors, and the anchors."""
+    return contact_lattice_rows(extent, a, kmax, np.reshape(anchors, (1, -1)))[0].tolist()
 
-    Includes offsets from the box walls and, when given, from anchor
-    coordinates; used to align quadrature panels with the loci where
-    hard-core and step weights switch value.
-    """
+
+def contact_lattice_rows(extent, a, kmax, anchors):
+    """contact_lattice per anchor row (nc, n), the walls taken as anchors 0 and extent:
+    each row sorted, padded with extent, as narrow as the longest row."""
     if a <= 0:
-        return []
-    pts = set()
-    for k in range(1, kmax + 1):
-        pts.add(k * a)
-        pts.add(extent - k * a)
-    for x in anchors:
-        for k in range(1, kmax + 1):
-            pts.add(x + k * a)
-            pts.add(x - k * a)
-    return sorted(p for p in pts if 0.0 < p < extent)
+        return np.empty((len(anchors), 0))
+    nc = len(anchors)
+    ends = np.concatenate([np.zeros((nc, 1)), anchors, np.full((nc, 1), extent)], axis=1)
+    pts = (ends[:, :, None] + np.arange(-kmax, kmax + 1) * a).reshape(nc, -1)
+    pts = np.sort(np.where((pts > 0.0) & (pts < extent), pts, extent), axis=1)
+    pts[:, 1:][pts[:, 1:] == pts[:, :-1]] = extent  # repeats
+    pts.sort(axis=1)
+    return pts[:, : (pts < extent).sum(axis=1).max()]
+
+
+def ordered_sector(lo, hi, static, a, nodes, gap=0.0, exclude=None, budget=_POINT_BUDGET):
+    """Gauss nodes of the ordered sectors lo <= y_1 <= ... <= y_k <= hi, level by level.
+
+    One sector per owner b, cut at static[b] (points outside the range drop
+    out) and at y + a of every coordinate placed, nodes[k-1] Gauss-Legendre
+    nodes per panel at level k.  Yields (rows (R, k), weights, owner) for
+    k = 1..len(nodes), each owner's rows in depth-first order with
+    panel_rule's arithmetic.  gap starts each coordinate at y + gap and
+    exclude[b] skips panels within a of its entries (hard-core pruning).
+    A batch splits in two by owner before its cuts or next level pass budget
+    entries; a lone owner stops before a level of more than budget rows.
+    """
+    nb = len(hi)
+    stack = [(np.empty((nb, 0)), np.ones(nb), lo, np.arange(nb))]
+    while stack:
+        rows, wacc, left, owner = stack.pop()
+        if rows.shape[1] == len(nodes):
+            continue
+        top = hi[owner, None]
+        x, w = gauss_legendre(nodes[rows.shape[1]])
+        several = len(owner) and owner[0] != owner[-1]
+        over = several and len(rows) * (static.shape[1] + rows.shape[1]) > budget
+        if not over:  # each prefix row's sorted cuts; points outside (left, hi) collapse onto hi
+            cand = np.concatenate([static[owner], rows + a], axis=1)
+            cand = np.where((cand > left[:, None]) & (cand < top), cand, top)
+            cand.sort(axis=1)
+            cuts = np.concatenate([left[:, None], cand, top], axis=1)
+            live = cuts[:, 1:] > cuts[:, :-1]
+            if exclude is not None:
+                for r in exclude[owner].T:
+                    live &= (cuts[:, :-1] < (r - a)[:, None]) | (cuts[:, 1:] > (r + a)[:, None])
+            idx = np.nonzero(live)[0]
+            over = len(idx) * len(x) > budget
+        if over:
+            if several:
+                mid = np.searchsorted(owner, (owner[0] + owner[-1] + 1) // 2)
+                state = (rows, wacc, left, owner)
+                stack += [tuple(v[mid:] for v in state), tuple(v[:mid] for v in state)]
+            continue
+        panel_lo = cuts[:, :-1][live]
+        half = 0.5 * (cuts[:, 1:][live] - panel_lo)
+        y = (half[:, None] * (x + 1.0) + panel_lo[:, None]).reshape(-1)
+        wacc = (wacc[idx, None] * (half[:, None] * w)).reshape(-1)
+        rep = np.repeat(idx, len(x))
+        rows, owner = np.concatenate([rows[rep], y[:, None]], axis=1), owner[rep]
+        yield rows, wacc, owner
+        stack.append((rows, wacc, y + gap, owner))
 
 
 def _pair_matrix(p, X):
@@ -228,9 +280,9 @@ def _contract(E, W, R, k):
 
     Prefix p carries its weight W[p] and, in R[p, j], the weight of the
     next particle at node j: the node's own weight times its Boltzmann
-    factors with the anchors and every particle of the prefix.  The last
-    two particles close as the quadratic form R E R^T; earlier levels
-    extend each prefix by one node, a block of prefixes at a time so that
+    factors with every particle of the prefix.  The last two particles
+    close as the quadratic form R E R^T; earlier levels extend each prefix
+    by one node, a block of prefixes at a time so that
     no working array exceeds _BLOCK elements (or one N x N slab), and drop
     extensions of weight zero (hard-core overlaps).
     """
@@ -247,36 +299,27 @@ def _contract(E, W, R, k):
     return total
 
 
-def _tensor_eval(p, box, m, order, breaks_per_axis, anchors=None):
-    """Tensor quadrature of the Boltzmann weight, optionally with anchors.
+def _tensor_eval(p, box, m, order, breaks_per_axis):
+    """Tensor quadrature of the Boltzmann weight of m free particles.
 
     Every particle ranges over the same node set X (the product of the
     per-axis panel rules) with weights w, so the tensor sum over all
     m-tuples of nodes,
 
-        sum_{i_1..i_m} prod_k w_{i_k} c_{i_k} prod_{k<l} E[i_k, i_l],
+        sum_{i_1..i_m} prod_k w_{i_k} prod_{k<l} E[i_k, i_l],
 
-    is contracted pairwise from the single N x N Boltzmann matrix E and
-    the per-node anchor factors c_i = prod_a e(|X_i - anchor_a|), times
-    the anchors' own Boltzmann weight.  Only the order of summation
-    differs from evaluating the weight of each of the N^m configurations.
+    is contracted pairwise from the single N x N Boltzmann matrix E.  Only
+    the order of summation differs from evaluating the weight of each of
+    the N^m configurations.
     """
     axes = [panel_rule(0.0, ext, breaks_per_axis[d], order)
             for d, ext in enumerate(box.extents)]
     grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
     X = np.stack([g.reshape(-1) for g in grids], axis=-1)  # (N, dim)
     w = functools.reduce(np.multiply.outer, [ax[1] for ax in axes]).reshape(-1)
-
-    scale = 1.0
-    if anchors is not None and len(anchors):
-        scale = float(p.weights_many(anchors[None])[0])
-        if scale == 0.0:
-            return 0.0
-        for anc in anchors:
-            w = w * p.boltzmann(np.sqrt(((X - anc) ** 2).sum(axis=-1)))
     if m == 1:
-        return scale * float(w.sum())
-    return scale * _contract(_pair_matrix(p, X), np.ones(1), w[None, :], m)
+        return float(w.sum())
+    return _contract(_pair_matrix(p, X), np.ones(1), w[None, :], m)
 
 
 def _axis_budget(box, m, order, npanels):
@@ -449,16 +492,15 @@ def sobol_replicates(dim, n_samples, seed, replicates, estimate):
     The n_samples points are split into `replicates` independently
     scrambled Sobol blocks of 2^k points in [0, 1)^dim (scrambled_sobol),
     scrambled from SeedSequence(seed).spawn(replicates); estimate maps one
-    block to its sample mean.  Returns the mean of the replicate means and
-    its standard error, std(ddof=1)/sqrt(replicates).  Deterministic for a
+    block to its sample mean, a number or an array of them.  Returns the
+    mean of the replicate means and its standard error,
+    std(ddof=1)/sqrt(replicates), entry by entry.  Deterministic for a
     given seed.
     """
     k = max(1, math.ceil(math.log2(max(2, n_samples // replicates))))
-    means = []
-    for ss in np.random.SeedSequence(seed).spawn(replicates):
-        means.append(estimate(scrambled_sobol(dim, k, ss)))
-    means = np.asarray(means)
-    return means.mean(), means.std(ddof=1) / math.sqrt(replicates)
+    means = np.stack([estimate(scrambled_sobol(dim, k, ss))
+                      for ss in np.random.SeedSequence(seed).spawn(replicates)], axis=-1)
+    return means.mean(axis=-1), means.std(ddof=1, axis=-1) / math.sqrt(replicates)
 
 
 def sampled_Z(p: PairPotential, box: Box, m, n_samples=1 << 16, seed=42, replicates=8):
@@ -485,87 +527,93 @@ def sampled_Z(p: PairPotential, box: Box, m, n_samples=1 << 16, seed=42, replica
 # -- anchored integrals --------------------------------------------------------
 
 
-def anchored_route(p: PairPotential, box: Box):
-    """"ideal" or "hardrod" where anchored_series has a closed form, else "numeric"."""
-    if p.family == "ideal":
-        return "ideal"
-    return "hardrod" if p.family == "hardcore" and box.dimension == 1 else "numeric"
-
-
 def anchored_series(p: PairPotential, box: Box, anchors, jmax):
     """A_j / j! and its error bound for j = 0..jmax over a batch of anchor rows.
 
-    anchors has shape (nc, n, dim), n >= 0; returns (S, E), each of shape
-    (nc, jmax + 1).  By anchored_route: the ideal gas is V^j / j!, hard rods
-    on a segment take one gap-series pass (hardrod_anchored_series), and
-    anything else is anchored_integral per row and per order, divided by j!.
-    A row with a coordinate outside [0, extent] is zero at every order.
+    anchors (nc, n, dim), n >= 0, gives (S, E) of shape (nc, jmax + 1).
+    Closed forms for the ideal gas and hard rods on a segment; otherwise
+    one nest pass in one dimension (_sector_series), and Sobol for the
+    orders it does not reach (_sobol_mean).  Rows outside the box are zero.
     """
     anchors = np.asarray(anchors, dtype=float)
     if anchors.ndim != 3 or anchors.shape[2] != box.dimension:
         raise ConfigError("anchor dimension does not match the box")
     S, E = np.zeros((2, len(anchors), max(jmax + 1, 0)))
     inside = box.contains(anchors)
-    route = anchored_route(p, box)
-    if route == "ideal":
+    rows = anchors[inside]
+    if jmax < 0 or not len(rows):
+        return S, E
+    if p.family == "ideal":
         S[inside] = [box.volume**j / math.factorial(j) for j in range(jmax + 1)]
-    elif route == "hardrod" and jmax >= 0:
-        S[inside] = hardrod_anchored_series(box.extents[0], p.a, anchors[inside, :, 0], jmax)
-    elif route == "numeric":
-        for i in np.flatnonzero(inside):
-            for j in range(jmax + 1):
-                A = anchored_integral(p, box, anchors[i], j)
-                S[i, j], E[i, j] = np.divide(A, math.factorial(j))
+    elif p.family == "hardcore" and box.dimension == 1:
+        S[inside] = hardrod_anchored_series(box.extents[0], p.a, rows[:, :, 0], jmax)
+    else:
+        Sn, En = np.zeros((2, len(rows), jmax + 1))
+        depth = np.zeros(len(rows), dtype=int)
+        if box.dimension == 1:
+            Sn, count, depth = _sector_series(p, box, rows, jmax)
+            En = np.finfo(float).eps * count * Sn  # exact up to rounding
+            if p.family == "custom":  # smooth pieces, not polynomials
+                finer, _, deeper = _sector_series(p, box, rows, jmax, extra=1)
+                En, depth = En + np.abs(finer - Sn), np.minimum(depth, deeper)
+        Sn[:, 0] = p.weights_many(rows)
+        for j in range(depth.min() + 1, jmax + 1):
+            late = depth < j
+            Sn[late, j], En[late, j] = np.divide(_sobol_mean(p, box, rows[late], j),
+                                                 math.factorial(j))
+        S[inside], E[inside] = Sn, En
     return S, E
 
 
-def anchored_integral(p: PairPotential, box: Box, anchors, m, order=16, seed=42,
-                      strategy=None):
-    """A_m(anchors) and its error bound for n fixed points, shape (n, dim).
+def _sector_series(p, box, anchors, jmax, extra=0):
+    """A_j / j!, j = 1..jmax, for 1-D anchor rows (nc, n, 1) from one nest pass.
 
-    A closed form is column m of anchored_series times m!.  Otherwise panel
-    quadrature with panels aligned to the anchor contact lattice, falling
-    back to Sobol sampling past the dimension cap (or always, with
-    strategy="sampling").  Anchors outside the box give zero.
+    Cut at the contact lattice and at y_i + a, a piecewise-constant weight
+    leaves polynomials of degree j - k in y_k, so ceil((depth - k + 1) / 2)
+    (+ extra) nodes at level k are exact up to depth = min(jmax, DIMENSION_CAP).
+    Returns S, the rows behind each entry and the order each row reached.
     """
+    nc, L, a = len(anchors), box.extents[0], p.interaction_range
+    depth = min(jmax, DIMENSION_CAP)
+    static = contact_lattice_rows(L, a, depth, anchors[:, :, 0])
+    nodes = [(depth - k + 1) // 2 + extra for k in range(depth)]
+    S, count = np.zeros((2, nc, jmax + 1))
+    reached = np.zeros(nc, dtype=int)
+    for rows, w, owner in ordered_sector(np.zeros(nc), np.full(nc, L), static, a, nodes):
+        k = rows.shape[1]
+        configs = np.concatenate([anchors[owner], rows[:, :, None]], axis=1)
+        S[:, k] += np.bincount(owner, w * p.weights_many(configs), minlength=nc)
+        count[:, k] += np.bincount(owner, minlength=nc)
+        reached[owner] = k
+    return S, count, reached
+
+
+def _sobol_mean(p, box, anchors, m):
+    """A_m and its error for anchor rows (nc, n, dim) from 2^14 shared Sobol points."""
+    nc, n, dim = anchors.shape
+    ext = np.tile(box.extents, m)
+
+    def estimate(u):
+        configs = (u * ext).reshape(-1, m, dim)
+        means = []
+        for b in np.array_split(anchors, min(nc, 1 + nc * len(u) * (n + m) ** 2 // _BLOCK)):
+            full = np.concatenate([np.broadcast_to(b[:, None], (len(b), len(u), n, dim)),
+                                   np.broadcast_to(configs, (len(b),) + configs.shape)], axis=2)
+            means.append(p.weights_many(full.reshape(-1, n + m, dim)).reshape(len(b), -1).mean(1))
+        return np.concatenate(means)
+
+    mean, err = sobol_replicates(dim * m, 1 << 14, 42, 8, estimate)
+    return box.volume**m * mean, box.volume**m * err
+
+
+def anchored_integral(p: PairPotential, box: Box, anchors, m):
+    """A_m(anchors) and its error bound for n fixed points (n, dim): column m of
+    anchored_series times m!.  Anchors outside the box give zero."""
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     if anchors.size == 0:
         anchors = anchors.reshape(0, box.dimension)
-    n = anchors.shape[0]
-    if anchors.shape[1] != box.dimension:
-        raise ConfigError("anchor dimension does not match the box")
-    if anchored_route(p, box) != "numeric":
-        S, _ = anchored_series(p, box, anchors[None], m)
-        return float(S[0, m] * math.factorial(m)), 0.0
-    if not box.contains(anchors):
-        return 0.0, 0.0
-
-    if m == 0:
-        _, w = p.total_energy(anchors)
-        return w, 0.0
-
-    dim_total = box.dimension * m
-    if strategy == "sampling" or dim_total > DIMENSION_CAP:
-        ext = np.tile(box.extents, m)
-
-        def estimate(u):
-            configs = (u * ext).reshape(-1, m, box.dimension)
-            anc = np.broadcast_to(anchors, (len(configs),) + anchors.shape)
-            return float(p.weights_many(np.concatenate([anc, configs], axis=1)).mean())
-
-        mean, err = sobol_replicates(dim_total, 1 << 14, seed, 8, estimate)
-        vol = box.volume**m
-        return vol * float(mean), vol * float(err)
-
-    rng_a = p.interaction_range
-    breaks = []
-    for d, ext in enumerate(box.extents):
-        anc = anchors[:, d] if n else ()
-        breaks.append(contact_lattice(ext, rng_a, 2, anchors=anc) if rng_a > 0 else [])
-    npanels = max(len(b) + 1 for b in breaks)
-    orders = _ladder_orders(_axis_budget(box, m, order, npanels))
-    vals = [_tensor_eval(p, box, m, o, breaks, anchors=anchors) for o in orders]
-    return vals[0], _refinement_error(vals)
+    S, E = np.multiply(anchored_series(p, box, anchors[None], m), math.factorial(m))
+    return float(S[0, m]), float(E[0, m])
 
 
 # -- integral tables with a JSON cache ----------------------------------------

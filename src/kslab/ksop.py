@@ -21,10 +21,10 @@ aligned to the contact lattice of the anchors.  The kernel vanishes beyond
 the interaction range, so the y-integrals live on a short interval around
 x_1; for hard rods every integrand is then piecewise polynomial on the
 panels and the quadrature is exact to rounding.  The nested panel nodes of
-the ordered sector are built one nesting level at a time on numpy arrays,
-all live prefixes at once, from the Gauss-Legendre rules that
-integrals.gauss_legendre caches by order.  For a family that vanishes on
-hard-core overlap, no panel is built where two rods overlap.
+the ordered sector come from integrals.ordered_sector, the builder that
+also integrates the anchored integrals the correlation family is made of,
+here run on one window.  For a family that vanishes on hard-core overlap,
+no panel is built where two rods overlap.
 
 Truncation bookkeeping, fixed here once and used by the residual check:
 with the degree-M family on the left, the exact finite-truncation identity
@@ -45,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .integrals import (Box, anchored_route, anchored_series, contact_lattice,
-                        gauss_legendre, sobol_replicates)
+from .integrals import (Box, anchored_series, contact_lattice, contact_lattice_rows,
+                        ordered_sector, sobol_replicates)
 from .partition import (PartitionPolynomial, correlation, evaluate,
                         scaled_coefficients)
 from .potentials import PairPotential
@@ -126,8 +126,8 @@ class CorrelationFamily:
     Evaluates rho(z; configs) at a fixed activity for whole batches of
     configurations, with the numerator truncated at total degree `degree`:
     one anchored_series call gives every A_j / j! of a batch, times the
-    powers z^(level + j).  Numeric-route rows are kept for one ks_residual
-    call, as neighbouring probe windows share panels.
+    powers z^(level + j).  Each call leaves the error bound of its values,
+    carried from the anchored integrals' errors, in last_error.
     """
 
     def __init__(self, poly: PartitionPolynomial, z, degree=None):
@@ -136,32 +136,23 @@ class CorrelationFamily:
         self.degree = poly.M if degree is None else int(degree)
         xi, cond = evaluate(poly, z)
         self.xi = xi
-        self.error_scale = 0.0  # the operator's bound does not carry integral errors
         # correlations of a hard-core gas are zero on overlapping
         # configurations, which licenses the rod-packing cutoff in the
         # operator quadrature
         self.vanishes_on_overlap = bool(poly.potential.has_hard_core)
-        # row bytes -> the row's A_j / j!; closed forms recompute faster
-        self._memo = {} if anchored_route(poly.potential, poly.box) == "numeric" else None
-
-    def _series(self, rows, jmax):
-        p, box = self.poly.potential, self.poly.box
-        if self._memo is None:
-            return anchored_series(p, box, rows, jmax)[0]
-        new = {r.tobytes(): r for r in rows if r.tobytes() not in self._memo}
-        if new:
-            S, _ = anchored_series(p, box, np.array(list(new.values())), jmax)
-            self._memo.update(zip(new, S))
-        return np.array([self._memo[r.tobytes()] for r in rows]).reshape(-1, jmax + 1)
 
     def __call__(self, level, configs):
         configs = np.asarray(configs, dtype=float)
         nc = configs.shape[0]
         jmax = min(self.poly.M, self.degree) - level
         if jmax < 0:
+            self.last_error = 0.0
             return np.zeros(nc, dtype=complex)
-        S = self._series(configs.reshape(nc, level, self.poly.box.dimension), jmax)
-        return S @ self.z ** (level + np.arange(jmax + 1)) / self.xi
+        S, E = anchored_series(self.poly.potential, self.poly.box,
+                               configs.reshape(nc, level, self.poly.box.dimension), jmax)
+        zpow = self.z ** (level + np.arange(jmax + 1))
+        self.last_error = E @ np.abs(zpow) / abs(self.xi)
+        return S @ zpow / self.xi
 
 
 class CallableFamily:
@@ -172,9 +163,8 @@ class CallableFamily:
     in the operator quadrature that is wrong for anything else.
     """
 
-    def __init__(self, fn, error_scale=0.0, vanishes_on_overlap=False):
+    def __init__(self, fn, vanishes_on_overlap=False):
         self.fn = fn
-        self.error_scale = error_scale
         self.vanishes_on_overlap = vanishes_on_overlap
 
     def __call__(self, level, configs):
@@ -196,77 +186,35 @@ def _kernel_window(p: PairPotential, box: Box, x1):
 
 
 def _static_breaks(p, box, anchors_1d, kmax):
-    return contact_lattice(box.extents[0], p.interaction_range, kmax, anchors=anchors_1d)
+    return contact_lattice_rows(box.extents[0], p.interaction_range, kmax, anchors_1d[None])[0]
 
 
 def _ordered_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax, prune=False):
     """Node rows and weights for the ordered sector y_1 <= ... <= y_m in the window.
 
-    Panels split at the static contact lattice of the anchors plus, per
-    nesting level, at the offsets y + a from the already-placed y nodes,
-    so that piecewise-defined integrands never straddle a panel.  Farther
-    offsets y + k*a (k >= 2) never cut the window: it lies inside
-    [x1 - a, x1 + a] and every placed y >= x1 - a, so y + 2a >= hi.
-
-    The nest is built level by level on arrays: every live prefix row gets
-    its own sorted cut list (candidates outside (left, hi) collapse onto
-    hi, so empty panels drop out), and each row is repeated once per node
-    of its panels, in row-major order.  That is the depth-first order of
-    the nested sum, and the arithmetic is panel_rule's, so rows and weights
-    equal a recursive build over panel_rule bit for bit.
-
-    prune drops the panels on which a family that vanishes on hard-core
-    overlap is zero: at level >= 2 the next coordinate starts at y + a
-    instead of y (the previous node), and panels inside [r - a, r + a] of
-    an anchor r in rest_coords are skipped.  y + a and r +- a are cuts
-    already, so the panels that stay, their nodes and their weights are
-    unchanged bit for bit: the rows are the unpruned rows at which such a
-    family is nonzero, in the same order.
+    integrals.ordered_sector on the kernel window, with `order` nodes per
+    panel at level 1 and `inner_order` below, cut at the anchors' contact
+    lattice (anchors included).  Offsets y + k*a with k >= 2 never cut the
+    window, which lies inside [x1 - a, x1 + a].  prune drops the panels on
+    which a family that vanishes on hard-core overlap is zero; the rows
+    left are the unpruned nonzero rows, bit for bit and in order.
     """
     window = _kernel_window(p, box, x1)
     if window is None:
         return np.empty((0, m)), np.empty(0)
-    lo, hi = window
     a = p.interaction_range
-    # anchor coordinates themselves must be breakpoints: after inner
-    # integration the outer integrand kinks where a dynamic offset y + k*a
-    # crosses the window edge, and those crossings sit on the anchor lattice
-    anchor_pts = np.append(rest_coords, x1)
-    static = _static_breaks(p, box, anchor_pts, kmax)
-    static = np.array(sorted(set(static) | {float(c) for c in anchor_pts
-                                            if 0.0 < c < box.extents[0]}))
-
-    rows = np.empty((1, 0))  # live prefixes (y_1..y_{level-1})
-    wacc = np.ones(1)        # their accumulated weights
-    left = np.array([lo])    # lower end of the next coordinate's range
-    for level in range(1, m + 1):
-        keep = left < hi
-        rows, wacc, left = rows[keep], wacc[keep], left[keep]
-        n = len(rows)
-        dyn = rows + a
-        cand = np.concatenate([np.broadcast_to(static, (n, len(static))), dyn], axis=1)
-        cand = np.where((cand > left[:, None]) & (cand < hi), cand, hi)
-        cand.sort(axis=1)
-        cuts = np.concatenate([left[:, None], cand, np.full((n, 1), hi)], axis=1)
-        live = cuts[:, 1:] > cuts[:, :-1]
-        if prune:
-            for r in rest_coords:
-                live &= (cuts[:, :-1] < r - a) | (cuts[:, 1:] > r + a)
-        owner = np.nonzero(live)[0]
-        panel_lo = cuts[:, :-1][live]
-        half = 0.5 * (cuts[:, 1:][live] - panel_lo)
-        x, w = gauss_legendre(order if level == 1 else inner_order)
-        y = (half[:, None] * (x + 1.0) + panel_lo[:, None]).reshape(-1)
-        wacc = (wacc[owner, None] * (half[:, None] * w)).reshape(-1)
-        rows = np.concatenate([rows[np.repeat(owner, len(x))], y[:, None]], axis=1)
-        left = y + a if prune else y
-    return rows, wacc
+    static = _static_breaks(p, box, np.append(rest_coords, x1), kmax)[None]
+    *_, (rows, weights, _) = ordered_sector(
+        np.array(window[:1]), np.array(window[1:]), static, a, [order] + [inner_order] * (m - 1),
+        gap=a if prune else 0.0, exclude=rest_coords[None] if prune else None, budget=math.inf)
+    return rows, weights
 
 
 def _term_quadrature(p, box, phi, n, x1, rest, m, order, inner_order, kmax):
-    """One m-term of the operator sum (without the e^{-W} prefactor)."""
+    """One m-term of the operator sum (without the e^{-W} prefactor) and its carried error."""
     if m == 0:
-        return complex(phi(n - 1, rest.reshape(1, n - 1, 1))[0])
+        val = complex(phi(n - 1, rest.reshape(1, n - 1, 1))[0])
+        return val, float(np.sum(getattr(phi, "last_error", 0.0)))
     # ordered sector times m! cancels the 1/m! prefactor
     # the kernel itself does not exclude the y's from each other; only a
     # family that dies on overlaps justifies the packing cutoff and pruning
@@ -274,23 +222,22 @@ def _term_quadrature(p, box, phi, n, x1, rest, m, order, inner_order, kmax):
     if prune:
         window = _kernel_window(p, box, x1)
         if window is None or (m - 1) * p.a >= window[1] - window[0]:
-            return 0.0 + 0.0j
+            return 0.0 + 0.0j, 0.0
     ys, ws = _ordered_nodes(p, box, x1, rest, m, order, inner_order, kmax, prune=prune)
     if len(ws) == 0:
-        return 0.0 + 0.0j
+        return 0.0 + 0.0j, 0.0
     kern = np.prod(p.mayer_f(np.abs(ys - x1)), axis=1)
     level = n - 1 + m
     configs = np.concatenate(
         [np.broadcast_to(rest, (len(ws), n - 1)), ys], axis=1
     ).reshape(-1, level, 1)
     vals = phi(level, configs)
-    return complex(np.dot(ws * kern, vals))
+    wk = ws * kern
+    return complex(np.dot(wk, vals)), float(np.sum(np.abs(wk) * getattr(phi, "last_error", 0.0)))
 
 
 def _term_sampled(p, box, phi, n, x1, rest, m, seed):
     window = _kernel_window(p, box, x1)
-    if m == 0:
-        return complex(phi(n - 1, rest.reshape(1, n - 1, 1))[0]), 0.0
     if window is None:
         return 0.0 + 0.0j, 0.0
     lo, hi = window
@@ -302,11 +249,13 @@ def _term_sampled(p, box, phi, n, x1, rest, m, seed):
         configs = np.concatenate(
             [np.broadcast_to(rest, (len(ys), n - 1)), ys], axis=1
         ).reshape(-1, level, 1)
-        return np.mean(kern * phi(level, configs)) * (hi - lo) ** m
+        vals = phi(level, configs)
+        carried = np.abs(kern) * getattr(phi, "last_error", 0.0)
+        return np.array([np.mean(kern * vals), np.mean(carried)]) * (hi - lo) ** m
 
-    mean, err = sobol_replicates(m, _SOBOL_SAMPLES, seed, 8, estimate)
+    mean, spread = sobol_replicates(m, _SOBOL_SAMPLES, seed, 8, estimate)
     fac = math.factorial(m)
-    return complex(mean) / fac, float(err) / fac
+    return complex(mean[0]) / fac, (float(spread[0]) + mean[1].real) / fac
 
 
 def apply_ks_function(p: PairPotential, box: Box, phi, n, anchors, M,
@@ -316,7 +265,8 @@ def apply_ks_function(p: PairPotential, box: Box, phi, n, anchors, M,
     For n = 1 the sum starts at m = 1: the empty-product constant term of
     the first equation is the caller's to add.  phi is a family callable
     (level, configs) -> values.  Returns (value, error_bound); the bound
-    covers quadrature (order refinement) or sampling (replicate spread).
+    covers quadrature (order refinement) or sampling (replicate spread) and
+    the per-row errors a family leaves in phi.last_error.
     """
     if box.dimension != 1 and strategy == "quadrature":
         raise ConfigError("quadrature application is one-dimensional; use sampling")
@@ -354,13 +304,13 @@ def apply_ks_function(p: PairPotential, box: Box, phi, n, anchors, M,
             total += val
             err += e
             continue
-        fine = _term_quadrature(p, box, phi, n, x1, rest, m, order, inner_order, kmax)
+        fine, carried = _term_quadrature(p, box, phi, n, x1, rest, m, order, inner_order, kmax)
+        err += carried
         if m >= 1:
-            coarse = _term_quadrature(p, box, phi, n, x1, rest, m,
-                                      max(4, order // 2), max(6, inner_order - 3), kmax)
+            coarse, _ = _term_quadrature(p, box, phi, n, x1, rest, m,
+                                         max(4, order // 2), max(6, inner_order - 3), kmax)
             err += 2.0 * abs(fine - coarse) + 1e-15 * abs(fine)
         total += fine
-    err += getattr(phi, "error_scale", 0.0)
     return eW * total, eW * err
 
 

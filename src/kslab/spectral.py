@@ -582,7 +582,7 @@ def leading_asymptotics(poly: PartitionPolynomial, anchors, n_points=20,
     num, num_err = numerator_coefficients(poly, anchors, degree=poly.M)
 
     def g(z):
-        N = sum(c * z ** (n + m) for m, c in enumerate(num))
+        N = sum(c * z**k for k, c in enumerate(num))
         xi, _ = evaluate(poly, z)
         return N / xi * (1.0 - z / z_c) / z**n
 
@@ -590,10 +590,10 @@ def leading_asymptotics(poly: PartitionPolynomial, anchors, n_points=20,
     ray_err = max(spread, max(r.change for r in rays))
 
     dxi = evaluate_derivative(poly, z_c)
-    N_c = sum(c * z_c**m for m, c in enumerate(num))  # N(z_c) / z_c^n
-    residue = -N_c / (z_c * dxi)
-    err_num = sum(e * abs(z_c) ** m for m, e in enumerate(num_err))
-    residue_err = abs(residue) * 1e-13 + err_num / abs(z_c * dxi)
+    N_c = sum(c * z_c**k for k, c in enumerate(num))  # N(z_c)
+    residue = -N_c / (z_c ** (n + 1) * dxi)
+    err_num = sum(e * abs(z_c) ** k for k, e in enumerate(num_err))
+    residue_err = abs(residue) * 1e-13 + err_num / abs(z_c ** (n + 1) * dxi)
     return AsymptoticsResult(anchors, n, z_c, ray_value, spread, ray_err,
                              residue, residue_err,
                              abs(ray_value - residue), rays, float(t0))

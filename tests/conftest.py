@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kslab.integrals import Box, IntegralTable, ZEntry, build_table
+from kslab.integrals import Box, IntegralTable, ZEntry, build_table, panel_rule
 from kslab.partition import assemble
 from kslab.potentials import PairPotential
 from kslab.slog import SLog
@@ -84,3 +84,33 @@ def hardrod_composition_sum(L, a, anchors, m):
         out += coef * term
     out[(np.diff(srt, axis=1) < a).any(axis=1)] = 0.0
     return out
+
+
+def sector_reference(p, L, anchors, j):
+    """Reference A_j / j! at 1-D anchor coordinates, by depth-first recursion.
+
+    The sector 0 < y_1 < ... < y_j < L, one panel_rule per placed prefix,
+    cut at the walls' and anchors' offsets c*a (c <= j + 1), at the anchors
+    and at y + c*a (c = 1, 2, 3) of every coordinate already placed, with
+    j + 1 Gauss nodes per panel.  For a piecewise-constant pair weight the
+    inner integrals are polynomials of degree below 2(j + 1) on those
+    panels, so the sum is exact up to rounding.  The last coordinate's
+    nodes are weighed in one p.weights_many call per prefix.
+    """
+    anchors = [float(x) for x in anchors]
+    a = p.interaction_range
+    static = [c * a for c in range(1, j + 2)] + [L - c * a for c in range(1, j + 2)]
+    static += [x + c * a for x in anchors for c in range(-j - 1, j + 2)]
+
+    def rec(prefix, wacc):
+        cuts = static + [y + c * a for y in prefix for c in (1, 2, 3)]
+        ys, ws = panel_rule(prefix[-1] if prefix else 0.0, L, cuts, j + 1)
+        if len(prefix) == j - 1:
+            configs = [anchors + prefix + [y] for y in ys]
+            w = p.weights_many(np.array(configs).reshape(len(ys), -1, 1))
+            return wacc * float(np.dot(ws, w))
+        return sum(rec(prefix + [y], wacc * wt) for y, wt in zip(ys, ws))
+
+    if j == 0:
+        return float(p.weights_many(np.array(anchors).reshape(1, -1, 1))[0])
+    return rec([], 1.0)

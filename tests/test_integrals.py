@@ -16,7 +16,7 @@ from kslab.integrals import (DIMENSION_CAP, Box, anchored_integral, anchored_ser
                              quadrature_Z, scrambled_sobol, sobol_directions)
 from kslab.potentials import PairPotential
 
-from conftest import hardrod_composition_sum
+from conftest import hardrod_composition_sum, sector_reference
 
 
 def test_hardrod_table_exact():
@@ -217,16 +217,33 @@ def test_anchored_series_matches_composition_sum():
             assert np.count_nonzero(series[:, 1:]) > 0
 
 
+def _sobol_branch(p, box, anchors, m):
+    """A_m and its error for one anchor row (n, dim), as the Sobol branch of
+    anchored_integral computed them before the series took every order:
+    2^11 scrambled Sobol points in each of 8 replicates (seed 42) over
+    [0, extent]^m, the anchors prepended to every configuration."""
+    ext = np.tile(box.extents, m)
+    means = []
+    for ss in np.random.SeedSequence(42).spawn(8):
+        configs = (scrambled_sobol(box.dimension * m, 11, ss) * ext).reshape(-1, m, box.dimension)
+        anc = np.broadcast_to(anchors, (len(configs),) + anchors.shape)
+        means.append(float(p.weights_many(np.concatenate([anc, configs], axis=1)).mean()))
+    means = np.asarray(means)
+    vol = box.volume**m
+    return vol * float(means.mean()), vol * float(means.std(ddof=1) / math.sqrt(8))
+
+
 def test_anchored_series_matches_single_orders():
     # row i, column j of the batch is A_j(row i) / j! with its error bound,
     # on every route, against references that bypass the series: V^j for the
-    # ideal gas, the composition sum for hard rods and anchored_integral's
-    # quadrature for the step; a row with a coordinate outside the box or a
-    # NaN is zero at every order
+    # ideal gas, the composition sum for hard rods, the recursive sector sum
+    # for the 1-D step and, bit for bit, the Sobol branch in two dimensions;
+    # a row with a coordinate outside the box or a NaN is zero at every order
     cases = [(PairPotential.step(0.8, 1.3), Box((2.5,)), 3),
              (PairPotential.hardcore(0.7), Box((2.5,)), 3),
              (PairPotential.ideal(), Box((2.5,)), 3),
-             (PairPotential.step(0.8, 1.3, dimension=2), Box((2.0, 1.5)), 2)]
+             (PairPotential.step(0.8, 1.3, dimension=2), Box((2.0, 1.5)), 2),
+             (PairPotential.hardcore(0.7, dimension=2), Box((3.0, 3.0)), 3)]
     rng = np.random.default_rng(9)
     for p, box, jmax in cases:
         ext = np.array(box.extents)
@@ -248,12 +265,21 @@ def test_anchored_series_matches_single_orders():
                         want, err, rtol = 0.0, 0.0, 0.0
                     elif p.family == "ideal":
                         want, err, rtol = 2.5**j, 0.0, 0.0
-                    elif p.family == "hardcore":
+                    elif p.family == "hardcore" and box.dimension == 1:
                         want = hardrod_composition_sum(2.5, 0.7, row[None, :, 0], j)[0]
                         err, rtol = 0.0, 1e-14
+                    elif box.dimension == 1:
+                        # exact on the nest: the error is a rounding floor that
+                        # covers the distance to the reference
+                        want, rtol = sector_reference(p, 2.5, row[:, 0], j) * fac, 1e-12
+                        assert e[j] <= 1e-12 * s[j], (p.family, n, j)
+                        assert abs(s[j] - want / fac) <= e[j] + 1e-15 * s[j], (n, j)
+                        err = e[j] * fac
+                    elif j == 0:
+                        want, err, rtol = p.weights_many(row[None])[0], 0.0, 0.0
                     else:
-                        want, err = anchored_integral(p, box, row, j)
-                        rtol = 1e-15
+                        want, err = _sobol_branch(p, box, row, j)
+                        rtol = 0.0
                     assert abs(s[j] - want / fac) <= rtol * abs(s[j]), (p.family, n, j)
                     assert abs(e[j] - err / fac) <= 1e-15 * e[j], (p.family, n, j)
             if n == 0:
@@ -262,6 +288,65 @@ def test_anchored_series_matches_single_orders():
                     zq, zerr = quadrature_Z(p, box, j, order=8)
                     fac = math.factorial(j)
                     assert abs(S[0, j] * fac - zq) <= (E[0, j] * fac + zerr) + 1e-12 * zq
+
+
+def test_sector_nest_matches_hardrod_gap_series():
+    # the ordered-sector nest knows nothing of Tonks' gap factorization: on
+    # hard rods it must reproduce the gap series, exact zeros included
+    rng = np.random.default_rng(4)
+    for a in (1.0, 0.37, 0.7):
+        for L in (2.5, 5.0):
+            p, box = PairPotential.hardcore(a), Box((L,))
+            for n in range(3):
+                rows = rng.uniform(0.0, L, size=(6, n, 1))
+                if n == 2:
+                    rows[:2, 1] = rows[:2, 0] + 0.5 * a  # overlapping anchors
+                S, _, reached = integrals._sector_series(p, box, rows, 4)
+                S, want = S[:, 1:], hardrod_anchored_series(L, a, rows[:, :, 0], 4)[:, 1:]
+                assert np.all(reached == 4)
+                assert np.array_equal(S == 0.0, want == 0.0), (a, L, n)
+                np.testing.assert_allclose(S, want, rtol=1e-12, atol=0.0)
+
+
+def test_step_first_order_closed_form():
+    # A_1 of the step: the anchors' own weight times the length of each
+    # stretch of the box times e^{-beta eps} per anchor within reach
+    p, L = PairPotential.step(0.8, 1.3, beta=1.5), 3.0
+    for x in map(np.array, ([], [0.5], [2.9], [0.5, 1.1], [0.4, 2.5])):
+        cuts = np.unique(np.clip(np.concatenate([[0.0, L], x - 0.8, x + 0.8]), 0.0, L))
+        mids = 0.5 * (cuts[1:] + cuts[:-1])
+        near = (np.abs(mids[:, None] - x[None, :]) < 0.8).sum(axis=1)
+        own = p.weights_many(x.reshape(1, -1, 1))[0]
+        want = own * np.sum(np.diff(cuts) * np.exp(-1.5 * 1.3 * near))
+        S, E = anchored_series(p, Box((L,)), x.reshape(1, -1, 1), 1)
+        assert abs(S[0, 1] - want) <= 1e-14 * want and E[0, 1] <= 1e-14 * want
+
+
+def test_step_nest_moves_by_rounding_with_more_nodes():
+    # one more Gauss node on every panel of every level changes no entry:
+    # the nest is exact for a piecewise-constant weight
+    rng = np.random.default_rng(6)
+    for L in (3.0, 4.0):
+        p, box = PairPotential.step(0.8, 1.3), Box((L,))
+        for n in range(3):
+            rows = rng.uniform(0.0, L, size=(3, n, 1))
+            S, _, reached = integrals._sector_series(p, box, rows, 4)
+            finer, _, _ = integrals._sector_series(p, box, rows, 4, extra=1)
+            assert np.all(reached == 4) and np.all(S[:, 1:] > 0.0)
+            assert np.all(np.abs(finer - S) <= 1e-12 * S), (L, n)
+
+
+def test_sobol_blocks_give_each_row_the_branch():
+    # rows weighed in several blocks (here 3 at order 6, and one row of 16
+    # points, more pairs than one block holds) keep the Sobol branch's
+    # numbers bit for bit
+    p, box = PairPotential.step(0.8, 1.3, dimension=2), Box((2.0, 1.5))
+    rows = np.random.default_rng(3).uniform(0.0, 1.0, size=(4, 10, 2)) * np.array(box.extents)
+    for batch, m in ((rows[:, :2], 6), (rows[:1], 6)):
+        S, E = anchored_series(p, box, batch, m)
+        for row, s, e in zip(batch, S, E):
+            A, err = _sobol_branch(p, box, row, m)
+            assert s[m] == A / 720 and e[m] == err / 720
 
 
 def test_box_contains_single_point_and_batches():
@@ -276,17 +361,18 @@ def test_anchored_integral_routes_and_agrees():
     anchors = np.array([[1.0], [3.2]])
     exact, err0 = anchored_integral(p, box, anchors, 1)
     assert err0 == 0.0
-    quad, err1 = anchored_integral(p, box, anchors, 1, order=24,
-                                   strategy="quadrature")
+    # the same core, 1e-12 wider, as a custom table takes the numeric route
+    core = PairPotential.custom([0.0, 1.0, 1.0 + 1e-12], [math.inf, math.inf, 0.0])
+    quad, err1 = anchored_integral(core, box, anchors, 1)
     assert abs(quad - exact) <= err1 + 1e-9 * abs(exact)
 
 
-def _reference_tensor_eval(p, box, m, order, breaks_per_axis, anchors=None):
+def _reference_tensor_eval(p, box, m, order, breaks_per_axis):
     """Tensor quadrature by weighing every configuration of the full mesh.
 
     One panel rule per particle and axis, the N^m-point meshgrid of all of
-    them, and p.weights_many on every configuration, anchors prepended: the
-    same sum as integrals._tensor_eval, in configuration order.
+    them, and p.weights_many on every configuration: the same sum as
+    integrals._tensor_eval, in configuration order.
     """
     axes = [panel_rule(0.0, ext, breaks_per_axis[d], order)
             for _ in range(m) for d, ext in enumerate(box.extents)]
@@ -295,9 +381,6 @@ def _reference_tensor_eval(p, box, m, order, breaks_per_axis, anchors=None):
     wmesh = np.meshgrid(*[ax[1] for ax in axes], indexing="ij")
     wts = np.prod(np.stack([g.reshape(-1) for g in wmesh], axis=-1), axis=-1)
     configs = pts.reshape(-1, m, box.dimension)
-    if anchors is not None:
-        anc = np.broadcast_to(anchors, (configs.shape[0],) + anchors.shape)
-        configs = np.concatenate([anc, configs], axis=1)
     return float(np.dot(wts, p.weights_many(configs)))
 
 
@@ -314,61 +397,43 @@ def _potentials(dim):
 
 
 _BOXES = {1: Box((2.5,)), 2: Box((2.0, 1.5))}
-_ANCHORS = {  # the last set of each dimension has its two anchors overlapping
-    1: [None, np.array([[1.1]]), np.array([[0.4], [2.0]]), np.array([[1.0], [1.3]])],
-    2: [None, np.array([[0.9, 0.6]]), np.array([[0.3, 0.4], [1.6, 1.1]]),
-        np.array([[1.0, 0.7], [1.2, 0.8]])],
-}
 _REFERENCE_CONFIGS = 250_000  # largest mesh the reference is asked to weigh
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_tensor_contraction_matches_configuration_sum(dim):
-    # orders 2, 4 and 12, every m up to the dimension cap and 0, 1 or 2
-    # anchors; a combination is skipped when the reference's mesh would
-    # exceed _REFERENCE_CONFIGS configurations, and the tally at the end
-    # checks that every m and every order still ran
+    # orders 2, 4 and 12 and every m up to the dimension cap; a combination
+    # is skipped when the reference's mesh would exceed _REFERENCE_CONFIGS
+    # configurations, and the tally at the end checks that every m and
+    # every order still ran
     box = _BOXES[dim]
     checked = set()
     for p in _potentials(dim):
-        for anchors in _ANCHORS[dim]:
-            breaks = [contact_lattice(ext, p.interaction_range, 1,
-                                      anchors=() if anchors is None else anchors[:, d])
-                      for d, ext in enumerate(box.extents)]
-            for m in range(1, DIMENSION_CAP // dim + 1):
-                for order in (2, 4, 12):
-                    n_nodes = math.prod(len(panel_rule(0.0, ext, b, order)[0])
-                                        for ext, b in zip(box.extents, breaks))
-                    if n_nodes**m > _REFERENCE_CONFIGS:
-                        continue
-                    got = integrals._tensor_eval(p, box, m, order, breaks, anchors)
-                    want = _reference_tensor_eval(p, box, m, order, breaks, anchors)
-                    assert abs(got - want) <= 1e-12 * abs(want), (p.family, m, order)
-                    overlap = anchors is _ANCHORS[dim][-1] and p.has_hard_core
-                    if overlap:
-                        assert got == 0.0 and want == 0.0
-                    checked.add((m, order, 0 if anchors is None else len(anchors), overlap))
+        breaks = [contact_lattice(ext, p.interaction_range, 1) for ext in box.extents]
+        for m in range(1, DIMENSION_CAP // dim + 1):
+            for order in (2, 4, 12):
+                n_nodes = math.prod(len(panel_rule(0.0, ext, b, order)[0])
+                                    for ext, b in zip(box.extents, breaks))
+                if n_nodes**m > _REFERENCE_CONFIGS:
+                    continue
+                got = integrals._tensor_eval(p, box, m, order, breaks)
+                want = _reference_tensor_eval(p, box, m, order, breaks)
+                assert abs(got - want) <= 1e-12 * abs(want), (p.family, m, order)
+                checked.add((m, order))
     assert {c[0] for c in checked} == set(range(1, DIMENSION_CAP // dim + 1))
     assert {c[1] for c in checked} == {2, 4, 12}
-    assert {c[2] for c in checked} == {0, 1, 2}
-    assert any(c[3] for c in checked)
 
 
 def test_quadrature_routes_match_configuration_sum(monkeypatch):
-    # values and refinement errors through quadrature_Z and anchored_integral
+    # values and refinement errors through quadrature_Z
     cases = []
     for p in _potentials(1):
-        cases += [("Z", p, Box((2.5,)), None, m, 8) for m in (2, 3, 4)]
-        cases.append(("A", p, Box((2.5,)), np.array([[1.1], [2.0]]), 2, 8))
+        cases += [(p, Box((2.5,)), m, 8) for m in (2, 3, 4)]
     for p in _potentials(2):
-        cases.append(("Z", p, Box((2.0, 1.5)), None, 2, 4))
-        cases.append(("A", p, Box((2.0, 1.5)), np.array([[0.9, 0.6]]), 1, 12))
-        cases.append(("A", p, Box((2.0, 1.5)), np.array([[0.9, 0.6]]), 2, 2))
+        cases.append((p, Box((2.0, 1.5)), 2, 4))
 
-    def route(kind, p, box, anchors, m, order):
-        if kind == "Z":
-            return quadrature_Z(p, box, m, order=order)
-        return anchored_integral(p, box, anchors, m, order=order, strategy="quadrature")
+    def route(p, box, m, order):
+        return quadrature_Z(p, box, m, order=order)
 
     got = [route(*c) for c in cases]
     monkeypatch.setattr(integrals, "_tensor_eval", _reference_tensor_eval)

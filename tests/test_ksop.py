@@ -294,33 +294,81 @@ def test_workload_residual_feeds_only_live_rows(monkeypatch, tmp_path):
 def test_residual_series_calls(monkeypatch, tmp_path):
     # the left side of the workload's hard-rod residual takes every order of
     # a probe from one series call: 47 calls, one per probe (one per probe
-    # and order would be 275).  On the step command the family keeps the
-    # rows of the numeric route for the whole check, which holds it to the
-    # 11,747 evaluations of a per-(row, order) cache shared by both sides
+    # and order would be 275), and no nest pass.  On the step command every
+    # series call, left side or family, is one pass of the ordered-sector
+    # nest for its whole batch of rows
     from kslab import integrals, partition
     from kslab.cli import main
 
-    calls = {"left": 0, "numeric": 0}
-    series, numeric = partition.anchored_series, integrals.anchored_integral
+    calls = {"left": 0, "nest": 0, "family": 0}
+    series, nest = partition.anchored_series, integrals._sector_series
+    family = CorrelationFamily.__call__
 
     def left(*args, **kwargs):
         calls["left"] += 1
         return series(*args, **kwargs)
 
     def counted(*args, **kwargs):
-        calls["numeric"] += 1
-        return numeric(*args, **kwargs)
+        calls["nest"] += 1
+        return nest(*args, **kwargs)
+
+    def family_call(self, level, configs):
+        calls["family"] += 1
+        return family(self, level, configs)
 
     monkeypatch.setattr(partition, "anchored_series", left)
-    monkeypatch.setattr(integrals, "anchored_integral", counted)
+    monkeypatch.setattr(integrals, "_sector_series", counted)
+    monkeypatch.setattr(CorrelationFamily, "__call__", family_call)
     out = str(tmp_path / "r.json")
     assert main(["residual", "--L", "5", "--M", "6", "--z", "0.2", "--n-max", "2",
                  "--order", "64", "--probes", "32", "--out", out]) == 0
-    assert calls == {"left": 47, "numeric": 0}
+    assert calls["left"] == 47 and calls["nest"] == 0
+    calls.update(left=0, nest=0, family=0)
     assert main(["residual", "--potential", "step", "--a", "0.8", "--epsilon", "1.3",
                  "--L", "3", "--M", "3", "--z", "0.1", "--n-max", "1", "--order", "4",
                  "--probes", "1", "--out", out]) == 0
-    assert 0 < calls["numeric"] <= 11_747
+    assert calls["family"] > 0 and calls["nest"] == calls["left"] + calls["family"]
+
+
+def test_step_residual_command(tmp_path):
+    # the positive step potential through the whole residual check: every
+    # anchored integral of both sides comes from the ordered-sector nest
+    from kslab.cli import main
+
+    out = tmp_path / "r.json"
+    assert main(["residual", "--potential", "step", "--a", "0.8", "--epsilon", "1.3",
+                 "--L", "4", "--M", "4", "--z", "0.1", "--n-max", "1", "--order", "12",
+                 "--probes", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())["residual"]
+    assert doc["sup_residual"] <= doc["error_bound"]
+    for level in doc["levels"]:
+        assert math.isfinite(level["error_bound"])
+        assert level["sup_residual"] <= level["error_bound"]
+
+
+def test_family_integral_error_enters_the_operator_bound(monkeypatch):
+    # an error delta on every A_j / j! the family reads reaches the level-1
+    # bound through the m = 1 term at least as |z| * sum |w kern| * delta
+    # |z| / |Xi|, where sum |w kern| = (1 - e^{-beta eps}) * the window,
+    # and every window is at least a long
+    from kslab import ksop
+    from kslab.partition import assemble, evaluate
+    from kslab.integrals import build_table
+
+    p, z, delta = PairPotential.step(0.8, 1.3), 0.1, 1.0
+    poly = assemble(build_table(p, Box((4.0,)), 4, order=12))
+    plain = ks_residual(poly, z, 1, order=12, count=1).error_bound
+    series = ksop.anchored_series
+
+    def inflated(*args):
+        S, E = series(*args)
+        return S, E + delta
+
+    monkeypatch.setattr(ksop, "anchored_series", inflated)
+    raised = ks_residual(poly, z, 1, order=12, count=1).error_bound
+    xi = abs(evaluate(poly, z)[0])
+    carried = z * (1.0 - math.exp(-1.3)) * 0.8 * delta * z / xi
+    assert raised - plain >= carried
 
 
 def test_gauss_legendre_rule_is_shared_read_only():

@@ -9,7 +9,7 @@ import pytest
 from kslab import spectral
 from kslab.errors import ContourError, InsufficientData
 from kslab.ksop import build_ks_matrix
-from kslab.partition import smallest_zero, zeros
+from kslab.partition import correlation, smallest_zero, zeros
 from kslab.spectral import (
     _mp_center,
     _pole_from_chain,
@@ -303,6 +303,17 @@ def test_leading_asymptotics_ideal_agrees_with_residue():
     assert res.agreement <= 1e-9
     doc = res.to_json()
     assert {"ray_value", "residue_value", "agreement", "z_c"} <= set(doc)
+
+
+def test_leading_asymptotics_report_the_documented_limit():
+    # both routes give lim rho_1(z) (1 - z/z_c) / z, read here off the
+    # correlation itself just inside the pole
+    poly = make_ideal(V=1.0, M=4)
+    res = leading_asymptotics(poly, np.array([[0.5]]))
+    z = res.z_c * (1.0 - 1e-7)
+    want = correlation(poly, z, np.array([[0.5]])).value * (1.0 - z / res.z_c) / z
+    assert abs(res.ray_value - want) <= 1e-5 * abs(want)
+    assert abs(res.residue_value - want) <= 1e-5 * abs(want)
 
 
 def test_leading_asymptotics_vanish_outside_box(tonks5):
