@@ -203,14 +203,15 @@ def contact_lattice(extent, a, kmax, anchors=()):
 
 def contact_lattice_rows(extent, a, kmax, anchors):
     """contact_lattice per anchor row (nc, n), the walls taken as anchors 0 and extent:
-    each row sorted, padded with extent, as narrow as the longest row."""
+    each row sorted, padded with extent, as narrow as the longest row.  A point
+    within 1e-13 * extent of its predecessor is a rounding twin and drops out."""
     if a <= 0:
         return np.empty((len(anchors), 0))
     nc = len(anchors)
     ends = np.concatenate([np.zeros((nc, 1)), anchors, np.full((nc, 1), extent)], axis=1)
     pts = (ends[:, :, None] + np.arange(-kmax, kmax + 1) * a).reshape(nc, -1)
     pts = np.sort(np.where((pts > 0.0) & (pts < extent), pts, extent), axis=1)
-    pts[:, 1:][pts[:, 1:] == pts[:, :-1]] = extent  # repeats
+    pts[:, 1:][pts[:, 1:] - pts[:, :-1] <= 1e-13 * extent] = extent  # twins
     pts.sort(axis=1)
     return pts[:, : (pts < extent).sum(axis=1).max()]
 

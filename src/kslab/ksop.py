@@ -126,16 +126,17 @@ class CorrelationFamily:
     Evaluates rho(z; configs) at a fixed activity for whole batches of
     configurations, with the numerator truncated at total degree `degree`:
     one anchored_series call gives every A_j / j! of a batch, times the
-    powers z^(level + j).  Each call leaves the error bound of its values,
-    carried from the anchored integrals' errors, in last_error.
+    powers z^(level + j).  Each call leaves the per-row error bound of its
+    values in last_error: the anchored integrals' errors, plus the table
+    error inside Xi, as partition.correlation counts them.
     """
 
     def __init__(self, poly: PartitionPolynomial, z, degree=None):
         self.poly = poly
         self.z = complex(z)
         self.degree = poly.M if degree is None else int(degree)
-        xi, cond = evaluate(poly, z)
-        self.xi = xi
+        self.xi, _ = evaluate(poly, z)
+        self.xi_err = float(np.polyval(poly.coeff_errors[::-1], abs(self.z)))
         # correlations of a hard-core gas are zero on overlapping
         # configurations, which licenses the rod-packing cutoff in the
         # operator quadrature
@@ -151,8 +152,9 @@ class CorrelationFamily:
         S, E = anchored_series(self.poly.potential, self.poly.box,
                                configs.reshape(nc, level, self.poly.box.dimension), jmax)
         zpow = self.z ** (level + np.arange(jmax + 1))
-        self.last_error = E @ np.abs(zpow) / abs(self.xi)
-        return S @ zpow / self.xi
+        values = S @ zpow / self.xi
+        self.last_error = (E @ np.abs(zpow) + np.abs(values) * self.xi_err) / abs(self.xi)
+        return values
 
 
 class CallableFamily:

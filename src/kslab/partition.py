@@ -303,14 +303,13 @@ def _newton_polygon_starts(b):
 
 
 def mp_horner(b, db, x):
-    """(p(x), p'(x)) for p = sum b_m x^m, by mpmath Horner.
+    """(p(x), p'(x)) for p = sum b_m x^m, by Horner in the arithmetic of x.
 
-    db are the derivative coefficients m b_m, m = 1..deg; everything runs
-    at the caller's working precision, b and db ascending.
+    db are the derivative coefficients m b_m, m = 1..deg, b and db
+    ascending; with mpmath numbers everything runs at the caller's working
+    precision, and plain complex x stays in float64.
     """
-    from mpmath import mp
-
-    p = dp = mp.mpc(0)
+    p = dp = 0 * x
     for bm in b[::-1]:
         p = p * x + bm
     for dm in db[::-1]:

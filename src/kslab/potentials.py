@@ -10,7 +10,6 @@ an overlapping pair short-circuits to weight 0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -126,15 +125,6 @@ class PairPotential:
             except KeyError as exc:
                 raise ConfigError("custom potential config needs r_values and phi_values") from exc
         return PairPotential(**kwargs)
-
-    @staticmethod
-    def from_file(path) -> "PairPotential":
-        with open(path) as fh:
-            try:
-                cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"potential config {path} is not valid JSON: {exc}") from exc
-        return PairPotential.from_config(cfg)
 
     def to_config(self) -> dict:
         cfg = {

@@ -5,26 +5,25 @@ the leading eigenvalue's Laurent data (projection, reduced resolvent,
 nilpotent part) are computed and reported in the balanced frame, where
 norm ratios are meaningful.  The resolvent sign convention is
 
-    R(lam) = (K - lam)^(-1),      P = -(1/2 pi i) oint R(lam) dlam,
+    R(lam) = (K - lam)^(-1),      P = -(1/2 pi i) oint R(lam) dlam.
 
-so the trapezoid sum on a circle of radius r about the leading eigenvalue
-is P = -(r/N) sum_k R(lam_k) e^{i theta_k}, and the plain node average of
-R is the reduced resolvent S (the holomorphic coefficient of the Laurent
-expansion), which satisfies PS = SP = 0 and (K - lam_c) S = I - P.
-
-Companion matrices of clustered zeros are strongly non-normal: their
-pseudospectra swallow any contour long before float64 runs out of digits.
-When double precision cannot certify the projection algebra, the Laurent
-data of the leading eigenvalue come in closed form from the companion
-eigenvectors in mpmath, P = v nu^T / nu^T v and S = (K - lam + P)^{-1} - P
-(Kato I §5), at 40, 60 or 90 digits and O(M^2) in all.  A circle
-isolating lam_c encloses one computed eigenvalue, which is simple, so no
-extended-precision contour integral is needed.
+The leading eigenvalue is a simple pole of R: its residue gives the
+rank-one projection and its holomorphic part the reduced resolvent S,
+which satisfies PS = SP = 0 and (K - lam_c) S = I - P.  Both come in
+closed form from the companion eigenvectors, P = v nu^T / nu^T v and
+S = (K - lam + P)^{-1} - P (Kato I §5), O(M^2) in all.  One formula is
+evaluated in float64 and, where float64 cannot certify the projection
+algebra (companion matrices of clustered zeros are strongly non-normal),
+in mpmath at 40, 60 or 90 digits.  riesz_projection keeps the dense
+contour route, P = -(r/N) sum_k R(lam_k) e^{i theta_k} on a circle of
+radius r with S the plain node average of R, for general matrices and as
+an independent check of the closed form.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -123,10 +122,10 @@ def spectrum(ks: KSMatrix) -> Spectrum:
 @dataclass
 class RieszResult:
     P: np.ndarray
-    S: np.ndarray            # reduced resolvent (node average of R on the contour)
+    S: np.ndarray            # reduced resolvent, the holomorphic part of R at center
     center: complex
     radius: float            # isolating disc; no contour is drawn when n_nodes is 0
-    n_nodes: int             # float64 trapezoid nodes; 0 on the mpmath closed form
+    n_nodes: int             # float64 trapezoid nodes; 0 on the closed form
     idempotency_defect: float          # ||P^2 - P|| / ||P||
     annihilation_defect: float         # max(||PS||, ||SP||) / (||P|| ||S||)
     reduced_identity_defect: float     # ||(K-c)S - (I-P)|| / ||I-P||
@@ -134,7 +133,7 @@ class RieszResult:
     pole_order: int                    # pole order at the center; 0 = not resolved in chain cap
     rank: int
     second_singular_ratio: float
-    precision: str           # "float64" (contour) or "mp40"/"mp60"/"mp90" (closed form)
+    precision: str           # "float64", "mp40", "mp60" or "mp90"
 
     @property
     def algebra_defect(self):
@@ -175,33 +174,21 @@ def _pole_from_chain(norm_ratios):
     return 0
 
 
-def riesz_projection(mat, center, radius, eigs=None, n_start=64, n_max=1024,
+def riesz_projection(mat, center, radius, n_start=64, n_max=1024,
                      rtol=1e-10) -> RieszResult:
     """Spectral projection and reduced resolvent by circle trapezoid sums.
 
     Doubles the node count until the projection algebra certifies at rtol;
     trapezoid sums of analytic integrands converge geometrically, so the
-    loop settles fast once the contour resolves the spectrum.  With eigs
-    given, the aliasing error at n nodes is about q^n, q = max(rho_in / r,
-    r / delta_out) (farthest eigenvalue inside, nearest outside); doubling
-    stops once q^n is below rtol, as the defect left is rounding, which
-    more nodes cannot lower.  Dense float64 route for general matrices;
-    wide operator companions go through leading_projection instead.
+    loop settles fast once the contour resolves the spectrum.  Dense
+    float64 route for general matrices, and an independent check of the
+    closed form; the operator's leading eigenvalue goes through
+    leading_projection instead.
     """
     mat = np.asarray(mat, dtype=complex)
     dim = mat.shape[0]
     if radius <= 0:
         raise ContourError("contour radius must be positive")
-    n_enough = math.inf
-    if eigs is not None:
-        dist = np.abs(np.asarray(eigs) - center)
-        if np.min(np.abs(dist - radius)) <= 1e-9 * radius:
-            raise ContourError(
-                f"eigenvalue within 1e-9 of the contour (radius {radius})")
-        inside = dist < radius
-        q = max(np.max(dist[inside], initial=0.0) / radius,
-                radius / np.min(dist[~inside], initial=math.inf), 1e-300)
-        n_enough = math.log(rtol) / math.log(q)
     I = np.eye(dim)
     n = n_start
     while True:
@@ -217,7 +204,7 @@ def riesz_projection(mat, center, radius, eigs=None, n_start=64, n_max=1024,
         S /= n
         idem, annih, red, nil = _algebra_defects(mat, center, P, S)
         defect = max(idem, annih, red)
-        if defect <= rtol or n >= min(n_max, n_enough):
+        if defect <= rtol or n >= n_max:
             break
         n *= 2
     if defect > rtol:
@@ -237,32 +224,31 @@ def riesz_projection(mat, center, radius, eigs=None, n_start=64, n_max=1024,
                        idem, annih, red, nil, pole, rank, ratio, "float64")
 
 
-# -- closed-form Laurent data, escalated precision ---------------------------------
+# -- closed-form Laurent data, float64 to 90 digits -------------------------------
 
 
-def _mp_center(bmp, center):
+def _center(ctx, b, center):
     """Companion eigenvalue near center, Newton-refined on Xi(w), w = 1/lam.
 
-    Runs at the caller's mpmath precision; bmp are the scaled coefficients
-    b_0..b_M as mpf.  Convergence is quadratic from a float64 seed.
+    Runs in the arithmetic context ctx (mpmath.fp, or mpmath.mp at the
+    caller's precision); b are the scaled coefficients b_0..b_M as ctx
+    numbers.  Convergence is quadratic from a float64 seed.
     """
-    from mpmath import mp, mpc, mpf
-
-    dbmp = [m * bmp[m] for m in range(1, len(bmp))]
-    w = 1 / mpc(center)
+    db = [m * b[m] for m in range(1, len(b))]
+    w = 1 / ctx.mpc(center)
     for _ in range(8):
-        val, dval = mp_horner(bmp, dbmp, w)
+        val, dval = mp_horner(b, db, w)
         if dval == 0:
             break
         step = val / dval
         w -= step
-        if abs(step) < mpf(10) ** (-mp.dps + 2) * abs(w):
+        if abs(step) < ctx.mpf(10) ** (-ctx.dps + 2) * abs(w):
             break
     return 1 / w
 
 
-def _mp_closed_form(b, dvec, center, dps):
-    """Laurent data at a simple leading eigenvalue in closed form, in mpmath.
+def _closed_form(ctx, b, dvec, center):
+    """Laurent data at a simple leading eigenvalue in closed form.
 
     With companion eigenvectors v_i = lam^{M-1-i} (right) and the backward
     recurrence of _left_vector (left), both balanced, P = v nu^T / (nu^T v)
@@ -271,131 +257,131 @@ def _mp_closed_form(b, dvec, center, dps):
     the subdiagonal rows give x up to a multiple of v, the pairing fixes
     the multiple.  Every defect and the nilpotent chain are measured on
     the result through the rank-one form of P, so the whole route is
-    O(M^2).  Returns (P, S, idempotency, annihilation and reduced-identity
-    defects, nilpotent ratio, pole order, refined center), or None when
-    the pairing nu^T v vanishes (the leading eigenvalue is not simple).
+    O(M^2).  All arithmetic runs in ctx: mpmath.fp for float64, mpmath.mp
+    at the caller's working precision otherwise.  Returns (P, S,
+    idempotency, annihilation and reduced-identity defects, nilpotent
+    ratio, pole order, refined center), or None when the pairing nu^T v
+    vanishes (the leading eigenvalue is not simple).
     """
-    from mpmath import mp, mpf
-
     M = len(b) - 1
-    with mp.workdps(dps):
-        bmp = [mpf(float(x)) for x in b]
-        d = [mpf(float(x)) for x in dvec]
-        lam = _mp_center(bmp, center)
-        # balanced companion A = T^{-1} C T: first row a0, subdiagonal sub[i]
-        a0 = [-bmp[k + 1] * d[k] / d[0] for k in range(M)]
-        sub = [None] + [d[i - 1] / d[i] for i in range(1, M)]
-        v = [lam ** (M - 1 - i) / d[i] for i in range(M)]
-        nu = [x * d[i] for i, x in enumerate(_left_vector(bmp, lam))]
+    bc = [ctx.mpf(float(x)) for x in b]
+    d = [ctx.mpf(float(x)) for x in dvec]
+    lam = _center(ctx, bc, center)
+    # balanced companion A = T^{-1} C T: first row a0, subdiagonal sub[i]
+    a0 = [-bc[k + 1] * d[k] / d[0] for k in range(M)]
+    sub = [None] + [d[i - 1] / d[i] for i in range(1, M)]
+    v = [lam ** (M - 1 - i) / d[i] for i in range(M)]
+    nu = [x * d[i] for i, x in enumerate(_left_vector(bc, lam))]
 
-        def dot(x, y):
-            return mp.fsum(xi * yi for xi, yi in zip(x, y))
+    def dot(x, y):
+        return ctx.fsum(xi * yi for xi, yi in zip(x, y))
 
-        def norm(x):
-            return mp.sqrt(mp.fsum(abs(xi) ** 2 for xi in x))
+    def norm(x):
+        return ctx.sqrt(ctx.fsum(abs(xi) ** 2 for xi in x))
 
-        def shifted(x):
-            """(A - lam) x, using the companion sparsity."""
-            return [dot(a0, x) - lam * x[0]] + [sub[i] * x[i - 1] - lam * x[i]
-                                                for i in range(1, M)]
+    def shifted(x):
+        """(A - lam) x, using the companion sparsity."""
+        return [dot(a0, x) - lam * x[0]] + [sub[i] * x[i - 1] - lam * x[i]
+                                            for i in range(1, M)]
 
-        pairing = dot(nu, v)
-        if abs(pairing) <= M * mp.eps * norm(nu) * norm(v):
-            return None
-        u = [vi / pairing for vi in v]  # P = u nu^T
-        P = [[ui * nk for nk in nu] for ui in u]
-        cols = []
-        for j in range(M):
-            r = [-ui * nu[j] for ui in u]
-            r[j] += 1
-            x = [mpf(0)] * M
-            for i in range(1, M):
-                x[i] = (sub[i] * x[i - 1] - r[i]) / lam
-            t = dot(nu, x) / pairing
-            cols.append([xi - t * vi for xi, vi in zip(x, v)])
-        S = [list(row) for row in zip(*cols)]
+    pairing = dot(nu, v)
+    if abs(pairing) <= M * ctx.eps * norm(nu) * norm(v):
+        return None
+    u = [vi / pairing for vi in v]  # P = u nu^T
+    P = [[ui * nk for nk in nu] for ui in u]
+    cols = []
+    for j in range(M):
+        r = [-ui * nu[j] for ui in u]
+        r[j] += 1
+        x = [ctx.mpf(0)] * M
+        for i in range(1, M):
+            x[i] = (sub[i] * x[i - 1] - r[i]) / lam
+        t = dot(nu, x) / pairing
+        cols.append([xi - t * vi for xi, vi in zip(x, v)])
+    S = [list(row) for row in zip(*cols)]
 
-        nu_norm = norm(nu)
-        nP = norm(u) * nu_norm
-        nS = norm([s for col in cols for s in col])
-        idem = abs(dot(nu, u) - 1)  # ||P^2 - P|| / ||P|| for P = u nu^T
-        pS = norm([dot(nu, col) for col in cols]) * norm(u)
-        Sp = norm([dot(row, u) for row in S]) * nu_norm
-        annih = max(pS, Sp) / (nP * nS)
-        red_sq = mpf(0)
-        for j, col in enumerate(cols):
-            res = shifted(col)
-            for i in range(M):
-                res[i] += P[i][j] - (1 if i == j else 0)
-            red_sq += mp.fsum(abs(x) ** 2 for x in res)
-        I_minus_P = norm([(1 if i == j else 0) - P[i][j]
-                          for i in range(M) for j in range(M)])
-        red = mp.sqrt(red_sq) / max(mpf(1), I_minus_P)
-        # D = (A - lam) P = g nu^T, so D^q = g (nu^T g)^{q-1} nu^T
-        g = shifted(u)
-        nA = norm(a0 + sub[1:])
-        nD = norm(g) * nu_norm
-        ratio = abs(dot(nu, g))
-        chain = [nD * ratio ** (q - 1) / nA**q for q in range(1, 4)]
-        pole = _pole_from_chain(chain)
+    nu_norm = norm(nu)
+    nP = norm(u) * nu_norm
+    nS = norm([s for col in cols for s in col])
+    idem = abs(dot(nu, u) - 1)  # ||P^2 - P|| / ||P|| for P = u nu^T
+    pS = norm([dot(nu, col) for col in cols]) * norm(u)
+    Sp = norm([dot(row, u) for row in S]) * nu_norm
+    annih = max(pS, Sp) / (nP * nS)
+    red_sq = ctx.mpf(0)
+    for j, col in enumerate(cols):
+        res = shifted(col)
+        for i in range(M):
+            res[i] += P[i][j] - (1 if i == j else 0)
+        red_sq += ctx.fsum(abs(x) ** 2 for x in res)
+    I_minus_P = norm([(1 if i == j else 0) - P[i][j]
+                      for i in range(M) for j in range(M)])
+    red = ctx.sqrt(red_sq) / max(ctx.mpf(1), I_minus_P)
+    # D = (A - lam) P = g nu^T, so D^q = g (nu^T g)^{q-1} nu^T
+    g = shifted(u)
+    nA = norm(a0 + sub[1:])
+    nD = norm(g) * nu_norm
+    ratio = abs(dot(nu, g))
+    chain = [nD * ratio ** (q - 1) / nA**q for q in range(1, 4)]
+    pole = _pole_from_chain(chain)
 
-        Pf = np.array([[complex(x) for x in row] for row in P])
-        Sf = np.array([[complex(x) for x in row] for row in S])
-        return (Pf, Sf, float(idem), float(annih), float(red), float(chain[0]),
-                pole, complex(lam))
+    Pf = np.array([[complex(x) for x in row] for row in P])
+    Sf = np.array([[complex(x) for x in row] for row in S])
+    return (Pf, Sf, float(idem), float(annih), float(red), float(chain[0]),
+            pole, complex(lam))
 
 
-def leading_projection(ks: KSMatrix, spec: Spectrum = None, radius=None,
+def leading_projection(ks: KSMatrix, spec: Spectrum = None,
                        rtol=1e-10) -> RieszResult:
-    """Riesz projection onto the leading eigenvalue of the operator matrix.
+    """Laurent data of the operator matrix at its leading eigenvalue.
 
-    Tries the dense double-precision contour first, with the spectrum
-    passed, so its doubling stops once the aliasing is below rtol (at 64
-    nodes when the radius is half the gap).  When the algebra will not
-    certify there, the closed-form Laurent data of the simple leading
-    eigenvalue are computed in mpmath at 40, then 60, then 90 digits
-    (n_nodes 0, precision "mp40"/"mp60"/"mp90"), stopping at the first
-    rung whose measured defects are all within min(rtol, 1e-12).  The
+    The leading eigenvalue is a simple pole of the resolvent: its residue
+    is the rank-one Riesz projection P and its holomorphic part the
+    reduced resolvent S, both in closed form (_closed_form).  The one
+    formula runs in float64, then in mpmath at 40, 60 and 90 digits
+    (precision "float64"/"mp40"/"mp60"/"mp90"), stopping at the first rung
+    whose measured defects are all within rtol in float64 and within
+    min(rtol, 1e-12) in mpmath.  No contour is drawn (n_nodes 0); radius
+    is the isolating disc, half the gap to the rest of the spectrum.  The
     returned defects are the certified ones, measured at the precision
-    that produced P and S.  Raises ContourError naming the float64 failure
-    and the last rung's when no route certifies.
+    that produced P and S.  Raises ContourError naming each rung's failure
+    when none certifies.
     """
+    from mpmath import fp, mp
+    from scipy.linalg import matrix_balance
+
     if spec is None:
         spec = spectrum(ks)
     if not math.isfinite(spec.dist_gap) or spec.dist_gap <= 0:
-        raise Degenerate("no spectral gap to draw a contour in")
+        raise Degenerate("no spectral gap isolates the leading eigenvalue")
     center = spec.lam_c * ks.scale
-    if radius is None:
-        radius = 0.5 * spec.dist_gap * ks.scale
-    eigs_scaled = spec.eigenvalues * ks.scale
-    try:
-        return riesz_projection(ks.conditioned_matrix(), center, radius,
-                                eigs=eigs_scaled, rtol=rtol)
-    except ContourError as exc:
-        float_failure = str(exc)
-
-    from scipy.linalg import matrix_balance
-
+    radius = 0.5 * spec.dist_gap * ks.scale
     b = scaled_coefficients(ks.coeffs, ks.scale)
     _, T = matrix_balance(ks.scaled_matrix(), permute=False)
     dvec = np.diag(T)
-    tol_mp = min(rtol, 1e-12)  # headroom below the certification target
-    for dps in (40, 60, 90):
-        laurent = _mp_closed_form(b, dvec, center, dps)
+    # (precision, arithmetic, working digits, certification threshold); the
+    # mpmath rungs keep headroom below the target
+    rungs = [("float64", fp, contextlib.nullcontext(), rtol)] + [
+        (f"mp{dps}", mp, mp.workdps(dps), min(rtol, 1e-12)) for dps in (40, 60, 90)]
+    failures = []
+    for precision, ctx, digits, tol in rungs:
+        try:
+            with digits:
+                laurent = _closed_form(ctx, b, dvec, center)
+        except ArithmeticError as exc:  # float64 overflow on wide boxes
+            failures.append(f"{precision}: {type(exc).__name__}: {exc}")
+            continue
         if laurent is None:
-            mp_failure = "the pairing nu^T v vanishes"
+            failures.append(f"{precision}: the pairing nu^T v vanishes")
             continue
         P, S, idem, annih, red, nil, pole, cen = laurent
         defect = max(idem, annih, red)
-        if defect <= tol_mp:
+        if defect <= tol:
             rank, ratio = _svd_ratio(P)
             return RieszResult(P, S, cen, float(radius), 0,
                                idem, annih, red, nil, pole, rank, ratio,
-                               f"mp{dps}")
-        mp_failure = f"defect {defect:.3e} above {tol_mp:g}"
-    raise ContourError(
-        f"leading projection did not certify: float64 contour: {float_failure}; "
-        f"closed form at {dps} digits: {mp_failure}")
+                               precision)
+        failures.append(f"{precision}: defect {defect:.3e} above {tol:g}")
+    raise ContourError("leading projection did not certify: " + "; ".join(failures))
 
 
 @dataclass
@@ -412,8 +398,8 @@ def nilpotent_and_pole(mat, lam, P, rel_threshold=1e-8) -> NilpotentResult:
     The pole order is the first power q with ||D^q|| <= threshold * ||K||^q;
     a semisimple eigenvalue gives D below threshold immediately (order 1).
 
-    Double precision only.  A projection returned by the escalated contour
-    can have ||P|| past 1/eps, in which case the float64 product here is
+    Double precision only.  A projection from an mpmath rung of
+    leading_projection can have ||P|| past 1/eps, in which case the float64 product here is
     pure cast noise; the certified nilpotent_ratio and pole_order on the
     RieszResult are authoritative there.
     """

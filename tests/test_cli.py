@@ -209,11 +209,11 @@ def test_unconverged_projection_exits_4(capsys, monkeypatch):
     # failure reaches the shell as one message, not a traceback
     from kslab import spectral
 
-    monkeypatch.setattr(spectral, "_mp_closed_form", lambda *args: None)
+    monkeypatch.setattr(spectral, "_closed_form", lambda *args: None)
     assert main(["spectral", "--L", "20", "--M", "21"]) == 4
     err = capsys.readouterr().err
     assert "numerical failure: leading projection did not certify" in err
-    assert "float64 contour" in err
+    assert "float64: the pairing nu^T v vanishes" in err
     assert "Traceback" not in err
 
 

@@ -424,6 +424,14 @@ def test_tensor_contraction_matches_configuration_sum(dim):
     assert {c[1] for c in checked} == {2, 4, 12}
 
 
+def test_contact_lattice_merges_rounding_twins():
+    # 0.8 from the wall at 0 and 4 - 4 * 0.8 from the wall at 4 differ only
+    # by rounding; a sliver panel between them would carry its own subtree
+    pts = contact_lattice(4.0, 0.8, 4)
+    assert np.all(np.diff(pts) > 1e-13 * 4.0)
+    assert len(pts) == 4
+
+
 def test_quadrature_routes_match_configuration_sum(monkeypatch):
     # values and refinement errors through quadrature_Z
     cases = []

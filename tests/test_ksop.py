@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kslab.errors import ConfigError
-from kslab.integrals import Box, gauss_legendre, panel_rule
+from kslab.integrals import Box, build_table, gauss_legendre, panel_rule
 from kslab.ksop import (
     CallableFamily,
     CorrelationFamily,
@@ -20,7 +20,7 @@ from kslab.ksop import (
     ks_residual,
     probe_anchor_sets,
 )
-from kslab.partition import smallest_zero, zeros
+from kslab.partition import assemble, correlation, smallest_zero, zeros
 from kslab.potentials import PairPotential
 
 from conftest import make_ideal, make_tonks, poly_from_coeffs
@@ -111,6 +111,21 @@ def test_sampling_spread_is_reported():
     assert err > 0.0
 
 
+def test_family_rows_match_correlation_on_a_step_table():
+    # a step table carries nonzero coeff_errors, so each row's bound must
+    # hold the table error of Xi exactly as partition.correlation counts it
+    poly = assemble(build_table(PairPotential.step(1.0, 1.0), Box((5.0,)), 6))
+    assert np.any(poly.coeff_errors > 0)
+    z, degree = 0.15 + 0.05j, 5
+    fam = CorrelationFamily(poly, z, degree=degree)
+    rows = np.array([[[0.4], [2.1]], [[1.7], [3.6]], [[2.5], [4.9]]])
+    values = fam(2, rows)
+    for row, value, error in zip(rows, values, fam.last_error):
+        want = correlation(poly, z, row, degree)
+        assert abs(value - want.value) <= 1e-12 * abs(want.value)
+        assert abs(error - want.error) <= 1e-12 * want.error
+
+
 def test_overlapping_anchor_pair_zeroes_both_sides(tonks5):
     z = 0.2
     fam = CorrelationFamily(tonks5, z, degree=5)
@@ -186,8 +201,11 @@ def _recursive_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax):
     lo, hi = window
     r = p.interaction_range
     anchor_pts = np.append(rest_coords, x1)
-    static = sorted(set(_static_breaks(p, box, anchor_pts, kmax))
-                    | {float(c) for c in anchor_pts if 0.0 < c < box.extents[0]})
+    pts = sorted(set(_static_breaks(p, box, anchor_pts, kmax))
+                 | {float(c) for c in anchor_pts if 0.0 < c < box.extents[0]})
+    # rounding twins merge as in contact_lattice_rows
+    static = [c for i, c in enumerate(pts)
+              if i == 0 or c - pts[i - 1] > 1e-13 * box.extents[0]]
     rows, weights = [], []
 
     def rec(level, y_prev, prefix, wacc):

@@ -8,10 +8,12 @@ import pytest
 
 from kslab import spectral
 from kslab.errors import ContourError, InsufficientData
+from kslab.integrals import Box, build_table
 from kslab.ksop import build_ks_matrix
-from kslab.partition import correlation, smallest_zero, zeros
+from kslab.partition import assemble, correlation, smallest_zero, zeros
+from kslab.potentials import PairPotential
 from kslab.spectral import (
-    _mp_center,
+    _center,
     _pole_from_chain,
     coefficient_asymptotics,
     leading_asymptotics,
@@ -44,7 +46,7 @@ def _mp_contour(b, dvec, center, radius, n_nodes, dps):
     with mp.workdps(dps):
         bmp = [mpf(float(x)) for x in b]
         dmp = [mpf(float(x)) for x in dvec]
-        cen = _mp_center(bmp, center)
+        cen = _center(mp, bmp, center)
 
         P = [[mpc(0)] * M for _ in range(M)]
         S = [[mpc(0)] * M for _ in range(M)]
@@ -200,6 +202,33 @@ def test_closed_form_projection_matches_mp_contour():
     assert np.linalg.norm(rz.S - S) <= 1e-10 * np.linalg.norm(S)
 
 
+_FLOAT_BOXES = {
+    "rods-L5": lambda: make_tonks(5.0),
+    "rods-L10": lambda: make_tonks(10.0),
+    "ideal-M6": lambda: make_ideal(M=6),
+    "ideal-M8": lambda: make_ideal(M=8),
+    "step-L5": lambda: assemble(build_table(PairPotential.step(1.0, 1.0), Box((5.0,)), 6)),
+    "disks-L3": lambda: assemble(build_table(PairPotential.hardcore(0.7, dimension=2),
+                                             Box((3.0, 3.0)), 4)),
+}
+
+
+@pytest.mark.parametrize("box", sorted(_FLOAT_BOXES))
+def test_float64_closed_form_matches_dense_contour(box):
+    # where float64 certifies, the closed form must reproduce the dense
+    # contour on the balanced companion, an independent route to P and S
+    ks = build_ks_matrix(_FLOAT_BOXES[box]())
+    spec = spectrum(ks)
+    rz = leading_projection(ks, spec)
+    assert rz.precision == "float64"
+    assert rz.rank == 1
+    assert rz.pole_order == 1
+    ref = riesz_projection(ks.conditioned_matrix(), spec.lam_c * ks.scale,
+                           0.5 * spec.dist_gap * ks.scale)
+    assert np.linalg.norm(rz.P - ref.P) <= 1e-12 * np.linalg.norm(ref.P)
+    assert np.linalg.norm(rz.S - ref.S) <= 1e-11 * np.linalg.norm(ref.S)
+
+
 @pytest.mark.parametrize("L", [20.0, 40.0])
 def test_left_eigenvector_residual_wide_boxes(L):
     # the backward recurrence keeps the left pair accurate where the
@@ -214,26 +243,45 @@ def test_left_eigenvector_residual_wide_boxes(L):
 
 
 def test_leading_projection_failure_names_both_routes(ks20, monkeypatch):
-    monkeypatch.setattr(spectral, "_mp_closed_form", lambda *args: None)
+    monkeypatch.setattr(spectral, "_closed_form", lambda *args: None)
     with pytest.raises(ContourError) as err:
         leading_projection(ks20)
     msg = str(err.value)
-    assert "float64 contour: projection algebra stalled at defect" in msg
-    assert "closed form at 90 digits: the pairing nu^T v vanishes" in msg
+    for precision in ("float64", "mp40", "mp60", "mp90"):
+        assert f"{precision}: the pairing nu^T v vanishes" in msg
 
 
 def test_leading_projection_escalates_to_mp60(ks20, monkeypatch):
-    real = spectral._mp_closed_form
+    from mpmath import mp
 
-    def failing_mp40(b, dvec, center, dps):
-        out = real(b, dvec, center, dps)
-        return out[:2] + (1e-6,) + out[3:] if dps == 40 else out
+    real = spectral._closed_form
 
-    monkeypatch.setattr(spectral, "_mp_closed_form", failing_mp40)
+    def failing_mp40(ctx, b, dvec, center):
+        out = real(ctx, b, dvec, center)
+        return out[:2] + (1e-6,) + out[3:] if ctx is mp and mp.dps == 40 else out
+
+    monkeypatch.setattr(spectral, "_closed_form", failing_mp40)
     rz = leading_projection(ks20)
     assert (rz.precision, rz.n_nodes) == ("mp60", 0)
     assert rz.algebra_defect <= 1e-12
     assert rz.rank == 1 and rz.pole_order == 1
+
+
+def test_float64_overflow_escalates(monkeypatch):
+    # at L = 80 the balanced eigenvector norms overflow float64; that rung
+    # fails with a named overflow, not a traceback, and mp40 certifies
+    from mpmath import mp
+
+    ks = build_ks_matrix(make_tonks(80.0))
+    rz = leading_projection(ks)
+    assert rz.precision == "mp40"
+    assert rz.rank == 1 and rz.pole_order == 1
+    real = spectral._closed_form
+    monkeypatch.setattr(spectral, "_closed_form",
+                        lambda ctx, *args: None if ctx is mp else real(ctx, *args))
+    with pytest.raises(ContourError) as err:
+        leading_projection(ks)
+    assert "float64: OverflowError" in str(err.value)
 
 
 def test_riesz_projection_on_jordan_companion():
@@ -245,21 +293,11 @@ def test_riesz_projection_on_jordan_companion():
     assert rz.algebra_defect <= 1e-8
 
 
-def test_float64_contour_stops_once_nodes_cannot_help(ks20, monkeypatch):
-    # q = r / delta_out = 1/2: at 64 nodes the aliasing is 5e-20, so the
-    # 3e-8 defect is rounding and doubling stops there
-    monkeypatch.setattr(spectral, "_mp_closed_form", lambda *args: None)
-    with pytest.raises(ContourError) as err:
-        leading_projection(ks20)
-    assert "stalled at defect" in str(err.value)
-    assert "with 64 nodes;" in str(err.value)
-
-
 def test_riesz_projection_on_jordan_companion_wide_radius():
     # radius 1.4 against the outside eigenvalue at distance 1.5: q = 0.93
-    # needs 512 nodes, and knowing the eigenvalues must not cut that short
+    # needs 512 nodes
     comp = np.array([[4.5, -6.0, 2.0], [1, 0, 0], [0, 1, 0]])
-    rz = riesz_projection(comp, 2.0, 1.4, eigs=np.linalg.eigvals(comp))
+    rz = riesz_projection(comp, 2.0, 1.4)
     assert rz.n_nodes == 512
     assert rz.rank == 2
     assert rz.pole_order == 2
