@@ -90,29 +90,30 @@ class Box:
         return list(self.extents)
 
 
-# -- exact hard-rod formulas -------------------------------------------------
+# -- closed forms ------------------------------------------------------------
 
 
-def exact_hardrod_Z(L, a, m) -> SLog:
-    """Canonical integral of m labeled hard rods of diameter a on [0, L].
+def exact_log_Z(p, box, m):
+    """log Z_m for the closed-form routes, or None.
 
-    The classic free-volume result (L - (m-1)a)^m, zero once the rods no
-    longer fit.  Returned in signed-log form; m = 0 gives 1.
+    Z_0 = 1; the ideal gas and every m = 1 give V^m; hard rods on a segment
+    give the classic free-volume result (L - (m-1)a)^m, log -inf once the
+    rods no longer fit.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
     if m == 0:
-        return SLog(1, 0.0)
-    free = L - (m - 1) * a
-    if free <= 0.0:
-        return SLog(0, float("-inf"))
-    return SLog(1, m * math.log(free))
+        return 0.0
+    if p.family == "ideal" or m == 1:
+        return m * math.log(box.volume)
+    if p.family == "hardcore" and box.dimension == 1:
+        free = box.extents[0] - (m - 1) * p.a
+        return m * math.log(free) if free > 0.0 else float("-inf")
+    return None
 
 
 def exact_mp_Z(p, box, m):
     """Arbitrary-precision Z_m for the closed-form routes, or None.
 
-    Mirrors the exact cases of build_table but evaluates them under the
+    Mirrors exact_log_Z but evaluates the closed forms under the
     caller's mpmath working precision.  Downstream root finding needs this:
     for a wide hard-rod box the smallest zero is so ill-conditioned that
     the double rounding of the coefficients alone moves it in the third
@@ -122,10 +123,8 @@ def exact_mp_Z(p, box, m):
 
     if m == 0:
         return mp.mpf(1)
-    if p.family == "ideal":
+    if p.family == "ideal" or m == 1:
         return mp.mpf(box.volume) ** m
-    if m == 1:
-        return mp.mpf(box.volume)
     if p.family == "hardcore" and box.dimension == 1:
         free = mp.mpf(box.extents[0]) - (m - 1) * mp.mpf(p.a)
         return free**m if free > 0 else mp.mpf(0)
@@ -737,17 +736,9 @@ def build_table(p: PairPotential, box: Box, M, order=16, n_samples=1 << 16, seed
 
     entries = []
     for m in range(M + 1):
-        if m == 0:
-            entries.append(ZEntry(0, SLog(1, 0.0), 0.0, "exact"))
-            continue
-        if p.family == "ideal":
-            entries.append(ZEntry(m, SLog(1, m * math.log(box.volume)), 0.0, "exact"))
-            continue
-        if m == 1:
-            entries.append(ZEntry(1, SLog.from_value(box.volume), 0.0, "exact"))
-            continue
-        if p.family == "hardcore" and box.dimension == 1:
-            entries.append(ZEntry(m, exact_hardrod_Z(box.extents[0], p.a, m), 0.0, "exact"))
+        log_z = exact_log_Z(p, box, m)
+        if log_z is not None:
+            entries.append(ZEntry(m, SLog.from_log(1, log_z), 0.0, "exact"))
             continue
         try:
             val, err = quadrature_Z(p, box, m, order=order)

@@ -24,7 +24,9 @@ panels and the quadrature is exact to rounding.  The nested panel nodes of
 the ordered sector come from integrals.ordered_sector, the builder that
 also integrates the anchored integrals the correlation family is made of,
 here run on one window.  For a family that vanishes on hard-core overlap,
-no panel is built where two rods overlap.
+no panel is built where two rods overlap.  The correlations on both sides
+come from partition.CorrelationFamily, re-exported here: the left side of
+each level is one family call over all its probes.
 
 Truncation bookkeeping, fixed here once and used by the residual check:
 with the degree-M family on the left, the exact finite-truncation identity
@@ -38,17 +40,18 @@ separately.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .integrals import (Box, anchored_series, contact_lattice, contact_lattice_rows,
-                        ordered_sector, sobol_replicates)
-from .partition import (PartitionPolynomial, correlation, evaluate,
-                        scaled_coefficients)
+from .errors import ConfigError, NumericalError
+from .integrals import (Box, contact_lattice, contact_lattice_rows, ordered_sector,
+                        sobol_replicates)
+from .partition import (CorrelationFamily, PartitionPolynomial, scaled_coefficients,
+                        smallest_zero, zeros)
 from .potentials import PairPotential
 
 _SOBOL_SAMPLES = 1 << 12
@@ -79,6 +82,23 @@ class KSMatrix:
         out[1:, :-1] = np.eye(self.M - 1)
         return out
 
+    @functools.cached_property
+    def balancing(self):
+        """(balanced scaled companion, read-only; balancing diagonal), once per matrix.
+
+        From hard rods L = 70 on scipy's balancer warns of an invalid cast
+        while its diagonal stays finite and positive, which is checked here.
+        """
+        from scipy.linalg import matrix_balance
+
+        with np.errstate(invalid="ignore"):
+            out, T = matrix_balance(self.scaled_matrix(), permute=False)
+        d = np.diag(T)
+        if not np.all(np.isfinite(d) & (d > 0)):
+            raise NumericalError("diagonal balancing of the companion left the float64 range")
+        out.flags.writeable = False
+        return out, d
+
     def conditioned_matrix(self):
         """Balanced scaled companion for resolvent work.
 
@@ -87,10 +107,7 @@ class KSMatrix:
         integrals of the resolvent need it.  Same eigenvalues (times scale);
         projections and norm ratios are reported in this frame.
         """
-        from scipy.linalg import matrix_balance
-
-        out, _ = matrix_balance(self.scaled_matrix(), permute=False)
-        return out
+        return self.balancing[0]
 
     def to_json(self):
         return {
@@ -118,43 +135,6 @@ def build_ks_matrix(poly: PartitionPolynomial, scale=None) -> KSMatrix:
 
 
 # -- anchored-function families -------------------------------------------------
-
-
-class CorrelationFamily:
-    """Correlations as a vectorized anchored-function family.
-
-    Evaluates rho(z; configs) at a fixed activity for whole batches of
-    configurations, with the numerator truncated at total degree `degree`:
-    one anchored_series call gives every A_j / j! of a batch, times the
-    powers z^(level + j).  Each call leaves the per-row error bound of its
-    values in last_error: the anchored integrals' errors, plus the table
-    error inside Xi, as partition.correlation counts them.
-    """
-
-    def __init__(self, poly: PartitionPolynomial, z, degree=None):
-        self.poly = poly
-        self.z = complex(z)
-        self.degree = poly.M if degree is None else int(degree)
-        self.xi, _ = evaluate(poly, z)
-        self.xi_err = float(np.polyval(poly.coeff_errors[::-1], abs(self.z)))
-        # correlations of a hard-core gas are zero on overlapping
-        # configurations, which licenses the rod-packing cutoff in the
-        # operator quadrature
-        self.vanishes_on_overlap = bool(poly.potential.has_hard_core)
-
-    def __call__(self, level, configs):
-        configs = np.asarray(configs, dtype=float)
-        nc = configs.shape[0]
-        jmax = min(self.poly.M, self.degree) - level
-        if jmax < 0:
-            self.last_error = 0.0
-            return np.zeros(nc, dtype=complex)
-        S, E = anchored_series(self.poly.potential, self.poly.box,
-                               configs.reshape(nc, level, self.poly.box.dimension), jmax)
-        zpow = self.z ** (level + np.arange(jmax + 1))
-        values = S @ zpow / self.xi
-        self.last_error = (E @ np.abs(zpow) + np.abs(values) * self.xi_err) / abs(self.xi)
-        return values
 
 
 class CallableFamily:
@@ -426,35 +406,31 @@ def ks_residual(poly: PartitionPolynomial, z, n_max, strategy="quadrature",
         raise ConfigError(f"quadrature order {order} is below 2")
     if count < 1:
         raise ConfigError(f"probe count {count} is below 1")
-    from .partition import smallest_zero, zeros
-
     z_c = smallest_zero(zeros(poly)).z_c
     if abs(z) >= abs(z_c):
         raise ConfigError(f"|z| = {abs(z)} is not below the smallest zero modulus {abs(z_c)}")
 
+    rho = CorrelationFamily(poly, z)
     fam = CorrelationFamily(poly, z, degree=M - 1)
-    xi_full, _ = evaluate(poly, z)
     xi_lower = complex(np.polyval(poly.coeffs[:-1][::-1], z))
-    const = xi_lower / xi_full if constant_term == "consistent" else 1.0
-    trunc_gap = abs(z) * abs(xi_lower / xi_full - 1.0)
+    const = xi_lower / rho.xi if constant_term == "consistent" else 1.0
+    trunc_gap = abs(z) * abs(xi_lower / rho.xi - 1.0)
 
     levels = []
     for n in range(1, n_max + 1):
-        sup_r = 0.0
-        sup_b = 0.0
-        sup_rho = 0.0
+        sup_r = sup_b = 0.0
         probes = probe_anchor_sets(box, p, n, count=count)
         if not probes:
             raise ConfigError(f"no probe configuration fits level {n} in the box; "
                               f"lower n_max or raise the probe count")
-        for anchors in probes:
-            lhs = correlation(poly, z, anchors, degree=M)
+        lhs = rho(n, np.array(probes))
+        for anchors, value, error in zip(probes, lhs, rho.last_error):
             op, op_err = apply_ks_function(p, box, fam, n, anchors, M,
                                            strategy=strategy, order=order, seed=seed)
             rhs = z * (const + op) if n == 1 else z * op
-            sup_r = max(sup_r, abs(lhs.value - rhs))
-            sup_b = max(sup_b, lhs.error + abs(z) * op_err)
-            sup_rho = max(sup_rho, abs(lhs.value))
+            sup_r = max(sup_r, abs(value - rhs))
+            sup_b = max(sup_b, error + abs(z) * op_err)
+        sup_rho = max(abs(value) for value in lhs)
         sup_b = max(sup_b, 1e-15 * (abs(z) + sup_rho))  # roundoff floor
         levels.append(LevelResidual(n, sup_r, sup_b, trunc_gap if n == 1 else 0.0,
                                     len(probes), sup_rho))

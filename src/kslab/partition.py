@@ -17,7 +17,8 @@ Gauss-Seidel sweeps only finish a few Newton steps per root.
 
 Evaluation uses Horner in 80-bit extended precision together with the
 coefficient-magnitude sum as a condition estimate, which is what the zero
-residuals and near-pole guards are measured against.
+residuals and near-pole guards are measured against.  Correlations
+N(z; x)/Xi(z) and their error bounds all come from CorrelationFamily.
 """
 
 from __future__ import annotations
@@ -317,6 +318,22 @@ def mp_horner(b, db, x):
     return p, dp
 
 
+def newton_root(ctx, b, w):
+    """Root of sum b_m w^m near w by Newton in the arithmetic context ctx
+    (mpmath.fp, or mpmath.mp at the caller's precision), b ascending ctx
+    numbers: at most eight steps, ending once a step is below 10^(2-dps) |w|."""
+    db = [m * b[m] for m in range(1, len(b))]
+    for _ in range(8):
+        val, dval = mp_horner(b, db, w)
+        if dval == 0:
+            break
+        step = val / dval
+        w -= step
+        if abs(step) < ctx.mpf(10) ** (-ctx.dps + 2) * abs(w):
+            break
+    return w
+
+
 def _mp_aberth(b, max_sweeps=200, starts=None):
     """All roots of sum b_m w^m (b_0, b_deg nonzero) at the working precision.
 
@@ -561,22 +578,14 @@ def _mp_derivative_data(poly: PartitionPolynomial, z_c):
     cs = poly.mp_coefficients()
     if cs is None:
         return None
-    import mpmath as mp
+    from mpmath import mp
 
     with mp.workdps(max(60, 2 * poly.M + 20)):
         s = mp.mpf(poly.scale)
         b = [c * s**m for m, c in enumerate(cs)]
         db = [m * b[m] for m in range(1, len(b))]
-        ddb = [m * db[m] for m in range(1, len(db))]
-        w = mp.mpc(complex(z_c)) / s
-        for _ in range(6):
-            f = mp.polyval(b[::-1], w)
-            df = mp.polyval(db[::-1], w)
-            if df == 0:
-                break
-            w = w - f / df
-        dv = mp.polyval(db[::-1], w)
-        ddv = mp.polyval(ddb[::-1], w) if ddb else mp.mpf(0)
+        w = newton_root(mp, b, mp.mpc(complex(z_c)) / s)
+        dv, ddv = mp_horner(db, [m * db[m] for m in range(1, len(db))], w)
         cond = mp.fsum(abs(bm) * abs(w) ** m for m, bm in enumerate(b))
         cert = abs(dv) / (abs(w) * abs(ddv)) if ddv != 0 else mp.inf
         kappa = cond / (abs(w) * abs(dv)) if dv != 0 else mp.inf
@@ -646,14 +655,47 @@ class CorrelationValue:
     degree: int  # total z-degree kept in the numerator
 
 
-def correlation(poly: PartitionPolynomial, z, anchors, degree=None) -> CorrelationValue:
-    """n-point correlation rho(z; x_1..x_n) at truncation M.
+class CorrelationFamily:
+    """Correlations rho(z; x) at one activity as a vectorized anchored-function family.
 
-    The numerator keeps every term z^{n+m} A_m / m! with total degree
-    n + m <= degree (default M), all orders from one anchored_series call;
-    the denominator is the full Xi.  Anchors outside the box give zero.
-    Raises NearPole when z is numerically on a partition zero.
+    Evaluates rho(z; configs) for whole batches of configurations, with the
+    numerator truncated at total degree `degree` (default M): one
+    anchored_series call gives every A_j / j! of a batch, times the powers
+    z^(level + j), over the full Xi.  Each call leaves the per-row error
+    bound of its values in last_error: the anchored integrals' errors plus
+    |rho| times the table error inside Xi, over |Xi|.  Raises NearPole when
+    z is numerically on a partition zero.
     """
+
+    def __init__(self, poly: PartitionPolynomial, z, degree=None):
+        self.poly = poly
+        self.z = complex(z)
+        self.degree = poly.M if degree is None else int(degree)
+        self.xi, cond = evaluate(poly, z)
+        if abs(self.xi) <= 1e-10 * cond:
+            zc = smallest_zero(zeros(poly)).z_c
+            raise NearPole(f"Xi({z}) is numerically zero", z=z, nearest_zero=zc)
+        self.xi_err = float(np.polyval(poly.coeff_errors[::-1], abs(self.z)))
+        # correlations of a hard-core gas are zero on overlapping
+        # configurations, which licenses the rod-packing cutoff in the
+        # operator quadrature
+        self.vanishes_on_overlap = bool(poly.potential.has_hard_core)
+
+    def __call__(self, level, configs):
+        configs = np.asarray(configs, dtype=float)
+        nc = configs.shape[0]
+        jmax = min(self.poly.M, self.degree) - level  # below 0: no terms, all zero
+        S, E = anchored_series(self.poly.potential, self.poly.box,
+                               configs.reshape(nc, level, self.poly.box.dimension), jmax)
+        zpow = self.z ** (level + np.arange(jmax + 1))
+        values = S @ zpow / self.xi
+        self.last_error = (E @ np.abs(zpow) + np.abs(values) * self.xi_err) / abs(self.xi)
+        return values
+
+
+def correlation(poly: PartitionPolynomial, z, anchors, degree=None) -> CorrelationValue:
+    """n-point correlation rho(z; x_1..x_n) at total degree `degree` (default
+    M): one row of CorrelationFamily.  Anchors outside the box give zero."""
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     n = anchors.shape[0]
     if n < 1:
@@ -664,24 +706,9 @@ def correlation(poly: PartitionPolynomial, z, anchors, degree=None) -> Correlati
         raise ValueError("degree budget smaller than the anchor count")
 
     chi = 1.0 if poly.box.contains(anchors) else 0.0
-    xi, cond = evaluate(poly, z)
-    if abs(xi) <= 1e-10 * cond:
-        zc = smallest_zero(zeros(poly)).z_c
-        raise NearPole(f"Xi({z}) is numerically zero", z=z, nearest_zero=zc)
-
-    S, E = anchored_series(poly.potential, poly.box, anchors[None], min(poly.M, degree) - n)
-    num = 0.0 + 0.0j
-    num_err = 0.0
-    zlc = complex(z)
-    for m, (s, e) in enumerate(zip(S[0], E[0])):
-        num += zlc ** (n + m) * s
-        num_err += abs(zlc) ** (n + m) * e
-
-    # propagate both the numerator error and the table error inside Xi
-    xi_err = float(np.polyval(poly.coeff_errors[::-1], abs(zlc)))
-    value = num / xi
-    error = num_err / abs(xi) + abs(value) * xi_err / abs(xi)
-    return CorrelationValue(value, float(error), chi, n, zlc, degree)
+    fam = CorrelationFamily(poly, z, degree)
+    value = fam(n, anchors[None])[0]
+    return CorrelationValue(complex(value), float(fam.last_error[0]), chi, n, fam.z, degree)
 
 
 def numerator_coefficients(poly: PartitionPolynomial, anchors, degree=None):

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ContourError, Degenerate, InsufficientData
 from .ksop import KSMatrix
 from .partition import (PartitionPolynomial, evaluate, evaluate_derivative,
-                        horner, mp_horner, numerator_coefficients,
+                        horner, newton_root, numerator_coefficients,
                         scaled_coefficients, smallest_zero, zeros)
 
 _TIE_REL = 1e-9
@@ -113,7 +113,8 @@ def spectrum(ks: KSMatrix) -> Spectrum:
     v = (lam_s ** np.arange(ks.M - 1, -1, -1)).astype(complex)
     nu = np.array(_left_vector(b, lam_s), dtype=complex)
     pairing = complex(np.dot(nu, v))  # bilinear nu^T v, no conjugation
-    normalized = abs(pairing) > 1e-12 * np.linalg.norm(nu) * np.linalg.norm(v)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing pair is not normalized
+        normalized = abs(pairing) > 1e-12 * np.linalg.norm(nu) * np.linalg.norm(v)
     if normalized:
         nu = nu / pairing
     return Spectrum(lam, lam_c, lam2, dist, tie, v, nu, normalized, ks.scale)
@@ -228,23 +229,8 @@ def riesz_projection(mat, center, radius, n_start=64, n_max=1024,
 
 
 def _center(ctx, b, center):
-    """Companion eigenvalue near center, Newton-refined on Xi(w), w = 1/lam.
-
-    Runs in the arithmetic context ctx (mpmath.fp, or mpmath.mp at the
-    caller's precision); b are the scaled coefficients b_0..b_M as ctx
-    numbers.  Convergence is quadratic from a float64 seed.
-    """
-    db = [m * b[m] for m in range(1, len(b))]
-    w = 1 / ctx.mpc(center)
-    for _ in range(8):
-        val, dval = mp_horner(b, db, w)
-        if dval == 0:
-            break
-        step = val / dval
-        w -= step
-        if abs(step) < ctx.mpf(10) ** (-ctx.dps + 2) * abs(w):
-            break
-    return 1 / w
+    """Companion eigenvalue near center, refined as the root 1/lam of sum b_m w^m."""
+    return 1 / newton_root(ctx, b, 1 / ctx.mpc(center))
 
 
 def _closed_form(ctx, b, dvec, center):
@@ -347,7 +333,6 @@ def leading_projection(ks: KSMatrix, spec: Spectrum = None,
     when none certifies.
     """
     from mpmath import fp, mp
-    from scipy.linalg import matrix_balance
 
     if spec is None:
         spec = spectrum(ks)
@@ -356,8 +341,7 @@ def leading_projection(ks: KSMatrix, spec: Spectrum = None,
     center = spec.lam_c * ks.scale
     radius = 0.5 * spec.dist_gap * ks.scale
     b = scaled_coefficients(ks.coeffs, ks.scale)
-    _, T = matrix_balance(ks.scaled_matrix(), permute=False)
-    dvec = np.diag(T)
+    _, dvec = ks.balancing
     # (precision, arithmetic, working digits, certification threshold); the
     # mpmath rungs keep headroom below the target
     rungs = [("float64", fp, contextlib.nullcontext(), rtol)] + [

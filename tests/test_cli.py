@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -120,6 +121,42 @@ def test_box_past_float_range_exits_4(command, capsys):
     err = capsys.readouterr().err
     assert "numerical failure: scaled coefficients" in err
     assert "Traceback" not in err
+
+
+def test_wide_spectral_box_warns_nothing(tmp_path):
+    # at L = 80 the float64 eigenvector pair overflows and scipy's balancer
+    # casts an invalid value; neither may reach stderr as a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = run(tmp_path, "s.json", ["spectral", "--L", "80", "--M", "81"])
+    assert rc == 0
+    assert read_json(out)["projection"]["precision"] == "mp40"
+
+
+def test_exit_codes_over_a_grid(tmp_path, capsys):
+    # every run ends in a documented exit code, never a traceback, and each
+    # failure says why in one line on stderr; hard rods at L = 200 leave the
+    # float64 range (exit 4), and L = 40, M = 82 runs past close packing
+    boxes = [["--L", str(L), "--M", str(M)]
+             for L in (5, 40, 200) for M in (L + 1, 2 * L + 2)]
+    boxes += [["--potential", "ideal", "--L", "40", "--M", "41"]]
+    boxes += [["--potential", "step", "--a", "1", "--epsilon", "1", "--L", "5", "--M", str(M)]
+              for M in (6, 12)]
+    runs = [[command, *box] for box in boxes for command in ("zeros", "spectral")]
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    expected = {("zeros", "--L", "5", "--M", "6", "--cache-dir", str(empty)): 3,
+                ("zeros", "--L", "x", "--M", "6"): 2,
+                ("residual", "--L", "3,3", "--M", "4", "--z", "0.1", "--n-max", "1"): 2,
+                ("spectral", "--L", "5", "--M", "0"): 2}
+    runs += [list(argv) for argv in expected]
+    for i, argv in enumerate(runs):
+        rc = main(argv + ["--out", str(tmp_path / f"{i}.json")])
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3, 4), argv
+        assert rc == expected.get(tuple(argv), rc), argv
+        if rc:
+            assert len(err.splitlines()) == 1 and err.strip(), (argv, err)
 
 
 def test_spectral_deterministic_up_to_timestamp(tmp_path):

@@ -292,7 +292,8 @@ def test_pruned_nodes_are_the_nonzero_rows():
 
 def test_workload_residual_feeds_only_live_rows(monkeypatch, tmp_path):
     # the hard-rod residual of the benchmark's residual workload hands the
-    # family 111,942 node rows; the 743,136 overlap rows it used to receive
+    # operator's family 111,942 node rows, and the left side's family its
+    # 47 probe rows; the 743,136 overlap rows the operator used to receive
     # as well are zeros of the family and are no longer built
     from kslab.cli import main
 
@@ -306,24 +307,24 @@ def test_workload_residual_feeds_only_live_rows(monkeypatch, tmp_path):
     monkeypatch.setattr(CorrelationFamily, "__call__", counting)
     assert main(["residual", "--L", "5", "--M", "6", "--z", "0.2", "--n-max", "2",
                  "--order", "64", "--probes", "32", "--out", str(tmp_path / "r.json")]) == 0
-    assert sum(rows) == 111_942
+    assert sum(rows) == 111_942 + 47
 
 
 def test_residual_series_calls(monkeypatch, tmp_path):
     # the left side of the workload's hard-rod residual takes every order of
-    # a probe from one series call: 47 calls, one per probe (one per probe
-    # and order would be 275), and no nest pass.  On the step command every
-    # series call, left side or family, is one pass of the ordered-sector
-    # nest for its whole batch of rows
+    # all its probes from one family call per level: 2 calls (one per probe
+    # would be 47) and no nest pass.  Every family call, left side or
+    # operator, is one series call, and on the step command every series
+    # call is one pass of the ordered-sector nest for its whole batch of rows
     from kslab import integrals, partition
     from kslab.cli import main
 
-    calls = {"left": 0, "nest": 0, "family": 0}
+    calls = {"left": 0, "family": 0, "series": 0, "nest": 0}
     series, nest = partition.anchored_series, integrals._sector_series
     family = CorrelationFamily.__call__
 
-    def left(*args, **kwargs):
-        calls["left"] += 1
+    def counted_series(*args, **kwargs):
+        calls["series"] += 1
         return series(*args, **kwargs)
 
     def counted(*args, **kwargs):
@@ -331,21 +332,24 @@ def test_residual_series_calls(monkeypatch, tmp_path):
         return nest(*args, **kwargs)
 
     def family_call(self, level, configs):
-        calls["family"] += 1
+        # the left side's family keeps degree M, the operator's M - 1
+        calls["left" if self.degree == self.poly.M else "family"] += 1
         return family(self, level, configs)
 
-    monkeypatch.setattr(partition, "anchored_series", left)
+    monkeypatch.setattr(partition, "anchored_series", counted_series)
     monkeypatch.setattr(integrals, "_sector_series", counted)
     monkeypatch.setattr(CorrelationFamily, "__call__", family_call)
     out = str(tmp_path / "r.json")
     assert main(["residual", "--L", "5", "--M", "6", "--z", "0.2", "--n-max", "2",
                  "--order", "64", "--probes", "32", "--out", out]) == 0
-    assert calls["left"] == 47 and calls["nest"] == 0
-    calls.update(left=0, nest=0, family=0)
+    assert calls["left"] == 2 and calls["nest"] == 0
+    assert calls["series"] == calls["left"] + calls["family"]
+    calls.update(left=0, family=0, series=0, nest=0)
     assert main(["residual", "--potential", "step", "--a", "0.8", "--epsilon", "1.3",
                  "--L", "3", "--M", "3", "--z", "0.1", "--n-max", "1", "--order", "4",
                  "--probes", "1", "--out", out]) == 0
-    assert calls["family"] > 0 and calls["nest"] == calls["left"] + calls["family"]
+    assert calls["left"] == 1 and calls["family"] > 0
+    assert calls["nest"] == calls["series"] == calls["left"] + calls["family"]
 
 
 def test_step_residual_command(tmp_path):
@@ -369,20 +373,20 @@ def test_family_integral_error_enters_the_operator_bound(monkeypatch):
     # bound through the m = 1 term at least as |z| * sum |w kern| * delta
     # |z| / |Xi|, where sum |w kern| = (1 - e^{-beta eps}) * the window,
     # and every window is at least a long
-    from kslab import ksop
+    from kslab import partition
     from kslab.partition import assemble, evaluate
     from kslab.integrals import build_table
 
     p, z, delta = PairPotential.step(0.8, 1.3), 0.1, 1.0
     poly = assemble(build_table(p, Box((4.0,)), 4, order=12))
     plain = ks_residual(poly, z, 1, order=12, count=1).error_bound
-    series = ksop.anchored_series
+    series = partition.anchored_series
 
     def inflated(*args):
         S, E = series(*args)
         return S, E + delta
 
-    monkeypatch.setattr(ksop, "anchored_series", inflated)
+    monkeypatch.setattr(partition, "anchored_series", inflated)
     raised = ks_residual(poly, z, 1, order=12, count=1).error_bound
     xi = abs(evaluate(poly, z)[0])
     carried = z * (1.0 - math.exp(-1.3)) * 0.8 * delta * z / xi
