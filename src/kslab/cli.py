@@ -318,12 +318,20 @@ def cmd_claimcheck(args):
         oracle = IdealModel(box.volume)
 
     rows = []
+    spec = spectrum(ks)
     # default comparison activity: the claimed convergence radius 1/C
     xi = args.xi if args.xi is not None else (1.0 / C if C > 0 else None)
     if xi:
-        rad = spectral_radius_check(ks, xi)
+        rad = spectral_radius_check(ks, xi, spec)
         rows.append(claim_row("spectral radius vs 1/xi", rad["xi_inverse"],
                               rad["spectral_radius"], relation="at_most"))
+    # the paper's main consequence for positive potentials (the free gas claims
+    # no singularity): spectral radius 1/|z_c|, activity series radius |z_c|
+    singular = p.is_positive and p.family != "ideal"
+    if singular:
+        zc_mod = abs(smallest_zero(zeros(poly)).z_c)
+        rows.append(claim_row("spectral radius vs 1/|z_c|", 1.0 / zc_mod,
+                              spec.spectral_radius))
 
     # the finite-box series come from the table built above
     dens, pres, _ = (_series_pair(args) if args.extrapolate
@@ -338,6 +346,8 @@ def cmd_claimcheck(args):
         claimed_R = 1.0 / C if C > 0 else float("inf")
         rows.append(claim_row("activity series radius vs inverse kernel norm",
                               claimed_R, measured_R, oracle_R))
+        if singular:
+            rows.append(claim_row("activity series radius vs |z_c|", zc_mod, measured_R))
 
     if p.family == "ideal":
         # no claim of a singularity here: the zeros must recede as the

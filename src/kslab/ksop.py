@@ -72,9 +72,9 @@ class KSMatrix:
     def scaled_matrix(self):
         """Similarity-equivalent companion built on b_m = c_m * scale^m.
 
-        Its eigenvalues are scale times the unscaled ones; eigensolvers run
-        on this better-conditioned variant and divide out the scale.
-        Raises NumericalError when b leaves the float64 range.
+        Its eigenvalues are scale times the unscaled ones; the balanced
+        frame of the Laurent data starts from it.  Raises NumericalError
+        when b leaves the float64 range.
         """
         b = scaled_coefficients(self.coeffs, self.scale)
         out = np.zeros_like(self.matrix)
@@ -122,7 +122,7 @@ class KSMatrix:
         return path
 
 
-def build_ks_matrix(poly: PartitionPolynomial, scale=None) -> KSMatrix:
+def build_ks_matrix(poly: PartitionPolynomial) -> KSMatrix:
     """Companion matrix of the truncated operator from a partition polynomial."""
     if poly.M < 1:
         raise ConfigError("need M >= 1 to build the operator matrix")
@@ -131,7 +131,7 @@ def build_ks_matrix(poly: PartitionPolynomial, scale=None) -> KSMatrix:
     mat = np.zeros((M, M))
     mat[0, :] = -c[1:]
     mat[1:, :-1] = np.eye(M - 1)
-    return KSMatrix(mat, poly.scale if scale is None else float(scale), c.copy())
+    return KSMatrix(mat, poly.scale, c.copy())
 
 
 # -- anchored-function families -------------------------------------------------
@@ -167,10 +167,6 @@ def _kernel_window(p: PairPotential, box: Box, x1):
     return lo, hi
 
 
-def _static_breaks(p, box, anchors_1d, kmax):
-    return contact_lattice_rows(box.extents[0], p.interaction_range, kmax, anchors_1d[None])[0]
-
-
 def _ordered_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax, prune=False):
     """Node rows and weights for the ordered sector y_1 <= ... <= y_m in the window.
 
@@ -185,7 +181,7 @@ def _ordered_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax, prune=F
     if window is None:
         return np.empty((0, m)), np.empty(0)
     a = p.interaction_range
-    static = _static_breaks(p, box, np.append(rest_coords, x1), kmax)[None]
+    static = contact_lattice_rows(box.extents[0], a, kmax, np.append(rest_coords, x1)[None])
     *_, (rows, weights, _) = ordered_sector(
         np.array(window[:1]), np.array(window[1:]), static, a, [order] + [inner_order] * (m - 1),
         gap=a if prune else 0.0, exclude=rest_coords[None] if prune else None, budget=math.inf)

@@ -5,11 +5,13 @@ The finite-truncation partition function is the polynomial
     Xi(z) = sum_{m=0..M} c_m z^m,   c_m = Z_m / m!,
 
 assembled from an integral table.  Everything downstream hangs off its
-zeros, so the zero finder is deliberately careful: balanced companion
-eigenvalues, an Aberth-Ehrlich polish to small scaled residuals, enforced
-conjugate symmetry, and, when the companion matrix still spans too many
-orders of magnitude or the smallest zero is too ill-conditioned for
-float64 coefficients, an Aberth-Ehrlich iteration in mpmath.  That pass is
+zeros, so the zero finder is deliberately careful.  Its one float64 root
+stage, float_roots, takes balanced companion eigenvalues, an Aberth-Ehrlich
+polish to scaled residual _POLISH_TOL and enforced conjugate symmetry; the
+operator's spectrum reads its eigenvalues 1/z from the same stage.  When
+the companion matrix spans too many orders of magnitude or the smallest
+zero is too ill-conditioned for float64 coefficients, the zeros come from
+an Aberth-Ehrlich iteration in mpmath instead.  That pass is
 seeded by Jacobi Aberth sweeps in double-double arithmetic (Dekker 1971),
 vectorized over all roots from the circles of the coefficients' Newton
 polygon (Bini 1996; Bini and Robol, MPSolve, 2014), so the mpmath
@@ -222,28 +224,6 @@ def _scaled_residual(b, w):
     """|p(w)| relative to the accumulated coefficient magnitude at w."""
     acc, mag, _ = horner(b, w, magnitude=True)
     return (np.abs(acc) / (mag + np.longdouble(1e-300))).astype(float)
-
-
-def _aberth_polish(b, roots, tol=1e-12, max_iter=60):
-    """Aberth-Ehrlich refinement of all roots of sum b_m w^m simultaneously."""
-    deg = len(b) - 1
-    db = b[1:] * np.arange(1, deg + 1)
-    w = roots.astype(complex).copy()
-    for _ in range(max_iter):
-        pv, mag, E = horner(b, w, magnitude=True)
-        dv = horner(db, w)
-        res = (np.abs(pv) / (mag + np.longdouble(1e-300))).astype(float)
-        pv = pv * np.ldexp(np.longdouble(1), E)
-        newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0).astype(complex)
-        if res.max() <= tol:
-            break
-        diff = w[:, None] - w[None, :]
-        np.fill_diagonal(diff, np.inf)
-        sums = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - newton * sums
-        step = np.where(np.abs(denom) > 1e-30, newton / denom, newton)
-        w = w - step
-    return w, _scaled_residual(b, w)
 
 
 def _pair_conjugates(w):
@@ -493,40 +473,70 @@ def _dd_aberth_seeds(b):
             for i in range(deg)]
 
 
-def zeros(poly: PartitionPolynomial, polish_tol=1e-12) -> ZeroSet:
-    """All zeros of Xi, polished to scaled residual <= polish_tol.
+_POLISH_TOL = 1e-15  # scaled residual the float64 root stage polishes to
+_POLISH_SWEEPS = 60
 
-    Balanced companion eigenvalues seed an Aberth-Ehrlich iteration on the
-    activity-rescaled coefficients.  The roots come instead from an
-    Aberth-Ehrlich iteration in mpmath at max(60, 2 deg + 20) digits when
-    the balanced companion has entry dynamic range past 1e14, or when the
-    exact coefficients exist and the smallest root's conditioning times
-    float64 unit roundoff passes 1e-10.  That iteration starts from
-    double-double seeds (_dd_aberth_seeds), or from the circles of the
-    coefficients' Newton polygon when those do not fit in float64.  Raises
-    NumericalError when it does not converge, or when the scaled
-    coefficients leave the float64 range.
+
+def float_roots(b):
+    """All roots of sum b_m w^m (b ascending, b_deg != 0): the float64 root stage.
+
+    Companion eigenvalues (LAPACK balances the matrix), refined together by
+    Aberth-Ehrlich sweeps until every scaled residual is <= _POLISH_TOL or
+    for _POLISH_SWEEPS sweeps, then paired into exact conjugates.  A step
+    that is not finite (values past the float64 range on wide boxes) is not
+    taken.  zeros' lapack route returns these roots times the scale, and
+    spectrum's eigenvalues are their reciprocals.
     """
-    b = poly.scaled_coeffs()
-    # strip exactly-vanishing leading coefficients (smaller boxes cut the degree)
-    deg = poly.M
-    while deg > 0 and b[deg] == 0.0:
-        deg -= 1
-    if deg == 0:
-        raise Degenerate("partition polynomial has no zeros: degree 0 after stripping")
-    b = b[: deg + 1]
-
+    deg = len(b) - 1
     comp = np.zeros((deg, deg))
     comp[0, :] = -b[:-1][::-1] / b[-1]
     comp[1:, :-1] = np.eye(deg - 1)
-    # routing on the raw entry range: LAPACK balances internally on the eig
-    # path, and scipy's explicit balancer breaks down past ~1e50 anyway
-    nz = np.abs(comp[comp != 0.0])
-    dynamic = nz.max() / nz.min() if nz.size else 1.0
+    w = np.linalg.eigvals(comp).astype(complex)
+    db = b[1:] * np.arange(1, deg + 1)
+    with np.errstate(all="ignore"):
+        for _ in range(_POLISH_SWEEPS):
+            pv, mag, E = horner(b, w, magnitude=True)
+            if (np.abs(pv) / (mag + np.longdouble(1e-300))).max() <= _POLISH_TOL:
+                break
+            dv = horner(db, w)
+            pv = pv * np.ldexp(np.longdouble(1), E)
+            newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0).astype(complex)
+            diff = w[:, None] - w[None, :]
+            np.fill_diagonal(diff, np.inf)
+            denom = 1.0 - newton * (1.0 / diff).sum(axis=1)
+            step = np.where(np.abs(denom) > 1e-30, newton / denom, newton)
+            w = w - np.where(np.isfinite(step), step, 0)
+    return _pair_conjugates(w)
+
+
+def zeros(poly: PartitionPolynomial) -> ZeroSet:
+    """All zeros of Xi.
+
+    On the lapack route they come from float_roots on the activity-rescaled
+    coefficients.  They come instead from an Aberth-Ehrlich iteration in
+    mpmath at max(60, 2 deg + 20) digits when the companion has entry
+    dynamic range past 1e14, or when the exact coefficients exist and the
+    smallest root's conditioning times float64 unit roundoff passes 1e-10.
+    That iteration starts from double-double seeds (_dd_aberth_seeds), or
+    from the circles of the coefficients' Newton polygon when those do not
+    fit in float64.  Raises NumericalError when it does not converge, or
+    when the scaled coefficients leave the float64 range.
+    """
+    # strip exactly-vanishing leading coefficients (smaller boxes cut the degree)
+    b = np.trim_zeros(poly.scaled_coeffs(), "b")
+    deg = len(b) - 1
+    if deg < 1:
+        raise Degenerate("partition polynomial has no zeros: degree 0 after stripping")
+    # routing on the raw companion entry range, the ratios b_m / b_deg and the
+    # subdiagonal's ones: LAPACK balances internally on the eig path, and
+    # scipy's explicit balancer breaks down past ~1e50 anyway
+    ratio = np.abs(b[:-1] / b[-1])
+    ratio = np.append(ratio[ratio != 0], [1.0] * (deg > 1))
+    dynamic = ratio.max() / ratio.min() if ratio.size else 1.0
 
     w, kappa, method = None, math.inf, "lapack"
     if dynamic <= 1e14:
-        w, _ = _aberth_polish(b, np.linalg.eigvals(comp), tol=polish_tol)
+        w = float_roots(b)
         x = w[np.argmin(np.abs(w))]
         _, mag, E = horner(b, x, magnitude=True)
         kappa = np.ldexp(mag, E) / abs(x * horner(b[1:] * np.arange(1, deg + 1), x))
@@ -547,9 +557,8 @@ def zeros(poly: PartitionPolynomial, polish_tol=1e-12) -> ZeroSet:
                 method = "mpmath"
             if method != "lapack":
                 raw = _mp_aberth(bmp, starts=_dd_aberth_seeds(bmp))
-                w = np.array([complex(r) for r in raw])
+                w = _pair_conjugates(np.array([complex(r) for r in raw]))
 
-    w = _pair_conjugates(w)
     res = _scaled_residual(b, w)
     zs = w * poly.scale
     order = np.lexsort((zs.imag, zs.real, np.abs(zs)))

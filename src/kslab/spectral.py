@@ -1,7 +1,8 @@
 """Spectral analysis of the operator matrix.
 
-Eigenvalues are computed in the rescaled companion frame and mapped back;
-the leading eigenvalue's Laurent data (projection, reduced resolvent,
+Eigenvalues are 1/z for the roots z of partition.float_roots, the float64
+root stage of zeros' lapack route, so lam_c z_c = 1 to one rounding there.
+The leading eigenvalue's Laurent data (projection, reduced resolvent,
 nilpotent part) are computed and reported in the balanced frame, where
 norm ratios are meaningful.  The resolvent sign convention is
 
@@ -32,11 +33,10 @@ import numpy as np
 from .errors import ContourError, Degenerate, InsufficientData
 from .ksop import KSMatrix
 from .partition import (PartitionPolynomial, evaluate, evaluate_derivative,
-                        horner, newton_root, numerator_coefficients,
+                        float_roots, newton_root, numerator_coefficients,
                         scaled_coefficients, smallest_zero, zeros)
 
 _TIE_REL = 1e-9
-_LONG = np.clongdouble
 
 
 @dataclass
@@ -73,35 +73,17 @@ def _left_vector(b, lam):
     return nu
 
 
-def _polish_reciprocal(lam_scaled, b):
-    """Newton-polish companion eigenvalues through w = 1/lam.
-
-    The characteristic polynomial evaluated in lam suffers catastrophic
-    cancellation when the coefficients span many decades; Xi(w) at
-    w = 1/lam is well conditioned instead.  Steps are kept only when they
-    shrink |Xi| (extended precision throughout).
-    """
-    dbl = (b.astype(_LONG) * np.arange(len(b)))[1:]
-    out = lam_scaled.astype(complex).copy()
-    live = np.abs(out) > 1e-12 * max(1.0, np.abs(out).max())
-    w = np.zeros_like(out, dtype=_LONG)
-    w[live] = 1.0 / out[live].astype(_LONG)
-    for _ in range(3):
-        val = horner(b, w)
-        dval = horner(dbl, w)
-        ok = live & (np.abs(dval) > 0)
-        step = np.where(ok, val / np.where(dval == 0, 1, dval), 0)
-        w_try = w - step
-        better = np.abs(horner(b, w_try)) < np.abs(val)
-        w = np.where(ok & better, w_try, w)
-    out[live] = (1.0 / w[live]).astype(complex)
-    return out
-
-
 def spectrum(ks: KSMatrix) -> Spectrum:
-    """Polished eigenvalues of the operator matrix, the leading pair identified."""
+    """Eigenvalues of the operator matrix, the leading pair identified.
+
+    The companion's characteristic polynomial is lam^M Xi(1/lam), so its
+    eigenvalues are 1/(w scale) for the roots w that partition.float_roots
+    gives zeros' lapack route, plus an exact 0 per stripped degree.
+    """
     b = scaled_coefficients(ks.coeffs, ks.scale)
-    lam = _polish_reciprocal(np.linalg.eigvals(ks.scaled_matrix()), b) / ks.scale
+    w = float_roots(np.trim_zeros(b, "b"))
+    # + 0 turns the -0j of 1/(x + 0j), x < 0, back into +0j
+    lam = np.append(1 / (w * ks.scale), np.zeros(ks.M - len(w), dtype=complex)) + 0
     order = np.lexsort((lam.imag, lam.real, -np.abs(lam)))
     lam = lam[order]
     lam_c = complex(lam[0])
@@ -110,10 +92,10 @@ def spectrum(ks: KSMatrix) -> Spectrum:
     tie = len(rest) > 0 and (abs(lam_c) - lam2) <= _TIE_REL * abs(lam_c)
     dist = float(np.min(np.abs(rest - lam_c))) if len(rest) else math.inf
     lam_s = lam_c * ks.scale
-    v = (lam_s ** np.arange(ks.M - 1, -1, -1)).astype(complex)
-    nu = np.array(_left_vector(b, lam_s), dtype=complex)
-    pairing = complex(np.dot(nu, v))  # bilinear nu^T v, no conjugation
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing pair is not normalized
+        v = (lam_s ** np.arange(ks.M - 1, -1, -1)).astype(complex)
+        nu = np.array(_left_vector(b, lam_s), dtype=complex)
+        pairing = complex(np.dot(nu, v))  # bilinear nu^T v, no conjugation
         normalized = abs(pairing) > 1e-12 * np.linalg.norm(nu) * np.linalg.norm(v)
     if normalized:
         nu = nu / pairing

@@ -318,12 +318,31 @@ def test_claimcheck_hard_rods_rows(tmp_path):
     assert rc == 0
     doc = read_json(out)
     by_q = {r["quantity"]: r for r in doc["rows"]}
-    assert len(by_q) == 4
+    assert len(by_q) == 6
     # the operator norm bounds nothing about the true leading eigenvalue here
     assert by_q["spectral radius vs 1/xi"]["verdict"] == "inconsistent"
     assert by_q["density series sign pattern"]["verdict"] == "consistent"
     assert by_q["virial radius vs half inverse kernel norm"]["relation"] == "at_least"
     assert "policy" in doc
+
+
+def test_claimcheck_main_consequence_rows(tmp_path):
+    # for a positive potential the spectral radius is 1/|z_c| and the
+    # activity series radius is |z_c|; at L = 5 the 14-term Domb-Sykes
+    # estimate sits 2.3 % below |z_c|, inside 3 uncertainties
+    rc, out = run(tmp_path, "cc.json",
+                  ["claimcheck", "--L", "5", "--M", "6", "--terms", "14"])
+    assert rc == 0
+    by_q = {r["quantity"]: r for r in read_json(out)["rows"]}
+    spec = by_q["spectral radius vs 1/|z_c|"]
+    assert spec["relation"] == "equals"
+    assert spec["claimed"] == pytest.approx(2.3997158, rel=1e-7)
+    assert spec["measured"] == pytest.approx(spec["claimed"], rel=1e-15)
+    assert spec["verdict"] == "consistent"
+    series = by_q["activity series radius vs |z_c|"]
+    assert series["claimed"] == pytest.approx(0.41671601, rel=1e-7)
+    assert series["measured"] == pytest.approx(0.4074, rel=1e-3)
+    assert series["verdict"] == "inconclusive"
 
 
 def test_cluster_extrapolated_source(tmp_path, capsys):

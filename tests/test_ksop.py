@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from kslab.errors import ConfigError
-from kslab.integrals import Box, build_table, gauss_legendre, panel_rule
+from kslab.integrals import Box, build_table, contact_lattice_rows, gauss_legendre, panel_rule
 from kslab.ksop import (
     CallableFamily,
     CorrelationFamily,
     _kernel_window,
     _ordered_nodes,
-    _static_breaks,
     apply_ks_function,
     build_ks_matrix,
     dxi_norm,
@@ -201,7 +200,7 @@ def _recursive_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax):
     lo, hi = window
     r = p.interaction_range
     anchor_pts = np.append(rest_coords, x1)
-    pts = sorted(set(_static_breaks(p, box, anchor_pts, kmax))
+    pts = sorted(set(contact_lattice_rows(box.extents[0], r, kmax, anchor_pts[None])[0])
                  | {float(c) for c in anchor_pts if 0.0 < c < box.extents[0]})
     # rounding twins merge as in contact_lattice_rows
     static = [c for i, c in enumerate(pts)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,35 @@ def test_float64_closed_form_matches_dense_contour(box):
                            0.5 * spec.dist_gap * ks.scale)
     assert np.linalg.norm(rz.P - ref.P) <= 1e-12 * np.linalg.norm(ref.P)
     assert np.linalg.norm(rz.S - ref.S) <= 1e-11 * np.linalg.norm(ref.S)
+
+
+@pytest.mark.parametrize("box", sorted(_FLOAT_BOXES))
+def test_spectrum_and_zeros_share_one_root_stage(box):
+    # the operator's eigenvalues are the reciprocals of the very roots zeros
+    # reports, so lam_c z_c = 1 to the rounding of one division
+    poly = _FLOAT_BOXES[box]()
+    zs = zeros(poly)
+    assert zs.method == "lapack"
+    spec = spectrum(build_ks_matrix(poly))
+    assert abs(spec.lam_c * smallest_zero(zs).z_c - 1) <= 1e-15
+    lam = spec.eigenvalues[spec.eigenvalues != 0]
+    assert len(lam) == len(zs.zeros)
+    for l in lam:
+        assert np.min(np.abs(l - 1 / zs.zeros)) <= 1e-15 * abs(l)
+
+
+@pytest.mark.parametrize("L", [120.0, 150.0])
+def test_wide_box_spectrum_warns_nothing(L):
+    # the float64 pair lam^k and its pairing overflow on these boxes (in the
+    # dot product at L = 120, in the power at L = 150); the pair then reads
+    # not normalized, and no RuntimeWarning escapes
+    ks = build_ks_matrix(make_tonks(L))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = spectrum(ks)
+    assert not spec.normalized
+    assert np.all(np.isfinite(spec.eigenvalues))
+    assert len(spec.eigenvalues) == ks.M
 
 
 @pytest.mark.parametrize("L", [20.0, 40.0])
