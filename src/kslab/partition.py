@@ -11,11 +11,10 @@ polish to scaled residual _POLISH_TOL and enforced conjugate symmetry; the
 operator's spectrum reads its eigenvalues 1/z from the same stage.  When
 the companion matrix spans too many orders of magnitude or the smallest
 zero is too ill-conditioned for float64 coefficients, the zeros come from
-an Aberth-Ehrlich iteration in mpmath instead.  That pass is
-seeded by Jacobi Aberth sweeps in double-double arithmetic (Dekker 1971),
-vectorized over all roots from the circles of the coefficients' Newton
-polygon (Bini 1996; Bini and Robol, MPSolve, 2014), so the mpmath
-Gauss-Seidel sweeps only finish a few Newton steps per root.
+an Aberth-Ehrlich iteration in extended precision instead (Bini and
+Robol, MPSolve, 2014).  That pass starts from the float64 roots and
+evaluates p and p' by fixed_horner, a fixed-point Horner on Python
+integers, so mpmath only carries the roots between sweeps.
 
 Evaluation uses Horner in 80-bit extended precision together with the
 coefficient-magnitude sum as a condition estimate, which is what the zero
@@ -139,11 +138,11 @@ def horner(c, w, magnitude=False):
     With magnitude the triple (value, mag, E) is returned: mag = sum_m
     |c_m| |w|^m is accumulated the same way in longdouble, and value and
     mag are both divided by 2^E per point, E = floor(max_m log2 |c_m||w|^m).
-    As in _dd_horner, w runs as 2^-k w, k the binary exponent of |w|, and
-    c_m as 2^(m k - E) c_m.  Both shifts are exact, so every intermediate
-    is 2^-E times the unscaled one: value / mag is unchanged wherever the
-    unscaled sums fit, and stays finite past |w|^deg ~ 1e4932, where they
-    overflow even longdouble.
+    As in fixed_horner, w runs as 2^-k w, k the binary exponent of |w|,
+    and c_m as 2^(m k - E) c_m.  Both shifts are exact, so every
+    intermediate is 2^-E times the unscaled one: value / mag is unchanged
+    wherever the unscaled sums fit, and stays finite past |w|^deg ~ 1e4932,
+    where they overflow even longdouble.
     """
     x = np.asarray(w, dtype=_LONG)
     if not magnitude:
@@ -298,13 +297,11 @@ def mp_horner(b, db, x):
     return p, dp
 
 
-def newton_root(ctx, b, w):
-    """Root of sum b_m w^m near w by Newton in the arithmetic context ctx
-    (mpmath.fp, or mpmath.mp at the caller's precision), b ascending ctx
-    numbers: at most eight steps, ending once a step is below 10^(2-dps) |w|."""
-    db = [m * b[m] for m in range(1, len(b))]
+def _newton(ctx, pdp, w):
+    """Root near w by Newton in the arithmetic context ctx, pdp(w) = (p, p'):
+    at most eight steps, ending once a step is below 10^(2-dps) |w|."""
     for _ in range(8):
-        val, dval = mp_horner(b, db, w)
+        val, dval = pdp(w)
         if dval == 0:
             break
         step = val / dval
@@ -314,49 +311,144 @@ def newton_root(ctx, b, w):
     return w
 
 
+def newton_root(ctx, b, w):
+    """Root of sum b_m w^m near w by Newton in the arithmetic context ctx
+    (mpmath.fp, or mpmath.mp at the caller's precision), b ascending ctx
+    numbers, with p and p' from mp_horner."""
+    db = [m * b[m] for m in range(1, len(b))]
+    return _newton(ctx, lambda x: mp_horner(b, db, x), w)
+
+
+# -- fixed-point Horner on Python integers -------------------------------------
+
+_GUARD_BITS = 16  # fraction bits of fixed_horner past the working precision
+
+
+def fixed_terms(b):
+    """Coefficients for fixed_horner: the signed mantissas, binary exponents
+    and float log2 |b_m| (-inf at 0) of real mpmath numbers b_m = man 2^exp."""
+    from mpmath import mp
+
+    mans, exps = [], []
+    for sign, man, exp, _ in (mp.mpf(bm)._mpf_ for bm in b):
+        mans.append(-man if sign else man)
+        exps.append(exp)
+    log2b = np.array([math.log2(abs(m)) + e if m else -math.inf for m, e in zip(mans, exps)])
+    return mans, exps, log2b
+
+
+def _shift(n, e):
+    """The integer n times 2^e, rounded down."""
+    return n << e if e >= 0 else n >> -e
+
+
+def _fixed(v, e):
+    """The mpf v times 2^e, rounded down to an integer."""
+    sign, man, x, _ = v._mpf_
+    return _shift(-man if sign else man, x + e)
+
+
+def fixed_horner(terms, x, second=False):
+    """Horner for p = sum b_m x^m, b real and x an mpc, on Python integers.
+
+    terms = fixed_terms(b).  As in horner(magnitude=True), x runs as
+    w = 2^-k x, k the binary exponent of |x|, and b_m as 2^(m k - E) b_m,
+    E = floor(max_m log2 |b_m| |x|^m).  Both shifts are exact, so |w| < 1,
+    no term exceeds 2 and a fixed point with f = mp.prec + _GUARD_BITS
+    fraction bits keeps the working precision of the largest term.  One
+    loop accumulates p, p' and, with second, p''/2.  Returns
+    (k, E, mag, w, acc): mag = 2^-E sum_m |b_m| |x|^m in float, w and the
+    accumulators acc = [2^-E p(x), 2^(k-E) p'(x)(, 2^(2k-E) p''(x)/2)] as
+    pairs (re, im) of integers in units of 2^-f.
+    """
+    from mpmath import mp
+
+    mans, exps, log2b = terms
+    ax = abs(complex(x))
+    k = math.frexp(ax)[1]
+    l2 = log2b + np.arange(len(mans)) * (math.log2(ax) if ax else 0.0)
+    E = math.floor(l2.max())
+    f = mp.prec + _GUARD_BITS
+    wr, wi = _fixed(x.real, f - k), _fixed(x.imag, f - k)
+    ws, wd = wr + wi, wi - wr  # (a + ib) w in three products
+    pr = pi = dr = di = sr = si = 0
+    shift = f - E + k * len(mans)
+    for man, exp in zip(mans[::-1], exps[::-1]):
+        shift -= k
+        c = _shift(man, exp + shift)
+        # [s, d, p] <- [s w + d, d w + p, p w + b_m]
+        if second:
+            t = (sr + si) * wr
+            sr, si = ((t - si * ws) >> f) + dr, ((t + sr * wd) >> f) + di
+        t = (dr + di) * wr
+        dr, di = ((t - di * ws) >> f) + pr, ((t + dr * wd) >> f) + pi
+        t = (pr + pi) * wr
+        pr, pi = ((t - pi * ws) >> f) + c, (t + pr * wd) >> f
+    acc = [(pr, pi), (dr, di)] + [(sr, si)] * second
+    return k, E, float(np.sum(np.exp2(l2 - E))), (wr, wi), acc
+
+
+def fixed_values(terms, x):
+    """(p(x), p'(x), p''(x)) as mpc at the working precision, from fixed_horner."""
+    from mpmath import mp
+
+    k, E, _, _, acc = fixed_horner(terms, x, second=True)
+    f = mp.prec + _GUARD_BITS
+    out = []
+    for j, (re, im) in enumerate(acc):  # p^(j)(x) = j! 2^(E - j k) acc_j
+        n, e = math.factorial(j), E - j * k - f
+        out.append(mp.mpc(mp.mpf((n * re, e)), mp.mpf((n * im, e))))
+    return out
+
+
 def _mp_aberth(b, max_sweeps=200, starts=None):
-    """All roots of sum b_m w^m (b_0, b_deg nonzero) at the working precision.
+    """All roots of sum b_m w^m (b real, b_0, b_deg != 0) at the working precision.
 
     Gauss-Seidel Aberth-Ehrlich sweeps from starts (default: the Newton
-    polygon's).  Only p and p' are evaluated in mpmath; the repulsion
-    sum_j 1/(w_i - w_j) and the magnitude sum_m |b_m| |w|^m come from a
-    complex128 copy of the roots, as both only need a few digits.  A root
-    is frozen once its Horner residual reaches the rounding level of the
-    evaluation, (deg + 1) eps sum_m |b_m| |w|^m, or its correction drops
-    below eps |w|; the iteration raises NumericalError when some root is
-    still moving after max_sweeps.
+    polygon's), all in fixed_horner's integers: the step p / (p' - p S) at
+    root w_i, with the repulsion S = sum_j 1/(w_i - w_j) from a complex128
+    copy of the roots, as it only needs a few digits.  A root is frozen
+    once its residual reaches the rounding level of the evaluation,
+    (deg + 1) eps sum_m |b_m| |w|^m, or its correction drops below eps |w|;
+    the iteration raises NumericalError when some root is still moving
+    after max_sweeps.
     """
     from mpmath import mp
 
     deg = len(b) - 1
-    db = [m * b[m] for m in range(1, deg + 1)]
-    eps = mp.eps
-    # the magnitude sum is 2^e sum_m 2^(l_m - e), l_m = log2 |b_m| |w|^m, so
-    # neither |b_m| nor |w|^m has to fit in a float
-    log2b = np.array([float(mp.log(abs(bm), 2)) for bm in b])
-    powers = np.arange(deg + 1)
+    f = mp.prec + _GUARD_BITS
+    terms = fixed_terms(b)
     w = list(_newton_polygon_starts(b) if starts is None else starts)
     wc = np.array([complex(x) for x in w])
     live = list(range(deg))
     for _ in range(max_sweeps):
         still = []
         for i in live:
-            x = w[i]
-            p, dp = mp_horner(b, db, x)
-            l2 = log2b + powers * math.log2(abs(wc[i]))
-            e = math.floor(l2.max())
-            if abs(p) <= (deg + 1) * eps * mp.ldexp(float(np.sum(np.exp2(l2 - e))), e):
+            k, _, mag, (wr, wi), ((pr, pi), (dr, di)) = fixed_horner(terms, w[i])
+            # |p| <= (deg + 1) eps mag with eps = 2^(1 - prec), in units of 2^-f
+            tol = int(math.ldexp((deg + 1) * mag, _GUARD_BITS + 1))
+            if pr * pr + pi * pi <= tol * tol:
                 continue
-            if dp == 0:
-                still.append(i)
-                continue
-            newton = p / dp
             d = wc[i] - wc
             d[i] = np.inf
-            step = newton / (1 - newton * complex(np.sum(1.0 / d)))
-            w[i] = x - step
+            rep = complex(np.sum(1.0 / d))
+            # S = (rr + i ri) 2^e with 60-bit integers
+            e = math.frexp(abs(rep))[1] - 60
+            rr, ri = int(math.ldexp(rep.real, -e)), int(math.ldexp(rep.imag, -e))
+            # the step p / (p' - p S), in units of 2^k: q / (dq - q S 2^k)
+            cr = dr - _shift(pr * rr - pi * ri, e + k)
+            ci = di - _shift(pr * ri + pi * rr, e + k)
+            den = cr * cr + ci * ci
+            if den == 0:
+                still.append(i)
+                continue
+            sr = ((pr * cr + pi * ci) << f) // den
+            si = ((pi * cr - pr * ci) << f) // den
+            wr, wi = wr - sr, wi - si
+            w[i] = mp.mpc(mp.mpf((wr, k - f)), mp.mpf((wi, k - f)))
             wc[i] = complex(w[i])
-            if abs(step) > eps * abs(w[i]):
+            # |step| > eps |w|
+            if (sr * sr + si * si) << (2 * mp.prec - 2) > wr * wr + wi * wi:
                 still.append(i)
         live = still
         if not live:
@@ -364,113 +456,6 @@ def _mp_aberth(b, max_sweeps=200, starts=None):
     raise NumericalError(
         f"Aberth iteration left {len(live)} of {deg} roots unconverged after "
         f"{max_sweeps} sweeps at {mp.dps} digits")
-
-
-# -- double-double seeds (Dekker 1971) -----------------------------------------
-
-_SPLIT = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
-_DD_EPS = 2.0**-104
-_DD_SWEEPS = 30
-_MINUS_PLUS = np.array([[-1.0], [1.0]])  # (re, im) signs of the cross terms
-
-
-def _dd_add(x, y):
-    """x + y for double-doubles x = (hi, lo): two-sum, then renormalize."""
-    s = x[0] + y[0]
-    v = s - x[0]
-    e = ((x[0] - (s - v)) + (y[0] - v)) + (x[1] + y[1])
-    h = s + e
-    return h, e - (h - s)
-
-
-def _dd_mul(x, y):
-    """x * y for double-doubles: Dekker's two-product, no fused multiply-add."""
-    p = x[0] * y[0]
-    t, u = _SPLIT * x[0], _SPLIT * y[0]
-    ah, bh = t - (t - x[0]), u - (u - y[0])
-    al, bl = x[0] - ah, y[0] - bh
-    e = (((ah * bh - p) + ah * bl + al * bh) + al * bl) + (x[0] * y[1] + x[1] * y[0])
-    h = p + e
-    return h, e - (h - p)
-
-
-def _dd_cmul(x, w):
-    """x * w for complex double-doubles; axis -2 is (re, im), w is (2, n)."""
-    i, j = [0, 1, 0, 1], [0, 1, 1, 0]
-    ph, pl = _dd_mul((x[0][..., i, :], x[1][..., i, :]), (w[0][j], w[1][j]))
-    # re = xr wr - xi wi, im = xr wi + xi wr
-    return _dd_add((ph[..., ::2, :], pl[..., ::2, :]),
-                   (_MINUS_PLUS * ph[..., 1::2, :], _MINUS_PLUS * pl[..., 1::2, :]))
-
-
-def _dd_horner(bh, bl, w):
-    """Scaled p and p' of p = sum b_m w^m at complex double-double points.
-
-    b = bh + bl ascending; w = (hi, lo), each (2, n): real and imaginary
-    parts.  Per point, w' = 2^-k w with k the binary exponent of |w|, and
-    b_m becomes 2^(m k - E) b_m with E = floor(max_m log2 |b_m| |w|^m).
-    Both shifts are exact and keep q(w') = 2^-E p(w) near 1, with no
-    overflow for |w| from 1e-3 to past 1e24.  Returns (q, dq, mag, k, E):
-    q and dq = dq/dw' = 2^(k-E) p'(w) as double-doubles of shape (2, n),
-    and mag = 2^-E sum_m |b_m| |w|^m in float64.
-    """
-    n = w[0].shape[1]
-    m = np.arange(len(bh))[:, None]
-    absw = np.hypot(w[0][0], w[0][1])
-    k = np.frexp(absw)[1]
-    with np.errstate(divide="ignore"):
-        E = np.floor(np.max(np.log2(np.abs(bh))[:, None] + m * np.log2(absw), axis=0))
-    shift = m * k - E.astype(int)
-    Bh, Bl = np.ldexp(bh[:, None], shift), np.ldexp(bl[:, None], shift)
-    ws = (np.ldexp(w[0], -k), np.ldexp(w[1], -k))
-    mag = np.sum(np.abs(Bh) * np.ldexp(absw, -k) ** m, axis=0)
-    acc, zero = (np.zeros((2, 2, n)), np.zeros((2, 2, n))), np.zeros(n)
-    for bm, bml in zip(Bh[::-1], Bl[::-1]):
-        # [p, dp] <- [p w' + b_m, dp w' + p]
-        acc = _dd_add(_dd_cmul(acc, ws), (np.array([[bm, zero], acc[0][0]]),
-                                          np.array([[bml, zero], acc[1][0]])))
-    return (acc[0][0], acc[1][0]), (acc[0][1], acc[1][1]), mag, k, E
-
-
-def _dd_aberth_seeds(b):
-    """Starts for _mp_aberth from Jacobi Aberth sweeps in double-double.
-
-    All roots move at once from the Newton-polygon starts, p and p' by
-    _dd_horner, the repulsion in complex128.  A root stops once its
-    residual reaches (deg + 1) 2^-104 of the magnitude sum or its step
-    drops below 2^-104 |w|, all roots after _DD_SWEEPS; the mpmath
-    Gauss-Seidel pass resolves what Jacobi leaves (pairs of approximations
-    sharing a root of a dense cluster).  Returns mpc seeds, or None when
-    the coefficients do not fit in float64 or a value turns non-finite.
-    """
-    from mpmath import mp
-
-    bh = np.array([float(x) for x in b])
-    bl = np.array([float(x - h) for x, h in zip(b, bh)])
-    if not np.all(np.isfinite(bh)) or any((h == 0) != (x == 0) for x, h in zip(b, bh)):
-        return None
-    deg = len(b) - 1
-    w0 = np.array([complex(x) for x in _newton_polygon_starts(b)])
-    wh, wl = np.array([w0.real, w0.imag]), np.zeros((2, deg))
-    live = np.arange(deg)
-    with np.errstate(all="ignore"):
-        for _ in range(_DD_SWEEPS):
-            q, dq, mag, k, _ = _dd_horner(bh, bl, (wh[:, live], wl[:, live]))
-            wc = wh[0] + 1j * wh[1]
-            newton = np.ldexp(1.0, k) * (q[0][0] + 1j * q[0][1]) / (dq[0][0] + 1j * dq[0][1])
-            diff = wc[live, None] - wc[None, :]
-            diff[np.arange(live.size), live] = np.inf
-            step = newton / (1 - newton * np.sum(1.0 / diff, axis=1))
-            if not np.all(np.isfinite(step)):
-                return None
-            step[np.hypot(q[0][0], q[0][1]) <= (deg + 1) * _DD_EPS * mag] = 0
-            wh[:, live], wl[:, live] = _dd_add((wh[:, live], wl[:, live]),
-                                               (-np.array([step.real, step.imag]), 0.0))
-            live = live[np.abs(step) > _DD_EPS * np.abs(wc[live])]
-            if not live.size:
-                break
-    return [mp.mpc(mp.mpf(wh[0, i]) + wl[0, i], mp.mpf(wh[1, i]) + wl[1, i])
-            for i in range(deg)]
 
 
 _POLISH_TOL = 1e-15  # scaled residual the float64 root stage polishes to
@@ -512,15 +497,16 @@ def float_roots(b):
 def zeros(poly: PartitionPolynomial) -> ZeroSet:
     """All zeros of Xi.
 
-    On the lapack route they come from float_roots on the activity-rescaled
-    coefficients.  They come instead from an Aberth-Ehrlich iteration in
-    mpmath at max(60, 2 deg + 20) digits when the companion has entry
-    dynamic range past 1e14, or when the exact coefficients exist and the
-    smallest root's conditioning times float64 unit roundoff passes 1e-10.
-    That iteration starts from double-double seeds (_dd_aberth_seeds), or
-    from the circles of the coefficients' Newton polygon when those do not
-    fit in float64.  Raises NumericalError when it does not converge, or
-    when the scaled coefficients leave the float64 range.
+    float_roots runs on the activity-rescaled coefficients of every box, and
+    on the lapack route its roots are the zeros.  They come instead from an
+    Aberth-Ehrlich iteration (_mp_aberth) at max(60, 2 deg + 20) digits
+    when the companion has entry dynamic range past 1e14, or when the exact
+    coefficients exist and the smallest root's conditioning times float64
+    unit roundoff passes 1e-10 (or is unknown, as some float64 root is not
+    finite).  That iteration starts from the float64 roots, or from the
+    circles of the coefficients' Newton polygon when some float64 root is
+    not finite or two coincide.  Raises NumericalError when it does not
+    converge, or when the scaled coefficients leave the float64 range.
     """
     # strip exactly-vanishing leading coefficients (smaller boxes cut the degree)
     b = np.trim_zeros(poly.scaled_coeffs(), "b")
@@ -534,9 +520,9 @@ def zeros(poly: PartitionPolynomial) -> ZeroSet:
     ratio = np.append(ratio[ratio != 0], [1.0] * (deg > 1))
     dynamic = ratio.max() / ratio.min() if ratio.size else 1.0
 
-    w, kappa, method = None, math.inf, "lapack"
-    if dynamic <= 1e14:
-        w = float_roots(b)
+    w = float_roots(b)
+    kappa, method = math.inf, "lapack"
+    if dynamic <= 1e14 and np.all(np.isfinite(w)):
         x = w[np.argmin(np.abs(w))]
         _, mag, E = horner(b, x, magnitude=True)
         kappa = np.ldexp(mag, E) / abs(x * horner(b[1:] * np.arange(1, deg + 1), x))
@@ -552,11 +538,13 @@ def zeros(poly: PartitionPolynomial) -> ZeroSet:
                 s = mp.mpf(poly.scale)
                 bmp = [cs[m] * s**m for m in range(deg + 1)]
                 method = "mpmath-exact"
-            elif w is None:
+            elif dynamic > 1e14:
                 bmp = [mp.mpf(float(c)) for c in b]
                 method = "mpmath"
             if method != "lapack":
-                raw = _mp_aberth(bmp, starts=_dd_aberth_seeds(bmp))
+                # Aberth needs distinct finite starts
+                seeded = np.all(np.isfinite(w)) and np.unique(w).size == deg
+                raw = _mp_aberth(bmp, starts=[mp.mpc(x) for x in w] if seeded else None)
                 w = _pair_conjugates(np.array([complex(r) for r in raw]))
 
     res = _scaled_residual(b, w)
@@ -580,9 +568,10 @@ def _mp_derivative_data(poly: PartitionPolynomial, z_c):
     Clustered zero sets push |Xi'(z_c)| below the float64 evaluation noise
     (roundoff is proportional to the coefficient magnitude sum), so when
     the closed-form coefficients are available the certificate is computed
-    there: the seed root is re-polished by Newton, then both derivatives
-    are exact evaluations.  Both returned ratios are invariant under the
-    activity rescaling, so everything stays in the scaled frame.
+    there: the seed root is re-polished by Newton, with p, p' and p'' from
+    fixed_horner at the working precision.  Both returned ratios are
+    invariant under the activity rescaling, so everything stays in the
+    scaled frame.
     """
     cs = poly.mp_coefficients()
     if cs is None:
@@ -592,9 +581,9 @@ def _mp_derivative_data(poly: PartitionPolynomial, z_c):
     with mp.workdps(max(60, 2 * poly.M + 20)):
         s = mp.mpf(poly.scale)
         b = [c * s**m for m, c in enumerate(cs)]
-        db = [m * b[m] for m in range(1, len(b))]
-        w = newton_root(mp, b, mp.mpc(complex(z_c)) / s)
-        dv, ddv = mp_horner(db, [m * db[m] for m in range(1, len(db))], w)
+        terms = fixed_terms(b)
+        w = _newton(mp, lambda x: fixed_values(terms, x)[:2], mp.mpc(complex(z_c)) / s)
+        _, dv, ddv = fixed_values(terms, w)
         cond = mp.fsum(abs(bm) * abs(w) ** m for m, bm in enumerate(b))
         cert = abs(dv) / (abs(w) * abs(ddv)) if ddv != 0 else mp.inf
         kappa = cond / (abs(w) * abs(dv)) if dv != 0 else mp.inf

@@ -248,3 +248,15 @@ def test_criterion_10_truncation_stability():
     _report(10, receding and worst <= 1e-12,
             f"free-gas zero modulus grows through M=40 (last {mods[-1]:.4f}), "
             f"power family fixed to {worst:.1e}, {elapsed:.2f}s")
+
+
+def test_criterion_11_wide_box_zeros():
+    # hard rods at L = 80: every zero from the fixed-point Aberth pass at 180
+    # digits.  z_c is frozen from the mpmath-Horner pass's output and agrees
+    # to 3e-17 with Newton on the exact coefficients at 200 digits.
+    t0 = time.perf_counter()
+    sm = smallest_zero(zeros(make_tonks(80.0, 81)))
+    elapsed = time.perf_counter() - t0
+    drift = rel_err(sm.z_c, -0.36815400035903173)
+    _report(11, drift <= 1e-9 and elapsed < 3.0,
+            f"hard rods L=80 z_c {sm.z_c.real:.12f}, drift {drift:.1e}, {elapsed:.2f}s")

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from kslab import partition
 from kslab.errors import Degenerate, NearPole, NumericalError
 from kslab.integrals import Box, build_table, hardrod_anchored_series
 from kslab.partition import (
     PartitionPolynomial,
-    _dd_aberth_seeds,
-    _dd_horner,
     _mp_aberth,
     _pair_conjugates,
     _scaled_residual,
@@ -19,6 +18,10 @@ from kslab.partition import (
     evaluate,
     evaluate_derivative,
     evaluate_second_derivative,
+    fixed_horner,
+    fixed_terms,
+    fixed_values,
+    float_roots,
     numerator_coefficients,
     smallest_zero,
     zeros,
@@ -254,7 +257,7 @@ def test_gaps_are_mutual(tonks5):
     assert g[int(np.argmin(d))] == pytest.approx(g[i])
 
 
-# -- the double-double seeds of the wide-box route --------------------------------
+# -- the fixed-point Aberth pass of the wide-box route ----------------------------
 
 
 def _exact_scaled(L, dps):
@@ -270,36 +273,32 @@ def _exact_scaled(L, dps):
     return b
 
 
-def _dd_coeffs(b):
-    bh = np.array([float(x) for x in b])
-    return bh, np.array([float(x - h) for x, h in zip(b, bh)])
+def _float_seeds(b):
+    """float_roots of the float64 coefficients, as mpc starts."""
+    import mpmath as mp
+
+    return [mp.mpc(w) for w in float_roots(np.array([float(x) for x in b]))]
 
 
-def test_dd_horner_matches_mpmath_across_magnitudes():
+def test_fixed_horner_matches_mpmath_across_magnitudes():
     import mpmath as mp
 
     with mp.workdps(100):
         b = _exact_scaled(40.0, 100)
-        bh, bl = _dd_coeffs(b)
-        bx = [mp.mpf(h) + l for h, l in zip(bh, bl)]
+        terms = fixed_terms(b)
         radii = np.logspace(-3, 24, 28)
         w = radii * np.exp(1j * np.linspace(0.3, 3.0, len(radii)))
-        q, dq, mag, k, E = _dd_horner(bh, bl, (np.array([w.real, w.imag]),
-                                               np.zeros((2, len(w)))))
-        for arr in (*q, *dq, mag):
-            assert np.all(np.isfinite(arr))
-        for i, x in enumerate(w):
+        for x in w:
             xm = mp.mpc(x)
-            ref = mp.polyval(bx[::-1], xm)
-            dref = mp.polyval([m * c for m, c in enumerate(bx)][:0:-1], xm)
-            scale = mp.ldexp(1, int(E[i]))
-            got = (mp.mpf(q[0][0, i]) + q[1][0, i]) + 1j * (mp.mpf(q[0][1, i]) + q[1][1, i])
-            dgot = (mp.mpf(dq[0][0, i]) + dq[1][0, i]) + 1j * (mp.mpf(dq[0][1, i]) + dq[1][1, i])
-            size = mp.fsum(abs(c) * abs(xm) ** m for m, c in enumerate(bx))
-            dsize = mp.fsum(m * abs(c) * abs(xm) ** (m - 1) for m, c in enumerate(bx))
-            assert mag[i] == pytest.approx(float(size / scale), rel=1e-12)
-            assert abs(got * scale - ref) <= 1e-29 * size
-            assert abs(dgot * mp.ldexp(scale, -int(k[i])) - dref) <= 1e-29 * dsize
+            _, E, mag, _, _ = fixed_horner(terms, xm)
+            with mp.workdps(140):
+                # p, p', p'' against mpmath, each within 1e-99 of its magnitude sum
+                for j, val in enumerate(fixed_values(terms, xm)):
+                    dj = [mp.ff(m, j) * c for m, c in enumerate(b)][j:]
+                    size = mp.fsum(abs(c) * abs(xm) ** m for m, c in enumerate(dj))
+                    assert abs(val - mp.polyval(dj[::-1], xm)) <= mp.mpf("1e-99") * size
+                    if j == 0:
+                        assert mag == pytest.approx(float(size / mp.ldexp(1, E)), rel=1e-12)
 
 
 def test_scaled_residual_past_extended_range():
@@ -324,20 +323,19 @@ def test_scaled_residual_past_extended_range():
             assert r == pytest.approx(float(ref), rel=1e-12)
 
 
-def test_dd_horner_residual_at_exact_roots():
+def test_fixed_horner_residual_at_exact_roots():
     import mpmath as mp
 
     with mp.workdps(100):
         b = _exact_scaled(40.0, 100)
         roots = _mp_aberth(b)
-    bh, bl = _dd_coeffs(b)
-    parts = [[float(r.real), float(r.imag)] for r in roots]
-    hi = np.array(parts).T
-    with mp.workdps(100):
-        lo = np.array([[float(r.real - h[0]), float(r.imag - h[1])]
-                       for r, h in zip(roots, parts)]).T
-    q, _, mag, _, _ = _dd_horner(bh, bl, (hi, lo))
-    assert np.max(np.hypot(q[0][0], q[0][1]) / mag) <= 1e-30
+        terms = fixed_terms(b)
+        worst = 0.0
+        for r in roots:
+            _, _, mag, _, ((pr, pi), _) = fixed_horner(terms, r)
+            q = mp.ldexp(mp.sqrt(pr * pr + pi * pi), -(mp.mp.prec + partition._GUARD_BITS))
+            worst = max(worst, float(q) / mag)
+    assert worst <= 1e-99
 
 
 @pytest.mark.parametrize("L", [20.0, 30.0])
@@ -347,48 +345,165 @@ def test_seeded_aberth_matches_newton_polygon_start(L):
     dps = max(60, 2 * int(L) + 20)
     with mp.workdps(dps):
         b = _exact_scaled(L, dps)
-        seeds = _dd_aberth_seeds(b)
-        assert seeds is not None
-        seeded = _mp_aberth(b, starts=seeds)
+        seeded = _mp_aberth(b, starts=_float_seeds(b))
         plain = _mp_aberth(b)
     as128 = [_pair_conjugates(np.array([complex(r) for r in w])) for w in (seeded, plain)]
     assert np.array_equal(*as128)
 
 
 def test_seeded_aberth_evaluation_count(monkeypatch):
-    # the seeds leave the mpmath pass a few Newton steps per root
+    # the float64 seeds leave the pass about ten integer evaluations per
+    # root at L = 40, and mpmath evaluates nothing
     import mpmath as mp
 
-    from kslab import partition
-
-    calls = []
-    real = partition.mp_horner
+    calls, kernel = [], []
+    real, real_kernel = partition.mp_horner, partition.fixed_horner
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
+    def counting_kernel(*args, **kwargs):
+        kernel.append(1)
+        return real_kernel(*args, **kwargs)
+
     with mp.workdps(100):
         b = _exact_scaled(40.0, 100)
-        seeds = _dd_aberth_seeds(b)
+        seeds = _float_seeds(b)
         monkeypatch.setattr(partition, "mp_horner", counting)
+        monkeypatch.setattr(partition, "fixed_horner", counting_kernel)
         _mp_aberth(b, starts=seeds)
-    assert len(calls) / (len(b) - 1) <= 8
+    assert not calls
+    assert len(kernel) / (len(b) - 1) <= 11
 
 
-def test_seeds_skipped_past_float_range(monkeypatch):
-    # a common factor 1e400 leaves the roots alone but takes the coefficients
-    # out of float64: no seeds, the Newton-polygon starts, the same zeros
+def _mp_horner_aberth(b, starts, max_sweeps=200):
+    """The Gauss-Seidel Aberth pass with p and p' by mpmath Horner (mp_horner):
+    the reference _mp_aberth must reproduce to complex128."""
+    import mpmath as mp
+
+    deg = len(b) - 1
+    db = [m * b[m] for m in range(1, deg + 1)]
+    log2b = np.array([float(mp.log(abs(bm), 2)) for bm in b])
+    powers = np.arange(deg + 1)
+    w, wc = list(starts), np.array([complex(x) for x in starts])
+    live = list(range(deg))
+    for _ in range(max_sweeps):
+        still = []
+        for i in live:
+            x = w[i]
+            p, dp = partition.mp_horner(b, db, x)
+            l2 = log2b + powers * math.log2(abs(wc[i]))
+            e = math.floor(l2.max())
+            if abs(p) <= (deg + 1) * mp.eps * mp.ldexp(float(np.sum(np.exp2(l2 - e))), e):
+                continue
+            if dp == 0:
+                still.append(i)
+                continue
+            newton = p / dp
+            d = wc[i] - wc
+            d[i] = np.inf
+            step = newton / (1 - newton * complex(np.sum(1.0 / d)))
+            w[i] = x - step
+            wc[i] = complex(w[i])
+            if abs(step) > mp.eps * abs(w[i]):
+                still.append(i)
+        live = still
+        if not live:
+            return w
+    raise AssertionError("reference Aberth pass did not converge")
+
+
+def _huge_root_fixture():
+    """(w - 1e90)(1 + w + ... + w^59) as mpf coefficients, ascending."""
+    import mpmath as mp
+
+    R = mp.mpf("1e90")
+    return [-R] + [1 - R] * 59 + [mp.mpf(1)]
+
+
+@pytest.mark.parametrize("case", [20.0, 30.0, 40.0, "huge-root"])
+def test_fixed_point_aberth_matches_mpmath_horner_pass(case):
+    import mpmath as mp
+
+    if case == "huge-root":
+        dps = 80
+        with mp.workdps(dps):
+            b = _huge_root_fixture()
+            starts = partition._newton_polygon_starts(b)  # its float64 roots coincide
+    else:
+        dps = max(60, 2 * int(case) + 20)
+        b = _exact_scaled(case, dps)
+        with mp.workdps(dps):
+            starts = _float_seeds(b)
+    with mp.workdps(dps):
+        got = _mp_aberth(b, starts=starts)
+        want = _mp_horner_aberth(b, starts)
+    as128 = [np.array([complex(r) for r in w]) for w in (got, want)]
+    if case == "huge-root":
+        # the roots +-i carry real parts of 3e-86 and -5e-83: evaluation
+        # noise below the working precision, which either pass leaves
+        for w in as128:
+            tiny = 10.0 ** (2 - dps) * np.abs(w)
+            w.real[np.abs(w.real) <= tiny] = 0.0
+            w.imag[np.abs(w.imag) <= tiny] = 0.0
+    assert np.array_equal(*[_pair_conjugates(w) for w in as128])
+
+
+def _record_starts(monkeypatch):
+    """Wrap _mp_aberth so that the starts zeros hands it are kept."""
+    seen, real = [], partition._mp_aberth
+
+    def recording(b, starts=None):
+        seen.append(starts)
+        return real(b, starts=starts)
+
+    monkeypatch.setattr(partition, "_mp_aberth", recording)
+    return seen
+
+
+def test_float_seeds_past_float_range(monkeypatch):
+    # a common factor 1e400 leaves the roots alone but takes the exact
+    # coefficients out of float64: the seeds still come from float_roots of
+    # the float64 coefficients, and the zeros are the same
     import mpmath as mp
 
     poly = make_tonks(20.0)
     want = zeros(poly)
-    with mp.workdps(60):
-        assert _dd_aberth_seeds([c * mp.mpf("1e400") for c in _exact_scaled(20.0, 60)]) is None
     real = PartitionPolynomial.mp_coefficients
     monkeypatch.setattr(PartitionPolynomial, "mp_coefficients",
                         lambda self: [c * mp.mpf("1e400") for c in real(self)])
+    seen = _record_starts(monkeypatch)
     got = zeros(poly)
+    assert got.method == "mpmath-exact"
+    assert np.array_equal(got.zeros, want.zeros)
+    seeds = float_roots(np.trim_zeros(poly.scaled_coeffs(), "b"))
+    assert np.array_equal([complex(x) for x in seen[0]], seeds)
+
+
+@pytest.mark.parametrize("fault", ["duplicate", "nan"])
+def test_bad_float_seeds_fall_back_to_newton_polygon(monkeypatch, fault):
+    # Aberth needs distinct finite starts.  Only the largest seed is
+    # spoiled: a duplicate leaves the smallest root's conditioning, and so
+    # the route, as it was, and a NaN leaves it unknown, which routes to
+    # mpmath as well
+    import warnings
+
+    poly = make_tonks(20.0)
+    want = zeros(poly)
+    real = partition.float_roots
+
+    def faulty(b):
+        w = real(b)
+        w[-1] = w[-2] if fault == "duplicate" else complex(np.nan, 0.0)
+        return w
+
+    monkeypatch.setattr(partition, "float_roots", faulty)
+    seen = _record_starts(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = zeros(poly)
+    assert seen == [None]
     assert got.method == "mpmath-exact"
     assert np.array_equal(got.zeros, want.zeros)
 
@@ -400,7 +515,7 @@ def test_mp_aberth_huge_root_past_extended_range():
 
     with mp.workdps(80):
         R = mp.mpf("1e90")
-        b = [-R] + [1 - R] * 59 + [mp.mpf(1)]
+        b = _huge_root_fixture()
         roots = _mp_aberth(b)
         assert min(abs(r - R) for r in roots) <= mp.mpf("1e-70") * R
         unity = sorted(roots, key=abs)[:59]
