@@ -494,6 +494,17 @@ def float_roots(b):
     return _pair_conjugates(w)
 
 
+def root_stage_defect(w):
+    """Why the float64 roots w cannot stand for distinct roots: a short
+    description, or None when every root is finite and no two coincide.
+    zeros seeds its Aberth pass from them only then; spectrum refuses them."""
+    if not np.all(np.isfinite(w)):
+        return "some float64 root is not finite"
+    if np.unique(w).size < w.size:
+        return "two float64 roots coincide"
+    return None
+
+
 def zeros(poly: PartitionPolynomial) -> ZeroSet:
     """All zeros of Xi.
 
@@ -542,8 +553,7 @@ def zeros(poly: PartitionPolynomial) -> ZeroSet:
                 bmp = [mp.mpf(float(c)) for c in b]
                 method = "mpmath"
             if method != "lapack":
-                # Aberth needs distinct finite starts
-                seeded = np.all(np.isfinite(w)) and np.unique(w).size == deg
+                seeded = root_stage_defect(w) is None  # Aberth needs distinct finite starts
                 raw = _mp_aberth(bmp, starts=[mp.mpc(x) for x in w] if seeded else None)
                 w = _pair_conjugates(np.array([complex(r) for r in raw]))
 

@@ -12,13 +12,17 @@ The leading eigenvalue is a simple pole of R: its residue gives the
 rank-one projection and its holomorphic part the reduced resolvent S,
 which satisfies PS = SP = 0 and (K - lam_c) S = I - P.  Both come in
 closed form from the companion eigenvectors, P = v nu^T / nu^T v and
-S = (K - lam + P)^{-1} - P (Kato I §5), O(M^2) in all.  One formula is
-evaluated in float64 and, where float64 cannot certify the projection
-algebra (companion matrices of clustered zeros are strongly non-normal),
-in mpmath at 40, 60 or 90 digits.  riesz_projection keeps the dense
-contour route, P = -(r/N) sum_k R(lam_k) e^{i theta_k} on a circle of
-radius r with S the plain node average of R, for general matrices and as
-an independent check of the closed form.
+S = (K - lam + P)^{-1} - P (Kato I §5), and both are rank-structured:
+P = u nu^T and S = -v c^T (c masked by the lower triangle) - y nu^T, so
+only length-M generators are computed at working precision, in O(M), and
+the matrices are formed once in complex128.  The defects are measured from
+the generators; the reduced-identity defect is a triangle bound.  One
+formula is evaluated in float64 and, where float64 cannot certify the
+projection algebra (companion matrices of clustered zeros are strongly
+non-normal), in mpmath at 40, 60 or 90 digits.  riesz_projection keeps
+the dense contour route, P = -(r/N) sum_k R(lam_k) e^{i theta_k} on a
+circle of radius r with S the plain node average of R, for general
+matrices and as an independent check of the closed form.
 """
 
 from __future__ import annotations
@@ -27,14 +31,16 @@ import cmath
 import contextlib
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import ContourError, Degenerate, InsufficientData
+from .errors import ContourError, Degenerate, InsufficientData, NumericalError
 from .ksop import KSMatrix
 from .partition import (PartitionPolynomial, evaluate, evaluate_derivative,
                         float_roots, newton_root, numerator_coefficients,
-                        scaled_coefficients, smallest_zero, zeros)
+                        root_stage_defect, scaled_coefficients, smallest_zero,
+                        zeros)
 
 _TIE_REL = 1e-9
 
@@ -78,10 +84,14 @@ def spectrum(ks: KSMatrix) -> Spectrum:
 
     The companion's characteristic polynomial is lam^M Xi(1/lam), so its
     eigenvalues are 1/(w scale) for the roots w that partition.float_roots
-    gives zeros' lapack route, plus an exact 0 per stripped degree.
+    gives zeros' lapack route, plus an exact 0 per stripped degree.  Raises
+    NumericalError when those roots are not finite and distinct.
     """
     b = scaled_coefficients(ks.coeffs, ks.scale)
     w = float_roots(np.trim_zeros(b, "b"))
+    defect = root_stage_defect(w)
+    if defect:
+        raise NumericalError(f"companion eigenvalues unusable: {defect}")
     # + 0 turns the -0j of 1/(x + 0j), x < 0, back into +0j
     lam = np.append(1 / (w * ks.scale), np.zeros(ks.M - len(w), dtype=complex)) + 0
     order = np.lexsort((lam.imag, lam.real, -np.abs(lam)))
@@ -215,18 +225,39 @@ def _center(ctx, b, center):
     return 1 / newton_root(ctx, b, 1 / ctx.mpc(center))
 
 
+def _below(x):
+    """Running sums over k < j of x_k, j = 0..len(x)-1."""
+    return list(accumulate(x, initial=0))[:-1]
+
+
+def _from(x):
+    """Running sums over k >= j of x_k, j = 0..len(x)-1."""
+    return list(accumulate(reversed(x)))[::-1]
+
+
 def _closed_form(ctx, b, dvec, center):
     """Laurent data at a simple leading eigenvalue in closed form.
 
     With companion eigenvectors v_i = lam^{M-1-i} (right) and the backward
     recurrence of _left_vector (left), both balanced, P = v nu^T / (nu^T v)
-    and S = (A - lam + P)^{-1} - P (Kato I §5).  S is built column by
-    column as the solution of (A - lam) x = (I - P) e_j with nu^T x = 0:
-    the subdiagonal rows give x up to a multiple of v, the pairing fixes
-    the multiple.  Every defect and the nilpotent chain are measured on
-    the result through the rank-one form of P, so the whole route is
-    O(M^2).  All arithmetic runs in ctx: mpmath.fp for float64, mpmath.mp
-    at the caller's working precision otherwise.  Returns (P, S,
+    and S = (A - lam + P)^{-1} - P (Kato I §5).  Column j of S solves
+    (A - lam) x = (I - P) e_j with nu^T x = 0.  On the subdiagonal rows the
+    solve of e_j telescopes to -w_j v on rows i >= j, w_j = d_j lam^{j-M}
+    (w_0 = 0), so both matrices are rank-structured:
+
+        P = u nu^T,   S_ij = -v_i c_ij - y_i nu_j,
+        c_ij = w_j + t_j (i >= j) or t_j (i < j),
+
+    with y the subdiagonal solve of u and t_j = -(w_j sigma_j + nu_j nu^T y)
+    / (nu^T v), sigma_j = sum_{i>=j} nu_i v_i.  Only these length-M
+    generators are computed in ctx (mpmath.fp for float64, mpmath.mp at the
+    caller's working precision otherwise), and every defect is measured
+    from them with prefix and suffix sums, so working-precision arithmetic
+    is O(M).  The reduced-identity defect is a triangle bound on
+    ||(A - lam) S - (I - P)||, which errs high; ||S|| in the annihilation
+    defect is only a normaliser and comes from the complex128 S.  P and S
+    are built once in numpy from complex128 copies of the generators; a
+    P or S that is not finite there raises OverflowError.  Returns (P, S,
     idempotency, annihilation and reduced-identity defects, nilpotent
     ratio, pole order, refined center), or None when the pairing nu^T v
     vanishes (the leading eigenvalue is not simple).
@@ -240,6 +271,7 @@ def _closed_form(ctx, b, dvec, center):
     sub = [None] + [d[i - 1] / d[i] for i in range(1, M)]
     v = [lam ** (M - 1 - i) / d[i] for i in range(M)]
     nu = [x * d[i] for i, x in enumerate(_left_vector(bc, lam))]
+    zero = ctx.mpf(0)
 
     def dot(x, y):
         return ctx.fsum(xi * yi for xi, yi in zip(x, y))
@@ -256,34 +288,67 @@ def _closed_form(ctx, b, dvec, center):
     if abs(pairing) <= M * ctx.eps * norm(nu) * norm(v):
         return None
     u = [vi / pairing for vi in v]  # P = u nu^T
-    P = [[ui * nk for nk in nu] for ui in u]
-    cols = []
-    for j in range(M):
-        r = [-ui * nu[j] for ui in u]
-        r[j] += 1
-        x = [ctx.mpf(0)] * M
-        for i in range(1, M):
-            x[i] = (sub[i] * x[i - 1] - r[i]) / lam
-        t = dot(nu, x) / pairing
-        cols.append([xi - t * vi for xi, vi in zip(x, v)])
-    S = [list(row) for row in zip(*cols)]
+    w = [zero] + [d[j] * lam ** (j - M) for j in range(1, M)]
+    y = [zero] * M
+    for i in range(1, M):
+        y[i] = (sub[i] * y[i - 1] - u[i]) / lam
+    nu_y = dot(nu, y)
+    nv = [ni * vi for ni, vi in zip(nu, v)]
+    tau, sigma = _below(nv), _from(nv)
+    t = [-(wj * sj + nj * nu_y) / pairing for wj, sj, nj in zip(w, sigma, nu)]
+    cl = [wj + tj for wj, tj in zip(w, t)]  # c_ij on i >= j; t_j on i < j
+
+    def copies(a, c):
+        """complex128 copies of a 2^k and c 2^-k, k balancing their largest
+        entries, so that an outer product in the float64 range has finite
+        factors (|v| passes 1e308 at hard rods L = 150)."""
+        k = (max(map(ctx.mag, c)) - max(map(ctx.mag, a))) // 2
+        s = ctx.mpf(2) ** k
+        return (np.array([complex(x * s) for x in a]),
+                np.array([complex(x / s) for x in c]))
+
+    with np.errstate(all="ignore"):  # a copy past the float64 range fails the rung below
+        uf, nuf = copies(u, nu)
+        Pf = np.outer(uf, nuf)
+        vf, cf = copies(v, cl + t)
+        yf, nuf = copies(y, nu)
+        Sf = -vf[:, None] * np.where(np.tri(M, dtype=bool), cf[:M], cf[M:]) - np.outer(yf, nuf)
+        nS = np.linalg.norm(Sf)
+    if not (np.isfinite(nS) and np.all(np.isfinite(Pf))):
+        raise OverflowError("P or S is not finite in complex128")
 
     nu_norm = norm(nu)
-    nP = norm(u) * nu_norm
-    nS = norm([s for col in cols for s in col])
-    idem = abs(dot(nu, u) - 1)  # ||P^2 - P|| / ||P|| for P = u nu^T
-    pS = norm([dot(nu, col) for col in cols]) * norm(u)
-    Sp = norm([dot(row, u) for row in S]) * nu_norm
-    annih = max(pS, Sp) / (nP * nS)
-    red_sq = ctx.mpf(0)
-    for j, col in enumerate(cols):
-        res = shifted(col)
-        for i in range(M):
-            res[i] += P[i][j] - (1 if i == j else 0)
-        red_sq += ctx.fsum(abs(x) ** 2 for x in res)
-    I_minus_P = norm([(1 if i == j else 0) - P[i][j]
-                      for i in range(M) for j in range(M)])
-    red = ctx.sqrt(red_sq) / max(ctx.mpf(1), I_minus_P)
+    u_norm = norm(u)
+    nP = u_norm * nu_norm
+    nu_u = dot(nu, u)
+    idem = abs(nu_u - 1)  # ||P^2 - P|| / ||P|| for P = u nu^T
+    # -(nu^T S)_j and -(S u)_i
+    nuS = [sj * cj + pj * tj + nu_y * nj
+           for sj, pj, cj, tj, nj in zip(sigma, tau, cl, t, nu)]
+    cl_u = _below([cj * uj for cj, uj in zip(cl, u)])
+    t_u = _from([tj * uj for tj, uj in zip(t, u)])
+    Su = [vi * (lo + hi + wi * ui) + yi * nu_u
+          for vi, yi, lo, hi, wi, ui in zip(v, y, cl_u, t_u, w, u)]
+    annih = max(norm(nuS) * u_norm, norm(Su) * nu_norm) / (nP * ctx.mpf(nS))
+    # rows i >= 1 of (A - lam) S - (I - P) are -c_{i-1,j} e_i - nu_j f_i + delta_ij h_i
+    # with e, f the residuals of the v and y recurrences; bounded by the
+    # triangle inequality.  Row 0 is taken entry by entry.
+    e = [sub[i] * v[i - 1] - lam * v[i] for i in range(1, M)]
+    f = [sub[i] * y[i - 1] - lam * y[i] - u[i] for i in range(1, M)]
+    h = [lam * v[i] * w[i] - 1 for i in range(1, M)]
+    cl_sq = _below([abs(cj) ** 2 for cj in cl])
+    t_sq = _from([abs(tj) ** 2 for tj in t])
+    masked = ctx.sqrt(ctx.fsum(abs(ei) ** 2 * (cl_sq[i] + t_sq[i])
+                               for i, ei in enumerate(e, start=1)))
+    lower = masked + norm(f) * nu_norm + norm(h)
+    a0v = [ak * vk for ak, vk in zip(a0, v)]
+    beta, alpha = _below(a0v), _from(a0v)
+    lv0, off = lam * v[0], u[0] - dot(a0, y)
+    row0 = [lv0 * t[j] - cl[j] * alpha[j] - t[j] * beta[j] + off * nu[j]
+            for j in range(M)]
+    row0[0] -= 1
+    I_minus_P = ctx.sqrt(M - 2 * ctx.re(nu_u) + nP ** 2)
+    red = ctx.sqrt(norm(row0) ** 2 + lower ** 2) / max(ctx.mpf(1), I_minus_P)
     # D = (A - lam) P = g nu^T, so D^q = g (nu^T g)^{q-1} nu^T
     g = shifted(u)
     nA = norm(a0 + sub[1:])
@@ -292,8 +357,6 @@ def _closed_form(ctx, b, dvec, center):
     chain = [nD * ratio ** (q - 1) / nA**q for q in range(1, 4)]
     pole = _pole_from_chain(chain)
 
-    Pf = np.array([[complex(x) for x in row] for row in P])
-    Sf = np.array([[complex(x) for x in row] for row in S])
     return (Pf, Sf, float(idem), float(annih), float(red), float(chain[0]),
             pole, complex(lam))
 

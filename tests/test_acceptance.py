@@ -260,3 +260,17 @@ def test_criterion_11_wide_box_zeros():
     drift = rel_err(sm.z_c, -0.36815400035903173)
     _report(11, drift <= 1e-9 and elapsed < 3.0,
             f"hard rods L=80 z_c {sm.z_c.real:.12f}, drift {drift:.1e}, {elapsed:.2f}s")
+
+
+def test_criterion_12_wide_box_laurent_data():
+    # hard rods at L = 80: the closed form's working-precision arithmetic is
+    # O(M), so the mp40 rung certifies P and S in well under a second
+    ks = build_ks_matrix(make_tonks(80.0, 81))
+    spec = spectrum(ks)
+    ks.balancing  # scipy's balancer, imported on first use, is not timed
+    t0 = time.perf_counter()
+    rp = leading_projection(ks, spec)
+    elapsed = time.perf_counter() - t0
+    ok = (rp.precision, rp.rank, rp.pole_order) == ("mp40", 1, 1) and elapsed < 0.3
+    _report(12, ok, f"hard rods L=80 {rp.precision}, rank {rp.rank}, "
+                    f"pole order {rp.pole_order}, {elapsed:.3f}s")

@@ -1,6 +1,7 @@
 """Spectrum, Riesz projection, nilpotent part, and asymptotic diagnostics."""
 
 import cmath
+import contextlib
 import math
 import warnings
 
@@ -8,13 +9,16 @@ import numpy as np
 import pytest
 
 from kslab import spectral
-from kslab.errors import ContourError, InsufficientData
+from kslab.errors import ContourError, InsufficientData, NumericalError
 from kslab.integrals import Box, build_table
 from kslab.ksop import build_ks_matrix
-from kslab.partition import assemble, correlation, smallest_zero, zeros
+from kslab.partition import (assemble, correlation, scaled_coefficients,
+                             smallest_zero, zeros)
 from kslab.potentials import PairPotential
 from kslab.spectral import (
     _center,
+    _closed_form,
+    _left_vector,
     _pole_from_chain,
     coefficient_asymptotics,
     leading_asymptotics,
@@ -28,7 +32,7 @@ from kslab.spectral import (
     spectrum,
 )
 
-from conftest import make_ideal, make_tonks
+from conftest import make_ideal, make_tonks, poly_from_coeffs
 
 
 # reference for the closed form: the exact-structure mpmath contour sums
@@ -123,6 +127,80 @@ def _mp_contour(b, dvec, center, radius, n_nodes, dps):
         Sf = np.array([[complex(v) for v in rw] for rw in S])
         return (Pf, Sf, float(idem), float(annih), float(red), float(nil),
                 pole, complex(cen))
+
+
+
+# reference for the generator form: the closed form with every matrix dense
+def _dense_closed_form(ctx, b, dvec, center):
+    """Laurent data at a simple leading eigenvalue, P and S as M x M lists.
+
+    P = v nu^T / (nu^T v); S is built column by column as the solution of
+    (A - lam) x = (I - P) e_j with nu^T x = 0, and every defect is measured
+    on the dense result, all in ctx.  O(M^2).  Same arguments and return
+    tuple as spectral._closed_form.
+    """
+    M = len(b) - 1
+    bc = [ctx.mpf(float(x)) for x in b]
+    d = [ctx.mpf(float(x)) for x in dvec]
+    lam = _center(ctx, bc, center)
+    a0 = [-bc[k + 1] * d[k] / d[0] for k in range(M)]
+    sub = [None] + [d[i - 1] / d[i] for i in range(1, M)]
+    v = [lam ** (M - 1 - i) / d[i] for i in range(M)]
+    nu = [x * d[i] for i, x in enumerate(_left_vector(bc, lam))]
+
+    def dot(x, y):
+        return ctx.fsum(xi * yi for xi, yi in zip(x, y))
+
+    def norm(x):
+        return ctx.sqrt(ctx.fsum(abs(xi) ** 2 for xi in x))
+
+    def shifted(x):
+        return [dot(a0, x) - lam * x[0]] + [sub[i] * x[i - 1] - lam * x[i]
+                                            for i in range(1, M)]
+
+    pairing = dot(nu, v)
+    if abs(pairing) <= M * ctx.eps * norm(nu) * norm(v):
+        return None
+    u = [vi / pairing for vi in v]
+    P = [[ui * nk for nk in nu] for ui in u]
+    cols = []
+    for j in range(M):
+        r = [-ui * nu[j] for ui in u]
+        r[j] += 1
+        x = [ctx.mpf(0)] * M
+        for i in range(1, M):
+            x[i] = (sub[i] * x[i - 1] - r[i]) / lam
+        t = dot(nu, x) / pairing
+        cols.append([xi - t * vi for xi, vi in zip(x, v)])
+    S = [list(row) for row in zip(*cols)]
+
+    nu_norm = norm(nu)
+    nP = norm(u) * nu_norm
+    nS = norm([s for col in cols for s in col])
+    idem = abs(dot(nu, u) - 1)
+    pS = norm([dot(nu, col) for col in cols]) * norm(u)
+    Sp = norm([dot(row, u) for row in S]) * nu_norm
+    annih = max(pS, Sp) / (nP * nS)
+    red_sq = ctx.mpf(0)
+    for j, col in enumerate(cols):
+        res = shifted(col)
+        for i in range(M):
+            res[i] += P[i][j] - (1 if i == j else 0)
+        red_sq += ctx.fsum(abs(x) ** 2 for x in res)
+    I_minus_P = norm([(1 if i == j else 0) - P[i][j]
+                      for i in range(M) for j in range(M)])
+    red = ctx.sqrt(red_sq) / max(ctx.mpf(1), I_minus_P)
+    g = shifted(u)
+    nA = norm(a0 + sub[1:])
+    nD = norm(g) * nu_norm
+    ratio = abs(dot(nu, g))
+    chain = [nD * ratio ** (q - 1) / nA**q for q in range(1, 4)]
+    pole = _pole_from_chain(chain)
+
+    Pf = np.array([[complex(x) for x in row] for row in P])
+    Sf = np.array([[complex(x) for x in row] for row in S])
+    return (Pf, Sf, float(idem), float(annih), float(red), float(chain[0]),
+            pole, complex(lam))
 
 
 
@@ -230,6 +308,75 @@ def test_float64_closed_form_matches_dense_contour(box):
     assert np.linalg.norm(rz.S - ref.S) <= 1e-11 * np.linalg.norm(ref.S)
 
 
+_DENSE_BOXES = {
+    "rods-L10": ("float64", lambda: make_tonks(10.0)),
+    "rods-L20": ("mp40", lambda: make_tonks(20.0)),
+    "rods-L40": ("mp40", lambda: make_tonks(40.0)),
+    "rods-L80": ("mp40", lambda: make_tonks(80.0)),
+    "step-L5": ("float64", _FLOAT_BOXES["step-L5"]),
+}
+
+
+@pytest.mark.parametrize("box", sorted(_DENSE_BOXES))
+def test_closed_form_matches_dense_reference(box):
+    # the generator form against the dense closed form, both at the rung
+    # that certifies the box
+    from mpmath import fp, mp
+
+    precision, make = _DENSE_BOXES[box]
+    ks = build_ks_matrix(make())
+    spec = spectrum(ks)
+    assert leading_projection(ks, spec).precision == precision
+    b = scaled_coefficients(ks.coeffs, ks.scale)
+    _, dvec = ks.balancing
+    if precision == "float64":
+        ctx, digits, tol = fp, contextlib.nullcontext(), 1e-10
+    else:
+        ctx, digits, tol = mp, mp.workdps(int(precision[2:])), 1e-12
+    with digits:
+        got = _closed_form(ctx, b, dvec, spec.lam_c * ks.scale)
+        want = _dense_closed_form(ctx, b, dvec, spec.lam_c * ks.scale)
+    for x, ref in zip(got[:2], want[:2]):  # P, S
+        assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(ref)
+    assert got[6:] == want[6:]  # pole order, center
+    assert got[6] == 1
+    assert max(got[2:5]) <= tol and max(want[2:5]) <= tol
+
+
+def test_closed_form_multiplications_grow_linearly(monkeypatch):
+    # working-precision arithmetic is O(M): doubling the box must not
+    # quadruple the mpc products, as the dense form does (3,536 -> 12,636)
+    from mpmath import mp
+
+    inputs = []
+    for L in (20.0, 40.0):
+        ks = build_ks_matrix(make_tonks(L))
+        spec = spectrum(ks)
+        inputs.append((scaled_coefficients(ks.coeffs, ks.scale), ks.balancing[1],
+                       spec.lam_c * ks.scale))
+    real = mp.mpc.__mul__
+    counts = []
+
+    def counting(self, other):
+        counts[-1] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(mp.mpc, "__mul__", counting)
+    for args in inputs:
+        counts.append(0)
+        with mp.workdps(40):
+            _closed_form(mp, *args)
+    assert counts[1] <= 2.5 * counts[0]
+
+
+def test_spectrum_refuses_coincident_float_roots():
+    # (w - 1e90)(1 + ... + w^59): the float64 root stage returns 3 distinct
+    # values for its 60 roots, which are no eigenvalues to report
+    poly = poly_from_coeffs([-1e90] + [1 - 1e90] * 59 + [1.0], scale=1.0)
+    with pytest.raises(NumericalError, match="two float64 roots coincide"):
+        spectrum(build_ks_matrix(poly))
+
+
 @pytest.mark.parametrize("box", sorted(_FLOAT_BOXES))
 def test_spectrum_and_zeros_share_one_root_stage(box):
     # the operator's eigenvalues are the reciprocals of the very roots zeros
@@ -249,11 +396,14 @@ def test_spectrum_and_zeros_share_one_root_stage(box):
 def test_wide_box_spectrum_warns_nothing(L):
     # the float64 pair lam^k and its pairing overflow on these boxes (in the
     # dot product at L = 120, in the power at L = 150); the pair then reads
-    # not normalized, and no RuntimeWarning escapes
+    # not normalized, and no RuntimeWarning escapes.  The closed form's
+    # right eigenvector passes 1e308 at L = 150, yet P and S are finite
     ks = build_ks_matrix(make_tonks(L))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         spec = spectrum(ks)
+        rz = leading_projection(ks, spec)
+    assert (rz.precision, rz.rank, rz.pole_order) == ("mp40", 1, 1)
     assert not spec.normalized
     assert np.all(np.isfinite(spec.eigenvalues))
     assert len(spec.eigenvalues) == ks.M
