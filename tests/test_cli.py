@@ -114,13 +114,30 @@ def test_wide_free_gas_box_zeros_route_on_conditioning(tmp_path):
     assert min(abs(w - ref), abs(w - ref.conjugate())) <= 1e-12 * abs(ref)
 
 
-@pytest.mark.parametrize("command", ["zeros", "spectral"])
+@pytest.mark.parametrize("command", ["spectral"])
 def test_box_past_float_range_exits_4(command, capsys):
-    # at L = 200 the scaled coefficients c_m s^m overflow float64
+    # at L = 200 the scaled coefficients c_m s^m overflow float64, and the
+    # spectrum's float64 companion needs them
     assert main([command, "--potential", "hardcore", "--L", "200", "--M", "201"]) == 4
     err = capsys.readouterr().err
     assert "numerical failure: scaled coefficients" in err
     assert "Traceback" not in err
+
+
+def test_zeros_past_float_range_certifies(tmp_path):
+    # at L = 200 scaled_coeffs() leaves the float64 range: zeros skips the
+    # float stage, and its precision ladder starts from the Newton polygon;
+    # z_c agrees to 4e-17 with Newton on the exact coefficients at 500 digits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = run(tmp_path, "z.json", ["zeros", "--L", "200", "--M", "201"])
+    assert rc == 0
+    doc = read_json(out)["zeros"]
+    assert doc["method"] == "mpmath-exact"
+    sm = doc["smallest"]
+    assert abs(complex(sm["re"], sm["im"]) + 0.36792423067004974) <= 1e-12
+    assert len(doc["zeros"]) == 200
+    assert all(math.isfinite(r[k]) for r in doc["zeros"] for k in ("re", "im", "residual"))
 
 
 def test_wide_spectral_box_warns_nothing(tmp_path):
@@ -136,7 +153,8 @@ def test_wide_spectral_box_warns_nothing(tmp_path):
 def test_exit_codes_over_a_grid(tmp_path, capsys):
     # every run ends in a documented exit code, never a traceback, and each
     # failure says why in one line on stderr; hard rods at L = 200 leave the
-    # float64 range (exit 4), and L = 40, M = 82 runs past close packing
+    # float64 range (spectral exits 4), and L = 40, M = 82 runs past close
+    # packing
     boxes = [["--L", str(L), "--M", str(M)]
              for L in (5, 40, 200) for M in (L + 1, 2 * L + 2)]
     boxes += [["--potential", "ideal", "--L", "40", "--M", "41"]]

@@ -22,6 +22,7 @@ from kslab.partition import (
     fixed_terms,
     fixed_values,
     float_roots,
+    inclusion_radii,
     numerator_coefficients,
     smallest_zero,
     zeros,
@@ -520,3 +521,64 @@ def test_mp_aberth_huge_root_past_extended_range():
         assert min(abs(r - R) for r in roots) <= mp.mpf("1e-70") * R
         unity = sorted(roots, key=abs)[:59]
         assert max(abs(r**60 - 1) for r in unity) <= mp.mpf("1e-70")
+
+
+# -- the certified precision ladder -----------------------------------------------
+
+
+def test_inclusion_radii_refuse_a_converged_wrong_pass(monkeypatch):
+    # hard rods at L = 80: from the float64 roots a 45-digit pass converges,
+    # but its z_c lands 9.3e-7 off; the inclusion radii refuse it, and the
+    # rung the ladder certifies puts z_c on the value Newton gives on the
+    # exact coefficients at 200 digits (criterion 11)
+    import mpmath as mp
+
+    poly = make_tonks(80.0)
+    seeds = float_roots(np.trim_zeros(poly.scaled_coeffs(), "b"))
+    b = _exact_scaled(80.0, 180)
+    with mp.workdps(45):
+        roots = _mp_aberth(b, starts=[mp.mpc(x) for x in seeds])
+        w, rel, ok, _ = inclusion_radii(fixed_terms(b), roots)
+    assert rel_err(w[np.argmin(np.abs(w))] * poly.scale, -0.36815400035903173) > 1e-7
+    assert not ok and rel.max() > 1e-3
+    seen, real = [], partition.inclusion_radii
+    monkeypatch.setattr(partition, "inclusion_radii",
+                        lambda terms, roots: seen.append(real(terms, roots)) or seen[-1])
+    zs = zeros(poly)
+    assert [s[2] for s in seen] == [False] * (len(seen) - 1) + [True]
+    assert seen[-1][1].max() <= 2.0**-64
+    assert zs.digits < 180  # the degree-set digits, max(60, 2 deg + 20), before the ladder
+    assert rel_err(smallest_zero(zs).z_c, -0.36815400035903173) <= 1e-15
+
+
+def test_double_root_never_certifies(monkeypatch):
+    # (w + 1)^2 (w + 2)(w + 3)(w + 5)(w + 7): the two approximations of the
+    # double root never separate into disjoint discs, so every rung up to
+    # the ceiling, max(60, 2 deg + 20) = 60 digits, fails the certificate
+    import mpmath as mp
+
+    c = np.polynomial.polynomial.polyfromroots([-1, -1, -2, -3, -5, -7])
+    monkeypatch.setattr(PartitionPolynomial, "mp_coefficients",
+                        lambda self: [mp.mpf(x) for x in c])
+    with pytest.raises(NumericalError,
+                       match=r"inclusion-radius certificate failed at \[30, .*60\] digits"):
+        zeros(poly_from_coeffs(c, scale=1.0))
+
+
+def test_derivative_data_at_working_precision():
+    # hard rods at L = 40: Xi' and Xi'' at z_c from the exact coefficients
+    # at 100 digits; coefficients rounded to 15 digits read a derivative
+    # certificate of 0.177 and a root conditioning of 3.7e16 instead
+    import mpmath as mp
+
+    sm = smallest_zero(zeros(make_tonks(40.0)))
+    with mp.workdps(100):
+        c = make_tonks(40.0).mp_coefficients()
+        d1 = [m * cm for m, cm in enumerate(c)][1:]
+        d2 = [m * cm for m, cm in enumerate(d1)][1:]
+        z = mp.findroot(lambda x: mp.polyval(c[::-1], x), mp.mpf(sm.z_c.real))
+        dv, ddv = mp.polyval(d1[::-1], z), mp.polyval(d2[::-1], z)
+        cert = abs(dv) / (abs(z) * abs(ddv))
+        kappa = mp.fsum(abs(cm) * abs(z) ** m for m, cm in enumerate(c)) / abs(z * dv)
+    assert sm.derivative_certificate == pytest.approx(float(cert), rel=1e-12)
+    assert sm.root_conditioning == pytest.approx(float(kappa), rel=1e-12)
