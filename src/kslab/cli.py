@@ -97,6 +97,15 @@ def _meta(args, command):
     }
 
 
+def _say(text):
+    """Print to stdout; once its reader has left (`kslab ... | head -1`), to devnull."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the command ends quietly, with its own exit status
+        os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(args, command, payload, rows, row_fields):
     """Write JSON (payload + meta) or CSV (rows); print a file note."""
     if args.format == "csv":
@@ -107,16 +116,16 @@ def _emit(args, command, payload, rows, row_fields):
             writer = csv.DictWriter(fh, fieldnames=row_fields)
             writer.writeheader()
             writer.writerows(rows)
-        print(f"wrote {out}")
+        _say(f"wrote {out}")
         return
     doc = {"meta": _meta(args, command), **payload}
     text = json.dumps(doc, indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-        print(f"wrote {args.out}")
+        _say(f"wrote {args.out}")
     else:
-        print(text)
+        _say(text)
 
 
 def _finite_pair(poly, N):
@@ -185,8 +194,8 @@ def cmd_zeros(args):
     zs = zeros(poly)
     sm = smallest_zero(zs)
     rows = zeros_to_rows(zs, sm)
-    print(f"smallest zero {sm.z_c:.12g}  certificate {sm.derivative_certificate:.3e}  "
-          f"min gap {sm.min_gap:.3e}  tie {sm.tie}")
+    _say(f"smallest zero {sm.z_c:.12g}  certificate {sm.derivative_certificate:.3e}  "
+         f"min gap {sm.min_gap:.3e}  tie {sm.tie}")
     _emit(args, "zeros", {"zeros": zeros_to_json(zs, sm)}, rows,
           ["re", "im", "residual", "is_smallest", "gap"])
     return 0
@@ -238,8 +247,8 @@ def cmd_spectral(args):
          "is_leading": int(v == spec.lam_c)}
         for v in eig
     ]
-    print(f"lambda_c {spec.lam_c:.10g}  rank(P) {rp.rank}  "
-          f"pole order {rp.pole_order}  precision {rp.precision}")
+    _say(f"lambda_c {spec.lam_c:.10g}  rank(P) {rp.rank}  "
+         f"pole order {rp.pole_order}  precision {rp.precision}")
     _emit(args, "spectral", payload, rows, ["re", "im", "modulus", "is_leading"])
     return 0
 
@@ -260,8 +269,8 @@ def cmd_asymptotics(args):
     res = leading_asymptotics(poly, anchors)
     rows = [{"angle": r.angle, "re": r.value.real, "im": r.value.imag,
              "change": r.change} for r in res.rays]
-    print(f"ray {res.ray_value:.10g}  residue {res.residue_value:.10g}  "
-          f"agreement {res.agreement:.3e}")
+    _say(f"ray {res.ray_value:.10g}  residue {res.residue_value:.10g}  "
+         f"agreement {res.agreement:.3e}")
     _emit(args, "asymptotics", {"asymptotics": res.to_json()}, rows,
           ["angle", "re", "im", "change"])
     return 0
@@ -277,10 +286,10 @@ def cmd_cluster(args):
             "singularity": [est.singularity.real, est.singularity.imag],
             "sign_pattern": est.sign_pattern, "diagnostics": est.diagnostics,
         }
-        print(f"density series radius {est.R:.6g} ({est.sign_pattern})")
+        _say(f"density series radius {est.R:.6g} ({est.sign_pattern})")
     except NumericalError as exc:
         payload["radius"] = None
-        print(f"radius not estimated: {exc}")
+        _say(f"radius not estimated: {exc}")
     _emit(args, "cluster", payload, dens.to_rows(), ["n", "coefficient", "sign"])
     return 0
 
@@ -298,7 +307,7 @@ def cmd_virial(args):
             payload["bound"] = claim_row("virial radius vs half kernel norm",
                                          1.0 / (2.0 * C), est.R,
                                          relation="at_least")
-        print(f"virial radius {est.R:.8g}")
+        _say(f"virial radius {est.R:.8g}")
     else:
         payload["radius"] = None
     _emit(args, "virial", payload, vir.to_rows(), ["n", "coefficient", "sign"])
@@ -385,8 +394,8 @@ def cmd_claimcheck(args):
         "rows": rows,
     }
     for r in rows:
-        print(f"{r['quantity']}: measured {r['measured']} vs claimed "
-              f"{r['claimed']} -> {r['verdict']}")
+        _say(f"{r['quantity']}: measured {r['measured']} vs claimed "
+             f"{r['claimed']} -> {r['verdict']}")
     _emit(args, "claimcheck", payload, rows,
           ["quantity", "relation", "claimed", "measured", "oracle",
            "uncertainty", "verdict"])
@@ -404,8 +413,8 @@ def cmd_residual(args):
                          order=args.order, count=args.probes,
                          constant_term=args.constant_term, seed=args.seed)
     gap = max(lv.truncation_gap for lv in report.levels)
-    print(f"sup residual {report.sup_residual:.3e}  error bound "
-          f"{report.error_bound:.3e}  truncation gap {gap:.3e}")
+    _say(f"sup residual {report.sup_residual:.3e}  error bound "
+         f"{report.error_bound:.3e}  truncation gap {gap:.3e}")
     rows = [
         {"n": lv.n, "sup_residual": lv.sup_residual, "error_bound": lv.error_bound,
          "truncation_gap": lv.truncation_gap, "n_probes": lv.n_probes}

@@ -141,30 +141,39 @@ def hardrod_anchored_series(L, a, anchors, jmax):
     only see each other (Tonks, Phys. Rev. 50, 955, 1936), so the
     generating function sum_j A_j t^j / j! is the product over the gaps of
     sum_k (g - (k-1)a)_+^k t^k / k!.  One truncated Cauchy product gives
-    every order at once; rows with overlapping anchors are zero.
+    every order at once; rows with overlapping anchors are zero.  The series
+    is laid out (gap, order, row), so each step runs over contiguous rows;
+    pow runs only for k >= 2 on positive free lengths (the rest is exact).
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     nc, n = anchors.shape
     if jmax < 0:
         raise ValueError("the order must be >= 0")
-    srt = np.sort(anchors, axis=1)
+    srt = np.ascontiguousarray(np.sort(anchors, axis=1).T)
     # gap lengths available to free rod centers; with no anchors, the box
-    gaps = np.full((nc, 1), float(L))
+    gaps = np.full((1, nc), float(L))
     if n:
-        gaps = np.concatenate([srt[:, :1] - a, np.diff(srt, axis=1) - 2.0 * a,
-                               L - srt[:, -1:] - a], axis=1)
-    k = np.arange(jmax + 1)
-    free = np.maximum(gaps[:, :, None] - (k - 1) * a, 0.0)
-    series = free**k / np.array([math.factorial(i) for i in k], dtype=float)
-    out = series[:, 0]
-    for s in series.transpose(1, 0, 2)[1:]:
-        prod = np.zeros_like(out)
-        for i in k:
-            prod[:, i:] += out[:, i, None] * s[:, : jmax + 1 - i]
+        step = np.diff(srt, axis=0)
+        gaps = np.concatenate([srt[:1] - a, step - 2.0 * a, L - srt[-1:] - a])
+    k = np.arange(1, jmax + 1)
+    series = np.empty((len(gaps), jmax + 1, nc))
+    series[:, 0] = 1.0
+    free = series[:, 1:]
+    np.maximum(np.subtract(gaps[:, None], ((k - 1) * a)[:, None], out=free), 0.0, out=free)
+    # a full exponent array keeps numpy's general pow: an exponent repeated
+    # with stride 0 takes a fast path that squares, and rounds differently
+    expo = np.broadcast_to(k[:, None] + 0.0, free.shape).copy()
+    np.power(free, expo, out=free, where=(free > 0.0) & (expo > 1.0))
+    np.divide(free, np.array([math.factorial(i) for i in k], dtype=float)[:, None], out=free)
+    out = series[0]
+    for s in series[1:]:
+        prod = s.copy()  # the i = 0 term: out[0] is 1
+        for i in range(1, jmax + 1):
+            prod[i:] += out[i] * s[: jmax + 1 - i]
         out = prod
     if n >= 2:
-        out[(np.diff(srt, axis=1) < a).any(axis=1)] = 0.0
-    return out
+        out[:, (step < a).any(axis=0)] = 0.0
+    return out.T
 
 
 # -- panel Gauss quadrature ---------------------------------------------------
@@ -215,17 +224,19 @@ def contact_lattice_rows(extent, a, kmax, anchors):
     return pts[:, : (pts < extent).sum(axis=1).max()]
 
 
-def ordered_sector(lo, hi, static, a, nodes, gap=0.0, exclude=None, budget=_POINT_BUDGET):
+def ordered_sector(lo, hi, static, a, nodes, gap=0.0, exclude=None, budget=_POINT_BUDGET,
+                   split=_POINT_BUDGET):
     """Gauss nodes of the ordered sectors lo <= y_1 <= ... <= y_k <= hi, level by level.
 
     One sector per owner b, cut at static[b] (points outside the range drop
     out) and at y + a of every coordinate placed, nodes[k-1] Gauss-Legendre
     nodes per panel at level k.  Yields (rows (R, k), weights, owner) for
-    k = 1..len(nodes), each owner's rows in depth-first order with
-    panel_rule's arithmetic.  gap starts each coordinate at y + gap and
-    exclude[b] skips panels within a of its entries (hard-core pruning).
-    A batch splits in two by owner before its cuts or next level pass budget
-    entries; a lone owner stops before a level of more than budget rows.
+    k = 1..len(nodes), each owner's rows of a level in one yield, depth-first
+    with panel_rule's arithmetic, and the owners of a yield ascending.
+    gap starts each coordinate at y + gap and exclude[b] skips panels within
+    a of its entries (hard-core pruning).  A batch splits in two by owner
+    before its cuts or next level pass split entries; a lone owner stops
+    before a level of more than budget rows.
     """
     nb = len(hi)
     stack = [(np.empty((nb, 0)), np.ones(nb), lo, np.arange(nb))]
@@ -236,7 +247,7 @@ def ordered_sector(lo, hi, static, a, nodes, gap=0.0, exclude=None, budget=_POIN
         top = hi[owner, None]
         x, w = gauss_legendre(nodes[rows.shape[1]])
         several = len(owner) and owner[0] != owner[-1]
-        over = several and len(rows) * (static.shape[1] + rows.shape[1]) > budget
+        over = several and len(rows) * (static.shape[1] + rows.shape[1]) > split
         if not over:  # each prefix row's sorted cuts; points outside (left, hi) collapse onto hi
             cand = np.concatenate([static[owner], rows + a], axis=1)
             cand = np.where((cand > left[:, None]) & (cand < top), cand, top)
@@ -247,7 +258,7 @@ def ordered_sector(lo, hi, static, a, nodes, gap=0.0, exclude=None, budget=_POIN
                 for r in exclude[owner].T:
                     live &= (cuts[:, :-1] < (r - a)[:, None]) | (cuts[:, 1:] > (r + a)[:, None])
             idx = np.nonzero(live)[0]
-            over = len(idx) * len(x) > budget
+            over = len(idx) * len(x) > (split if several else budget)
         if over:
             if several:
                 mid = np.searchsorted(owner, (owner[0] + owner[-1] + 1) // 2)

@@ -23,10 +23,14 @@ x_1; for hard rods every integrand is then piecewise polynomial on the
 panels and the quadrature is exact to rounding.  The nested panel nodes of
 the ordered sector come from integrals.ordered_sector, the builder that
 also integrates the anchored integrals the correlation family is made of,
-here run on one window.  For a family that vanishes on hard-core overlap,
-no panel is built where two rods overlap.  The correlations on both sides
-come from partition.CorrelationFamily, re-exported here: the left side of
-each level is one family call over all its probes.
+here run on the windows of all the probes at once.  For a family that
+vanishes on hard-core overlap, no panel is built where two rods overlap.
+The correlations on both sides come from partition.CorrelationFamily,
+re-exported here: the left side of each level is one family call over all
+its probes, and the right side one batched application, with one nest pass
+per rule (or one Sobol pass per sampled term) over all the probes and one
+family call per chunk of rows.  Each probe's sum runs over its own rows in
+the order a probe on its own would sum them, so batching moves no bit.
 
 Truncation bookkeeping, fixed here once and used by the residual check:
 with the degree-M family on the left, the exact finite-truncation identity
@@ -48,13 +52,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .integrals import (Box, contact_lattice, contact_lattice_rows, ordered_sector,
+from .integrals import (_BLOCK, Box, contact_lattice, contact_lattice_rows, ordered_sector,
                         sobol_replicates)
 from .partition import (CorrelationFamily, PartitionPolynomial, scaled_coefficients,
                         smallest_zero, zeros)
 from .potentials import PairPotential
 
 _SOBOL_SAMPLES = 1 << 12
+_ORDER_CAP = 1024  # Gauss nodes per panel: leggauss takes 0.2 s at 1024, 1 s at 2048
+_CHUNK = _BLOCK // 128  # entries (cuts, next-level rows) at which a batch of probes splits
 
 
 @dataclass
@@ -157,139 +163,151 @@ class CallableFamily:
 
 
 def _kernel_window(p: PairPotential, box: Box, x1):
+    """(lo, hi) around first anchors x1, clipped at the walls (empty if hi <= lo), or None."""
     r = p.interaction_range
     if r <= 0:
         return None
-    lo = max(0.0, x1 - r)
-    hi = min(box.extents[0], x1 + r)
-    if hi - lo <= 0:
-        return None
-    return lo, hi
+    return np.maximum(0.0, x1 - r), np.minimum(box.extents[0], x1 + r)
 
 
-def _ordered_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax, prune=False):
-    """Node rows and weights for the ordered sector y_1 <= ... <= y_m in the window.
+def _sector_nodes(p, box, x1, rest, m, order, inner_order, kmax, prune=False):
+    """Chunks (rows (R, m), weights, owner) of the ordered sectors y_1 <= ... <= y_m in
+    the kernel windows of probes x1 (P,) with other anchors rest (P, n - 1).
 
-    integrals.ordered_sector on the kernel window, with `order` nodes per
-    panel at level 1 and `inner_order` below, cut at the anchors' contact
-    lattice (anchors included).  Offsets y + k*a with k >= 2 never cut the
-    window, which lies inside [x1 - a, x1 + a].  prune drops the panels on
-    which a family that vanishes on hard-core overlap is zero; the rows
-    left are the unpruned nonzero rows, bit for bit and in order.
+    integrals.ordered_sector with `order` nodes per panel at level 1 and
+    `inner_order` below, cut at each probe's contact lattice inside its
+    window (offsets k*a, k >= 2, never cut it).  prune keeps just the rows
+    where a family that vanishes on hard-core overlap is nonzero, bit for
+    bit and in order.  Chunks of several probes stay within _CHUNK rows.
     """
     window = _kernel_window(p, box, x1)
     if window is None:
-        return np.empty((0, m)), np.empty(0)
+        return
+    lo, hi = window
     a = p.interaction_range
-    static = contact_lattice_rows(box.extents[0], a, kmax, np.append(rest_coords, x1)[None])
-    *_, (rows, weights, _) = ordered_sector(
-        np.array(window[:1]), np.array(window[1:]), static, a, [order] + [inner_order] * (m - 1),
-        gap=a if prune else 0.0, exclude=rest_coords[None] if prune else None, budget=math.inf)
-    return rows, weights
+    if prune:  # m rods overlap in a window of width (m - 1) * a or less: no rows
+        hi = np.where((m - 1) * a < hi - lo, hi, lo)
+    if not np.any(hi > lo):
+        return
+    static = contact_lattice_rows(box.extents[0], a, kmax, np.column_stack([rest, x1]))
+    inside = (static > lo[:, None]) & (static < hi[:, None])
+    static = np.sort(np.where(inside, static, hi[:, None]), axis=1)
+    for rows, weights, owner in ordered_sector(
+            lo, hi, static[:, : inside.sum(axis=1).max()], a, [order] + [inner_order] * (m - 1),
+            gap=a if prune else 0.0, exclude=rest if prune else None, budget=math.inf,
+            split=_CHUNK):
+        if rows.shape[1] == m and len(rows):
+            yield rows, weights, owner
 
 
-def _term_quadrature(p, box, phi, n, x1, rest, m, order, inner_order, kmax):
-    """One m-term of the operator sum (without the e^{-W} prefactor) and its carried error."""
-    if m == 0:
-        val = complex(phi(n - 1, rest.reshape(1, n - 1, 1))[0])
-        return val, float(np.sum(getattr(phi, "last_error", 0.0)))
+def _ordered_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax, prune=False):
+    """Node rows and weights of one probe: _sector_nodes of a batch of one."""
+    chunks = _sector_nodes(p, box, np.array([float(x1)]), np.reshape(rest_coords, (1, -1)), m,
+                           order, inner_order, kmax, prune)
+    return next(chunks, (np.empty((0, m)), np.empty(0)))[:2]
+
+
+def _term_quadrature(p, box, phi, n, x1, rest, m, order, inner_order, kmax, prune):
+    """One m-term of the operator sum (without the e^{-W} prefactor) and its carried
+    error, per probe: arrays over the first anchors x1 (P,) and the rest (P, n - 1)."""
+    val, carried = np.zeros(len(x1), dtype=complex), np.zeros(len(x1))
+    if m == 0:  # one row per probe: numpy rounds a one-row S @ zpow its own way
+        for i, r in enumerate(rest):
+            val[i] = phi(n - 1, r.reshape(1, n - 1, 1))[0]
+            carried[i] = np.sum(getattr(phi, "last_error", 0.0))
+        return val, carried
     # ordered sector times m! cancels the 1/m! prefactor
-    # the kernel itself does not exclude the y's from each other; only a
-    # family that dies on overlaps justifies the packing cutoff and pruning
-    prune = p.family == "hardcore" and getattr(phi, "vanishes_on_overlap", False)
-    if prune:
-        window = _kernel_window(p, box, x1)
-        if window is None or (m - 1) * p.a >= window[1] - window[0]:
-            return 0.0 + 0.0j, 0.0
-    ys, ws = _ordered_nodes(p, box, x1, rest, m, order, inner_order, kmax, prune=prune)
-    if len(ws) == 0:
-        return 0.0 + 0.0j, 0.0
-    kern = np.prod(p.mayer_f(np.abs(ys - x1)), axis=1)
-    level = n - 1 + m
-    configs = np.concatenate(
-        [np.broadcast_to(rest, (len(ws), n - 1)), ys], axis=1
-    ).reshape(-1, level, 1)
-    vals = phi(level, configs)
-    wk = ws * kern
-    return complex(np.dot(wk, vals)), float(np.sum(np.abs(wk) * getattr(phi, "last_error", 0.0)))
+    for ys, ws, probe in _sector_nodes(p, box, x1, rest, m, order, inner_order, kmax, prune):
+        kern = np.prod(p.mayer_f(np.abs(ys - x1[probe, None])), axis=1)
+        vals = phi(n - 1 + m, np.concatenate([rest[probe], ys], axis=1)[:, :, None])
+        wk = ws * kern
+        werr = np.abs(wk) * getattr(phi, "last_error", 0.0)
+        # each probe's sum over its own rows, as a batch of one sums them
+        ends = np.append(np.flatnonzero(np.diff(probe)) + 1, len(probe))
+        for s, e in zip(np.append(0, ends[:-1]), ends):
+            val[probe[s]], carried[probe[s]] = np.dot(wk[s:e], vals[s:e]), np.sum(werr[s:e])
+    return val, carried
 
 
 def _term_sampled(p, box, phi, n, x1, rest, m, seed):
+    """One m-term and its error per probe from one replicate-sampled pass: every
+    probe averages over the same Sobol points, mapped onto its window."""
+    val, err = np.zeros(len(x1), dtype=complex), np.zeros(len(x1))
     window = _kernel_window(p, box, x1)
     if window is None:
-        return 0.0 + 0.0j, 0.0
-    lo, hi = window
-    level = n - 1 + m
+        return val, err
+    live = np.flatnonzero(window[1] > window[0])
+    lo, width = window[0][live], (window[1] - window[0])[live]
+    x1, rest, level = x1[live], rest[live], n - 1 + m
+    scale = np.array([w**m for w in width.tolist()])  # Python's pow, as a batch of one had
 
     def estimate(u):
-        ys = lo + (hi - lo) * u
-        kern = np.prod(p.mayer_f(np.abs(ys - x1)), axis=1)
-        configs = np.concatenate(
-            [np.broadcast_to(rest, (len(ys), n - 1)), ys], axis=1
-        ).reshape(-1, level, 1)
-        vals = phi(level, configs)
-        carried = np.abs(kern) * getattr(phi, "last_error", 0.0)
-        return np.array([np.mean(kern * vals), np.mean(carried)]) * (hi - lo) ** m
+        out = np.empty((2, len(live)), dtype=complex)
+        for i in range(len(live)):  # one family call per probe over the replicate's points
+            ys = lo[i] + width[i] * u
+            kern = np.prod(p.mayer_f(np.abs(ys - x1[i])), axis=1)
+            configs = np.concatenate([np.broadcast_to(rest[i], (len(ys), n - 1)), ys], axis=1)
+            vals = phi(level, configs[:, :, None])
+            carried = np.abs(kern) * getattr(phi, "last_error", 0.0)
+            out[:, i] = np.mean(kern * vals), np.mean(carried)
+        return out * scale
 
     mean, spread = sobol_replicates(m, _SOBOL_SAMPLES, seed, 8, estimate)
     fac = math.factorial(m)
-    return complex(mean[0]) / fac, (float(spread[0]) + mean[1].real) / fac
+    val[live] = (mean[0].view(float) / fac).view(complex)  # part by part, as complex / int
+    err[live] = (spread[0] + mean[1].real) / fac
+    return val, err
 
 
 def apply_ks_function(p: PairPotential, box: Box, phi, n, anchors, M,
                       strategy="quadrature", order=64, seed=42):
-    """(K phi) at one anchor configuration, summed over m = 0..M-n.
+    """(K phi) at a batch of anchor configurations (P, n, dim), summed over m = 0..M-n.
 
-    For n = 1 the sum starts at m = 1: the empty-product constant term of
-    the first equation is the caller's to add.  phi is a family callable
-    (level, configs) -> values.  Returns (value, error_bound); the bound
+    Returns P values and error bounds; one configuration (n, dim) is a batch
+    of one and gives scalars.  For n = 1 the sum starts at m = 1: the
+    empty-product constant term of the first equation is the caller's to
+    add.  phi is a family callable (level, configs) -> values.  The bound
     covers quadrature (order refinement) or sampling (replicate spread) and
-    the per-row errors a family leaves in phi.last_error.
+    the per-row errors a family leaves in phi.last_error.  Each term is built
+    for all probes with e^{-W} != 0 at once, and each probe's rows are summed
+    as a batch of one sums them: no value depends on the batch.
     """
     if box.dimension != 1 and strategy == "quadrature":
         raise ConfigError("quadrature application is one-dimensional; use sampling")
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    if anchors.shape[0] != n:
+    anchors = np.asarray(anchors, dtype=float)
+    single = anchors.ndim < 3
+    batch = np.atleast_2d(anchors)[None] if single else anchors
+    if batch.shape[1] != n:
         raise ConfigError("anchor count does not match the level n")
-    x1 = float(anchors[0, 0])
-    rest = anchors[1:, 0].copy()
-
-    if n == 1:
-        eW = 1.0
-        m_start = 1
-    else:
-        _, eW = p.cross_energy(anchors[0], anchors[1:])
-        m_start = 0
-        if eW == 0.0:
-            return 0.0 + 0.0j, 0.0
+    eW = np.array([p.cross_energy(c[0], c[1:])[1] for c in batch])  # 1 for n = 1
+    live = np.flatnonzero(eW != 0.0)
+    x1, rest = batch[live, 0, 0], batch[live, 1:, 0]
 
     kmax = min(M + 1, 12)
     inner_order = max(8, min(order, M + n + 4))
-    total = 0.0 + 0.0j
-    err = 0.0
-    # families that die on overlaps zero every term past two kernel
-    # coordinates (the window holds at most two rod diameters); for any
-    # other family those terms exist but nested panel quadrature over them
-    # is combinatorial, so they go to the replicate-sampled route and
-    # carry its spread in the bound
-    packing_pruned = p.family == "hardcore" and getattr(
-        phi, "vanishes_on_overlap", False
-    )
-    for m in range(m_start, M - n + 1):
-        sample_term = (strategy == "sampling" or (m >= 3 and not packing_pruned))
-        if sample_term and m >= 1:
+    total, err = np.zeros(len(live), dtype=complex), np.zeros(len(live))
+    # the kernel does not keep the y's apart: only a family that dies on
+    # overlaps licenses pruning, and it zeroes every term past two kernel
+    # coordinates (a window spans two rod diameters).  Other families' terms
+    # past two are sampled (nested panels are combinatorial) with their spread
+    pruned = p.family == "hardcore" and getattr(phi, "vanishes_on_overlap", False)
+    for m in range(0 if n > 1 else 1, M - n + 1):
+        if m >= 1 and (strategy == "sampling" or (m >= 3 and not pruned)):
             val, e = _term_sampled(p, box, phi, n, x1, rest, m, seed + m)
-            total += val
-            err += e
+            total, err = total + val, err + e
             continue
-        fine, carried = _term_quadrature(p, box, phi, n, x1, rest, m, order, inner_order, kmax)
+        fine, carried = _term_quadrature(p, box, phi, n, x1, rest, m, order, inner_order, kmax,
+                                         pruned)
         err += carried
         if m >= 1:
-            coarse, _ = _term_quadrature(p, box, phi, n, x1, rest, m,
-                                         max(4, order // 2), max(6, inner_order - 3), kmax)
-            err += 2.0 * abs(fine - coarse) + 1e-15 * abs(fine)
+            coarse, _ = _term_quadrature(p, box, phi, n, x1, rest, m, max(4, order // 2),
+                                         max(6, inner_order - 3), kmax, pruned)
+            d = fine - coarse  # np.hypot rounds |.| as Python's abs does; np.abs may not
+            err += 2.0 * np.hypot(d.real, d.imag) + 1e-15 * np.hypot(fine.real, fine.imag)
         total += fine
-    return eW * total, eW * err
+    value, bound = np.zeros(len(batch), dtype=complex), np.zeros(len(batch))
+    value[live], bound[live] = eW[live] * total, eW[live] * err
+    return (complex(value[0]), float(bound[0])) if single else (value, bound)
 
 
 # -- residual of the full system --------------------------------------------------
@@ -400,6 +418,8 @@ def ks_residual(poly: PartitionPolynomial, z, n_max, strategy="quadrature",
         raise ConfigError("need 1 <= n_max <= M-1")
     if order < 2:
         raise ConfigError(f"quadrature order {order} is below 2")
+    if order > _ORDER_CAP:
+        raise ConfigError(f"quadrature order {order} is above the cap of {_ORDER_CAP}")
     if count < 1:
         raise ConfigError(f"probe count {count} is below 1")
     z_c = smallest_zero(zeros(poly)).z_c
@@ -420,9 +440,9 @@ def ks_residual(poly: PartitionPolynomial, z, n_max, strategy="quadrature",
             raise ConfigError(f"no probe configuration fits level {n} in the box; "
                               f"lower n_max or raise the probe count")
         lhs = rho(n, np.array(probes))
-        for anchors, value, error in zip(probes, lhs, rho.last_error):
-            op, op_err = apply_ks_function(p, box, fam, n, anchors, M,
-                                           strategy=strategy, order=order, seed=seed)
+        ops, op_errs = apply_ks_function(p, box, fam, n, np.array(probes), M,
+                                         strategy=strategy, order=order, seed=seed)
+        for value, error, op, op_err in zip(lhs, rho.last_error, ops.tolist(), op_errs.tolist()):
             rhs = z * (const + op) if n == 1 else z * op
             sup_r = max(sup_r, abs(value - rhs))
             sup_b = max(sup_b, error + abs(z) * op_err)

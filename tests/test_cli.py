@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import kslab
+from kslab import cli
 from kslab.cli import main
 
 
@@ -441,3 +442,55 @@ def test_cli_import_skips_scipy_stats_and_integrate(tmp_path):
                           cwd=str(tmp_path), env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_residual_order_above_the_cap_exits_2(capsys):
+    # a million Gauss nodes per panel would ask leggauss for terabytes;
+    # the check refuses the order by name instead of raising MemoryError
+    assert main(["residual", "--L", "5", "--M", "6", "--z", "0.2", "--n-max", "1",
+                 "--order", "1000000"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "order 1000000" in err and "cap of 1024" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--L", "5", "--M", "6"],
+    ["residual", "--L", "5", "--M", "6", "--z", "0.2", "--n-max", "1", "--order", "8",
+     "--probes", "2"],
+])
+def test_closed_pipe_ends_quietly(tmp_path, argv):
+    # `kslab ... | head -1`: the reader is gone before the first line is
+    # written; the command ends with status 0 and nothing on stderr, not a
+    # BrokenPipeError traceback or an "Exception ignored" line at shutdown
+    proc = subprocess.Popen([sys.executable, "-m", "kslab.cli", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, cwd=str(tmp_path), env=_child_env())
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == ""
+
+
+def test_broken_out_stream_is_not_a_quiet_exit(tmp_path, monkeypatch):
+    # only stdout's reader leaving early ends quietly: a write to --out that
+    # fails with a broken pipe (a FIFO whose reader quit) must not exit 0
+    out = tmp_path / "zeros.json"
+
+    class Gone:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    real_open = open
+    monkeypatch.setattr(cli, "open", lambda path, *args, **kwargs: Gone() if str(path) == str(out)
+                        else real_open(path, *args, **kwargs), raising=False)
+    try:
+        rc = main(["zeros", "--L", "5", "--M", "6", "--out", str(out)])
+    except BrokenPipeError:
+        rc = None
+    assert rc != 0

@@ -196,6 +196,56 @@ def test_anchored_hardrod_batch_identities():
     assert bad[0] == 0.0
 
 
+def _hardrod_series_per_row_layout(L, a, anchors, jmax):
+    """The hard-rod gap series as it was first written, laid out (row, gap, order)
+    with free**k over every k: the bitwise reference for hardrod_anchored_series."""
+    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    nc, n = anchors.shape
+    srt = np.sort(anchors, axis=1)
+    gaps = np.full((nc, 1), float(L))
+    if n:
+        gaps = np.concatenate([srt[:, :1] - a, np.diff(srt, axis=1) - 2.0 * a,
+                               L - srt[:, -1:] - a], axis=1)
+    k = np.arange(jmax + 1)
+    free = np.maximum(gaps[:, :, None] - (k - 1) * a, 0.0)
+    series = free**k / np.array([math.factorial(i) for i in k], dtype=float)
+    out = series[:, 0]
+    for s in series.transpose(1, 0, 2)[1:]:
+        prod = np.zeros_like(out)
+        for i in k:
+            prod[:, i:] += out[:, i, None] * s[:, : jmax + 1 - i]
+        out = prod
+    if n >= 2:
+        out[(np.diff(srt, axis=1) < a).any(axis=1)] = 0.0
+    return out
+
+
+def test_hardrod_series_bitwise_equal_to_row_layout():
+    # the (gap, order, row) layout, pow only for k >= 2 and the masked pow
+    # change no bit: random rows, anchors on the contact lattice and a hair
+    # off it, overlapping rows, single rows, n = 0..3 and every jmax to 8
+    rng = np.random.default_rng(17)
+    checked = 0
+    for L, a in ((5.0, 1.0), (7.3, 0.37), (20.0, 1.0)):
+        lattice = np.concatenate([np.arange(0.0, L + a / 2, a), L - np.arange(0.0, L + a / 2, a)])
+        for n in range(4):
+            rows = rng.uniform(0.0, L, size=(600, n))
+            rows[:150] = rng.choice(lattice, size=(150, n))
+            rows[150:250] = (np.round(rows[150:250] / a) * a
+                             + rng.choice([-1e-16, 0.0, 1e-15], size=(100, n)))
+            if n >= 2:
+                rows[250:300, 1] = rows[250:300, 0] + 0.5 * a  # overlapping anchors
+            for jmax in range(9):
+                for batch in (rows, rows[:1], rows[151:152]):
+                    want = _hardrod_series_per_row_layout(L, a, batch, jmax)
+                    got = hardrod_anchored_series(L, a, batch, jmax)
+                    assert got.shape == want.shape
+                    assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
+                                          want.view(np.int64))
+                    checked += 1
+    assert checked == 3 * 4 * 9 * 3
+
+
 def test_anchored_series_matches_composition_sum():
     rng = np.random.default_rng(5)
     for L, a in ((5.0, 1.0), (7.3, 0.37)):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from kslab.errors import ConfigError
-from kslab.integrals import Box, build_table, contact_lattice_rows, gauss_legendre, panel_rule
+from kslab.integrals import (Box, build_table, contact_lattice_rows, gauss_legendre,
+                             ordered_sector, panel_rule, sobol_replicates)
 from kslab.ksop import (
     CallableFamily,
     CorrelationFamily,
@@ -400,3 +401,137 @@ def test_gauss_legendre_rule_is_shared_read_only():
         x[0] = 0.0
     with pytest.raises(ValueError):
         w[0] = 0.0
+
+
+# -- the batched application against the loop over probes it replaced ---------------
+
+
+def _reference_term_quadrature(p, box, phi, n, x1, rest, m, order, inner_order, kmax):
+    """One probe's m-term by its own nest pass and its own family call."""
+    if m == 0:
+        val = complex(phi(n - 1, rest.reshape(1, n - 1, 1))[0])
+        return val, float(np.sum(getattr(phi, "last_error", 0.0)))
+    prune = p.family == "hardcore" and getattr(phi, "vanishes_on_overlap", False)
+    r = p.interaction_range
+    lo, hi = max(0.0, x1 - r), min(box.extents[0], x1 + r)
+    if r <= 0 or hi - lo <= 0 or (prune and (m - 1) * p.a >= hi - lo):
+        return 0.0 + 0.0j, 0.0
+    static = contact_lattice_rows(box.extents[0], r, kmax, np.append(rest, x1)[None])
+    *_, (ys, ws, _) = ordered_sector(
+        np.array([lo]), np.array([hi]), static, r, [order] + [inner_order] * (m - 1),
+        gap=r if prune else 0.0, exclude=rest[None] if prune else None, budget=math.inf)
+    if len(ws) == 0:
+        return 0.0 + 0.0j, 0.0
+    kern = np.prod(p.mayer_f(np.abs(ys - x1)), axis=1)
+    configs = np.concatenate([np.broadcast_to(rest, (len(ws), n - 1)), ys], axis=1)
+    vals = phi(n - 1 + m, configs.reshape(-1, n - 1 + m, 1))
+    wk = ws * kern
+    return complex(np.dot(wk, vals)), float(np.sum(np.abs(wk) * getattr(phi, "last_error", 0.0)))
+
+
+def _reference_term_sampled(p, box, phi, n, x1, rest, m, seed):
+    """One probe's replicate-sampled m-term by its own Sobol pass."""
+    r = p.interaction_range
+    lo, hi = max(0.0, x1 - r), min(box.extents[0], x1 + r)
+    if r <= 0 or hi - lo <= 0:
+        return 0.0 + 0.0j, 0.0
+    level = n - 1 + m
+
+    def estimate(u):
+        ys = lo + (hi - lo) * u
+        kern = np.prod(p.mayer_f(np.abs(ys - x1)), axis=1)
+        configs = np.concatenate([np.broadcast_to(rest, (len(ys), n - 1)), ys], axis=1)
+        vals = phi(level, configs.reshape(-1, level, 1))
+        carried = np.abs(kern) * getattr(phi, "last_error", 0.0)
+        return np.array([np.mean(kern * vals), np.mean(carried)]) * (hi - lo) ** m
+
+    mean, spread = sobol_replicates(m, 1 << 12, seed, 8, estimate)
+    fac = math.factorial(m)
+    return complex(mean[0]) / fac, (float(spread[0]) + mean[1].real) / fac
+
+
+def _reference_apply(p, box, phi, n, anchors, M, strategy="quadrature", order=64, seed=42):
+    """(K phi) at one anchor configuration, one probe at a time, as the
+    operator was applied before its terms were batched over probes."""
+    x1, rest = float(anchors[0, 0]), anchors[1:, 0].copy()
+    eW = 1.0
+    if n > 1:
+        _, eW = p.cross_energy(anchors[0], anchors[1:])
+        if eW == 0.0:
+            return 0.0 + 0.0j, 0.0
+    kmax, inner_order = min(M + 1, 12), max(8, min(order, M + n + 4))
+    pruned = p.family == "hardcore" and getattr(phi, "vanishes_on_overlap", False)
+    total, err = 0.0 + 0.0j, 0.0
+    for m in range(0 if n > 1 else 1, M - n + 1):
+        if m >= 1 and (strategy == "sampling" or (m >= 3 and not pruned)):
+            val, e = _reference_term_sampled(p, box, phi, n, x1, rest, m, seed + m)
+            total, err = total + val, err + e
+            continue
+        fine, carried = _reference_term_quadrature(p, box, phi, n, x1, rest, m, order,
+                                                   inner_order, kmax)
+        err += carried
+        if m >= 1:
+            coarse, _ = _reference_term_quadrature(p, box, phi, n, x1, rest, m,
+                                                   max(4, order // 2), max(6, inner_order - 3),
+                                                   kmax)
+            err += 2.0 * abs(fine - coarse) + 1e-15 * abs(fine)
+        total += fine
+    return eW * total, eW * err
+
+
+def _assert_batch_matches_reference(p, box, phi, n, probes, M, **kwargs):
+    values, bounds = apply_ks_function(p, box, phi, n, probes, M, **kwargs)
+    want = [_reference_apply(p, box, phi, n, anchors, M, **kwargs) for anchors in probes]
+    assert values.shape == bounds.shape == (len(probes),)
+    assert np.array_equal(values.view(np.int64), np.array([v for v, _ in want]).view(np.int64))
+    assert np.array_equal(bounds.view(np.int64), np.array([b for _, b in want]).view(np.int64))
+    # a configuration on its own is a batch of one and gives the same scalars
+    one = apply_ks_function(p, box, phi, n, probes[0], M, **kwargs)
+    assert type(one[0]) is complex and type(one[1]) is float
+    assert one == (values[0], bounds[0])
+    return values
+
+
+def test_batched_application_matches_probe_loop_on_hard_rods(tonks5):
+    # pruned hard rods on the probe sets of the residual check, plus windows
+    # clipped at both walls; level 2 holds the overlapping pair (e^{-W} = 0)
+    # and level 3 the m = 0 term at two anchors
+    p, box = tonks5.potential, tonks5.box
+    fam = CorrelationFamily(tonks5, 0.2, degree=5)
+    walls = {1: [[[0.05]], [[4.98]]], 2: [[[0.1], [2.0]], [[4.95], [1.0]]],
+             3: [[[0.2], [1.5], [3.9]], [[4.9], [0.5], [2.5]]]}
+    for n in (1, 2, 3):
+        probes = np.array(probe_anchor_sets(box, p, n, count=12) + walls[n])
+        values = _assert_batch_matches_reference(p, box, fam, n, probes, 6, order=24)
+        if n == 2:
+            assert values[-3] == 0.0  # the overlapping pair
+    # more probes than one chunk holds at the default order
+    probes = np.array(probe_anchor_sets(box, p, 1, count=32))
+    _assert_batch_matches_reference(p, box, fam, 1, probes, 6)
+
+
+def test_batched_application_matches_probe_loop_off_hard_rods():
+    box = Box((5.0,))
+    step = PairPotential.step(0.8, 1.3)
+    smooth = CallableFamily(lambda lvl, cfg: (0.3 + 0.1j) ** lvl * np.cos(cfg.sum(axis=(1, 2))))
+    probes2 = np.array([[[0.3], [2.0]], [[2.5], [4.1]], [[4.7], [1.2]], [[2.0], [2.5]]])
+    # the free gas: no kernel window, only the m = 0 term survives
+    ideal = PairPotential.ideal()
+    gas = CorrelationFamily(make_ideal(5.0, M=6), 0.1 + 0.05j, degree=5)
+    _assert_batch_matches_reference(ideal, box, gas, 2, probes2, 6, order=16)
+    # the step with a family that does not vanish on overlap: m >= 3 sampled,
+    # and the whole sum sampled, over windows of many widths
+    x = np.linspace(0.02, 4.97, 23)
+    singles = x[:, None, None]
+    pairs = np.stack([x, (x + 1.9) % 5.0], axis=1)[:, :, None]
+    _assert_batch_matches_reference(step, box, smooth, 1, singles, 5, order=12)
+    # quadrature alone, where the refinement terms make up the whole bound
+    _assert_batch_matches_reference(step, box, smooth, 1, singles, 3, order=12)
+    _assert_batch_matches_reference(step, box, smooth, 2, pairs, 6, order=12)
+    _assert_batch_matches_reference(step, box, smooth, 2, pairs, 5, strategy="sampling",
+                                    seed=3)
+    # a step correlation family carries a per-row error into the bound
+    poly = assemble(build_table(step, Box((4.0,)), 4, order=12))
+    fam = CorrelationFamily(poly, 0.1, degree=3)
+    _assert_batch_matches_reference(step, poly.box, fam, 1, np.array([[[0.5]], [[3.7]]]), 4,
+                                    order=12)
