@@ -31,8 +31,8 @@ from .cluster import (BoundReport, PowerSeries, RadiusEstimate, claim_row,
                       revert_series, richardson, sign_pattern, virial_reversion)
 from .errors import (BranchError, ConfigError, ContourError, Degenerate,
                      InsufficientData, KslabError, MissingPrerequisite,
-                     NearEigenvalue, NearPole, NotRegular, NotStable,
-                     NumericalError, UseSampling)
+                     NearPole, NotRegular, NotStable, NumericalError,
+                     UseSampling)
 from .integrals import Box, IntegralTable, anchored_integral, build_table
 from .ksop import KSMatrix, apply_ks_function, build_ks_matrix, ks_residual
 from .oracles import IdealModel, TonksModel, ideal_truncated_zeros, tonks_mayer_coefficients
@@ -51,7 +51,7 @@ __all__ = [
     "AsymptoticsResult", "BoundReport", "Box", "BranchError", "ConfigError",
     "ContourError", "Degenerate", "IdealModel", "InsufficientData",
     "IntegralTable", "KSMatrix", "KslabError", "MissingPrerequisite",
-    "NearEigenvalue", "NearPole", "NotRegular", "NotStable", "NumericalError",
+    "NearPole", "NotRegular", "NotStable", "NumericalError",
     "PairPotential", "PartitionPolynomial", "PowerSeries", "RadiusEstimate",
     "RieszResult", "SLog", "SmallestZero", "Spectrum", "TonksModel",
     "UseSampling", "ZeroSet", "anchored_integral", "apply_ks_function",

@@ -109,8 +109,6 @@ def _say(text):
 def _emit(args, command, payload, rows, row_fields):
     """Write JSON (payload + meta) or CSV (rows); print a file note."""
     if args.format == "csv":
-        if rows is None:
-            raise ConfigError(f"{command} has no CSV representation; use --format json")
         out = args.out or f"{command}.csv"
         with open(out, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=row_fields)
@@ -147,7 +145,7 @@ def _series_pair(args):
             raise ConfigError("--extrapolate needs a one-dimensional box")
         lengths = (ext[0], 2 * ext[0], 4 * ext[0])
         dens, errs, _ = density_coefficients_extrapolated(
-            p, lengths, N, cache_dir=args.cache_dir)
+            p, lengths, N, cache_dir=args.cache_dir, order=args.order, seed=args.seed)
         # pressure coefficients ell_k / L are density coefficients over k,
         # and Richardson is linear, so the density ladder carries them too
         vals = dens.values
@@ -440,8 +438,6 @@ def build_parser():
     common.add_argument("--L", default=None,
                         help="box extents, comma-separated per axis")
     common.add_argument("--M", type=int, default=8, help="truncation order")
-    common.add_argument("--xi", type=float, default=None,
-                        help="weight for the spectral-radius comparison")
     common.add_argument("--order", type=int, default=16, help="quadrature order")
     common.add_argument("--seed", type=int, default=42)
     common.add_argument("--out", default=None, help="output file path")
@@ -468,8 +464,12 @@ def build_parser():
                           help="series length for cluster analysis")
         sp_c.add_argument("--extrapolate", action="store_true",
                           help="Richardson over box lengths L, 2L, 4L")
-        sp_c.add_argument("--radius-method", default="domb_sykes",
-                          choices=("ratio", "root", "domb_sykes"))
+        if name != "virial":  # the commands that estimate a series radius
+            sp_c.add_argument("--radius-method", default="domb_sykes",
+                              choices=("ratio", "root", "domb_sykes"))
+        if name == "claimcheck":
+            sp_c.add_argument("--xi", type=float, default=None,
+                              help="weight for the spectral-radius comparison")
     sp_res = sub.add_parser("residual", parents=[common])
     sp_res.add_argument("--z", default="0.1", help="activity, python complex syntax")
     sp_res.add_argument("--n-max", type=int, default=3)

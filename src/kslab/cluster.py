@@ -20,38 +20,31 @@ import numpy as np
 from .errors import InsufficientData, NumericalError
 from .integrals import Box, build_table
 from .partition import PartitionPolynomial, assemble
-from .slog import SLog
 
 # -- series container ------------------------------------------------------------
 
 
 @dataclass
 class PowerSeries:
-    """Truncated power series; coefficients kept in signed-log form."""
+    """Truncated power series with float64 coefficients."""
 
-    slogs: list  # SLog per coefficient, index = power
+    values: np.ndarray  # coefficient per power, index = power
     variable: str  # "z" (activity) or "rho" (density)
 
     @classmethod
     def from_values(cls, values, variable):
-        return cls([SLog.from_value(float(v)) for v in values], variable)
-
-    @property
-    def values(self):
-        return np.array([s.value for s in self.slogs])
+        return cls(np.array(values, dtype=float), variable)
 
     def __len__(self):
-        return len(self.slogs)
+        return len(self.values)
 
     def nonzero_indices(self):
-        return [k for k, s in enumerate(self.slogs) if s.sign != 0]
+        return np.flatnonzero(self.values).tolist()
 
     def to_rows(self):
         """CSV-ready rows (power, coefficient, sign)."""
-        return [
-            {"n": k, "coefficient": s.value, "sign": s.sign}
-            for k, s in enumerate(self.slogs)
-        ]
+        return [{"n": k, "coefficient": v, "sign": (v > 0) - (v < 0)}
+                for k, v in enumerate(self.values.tolist())]
 
 
 def sign_pattern(series: PowerSeries, start=1):
@@ -60,12 +53,11 @@ def sign_pattern(series: PowerSeries, start=1):
     "alternating" means every consecutive nonzero pair flips sign,
     "positive" means no negative entries; anything else is "mixed".
     """
-    signs = [s.sign for s in series.slogs[start:] if s.sign != 0]
-    if len(signs) >= 2 and all(a == -b for a, b in zip(signs, signs[1:])):
+    signs = np.sign(series.values[start:])
+    signs = signs[signs != 0]
+    if len(signs) >= 2 and np.all(signs[1:] == -signs[:-1]):
         return "alternating"
-    if all(s > 0 for s in signs):
-        return "positive"
-    return "mixed"
+    return "positive" if np.all(signs > 0) else "mixed"
 
 
 # -- log, density, exp -----------------------------------------------------------
@@ -163,17 +155,17 @@ def richardson(values, ratio=2.0, first_order=1):
     return t[0], last_step
 
 
-def density_coefficients_extrapolated(p, lengths, N, cache_dir=None):
+def density_coefficients_extrapolated(p, lengths, N, cache_dir=None, order=16, seed=42):
     """Thermodynamic-limit density coefficients from a ladder of box lengths.
 
-    Builds the finite-volume density series at each 1-D box length and
-    Richardson-extrapolates coefficient by coefficient (leading error is
-    order 1/L).  Returns (series, per-coefficient error estimates,
-    per-length series list).
+    Builds the finite-volume density series at each 1-D box length (tables
+    from build_table with the given order and seed) and Richardson-
+    extrapolates coefficient by coefficient (leading error is order 1/L).
+    Returns (series, per-coefficient error estimates, per-length series list).
     """
     per_len = []
     for L in lengths:
-        table = build_table(p, Box((float(L),)), N, cache_dir=cache_dir)
+        table = build_table(p, Box((float(L),)), N, order=order, seed=seed, cache_dir=cache_dir)
         poly = assemble(table)
         per_len.append(density_series(log_series(poly, N), L))
     vals = np.zeros(N + 1)

@@ -52,15 +52,6 @@ class NearPole(NumericalError):
         self.nearest_zero = nearest_zero
 
 
-class NearEigenvalue(NumericalError):
-    """Resolvent requested at a point too close to the spectrum."""
-
-    def __init__(self, message, lam=None, nearest=None):
-        super().__init__(message)
-        self.lam = lam
-        self.nearest = nearest
-
-
 class ContourError(NumericalError):
     """Circular contour cannot separate the target eigenvalue group."""
 

@@ -515,7 +515,8 @@ def sobol_replicates(dim, n_samples, seed, replicates, estimate):
 
 
 def sampled_Z(p: PairPotential, box: Box, m, n_samples=1 << 16, seed=42, replicates=8):
-    """Scrambled-Sobol estimate of Z_m with a replicate standard error.
+    """Scrambled-Sobol estimate of Z_m with a replicate standard error: the
+    anchor-free case of _sobol_mean.
 
     Deterministic for a given seed.  The points are split into
     independently scrambled replicates; the reported error is the standard
@@ -525,14 +526,11 @@ def sampled_Z(p: PairPotential, box: Box, m, n_samples=1 << 16, seed=42, replica
         raise ConfigError("sampled_Z needs at least 1000 samples")
     if m == 0:
         return 1.0, 0.0
-    vol = box.volume**m
     if p.family == "ideal":
-        return vol, 0.0
-    ext = np.tile(box.extents, m)
-    mean, err = sobol_replicates(
-        box.dimension * m, n_samples, seed, replicates,
-        lambda u: float(p.weights_many((u * ext).reshape(-1, m, box.dimension)).mean()))
-    return vol * float(mean), vol * float(err)
+        return box.volume**m, 0.0
+    mean, err = _sobol_mean(p, box, np.empty((1, 0, box.dimension)), m, n_samples, seed,
+                            replicates)
+    return float(mean[0]), float(err[0])
 
 
 # -- anchored integrals --------------------------------------------------------
@@ -599,8 +597,9 @@ def _sector_series(p, box, anchors, jmax, extra=0):
     return S, count, reached
 
 
-def _sobol_mean(p, box, anchors, m):
-    """A_m and its error for anchor rows (nc, n, dim) from 2^14 shared Sobol points."""
+def _sobol_mean(p, box, anchors, m, n_samples=1 << 14, seed=42, replicates=8):
+    """A_m and its error for anchor rows (nc, n, dim), n >= 0, from n_samples
+    Sobol points shared by every row (sobol_replicates)."""
     nc, n, dim = anchors.shape
     ext = np.tile(box.extents, m)
 
@@ -613,7 +612,7 @@ def _sobol_mean(p, box, anchors, m):
             means.append(p.weights_many(full.reshape(-1, n + m, dim)).reshape(len(b), -1).mean(1))
         return np.concatenate(means)
 
-    mean, err = sobol_replicates(dim * m, 1 << 14, 42, 8, estimate)
+    mean, err = sobol_replicates(dim * m, n_samples, seed, replicates, estimate)
     return box.volume**m * mean, box.volume**m * err
 
 
@@ -733,17 +732,18 @@ def build_table(p: PairPotential, box: Box, M, order=16, n_samples=1 << 16, seed
     """Z_0..Z_M with the best available method per entry, using the cache.
 
     Method preference is exact > quadrature > sampling.  A cached file is
-    reused when it covers the requested M; a corrupt or stale cache file is
-    rebuilt in place with a warning.
+    reused, trimmed to M, when it covers M and was built with the same
+    order, n_samples and seed; a corrupt or stale cache file is rebuilt in
+    place with a warning.
     """
     path = cache_path(cache_dir, p, box) if cache_dir else None
+    built_with = {"order": order, "n_samples": n_samples, "seed": seed}
     if path and not force:
         cached = load_table(path, p, box)
-        if cached is not None and cached.M >= M:
+        if cached is not None and cached.M >= M and cached.built_with == built_with:
             if cached.M == M:
                 return cached
-            trimmed = IntegralTable(p, box, M, cached.entries[: M + 1], cached.built_with)
-            return trimmed
+            return IntegralTable(p, box, M, cached.entries[: M + 1], built_with)
 
     entries = []
     for m in range(M + 1):
@@ -759,10 +759,7 @@ def build_table(p: PairPotential, box: Box, M, order=16, n_samples=1 << 16, seed
             method = "sampling"
         entries.append(ZEntry(m, SLog.from_value(val), err, method))
 
-    table = IntegralTable(
-        p, box, M, entries,
-        built_with={"order": order, "n_samples": n_samples, "seed": seed},
-    )
+    table = IntegralTable(p, box, M, entries, built_with)
     if path:
         table.save(path)
     return table

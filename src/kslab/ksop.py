@@ -26,11 +26,13 @@ also integrates the anchored integrals the correlation family is made of,
 here run on the windows of all the probes at once.  For a family that
 vanishes on hard-core overlap, no panel is built where two rods overlap.
 The correlations on both sides come from partition.CorrelationFamily,
-re-exported here: the left side of each level is one family call over all
-its probes, and the right side one batched application, with one nest pass
-per rule (or one Sobol pass per sampled term) over all the probes and one
-family call per chunk of rows.  Each probe's sum runs over its own rows in
-the order a probe on its own would sum them, so batching moves no bit.
+re-exported here, whose rows do not depend on the batch they come in: the
+left side of each level is one family call over all its probes, and the
+right side one batched application over all the probes, with one family
+call for the m = 0 term, one nest pass per rule and one family call per
+chunk of rows for a quadrature term, and one family call per replicate
+for a sampled term.  Each probe's sum runs over its own rows in the order
+a probe on its own would sum them, so batching moves no bit.
 
 Truncation bookkeeping, fixed here once and used by the residual check:
 with the degree-M family on the left, the exact finite-truncation identity
@@ -209,13 +211,13 @@ def _ordered_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax, prune=F
 
 def _term_quadrature(p, box, phi, n, x1, rest, m, order, inner_order, kmax, prune):
     """One m-term of the operator sum (without the e^{-W} prefactor) and its carried
-    error, per probe: arrays over the first anchors x1 (P,) and the rest (P, n - 1)."""
+    error, per probe: arrays over the first anchors x1 (P,) and the rest (P, n - 1).
+    The m = 0 term is one family call at every probe's other anchors; a term
+    m >= 1 makes one family call per chunk of its nest's rows."""
+    if m == 0:  # the family at the other anchors
+        val = phi(n - 1, rest[:, :, None])
+        return val, np.zeros(len(x1)) + getattr(phi, "last_error", 0.0)
     val, carried = np.zeros(len(x1), dtype=complex), np.zeros(len(x1))
-    if m == 0:  # one row per probe: numpy rounds a one-row S @ zpow its own way
-        for i, r in enumerate(rest):
-            val[i] = phi(n - 1, r.reshape(1, n - 1, 1))[0]
-            carried[i] = np.sum(getattr(phi, "last_error", 0.0))
-        return val, carried
     # ordered sector times m! cancels the 1/m! prefactor
     for ys, ws, probe in _sector_nodes(p, box, x1, rest, m, order, inner_order, kmax, prune):
         kern = np.prod(p.mayer_f(np.abs(ys - x1[probe, None])), axis=1)
@@ -231,7 +233,8 @@ def _term_quadrature(p, box, phi, n, x1, rest, m, order, inner_order, kmax, prun
 
 def _term_sampled(p, box, phi, n, x1, rest, m, seed):
     """One m-term and its error per probe from one replicate-sampled pass: every
-    probe averages over the same Sobol points, mapped onto its window."""
+    probe averages over the same Sobol points, mapped onto its window, with one
+    family call per replicate over all the probes' points."""
     val, err = np.zeros(len(x1), dtype=complex), np.zeros(len(x1))
     window = _kernel_window(p, box, x1)
     if window is None:
@@ -241,16 +244,13 @@ def _term_sampled(p, box, phi, n, x1, rest, m, seed):
     x1, rest, level = x1[live], rest[live], n - 1 + m
     scale = np.array([w**m for w in width.tolist()])  # Python's pow, as a batch of one had
 
-    def estimate(u):
-        out = np.empty((2, len(live)), dtype=complex)
-        for i in range(len(live)):  # one family call per probe over the replicate's points
-            ys = lo[i] + width[i] * u
-            kern = np.prod(p.mayer_f(np.abs(ys - x1[i])), axis=1)
-            configs = np.concatenate([np.broadcast_to(rest[i], (len(ys), n - 1)), ys], axis=1)
-            vals = phi(level, configs[:, :, None])
-            carried = np.abs(kern) * getattr(phi, "last_error", 0.0)
-            out[:, i] = np.mean(kern * vals), np.mean(carried)
-        return out * scale
+    def estimate(u):  # one family call over every live probe's copy of the points
+        ys = (lo[:, None, None] + width[:, None, None] * u).reshape(-1, m)
+        kern = np.prod(p.mayer_f(np.abs(ys - np.repeat(x1, len(u))[:, None])), axis=1)
+        configs = np.concatenate([np.repeat(rest, len(u), axis=0), ys], axis=1)
+        vals = phi(level, configs[:, :, None])
+        carried = np.abs(kern) * getattr(phi, "last_error", 0.0)
+        return np.stack([kern * vals, carried]).reshape(2, len(live), -1).mean(axis=2) * scale
 
     mean, spread = sobol_replicates(m, _SOBOL_SAMPLES, seed, 8, estimate)
     fac = math.factorial(m)

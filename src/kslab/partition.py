@@ -751,8 +751,10 @@ class CorrelationFamily:
     anchored_series call gives every A_j / j! of a batch, times the powers
     z^(level + j), over the full Xi.  Each call leaves the per-row error
     bound of its values in last_error: the anchored integrals' errors plus
-    |rho| times the table error inside Xi, over |Xi|.  Raises NearPole when
-    z is numerically on a partition zero.
+    |rho| times the table error inside Xi, over |Xi|.  Both sums over j run
+    row by row in a fixed order, so a row's value and bound are the same
+    bits in any batch (a matrix-vector product rounds a one-row batch its
+    own way).  Raises NearPole when z is numerically on a partition zero.
     """
 
     def __init__(self, poly: PartitionPolynomial, z, degree=None):
@@ -776,8 +778,9 @@ class CorrelationFamily:
         S, E = anchored_series(self.poly.potential, self.poly.box,
                                configs.reshape(nc, level, self.poly.box.dimension), jmax)
         zpow = self.z ** (level + np.arange(jmax + 1))
-        values = S @ zpow / self.xi
-        self.last_error = (E @ np.abs(zpow) + np.abs(values) * self.xi_err) / abs(self.xi)
+        values = (S * zpow).sum(axis=1) / self.xi
+        self.last_error = ((E * np.abs(zpow)).sum(axis=1)
+                           + np.abs(values) * self.xi_err) / abs(self.xi)
         return values
 
 

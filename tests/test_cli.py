@@ -494,3 +494,34 @@ def test_broken_out_stream_is_not_a_quiet_exit(tmp_path, monkeypatch):
     except BrokenPipeError:
         rc = None
     assert rc != 0
+
+
+def test_extrapolate_honours_order_and_seed(tmp_path, monkeypatch):
+    import kslab.cluster
+
+    settings = []
+    real = kslab.cluster.build_table
+
+    def recording(*args, **kwargs):
+        settings.append((kwargs.get("order"), kwargs.get("seed")))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kslab.cluster, "build_table", recording)
+    argv = ["cluster", "--potential", "step", "--a", "1", "--epsilon", "1", "--L", "4",
+            "--terms", "5", "--extrapolate", "--seed", "3"]
+    series = {}
+    for order in (8, 24):
+        rc, out = run(tmp_path, f"c{order}.json", argv + ["--order", str(order)])
+        assert rc == 0
+        series[order] = read_json(out)["density_series"]
+    assert settings == [(8, 3)] * 3 + [(24, 3)] * 3
+    assert series[8] != series[24]  # the step tables come from quadrature at that order
+
+
+@pytest.mark.parametrize("argv", [["zeros", "--xi", "1.0"], ["residual", "--xi", "1.0"],
+                                  ["virial", "--radius-method", "ratio"]])
+def test_options_are_offered_only_where_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--L", "5", "--M", "6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import tracemalloc
 
@@ -513,3 +514,70 @@ def test_disk_z3_quadrature_memory_is_bounded():
         tracemalloc.stop()
     assert value > 0.0 and np.isfinite(error)
     assert peak < 256 * 2**20
+
+
+# -- the table cache: reuse, trimming, rejection -----------------------------------
+
+
+def _no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table was rebuilt")
+
+    monkeypatch.setattr(integrals, "quadrature_Z", refuse)
+
+
+def test_cache_is_reused_only_with_the_same_build_settings(tmp_path, monkeypatch):
+    p, box, cache = PairPotential.step(1.0, 1.0), Box((3.0,)), str(tmp_path)
+    build_table(p, box, 3, order=16, cache_dir=cache)
+    # an order-8 request rebuilds, and its table replaces the cache
+    t8 = build_table(p, box, 3, order=8, cache_dir=cache)
+    assert t8.built_with == {"order": 8, "n_samples": 1 << 16, "seed": 42}
+    assert t8.entries == build_table(p, box, 3, order=8).entries
+    assert load_table(cache_path(cache, p, box), p, box).built_with["order"] == 8
+    t8_seed = build_table(p, box, 3, order=8, seed=7, cache_dir=cache)
+    assert t8_seed.built_with["seed"] == 7
+    # the same settings read the file back
+    _no_quadrature(monkeypatch)
+    again = build_table(p, box, 3, order=8, seed=7, cache_dir=cache)
+    assert again.entries == t8_seed.entries and again.built_with == t8_seed.built_with
+
+
+def test_cache_trims_a_larger_table(tmp_path, monkeypatch):
+    p, box, cache = PairPotential.step(1.0, 1.0), Box((3.0,)), str(tmp_path)
+    full = build_table(p, box, 4, cache_dir=cache)
+    _no_quadrature(monkeypatch)
+    part = build_table(p, box, 2, cache_dir=cache)
+    assert part.M == 2 and part.entries == full.entries[:3]
+    assert part.built_with == full.built_with
+    assert load_table(cache_path(cache, p, box), p, box).M == 4  # the file keeps M = 4
+
+
+def _spoil(raw, text, defect):
+    if defect == "schema":
+        raw["schema_version"] = 99
+    elif defect == "fingerprint":
+        raw["fingerprint"] = "0" * 64
+    elif defect == "indices":
+        raw["entries"][1]["m"] = 7
+    elif defect == "M":
+        raw["M"] = 5
+    else:
+        return text[: len(text) // 2]
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize("defect", ["schema", "fingerprint", "indices", "M", "json"])
+def test_rejected_cache_is_rebuilt_with_a_warning(tmp_path, caplog, defect):
+    p, box, cache = PairPotential.step(1.0, 1.0), Box((3.0,)), str(tmp_path)
+    built = build_table(p, box, 3, cache_dir=cache)
+    path = cache_path(cache, p, box)
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(_spoil(json.loads(text), text, defect))
+    with caplog.at_level("WARNING", logger="kslab.integrals"):
+        assert load_table(path, p, box) is None
+        rebuilt = build_table(p, box, 3, cache_dir=cache)
+    assert sum("ignoring corrupt table cache" in r.message for r in caplog.records) == 2
+    assert rebuilt.entries == built.entries
+    assert load_table(path, p, box).entries == built.entries  # the file is whole again

@@ -7,8 +7,9 @@ import pytest
 
 from kslab import partition
 from kslab.errors import Degenerate, NearPole, NumericalError
-from kslab.integrals import Box, build_table, hardrod_anchored_series
+from kslab.integrals import Box, IntegralTable, ZEntry, build_table, hardrod_anchored_series
 from kslab.partition import (
+    CorrelationFamily,
     PartitionPolynomial,
     _mp_aberth,
     _pair_conjugates,
@@ -29,6 +30,7 @@ from kslab.partition import (
     zeros_to_rows,
 )
 from kslab.potentials import PairPotential
+from kslab.slog import SLog
 
 from conftest import make_ideal, make_tonks, poly_from_coeffs, rel_err, sector_reference
 
@@ -582,3 +584,54 @@ def test_derivative_data_at_working_precision():
         kappa = mp.fsum(abs(cm) * abs(z) ** m for m, cm in enumerate(c)) / abs(z * dv)
     assert sm.derivative_certificate == pytest.approx(float(cert), rel=1e-12)
     assert sm.root_conditioning == pytest.approx(float(kappa), rel=1e-12)
+
+
+def test_correlation_family_rows_do_not_depend_on_the_batch(tonks5):
+    # each row is summed in a fixed order, so a configuration's rho and bound
+    # are the same bits alone, in a small batch, in a 2,048-row one and
+    # through correlation()
+    rng = np.random.default_rng(5)
+    step = assemble(build_table(PairPotential.step(1.0, 1.0), Box((4.0,)), 4))
+    for poly in (tonks5, step):
+        for z in (0.2, 0.1 + 0.3j):
+            fam = CorrelationFamily(poly, z)
+            for level in (1, 2):
+                configs = np.sort(rng.uniform(0.0, poly.box.extents[0], (2048, level)),
+                                  axis=1)[:, :, None]
+                want, want_err = fam(level, configs), fam.last_error.copy()
+                for size in (1, 2, 7):
+                    for s in range(0, 70, size):
+                        got = fam(level, configs[s : s + size])
+                        assert np.array_equal(got, want[s : s + size])
+                        assert np.array_equal(fam.last_error, want_err[s : s + size])
+                for s in range(10):
+                    c = correlation(poly, z, configs[s])
+                    assert (c.value, c.error) == (want[s], want_err[s])
+
+
+def test_zeros_of_wide_range_float_coefficients_take_the_aberth_ladder():
+    # roots -1, -10, ..., -1e6 at scale 1: the companion entries span past
+    # 1e14, so the float64 coefficients go to the mpmath ladder
+    roots = 10.0 ** np.arange(7)
+    zs = zeros(poly_from_coeffs(np.poly(-roots)[::-1] / np.prod(roots), scale=1.0))
+    assert (zs.method, zs.digits) == ("mpmath", 30)
+    assert np.max(np.abs(zs.zeros / -roots - 1.0)) <= 1e-14  # 4.0e-15 measured
+    assert smallest_zero(zs).z_c == pytest.approx(-1.0, rel=1e-14)
+
+
+def test_zeros_past_the_float_range_take_the_slog_coefficients():
+    # c_m = K^m e_{4-m}(q) / e_4(q), K = e^400: past c_1 the coefficients
+    # overflow float64; the zeros -q/K come from the SLog coefficients, and
+    # the float64 derivative data of smallest_zero end in a NumericalError
+    q, log_k = np.arange(1.0, 5.0), 400.0
+    e = np.poly(-q)[::-1]
+    entries = [ZEntry(m, SLog.from_log(1, m * log_k + math.log(e[m] / e[0]) + math.lgamma(m + 1)),
+                      0.0, "synthetic") for m in range(5)]
+    poly = assemble(IntegralTable(PairPotential.hardcore(1.0), Box((5.0,)), 4, entries))
+    assert np.isinf(poly.coeffs).any()
+    zs = zeros(poly)
+    assert zs.method == "mpmath"
+    # log magnitudes near 1,600 carry 2e-13 of rounding; 3.9e-12 measured
+    assert np.max(np.abs(zs.zeros * math.exp(log_k) / -q - 1.0)) <= 1e-10
+    with pytest.raises(NumericalError):
+        smallest_zero(zs)
