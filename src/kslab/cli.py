@@ -23,7 +23,7 @@ from .cluster import (PowerSeries, claim_row, density_coefficients_extrapolated,
                       density_series, log_series, radius_estimate, sign_pattern,
                       virial_reversion)
 from .errors import ConfigError, KslabError, MissingPrerequisite, NumericalError
-from .integrals import Box, build_table, cache_path, load_table
+from .integrals import Box, build_table, cached_table
 from .ksop import build_ks_matrix, ks_residual
 from .oracles import IdealModel, TonksModel
 from .partition import (assemble, smallest_zero, zeros, zeros_to_json,
@@ -70,20 +70,22 @@ def _extents(args):
 def _table(args, M=None):
     """Z-table for the run: from the cache when one is expected, else built.
 
-    With --cache-dir the table must already exist there (the pipeline
-    contract: run the table subcommand first); without it the table is
-    built in memory.
+    With --cache-dir the table must already exist there, built with this
+    run's --order and --seed (the pipeline contract: run the table
+    subcommand first); without it the table is built in memory.
     """
     M = args.M if M is None else M
     p = _potential(args)
     box = Box(_extents(args))
     if args.cache_dir:
-        path = cache_path(args.cache_dir, p, box)
-        cached = load_table(path, p, box) if os.path.exists(path) else None
-        if cached is None or cached.M < M:
-            raise MissingPrerequisite(
-                f"no cached table for this potential and box at M={M} "
-                f"under {args.cache_dir}; run the table subcommand first")
+        cached, stored = cached_table(args.cache_dir, p, box, M, order=args.order,
+                                      seed=args.seed)
+        if cached is None:
+            have = stored is not None and stored.M >= M
+            why = (f"was built with {stored.built_with}, this run asks for order "
+                   f"{args.order} and seed {args.seed}" if have else f"holds none at M={M}")
+            raise MissingPrerequisite(f"the table cache under {args.cache_dir} {why} for "
+                                      "this potential and box; run the table subcommand first")
         return p, box, cached
     return p, box, build_table(p, box, M, order=args.order, seed=args.seed)
 

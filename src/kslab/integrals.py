@@ -93,42 +93,41 @@ class Box:
 # -- closed forms ------------------------------------------------------------
 
 
-def exact_log_Z(p, box, m):
-    """log Z_m for the closed-form routes, or None.
-
-    Z_0 = 1; the ideal gas and every m = 1 give V^m; hard rods on a segment
-    give the classic free-volume result (L - (m-1)a)^m, log -inf once the
-    rods no longer fit.
-    """
+def _free_length(p, box, m, num):
+    """free with Z_m = free^m in the arithmetic num (float or mpmath.mpf), or
+    None without a closed form: 1 for Z_0, the volume V for the ideal gas
+    and every m = 1, L - (m-1)a for hard rods on a segment."""
     if m == 0:
-        return 0.0
+        return num(1)
     if p.family == "ideal" or m == 1:
-        return m * math.log(box.volume)
+        return num(box.volume)
     if p.family == "hardcore" and box.dimension == 1:
-        free = box.extents[0] - (m - 1) * p.a
-        return m * math.log(free) if free > 0.0 else float("-inf")
+        return num(box.extents[0]) - (m - 1) * num(p.a)
     return None
+
+
+def exact_log_Z(p, box, m):
+    """log Z_m for the closed-form routes (_free_length), or None; -inf once
+    the rods no longer fit."""
+    free = _free_length(p, box, m, float)
+    if free is None:
+        return None
+    return m * math.log(free) if free > 0.0 else float("-inf")
 
 
 def exact_mp_Z(p, box, m):
-    """Arbitrary-precision Z_m for the closed-form routes, or None.
-
-    Mirrors exact_log_Z but evaluates the closed forms under the
-    caller's mpmath working precision.  Downstream root finding needs this:
-    for a wide hard-rod box the smallest zero is so ill-conditioned that
-    the double rounding of the coefficients alone moves it in the third
-    decimal, so the float64 table cannot be re-used.
+    """Z_m of the closed-form routes under the caller's mpmath working
+    precision, or None.  For a wide hard-rod box the smallest zero is so
+    ill-conditioned that the double rounding of the coefficients alone
+    moves it in the third decimal, so root finding cannot re-use the
+    float64 table.
     """
     import mpmath as mp
 
-    if m == 0:
-        return mp.mpf(1)
-    if p.family == "ideal" or m == 1:
-        return mp.mpf(box.volume) ** m
-    if p.family == "hardcore" and box.dimension == 1:
-        free = mp.mpf(box.extents[0]) - (m - 1) * mp.mpf(p.a)
-        return free**m if free > 0 else mp.mpf(0)
-    return None
+    free = _free_length(p, box, m, mp.mpf)
+    if free is None:
+        return None
+    return free**m if free > 0 else mp.mpf(0)
 
 
 def hardrod_anchored_series(L, a, anchors, jmax):
@@ -713,7 +712,10 @@ def load_table(path, p: PairPotential, box: Box):
         for e in sorted(raw["entries"], key=lambda d: d["m"]):
             sign = int(e["sign"])
             lm = float("-inf") if e["log_value"] is None else float(e["log_value"])
-            entries.append(ZEntry(int(e["m"]), SLog.from_log(sign, lm), float(e["error"]), e["method"]))
+            err = float(e["error"])
+            if not (math.isfinite(err) and lm < math.inf):  # NaN fails both
+                raise ValueError(f"entry m = {e['m']} is not finite")
+            entries.append(ZEntry(int(e["m"]), SLog.from_log(sign, lm), err, e["method"]))
         if [e.m for e in entries] != list(range(len(entries))):
             raise ValueError("entry indices are not 0..M")
         M = int(raw["M"])
@@ -727,23 +729,33 @@ def load_table(path, p: PairPotential, box: Box):
         return None
 
 
+def cached_table(cache_dir, p: PairPotential, box: Box, M, order=16, n_samples=1 << 16,
+                 seed=42):
+    """(table, stored): the cache file as loaded (None if missing or corrupt),
+    and trimmed to M if it covers M and was built with these settings."""
+    built_with = {"order": order, "n_samples": n_samples, "seed": seed}
+    stored = load_table(cache_path(cache_dir, p, box), p, box)
+    if stored is None or stored.M < M or stored.built_with != built_with:
+        return None, stored
+    if stored.M == M:
+        return stored, stored
+    return IntegralTable(p, box, M, stored.entries[: M + 1], built_with), stored
+
+
 def build_table(p: PairPotential, box: Box, M, order=16, n_samples=1 << 16, seed=42,
                 cache_dir=None, force=False) -> IntegralTable:
     """Z_0..Z_M with the best available method per entry, using the cache.
 
     Method preference is exact > quadrature > sampling.  A cached file is
     reused, trimmed to M, when it covers M and was built with the same
-    order, n_samples and seed; a corrupt or stale cache file is rebuilt in
-    place with a warning.
+    order, n_samples and seed (cached_table); a corrupt or stale cache
+    file is rebuilt in place with a warning.
     """
-    path = cache_path(cache_dir, p, box) if cache_dir else None
     built_with = {"order": order, "n_samples": n_samples, "seed": seed}
-    if path and not force:
-        cached = load_table(path, p, box)
-        if cached is not None and cached.M >= M and cached.built_with == built_with:
-            if cached.M == M:
-                return cached
-            return IntegralTable(p, box, M, cached.entries[: M + 1], built_with)
+    if cache_dir and not force:
+        cached, _ = cached_table(cache_dir, p, box, M, order, n_samples, seed)
+        if cached is not None:
+            return cached
 
     entries = []
     for m in range(M + 1):
@@ -760,6 +772,6 @@ def build_table(p: PairPotential, box: Box, M, order=16, n_samples=1 << 16, seed
         entries.append(ZEntry(m, SLog.from_value(val), err, method))
 
     table = IntegralTable(p, box, M, entries, built_with)
-    if path:
-        table.save(path)
+    if cache_dir:
+        table.save(cache_path(cache_dir, p, box))
     return table

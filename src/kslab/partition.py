@@ -14,18 +14,20 @@ is too ill-conditioned for float64 coefficients or the coefficients leave
 the float64 range, the zeros come from Aberth-Ehrlich passes on a ladder of
 working digits set by the measured root conditioning, each certified by
 Weierstrass inclusion radii (Bini and Robol, MPSolve, 2014).  The passes
-evaluate p and p' by fixed_horner, a fixed-point Horner on Python integers.
+evaluate p and p' by fixed_horner, a fixed-point Horner on Python integers,
+and so does every evaluation of Xi at or near a zero: the smallest zero's
+certificate and spectral's centers and asymptotics run newton_root and
+fixed_values on mp_scaled_coeffs at the ZeroSet's certified digits.
 
-Evaluation uses Horner in 80-bit extended precision together with the
-coefficient-magnitude sum as a condition estimate, which is what the zero
-residuals and near-pole guards are measured against.  Correlations
-N(z; x)/Xi(z) and their error bounds all come from CorrelationFamily.
+Away from the zeros, evaluation uses Horner in 80-bit extended precision
+together with the coefficient-magnitude sum as a condition estimate, which
+is what the zero residuals and near-pole guards are measured against.
+Correlations N(z; x)/Xi(z) and their error bounds all come from
+CorrelationFamily.
 """
 
 from __future__ import annotations
 
-import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -89,6 +91,23 @@ class PartitionPolynomial:
                 return None
             out.append(zval / mp.factorial(e.m))
         return out
+
+    def mp_scaled_coeffs(self):
+        """(b, exact): b_m = c_m scale^m, m = 0..M, as mpf at the caller's
+        precision, the one source of every evaluation at working precision:
+        the closed forms (exact) when mp_coefficients has them, else the
+        float64 b, else past the float64 range the SLog coefficients."""
+        import mpmath as mp
+
+        s = mp.mpf(self.scale)
+        cs = self.mp_coefficients()
+        if cs is not None:
+            return [c * s**m for m, c in enumerate(cs)], True
+        try:
+            return [mp.mpf(float(x)) for x in self.scaled_coeffs()], False
+        except NumericalError:
+            return [c.sign * mp.exp(c.log_mag + m * mp.log(s))
+                    for m, c in enumerate(self.coeff_slogs)], False
 
 
 def scaled_coefficients(c, scale):
@@ -191,14 +210,6 @@ def evaluate_derivative(poly: PartitionPolynomial, z):
     return complex(horner(db, complex(z) / poly.scale)) / poly.scale
 
 
-def evaluate_second_derivative(poly: PartitionPolynomial, z):
-    """d^2 Xi/dz^2 at z, same evaluation scheme as evaluate()."""
-    b = poly.scaled_coeffs()
-    k = np.arange(len(b))
-    ddb = (b * k * (k - 1))[2:]
-    return complex(horner(ddb, complex(z) / poly.scale)) / poly.scale**2
-
-
 # -- zeros ---------------------------------------------------------------------
 
 
@@ -283,41 +294,27 @@ def _newton_polygon_starts(b):
     return starts
 
 
-def mp_horner(b, db, x):
-    """(p(x), p'(x)) for p = sum b_m x^m, by Horner in the arithmetic of x.
+def newton_root(b, w):
+    """Root of sum b_m w^m near the mpc w by Newton at the mpmath working
+    precision, b ascending real mpmath numbers, p and p' from fixed_horner:
+    at most eight steps, ending once a step is below 10^(2-dps) |w|, or once
+    a step is no shorter than the one before (the evaluation noise), which
+    is not taken."""
+    from mpmath import mp
 
-    db are the derivative coefficients m b_m, m = 1..deg, b and db
-    ascending; with mpmath numbers everything runs at the caller's working
-    precision, and plain complex x stays in float64.
-    """
-    p = dp = 0 * x
-    for bm in b[::-1]:
-        p = p * x + bm
-    for dm in db[::-1]:
-        dp = dp * x + dm
-    return p, dp
-
-
-def _newton(ctx, pdp, w):
-    """Root near w by Newton in the arithmetic context ctx, pdp(w) = (p, p'):
-    at most eight steps, ending once a step is below 10^(2-dps) |w|."""
+    terms, last = fixed_terms(b), mp.inf
     for _ in range(8):
-        val, dval = pdp(w)
+        val, dval = fixed_values(terms, w, second=False)
         if dval == 0:
             break
         step = val / dval
-        w -= step
-        if abs(step) < ctx.mpf(10) ** (-ctx.dps + 2) * abs(w):
+        if abs(step) >= last:
             break
+        w -= step
+        if abs(step) < mp.mpf(10) ** (2 - mp.dps) * abs(w):
+            break
+        last = abs(step)
     return w
-
-
-def newton_root(ctx, b, w):
-    """Root of sum b_m w^m near w by Newton in the arithmetic context ctx
-    (mpmath.fp, or mpmath.mp at the caller's precision), b ascending ctx
-    numbers, with p and p' from mp_horner."""
-    db = [m * b[m] for m in range(1, len(b))]
-    return _newton(ctx, lambda x: mp_horner(b, db, x), w)
 
 
 # -- fixed-point Horner on Python integers -------------------------------------
@@ -405,11 +402,11 @@ def fixed_horner(terms, x, second=False):
     return k, E, float(np.sum(np.exp2(l2 - E))), (wr, wi), acc
 
 
-def fixed_values(terms, x):
-    """(p(x), p'(x), p''(x)) as mpc at the working precision, from fixed_horner."""
+def fixed_values(terms, x, second=True):
+    """(p(x), p'(x)(, p''(x))) as mpc at the working precision, from fixed_horner."""
     from mpmath import mp
 
-    k, E, _, _, acc = fixed_horner(terms, x, second=True)
+    k, E, _, _, acc = fixed_horner(terms, x, second)
     f = mp.prec + _GUARD_BITS
     out = []
     for j, (re, im) in enumerate(acc):  # p^(j)(x) = j! 2^(E - j k) acc_j
@@ -566,8 +563,8 @@ def zeros(poly: PartitionPolynomial) -> ZeroSet:
     past 1e14, when the exact coefficients exist and the smallest root's
     conditioning times float64 unit roundoff passes 1e-10 (or is unknown, as
     some float64 root is not finite), or when the scaled coefficients leave
-    the float64 range, which skips the float stage.  The ladder takes the
-    exact, else the float64 or past their range the SLog coefficients.  Its
+    the float64 range, which skips the float stage.  The ladder takes
+    mp_scaled_coeffs: exact, else float64, else the SLog coefficients.  Its
     first rung starts from the float64 roots at max(30, log10(deg kappa) +
     20) digits, kappa their largest conditioning, or without distinct finite
     ones from the Newton polygon at 30 digits.  A rung that inclusion_radii
@@ -609,14 +606,10 @@ def zeros(poly: PartitionPolynomial) -> ZeroSet:
     # precision rather than re-read from the float64 table
     if kappa * np.finfo(float).eps > 1e-10:
         with mp.workdps(ceiling):
-            cs, s = poly.mp_coefficients(), mp.mpf(poly.scale)
-            if cs is not None:
-                bmp, method = [cs[m] * s**m for m in range(deg + 1)], "mpmath-exact"
-            elif b is None:
-                bmp, method = [c.sign * mp.exp(c.log_mag + m * mp.log(s))
-                               for m, c in enumerate(poly.coeff_slogs[:deg + 1])], "mpmath"
-            elif dynamic > 1e14:
-                bmp, method = [mp.mpf(float(c)) for c in b], "mpmath"
+            bmp, exact = poly.mp_scaled_coeffs()
+        bmp = bmp[:deg + 1]
+        method = ("mpmath-exact" if exact else
+                  "mpmath" if b is None or dynamic > 1e14 else "lapack")
         if method != "lapack":
             seeded = w is not None and root_stage_defect(w) is None  # distinct finite starts
             starts, tried = [mp.mpc(x) for x in w] if seeded else None, []
@@ -652,34 +645,6 @@ class SmallestZero:
     root_conditioning: float  # sum_m |c_m z_c^m| / |z_c Xi'(z_c)|
 
 
-def _mp_derivative_data(poly: PartitionPolynomial, z_c, digits):
-    """(|Xi'|/(|z_c||Xi''|), cond/|z_c Xi'|) in arbitrary precision, or None.
-
-    Clustered zero sets push |Xi'(z_c)| below the float64 evaluation noise
-    (roundoff is proportional to the coefficient magnitude sum), so when
-    the closed-form coefficients are available the certificate is computed
-    there, at the digits that certified the zeros (ZeroSet.digits): the
-    seed root is re-polished by Newton, with p, p' and p'' from
-    fixed_horner at those digits.  Both returned ratios are invariant under
-    the activity rescaling, so everything stays in the scaled frame.
-    """
-    from mpmath import mp
-
-    with mp.workdps(digits):
-        cs = poly.mp_coefficients()
-        if cs is None:
-            return None
-        s = mp.mpf(poly.scale)
-        b = [c * s**m for m, c in enumerate(cs)]
-        terms = fixed_terms(b)
-        w = _newton(mp, lambda x: fixed_values(terms, x)[:2], mp.mpc(complex(z_c)) / s)
-        _, dv, ddv = fixed_values(terms, w)
-        cond = mp.fsum(abs(bm) * abs(w) ** m for m, bm in enumerate(b))
-        cert = abs(dv) / (abs(w) * abs(ddv)) if ddv != 0 else mp.inf
-        kappa = cond / (abs(w) * abs(dv)) if dv != 0 else mp.inf
-        return float(cert), float(kappa)
-
-
 def smallest_zero(zs: ZeroSet, tie_rel=1e-9) -> SmallestZero:
     """Zero of smallest modulus with a simplicity certificate.
 
@@ -693,13 +658,19 @@ def smallest_zero(zs: ZeroSet, tie_rel=1e-9) -> SmallestZero:
     from relative coefficient error to relative root error.  It grows
     exponentially with the box when zeros cluster toward the bulk
     singularity, which says the root is expensive to locate, not that it
-    is degenerate; that is why it is not part of the pass/fail pair.
+    is degenerate; that is why it is not part of the pass/fail pair.  Both
+    come from newton_root's z_c and fixed_values' Xi' and Xi'' on
+    mp_scaled_coeffs at ZeroSet.digits, where float64 evaluation noise would
+    swamp |Xi'(z_c)| on clustered zero sets; both ratios are invariant under
+    the activity rescaling, so everything stays in the scaled frame.
 
     Moduli within tie_rel of the minimum count as tied; a tie is broken
     toward the negative real axis when such a candidate exists, otherwise
     the tie flag is set and the candidate with nonnegative imaginary part
     is reported.
     """
+    from mpmath import mp
+
     z = zs.zeros
     mods = np.abs(z)
     mmin = mods.min()
@@ -715,19 +686,16 @@ def smallest_zero(zs: ZeroSet, tie_rel=1e-9) -> SmallestZero:
         pick = up[0] if up else cand[0]
     z_c = complex(z[pick])
 
-    poly = zs.poly
-    data = _mp_derivative_data(poly, z_c, zs.digits)
-    if data is not None:
-        cert, kappa = data
-    else:
-        dv = evaluate_derivative(poly, z_c)
-        ddv = evaluate_second_derivative(poly, z_c)
-        _, cond = evaluate(poly, z_c)
-        cert = abs(dv) / (abs(z_c) * abs(ddv)) if ddv != 0 else float("inf")
-        kappa = cond / (abs(z_c) * abs(dv)) if dv != 0 else float("inf")
+    with mp.workdps(zs.digits):
+        b, _ = zs.poly.mp_scaled_coeffs()
+        w = newton_root(b, mp.mpc(z_c) / mp.mpf(zs.poly.scale))
+        _, dv, ddv = fixed_values(fixed_terms(b), w)
+        cond = mp.fsum(abs(bm) * abs(w) ** m for m, bm in enumerate(b))
+        cert = float(abs(dv) / (abs(w) * abs(ddv))) if ddv != 0 else math.inf
+        kappa = float(cond / (abs(w) * abs(dv))) if dv != 0 else math.inf
     others = np.delete(z, pick)
     min_gap = float(np.min(np.abs(others - z_c)) / abs(z_c)) if len(others) else float("inf")
-    return SmallestZero(z_c, float(cert), min_gap, bool(tie), float(kappa))
+    return SmallestZero(z_c, cert, min_gap, bool(tie), kappa)
 
 
 # -- correlations ----------------------------------------------------------------

@@ -70,8 +70,10 @@ class PairPotential:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown potential family {self.family!r}")
-        if self.beta <= 0:
-            raise ConfigError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ConfigError(f"beta must be positive and finite, got {self.beta}")
+        if math.isnan(self.a) or math.isnan(self.epsilon):
+            raise ConfigError("range a and step height epsilon must not be NaN")
         if self.dimension < 1:
             raise ConfigError("dimension must be >= 1")
         if self.family in ("hardcore", "step") and self.a <= 0:
@@ -86,6 +88,8 @@ class PairPotential:
                 raise ConfigError("custom table must be two 1-d arrays of equal length >= 2")
             if not np.all(np.diff(r) > 0):
                 raise ConfigError("custom table radii must be strictly increasing")
+            if np.isnan(phi).any():
+                raise ConfigError("custom table values phi must not be NaN")
             object.__setattr__(self, "table", (r, phi))
 
     # -- construction helpers ------------------------------------------------

@@ -19,10 +19,12 @@ the matrices are formed once in complex128.  The defects are measured from
 the generators; the reduced-identity defect is a triangle bound.  One
 formula is evaluated in float64 and, where float64 cannot certify the
 projection algebra (companion matrices of clustered zeros are strongly
-non-normal), in mpmath at 40, 60 or 90 digits.  riesz_projection keeps
+non-normal), in mpmath at 40, 60 or 90 digits; every rung takes its center
+from partition.newton_root, at 53 bits on the float64 rung.  riesz_projection keeps
 the dense contour route, P = -(r/N) sum_k R(lam_k) e^{i theta_k} on a
 circle of radius r with S the plain node average of R, for general
-matrices and as an independent check of the closed form.
+matrices and as an independent check of the closed form.  The correlation
+asymptotics near z_c (leading_asymptotics) evaluate Xi at working precision.
 """
 
 from __future__ import annotations
@@ -37,10 +39,9 @@ import numpy as np
 
 from .errors import ContourError, Degenerate, InsufficientData, NumericalError
 from .ksop import KSMatrix
-from .partition import (PartitionPolynomial, evaluate, evaluate_derivative,
-                        float_roots, newton_root, numerator_coefficients,
-                        root_stage_defect, scaled_coefficients, smallest_zero,
-                        zeros)
+from .partition import (PartitionPolynomial, fixed_terms, fixed_values, float_roots,
+                        newton_root, numerator_coefficients, root_stage_defect,
+                        scaled_coefficients, smallest_zero, zeros)
 
 _TIE_REL = 1e-9
 
@@ -221,8 +222,12 @@ def riesz_projection(mat, center, radius, n_start=64, n_max=1024,
 
 
 def _center(ctx, b, center):
-    """Companion eigenvalue near center, refined as the root 1/lam of sum b_m w^m."""
-    return 1 / newton_root(ctx, b, 1 / ctx.mpc(center))
+    """Companion eigenvalue near center as a ctx number: 1/w for newton_root's
+    root w of sum b_m w^m, at 53 bits for mpmath.fp."""
+    from mpmath import fp, mp
+
+    with mp.workprec(53) if ctx is fp else contextlib.nullcontext():
+        return ctx.mpc(1 / newton_root(b, 1 / mp.mpc(center)))
 
 
 def _below(x):
@@ -582,35 +587,43 @@ def leading_asymptotics(poly: PartitionPolynomial, anchors, n_points=20,
 
         -N(z_c) / (z_c^{n+1} Xi'(z_c)),
 
-    with N the truncated numerator at these anchors.  Both routes consume
-    the same anchored integrals, so their disagreement isolates
-    extrapolation error rather than integral error.
+    with N the truncated numerator at these anchors.  Xi and Xi' come from
+    fixed_values on mp_scaled_coeffs at the zeros' certified digits, so the
+    routes share Xi and their disagreement isolates extrapolation error.
+    N is summed in float64; both bounds add its error, the integrals' plus
+    (deg + 2) eps sum_k |N_k| |z_c|^k, over |z_c^{n+1} Xi'(z_c)|, which is
+    as large as the limit where N(z_c) cancels.
     """
+    from mpmath import mp
+
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     n = anchors.shape[0]
-    sm = smallest_zero(zeros(poly))
+    zs = zeros(poly)
+    sm = smallest_zero(zs)
     z_c = sm.z_c
     t0 = 0.5 * sm.min_gap
     if not math.isfinite(t0) or t0 <= 0:
         raise Degenerate("no isolated smallest zero to expand around")
 
     num, num_err = numerator_coefficients(poly, anchors, degree=poly.M)
+    with mp.workdps(zs.digits):  # Xi(z) and Xi'(z) are p(z/s) and p'(z/s)/s
+        b, _ = poly.mp_scaled_coeffs()
+        terms, s = fixed_terms(b), mp.mpf(poly.scale)
 
-    def g(z):
-        N = sum(c * z**k for k, c in enumerate(num))
-        xi, _ = evaluate(poly, z)
-        return N / xi * (1.0 - z / z_c) / z**n
+        def g(z):
+            N = sum(c * z**k for k, c in enumerate(num))
+            xi = fixed_values(terms, mp.mpc(z) / s, second=False)[0]
+            return complex(N / xi) * (1.0 - z / z_c) / z**n
 
-    ray_value, spread, rays = ray_limit(g, z_c, t0, angles, n_points, ratio)
-    ray_err = max(spread, max(r.change for r in rays))
-
-    dxi = evaluate_derivative(poly, z_c)
-    N_c = sum(c * z_c**k for k, c in enumerate(num))  # N(z_c)
-    residue = -N_c / (z_c ** (n + 1) * dxi)
-    err_num = sum(e * abs(z_c) ** k for k, e in enumerate(num_err))
-    residue_err = abs(residue) * 1e-13 + err_num / abs(z_c ** (n + 1) * dxi)
-    return AsymptoticsResult(anchors, n, z_c, ray_value, spread, ray_err,
-                             residue, residue_err,
+        ray_value, spread, rays = ray_limit(g, z_c, t0, angles, n_points, ratio)
+        dxi = fixed_values(terms, mp.mpc(z_c) / s, second=False)[1] / s
+    lead = z_c ** (n + 1) * complex(dxi)
+    residue = -sum(c * z_c**k for k, c in enumerate(num)) / lead  # -N(z_c) / lead
+    size = sum(abs(c) * abs(z_c) ** k for k, c in enumerate(num))
+    err_num = (sum(e * abs(z_c) ** k for k, e in enumerate(num_err))
+               + (len(num) + 1) * np.finfo(float).eps * size) / abs(lead)
+    ray_err = max(spread, max(r.change for r in rays)) + err_num
+    return AsymptoticsResult(anchors, n, z_c, ray_value, spread, ray_err, residue, err_num,
                              abs(ray_value - residue), rays, float(t0))
 
 

@@ -168,6 +168,18 @@ def test_exit_codes_over_a_grid(tmp_path, capsys):
                 ("zeros", "--L", "x", "--M", "6"): 2,
                 ("residual", "--L", "3,3", "--M", "4", "--z", "0.1", "--n-max", "1"): 2,
                 ("spectral", "--L", "5", "--M", "0"): 2}
+    # potential parameters that are not numbers, and a beta that is not finite
+    step = ("--potential", "step", "--a", "1", "--epsilon", "1", "--L", "4", "--M", "5")
+    nan_file = tmp_path / "nan-epsilon.json"
+    nan_file.write_text('{"family": "step", "a": 1, "epsilon": NaN}')
+    expected.update({("zeros", *step, "--beta", "inf"): 2,
+                     ("zeros", *step, "--beta", "nan"): 2,
+                     ("zeros", "--potential", "hardcore", "--a", "nan", "--L", "4",
+                      "--M", "5"): 2,
+                     ("zeros", *step, "--epsilon", "nan"): 2,
+                     ("zeros", "--potential-file", str(nan_file), "--L", "4", "--M", "5"): 2,
+                     ("table", "--beta", "nan", "--L", "4", "--M", "5", "--cache-dir",
+                      str(tmp_path / "nan-cache")): 2})
     runs += [list(argv) for argv in expected]
     for i, argv in enumerate(runs):
         rc = main(argv + ["--out", str(tmp_path / f"{i}.json")])
@@ -200,6 +212,20 @@ def test_table_cache_then_zeros(tmp_path):
                   ["zeros", "--L", "5", "--M", "6", "--cache-dir", str(cache)])
     assert rc == 0
     assert read_json(out)["zeros"]["M"] == 6
+
+
+def test_cached_table_of_other_build_settings_is_refused(tmp_path, capsys):
+    # an order-8 cache does not stand in for an order-24 run: the run exits 3
+    # naming both settings, where it used to print the order-8 zeros
+    step = ["--potential", "step", "--a", "1", "--epsilon", "1", "--L", "4", "--M", "5",
+            "--cache-dir", str(tmp_path)]
+    assert main(["table", *step, "--order", "8", "--out", str(tmp_path / "t.json")]) == 0
+    assert main(["zeros", *step, "--order", "24", "--out", str(tmp_path / "z.json")]) == 3
+    err = capsys.readouterr().err
+    assert "'order': 8" in err and "order 24" in err
+    assert main(["zeros", *step, "--order", "8", "--seed", "7",
+                 "--out", str(tmp_path / "z.json")]) == 3
+    assert main(["zeros", *step, "--order", "8", "--out", str(tmp_path / "z.json")]) == 0
 
 
 def test_missing_cache_is_prerequisite_failure(tmp_path, capsys):

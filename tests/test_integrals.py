@@ -561,12 +561,14 @@ def _spoil(raw, text, defect):
         raw["entries"][1]["m"] = 7
     elif defect == "M":
         raw["M"] = 5
+    elif defect == "nan":
+        raw["entries"][2]["log_value"] = float("nan")
     else:
         return text[: len(text) // 2]
     return json.dumps(raw)
 
 
-@pytest.mark.parametrize("defect", ["schema", "fingerprint", "indices", "M", "json"])
+@pytest.mark.parametrize("defect", ["schema", "fingerprint", "indices", "M", "nan", "json"])
 def test_rejected_cache_is_rebuilt_with_a_warning(tmp_path, caplog, defect):
     p, box, cache = PairPotential.step(1.0, 1.0), Box((3.0,)), str(tmp_path)
     built = build_table(p, box, 3, cache_dir=cache)

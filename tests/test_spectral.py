@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kslab import spectral
+from kslab import partition, spectral
 from kslab.errors import ContourError, InsufficientData, NumericalError
 from kslab.integrals import Box, build_table
 from kslab.ksop import build_ks_matrix
@@ -539,6 +539,46 @@ def test_leading_asymptotics_vanish_outside_box(tonks5):
     for x in (9.0, -1.0):
         res = leading_asymptotics(tonks5, np.array([[x]]))
         assert res.ray_value == 0.0 and res.residue_value == 0.0
+
+
+def test_rod_asymptotics_agree_at_working_precision():
+    # hard rods at L = 20, one anchor at L/2: both routes divide by the same
+    # Xi at the certified digits, so they agree far below the 7.3e-3 that a
+    # float64 Xi' leaves, and within the reported bounds
+    res = leading_asymptotics(make_tonks(20.0), np.array([[10.0]]))
+    assert res.agreement <= 1e-6  # 7.5e-9 measured
+    assert res.agreement <= res.ray_error + res.residue_error
+
+
+@pytest.mark.parametrize("L", [30.0, 40.0])
+def test_rod_asymptotics_bound_a_cancelling_numerator(L):
+    # N(z_c) cancels with condition 6.5e13 at L = 30 and 1.4e19 at L = 40
+    # (exact rationals at the 80-digit z_c): its float64 rounding must show
+    # in the residue's bound
+    res = leading_asymptotics(make_tonks(L), np.array([[L / 2]]))
+    assert res.residue_error >= res.agreement
+
+
+@pytest.mark.parametrize("L", [20.0, 40.0, 80.0])
+def test_mp40_center_takes_few_kernel_evaluations(monkeypatch, L):
+    # Newton on fixed_horner stops once a step no longer shrinks: 3, 4 and
+    # 5 evaluations at L = 20, 40 and 80, where an eight-step cap ran all 8
+    from mpmath import mp
+
+    ks = build_ks_matrix(make_tonks(L))
+    spec = spectrum(ks)
+    b = scaled_coefficients(ks.coeffs, ks.scale)
+    calls, real = [], partition.fixed_horner
+    monkeypatch.setattr(partition, "fixed_horner",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    with mp.workdps(40):
+        bmp = [mp.mpf(float(x)) for x in b]
+        lam = _center(mp, bmp, spec.lam_c * ks.scale)
+        # 1/lam is a root of the polynomial to the working precision's noise
+        w = 1 / lam
+        size = mp.fsum(abs(c) * abs(w) ** m for m, c in enumerate(bmp))
+        assert abs(mp.polyval(bmp[::-1], w)) <= mp.mpf("1e-30") * size
+    assert 1 <= len(calls) <= 5
 
 
 def test_matrix_leading_is_left_component(ks5, spec5):
