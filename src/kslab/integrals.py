@@ -19,8 +19,9 @@ second of import time, is never loaded.
 
 The table quadrature gives every particle the same node set, so its
 tensor sum over all N^m node tuples is contracted pairwise: one N x N
-matrix of pair Boltzmann factors and prefixes extended one particle at a
-time in bounded blocks, closed by a quadratic form.  No m-particle
+matrix of pair Boltzmann factors, its separations broadcast from the node
+coordinates by potentials.separations, and prefixes extended one particle
+at a time in bounded blocks, closed by a quadratic form.  No m-particle
 configuration is ever materialised.  The nest (ordered_sector) builds the
 ordered sector y_1 < ... < y_j level by level for a batch of anchor rows,
 each level's sum being one order; it also gives ksop its kernel windows.
@@ -48,7 +49,7 @@ import scipy
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, NumericalError, UseSampling
-from .potentials import PairPotential
+from .potentials import PairPotential, separations
 from .slog import SLog
 
 log = logging.getLogger(__name__)
@@ -280,8 +281,7 @@ def _pair_matrix(p, X):
     E = np.empty((N, N))
     rows = max(1, _BLOCK // (N * X.shape[1]))
     for s in range(0, N, rows):
-        diff = X[s : s + rows, None, :] - X[None, :, :]
-        E[s : s + rows] = p.boltzmann(np.sqrt((diff**2).sum(axis=-1)))
+        E[s : s + rows] = p.boltzmann(separations(X[s : s + rows, None], X[None]))
     return E
 
 

@@ -13,11 +13,12 @@ the companion matrix spans too many orders of magnitude, the smallest zero
 is too ill-conditioned for float64 coefficients or the coefficients leave
 the float64 range, the zeros come from Aberth-Ehrlich passes on a ladder of
 working digits set by the measured root conditioning, each certified by
-Weierstrass inclusion radii (Bini and Robol, MPSolve, 2014).  The passes
-evaluate p and p' by fixed_horner, a fixed-point Horner on Python integers,
-and so does every evaluation of Xi at or near a zero: the smallest zero's
-certificate and spectral's centers and asymptotics run newton_root and
-fixed_values on mp_scaled_coeffs at the ZeroSet's certified digits.
+Weierstrass inclusion radii (Bini and Robol, MPSolve, 2014), which reuse
+the evaluations each root froze on.  The passes evaluate p and p' by
+fixed_horner, a fixed-point Horner on Python integers, and so does every
+evaluation of Xi at or near a zero: the smallest zero's certificate and
+spectral's centers and asymptotics run newton_root and fixed_values on
+mp_scaled_coeffs at the ZeroSet's certified digits.
 
 Away from the zeros, evaluation uses Horner in 80-bit extended precision
 together with the coefficient-magnitude sum as a condition estimate, which
@@ -322,17 +323,38 @@ def newton_root(b, w):
 _GUARD_BITS = 16  # fraction bits of fixed_horner past the working precision
 
 
-def fixed_terms(b):
-    """Coefficients for fixed_horner: the signed mantissas, binary exponents
-    and float log2 |b_m| (-inf at 0) of real mpmath numbers b_m = man 2^exp."""
-    from mpmath import mp
+class FixedTerms:
+    """Coefficients for fixed_horner, from real mpmath numbers b_m = man 2^exp.
 
-    mans, exps = [], []
-    for sign, man, exp, _ in (mp.mpf(bm)._mpf_ for bm in b):
-        mans.append(-man if sign else man)
-        exps.append(exp)
-    log2b = np.array([math.log2(abs(m)) + e if m else -math.inf for m, e in zip(mans, exps)])
-    return mans, exps, log2b
+    mans, exps and log2b hold the signed mantissas, binary exponents and
+    float log2 |b_m| (-inf at 0).  The deg + 1 fixed-point coefficients a
+    pass runs on depend on the point only through (f, k, E), so rounded()
+    keeps them per key, rounded once.
+    """
+
+    def __init__(self, b):
+        from mpmath import mp
+
+        self.mans, self.exps = [], []
+        for sign, man, exp, _ in (mp.mpf(bm)._mpf_ for bm in b):
+            self.mans.append(-man if sign else man)
+            self.exps.append(exp)
+        self.log2b = np.array([math.log2(abs(m)) + e if m else -math.inf
+                               for m, e in zip(self.mans, self.exps)])
+        self._rounded = {}
+
+    def rounded(self, f, k, E):
+        """2^(f - E + m k) b_m rounded down to integers, m = deg..0."""
+        key = (f, k, E)
+        if key not in self._rounded:
+            self._rounded[key] = [_shift(man, exp + f - E + m * k) for m, (man, exp)
+                                  in enumerate(zip(self.mans, self.exps))][::-1]
+        return self._rounded[key]
+
+
+def fixed_terms(b):
+    """fixed_horner's coefficients of the real mpmath numbers b (FixedTerms)."""
+    return FixedTerms(b)
 
 
 def _shift(n, e):
@@ -368,12 +390,12 @@ def fixed_horner(terms, x, second=False):
     with second, p''/2.  Returns (k, E, mag, w, acc): mag = 2^-E sum_m |b_m|
     |x|^m in float, w and the accumulators acc = [2^-E p(x), 2^(k-E) p'(x)(,
     2^(2k-E) p''(x)/2)] as pairs (re, im) of integers in units of 2^-f.  w is
-    x rounded down, and the deg + 1 coefficients and deg products by w round
-    down once each: acc[0] is within (1 + sqrt 2)(deg + 1) of 2^(f-E) p(2^k w).
+    x rounded down, and the deg + 1 coefficients (kept per (f, k, E) by
+    terms) and deg products by w round down once each: acc[0] is within
+    (1 + sqrt 2)(deg + 1) of 2^(f-E) p(2^k w).
     """
     from mpmath import mp
 
-    mans, exps, log2b = terms
     f = mp.prec + _GUARD_BITS
     fixed = isinstance(x, tuple)
     ax = abs(complex(_to_float(x[0], x[2]), _to_float(x[1], x[2])) if fixed else complex(x))
@@ -382,14 +404,11 @@ def fixed_horner(terms, x, second=False):
         wr, wi = _shift(x[0], x[2] + f - k), _shift(x[1], x[2] + f - k)
     else:
         wr, wi = _fixed(x.real, f - k), _fixed(x.imag, f - k)
-    l2 = log2b + np.arange(len(mans)) * (math.log2(ax) if ax else 0.0)
+    l2 = terms.log2b + np.arange(len(terms.log2b)) * (math.log2(ax) if ax else 0.0)
     E = math.floor(l2.max())
     ws, wd = wr + wi, wi - wr  # (a + ib) w in three products
     pr = pi = dr = di = sr = si = 0
-    shift = f - E + k * len(mans)
-    for man, exp in zip(mans[::-1], exps[::-1]):
-        shift -= k
-        c = _shift(man, exp + shift)
+    for c in terms.rounded(f, k, E):
         # [s, d, p] <- [s w + d, d w + p, p w + b_m]
         if second:
             t = (sr + si) * wr
@@ -415,6 +434,18 @@ def fixed_values(terms, x, second=True):
     return out
 
 
+class Roots(list):
+    """_mp_aberth's roots, as mpc at the working precision, and for each the
+    fixed_horner result at the fixed-point point where it froze on its
+    residual, or None where it froze on its step; coeffs (the mantissas and
+    exponents) and prec say which polynomial and precision they belong to.
+    inclusion_radii takes those evaluations instead of evaluating again."""
+
+    def __init__(self, roots, coeffs, prec, frozen):
+        super().__init__(roots)
+        self.coeffs, self.prec, self.frozen = coeffs, prec, frozen
+
+
 def _mp_aberth(b, max_sweeps=200, starts=None):
     """All roots of sum b_m w^m (b real, b_0, b_deg != 0) at the working precision.
 
@@ -426,6 +457,8 @@ def _mp_aberth(b, max_sweeps=200, starts=None):
     root is frozen once its residual reaches the rounding level of the
     evaluation, (deg + 1) eps sum_m |b_m| |w|^m, or its correction drops
     below eps |w|; NumericalError when some root still moves after max_sweeps.
+    The roots come back as a Roots list, with the evaluation each root froze
+    on its residual at.
     """
     from mpmath import mp
 
@@ -434,14 +467,17 @@ def _mp_aberth(b, max_sweeps=200, starts=None):
     terms = fixed_terms(b)
     w = list(_newton_polygon_starts(b) if starts is None else starts)
     wc = np.array([complex(x) for x in w])
+    frozen = [None] * deg
     live = list(range(deg))
     for _ in range(max_sweeps):
         still = []
         for i in live:
-            k, _, mag, (wr, wi), ((pr, pi), (dr, di)) = fixed_horner(terms, w[i])
+            val = fixed_horner(terms, w[i])
+            k, _, mag, (wr, wi), ((pr, pi), (dr, di)) = val
             # |p| <= (deg + 1) eps mag with eps = 2^(1 - prec), in units of 2^-f
             tol = int(math.ldexp((deg + 1) * mag, _GUARD_BITS + 1))
             if pr * pr + pi * pi <= tol * tol:
+                frozen[i] = val
                 continue
             d = wc[i] - wc
             d[i] = np.inf
@@ -466,8 +502,9 @@ def _mp_aberth(b, max_sweeps=200, starts=None):
                 still.append(i)
         live = still
         if not live:
-            return [mp.mpc(mp.mpf((x[0], x[2])), mp.mpf((x[1], x[2])))
-                    if isinstance(x, tuple) else x for x in w]
+            return Roots([mp.mpc(mp.mpf((x[0], x[2])), mp.mpf((x[1], x[2])))
+                          if isinstance(x, tuple) else x for x in w],
+                         (terms.mans, terms.exps), mp.prec, frozen)
     raise NumericalError(
         f"Aberth iteration left {len(live)} of {deg} roots unconverged after "
         f"{max_sweeps} sweeps at {mp.dps} digits")
@@ -486,20 +523,30 @@ def inclusion_radii(terms, roots):
     |w_i - w_j|, so each disc holds one root and its complex128 rounding is
     settled.  Returns (complex128 w, r_i / |w_i|, certified, the largest
     log10 (sum_m |b_m| |w_i|^m / |w_i p'(w_i)|) from the same evaluations).
+    w_i is the fixed-point point p was evaluated at: for Roots from
+    _mp_aberth on the same coefficients and precision, the one where the
+    root froze on its residual; otherwise (a root that froze on its step)
+    the root rounded down to fixed point by a new evaluation.
     """
     from mpmath import mp
 
     n, f = len(roots), mp.prec + _GUARD_BITS
-    w = np.array([complex(x) for x in roots])
+    frozen = [None] * n
+    if (isinstance(roots, Roots) and roots.prec == mp.prec
+            and roots.coeffs == (terms.mans, terms.exps)):
+        frozen = roots.frozen
+    w = np.empty(n, dtype=complex)
     lp, lk = np.empty((2, n))  # log2 (|p| + e_i) and log2 kappa_i
     for i, x in enumerate(roots):
-        _, E, mag, wf, (p, dp) = fixed_horner(terms, x)  # p in units of 2^(E - f)
+        # p in units of 2^(E - f), at w = wf 2^(k - f)
+        k, E, mag, wf, (p, dp) = frozen[i] or fixed_horner(terms, x)
+        w[i] = complex(_to_float(wf[0], k - f), _to_float(wf[1], k - f))
         lp[i] = E - f + np.logaddexp2(_log2_abs(*p), math.log2(mag * 2**16 + 2.5 * (n + 1)))
         lk[i] = math.log2(mag) + 2 * f - _log2_abs(*wf) - _log2_abs(*dp)
     aw = np.abs(w)
     dist = np.abs(w[:, None] - w) - 2.0**-50 * (aw[:, None] + aw)
     np.fill_diagonal(dist, 1.0)
-    lr = (math.log2(2 * n) + lp - terms[2][-1]  # centers with dist <= 0: unbounded discs
+    lr = (math.log2(2 * n) + lp - terms.log2b[-1]  # centers with dist <= 0: unbounded discs
           - np.log2(np.maximum(dist, np.finfo(float).tiny)).sum(axis=1))
     with np.errstate(over="ignore"):
         r, rel = np.exp2(lr), np.exp2(lr - np.log2(aw))

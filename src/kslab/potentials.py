@@ -6,6 +6,9 @@ tabulated potential used to exercise the stable-regular code paths in
 tests.  Energies are always reported together with the Boltzmann weight
 exp(-beta * U) so that hard-core overlaps never travel through exp(+inf):
 an overlapping pair short-circuits to weight 0.
+
+Every pair separation |x_i - x_j| in kslab (batched weights, energies, the
+quadrature's pair matrix) comes from one kernel, separations.
 """
 
 from __future__ import annotations
@@ -18,6 +21,26 @@ import numpy as np
 from .errors import ConfigError, NotRegular, NotStable
 
 FAMILIES = ("ideal", "hardcore", "step", "custom")
+
+
+def separations(u, v):
+    """|u - v| over the last (coordinate) axis, u and v broadcast together.
+
+    The squared differences are accumulated axis by axis in order, d_0^2 +
+    d_1^2 + ..., left to right as numpy's add.reduce sums a last axis shorter
+    than 8, so the result equals the square root of ((u - v)**2).sum(-1) bit
+    for bit, without the (..., dim) difference array or a reduction over its
+    short axis, and with at most two working arrays.
+    """
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    sq, d = u[..., 0] - v[..., 0], None
+    sq *= sq
+    for k in range(1, u.shape[-1]):
+        d = np.subtract(u[..., k], v[..., k], out=d)
+        d *= d
+        sq += d
+    return np.sqrt(sq, out=sq)
+
 
 # ball volume and sphere surface in nu dimensions
 def _ball_volume(radius, dim):
@@ -209,24 +232,16 @@ class PairPotential:
 
     # -- configuration energies ----------------------------------------------
 
-    def _pair_separations(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[0] < 2:
-            return np.empty(0)
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=-1))
-        iu = np.triu_indices(pts.shape[0], k=1)
-        return dist[iu]
-
     def total_energy(self, points):
         """Total pair energy U of a configuration and its weight exp(-beta*U).
 
         Returns (U, weight).  U may be +inf; the weight is then exactly 0
         and no overflowing exponential is ever formed.
         """
-        seps = self._pair_separations(points)
-        if seps.size == 0:
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[0] < 2:
             return 0.0, 1.0
+        seps = separations(pts[:, None], pts[None])[np.triu_indices(pts.shape[0], k=1)]
         phi = np.asarray(self.evaluate_phi(seps), dtype=float)
         if np.any(np.isinf(phi)):
             return float("inf"), 0.0
@@ -244,7 +259,7 @@ class PairPotential:
         others = np.atleast_2d(np.asarray(others, dtype=float))
         if others.size == 0:
             return 0.0, 1.0
-        seps = np.sqrt(((others - x1[None, :]) ** 2).sum(axis=-1))
+        seps = separations(others, x1)
         phi = np.asarray(self.evaluate_phi(seps), dtype=float)
         if np.any(np.isinf(phi)):
             return float("inf"), 0.0
@@ -254,17 +269,21 @@ class PairPotential:
     def weights_many(self, configs):
         """Vectorized exp(-beta*U) over an array of configurations.
 
-        configs has shape (nc, n, dim); returns shape (nc,).
+        configs has shape (nc, n, dim); returns shape (nc,).  The ideal gas
+        returns before any arithmetic.  Otherwise the i < j pairs are
+        gathered from a coordinate-major copy, one contiguous (pairs, nc) slab
+        per axis, and separations reads the slabs in place.  The transposed
+        (nc, pairs) result is column-major and must stay so: numpy then sums
+        a row's pair energies below one pair after another, where a row-major
+        array of 8 or more pairs is summed pairwise, into other last bits.
         """
         configs = np.asarray(configs, dtype=float)
         nc, n, _ = configs.shape
-        if n < 2:
+        if n < 2 or self.family == "ideal":
             return np.ones(nc)
-        iu = np.triu_indices(n, k=1)
-        diff = configs[:, iu[0], :] - configs[:, iu[1], :]
-        seps = np.sqrt((diff**2).sum(axis=-1))
-        if self.family == "ideal":
-            return np.ones(nc)
+        i, j = np.triu_indices(n, k=1)
+        x = np.ascontiguousarray(configs.T)  # (dim, n, nc)
+        seps = separations(np.moveaxis(x[:, i], 0, -1), np.moveaxis(x[:, j], 0, -1)).T
         if self.family == "hardcore":
             return np.where((seps < self.a).any(axis=1), 0.0, 1.0)
         phi = self.evaluate_phi(seps)

@@ -556,6 +556,19 @@ def test_inclusion_radii_refuse_a_converged_wrong_pass(monkeypatch):
     assert rel_err(smallest_zero(zs).z_c, -0.36815400035903173) <= 1e-15
 
 
+def test_ladder_evaluates_no_frozen_root_again(monkeypatch):
+    # hard rods at L = 40 climb two rungs of 40 roots; every root freezes on
+    # its residual test, and inclusion_radii take those evaluations instead
+    # of evaluating again: 521 kernel calls for zeros and smallest_zero
+    # before, 441 now
+    calls, real = [], partition.fixed_horner
+    monkeypatch.setattr(partition, "fixed_horner",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    poly = make_tonks(40.0, 41)
+    smallest_zero(zeros(poly))
+    assert len(calls) <= 441
+
+
 def test_double_root_never_certifies(monkeypatch):
     # (w + 1)^2 (w + 2)(w + 3)(w + 5)(w + 7): the two approximations of the
     # double root never separate into disjoint discs, so every rung up to

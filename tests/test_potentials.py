@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kslab.errors import ConfigError
-from kslab.potentials import PairPotential, regularity_C, stability_constant
+from kslab.potentials import PairPotential, regularity_C, separations, stability_constant
 
 
 def test_config_round_trip():
@@ -90,3 +90,90 @@ def test_weights_vectorized_consistent():
     pts = np.array([[[0.1], [0.5]], [[0.1], [1.6]]])  # overlapping, free
     w = p.weights_many(pts)
     assert w[0] == 0.0 and w[1] == 1.0
+
+
+# -- the pair-separation kernel against the gathered-difference formula ---------
+
+
+def _reference_separations(u, v):
+    """The formula every call site used before separations: the (..., dim)
+    difference array, squared and reduced over its last axis."""
+    return np.sqrt(((u - v) ** 2).sum(axis=-1))
+
+
+def _reference_weights_many(p, configs):
+    nc, n, _ = configs.shape
+    if n < 2:
+        return np.ones(nc)
+    iu = np.triu_indices(n, k=1)
+    seps = _reference_separations(configs[:, iu[0], :], configs[:, iu[1], :])
+    if p.family == "ideal":
+        return np.ones(nc)
+    if p.family == "hardcore":
+        return np.where((seps < p.a).any(axis=1), 0.0, 1.0)
+    phi = p.evaluate_phi(seps)
+    bad = np.isinf(phi).any(axis=1)
+    U = np.where(bad, 0.0, phi.sum(axis=1))
+    out = np.exp(-p.beta * U)
+    out[bad] = 0.0
+    return out
+
+
+def _reference_energy(p, seps):
+    if seps.size == 0:
+        return 0.0, 1.0
+    phi = np.asarray(p.evaluate_phi(seps), dtype=float)
+    if np.any(np.isinf(phi)):
+        return float("inf"), 0.0
+    U = float(phi.sum())
+    return U, math.exp(-p.beta * U)
+
+
+def _planted_points(rng, shape, a):
+    """Uniform points in [0, 3]^dim, with a pair exactly a apart along axis 0
+    and a coincident pair planted in every configuration that has room."""
+    x = rng.uniform(0.0, 3.0, shape)
+    if shape[-2] >= 3:
+        x[..., 1, :] = x[..., 0, :]
+        x[..., 2, :] = x[..., 0, :]
+        x[..., 2, 0] += a
+    return x
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("family", ["ideal", "hardcore", "step", "custom"])
+def test_separation_kernel_matches_gathered_differences(family, dim, monkeypatch):
+    # every call site gives the same bits as the formula it replaced, at
+    # separations exactly equal to a and 0, for single configurations (whose
+    # pair sum numpy reduces pairwise from 8 pairs on) and for batches (one
+    # pair after another)
+    from kslab import integrals
+
+    a = 1.0
+    p = {"ideal": PairPotential.ideal(beta=1.3, dimension=dim),
+         "hardcore": PairPotential.hardcore(a, beta=1.3, dimension=dim),
+         "step": PairPotential.step(a, 0.7, beta=1.3, dimension=dim),
+         "custom": PairPotential.custom([0.0, 0.4, 0.7, 1.0], [2.0, 0.9, -0.3, 0.0],
+                                        beta=1.3, dimension=dim)}[family]
+    rng = np.random.default_rng(17 + dim)
+    for n in range(9):
+        for nc in (1, 5, 300):
+            configs = _planted_points(rng, (nc, n, dim), a)
+            got = p.weights_many(configs)
+            assert np.array_equal(got, _reference_weights_many(p, configs))
+            u, v = configs[:, :, None], configs[:, None]
+            assert np.array_equal(separations(u, v), _reference_separations(u, v))
+        pts = configs[0]
+        iu = np.triu_indices(n, k=1)
+        want = _reference_energy(p, _reference_separations(pts[:, None, :],
+                                                           pts[None, :, :])[iu])
+        assert p.total_energy(pts) == want
+        if n:
+            want = _reference_energy(p, _reference_separations(pts[1:], pts[0][None, :]))
+            assert p.cross_energy(pts[0], pts[1:]) == want
+    X = _planted_points(rng, (40, dim), a)
+    X[3] = X[7]
+    want = p.boltzmann(_reference_separations(X[:, None, :], X[None, :, :]))
+    assert np.array_equal(integrals._pair_matrix(p, X), want)
+    monkeypatch.setattr(integrals, "_BLOCK", 40 * dim)  # one row per block
+    assert np.array_equal(integrals._pair_matrix(p, X), want)
