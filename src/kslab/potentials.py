@@ -8,7 +8,8 @@ exp(-beta * U) so that hard-core overlaps never travel through exp(+inf):
 an overlapping pair short-circuits to weight 0.
 
 Every pair separation |x_i - x_j| in kslab (batched weights, energies, the
-quadrature's pair matrix) comes from one kernel, separations.
+quadrature's pair matrix) comes from one kernel, _root_sum_squares: through
+separations for broadcast arrays, and from per-axis gathers in weights_many.
 """
 
 from __future__ import annotations
@@ -26,20 +27,41 @@ FAMILIES = ("ideal", "hardcore", "step", "custom")
 def separations(u, v):
     """|u - v| over the last (coordinate) axis, u and v broadcast together.
 
-    The squared differences are accumulated axis by axis in order, d_0^2 +
-    d_1^2 + ..., left to right as numpy's add.reduce sums a last axis shorter
-    than 8, so the result equals the square root of ((u - v)**2).sum(-1) bit
-    for bit, without the (..., dim) difference array or a reduction over its
-    short axis, and with at most two working arrays.
+    Equal bit for bit to the square root of ((u - v)**2).sum(-1), without
+    the (..., dim) difference array or a reduction over its short last axis
+    (see _root_sum_squares).
     """
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    sq, d = u[..., 0] - v[..., 0], None
-    sq *= sq
-    for k in range(1, u.shape[-1]):
-        d = np.subtract(u[..., k], v[..., k], out=d)
+    return _root_sum_squares(u[..., k] - v[..., k] for k in range(u.shape[-1]))
+
+
+def _root_sum_squares(diffs):
+    """sqrt(d_0^2 + d_1^2 + ...) of the per-axis difference arrays diffs yields.
+
+    Each d, a fresh array the caller gives up, is squared and added in place,
+    left to right as numpy's add.reduce sums a last axis shorter than 8.
+    """
+    for k, d in enumerate(diffs):
         d *= d
-        sq += d
+        if k:
+            sq += d
+        else:
+            sq = d
     return np.sqrt(sq, out=sq)
+
+
+def _pair_differences(configs, i, j):
+    """x_i - x_j over the pairs (i, j) of configs (nc, n, dim): per axis, one
+    (nc, pairs) gather from the axis's (nc, n) view, subtracted in place.
+
+    numpy lays a gather out pair-major, so each array is column-major, and
+    weights_many's row sums add a row's pairs one after another; a row-major
+    array of 8 or more pairs would be summed pairwise, into other bits.
+    """
+    for x in configs.transpose(2, 0, 1):
+        d = x[:, i]
+        d -= x[:, j]
+        yield d
 
 
 # ball volume and sphere surface in nu dimensions
@@ -270,20 +292,15 @@ class PairPotential:
         """Vectorized exp(-beta*U) over an array of configurations.
 
         configs has shape (nc, n, dim); returns shape (nc,).  The ideal gas
-        returns before any arithmetic.  Otherwise the i < j pairs are
-        gathered from a coordinate-major copy, one contiguous (pairs, nc) slab
-        per axis, and separations reads the slabs in place.  The transposed
-        (nc, pairs) result is column-major and must stay so: numpy then sums
-        a row's pair energies below one pair after another, where a row-major
-        array of 8 or more pairs is summed pairwise, into other last bits.
+        returns before any arithmetic; otherwise the i < j pair separations
+        come from _pair_differences, gathered axis by axis.
         """
         configs = np.asarray(configs, dtype=float)
         nc, n, _ = configs.shape
         if n < 2 or self.family == "ideal":
             return np.ones(nc)
         i, j = np.triu_indices(n, k=1)
-        x = np.ascontiguousarray(configs.T)  # (dim, n, nc)
-        seps = separations(np.moveaxis(x[:, i], 0, -1), np.moveaxis(x[:, j], 0, -1)).T
+        seps = _root_sum_squares(_pair_differences(configs, i, j))
         if self.family == "hardcore":
             return np.where((seps < self.a).any(axis=1), 0.0, 1.0)
         phi = self.evaluate_phi(seps)
