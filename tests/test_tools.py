@@ -1,0 +1,42 @@
+"""The gain rule of tools/pairs.py, on synthetic pairs of benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+PAIRS = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
+
+
+def _load_pairs():
+    spec = importlib.util.spec_from_file_location("tools_pairs", PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _runs(parent, change, name="pass_s"):
+    def rec(v):
+        return {"metrics": {name: {"value": v, "unit": "s"}}}
+
+    return {"parent": [rec(v) for v in parent], "change": [rec(v) for v in change]}
+
+
+def test_gain_rule_needs_nine_tenths_wins_and_a_gap_past_the_parent_iqr():
+    summarize = _load_pairs().summarize
+    lower = [{"name": "pass_s", "unit": "s", "better": "lower"}]
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+    faster = [v - 0.5 for v in parent]
+    (line,) = summarize(lower, _runs(parent, faster))
+    assert "wins 10/10" in line and line.endswith("holds")
+    # 8 of 10 wins: the rule fails however large the gap
+    (line,) = summarize(lower, _runs(parent, faster[:8] + [2.0, 2.0]))
+    assert "wins 8/10" in line and line.endswith("does not hold")
+    # every pair won, but the medians differ by less than the parent's IQR
+    (line,) = summarize(lower, _runs(parent, [v - 0.01 for v in parent]))
+    assert "wins 10/10" in line and line.endswith("does not hold")
+    # ties count for neither side
+    (line,) = summarize(lower, _runs(parent, parent))
+    assert "wins 0/10" in line
+    # a metric where higher is better wins the other way round
+    higher = [{"name": "zc_digits", "unit": "digits", "better": "higher"}]
+    (line,) = summarize(higher, _runs(parent, [v + 0.5 for v in parent], "zc_digits"))
+    assert "wins 10/10" in line and line.endswith("holds")
