@@ -321,40 +321,21 @@ def newton_root(b, w):
 # -- fixed-point Horner on Python integers -------------------------------------
 
 _GUARD_BITS = 16  # fraction bits of fixed_horner past the working precision
-
-
-class FixedTerms:
-    """Coefficients for fixed_horner, from real mpmath numbers b_m = man 2^exp.
-
-    mans, exps and log2b hold the signed mantissas, binary exponents and
-    float log2 |b_m| (-inf at 0).  The deg + 1 fixed-point coefficients a
-    pass runs on depend on the point only through (f, k, E), so rounded()
-    keeps them per key, rounded once.
-    """
-
-    def __init__(self, b):
-        from mpmath import mp
-
-        self.mans, self.exps = [], []
-        for sign, man, exp, _ in (mp.mpf(bm)._mpf_ for bm in b):
-            self.mans.append(-man if sign else man)
-            self.exps.append(exp)
-        self.log2b = np.array([math.log2(abs(m)) + e if m else -math.inf
-                               for m, e in zip(self.mans, self.exps)])
-        self._rounded = {}
-
-    def rounded(self, f, k, E):
-        """2^(f - E + m k) b_m rounded down to integers, m = deg..0."""
-        key = (f, k, E)
-        if key not in self._rounded:
-            self._rounded[key] = [_shift(man, exp + f - E + m * k) for m, (man, exp)
-                                  in enumerate(zip(self.mans, self.exps))][::-1]
-        return self._rounded[key]
+_ROUNDED_BITS = 1 << 24  # memory for fixed_horner's rounded coefficients, per fixed_terms
 
 
 def fixed_terms(b):
-    """fixed_horner's coefficients of the real mpmath numbers b (FixedTerms)."""
-    return FixedTerms(b)
+    """Coefficients for fixed_horner: the signed mantissas, binary exponents
+    and float log2 |b_m| (-inf at 0) of real mpmath numbers b_m = man 2^exp,
+    and the dict in which fixed_horner keeps its rounded coefficients."""
+    from mpmath import mp
+
+    mans, exps = [], []
+    for sign, man, exp, _ in (mp.mpf(bm)._mpf_ for bm in b):
+        mans.append(-man if sign else man)
+        exps.append(exp)
+    log2b = np.array([math.log2(abs(m)) + e if m else -math.inf for m, e in zip(mans, exps)])
+    return mans, exps, log2b, {}
 
 
 def _shift(n, e):
@@ -390,12 +371,15 @@ def fixed_horner(terms, x, second=False):
     with second, p''/2.  Returns (k, E, mag, w, acc): mag = 2^-E sum_m |b_m|
     |x|^m in float, w and the accumulators acc = [2^-E p(x), 2^(k-E) p'(x)(,
     2^(2k-E) p''(x)/2)] as pairs (re, im) of integers in units of 2^-f.  w is
-    x rounded down, and the deg + 1 coefficients (kept per (f, k, E) by
-    terms) and deg products by w round down once each: acc[0] is within
-    (1 + sqrt 2)(deg + 1) of 2^(f-E) p(2^k w).
+    x rounded down, and the deg + 1 coefficients and deg products by w round
+    down once each: acc[0] is within (1 + sqrt 2)(deg + 1) of 2^(f-E) p(2^k
+    w).  The rounded coefficients depend on x only through (f, k, E), so
+    terms' dict keeps them per key, and is emptied before it would pass
+    _ROUNDED_BITS (2 MiB).
     """
     from mpmath import mp
 
+    mans, exps, log2b, rounded = terms
     f = mp.prec + _GUARD_BITS
     fixed = isinstance(x, tuple)
     ax = abs(complex(_to_float(x[0], x[2]), _to_float(x[1], x[2])) if fixed else complex(x))
@@ -404,11 +388,18 @@ def fixed_horner(terms, x, second=False):
         wr, wi = _shift(x[0], x[2] + f - k), _shift(x[1], x[2] + f - k)
     else:
         wr, wi = _fixed(x.real, f - k), _fixed(x.imag, f - k)
-    l2 = terms.log2b + np.arange(len(terms.log2b)) * (math.log2(ax) if ax else 0.0)
+    l2 = log2b + np.arange(len(mans)) * (math.log2(ax) if ax else 0.0)
     E = math.floor(l2.max())
+    coeffs = rounded.get((f, k, E))
+    if coeffs is None:
+        # each coefficient costs about f bits plus 256 for its int and list slot
+        if len(rounded) * len(mans) * (f + 256) >= _ROUNDED_BITS:
+            rounded.clear()
+        coeffs = rounded[f, k, E] = [_shift(man, exp + f - E + m * k) for m, (man, exp)
+                                     in enumerate(zip(mans, exps))][::-1]
     ws, wd = wr + wi, wi - wr  # (a + ib) w in three products
     pr = pi = dr = di = sr = si = 0
-    for c in terms.rounded(f, k, E):
+    for c in coeffs:
         # [s, d, p] <- [s w + d, d w + p, p w + b_m]
         if second:
             t = (sr + si) * wr
@@ -504,7 +495,7 @@ def _mp_aberth(b, max_sweeps=200, starts=None):
         if not live:
             return Roots([mp.mpc(mp.mpf((x[0], x[2])), mp.mpf((x[1], x[2])))
                           if isinstance(x, tuple) else x for x in w],
-                         (terms.mans, terms.exps), mp.prec, frozen)
+                         terms[:2], mp.prec, frozen)
     raise NumericalError(
         f"Aberth iteration left {len(live)} of {deg} roots unconverged after "
         f"{max_sweeps} sweeps at {mp.dps} digits")
@@ -533,7 +524,7 @@ def inclusion_radii(terms, roots):
     n, f = len(roots), mp.prec + _GUARD_BITS
     frozen = [None] * n
     if (isinstance(roots, Roots) and roots.prec == mp.prec
-            and roots.coeffs == (terms.mans, terms.exps)):
+            and roots.coeffs == terms[:2]):
         frozen = roots.frozen
     w = np.empty(n, dtype=complex)
     lp, lk = np.empty((2, n))  # log2 (|p| + e_i) and log2 kappa_i
@@ -546,7 +537,7 @@ def inclusion_radii(terms, roots):
     aw = np.abs(w)
     dist = np.abs(w[:, None] - w) - 2.0**-50 * (aw[:, None] + aw)
     np.fill_diagonal(dist, 1.0)
-    lr = (math.log2(2 * n) + lp - terms.log2b[-1]  # centers with dist <= 0: unbounded discs
+    lr = (math.log2(2 * n) + lp - terms[2][-1]  # centers with dist <= 0: unbounded discs
           - np.log2(np.maximum(dist, np.finfo(float).tiny)).sum(axis=1))
     with np.errstate(over="ignore"):
         r, rel = np.exp2(lr), np.exp2(lr - np.log2(aw))

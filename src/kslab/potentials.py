@@ -25,13 +25,17 @@ FAMILIES = ("ideal", "hardcore", "step", "custom")
 
 
 def separations(u, v):
-    """|u - v| over the last (coordinate) axis, u and v broadcast together.
+    """|u - v| over the last (coordinate) axis, for arrays of points.
 
-    Equal bit for bit to the square root of ((u - v)**2).sum(-1), without
-    the (..., dim) difference array or a reduction over its short last axis
-    (see _root_sum_squares).
+    u and v share the last axis, dim, and their leading axes broadcast
+    together into the result's; a single point (1-D) counts as one row, so
+    the result is at least 1-D.  Equal bit for bit to the square root of
+    ((u - v)**2).sum(-1), without the (..., dim) difference array or a
+    reduction over its short last axis (see _root_sum_squares).
     """
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    u, v = np.atleast_2d(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    if u.shape[-1] != v.shape[-1]:
+        raise ValueError(f"points of {u.shape[-1]} and {v.shape[-1]} coordinates")
     return _root_sum_squares(u[..., k] - v[..., k] for k in range(u.shape[-1]))
 
 

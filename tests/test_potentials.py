@@ -177,3 +177,13 @@ def test_separation_kernel_matches_gathered_differences(family, dim, monkeypatch
     assert np.array_equal(integrals._pair_matrix(p, X), want)
     monkeypatch.setattr(integrals, "_BLOCK", 40 * dim)  # one row per block
     assert np.array_equal(integrals._pair_matrix(p, X), want)
+
+
+def test_separations_of_single_points_and_mismatched_coordinates():
+    # a single point counts as one row; points of different dimension are
+    # refused rather than compared on their common axes
+    got = separations(np.array([0.0, 3.0]), np.array([4.0, 0.0]))
+    assert got.shape == (1,) and got[0] == 5.0
+    assert np.array_equal(separations(np.zeros((4, 2)), np.array([3.0, 4.0])), np.full(4, 5.0))
+    with pytest.raises(ValueError):
+        separations(np.zeros((4, 2)), np.zeros((4, 3)))

@@ -1,18 +1,18 @@
 """Run the benchmark in alternating pairs of two checkouts and test a claimed gain.
 
-    python tools/pairs.py --parent DIR --workload W --pairs N --seed S [--seconds T]
+    python tools/pairs.py --parent DIR --workload W --pairs N --seed S
 
 Each pair runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`
 once in the parent checkout DIR and once in this one, each in its own
 checkout directory; the side that runs first alternates from pair to pair.
-T defaults to BENCHMARK.json's run_seconds.  Every run's end-to-end metrics
-are printed as they arrive.  At the end, for each metric of BENCHMARK.json,
-the summary gives each side's median and quartiles over the pairs, how many
-pairs the change won (ties count for neither side), and whether a gain
-claim holds: the change wins at least nine tenths of the pairs and its
-median is better than the parent's by more than the parent's interquartile
-range.  It exits 1 when a run reports a failed command, and 2 when a run
-does not finish.
+T is BENCHMARK.json's run_seconds, the run length the benchmark judges a
+gain at.  Every run's end-to-end metrics are printed as they arrive.  At
+the end, for each metric of BENCHMARK.json, the summary gives each side's
+median and quartiles over the pairs, how many pairs the change won (ties
+count for neither side), and whether a gain claim holds: the change wins
+at least nine tenths of the pairs and its median is better than the
+parent's by more than the parent's interquartile range.  It exits 1 when a
+run reports a failed command, and 2 when a run does not finish.
 
 Standard library only; perfbench is run, never changed.
 """
@@ -69,10 +69,9 @@ def main(argv=None):
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", required=True, type=int)
     ap.add_argument("--seed", required=True, type=int)
-    ap.add_argument("--seconds", type=int)
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     runs = {"parent": [], "change": []}
     failed = 0
