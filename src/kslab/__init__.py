@@ -2,8 +2,7 @@
 
 The pipeline runs from a pair potential to certified spectral data:
 
-1. `potentials` defines the interaction and its stability/regularity
-   diagnostics.
+1. `potentials` defines the interaction and its regularity diagnostics.
 2. `integrals` evaluates configuration integrals Z_m over a box, exactly
    where a closed form exists and by quadrature or scrambled Sobol sampling
    otherwise, with per-entry error estimates and a JSON cache.
@@ -27,23 +26,21 @@ The pipeline runs from a pair potential to certified spectral data:
 
 from .cluster import (BoundReport, PowerSeries, RadiusEstimate, claim_row,
                       density_bound_check, density_coefficients_extrapolated,
-                      density_series, exp_series, log_series, radius_estimate,
-                      revert_series, richardson, sign_pattern, virial_reversion)
+                      density_series, log_series, radius_estimate, revert_series,
+                      richardson, sign_pattern, virial_reversion)
 from .errors import (BranchError, ConfigError, ContourError, Degenerate,
                      InsufficientData, KslabError, MissingPrerequisite,
-                     NearPole, NotRegular, NotStable, NumericalError,
-                     UseSampling)
+                     NearPole, NotRegular, NumericalError, UseSampling)
 from .integrals import Box, IntegralTable, anchored_integral, build_table
 from .ksop import KSMatrix, apply_ks_function, build_ks_matrix, ks_residual
-from .oracles import IdealModel, TonksModel, ideal_truncated_zeros, tonks_mayer_coefficients
+from .oracles import IdealModel, TonksModel
 from .partition import (PartitionPolynomial, SmallestZero, ZeroSet, assemble,
-                        evaluate, evaluate_derivative, smallest_zero, zeros)
-from .potentials import PairPotential, regularity_C, stability_constant
+                        evaluate, smallest_zero, zeros)
+from .potentials import PairPotential, regularity_C
 from .slog import SLog
 from .spectral import (AsymptoticsResult, RieszResult, Spectrum,
                        coefficient_asymptotics, leading_asymptotics,
-                       leading_projection, nilpotent_and_pole,
-                       power_convergence, spectral_radius_check, spectrum)
+                       leading_projection, power_convergence, spectrum)
 
 __version__ = "0.1.0"
 
@@ -51,17 +48,14 @@ __all__ = [
     "AsymptoticsResult", "BoundReport", "Box", "BranchError", "ConfigError",
     "ContourError", "Degenerate", "IdealModel", "InsufficientData",
     "IntegralTable", "KSMatrix", "KslabError", "MissingPrerequisite",
-    "NearPole", "NotRegular", "NotStable", "NumericalError",
-    "PairPotential", "PartitionPolynomial", "PowerSeries", "RadiusEstimate",
-    "RieszResult", "SLog", "SmallestZero", "Spectrum", "TonksModel",
-    "UseSampling", "ZeroSet", "anchored_integral", "apply_ks_function",
-    "assemble", "build_ks_matrix", "build_table", "claim_row",
-    "coefficient_asymptotics", "density_bound_check",
-    "density_coefficients_extrapolated", "density_series", "evaluate",
-    "evaluate_derivative", "exp_series", "ideal_truncated_zeros", "ks_residual",
-    "leading_asymptotics", "leading_projection", "log_series",
-    "nilpotent_and_pole", "power_convergence", "radius_estimate",
-    "regularity_C", "revert_series", "richardson", "sign_pattern",
-    "smallest_zero", "spectral_radius_check", "spectrum", "stability_constant",
-    "tonks_mayer_coefficients", "virial_reversion", "zeros",
+    "NearPole", "NotRegular", "NumericalError", "PairPotential",
+    "PartitionPolynomial", "PowerSeries", "RadiusEstimate", "RieszResult",
+    "SLog", "SmallestZero", "Spectrum", "TonksModel", "UseSampling",
+    "ZeroSet", "anchored_integral", "apply_ks_function", "assemble",
+    "build_ks_matrix", "build_table", "claim_row", "coefficient_asymptotics",
+    "density_bound_check", "density_coefficients_extrapolated",
+    "density_series", "evaluate", "ks_residual", "leading_asymptotics",
+    "leading_projection", "log_series", "power_convergence",
+    "radius_estimate", "regularity_C", "revert_series", "richardson",
+    "sign_pattern", "smallest_zero", "spectrum", "virial_reversion", "zeros",
 ]

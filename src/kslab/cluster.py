@@ -106,24 +106,6 @@ def log_series(poly: PartitionPolynomial, N) -> PowerSeries:
     return PowerSeries.from_values(ell, "z")
 
 
-def exp_series(s: PowerSeries, N=None) -> PowerSeries:
-    """Series exponential of a series with zero constant term."""
-    v = s.values
-    if v[0] != 0.0:
-        raise NumericalError("series exp expects a zero constant term")
-    if N is None:
-        N = len(v) - 1
-    e = np.zeros(N + 1)
-    e[0] = 1.0
-    for k in range(1, N + 1):
-        acc = 0.0
-        for j in range(1, k + 1):
-            if j < len(v):
-                acc += j * v[j] * e[k - j]
-        e[k] = acc / k
-    return PowerSeries.from_values(e, s.variable)
-
-
 def density_series(logseries: PowerSeries, volume) -> PowerSeries:
     """One-point density series rho_1(z) = (z d/dz log Xi) / |box|."""
     ell = logseries.values
@@ -189,12 +171,14 @@ class RadiusEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
+_MIN_NONZERO = 8  # coefficients a radius fit needs
+
+
 def _tail_points(idx, vals, count):
     return idx[-count:], vals[-count:]
 
 
-def radius_estimate(series: PowerSeries, method="domb_sykes",
-                    min_nonzero=8) -> RadiusEstimate:
+def radius_estimate(series: PowerSeries, method="domb_sykes") -> RadiusEstimate:
     """Radius of convergence of a truncated series, three estimators.
 
     "ratio" extrapolates |c_k/c_{k+1}| linearly in 1/k; "root" fits
@@ -203,25 +187,25 @@ def radius_estimate(series: PowerSeries, method="domb_sykes",
     signed consecutive ratio c_k/c_{k-1} against 1/k on the last half of
     the points, so the intercept carries the singularity's sign.
 
-    A series with fewer nonzero entries than min_nonzero is only accepted
+    A series with fewer nonzero entries than _MIN_NONZERO is only accepted
     when it visibly terminates (a long run of exact zeros at the tail), in
     which case the radius is infinite; otherwise InsufficientData.
     """
     pattern = sign_pattern(series)
     v = series.values
     nz = [k for k in range(1, len(v)) if v[k] != 0.0]
-    if len(nz) < min_nonzero:
+    if len(nz) < _MIN_NONZERO:
         trailing = len(v) - 1 - (nz[-1] if nz else 0)
         if nz and trailing >= max(2, len(v) // 4):
             return RadiusEstimate(method, float("inf"), complex("inf"),
                                   pattern, {"terminating": True,
                                             "n_nonzero": len(nz)})
         raise InsufficientData(
-            f"radius estimate needs {min_nonzero} nonzero coefficients, "
+            f"radius estimate needs {_MIN_NONZERO} nonzero coefficients, "
             f"got {len(nz)}")
 
     if method == "root":
-        k_fit, c_fit = _tail_points(np.array(nz), v[nz], max(min_nonzero, len(nz) // 2))
+        k_fit, c_fit = _tail_points(np.array(nz), v[nz], max(_MIN_NONZERO, len(nz) // 2))
         A = np.column_stack([np.ones_like(k_fit, dtype=float),
                              np.log(k_fit.astype(float)), k_fit.astype(float)])
         sol, res, *_ = np.linalg.lstsq(A, np.log(np.abs(c_fit)), rcond=None)
@@ -236,7 +220,7 @@ def radius_estimate(series: PowerSeries, method="domb_sykes",
 
     # both ratio variants need consecutive nonzero pairs
     pairs = [(k, v[k] / v[k - 1]) for k in nz if k - 1 in series.nonzero_indices()]
-    if len(pairs) < min_nonzero - 1:
+    if len(pairs) < _MIN_NONZERO - 1:
         raise InsufficientData("too few consecutive nonzero ratio points")
     ks = np.array([k for k, _ in pairs], dtype=float)
     rs = np.array([r for _, r in pairs])
@@ -324,7 +308,7 @@ def compose_series(outer: PowerSeries, inner: PowerSeries, N=None) -> PowerSerie
     return PowerSeries.from_values(out, inner.variable)
 
 
-def virial_reversion(density: PowerSeries, pressure: PowerSeries, N=None):
+def virial_reversion(density: PowerSeries, pressure: PowerSeries):
     """Pressure as a series in density, plus its radius estimate.
 
     Reverts rho(z) by Lagrange inversion and composes the pressure series
@@ -338,8 +322,7 @@ def virial_reversion(density: PowerSeries, pressure: PowerSeries, N=None):
     per order, so keep N near 14 in double precision unless the tail is
     going to be discarded anyway.
     """
-    if N is None:
-        N = min(len(density), len(pressure)) - 1
+    N = min(len(density), len(pressure)) - 1
     z_of_rho = revert_series(density, N)
     virial = compose_series(pressure, z_of_rho, N)
     virial.variable = "rho"

@@ -22,10 +22,6 @@ class NumericalError(KslabError):
     """Base class for numerical failures."""
 
 
-class NotStable(NumericalError):
-    """Probe configurations found energies drifting below any linear bound."""
-
-
 class NotRegular(NumericalError):
     """The Mayer integrand does not have a finite integral."""
 

@@ -60,6 +60,7 @@ _POINT_BUDGET = 400_000  # tensor nodes per integral, nest rows per anchor row a
 _BLOCK = 1 << 18  # elements per working array of the tensor contraction and sampling
 _SOBOL_BITS = 30  # digits per Sobol coordinate, scipy's default
 _SOBOL_MAXDIM = 21201  # coordinates in the Joe-Kuo table
+_TABLE_SAMPLES = 1 << 16  # Sobol points per sampled table entry
 
 
 @dataclass(frozen=True)
@@ -203,10 +204,10 @@ def panel_rule(lo, hi, breakpoints, order):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def contact_lattice(extent, a, kmax, anchors=()):
+def contact_lattice(extent, a, kmax):
     """Sorted axis breakpoints in (0, extent) where hard-core and step weights switch:
-    offsets k*a (1 <= k <= kmax) from the walls and from the anchors, and the anchors."""
-    return contact_lattice_rows(extent, a, kmax, np.reshape(anchors, (1, -1)))[0].tolist()
+    offsets k*a (1 <= k <= kmax) from the walls."""
+    return contact_lattice_rows(extent, a, kmax, np.empty((1, 0)))[0].tolist()
 
 
 def contact_lattice_rows(extent, a, kmax, anchors):
@@ -513,22 +514,19 @@ def sobol_replicates(dim, n_samples, seed, replicates, estimate):
     return means.mean(axis=-1), means.std(ddof=1, axis=-1) / math.sqrt(replicates)
 
 
-def sampled_Z(p: PairPotential, box: Box, m, n_samples=1 << 16, seed=42, replicates=8):
+def sampled_Z(p: PairPotential, box: Box, m, seed=42):
     """Scrambled-Sobol estimate of Z_m with a replicate standard error: the
     anchor-free case of _sobol_mean.
 
-    Deterministic for a given seed.  The points are split into
-    independently scrambled replicates; the reported error is the standard
-    error of the replicate means.
+    Deterministic for a given seed.  The _TABLE_SAMPLES points are split
+    into independently scrambled replicates; the reported error is the
+    standard error of the replicate means.
     """
-    if n_samples < 1000:
-        raise ConfigError("sampled_Z needs at least 1000 samples")
     if m == 0:
         return 1.0, 0.0
     if p.family == "ideal":
         return box.volume**m, 0.0
-    mean, err = _sobol_mean(p, box, np.empty((1, 0, box.dimension)), m, n_samples, seed,
-                            replicates)
+    mean, err = _sobol_mean(p, box, np.empty((1, 0, box.dimension)), m, _TABLE_SAMPLES, seed)
     return float(mean[0]), float(err[0])
 
 
@@ -729,11 +727,10 @@ def load_table(path, p: PairPotential, box: Box):
         return None
 
 
-def cached_table(cache_dir, p: PairPotential, box: Box, M, order=16, n_samples=1 << 16,
-                 seed=42):
+def cached_table(cache_dir, p: PairPotential, box: Box, M, order=16, seed=42):
     """(table, stored): the cache file as loaded (None if missing or corrupt),
     and trimmed to M if it covers M and was built with these settings."""
-    built_with = {"order": order, "n_samples": n_samples, "seed": seed}
+    built_with = {"order": order, "n_samples": _TABLE_SAMPLES, "seed": seed}
     stored = load_table(cache_path(cache_dir, p, box), p, box)
     if stored is None or stored.M < M or stored.built_with != built_with:
         return None, stored
@@ -742,18 +739,18 @@ def cached_table(cache_dir, p: PairPotential, box: Box, M, order=16, n_samples=1
     return IntegralTable(p, box, M, stored.entries[: M + 1], built_with), stored
 
 
-def build_table(p: PairPotential, box: Box, M, order=16, n_samples=1 << 16, seed=42,
-                cache_dir=None, force=False) -> IntegralTable:
+def build_table(p: PairPotential, box: Box, M, order=16, seed=42, cache_dir=None,
+                force=False) -> IntegralTable:
     """Z_0..Z_M with the best available method per entry, using the cache.
 
     Method preference is exact > quadrature > sampling.  A cached file is
     reused, trimmed to M, when it covers M and was built with the same
-    order, n_samples and seed (cached_table); a corrupt or stale cache
-    file is rebuilt in place with a warning.
+    order and seed (cached_table); a corrupt or stale cache file is
+    rebuilt in place with a warning.
     """
-    built_with = {"order": order, "n_samples": n_samples, "seed": seed}
+    built_with = {"order": order, "n_samples": _TABLE_SAMPLES, "seed": seed}
     if cache_dir and not force:
-        cached, _ = cached_table(cache_dir, p, box, M, order, n_samples, seed)
+        cached, _ = cached_table(cache_dir, p, box, M, order, seed)
         if cached is not None:
             return cached
 
@@ -767,7 +764,7 @@ def build_table(p: PairPotential, box: Box, M, order=16, n_samples=1 << 16, seed
             val, err = quadrature_Z(p, box, m, order=order)
             method = "quadrature"
         except UseSampling:
-            val, err = sampled_Z(p, box, m, n_samples=n_samples, seed=seed)
+            val, err = sampled_Z(p, box, m, seed=seed)
             method = "sampling"
         entries.append(ZEntry(m, SLog.from_value(val), err, method))
 

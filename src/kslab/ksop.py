@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -123,11 +122,6 @@ class KSMatrix:
             "first_row": [float(v) for v in self.matrix[0]],
             "scale": self.scale,
         }
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
-        return path
 
 
 def build_ks_matrix(poly: PartitionPolynomial) -> KSMatrix:
@@ -452,32 +446,3 @@ def ks_residual(poly: PartitionPolynomial, z, n_max, strategy="quadrature",
                                     len(probes), sup_rho))
     return KSResidualReport(complex(z), M, strategy, order, constant_term, levels)
 
-
-# -- weighted sup norm of coefficient families -------------------------------------
-
-
-def dxi_norm(a, xi, p: PairPotential = None, box: Box = None, seed=11, n_probe=200):
-    """Weighted norm sup_m |a_m| xi^{-m} esssup exp(-beta U) at truncation M.
-
-    a holds the level constants a_1..a_M.  For nonnegative potentials the
-    ess-sup factor is exactly 1; otherwise it is estimated on a seeded
-    probe grid of configurations per level.
-    """
-    a = np.asarray(a, dtype=float)
-    M = len(a)
-    if xi <= 0:
-        raise ConfigError("xi must be positive")
-    if p is None or p.is_positive:
-        factors = np.ones(M)
-    else:
-        rng = np.random.default_rng(seed)
-        ext = np.asarray(box.extents)
-        factors = np.empty(M)
-        for m in range(1, M + 1):
-            best = 0.0
-            pts = rng.uniform(0.0, 1.0, size=(n_probe, m, box.dimension)) * ext
-            w = p.weights_many(pts)
-            best = float(w.max()) if len(w) else 1.0
-            factors[m - 1] = max(best, 1.0 if m == 1 else best)
-    m_idx = np.arange(1, M + 1)
-    return float(np.max(np.abs(a) * xi ** (-m_idx.astype(float)) * factors))

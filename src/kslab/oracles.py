@@ -3,9 +3,9 @@
 Hard rods on a segment (the Tonks gas) and the ideal gas.  These provide
 independent values for everything the numerical pipeline computes: the
 pressure from the transcendental equation w*exp(a*w) = z, the density
-from its derivative, thermodynamic-limit series coefficients in closed
-form, and the exact truncated partition zeros of the ideal gas.  Nothing
-in here touches the quadrature or matrix machinery, which is the point.
+from its derivative, and thermodynamic-limit series coefficients in closed
+form.  Nothing in here touches the quadrature or matrix machinery, which
+is the point.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchError
-from .integrals import Box, build_table
-from .potentials import PairPotential
+
+_PRESSURE_TOL = 1e-13  # relative residual of the pressure root
+_NEWTON_STEPS = 100  # iteration cap of each pressure solve
 
 
 @dataclass(frozen=True)
@@ -36,19 +37,14 @@ class TonksModel:
         """Radius of the activity series of pressure and density: 1/(e*a)."""
         return 1.0 / (math.e * self.a)
 
-    @property
-    def regularity_constant(self):
-        """C(beta) = integral of |f|: two half-intervals of length a."""
-        return 2.0 * self.a
-
-    def pressure(self, z, tol=1e-13, max_iter=100):
+    def pressure(self, z):
         """beta*p solving (beta*p) * exp(a*beta*p) = z on the principal branch.
 
         Positive activities are solved in logarithmic form, where Newton
         converges globally and overflow cannot occur however large z is;
         negative ones by safeguarded Newton on the bracket [-1/a, 0].
         Requires z >= -1/(e*a); the relative residual of the returned
-        root is at most tol.
+        root is at most _PRESSURE_TOL.
         """
         a = self.a
         if z < self.branch_point:
@@ -65,13 +61,13 @@ class TonksModel:
             x = a * z
             lx = math.log(x)
             u = math.log1p(x)
-            for _ in range(max_iter):
+            for _ in range(_NEWTON_STEPS):
                 step = (math.log(u) + u - lx) / (1.0 / u + 1.0)
                 u -= step
                 if abs(step) <= 1e-16 * (1.0 + abs(u)):
                     break
             resid = abs(math.log(u) + u - lx) / (1.0 + abs(lx) + u)
-            if resid > tol:
+            if resid > _PRESSURE_TOL:
                 raise BranchError(
                     f"pressure solve stalled at residual {resid}", z=z
                 )
@@ -85,7 +81,7 @@ class TonksModel:
         w = z  # exact at leading order for small |z|
         if not (lo <= w <= hi):
             w = 0.5 * (lo + hi)
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_STEPS):
             gv = g(w)
             if gv > 0:
                 hi = w
@@ -102,7 +98,7 @@ class TonksModel:
                 break
             w = w_new
         resid = abs(w * math.exp(a * w) - z) / (abs(z) + abs(w) + 1e-300)
-        if resid > tol:
+        if resid > _PRESSURE_TOL:
             raise BranchError(f"pressure solve stalled at residual {resid}", z=z)
         return w
 
@@ -125,36 +121,9 @@ class TonksModel:
              for k in range(1, N + 1)]
         )
 
-    def virial_series(self, N):
-        """Density series of beta*p = rho/(1 - a*rho): coefficients a^(k-1)."""
-        return np.array([self.a ** (k - 1) for k in range(1, N + 1)])
-
     @property
     def virial_radius(self):
         return 1.0 / self.a
-
-    def pressure_from_density(self, rho):
-        if not 0 <= rho < 1.0 / self.a:
-            raise ValueError("density must lie in [0, 1/a)")
-        return rho / (1.0 - self.a * rho)
-
-
-def tonks_pressure(z, a=1.0):
-    return TonksModel(a).pressure(z)
-
-
-def tonks_density(z, a=1.0):
-    return TonksModel(a).density(z)
-
-
-def tonks_mayer_coefficients(N, a=1.0, which="density"):
-    """Thermodynamic-limit activity-series coefficients, closed form."""
-    model = TonksModel(a)
-    if which == "density":
-        return model.density_series(N)
-    if which == "pressure":
-        return model.pressure_series(N)
-    raise ValueError("which must be 'density' or 'pressure'")
 
 
 @dataclass(frozen=True)
@@ -176,17 +145,3 @@ class IdealModel:
     def cluster_radius(self):
         return float("inf")
 
-
-def ideal_truncated_zeros(volume, M, beta=1.0):
-    """Zeros of the degree-M partial sum of exp(z*V), via the shared pipeline.
-
-    The truncated ideal-gas partition function is sum_{k<=M} (zV)^k / k!;
-    its smallest zero modulus grows without bound as M does, the contrast
-    case to interacting gases whose zeros converge.
-    """
-    from .partition import assemble, zeros
-
-    p = PairPotential.ideal(beta=beta, dimension=1)
-    box = Box((volume,))
-    table = build_table(p, box, M)
-    return zeros(assemble(table)).zeros

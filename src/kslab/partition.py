@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import Degenerate, NearPole, NumericalError
 from .integrals import IntegralTable, anchored_series
-from .slog import SLog
 
 _LONG = np.clongdouble
 
@@ -202,13 +201,6 @@ def evaluate(poly: PartitionPolynomial, z):
     w = complex(z) / poly.scale
     cond = float(np.polyval(np.abs(b)[::-1], abs(w)))
     return complex(horner(b, w)), cond
-
-
-def evaluate_derivative(poly: PartitionPolynomial, z):
-    """d Xi/dz at z, same evaluation scheme as evaluate()."""
-    b = poly.scaled_coeffs()
-    db = (b * np.arange(len(b)))[1:]  # derivative in w; unscale by 1/s below
-    return complex(horner(db, complex(z) / poly.scale)) / poly.scale
 
 
 # -- zeros ---------------------------------------------------------------------
@@ -674,6 +666,9 @@ def zeros(poly: PartitionPolynomial) -> ZeroSet:
     return ZeroSet(zs[order], res[order], method, poly, digits)
 
 
+_TIE_REL = 1e-9  # relative modulus gap within which two zeros tie
+
+
 @dataclass
 class SmallestZero:
     z_c: complex
@@ -683,7 +678,7 @@ class SmallestZero:
     root_conditioning: float  # sum_m |c_m z_c^m| / |z_c Xi'(z_c)|
 
 
-def smallest_zero(zs: ZeroSet, tie_rel=1e-9) -> SmallestZero:
+def smallest_zero(zs: ZeroSet) -> SmallestZero:
     """Zero of smallest modulus with a simplicity certificate.
 
     The certificate pair is (curvature-scaled derivative, relative gap to
@@ -702,7 +697,7 @@ def smallest_zero(zs: ZeroSet, tie_rel=1e-9) -> SmallestZero:
     swamp |Xi'(z_c)| on clustered zero sets; both ratios are invariant under
     the activity rescaling, so everything stays in the scaled frame.
 
-    Moduli within tie_rel of the minimum count as tied; a tie is broken
+    Moduli within _TIE_REL of the minimum count as tied; a tie is broken
     toward the negative real axis when such a candidate exists, otherwise
     the tie flag is set and the candidate with nonnegative imaginary part
     is reported.
@@ -712,11 +707,11 @@ def smallest_zero(zs: ZeroSet, tie_rel=1e-9) -> SmallestZero:
     z = zs.zeros
     mods = np.abs(z)
     mmin = mods.min()
-    cand = np.where(mods <= mmin * (1.0 + tie_rel))[0]
+    cand = np.where(mods <= mmin * (1.0 + _TIE_REL))[0]
     tie = len(cand) > 1
     pick = None
     for i in cand:
-        if z[i].real < 0 and abs(z[i].imag) <= tie_rel * mods[i]:
+        if z[i].real < 0 and abs(z[i].imag) <= _TIE_REL * mods[i]:
             pick = i
             break
     if pick is None:

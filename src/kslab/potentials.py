@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NotRegular, NotStable
+from .errors import ConfigError, NotRegular
 
 FAMILIES = ("ideal", "hardcore", "step", "custom")
 
@@ -76,16 +76,6 @@ def _ball_volume(radius, dim):
 def _sphere_surface(dim):
     # measure of the unit sphere S^{dim-1}; equals 2 for dim == 1
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-
-
-@dataclass(frozen=True)
-class StabilityInfo:
-    """Lower-bound constant B with U >= -B*n, plus structural flags."""
-
-    B: float
-    is_positive: bool
-    has_hard_core: bool
-    estimated: bool = False  # True when B came from a probe grid, not a closed form
 
 
 @dataclass
@@ -315,42 +305,7 @@ class PairPotential:
         return out
 
 
-# -- stability and regularity ----------------------------------------------
-
-
-def stability_constant(p: PairPotential, probe_sizes=range(2, 9), seed=7) -> StabilityInfo:
-    """Constant B with U(x)_n >= -B*n for all probed configurations.
-
-    The three named families are nonnegative, so B = 0 exactly.  For the
-    custom family the constant is estimated on a probe grid of random
-    configurations; a per-particle energy that keeps sinking as n grows is
-    reported as NotStable.
-    """
-    if p.family in ("ideal", "hardcore", "step"):
-        return StabilityInfo(B=0.0, is_positive=True, has_hard_core=p.family == "hardcore")
-    if p.is_positive:
-        return StabilityInfo(B=0.0, is_positive=True, has_hard_core=p.has_hard_core, estimated=False)
-
-    rng = np.random.default_rng(seed)
-    span = 2.0 * p.interaction_range if p.interaction_range > 0 else 2.0
-    per_particle = []
-    for n in probe_sizes:
-        best = 0.0
-        for _ in range(200):
-            pts = rng.uniform(0.0, span, size=(n, p.dimension))
-            U, _ = p.total_energy(pts)
-            if np.isfinite(U):
-                best = min(best, U / n)
-        per_particle.append(best)
-    per_particle = np.asarray(per_particle)
-    # catastrophe test: the per-particle minimum must level off with n
-    drops = np.diff(per_particle)
-    if len(drops) >= 3 and np.all(drops < -1e-3) and drops[-1] <= drops[0] * 0.5:
-        raise NotStable(
-            f"per-particle energy keeps sinking with n: {per_particle.tolist()}"
-        )
-    B = max(0.0, -float(per_particle.min()))
-    return StabilityInfo(B=B, is_positive=False, has_hard_core=p.has_hard_core, estimated=True)
+# -- regularity ------------------------------------------------------------
 
 
 def regularity_C(p: PairPotential):

@@ -39,11 +39,11 @@ import numpy as np
 
 from .errors import ContourError, Degenerate, InsufficientData, NumericalError
 from .ksop import KSMatrix
-from .partition import (PartitionPolynomial, fixed_terms, fixed_values, float_roots,
-                        newton_root, numerator_coefficients, root_stage_defect,
+from .partition import (_TIE_REL, PartitionPolynomial, fixed_terms, fixed_values,
+                        float_roots, newton_root, numerator_coefficients, root_stage_defect,
                         scaled_coefficients, smallest_zero, zeros)
 
-_TIE_REL = 1e-9
+_RTOL = 1e-10  # projection algebra defect that certifies in float64
 
 
 @dataclass
@@ -168,23 +168,22 @@ def _pole_from_chain(norm_ratios):
     return 0
 
 
-def riesz_projection(mat, center, radius, n_start=64, n_max=1024,
-                     rtol=1e-10) -> RieszResult:
+def riesz_projection(mat, center, radius) -> RieszResult:
     """Spectral projection and reduced resolvent by circle trapezoid sums.
 
-    Doubles the node count until the projection algebra certifies at rtol;
-    trapezoid sums of analytic integrands converge geometrically, so the
-    loop settles fast once the contour resolves the spectrum.  Dense
-    float64 route for general matrices, and an independent check of the
-    closed form; the operator's leading eigenvalue goes through
-    leading_projection instead.
+    Doubles the node count from 64, up to 1024, until the projection
+    algebra certifies at _RTOL; trapezoid sums of analytic integrands
+    converge geometrically, so the loop settles fast once the contour
+    resolves the spectrum.  Dense float64 route for general matrices, and
+    an independent check of the closed form; the operator's leading
+    eigenvalue goes through leading_projection instead.
     """
     mat = np.asarray(mat, dtype=complex)
     dim = mat.shape[0]
     if radius <= 0:
         raise ContourError("contour radius must be positive")
     I = np.eye(dim)
-    n = n_start
+    n = 64
     while True:
         theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
         P = np.zeros((dim, dim), dtype=complex)
@@ -198,10 +197,10 @@ def riesz_projection(mat, center, radius, n_start=64, n_max=1024,
         S /= n
         idem, annih, red, nil = _algebra_defects(mat, center, P, S)
         defect = max(idem, annih, red)
-        if defect <= rtol or n >= n_max:
+        if defect <= _RTOL or n >= 1024:
             break
         n *= 2
-    if defect > rtol:
+    if defect > _RTOL:
         raise ContourError(
             f"projection algebra stalled at defect {defect} with {n} nodes; "
             "matrix is likely too non-normal for double precision")
@@ -366,8 +365,7 @@ def _closed_form(ctx, b, dvec, center):
             pole, complex(lam))
 
 
-def leading_projection(ks: KSMatrix, spec: Spectrum = None,
-                       rtol=1e-10) -> RieszResult:
+def leading_projection(ks: KSMatrix, spec: Spectrum = None) -> RieszResult:
     """Laurent data of the operator matrix at its leading eigenvalue.
 
     The leading eigenvalue is a simple pole of the resolvent: its residue
@@ -375,9 +373,9 @@ def leading_projection(ks: KSMatrix, spec: Spectrum = None,
     reduced resolvent S, both in closed form (_closed_form).  The one
     formula runs in float64, then in mpmath at 40, 60 and 90 digits
     (precision "float64"/"mp40"/"mp60"/"mp90"), stopping at the first rung
-    whose measured defects are all within rtol in float64 and within
-    min(rtol, 1e-12) in mpmath.  No contour is drawn (n_nodes 0); radius
-    is the isolating disc, half the gap to the rest of the spectrum.  The
+    whose measured defects are all within _RTOL in float64 and within
+    1e-12 in mpmath.  No contour is drawn (n_nodes 0); radius is the
+    isolating disc, half the gap to the rest of the spectrum.  The
     returned defects are the certified ones, measured at the precision
     that produced P and S.  Raises ContourError naming each rung's failure
     when none certifies.
@@ -394,8 +392,8 @@ def leading_projection(ks: KSMatrix, spec: Spectrum = None,
     _, dvec = ks.balancing
     # (precision, arithmetic, working digits, certification threshold); the
     # mpmath rungs keep headroom below the target
-    rungs = [("float64", fp, contextlib.nullcontext(), rtol)] + [
-        (f"mp{dps}", mp, mp.workdps(dps), min(rtol, 1e-12)) for dps in (40, 60, 90)]
+    rungs = [("float64", fp, contextlib.nullcontext(), _RTOL)] + [
+        (f"mp{dps}", mp, mp.workdps(dps), 1e-12) for dps in (40, 60, 90)]
     failures = []
     for precision, ctx, digits, tol in rungs:
         try:
@@ -416,40 +414,6 @@ def leading_projection(ks: KSMatrix, spec: Spectrum = None,
                                precision)
         failures.append(f"{precision}: defect {defect:.3e} above {tol:g}")
     raise ContourError("leading projection did not certify: " + "; ".join(failures))
-
-
-@dataclass
-class NilpotentResult:
-    D: np.ndarray
-    pole_order: int
-    norms: list  # ||D^q|| for q = 1..pole_order
-    threshold: float
-
-
-def nilpotent_and_pole(mat, lam, P, rel_threshold=1e-8) -> NilpotentResult:
-    """Nilpotent part D = (K - lam) P and the resolvent pole order at lam.
-
-    The pole order is the first power q with ||D^q|| <= threshold * ||K||^q;
-    a semisimple eigenvalue gives D below threshold immediately (order 1).
-
-    Double precision only.  A projection from an mpmath rung of
-    leading_projection can have ||P|| past 1/eps, in which case the float64 product here is
-    pure cast noise; the certified nilpotent_ratio and pole_order on the
-    RieszResult are authoritative there.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    P = np.asarray(P, dtype=complex)
-    D = (mat - lam * np.eye(mat.shape[0])) @ P
-    base = np.linalg.norm(mat, 2)
-    rank = max(1, int(round(float(np.trace(P).real))))
-    norms = []
-    power = np.eye(mat.shape[0], dtype=complex)
-    for q in range(1, rank + 2):
-        power = power @ D
-        norms.append(float(np.linalg.norm(power, 2)))
-        if norms[-1] <= rel_threshold * base**q:
-            return NilpotentResult(D, q, norms, rel_threshold)
-    return NilpotentResult(D, rank + 1, norms, rel_threshold)
 
 
 @dataclass
@@ -525,16 +489,17 @@ _RAY_ANGLES = (math.pi, 3 * math.pi / 4, -3 * math.pi / 4,
                7 * math.pi / 8, -7 * math.pi / 8)
 
 
-def ray_limit(fn, z_c, t0, angles=_RAY_ANGLES, n_points=20, ratio=0.65):
+def ray_limit(fn, z_c, t0):
     """Directional limits of fn(z) as z -> z_c along sector rays.
 
-    Rays are z = z_c (1 + t e^{i psi}); each is extrapolated to t = 0 by a
-    Neville tableau over geometrically shrinking t.  Returns the mean
-    limit, the cross-ray spread, and the per-ray records.
+    Rays are z = z_c (1 + t e^{i psi}), psi in _RAY_ANGLES; each is
+    extrapolated to t = 0 by a Neville tableau over t = t0 0.65^k,
+    k = 0..19.  Returns the mean limit, the cross-ray spread, and the
+    per-ray records.
     """
-    ts = t0 * ratio ** np.arange(n_points)
+    ts = t0 * 0.65 ** np.arange(20)
     rays = []
-    for psi in angles:
+    for psi in _RAY_ANGLES:
         pts = z_c * (1.0 + ts * cmath.exp(1j * psi))
         vals = [fn(z) for z in pts]
         limit, change = _neville(ts, vals)
@@ -576,8 +541,7 @@ class AsymptoticsResult:
         }
 
 
-def leading_asymptotics(poly: PartitionPolynomial, anchors, n_points=20,
-                        ratio=0.65, angles=_RAY_ANGLES) -> AsymptoticsResult:
+def leading_asymptotics(poly: PartitionPolynomial, anchors) -> AsymptoticsResult:
     """Limit of rho_n(z) (1 - z/z_c) / z^n at the dominant singularity, two ways.
 
     Route one extrapolates along rays that stay inside the sector away
@@ -615,7 +579,7 @@ def leading_asymptotics(poly: PartitionPolynomial, anchors, n_points=20,
             xi = fixed_values(terms, mp.mpc(z) / s, second=False)[0]
             return complex(N / xi) * (1.0 - z / z_c) / z**n
 
-        ray_value, spread, rays = ray_limit(g, z_c, t0, angles, n_points, ratio)
+        ray_value, spread, rays = ray_limit(g, z_c, t0)
         dxi = fixed_values(terms, mp.mpc(z_c) / s, second=False)[1] / s
     lead = z_c ** (n + 1) * complex(dxi)
     residue = -sum(c * z_c**k for k, c in enumerate(num)) / lead  # -N(z_c) / lead
@@ -627,21 +591,6 @@ def leading_asymptotics(poly: PartitionPolynomial, anchors, n_points=20,
                              abs(ray_value - residue), rays, float(t0))
 
 
-def matrix_leading(ks: KSMatrix, spec: Spectrum = None):
-    """Coefficient-space analogue: limit of nu_c(phi(z)) (1 - z/z_c)/z.
-
-    phi(z) = z (I - z K)^{-1} e_1 has a simple pole at z_c = 1/lam_c whose
-    strength along the left eigenvector is exactly nu_c(e_1); in finite
-    dimensions this is an identity, so it makes a sharp fixture.  Stated
-    in the scaled frame, matching the vectors carried by Spectrum.
-    """
-    if spec is None:
-        spec = spectrum(ks)
-    if not spec.normalized:
-        raise Degenerate("leading eigenpair is numerically defective")
-    return complex(spec.left[0])
-
-
 @dataclass
 class CoeffAsymptotics:
     ratios: np.ndarray
@@ -651,7 +600,7 @@ class CoeffAsymptotics:
     n_used: int
 
 
-def coefficient_asymptotics(coeffs, tail=None) -> CoeffAsymptotics:
+def coefficient_asymptotics(coeffs) -> CoeffAsymptotics:
     """Growth diagnostics of a coefficient sequence t_k.
 
     Successive ratios estimate the reciprocal singularity location; the
@@ -669,7 +618,7 @@ def coefficient_asymptotics(coeffs, tail=None) -> CoeffAsymptotics:
     growth = complex(ratios[-1])
     # fit on the tail half: the model is asymptotic, and small k would
     # otherwise bias the power term
-    m = max(6, len(k) // 2) if tail is None else min(tail, len(k))
+    m = max(6, len(k) // 2)
     sel = k[-m:] >= 1
     kt = k[-m:][sel].astype(float)
     yt = np.log(np.abs(tv[-m:][sel]))
@@ -678,16 +627,3 @@ def coefficient_asymptotics(coeffs, tail=None) -> CoeffAsymptotics:
     return CoeffAsymptotics(ratios, growth, float(sol[1]), float(np.exp(sol[2])),
                             len(kt))
 
-
-def spectral_radius_check(ks: KSMatrix, xi, spec: Spectrum = None):
-    """Compare the spectral radius against 1/xi.  Reports, never asserts."""
-    if spec is None:
-        spec = spectrum(ks)
-    r = spec.spectral_radius
-    return {
-        "spectral_radius": r,
-        "xi": float(xi),
-        "xi_inverse": 1.0 / float(xi),
-        "radius_below_inverse_xi": bool(r <= 1.0 / float(xi)),
-        "ratio": r * float(xi),
-    }

@@ -13,7 +13,6 @@ from kslab.cluster import (
     density_bound_check,
     density_coefficients_extrapolated,
     density_series,
-    exp_series,
     log_series,
     radius_estimate,
     revert_series,
@@ -72,14 +71,6 @@ def test_log_series_is_truncation_independent():
     full = log_series(make_tonks(5.0, M=6), 4).values
     short = log_series(make_tonks(5.0, M=4), 4).values
     assert np.array_equal(full, short)
-
-
-def test_exp_series_undoes_log(tonks5):
-    back = exp_series(log_series(tonks5, 6)).values
-    # c_6 is an exact zero reached by cancellation; allow roundoff there
-    assert np.allclose(back, tonks5.coeffs, rtol=1e-12, atol=1e-13)
-    with pytest.raises(NumericalError):
-        exp_series(series([1.0, 2.0]))
 
 
 def test_free_gas_log_series_terminates():

@@ -16,7 +16,6 @@ from kslab.ksop import (
     _ordered_nodes,
     apply_ks_function,
     build_ks_matrix,
-    dxi_norm,
     ks_residual,
     probe_anchor_sets,
 )
@@ -54,12 +53,10 @@ def test_scaled_and_conditioned_are_similar(tonks5):
     np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
 
-def test_to_json_and_save(tonks5, tmp_path):
+def test_to_json_and_save(tonks5):
     ks = build_ks_matrix(tonks5)
     doc = ks.to_json()
     assert set(doc) == {"M", "first_row", "scale"}
-    path = ks.save(tmp_path / "op.json")
-    assert json.load(open(path))["M"] == 6
 
 
 def test_build_requires_degree(tonks5):
@@ -184,13 +181,6 @@ def test_probe_sets_deterministic_and_admissible():
     assert any(abs(s[0, 0] - s[1, 0]) < p.a for s in a)
     singles = probe_anchor_sets(box, p, 1, count=16)
     assert all(0.0 < s[0, 0] < 5.0 for s in singles)
-
-
-def test_dxi_norm_closed_form():
-    assert dxi_norm([2.0, 8.0], 2.0) == pytest.approx(2.0)
-    assert dxi_norm([1.0, 1.0, 1.0], 1.0) == pytest.approx(1.0)
-    with pytest.raises(ConfigError):
-        dxi_norm([1.0], 0.0)
 
 
 def _recursive_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax):

@@ -7,14 +7,7 @@ import pytest
 from scipy.special import lambertw
 
 from kslab.errors import BranchError
-from kslab.oracles import (
-    IdealModel,
-    TonksModel,
-    ideal_truncated_zeros,
-    tonks_density,
-    tonks_mayer_coefficients,
-    tonks_pressure,
-)
+from kslab.oracles import IdealModel, TonksModel
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
@@ -76,39 +69,11 @@ def test_series_sums_to_function():
     )
 
 
-def test_virial_series_is_geometric():
-    m = TonksModel(0.7)
-    assert np.allclose(m.virial_series(5), [0.7**k for k in range(5)])
-    rho = 0.2
-    partial = sum(c * rho ** (k + 1) for k, c in enumerate(m.virial_series(40)))
-    assert partial == pytest.approx(m.pressure_from_density(rho), rel=1e-12)
-
-
-def test_pressure_from_density_domain():
-    m = TonksModel(1.0)
-    with pytest.raises(ValueError):
-        m.pressure_from_density(1.0)
-    with pytest.raises(ValueError):
-        m.pressure_from_density(-0.1)
-
-
 def test_radii_and_constants():
     m = TonksModel(2.0)
     assert m.branch_point == pytest.approx(-1.0 / (2.0 * math.e))
     assert m.cluster_radius == pytest.approx(1.0 / (2.0 * math.e))
-    assert m.regularity_constant == pytest.approx(4.0)
     assert m.virial_radius == pytest.approx(0.5)
-
-
-def test_module_level_helpers():
-    assert tonks_pressure(0.3) == pytest.approx(TonksModel(1.0).pressure(0.3))
-    assert tonks_density(0.3, a=0.5) == pytest.approx(TonksModel(0.5).density(0.3))
-    np.testing.assert_allclose(
-        tonks_mayer_coefficients(4, which="pressure"),
-        TonksModel(1.0).pressure_series(4),
-    )
-    with pytest.raises(ValueError):
-        tonks_mayer_coefficients(4, which="fugacity")
 
 
 def test_ideal_model():
@@ -117,14 +82,3 @@ def test_ideal_model():
     assert m.density(0.4) == 0.4
     np.testing.assert_array_equal(m.density_series(5), [1, 0, 0, 0, 0])
     assert math.isinf(m.cluster_radius)
-
-
-def test_ideal_truncated_zeros_small_degree():
-    # degree-3 partial sum of exp(z): roots from the generic pipeline must
-    # match numpy's companion solve of 1 + z + z^2/2 + z^3/6
-    zs = ideal_truncated_zeros(1.0, 3)
-    ref = np.roots([1.0 / 6.0, 0.5, 1.0, 1.0])
-    got = sorted(zs, key=lambda w: (w.real, w.imag))
-    want = sorted(ref, key=lambda w: (w.real, w.imag))
-    for g, w in zip(got, want):
-        assert abs(g - w) <= 1e-10 * abs(w)

@@ -17,7 +17,6 @@ from kslab.partition import (
     assemble,
     correlation,
     evaluate,
-    evaluate_derivative,
     fixed_horner,
     fixed_terms,
     fixed_values,
@@ -61,15 +60,6 @@ def test_evaluate_against_direct_horner(tonks5):
     val, cond = evaluate(tonks5, z)
     assert val == pytest.approx(direct, rel=1e-13)
     assert cond >= abs(val)
-
-
-def test_derivatives_match_finite_differences(tonks5):
-    z, h = 0.21, 1e-6
-    fp = evaluate(tonks5, z + h)[0]
-    fm = evaluate(tonks5, z - h)[0]
-    assert evaluate_derivative(tonks5, z) == pytest.approx(
-        (fp - fm) / (2 * h), rel=1e-8
-    )
 
 
 def test_tonks_small_box_smallest_zero(tonks5):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kslab.errors import ConfigError
-from kslab.potentials import PairPotential, regularity_C, separations, stability_constant
+from kslab.potentials import PairPotential, regularity_C, separations
 
 
 def test_config_round_trip():
@@ -42,24 +42,6 @@ def test_validation_errors():
     # custom table radii must increase
     with pytest.raises(ConfigError):
         PairPotential.custom([1.0, 0.5], [0.0, 1.0])
-
-
-def test_stability_nonnegative_families():
-    hc = stability_constant(PairPotential.hardcore(1.0))
-    assert hc.B == 0.0 and hc.is_positive and hc.has_hard_core
-    st = stability_constant(PairPotential.step(0.8, 1.2))
-    assert st.B == 0.0 and st.is_positive and not st.has_hard_core
-    assert not st.estimated
-
-
-def test_stability_estimated_for_well():
-    # square-ish well: hard wall then an attractive shelf
-    r = np.array([0.5, 0.50001, 1.5, 1.50001, 3.0])
-    phi = np.array([40.0, 40.0, -0.7, 0.0, 0.0])
-    info = stability_constant(PairPotential.custom(r, phi))
-    assert info.estimated
-    assert info.B > 0.0
-    assert not info.is_positive
 
 
 def test_regularity_closed_forms():

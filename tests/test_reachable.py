@@ -1,0 +1,155 @@
+"""The library is what the CLI runs: every def in src/kslab is reached.
+
+An AST pass over src/kslab/*.py builds the name-reference graph of the
+top-level functions and classes (a class is one node, its methods
+included).  A def refers to each top-level name of its own module that it
+mentions, and to each name it mentions that a relative import binds.  The
+roots are `cli.main`, every module-level statement outside `__init__`, the
+names README's library example imports, the functions the benchmark's span
+recorder wraps by name, and the allowlist below.  Every def must be
+reached, so `kslab.__all__` exports only reached defs.  Standard library
+only.
+"""
+
+import ast
+import importlib.util
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "kslab"
+SPANS = ROOT / "perfbench" / "spans.py"
+README = ROOT / "README.md"
+
+# defs that no command reaches, kept on purpose
+ALLOWED = {
+    ("spectral", "coefficient_asymptotics"): "acceptance criterion 06 locates the pole from coefficient growth",
+    ("cluster", "density_bound_check"): "acceptance criterion 09 checks the density bound with it",
+    ("ksop", "CallableFamily"): "acceptance criterion 10 applies the operator to a callable through it",
+    ("ksop", "_ordered_nodes"): "test_ksop.py compares the nest with its recursive reference through it",
+    ("spectral", "riesz_projection"): "the dense reference for the closed-form Laurent data (criteria 02, 03)",
+}
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _defs(tree):
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name: node for node in tree.body if isinstance(node, kinds)}
+
+
+def _imports(tree):
+    """Name -> (module, name) for every relative import in the module."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (node.module or "__init__", alias.name)
+    return bound
+
+
+def _names(nodes):
+    return {n.id for node in nodes for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+class Graph:
+    def __init__(self):
+        self.trees = _modules()
+        self.defs = {m: _defs(t) for m, t in self.trees.items()}
+        self.imports = {m: _imports(t) for m, t in self.trees.items()}
+
+    def resolve(self, module, name):
+        """The (module, def) a name in module refers to, through re-exports."""
+        seen = set()
+        while (module, name) not in seen:
+            seen.add((module, name))
+            if name in self.defs[module]:
+                return module, name
+            if name not in self.imports[module]:
+                return None
+            module, name = self.imports[module][name]
+        return None
+
+    def refs(self, module, nodes):
+        return {r for r in (self.resolve(module, n) for n in _names(nodes)) if r}
+
+    def reached(self, roots):
+        todo, seen = list(roots), set()
+        while todo:
+            node = todo.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            module, name = node
+            todo.extend(self.refs(module, [self.defs[module][name]]) - seen)
+        return seen
+
+
+def _library_block():
+    text = README.read_text()
+    section = text[text.index("\n## Library\n"):]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _span_targets():
+    # loaded as test_bench_names.py loads it; the file is read, not changed
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for owner, attr in ([(o, a) for _, o, a, _ in spans.TARGETS]
+                        + [(o, a) for _, o, a in spans.COUNTED]):
+        if isinstance(owner, str):
+            yield owner.rsplit(".", 1)[1], attr
+        else:  # a class: its methods are part of its node
+            yield owner.__module__.rsplit(".", 1)[1], owner.__name__
+
+
+def _roots(graph):
+    roots = {("cli", "main")}
+    for module, tree in graph.trees.items():
+        if module != "__init__":
+            top = [s for s in tree.body if s not in graph.defs[module].values()]
+            roots |= graph.refs(module, top)
+    library = ast.parse(_library_block())
+    for node in ast.walk(library):
+        if isinstance(node, ast.ImportFrom) and node.module == "kslab":
+            roots |= {graph.resolve("__init__", a.name) for a in node.names}
+    roots |= {graph.resolve(m, a) for m, a in _span_targets()}
+    roots |= set(ALLOWED)
+    return roots - {None}
+
+
+def test_every_def_is_reached():
+    graph = Graph()
+    missing = [f"{m}.{n}" for m, n in ALLOWED if n not in graph.defs.get(m, {})]
+    assert not missing, f"allowlisted but gone: {missing}"
+    reached = graph.reached(_roots(graph))
+    unreached = sorted(
+        f"{m}.{n} ({node.end_lineno - node.lineno + 1} lines)"
+        for m, defs in graph.defs.items() for n, node in defs.items()
+        if (m, n) not in reached)
+    assert not unreached, "reached by no command: " + ", ".join(unreached)
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = _names([tree])
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.stem}: {name}")
+    assert not unused, f"imported but never used: {unused}"
+
+
+def test_readme_library_example_runs():
+    exec(compile(_library_block(), str(README), "exec"), {})

@@ -23,12 +23,9 @@ from kslab.spectral import (
     coefficient_asymptotics,
     leading_asymptotics,
     leading_projection,
-    matrix_leading,
-    nilpotent_and_pole,
     power_convergence,
     ray_limit,
     riesz_projection,
-    spectral_radius_check,
     spectrum,
 )
 
@@ -484,16 +481,6 @@ def test_riesz_projection_on_jordan_companion_wide_radius():
     assert rz.algebra_defect <= 1e-10
 
 
-def test_nilpotent_and_pole_orders():
-    diag = np.diag([2.0, 1.0, 0.5])
-    P = np.diag([1.0, 0.0, 0.0])
-    assert nilpotent_and_pole(diag, 2.0, P).pole_order == 1
-    J = np.array([[2.0, 1.0], [0.0, 2.0]])
-    res = nilpotent_and_pole(J, 2.0, np.eye(2))
-    assert res.pole_order == 2
-    assert res.norms[0] == pytest.approx(1.0)
-
-
 def test_power_convergence_tracks_subleading_ratio(ks5, spec5):
     rep = power_convergence(ks5, spec5, n_terms=60)
     assert rep.expected_ratio == pytest.approx(
@@ -581,10 +568,6 @@ def test_mp40_center_takes_few_kernel_evaluations(monkeypatch, L):
     assert 1 <= len(calls) <= 5
 
 
-def test_matrix_leading_is_left_component(ks5, spec5):
-    assert matrix_leading(ks5, spec5) == complex(spec5.left[0])
-
-
 def test_coefficient_asymptotics_separates_pole_orders():
     k = np.arange(40)
     double = (k + 1) * 2.5**k  # order-2 pole at 0.4
@@ -602,10 +585,3 @@ def test_coefficient_asymptotics_separates_pole_orders():
 def test_coefficient_asymptotics_needs_data():
     with pytest.raises(InsufficientData):
         coefficient_asymptotics([1.0, 2.0, 4.0])
-
-
-def test_spectral_radius_check_reports(ks5, spec5):
-    doc = spectral_radius_check(ks5, 2.0, spec5)
-    assert doc["xi_inverse"] == pytest.approx(0.5)
-    assert doc["ratio"] == pytest.approx(doc["spectral_radius"] * 2.0)
-    assert doc["radius_below_inverse_xi"] == (doc["spectral_radius"] <= 0.5)
