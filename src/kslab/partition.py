@@ -351,24 +351,6 @@ def _log2_abs(re, im):
     return 0.5 * math.log2(re * re + im * im or 1)
 
 
-def _rounded_coefficients(terms, f, k, E):
-    """fixed_horner's coefficients at (f, k, E), highest degree first:
-    floor(2^(f - E + m k) b_m), each shifted down from a copy rounded once per
-    (f, k) at an exponent E0 <= E, as floor(floor(y 2^-E0) 2^(E0 - E)) =
-    floor(y 2^-E).  The highest-degree coefficients that round to 0 are left
-    out: Horner's accumulators stay 0 through them."""
-    mans, exps, log2b, rounded = terms
-    base = rounded.get((f, k))
-    if base is None or base[0] > E:
-        # E0 is E at |x| = 2^(k - 1), the least |x| with binary exponent k
-        E0 = min(E, math.floor((log2b + np.arange(len(mans)) * (k - 1)).max()))
-        base = rounded[f, k] = (E0, [_shift(man, exp + f - E0 + m * k) for m, (man, exp)
-                                     in enumerate(zip(mans, exps))][::-1])
-    E0, full = base
-    coeffs = [c >> (E - E0) for c in full]
-    return coeffs[next((j for j, c in enumerate(coeffs) if c), len(coeffs)):]
-
-
 def fixed_horner(terms, x, second=False):
     """Horner for p = sum b_m x^m, b real and x an mpc, on Python integers.
 
@@ -405,24 +387,19 @@ def fixed_horner(terms, x, second=False):
         # each coefficient costs about f bits plus 256 for its int and list slot
         if len(rounded) * len(mans) * (f + 256) >= _ROUNDED_BITS:
             rounded.clear()
-        coeffs = rounded[f, k, E] = _rounded_coefficients(terms, f, k, E)
+        coeffs = rounded[f, k, E] = [_shift(man, exp + f - E + m * k) for m, (man, exp)
+                                     in enumerate(zip(mans, exps))][::-1]
     ws, wd = wr + wi, wi - wr  # (a + ib) w in three products
     pr = pi = dr = di = sr = si = 0
-    if second:
-        for c in coeffs:
-            # [s, d, p] <- [s w + d, d w + p, p w + b_m]
+    for c in coeffs:
+        # [s, d, p] <- [s w + d, d w + p, p w + b_m]
+        if second:
             t = (sr + si) * wr
             sr, si = ((t - si * ws) >> f) + dr, ((t + sr * wd) >> f) + di
-            t = (dr + di) * wr
-            dr, di = ((t - di * ws) >> f) + pr, ((t + dr * wd) >> f) + pi
-            t = (pr + pi) * wr
-            pr, pi = ((t - pi * ws) >> f) + c, (t + pr * wd) >> f
-    else:
-        for c in coeffs:
-            t = (dr + di) * wr
-            dr, di = ((t - di * ws) >> f) + pr, ((t + dr * wd) >> f) + pi
-            t = (pr + pi) * wr
-            pr, pi = ((t - pi * ws) >> f) + c, (t + pr * wd) >> f
+        t = (dr + di) * wr
+        dr, di = ((t - di * ws) >> f) + pr, ((t + dr * wd) >> f) + pi
+        t = (pr + pi) * wr
+        pr, pi = ((t - pi * ws) >> f) + c, (t + pr * wd) >> f
     acc = [(pr, pi), (dr, di)] + [(sr, si)] * second
     return k, E, float(np.sum(np.exp2(l2 - E))), (wr, wi), acc
 
@@ -443,19 +420,13 @@ def fixed_values(terms, x, second=True):
 class Roots(list):
     """_mp_aberth's roots, as mpc at the working precision, and for each the
     fixed_horner result at the fixed-point point where it froze on its
-    residual (for a mirrored partner, the mirror of its leader's), or None
-    where it froze on its step; coeffs (the mantissas and exponents) and
-    prec say which polynomial and precision they belong to.  inclusion_radii
-    takes those evaluations instead of evaluating again."""
+    residual, or None where it froze on its step; coeffs (the mantissas and
+    exponents) and prec say which polynomial and precision they belong to.
+    inclusion_radii takes those evaluations instead of evaluating again."""
 
     def __init__(self, roots, coeffs, prec, frozen):
         super().__init__(roots)
         self.coeffs, self.prec, self.frozen = coeffs, prec, frozen
-
-
-def _conj(x):
-    """The mirror image of an mpc or of a fixed-point (re, im, e)."""
-    return (x[0], -x[1], x[2]) if isinstance(x, tuple) else x.conjugate()
 
 
 def _mp_aberth(b, max_sweeps=200, starts=None):
@@ -471,15 +442,6 @@ def _mp_aberth(b, max_sweeps=200, starts=None):
     below eps |w|; NumericalError when some root still moves after max_sweeps.
     The roots come back as a Roots list, with the evaluation each root froze
     on its residual at.
-
-    As b is real, p(conj w) = conj p(w).  A start in the upper half plane
-    whose conjugate is also a start (in complex128) leads a mirrored pair:
-    only the leader is evaluated and stepped, its partner is held at the
-    exact mirror image, and it freezes with the leader on the mirrored
-    evaluation, which is fixed_horner's with the imaginary parts rounded up
-    instead of down, so within the same bound.  A pair splits once the
-    leader comes within one step of the real axis: from there both move on
-    their own, so that two real roots can take them.
     """
     from mpmath import mp
 
@@ -489,26 +451,16 @@ def _mp_aberth(b, max_sweeps=200, starts=None):
     w = list(_newton_polygon_starts(b) if starts is None else starts)
     wc = np.array([complex(x) for x in w])
     frozen = [None] * deg
-    below = {}
-    for j in np.flatnonzero(wc.imag < 0).tolist():
-        below.setdefault(wc[j], []).append(j)
-    mirror = {}  # leader -> partner
-    for i in np.flatnonzero(wc.imag > 0).tolist():
-        if below.get(wc[i].conjugate()):
-            j = mirror[i] = below[wc[i].conjugate()].pop()
-            w[j], wc[j] = _conj(w[i]), wc[i].conjugate()
-    live = sorted(set(range(deg)) - set(mirror.values()))
+    live = list(range(deg))
     for _ in range(max_sweeps):
         still = []
         for i in live:
             val = fixed_horner(terms, w[i])
-            k, E, mag, (wr, wi), ((pr, pi), (dr, di)) = val
+            k, _, mag, (wr, wi), ((pr, pi), (dr, di)) = val
             # |p| <= (deg + 1) eps mag with eps = 2^(1 - prec), in units of 2^-f
             tol = int(math.ldexp((deg + 1) * mag, _GUARD_BITS + 1))
             if pr * pr + pi * pi <= tol * tol:
                 frozen[i] = val
-                if i in mirror:
-                    frozen[mirror.pop(i)] = (k, E, mag, (wr, -wi), [(pr, -pi), (dr, -di)])
                 continue
             d = wc[i] - wc
             d[i] = np.inf
@@ -529,15 +481,7 @@ def _mp_aberth(b, max_sweeps=200, starts=None):
             w[i] = (wr, wi, k - f)
             wc[i] = complex(_to_float(wr, k - f), _to_float(wi, k - f))
             # |step| > eps |w|
-            moving = (sr * sr + si * si) << (2 * mp.prec - 2) > wr * wr + wi * wi
-            if i in mirror:
-                j = mirror[i]
-                w[j], wc[j] = (wr, -wi, k - f), wc[i].conjugate()
-                if wi * wi <= sr * sr + si * si:  # |Im w| <= |step|: split
-                    still.append(mirror.pop(i))
-                elif not moving:
-                    del mirror[i]
-            if moving:
+            if (sr * sr + si * si) << (2 * mp.prec - 2) > wr * wr + wi * wi:
                 still.append(i)
         live = still
         if not live:
@@ -655,12 +599,10 @@ def zeros(poly: PartitionPolynomial) -> ZeroSet:
     20) digits, kappa their largest conditioning, or without distinct finite
     ones from the Newton polygon at 30 digits.  A rung that inclusion_radii
     do not certify starts the next from its roots at max(log10(deg kappa) +
-    20, digits + 10) digits, kappa now at those roots, and at least 3/2 the
-    digits when kappa 10^-digits > 1e-6 (they were not resolved; a rung's
-    kernel calls cost about the square of its digits, so a smaller step
-    overshoots less).  Past the ceiling, max(60, 2 deg + 20) digits,
-    NumericalError.  ZeroSet.digits is the certified rung (lapack: the first
-    rung's).
+    20, digits + 10) digits, kappa now at those roots, and at least twice
+    the digits when kappa 10^-digits > 1e-6 (they were not resolved).  Past
+    the ceiling, max(60, 2 deg + 20) digits, NumericalError.  ZeroSet.digits
+    is the certified rung (lapack: the first rung's).
     """
     import mpmath as mp
 
@@ -714,7 +656,7 @@ def zeros(poly: PartitionPolynomial) -> ZeroSet:
                         f"inclusion-radius certificate failed at {tried} digits: largest "
                         f"radius {rel.max():.2g} |w|, not disjoint discs within 2^-64 |w|")
                 nxt = max(math.ceil(math.log10(deg) + lk) + 20, digits + 10)
-                digits = min(max(nxt, 3 * digits // 2) if lk - digits > -6 else nxt, ceiling)
+                digits = min(max(nxt, 2 * digits) if lk - digits > -6 else nxt, ceiling)
             w = _pair_conjugates(w)
     if b is None:  # the ladder's coefficients in longdouble, whose range is wider
         b = np.array([mp.nstr(c, 21) for c in bmp], dtype=np.longdouble)
