@@ -29,11 +29,6 @@ class NotRegular(NumericalError):
 class UseSampling(NumericalError):
     """Tensor quadrature refused: dimension times particle count exceeds the cap."""
 
-    def __init__(self, message, dim_total=None, cap=None):
-        super().__init__(message)
-        self.dim_total = dim_total
-        self.cap = cap
-
 
 class Degenerate(NumericalError):
     """Polynomial has no usable zeros (all coefficients beyond the constant vanish)."""

@@ -383,11 +383,7 @@ def quadrature_Z(p: PairPotential, box: Box, m, order=16):
     if m == 0:
         return 1.0, 0.0
     if dim_total > DIMENSION_CAP:
-        raise UseSampling(
-            f"nu*m = {dim_total} exceeds quadrature cap {DIMENSION_CAP}",
-            dim_total=dim_total,
-            cap=DIMENSION_CAP,
-        )
+        raise UseSampling(f"nu*m = {dim_total} exceeds quadrature cap {DIMENSION_CAP}")
     if m == 1:
         return box.volume, 0.0
     rng_a = p.interaction_range

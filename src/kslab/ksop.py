@@ -93,8 +93,11 @@ class KSMatrix:
     def balancing(self):
         """(balanced scaled companion, read-only; balancing diagonal), once per matrix.
 
-        From hard rods L = 70 on scipy's balancer warns of an invalid cast
-        while its diagonal stays finite and positive, which is checked here.
+        Diagonal balancing flattens the concave coefficient profile of
+        larger boxes, which no single geometric rescale can, and resolvent
+        work needs it; projections and norm ratios are reported in this
+        frame.  From hard rods L = 70 on scipy's balancer warns of an invalid
+        cast while its diagonal stays finite and positive, checked here.
         """
         from scipy.linalg import matrix_balance
 
@@ -105,16 +108,6 @@ class KSMatrix:
             raise NumericalError("diagonal balancing of the companion left the float64 range")
         out.flags.writeable = False
         return out, d
-
-    def conditioned_matrix(self):
-        """Balanced scaled companion for resolvent work.
-
-        A single geometric rescale cannot flatten the concave coefficient
-        profile of larger boxes; diagonal balancing can, and contour
-        integrals of the resolvent need it.  Same eigenvalues (times scale);
-        projections and norm ratios are reported in this frame.
-        """
-        return self.balancing[0]
 
     def to_json(self):
         return {
@@ -325,7 +318,6 @@ class KSResidualReport:
     order: int
     constant_term: str
     levels: list
-    probe_spacing: str = "uniform plus contact offsets"
 
     @property
     def sup_residual(self):

@@ -132,15 +132,6 @@ class IdealModel:
 
     volume: float = 1.0
 
-    def pressure(self, z):
-        return z
-
-    def density(self, z):
-        return z
-
-    def density_series(self, N):
-        return np.array([1.0] + [0.0] * (N - 1))
-
     @property
     def cluster_radius(self):
         return float("inf")

@@ -821,9 +821,7 @@ def numerator_coefficients(poly: PartitionPolynomial, anchors, degree=None):
 # -- exports -----------------------------------------------------------------------
 
 
-def zeros_to_rows(zs: ZeroSet, smallest: SmallestZero = None):
-    if smallest is None:
-        smallest = smallest_zero(zs)
+def zeros_to_rows(zs: ZeroSet, smallest: SmallestZero):
     gaps = zs.gaps()
     rows = []
     for i, z in enumerate(zs.zeros):
@@ -839,18 +837,17 @@ def zeros_to_rows(zs: ZeroSet, smallest: SmallestZero = None):
     return rows
 
 
-def zeros_to_json(zs: ZeroSet, smallest: SmallestZero = None):
-    sm = smallest if smallest is not None else smallest_zero(zs)
+def zeros_to_json(zs: ZeroSet, smallest: SmallestZero):
     return {
-        "zeros": zeros_to_rows(zs, sm),
+        "zeros": zeros_to_rows(zs, smallest),
         "method": zs.method,
         "smallest": {
-            "re": sm.z_c.real,
-            "im": sm.z_c.imag,
-            "derivative_certificate": sm.derivative_certificate,
-            "min_gap": sm.min_gap,
-            "tie": sm.tie,
-            "root_conditioning": sm.root_conditioning,
+            "re": smallest.z_c.real,
+            "im": smallest.z_c.imag,
+            "derivative_certificate": smallest.derivative_certificate,
+            "min_gap": smallest.min_gap,
+            "tie": smallest.tie,
+            "root_conditioning": smallest.root_conditioning,
         },
         "scale": zs.poly.scale,
         "M": zs.poly.M,

@@ -248,22 +248,6 @@ class PairPotential:
 
     # -- configuration energies ----------------------------------------------
 
-    def total_energy(self, points):
-        """Total pair energy U of a configuration and its weight exp(-beta*U).
-
-        Returns (U, weight).  U may be +inf; the weight is then exactly 0
-        and no overflowing exponential is ever formed.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[0] < 2:
-            return 0.0, 1.0
-        seps = separations(pts[:, None], pts[None])[np.triu_indices(pts.shape[0], k=1)]
-        phi = np.asarray(self.evaluate_phi(seps), dtype=float)
-        if np.any(np.isinf(phi)):
-            return float("inf"), 0.0
-        U = float(phi.sum())
-        return U, math.exp(-self.beta * U)
-
     def cross_energy(self, x1, others):
         """Energy between one point and a configuration, with its weight.
 

@@ -53,10 +53,6 @@ class Spectrum:
     lam2_mod: float
     dist_gap: float          # min distance from lam_c to the rest (unscaled)
     is_tie: bool
-    right: np.ndarray        # right eigenvector of the scaled companion
-    left: np.ndarray         # left eigenvector, normalized left^T right = 1
-    normalized: bool         # False when the pair is numerically defective
-    scale: float
 
     @property
     def spectral_radius(self):
@@ -81,7 +77,7 @@ def _left_vector(b, lam):
 
 
 def spectrum(ks: KSMatrix) -> Spectrum:
-    """Eigenvalues of the operator matrix, the leading pair identified.
+    """Eigenvalues of the operator matrix, the leading eigenvalue identified.
 
     The companion's characteristic polynomial is lam^M Xi(1/lam), so its
     eigenvalues are 1/(w scale) for the roots w that partition.float_roots
@@ -102,15 +98,7 @@ def spectrum(ks: KSMatrix) -> Spectrum:
     lam2 = float(np.max(np.abs(rest))) if len(rest) else 0.0
     tie = len(rest) > 0 and (abs(lam_c) - lam2) <= _TIE_REL * abs(lam_c)
     dist = float(np.min(np.abs(rest - lam_c))) if len(rest) else math.inf
-    lam_s = lam_c * ks.scale
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing pair is not normalized
-        v = (lam_s ** np.arange(ks.M - 1, -1, -1)).astype(complex)
-        nu = np.array(_left_vector(b, lam_s), dtype=complex)
-        pairing = complex(np.dot(nu, v))  # bilinear nu^T v, no conjugation
-        normalized = abs(pairing) > 1e-12 * np.linalg.norm(nu) * np.linalg.norm(v)
-    if normalized:
-        nu = nu / pairing
-    return Spectrum(lam, lam_c, lam2, dist, tie, v, nu, normalized, ks.scale)
+    return Spectrum(lam, lam_c, lam2, dist, tie)
 
 
 @dataclass
@@ -128,11 +116,6 @@ class RieszResult:
     rank: int
     second_singular_ratio: float
     precision: str           # "float64", "mp40", "mp60" or "mp90"
-
-    @property
-    def algebra_defect(self):
-        return max(self.idempotency_defect, self.annihilation_defect,
-                   self.reduced_identity_defect)
 
 
 def _algebra_defects(mat, center, P, S):
@@ -418,10 +401,8 @@ def leading_projection(ks: KSMatrix, spec: Spectrum = None) -> RieszResult:
 
 @dataclass
 class PowerReport:
-    deltas: np.ndarray
     fitted_ratio: float
     median_ratio: float
-    envelope: float
     expected_ratio: float
     n_used: int
 
@@ -437,7 +418,7 @@ def power_convergence(ks: KSMatrix, spec: Spectrum = None, P=None,
     if spec is None:
         spec = spectrum(ks)
     proj = P if P is not None else leading_projection(ks, spec).P
-    A = ks.conditioned_matrix().astype(complex) / (spec.lam_c * ks.scale)
+    A = ks.balancing[0].astype(complex) / (spec.lam_c * ks.scale)
     deltas = np.empty(n_terms)
     term = np.eye(ks.M, dtype=complex)
     for n in range(1, n_terms + 1):
@@ -451,13 +432,12 @@ def power_convergence(ks: KSMatrix, spec: Spectrum = None, P=None,
         half = idx >= idx[len(idx) // 2]  # fit the asymptotic half
         fit = np.polyfit(idx[half], np.log(deltas[mask][half]), 1)
         fitted = float(np.exp(fit[0]))
-        envelope = float(np.exp(fit[1]))
         ratios = deltas[mask][1:] / deltas[mask][:-1]
         median = float(np.median(ratios))
     else:
-        fitted = median = envelope = float("nan")
+        fitted = median = float("nan")
     expected = spec.lam2_mod / abs(spec.lam_c) if abs(spec.lam_c) > 0 else float("nan")
-    return PowerReport(deltas, fitted, median, envelope, expected, n_used)
+    return PowerReport(fitted, median, expected, n_used)
 
 
 # -- leading coefficient of the near-singularity behavior -------------------------
@@ -593,7 +573,6 @@ def leading_asymptotics(poly: PartitionPolynomial, anchors) -> AsymptoticsResult
 
 @dataclass
 class CoeffAsymptotics:
-    ratios: np.ndarray
     growth_estimate: complex  # limit of t_{k+1}/t_k
     subexp_exponent: float
     fit_rate: float
@@ -624,6 +603,5 @@ def coefficient_asymptotics(coeffs) -> CoeffAsymptotics:
     yt = np.log(np.abs(tv[-m:][sel]))
     X = np.column_stack([np.ones_like(kt), np.log(kt), kt])
     sol, *_ = np.linalg.lstsq(X, yt, rcond=None)
-    return CoeffAsymptotics(ratios, growth, float(sol[1]), float(np.exp(sol[2])),
-                            len(kt))
+    return CoeffAsymptotics(growth, float(sol[1]), float(np.exp(sol[2])), len(kt))
 

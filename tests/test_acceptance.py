@@ -16,11 +16,11 @@ import pytest
 from kslab.cluster import (PowerSeries, claim_row, density_bound_check,
                            density_coefficients_extrapolated, density_series,
                            log_series, radius_estimate, virial_reversion)
-from kslab.integrals import Box, build_table
+from kslab.integrals import Box
 from kslab.ksop import (CallableFamily, apply_ks_function, build_ks_matrix,
                         ks_residual)
 from kslab.oracles import TonksModel
-from kslab.partition import assemble, smallest_zero, zeros
+from kslab.partition import smallest_zero, zeros
 from kslab.potentials import PairPotential, regularity_C
 from kslab.spectral import (coefficient_asymptotics, leading_asymptotics,
                             leading_projection, power_convergence,

@@ -19,7 +19,7 @@ from kslab.ksop import (
     ks_residual,
     probe_anchor_sets,
 )
-from kslab.partition import assemble, correlation, smallest_zero, zeros
+from kslab.partition import assemble, correlation, zeros
 from kslab.potentials import PairPotential
 
 from conftest import make_ideal, make_tonks, poly_from_coeffs
@@ -49,7 +49,7 @@ def test_eigenvalues_are_reciprocal_zeros(tonks5):
 def test_scaled_and_conditioned_are_similar(tonks5):
     ks = build_ks_matrix(tonks5)
     a = np.sort_complex(np.linalg.eigvals(ks.scaled_matrix()))
-    b = np.sort_complex(np.linalg.eigvals(ks.conditioned_matrix()))
+    b = np.sort_complex(np.linalg.eigvals(ks.balancing[0]))
     np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
 

@@ -78,7 +78,4 @@ def test_radii_and_constants():
 
 def test_ideal_model():
     m = IdealModel(3.0)
-    assert m.pressure(0.4) == 0.4
-    assert m.density(0.4) == 0.4
-    np.testing.assert_array_equal(m.density_series(5), [1, 0, 0, 0, 0])
     assert math.isinf(m.cluster_radius)

@@ -146,10 +146,6 @@ def test_separation_kernel_matches_gathered_differences(family, dim, monkeypatch
             u, v = configs[:, :, None], configs[:, None]
             assert np.array_equal(separations(u, v), _reference_separations(u, v))
         pts = configs[0]
-        iu = np.triu_indices(n, k=1)
-        want = _reference_energy(p, _reference_separations(pts[:, None, :],
-                                                           pts[None, :, :])[iu])
-        assert p.total_energy(pts) == want
         if n:
             want = _reference_energy(p, _reference_separations(pts[1:], pts[0][None, :]))
             assert p.cross_energy(pts[0], pts[1:]) == want

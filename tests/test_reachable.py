@@ -7,8 +7,17 @@ mentions, and to each name it mentions that a relative import binds.  The
 roots are `cli.main`, every module-level statement outside `__init__`, the
 names README's library example imports, the functions the benchmark's span
 recorder wraps by name, and the allowlist below.  Every def must be
-reached, so `kslab.__all__` exports only reached defs.  Standard library
-only.
+reached, so `kslab.__all__` exports only reached defs.
+
+Methods are checked by name: a method of a reached class is reached when
+reached code, or README's library example, names it as an attribute
+(`x.name`).  Reached code is every reached function, every class body
+outside its methods, every module-level statement outside `__init__`, and
+every reached method, taken to a fixed point.  Dunder methods, the methods
+the span recorder wraps, and the method allowlist below are reached.  Two
+methods of one name cannot be told apart, so one reached name reaches
+both.  The unused-import check covers src/kslab and tests.  Standard
+library only.
 """
 
 import ast
@@ -18,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "kslab"
+TESTS = ROOT / "tests"
 SPANS = ROOT / "perfbench" / "spans.py"
 README = ROOT / "README.md"
 
@@ -28,6 +38,16 @@ ALLOWED = {
     ("ksop", "CallableFamily"): "acceptance criterion 10 applies the operator to a callable through it",
     ("ksop", "_ordered_nodes"): "test_ksop.py compares the nest with its recursive reference through it",
     ("spectral", "riesz_projection"): "the dense reference for the closed-form Laurent data (criteria 02, 03)",
+}
+
+# methods that no command calls, kept on purpose
+ALLOWED_METHODS = {
+    ("oracles", "TonksModel", "density_series"): "acceptance criterion 08 compares the extrapolated series with it; 09 reverts it",
+    ("oracles", "TonksModel", "pressure_series"): "acceptance criterion 09 reverts it into the virial series",
+    ("oracles", "TonksModel", "virial_radius"): "acceptance criterion 09 checks the reverted series' radius against it",
+    ("potentials", "PairPotential", "ideal"): "one constructor per potential family; commands build from a config",
+    ("potentials", "PairPotential", "step"): "one constructor per potential family; commands build from a config",
+    ("potentials", "PairPotential", "custom"): "one constructor per potential family; commands build from a config",
 }
 
 
@@ -53,6 +73,15 @@ def _imports(tree):
 
 def _names(nodes):
     return {n.id for node in nodes for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _attributes(nodes):
+    return {n.attr for node in nodes for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def _methods(cls):
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return {node.name: node for node in cls.body if isinstance(node, kinds)}
 
 
 class Graph:
@@ -95,6 +124,7 @@ def _library_block():
 
 
 def _span_targets():
+    """(module, def, method or None) for each name the span recorder wraps."""
     # loaded as test_bench_names.py loads it; the file is read, not changed
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
@@ -102,22 +132,26 @@ def _span_targets():
     for owner, attr in ([(o, a) for _, o, a, _ in spans.TARGETS]
                         + [(o, a) for _, o, a in spans.COUNTED]):
         if isinstance(owner, str):
-            yield owner.rsplit(".", 1)[1], attr
-        else:  # a class: its methods are part of its node
-            yield owner.__module__.rsplit(".", 1)[1], owner.__name__
+            yield owner.rsplit(".", 1)[1], attr, None
+        else:
+            yield owner.__module__.rsplit(".", 1)[1], owner.__name__, attr
+
+
+def _top_level(graph, module):
+    """The module's statements outside its defs."""
+    return [s for s in graph.trees[module].body if s not in graph.defs[module].values()]
 
 
 def _roots(graph):
     roots = {("cli", "main")}
-    for module, tree in graph.trees.items():
+    for module in graph.trees:
         if module != "__init__":
-            top = [s for s in tree.body if s not in graph.defs[module].values()]
-            roots |= graph.refs(module, top)
+            roots |= graph.refs(module, _top_level(graph, module))
     library = ast.parse(_library_block())
     for node in ast.walk(library):
         if isinstance(node, ast.ImportFrom) and node.module == "kslab":
             roots |= {graph.resolve("__init__", a.name) for a in node.names}
-    roots |= {graph.resolve(m, a) for m, a in _span_targets()}
+    roots |= {graph.resolve(m, d) for m, d, _ in _span_targets()}
     roots |= set(ALLOWED)
     return roots - {None}
 
@@ -134,10 +168,37 @@ def test_every_def_is_reached():
     assert not unreached, "reached by no command: " + ", ".join(unreached)
 
 
+def test_every_method_is_reached():
+    graph = Graph()
+    reached = graph.reached(_roots(graph))
+    classes = {(m, n): graph.defs[m][n] for m, n in reached
+               if isinstance(graph.defs[m][n], ast.ClassDef)}
+    methods = {(m, c, name): node for (m, c), cls in classes.items()
+               for name, node in _methods(cls).items()}
+    missing = [".".join(k) for k in ALLOWED_METHODS if k not in methods]
+    assert not missing, f"allowlisted but gone: {missing}"
+    code = [graph.defs[m][n] for m, n in reached if (m, n) not in classes]
+    code += [s for cls in classes.values() for s in cls.body if s not in _methods(cls).values()]
+    code += [s for m in graph.trees if m != "__init__" for s in _top_level(graph, m)]
+    code.append(ast.parse(_library_block()))
+    named = _attributes(code)
+    live = set(ALLOWED_METHODS) | {t for t in _span_targets() if t in methods}
+    live |= {k for k in methods if k[2].startswith("__") and k[2].endswith("__")}
+    while True:
+        named |= _attributes(methods[k] for k in live)
+        grown = live | {k for k in methods if k[2] in named}
+        if grown == live:
+            break
+        live = grown
+    unreached = sorted(f"{m}.{c}.{n} ({node.end_lineno - node.lineno + 1} lines)"
+                       for (m, c, n), node in methods.items() if (m, c, n) not in live)
+    assert not unreached, "methods no command calls: " + ", ".join(unreached)
+
+
 def test_no_unused_imports():
     unused = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.stem == "__init__":
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        if path == SRC / "__init__.py":
             continue
         tree = ast.parse(path.read_text(), str(path))
         used = _names([tree])
@@ -147,7 +208,7 @@ def test_no_unused_imports():
                 for alias in node.names:
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in used:
-                        unused.append(f"{path.stem}: {name}")
+                        unused.append(f"{path.relative_to(ROOT)}: {name}")
     assert not unused, f"imported but never used: {unused}"
 
 

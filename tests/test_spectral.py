@@ -2,7 +2,6 @@
 
 import cmath
 import contextlib
-import math
 import warnings
 
 import numpy as np
@@ -238,15 +237,19 @@ def test_spectrum_orders_and_gaps(spec5):
     rest = [l for l in spec5.eigenvalues if abs(l - spec5.lam_c) > 1e-12]
     assert spec5.dist_gap == pytest.approx(min(abs(l - spec5.lam_c) for l in rest))
     assert not spec5.is_tie
-    assert spec5.normalized
 
 
 def test_left_right_pair_is_biorthogonal(ks5, spec5):
     A = ks5.scaled_matrix()
     lam_s = spec5.lam_c * ks5.scale
-    assert np.linalg.norm(A @ spec5.right - lam_s * spec5.right) <= 1e-9 * abs(lam_s)
-    assert np.linalg.norm(spec5.left @ A - lam_s * spec5.left) <= 1e-9 * abs(lam_s)
-    assert np.dot(spec5.left, spec5.right) == pytest.approx(1.0, rel=1e-10)
+    right = lam_s ** np.arange(ks5.M - 1, -1, -1)
+    nu = np.array(_left_vector(scaled_coefficients(ks5.coeffs, ks5.scale), lam_s))
+    pairing = np.dot(nu, right)  # bilinear nu^T v, no conjugation
+    assert abs(pairing) > 1e-12 * np.linalg.norm(nu) * np.linalg.norm(right)
+    left = nu / pairing
+    assert np.linalg.norm(A @ right - lam_s * right) <= 1e-9 * abs(lam_s)
+    assert np.linalg.norm(left @ A - lam_s * left) <= 1e-9 * abs(lam_s)
+    assert np.dot(left, right) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_leading_projection_tonks(ks5, spec5):
@@ -255,7 +258,7 @@ def test_leading_projection_tonks(ks5, spec5):
     assert rz.rank == 1
     assert rz.pole_order == 1
     assert rz.second_singular_ratio <= 1e-12
-    assert rz.algebra_defect <= 1e-10
+    assert max(rz.idempotency_defect, rz.annihilation_defect, rz.reduced_identity_defect) <= 1e-10
     assert rz.nilpotent_ratio <= 1e-11
 
 
@@ -299,7 +302,7 @@ def test_float64_closed_form_matches_dense_contour(box):
     assert rz.precision == "float64"
     assert rz.rank == 1
     assert rz.pole_order == 1
-    ref = riesz_projection(ks.conditioned_matrix(), spec.lam_c * ks.scale,
+    ref = riesz_projection(ks.balancing[0], spec.lam_c * ks.scale,
                            0.5 * spec.dist_gap * ks.scale)
     assert np.linalg.norm(rz.P - ref.P) <= 1e-12 * np.linalg.norm(ref.P)
     assert np.linalg.norm(rz.S - ref.S) <= 1e-11 * np.linalg.norm(ref.S)
@@ -391,17 +394,14 @@ def test_spectrum_and_zeros_share_one_root_stage(box):
 
 @pytest.mark.parametrize("L", [120.0, 150.0])
 def test_wide_box_spectrum_warns_nothing(L):
-    # the float64 pair lam^k and its pairing overflow on these boxes (in the
-    # dot product at L = 120, in the power at L = 150); the pair then reads
-    # not normalized, and no RuntimeWarning escapes.  The closed form's
-    # right eigenvector passes 1e308 at L = 150, yet P and S are finite
+    # no RuntimeWarning escapes on these boxes.  The closed form's right
+    # eigenvector passes 1e308 at L = 150, yet P and S are finite
     ks = build_ks_matrix(make_tonks(L))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         spec = spectrum(ks)
         rz = leading_projection(ks, spec)
     assert (rz.precision, rz.rank, rz.pole_order) == ("mp40", 1, 1)
-    assert not spec.normalized
     assert np.all(np.isfinite(spec.eigenvalues))
     assert len(spec.eigenvalues) == ks.M
 
@@ -414,7 +414,7 @@ def test_left_eigenvector_residual_wide_boxes(L):
     spec = spectrum(ks)
     A = ks.scaled_matrix()
     lam_s = spec.lam_c * ks.scale
-    nu = spec.left
+    nu = np.array(_left_vector(scaled_coefficients(ks.coeffs, ks.scale), lam_s))
     res = np.linalg.norm(nu @ A - lam_s * nu) / (abs(lam_s) * np.linalg.norm(nu))
     assert res <= 1e-12
 
@@ -440,7 +440,7 @@ def test_leading_projection_escalates_to_mp60(ks20, monkeypatch):
     monkeypatch.setattr(spectral, "_closed_form", failing_mp40)
     rz = leading_projection(ks20)
     assert (rz.precision, rz.n_nodes) == ("mp60", 0)
-    assert rz.algebra_defect <= 1e-12
+    assert max(rz.idempotency_defect, rz.annihilation_defect, rz.reduced_identity_defect) <= 1e-12
     assert rz.rank == 1 and rz.pole_order == 1
 
 
@@ -467,7 +467,7 @@ def test_riesz_projection_on_jordan_companion():
     rz = riesz_projection(comp, 2.0, 0.6)
     assert rz.rank == 2
     assert rz.pole_order == 2
-    assert rz.algebra_defect <= 1e-8
+    assert max(rz.idempotency_defect, rz.annihilation_defect, rz.reduced_identity_defect) <= 1e-8
 
 
 def test_riesz_projection_on_jordan_companion_wide_radius():
@@ -478,7 +478,7 @@ def test_riesz_projection_on_jordan_companion_wide_radius():
     assert rz.n_nodes == 512
     assert rz.rank == 2
     assert rz.pole_order == 2
-    assert rz.algebra_defect <= 1e-10
+    assert max(rz.idempotency_defect, rz.annihilation_defect, rz.reduced_identity_defect) <= 1e-10
 
 
 def test_power_convergence_tracks_subleading_ratio(ks5, spec5):
