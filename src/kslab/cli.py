@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import os
 import sys
@@ -118,7 +119,9 @@ def _emit(args, command, payload, rows, row_fields):
         _say(f"wrote {out}")
         return
     doc = {"meta": _meta(args, command), **payload}
-    text = json.dumps(doc, indent=1, sort_keys=True)
+    # one top-level key per line, each on the C encoder (indent= is pure Python)
+    text = "{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
+                               for k, v in sorted(doc.items())) + "\n}"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -426,6 +429,7 @@ def cmd_residual(args):
 # -- parser ------------------------------------------------------------------------
 
 
+@functools.cache  # once per process: argparse asks the terminal and gettext per flag
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--potential", default="hardcore",

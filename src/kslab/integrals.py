@@ -669,7 +669,7 @@ class IntegralTable:
         }
 
     def save(self, path):
-        payload = json.dumps(self.to_json(), indent=1, sort_keys=True)
+        payload = json.dumps(self.to_json(), sort_keys=True)
         # atomic write so a concurrent reader never sees a torn file
         d = os.path.dirname(os.path.abspath(path))
         os.makedirs(d, exist_ok=True)

@@ -419,11 +419,12 @@ def power_convergence(ks: KSMatrix, spec: Spectrum = None, P=None,
         spec = spectrum(ks)
     proj = P if P is not None else leading_projection(ks, spec).P
     A = ks.balancing[0].astype(complex) / (spec.lam_c * ks.scale)
-    deltas = np.empty(n_terms)
+    stack = np.empty((n_terms, ks.M, ks.M), dtype=complex)
     term = np.eye(ks.M, dtype=complex)
-    for n in range(1, n_terms + 1):
-        term = term @ A
-        deltas[n - 1] = np.linalg.norm(term - proj, 2)
+    for n in range(n_terms):
+        stack[n] = term = term @ A
+    stack -= proj
+    deltas = np.linalg.svd(stack, compute_uv=False)[:, 0]  # one 2-norm per power
     floor = max(1e-13 * deltas[0], 1e-15)
     mask = deltas > floor
     n_used = int(mask.sum())

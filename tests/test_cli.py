@@ -202,6 +202,46 @@ def test_spectral_deterministic_up_to_timestamp(tmp_path):
     assert d1["projection"]["pole_order"] == 1
 
 
+def test_json_holds_one_top_level_key_per_line(tmp_path, monkeypatch):
+    argv = ["zeros", "--L", "5", "--M", "6"]
+    _, out1 = run(tmp_path, "z1.json", argv)
+    _, out2 = run(tmp_path, "z2.json", argv)
+    lines1, lines2 = out1.read_text().splitlines(), out2.read_text().splitlines()
+    assert len(lines1) == len(lines2)
+    differ = [a for a, b in zip(lines1, lines2) if a != b]
+    assert len(differ) == 1 and differ[0].startswith('"meta"')
+    assert lines1[0] == "{" and lines1[-1] == "}"
+    keys = [next(iter(json.loads("{" + line.rstrip(",") + "}")))
+            for line in lines1[1:-1]]
+    assert keys == sorted(read_json(out1))
+    # the same document the indent=1 layout wrote
+    emitted, real_emit = [], cli._emit
+
+    def spy(args, command, payload, *rest):
+        emitted.append({"meta": {"command": command}, **payload})
+        real_emit(args, command, payload, *rest)
+
+    monkeypatch.setattr(cli, "_meta", lambda args, command: {"command": command})
+    monkeypatch.setattr(cli, "_emit", spy)
+    _, out = run(tmp_path, "z3.json", argv)
+    (doc,) = emitted
+    assert read_json(out) == json.loads(json.dumps(doc, indent=1, sort_keys=True))
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["zeros", "--potential", "ideal", "--L", "1", "--M", "2"]
+    assert run(tmp_path, "seeded.json", argv + ["--seed", "1"])[0] == 0
+    rc, out = run(tmp_path, "default.json", argv)
+    assert rc == 0 and read_json(out)["meta"]["seed"] == 42
+    assert read_json(tmp_path / "seeded.json")["meta"]["seed"] == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["zeros", "--L", "5", "--M", "x"])
+    assert exc.value.code == 2
+    assert run(tmp_path, "after.json", argv)[0] == 0
+    capsys.readouterr()
+
+
 def test_table_cache_then_zeros(tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()

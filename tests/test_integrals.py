@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from kslab import integrals
 from kslab.errors import ConfigError, NumericalError
 from kslab.integrals import (DIMENSION_CAP, Box, anchored_integral, anchored_series,
-                             build_table, cache_path, contact_lattice, exact_mp_Z,
+                             build_table, cache_path, cached_table, contact_lattice,
+                             exact_mp_Z,
                              hardrod_anchored_series, load_table, panel_rule,
                              quadrature_Z, scrambled_sobol, sobol_directions)
 from kslab.potentials import PairPotential
@@ -550,6 +551,22 @@ def test_cache_trims_a_larger_table(tmp_path, monkeypatch):
     assert part.M == 2 and part.entries == full.entries[:3]
     assert part.built_with == full.built_with
     assert load_table(cache_path(cache, p, box), p, box).M == 4  # the file keeps M = 4
+
+
+def test_cache_in_the_indented_layout_still_loads(tmp_path, monkeypatch):
+    # caches were written with json.dumps(indent=1) before they went to one line
+    p, box, cache = PairPotential.step(1.0, 1.0), Box((3.0,)), str(tmp_path)
+    built = build_table(p, box, 3, cache_dir=cache)
+    path = cache_path(cache, p, box)
+    with open(path) as fh:
+        text = fh.read()
+    assert "\n" not in text
+    with open(path, "w") as fh:
+        fh.write(json.dumps(json.loads(text), indent=1, sort_keys=True))
+    _no_quadrature(monkeypatch)
+    loaded, stored = cached_table(cache, p, box, 3)
+    assert loaded is stored and loaded.entries == built.entries
+    assert loaded.built_with == built.built_with
 
 
 def _spoil(raw, text, defect):

@@ -490,6 +490,33 @@ def test_power_convergence_tracks_subleading_ratio(ks5, spec5):
     assert rep.n_used >= 10
 
 
+def _power_fit_per_power(ks, spec, P, n_terms=60):
+    """(fitted, median, n_used) from one 2-norm call per power of K/lam_c."""
+    A = ks.balancing[0].astype(complex) / (spec.lam_c * ks.scale)
+    deltas = np.empty(n_terms)
+    term = np.eye(ks.M, dtype=complex)
+    for n in range(1, n_terms + 1):
+        term = term @ A
+        deltas[n - 1] = np.linalg.norm(term - P, 2)
+    mask = deltas > max(1e-13 * deltas[0], 1e-15)
+    idx = np.arange(1, n_terms + 1)[mask]
+    half = idx >= idx[len(idx) // 2]
+    fit = np.polyfit(idx[half], np.log(deltas[mask][half]), 1)
+    median = np.median(deltas[mask][1:] / deltas[mask][:-1])
+    return float(np.exp(fit[0])), float(median), int(mask.sum())
+
+
+@pytest.mark.parametrize("L", [5, 20, 40])
+def test_power_convergence_keeps_the_per_power_norm_bits(L):
+    # the batched singular values go through the same LAPACK call per power
+    ks = build_ks_matrix(make_tonks(L))
+    spec = spectrum(ks)
+    P = leading_projection(ks, spec).P
+    rep = power_convergence(ks, spec, P, n_terms=60)
+    assert (rep.fitted_ratio, rep.median_ratio, rep.n_used) == _power_fit_per_power(
+        ks, spec, P)
+
+
 def test_ray_limit_extracts_directional_value():
     z0 = -0.4
 

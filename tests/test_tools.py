@@ -1,13 +1,16 @@
-"""The gain rule of tools/pairs.py, on synthetic pairs of benchmark runs."""
+"""The gain rule of tools/pairs.py, on synthetic pairs of benchmark runs, and
+the output parser that tools/workload_json.py shares with perfbench's worker."""
 
 import importlib.util
 from pathlib import Path
 
-PAIRS = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
+from kslab.cli import main
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def _load_pairs():
-    spec = importlib.util.spec_from_file_location("tools_pairs", PAIRS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"tools_{name}", TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -21,7 +24,7 @@ def _runs(parent, change, name="pass_s"):
 
 
 def test_gain_rule_needs_nine_tenths_wins_and_a_gap_past_the_parent_iqr():
-    summarize = _load_pairs().summarize
+    summarize = _load("pairs").summarize
     lower = [{"name": "pass_s", "unit": "s", "better": "lower"}]
     parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
     faster = [v - 0.5 for v in parent]
@@ -40,3 +43,15 @@ def test_gain_rule_needs_nine_tenths_wins_and_a_gap_past_the_parent_iqr():
     higher = [{"name": "zc_digits", "unit": "digits", "better": "higher"}]
     (line,) = summarize(higher, _runs(parent, [v + 0.5 for v in parent], "zc_digits"))
     assert "wins 10/10" in line and line.endswith("holds")
+
+
+def test_document_is_read_past_the_summary_line(capsys):
+    # the document starts at the first line that begins with "{"
+    document = _load("workload_json")._document
+    for argv, summary in ((["zeros", "--L", "5", "--M", "6"], True),
+                          (["table", "--L", "5", "--M", "6"], False)):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("{") != summary
+        doc = document(out)
+        assert doc["meta"]["command"] == argv[0] and argv[0] in doc
