@@ -228,7 +228,7 @@ def test_json_holds_one_top_level_key_per_line(tmp_path, monkeypatch):
     assert read_json(out) == json.loads(json.dumps(doc, indent=1, sort_keys=True))
 
 
-def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+def test_cached_parser_keeps_no_state_between_calls(tmp_path):
     assert cli.build_parser() is cli.build_parser()
     argv = ["zeros", "--potential", "ideal", "--L", "1", "--M", "2"]
     assert run(tmp_path, "seeded.json", argv + ["--seed", "1"])[0] == 0
@@ -239,7 +239,6 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
         main(["zeros", "--L", "5", "--M", "x"])
     assert exc.value.code == 2
     assert run(tmp_path, "after.json", argv)[0] == 0
-    capsys.readouterr()
 
 
 def test_table_cache_then_zeros(tmp_path):
