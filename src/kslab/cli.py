@@ -410,9 +410,8 @@ def cmd_residual(args):
         z = complex(args.z)
     except ValueError:
         raise ConfigError(f"cannot parse --z {args.z!r} as a complex number") from None
-    report = ks_residual(poly, z, args.n_max, strategy=args.strategy,
-                         order=args.order, count=args.probes,
-                         constant_term=args.constant_term, seed=args.seed)
+    report = ks_residual(poly, z, args.n_max, order=args.order, count=args.probes,
+                         seed=args.seed)
     gap = max(lv.truncation_gap for lv in report.levels)
     _say(f"sup residual {report.sup_residual:.3e}  error bound "
          f"{report.error_bound:.3e}  truncation gap {gap:.3e}")
@@ -477,11 +476,7 @@ def build_parser():
     sp_res = sub.add_parser("residual", parents=[common])
     sp_res.add_argument("--z", default="0.1", help="activity, python complex syntax")
     sp_res.add_argument("--n-max", type=int, default=3)
-    sp_res.add_argument("--strategy", default="quadrature",
-                        choices=("quadrature", "sampling"))
     sp_res.add_argument("--probes", type=int, default=64)
-    sp_res.add_argument("--constant-term", default="consistent",
-                        choices=("consistent", "unit"))
     return parser
 
 

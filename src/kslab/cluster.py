@@ -368,15 +368,14 @@ def density_bound_check(model, C, s_grid, tol=1e-9) -> BoundReport:
 # -- claim table -------------------------------------------------------------------
 
 
-def claim_row(quantity, claimed, measured, oracle=None, relation="equals",
-              uncertainty=None):
+def claim_row(quantity, claimed, measured, oracle=None, relation="equals"):
     """One row of the claim-check table, with a conservative verdict.
 
     relation "equals": the claim names the value; "at_least"/"at_most":
     the claim bounds the measured quantity from below/above.  The verdict
-    compares at the scale of the measurement uncertainty u (default: twice
-    the measured-to-oracle discrepancy, floored at 2% of the measured
-    value; just the floor when no oracle value exists): within u is
+    compares at the scale of the measurement uncertainty u (twice the
+    measured-to-oracle discrepancy, floored at 2% of the measured value;
+    just the floor when no oracle value exists): within u is
     "consistent", beyond 3u is "inconsistent", and the band between is
     "inconclusive".  The row always carries the numbers; the verdict never
     suppresses them.
@@ -384,10 +383,9 @@ def claim_row(quantity, claimed, measured, oracle=None, relation="equals",
     measured = float(measured)
     claimed = float(claimed)
     oracle = None if oracle is None else float(oracle)
-    if uncertainty is None:
-        uncertainty = 0.02 * abs(measured) if math.isfinite(measured) else 0.0
-        if oracle is not None and math.isfinite(measured - oracle):
-            uncertainty = max(uncertainty, 2.0 * abs(measured - oracle))
+    uncertainty = 0.02 * abs(measured) if math.isfinite(measured) else 0.0
+    if oracle is not None and math.isfinite(measured - oracle):
+        uncertainty = max(uncertainty, 2.0 * abs(measured - oracle))
     if relation == "equals":
         if math.isinf(claimed) and math.isinf(measured) and claimed == measured:
             dev = 0.0

@@ -66,15 +66,14 @@ _CHUNK = _BLOCK // 128  # entries (cuts, next-level rows) at which a batch of pr
 
 @dataclass
 class KSMatrix:
-    """Companion realization of the operator at truncation M."""
+    """Companion realization at truncation M: first row -c_1..-c_M, subdiagonal 1."""
 
-    matrix: np.ndarray  # unscaled, first row -c_1..-c_M, subdiagonal 1
     scale: float
     coeffs: np.ndarray  # c_0..c_M of the underlying polynomial
 
     @property
     def M(self):
-        return self.matrix.shape[0]
+        return len(self.coeffs) - 1
 
     def scaled_matrix(self):
         """Similarity-equivalent companion built on b_m = c_m * scale^m.
@@ -84,7 +83,7 @@ class KSMatrix:
         when b leaves the float64 range.
         """
         b = scaled_coefficients(self.coeffs, self.scale)
-        out = np.zeros_like(self.matrix)
+        out = np.zeros((self.M, self.M))
         out[0, :] = -b[1:]
         out[1:, :-1] = np.eye(self.M - 1)
         return out
@@ -112,7 +111,7 @@ class KSMatrix:
     def to_json(self):
         return {
             "M": self.M,
-            "first_row": [float(v) for v in self.matrix[0]],
+            "first_row": [float(v) for v in -self.coeffs[1:]],  # unscaled: -c_1..-c_M
             "scale": self.scale,
         }
 
@@ -121,12 +120,7 @@ def build_ks_matrix(poly: PartitionPolynomial) -> KSMatrix:
     """Companion matrix of the truncated operator from a partition polynomial."""
     if poly.M < 1:
         raise ConfigError("need M >= 1 to build the operator matrix")
-    c = poly.coeffs
-    M = poly.M
-    mat = np.zeros((M, M))
-    mat[0, :] = -c[1:]
-    mat[1:, :-1] = np.eye(M - 1)
-    return KSMatrix(mat, poly.scale, c.copy())
+    return KSMatrix(poly.scale, poly.coeffs.copy())
 
 
 # -- anchored-function families -------------------------------------------------
@@ -246,21 +240,21 @@ def _term_sampled(p, box, phi, n, x1, rest, m, seed):
     return val, err
 
 
-def apply_ks_function(p: PairPotential, box: Box, phi, n, anchors, M,
-                      strategy="quadrature", order=64, seed=42):
+def apply_ks_function(p: PairPotential, box: Box, phi, n, anchors, M, order=64, seed=42):
     """(K phi) at a batch of anchor configurations (P, n, dim), summed over m = 0..M-n.
 
     Returns P values and error bounds; one configuration (n, dim) is a batch
     of one and gives scalars.  For n = 1 the sum starts at m = 1: the
     empty-product constant term of the first equation is the caller's to
     add.  phi is a family callable (level, configs) -> values.  The bound
-    covers quadrature (order refinement) or sampling (replicate spread) and
+    covers quadrature (order refinement), sampling (replicate spread) and
     the per-row errors a family leaves in phi.last_error.  Each term is built
     for all probes with e^{-W} != 0 at once, and each probe's rows are summed
     as a batch of one sums them: no value depends on the batch.
     """
-    if box.dimension != 1 and strategy == "quadrature":
-        raise ConfigError("quadrature application is one-dimensional; use sampling")
+    if box.dimension != 1:
+        raise ConfigError(f"the operator application is one-dimensional; the box has "
+                          f"{box.dimension} axes")
     anchors = np.asarray(anchors, dtype=float)
     single = anchors.ndim < 3
     batch = np.atleast_2d(anchors)[None] if single else anchors
@@ -279,7 +273,7 @@ def apply_ks_function(p: PairPotential, box: Box, phi, n, anchors, M,
     # past two are sampled (nested panels are combinatorial) with their spread
     pruned = p.family == "hardcore" and getattr(phi, "vanishes_on_overlap", False)
     for m in range(0 if n > 1 else 1, M - n + 1):
-        if m >= 1 and (strategy == "sampling" or (m >= 3 and not pruned)):
+        if m >= 3 and not pruned:
             val, e = _term_sampled(p, box, phi, n, x1, rest, m, seed + m)
             total, err = total + val, err + e
             continue
@@ -314,9 +308,7 @@ class LevelResidual:
 class KSResidualReport:
     z: complex
     M: int
-    strategy: str
     order: int
-    constant_term: str
     levels: list
 
     @property
@@ -331,9 +323,9 @@ class KSResidualReport:
         return {
             "z": [self.z.real, self.z.imag],
             "M": self.M,
-            "strategy": self.strategy,
+            "strategy": "quadrature",  # the one route and constant, kept so payloads diff
             "order": self.order,
-            "constant_term": self.constant_term,
+            "constant_term": "consistent",
             "sup_residual": self.sup_residual,
             "error_bound": self.error_bound,
             "levels": [
@@ -383,15 +375,15 @@ def probe_anchor_sets(box: Box, p: PairPotential, n, count=64):
     return sets
 
 
-def ks_residual(poly: PartitionPolynomial, z, n_max, strategy="quadrature",
-                order=64, count=64, constant_term="consistent", seed=42) -> KSResidualReport:
+def ks_residual(poly: PartitionPolynomial, z, n_max, order=64, count=64,
+                seed=42) -> KSResidualReport:
     """Residual of the truncated integral-equation system at activity z.
 
     The left side is the correlation family at degree M; the operator is
-    fed the degree-(M-1) family, which is the exact discrete pairing.  With
-    constant_term="consistent" the level-1 inhomogeneity is Xi_{M-1}/Xi_M
-    (exact at finite M, default); "unit" uses the constant 1 of the
-    infinite system, appropriate for families given in closed form.
+    fed the degree-(M-1) family, which is the exact discrete pairing, and
+    the level-1 inhomogeneity is Xi_{M-1}/Xi_M, exact at finite M.  The
+    gap to the constant 1 of the infinite system is each report's
+    truncation_gap.
     """
     p, box = poly.potential, poly.box
     M = poly.M
@@ -415,8 +407,8 @@ def ks_residual(poly: PartitionPolynomial, z, n_max, strategy="quadrature",
     rho = CorrelationFamily(poly, z)
     fam = CorrelationFamily(poly, z, degree=M - 1)
     xi_lower = complex(np.polyval(poly.coeffs[:-1][::-1], z))
-    const = xi_lower / rho.xi if constant_term == "consistent" else 1.0
-    trunc_gap = abs(z) * abs(xi_lower / rho.xi - 1.0)
+    const = xi_lower / rho.xi
+    trunc_gap = abs(z) * abs(const - 1.0)
 
     levels = []
     for n in range(1, n_max + 1):
@@ -426,8 +418,8 @@ def ks_residual(poly: PartitionPolynomial, z, n_max, strategy="quadrature",
             raise ConfigError(f"no probe configuration fits level {n} in the box; "
                               f"lower n_max or raise the probe count")
         lhs = rho(n, np.array(probes))
-        ops, op_errs = apply_ks_function(p, box, fam, n, np.array(probes), M,
-                                         strategy=strategy, order=order, seed=seed)
+        ops, op_errs = apply_ks_function(p, box, fam, n, np.array(probes), M, order=order,
+                                         seed=seed)
         for value, error, op, op_err in zip(lhs, rho.last_error, ops.tolist(), op_errs.tolist()):
             rhs = z * (const + op) if n == 1 else z * op
             sup_r = max(sup_r, abs(value - rhs))
@@ -436,5 +428,5 @@ def ks_residual(poly: PartitionPolynomial, z, n_max, strategy="quadrature",
         sup_b = max(sup_b, 1e-15 * (abs(z) + sup_rho))  # roundoff floor
         levels.append(LevelResidual(n, sup_r, sup_b, trunc_gap if n == 1 else 0.0,
                                     len(probes), sup_rho))
-    return KSResidualReport(complex(z), M, strategy, order, constant_term, levels)
+    return KSResidualReport(complex(z), M, order, levels)
 

@@ -314,6 +314,7 @@ def newton_root(b, w):
 
 _GUARD_BITS = 16  # fraction bits of fixed_horner past the working precision
 _ROUNDED_BITS = 1 << 24  # memory for fixed_horner's rounded coefficients, per fixed_terms
+_MAX_SWEEPS = 200  # Aberth sweeps of one rung before it reports non-convergence
 
 
 def fixed_terms(b):
@@ -429,7 +430,7 @@ class Roots(list):
         self.coeffs, self.prec, self.frozen = coeffs, prec, frozen
 
 
-def _mp_aberth(b, max_sweeps=200, starts=None):
+def _mp_aberth(b, starts=None):
     """All roots of sum b_m w^m (b real, b_0, b_deg != 0) at the working precision.
 
     One rung of zeros' precision ladder: Gauss-Seidel Aberth-Ehrlich sweeps
@@ -439,7 +440,7 @@ def _mp_aberth(b, max_sweeps=200, starts=None):
     from a complex128 copy of the roots, as it only needs a few digits.  A
     root is frozen once its residual reaches the rounding level of the
     evaluation, (deg + 1) eps sum_m |b_m| |w|^m, or its correction drops
-    below eps |w|; NumericalError when some root still moves after max_sweeps.
+    below eps |w|; NumericalError when some root still moves after _MAX_SWEEPS.
     The roots come back as a Roots list, with the evaluation each root froze
     on its residual at.
     """
@@ -452,7 +453,7 @@ def _mp_aberth(b, max_sweeps=200, starts=None):
     wc = np.array([complex(x) for x in w])
     frozen = [None] * deg
     live = list(range(deg))
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         still = []
         for i in live:
             val = fixed_horner(terms, w[i])
@@ -490,7 +491,7 @@ def _mp_aberth(b, max_sweeps=200, starts=None):
                          terms[:2], mp.prec, frozen)
     raise NumericalError(
         f"Aberth iteration left {len(live)} of {deg} roots unconverged after "
-        f"{max_sweeps} sweeps at {mp.dps} digits")
+        f"{_MAX_SWEEPS} sweeps at {mp.dps} digits")
 
 
 def inclusion_radii(terms, roots):
@@ -738,7 +739,6 @@ def smallest_zero(zs: ZeroSet) -> SmallestZero:
 class CorrelationValue:
     value: complex
     error: float
-    chi: float  # indicator that the anchors sit inside the box
     n: int
     z: complex
     degree: int  # total z-degree kept in the numerator
@@ -797,10 +797,9 @@ def correlation(poly: PartitionPolynomial, z, anchors, degree=None) -> Correlati
     if degree < n:
         raise ValueError("degree budget smaller than the anchor count")
 
-    chi = 1.0 if poly.box.contains(anchors) else 0.0
     fam = CorrelationFamily(poly, z, degree)
     value = fam(n, anchors[None])[0]
-    return CorrelationValue(complex(value), float(fam.last_error[0]), chi, n, fam.z, degree)
+    return CorrelationValue(complex(value), float(fam.last_error[0]), n, fam.z, degree)
 
 
 def numerator_coefficients(poly: PartitionPolynomial, anchors, degree=None):

@@ -348,7 +348,7 @@ def _closed_form(ctx, b, dvec, center):
             pole, complex(lam))
 
 
-def leading_projection(ks: KSMatrix, spec: Spectrum = None) -> RieszResult:
+def leading_projection(ks: KSMatrix, spec: Spectrum) -> RieszResult:
     """Laurent data of the operator matrix at its leading eigenvalue.
 
     The leading eigenvalue is a simple pole of the resolvent: its residue
@@ -365,8 +365,6 @@ def leading_projection(ks: KSMatrix, spec: Spectrum = None) -> RieszResult:
     """
     from mpmath import fp, mp
 
-    if spec is None:
-        spec = spectrum(ks)
     if not math.isfinite(spec.dist_gap) or spec.dist_gap <= 0:
         raise Degenerate("no spectral gap isolates the leading eigenvalue")
     center = spec.lam_c * ks.scale
@@ -407,23 +405,19 @@ class PowerReport:
     n_used: int
 
 
-def power_convergence(ks: KSMatrix, spec: Spectrum = None, P=None,
-                      n_terms=60) -> PowerReport:
+def power_convergence(ks: KSMatrix, spec: Spectrum, P, n_terms=60) -> PowerReport:
     """Decay of ||(K/lam_c)^n - P|| against the subleading ratio.
 
     Fits log-linear decay on the part of the tail still above the roundoff
     floor and reports both the least-squares rate and the median of
     successive ratios, next to |lam_2 / lam_c|.
     """
-    if spec is None:
-        spec = spectrum(ks)
-    proj = P if P is not None else leading_projection(ks, spec).P
     A = ks.balancing[0].astype(complex) / (spec.lam_c * ks.scale)
     stack = np.empty((n_terms, ks.M, ks.M), dtype=complex)
     term = np.eye(ks.M, dtype=complex)
     for n in range(n_terms):
         stack[n] = term = term @ A
-    stack -= proj
+    stack -= P
     deltas = np.linalg.svd(stack, compute_uv=False)[:, 0]  # one 2-norm per power
     floor = max(1e-13 * deltas[0], 1e-15)
     mask = deltas > floor

@@ -584,7 +584,9 @@ def test_extrapolate_honours_order_and_seed(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [["zeros", "--xi", "1.0"], ["residual", "--xi", "1.0"],
-                                  ["virial", "--radius-method", "ratio"]])
+                                  ["virial", "--radius-method", "ratio"],
+                                  ["residual", "--strategy", "sampling"],
+                                  ["residual", "--constant-term", "unit"]])
 def test_options_are_offered_only_where_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--L", "5", "--M", "6"])

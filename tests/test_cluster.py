@@ -202,7 +202,7 @@ def test_claim_row_equals_verdicts():
     assert row["verdict"] == "consistent"
     assert row["uncertainty"] == pytest.approx(0.02)
     assert claim_row("gap", 2.0, 1.0)["verdict"] == "inconsistent"
-    row = claim_row("gap", 2.0, 1.0, uncertainty=0.5)
+    row = claim_row("gap", 2.0, 1.0, oracle=1.25)  # u = 2 |1.0 - 1.25| = 0.5
     assert row["verdict"] == "inconclusive"
     # oracle discrepancy widens the band
     row = claim_row("gap", 1.5, 1.0, oracle=1.4)
@@ -218,8 +218,8 @@ def test_claim_row_handles_infinite_radius():
 
 def test_claim_row_bound_relations():
     assert claim_row("R", 0.25, 1.0, relation="at_least")["verdict"] == "consistent"
-    assert (claim_row("R", 2.0, 1.0, relation="at_least",
-                      uncertainty=0.1)["verdict"] == "inconsistent")
+    assert (claim_row("R", 2.0, 1.0, oracle=1.05,
+                      relation="at_least")["verdict"] == "inconsistent")
     assert claim_row("R", 2.0, 1.0, relation="at_most")["verdict"] == "consistent"
     with pytest.raises(ValueError):
         claim_row("R", 1.0, 1.0, relation="near")

@@ -14,6 +14,7 @@ from kslab.ksop import (
     CorrelationFamily,
     _kernel_window,
     _ordered_nodes,
+    _term_sampled,
     apply_ks_function,
     build_ks_matrix,
     ks_residual,
@@ -28,9 +29,11 @@ from conftest import make_ideal, make_tonks, poly_from_coeffs
 def test_companion_layout(tonks5):
     ks = build_ks_matrix(tonks5)
     assert ks.M == 6
-    np.testing.assert_allclose(ks.matrix[0], -tonks5.coeffs[1:])
-    np.testing.assert_allclose(ks.matrix[1:, :-1], np.eye(5))
-    np.testing.assert_allclose(ks.matrix[1:, -1], 0.0)
+    np.testing.assert_allclose(ks.to_json()["first_row"], -tonks5.coeffs[1:])
+    A = ks.scaled_matrix()
+    np.testing.assert_allclose(A[0], -tonks5.coeffs[1:] * ks.scale ** np.arange(1, 7))
+    np.testing.assert_allclose(A[1:, :-1], np.eye(5))
+    np.testing.assert_allclose(A[1:, -1], 0.0)
 
 
 def test_eigenvalues_are_reciprocal_zeros(tonks5):
@@ -91,10 +94,12 @@ def test_constant_family_keeps_every_kernel_term():
     fam = CallableFamily(lambda lvl, cfg: np.full(cfg.shape[0], 0.3**lvl))
     anch = np.array([[1.2], [2.6]])  # window [0.2, 2.2], length 2
     exact = 0.3 - 2 * 0.3**2 + 4 * 0.3**3 / 2 - 8 * 0.3**4 / 6 + 16 * 0.3**5 / 24
-    q, qe = apply_ks_function(p, box, fam, 2, anch, 6, strategy="quadrature", order=32)
+    q, qe = apply_ks_function(p, box, fam, 2, anch, 6, order=32)
     assert abs(q - exact) <= qe + 1e-12
-    s, se = apply_ks_function(p, box, fam, 2, anch, 6, strategy="sampling", seed=3)
-    assert abs(s - exact) <= 3 * se + 1e-12
+    # its m = 3 and 4 terms are the sampled ones; each one on its own
+    for m in (3, 4):
+        s, se = _term_sampled(p, box, fam, 2, np.array([1.2]), np.array([[2.6]]), m, 3 + m)
+        assert abs(s[0] - (-2) ** m * 0.3 ** (1 + m) / math.factorial(m)) <= 3 * se[0] + 1e-12
 
 
 def test_sampling_spread_is_reported():
@@ -103,9 +108,8 @@ def test_sampling_spread_is_reported():
     p = PairPotential.step(0.8, 1.3, beta=1.0)
     box = Box((5.0,))
     fam = CallableFamily(lambda lvl, cfg: cfg.sum(axis=(1, 2)))
-    val, err = apply_ks_function(p, box, fam, 2, np.array([[1.2], [2.6]]), 5,
-                                 strategy="sampling", seed=7)
-    assert err > 0.0
+    val, err = _term_sampled(p, box, fam, 2, np.array([1.2]), np.array([[2.6]]), 3, 7)
+    assert err[0] > 0.0
 
 
 def test_family_rows_match_correlation_on_a_step_table():
@@ -132,16 +136,15 @@ def test_overlapping_anchor_pair_zeroes_both_sides(tonks5):
 
 
 def test_residual_consistent_vs_unit_constant():
-    # with c_M != 0 the finite-M inhomogeneity differs from 1; feeding the
-    # infinite-system constant must surface as a level-1 truncation gap
+    # with c_M != 0 the finite-M inhomogeneity differs from 1: the residual
+    # takes the consistent constant, and the infinite system's constant 1
+    # would add the level-1 truncation gap
     poly = make_tonks(5.0, M=4)
-    rep_c = ks_residual(poly, 0.2, 1, order=24, count=8, constant_term="consistent")
-    rep_u = ks_residual(poly, 0.2, 1, order=24, count=8, constant_term="unit")
-    gap = rep_u.levels[0].truncation_gap
+    rep_c = ks_residual(poly, 0.2, 1, order=24, count=8)
+    gap = rep_c.levels[0].truncation_gap
     assert gap > 1e-8
     assert rep_c.sup_residual <= rep_c.error_bound
-    assert rep_u.sup_residual == pytest.approx(gap, rel=1e-6)
-    assert rep_u.sup_residual > 10 * rep_c.sup_residual
+    assert gap > 10 * rep_c.sup_residual
 
 
 def test_residual_report_shape(tonks5):
@@ -440,7 +443,7 @@ def _reference_term_sampled(p, box, phi, n, x1, rest, m, seed):
     return complex(mean[0]) / fac, (float(spread[0]) + mean[1].real) / fac
 
 
-def _reference_apply(p, box, phi, n, anchors, M, strategy="quadrature", order=64, seed=42):
+def _reference_apply(p, box, phi, n, anchors, M, order=64, seed=42):
     """(K phi) at one anchor configuration, one probe at a time, as the
     operator was applied before its terms were batched over probes."""
     x1, rest = float(anchors[0, 0]), anchors[1:, 0].copy()
@@ -453,7 +456,7 @@ def _reference_apply(p, box, phi, n, anchors, M, strategy="quadrature", order=64
     pruned = p.family == "hardcore" and getattr(phi, "vanishes_on_overlap", False)
     total, err = 0.0 + 0.0j, 0.0
     for m in range(0 if n > 1 else 1, M - n + 1):
-        if m >= 1 and (strategy == "sampling" or (m >= 3 and not pruned)):
+        if m >= 3 and not pruned:
             val, e = _reference_term_sampled(p, box, phi, n, x1, rest, m, seed + m)
             total, err = total + val, err + e
             continue
@@ -510,7 +513,7 @@ def test_batched_application_matches_probe_loop_off_hard_rods():
     gas = CorrelationFamily(make_ideal(5.0, M=6), 0.1 + 0.05j, degree=5)
     _assert_batch_matches_reference(ideal, box, gas, 2, probes2, 6, order=16)
     # the step with a family that does not vanish on overlap: m >= 3 sampled,
-    # and the whole sum sampled, over windows of many widths
+    # over windows of many widths
     x = np.linspace(0.02, 4.97, 23)
     singles = x[:, None, None]
     pairs = np.stack([x, (x + 1.9) % 5.0], axis=1)[:, :, None]
@@ -518,8 +521,7 @@ def test_batched_application_matches_probe_loop_off_hard_rods():
     # quadrature alone, where the refinement terms make up the whole bound
     _assert_batch_matches_reference(step, box, smooth, 1, singles, 3, order=12)
     _assert_batch_matches_reference(step, box, smooth, 2, pairs, 6, order=12)
-    _assert_batch_matches_reference(step, box, smooth, 2, pairs, 5, strategy="sampling",
-                                    seed=3)
+    _assert_batch_matches_reference(step, box, smooth, 2, pairs, 5, seed=3)  # m = 3 sampled
     # a step correlation family carries a per-row error into the bound
     poly = assemble(build_table(step, Box((4.0,)), 4, order=12))
     fam = CorrelationFamily(poly, 0.1, degree=3)

@@ -16,8 +16,10 @@ outside its methods, every module-level statement outside `__init__`, and
 every reached method, taken to a fixed point.  Dunder methods, the methods
 the span recorder wraps, and the method allowlist below are reached.  Two
 methods of one name cannot be told apart, so one reached name reaches
-both.  The unused-import check covers src/kslab and tests.  Standard
-library only.
+both.  Fields go by the same rule: a field of a reached dataclass is read
+when that reached code names it as an attribute, or it is on the field
+allowlist below.  The unused-import check covers src/kslab and tests.
+Standard library only.
 """
 
 import ast
@@ -48,6 +50,14 @@ ALLOWED_METHODS = {
     ("potentials", "PairPotential", "ideal"): "one constructor per potential family; commands build from a config",
     ("potentials", "PairPotential", "step"): "one constructor per potential family; commands build from a config",
     ("potentials", "PairPotential", "custom"): "one constructor per potential family; commands build from a config",
+}
+
+# dataclass fields that no command reads, kept on purpose
+ALLOWED_FIELDS = {
+    **{("cluster", "BoundReport", f): "acceptance criterion 09 reads the density bound check's report"
+       for f in ("ok", "monotone", "min_margin", "violations", "grid")},
+    **{("spectral", "CoeffAsymptotics", f): "acceptance criterion 06 reads the coefficient fit"
+       for f in ("growth_estimate", "fit_rate", "subexp_exponent")},
 }
 
 
@@ -168,15 +178,14 @@ def test_every_def_is_reached():
     assert not unreached, "reached by no command: " + ", ".join(unreached)
 
 
-def test_every_method_is_reached():
-    graph = Graph()
+def _reached_methods(graph):
+    """(reached classes, their methods, the reached methods, the attribute
+    names that reached code and README's library example use)."""
     reached = graph.reached(_roots(graph))
     classes = {(m, n): graph.defs[m][n] for m, n in reached
                if isinstance(graph.defs[m][n], ast.ClassDef)}
     methods = {(m, c, name): node for (m, c), cls in classes.items()
                for name, node in _methods(cls).items()}
-    missing = [".".join(k) for k in ALLOWED_METHODS if k not in methods]
-    assert not missing, f"allowlisted but gone: {missing}"
     code = [graph.defs[m][n] for m, n in reached if (m, n) not in classes]
     code += [s for cls in classes.values() for s in cls.body if s not in _methods(cls).values()]
     code += [s for m in graph.trees if m != "__init__" for s in _top_level(graph, m)]
@@ -188,11 +197,32 @@ def test_every_method_is_reached():
         named |= _attributes(methods[k] for k in live)
         grown = live | {k for k in methods if k[2] in named}
         if grown == live:
-            break
+            return classes, methods, live, named
         live = grown
+
+
+def test_every_method_is_reached():
+    _, methods, live, _ = _reached_methods(Graph())
+    missing = [".".join(k) for k in ALLOWED_METHODS if k not in methods]
+    assert not missing, f"allowlisted but gone: {missing}"
     unreached = sorted(f"{m}.{c}.{n} ({node.end_lineno - node.lineno + 1} lines)"
                        for (m, c, n), node in methods.items() if (m, c, n) not in live)
     assert not unreached, "methods no command calls: " + ", ".join(unreached)
+
+
+def _is_dataclass(cls):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def test_every_field_is_read():
+    classes, _, _, named = _reached_methods(Graph())
+    fields = {(m, c, s.target.id) for (m, c), cls in classes.items() if _is_dataclass(cls)
+              for s in cls.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)}
+    missing = [".".join(k) for k in ALLOWED_FIELDS if k not in fields]
+    assert not missing, f"allowlisted but gone: {missing}"
+    unread = sorted(".".join(k) for k in fields - set(ALLOWED_FIELDS) if k[2] not in named)
+    assert not unread, "fields nothing reads: " + ", ".join(unread)
 
 
 def test_no_unused_imports():

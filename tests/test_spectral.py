@@ -422,7 +422,7 @@ def test_left_eigenvector_residual_wide_boxes(L):
 def test_leading_projection_failure_names_both_routes(ks20, monkeypatch):
     monkeypatch.setattr(spectral, "_closed_form", lambda *args: None)
     with pytest.raises(ContourError) as err:
-        leading_projection(ks20)
+        leading_projection(ks20, spectrum(ks20))
     msg = str(err.value)
     for precision in ("float64", "mp40", "mp60", "mp90"):
         assert f"{precision}: the pairing nu^T v vanishes" in msg
@@ -438,7 +438,7 @@ def test_leading_projection_escalates_to_mp60(ks20, monkeypatch):
         return out[:2] + (1e-6,) + out[3:] if ctx is mp and mp.dps == 40 else out
 
     monkeypatch.setattr(spectral, "_closed_form", failing_mp40)
-    rz = leading_projection(ks20)
+    rz = leading_projection(ks20, spectrum(ks20))
     assert (rz.precision, rz.n_nodes) == ("mp60", 0)
     assert max(rz.idempotency_defect, rz.annihilation_defect, rz.reduced_identity_defect) <= 1e-12
     assert rz.rank == 1 and rz.pole_order == 1
@@ -450,14 +450,15 @@ def test_float64_overflow_escalates(monkeypatch):
     from mpmath import mp
 
     ks = build_ks_matrix(make_tonks(80.0))
-    rz = leading_projection(ks)
+    spec = spectrum(ks)
+    rz = leading_projection(ks, spec)
     assert rz.precision == "mp40"
     assert rz.rank == 1 and rz.pole_order == 1
     real = spectral._closed_form
     monkeypatch.setattr(spectral, "_closed_form",
                         lambda ctx, *args: None if ctx is mp else real(ctx, *args))
     with pytest.raises(ContourError) as err:
-        leading_projection(ks)
+        leading_projection(ks, spec)
     assert "float64: OverflowError" in str(err.value)
 
 
@@ -482,7 +483,7 @@ def test_riesz_projection_on_jordan_companion_wide_radius():
 
 
 def test_power_convergence_tracks_subleading_ratio(ks5, spec5):
-    rep = power_convergence(ks5, spec5, n_terms=60)
+    rep = power_convergence(ks5, spec5, leading_projection(ks5, spec5).P, n_terms=60)
     assert rep.expected_ratio == pytest.approx(
         spec5.lam2_mod / abs(spec5.lam_c), rel=1e-12
     )
