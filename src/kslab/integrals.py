@@ -81,12 +81,13 @@ class Box:
 
     @property
     def volume(self):
-        return float(np.prod(self.extents))
+        return math.prod(self.extents)
 
     def contains(self, points):
         """Whether each configuration (..., n, dim), or one point, is inside; NaN is not."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all((pts >= 0.0) & (pts <= self.extents), axis=(-2, -1))
+        ok = (pts >= 0.0) & (pts <= self.extents)
+        return np.full(pts.shape[:-2], True) if ok.all() else np.all(ok, axis=(-2, -1))
 
     def to_json(self):
         return list(self.extents)
@@ -142,38 +143,45 @@ def hardrod_anchored_series(L, a, anchors, jmax):
     only see each other (Tonks, Phys. Rev. 50, 955, 1936), so the
     generating function sum_j A_j t^j / j! is the product over the gaps of
     sum_k (g - (k-1)a)_+^k t^k / k!.  One truncated Cauchy product gives
-    every order at once; rows with overlapping anchors are zero.  The series
-    is laid out (gap, order, row), so each step runs over contiguous rows;
-    pow runs only for k >= 2 on positive free lengths (the rest is exact).
+    every order at once; rows with overlapping anchors are zero.  Each step
+    is a 1-D run over rows; product order j sums s_j + out_1 s_(j-1) + ... +
+    out_j left to right.  pow runs only for k >= 2 on positive free lengths
+    (the rest is exact), gathered into one run, and k! divides only k >= 2.
+    Ascending rows skip the sort.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     nc, n = anchors.shape
     if jmax < 0:
         raise ValueError("the order must be >= 0")
-    srt = np.ascontiguousarray(np.sort(anchors, axis=1).T)
+    step = anchors[:, 1:] - anchors[:, :-1]
+    if n > 1 and not (step >= 0.0).all():
+        anchors = np.sort(anchors, axis=1)
+        step = anchors[:, 1:] - anchors[:, :-1]
     # gap lengths available to free rod centers; with no anchors, the box
     gaps = np.full((1, nc), float(L))
     if n:
-        step = np.diff(srt, axis=0)
-        gaps = np.concatenate([srt[:1] - a, step - 2.0 * a, L - srt[-1:] - a])
-    k = np.arange(1, jmax + 1)
-    series = np.empty((len(gaps), jmax + 1, nc))
-    series[:, 0] = 1.0
-    free = series[:, 1:]
-    np.maximum(np.subtract(gaps[:, None], ((k - 1) * a)[:, None], out=free), 0.0, out=free)
+        gaps = np.concatenate([anchors.T[:1] - a, step.T - 2.0 * a, L - anchors.T[-1:] - a])
+    free = np.empty((jmax, len(gaps), nc))  # order k = 1..jmax
+    for k in range(1, jmax + 1):
+        np.subtract(gaps, (k - 1) * a, out=free[k - 1])
+    np.maximum(free, 0.0, out=free)
     # a full exponent array keeps numpy's general pow: an exponent repeated
-    # with stride 0 takes a fast path that squares, and rounds differently
-    expo = np.broadcast_to(k[:, None] + 0.0, free.shape).copy()
-    np.power(free, expo, out=free, where=(free > 0.0) & (expo > 1.0))
-    np.divide(free, np.array([math.factorial(i) for i in k], dtype=float)[:, None], out=free)
-    out = series[0]
-    for s in series[1:]:
-        prod = s.copy()  # the i = 0 term: out[0] is 1
-        for i in range(1, jmax + 1):
-            prod[i:] += out[i] * s[: jmax + 1 - i]
-        out = prod
-    if n >= 2:
-        out[:, (step < a).any(axis=0)] = 0.0
+    # with stride 0 takes a fast path that squares, and rounds differently;
+    # a masked pow gives the same bits as this gathered one, at many times the cost
+    high = free[1:]
+    pos = high > 0.0
+    expo = np.arange(2.0, jmax + 1).repeat(pos.sum(axis=(1, 2)))
+    high[pos] = np.power(high[pos], expo)
+    high /= np.array([math.factorial(k) for k in range(2, jmax + 1)], dtype=float)[:, None, None]
+    out = np.concatenate([np.ones((1, nc)), free[:, 0]])
+    for g in range(1, len(gaps)):
+        s = free[:, g]  # s[j - 1] is order j of gap g
+        for j in range(jmax, 0, -1):  # descending: s_j and the old out_j are last read here
+            for i in range(1, j):
+                s[j - 1] += out[i] * s[j - i - 1]
+            np.add(s[j - 1], out[j], out=out[j])
+    if n >= 2:  # a column at a time: numpy reduces a short row axis one call per row
+        out[:, np.logical_or.reduce([d < a for d in step.T])] = 0.0
     return out.T
 
 
@@ -540,17 +548,18 @@ def anchored_series(p: PairPotential, box: Box, anchors, jmax):
     anchors = np.asarray(anchors, dtype=float)
     if anchors.ndim != 3 or anchors.shape[2] != box.dimension:
         raise ConfigError("anchor dimension does not match the box")
-    S, E = np.zeros((2, len(anchors), max(jmax + 1, 0)))
     inside = box.contains(anchors)
-    rows = anchors[inside]
+    whole = inside.all()  # then the rows are the anchors, with no masked copy
+    rows = anchors if whole else anchors[inside]
+    S, E = np.zeros((2, len(anchors), max(jmax + 1, 0)))
     if jmax < 0 or not len(rows):
         return S, E
+    Sn, En = (S, E) if whole else np.zeros((2, len(rows), jmax + 1))
     if p.family == "ideal":
-        S[inside] = [box.volume**j / math.factorial(j) for j in range(jmax + 1)]
+        Sn[:] = [box.volume**j / math.factorial(j) for j in range(jmax + 1)]
     elif p.family == "hardcore" and box.dimension == 1:
-        S[inside] = hardrod_anchored_series(box.extents[0], p.a, rows[:, :, 0], jmax)
+        Sn = hardrod_anchored_series(box.extents[0], p.a, rows[:, :, 0], jmax)
     else:
-        Sn, En = np.zeros((2, len(rows), jmax + 1))
         depth = np.zeros(len(rows), dtype=int)
         if box.dimension == 1:
             Sn, count, depth = _sector_series(p, box, rows, jmax)
@@ -563,7 +572,9 @@ def anchored_series(p: PairPotential, box: Box, anchors, jmax):
             late = depth < j
             Sn[late, j], En[late, j] = np.divide(_sobol_mean(p, box, rows[late], j),
                                                  math.factorial(j))
-        S[inside], E[inside] = Sn, En
+    if whole:
+        return Sn, En
+    S[inside], E[inside] = Sn, En
     return S, E
 
 

@@ -56,7 +56,7 @@ from .errors import ConfigError, NumericalError
 from .integrals import (_BLOCK, Box, contact_lattice, contact_lattice_rows, ordered_sector,
                         sobol_replicates)
 from .partition import (CorrelationFamily, PartitionPolynomial, scaled_coefficients,
-                        smallest_zero, zeros)
+                        smallest_index, zeros)
 from .potentials import PairPotential
 
 _SOBOL_SAMPLES = 1 << 12
@@ -201,14 +201,15 @@ def _term_quadrature(p, box, phi, n, x1, rest, m, order, inner_order, kmax, prun
     val, carried = np.zeros(len(x1), dtype=complex), np.zeros(len(x1))
     # ordered sector times m! cancels the 1/m! prefactor
     for ys, ws, probe in _sector_nodes(p, box, x1, rest, m, order, inner_order, kmax, prune):
-        kern = np.prod(p.mayer_f(np.abs(ys - x1[probe, None])), axis=1)
+        # np.prod's order over the m factors, a column at a time rather than a row
+        kern = functools.reduce(np.multiply, p.mayer_f(np.abs(ys - x1[probe, None])).T)
         vals = phi(n - 1 + m, np.concatenate([rest[probe], ys], axis=1)[:, :, None])
         wk = ws * kern
         werr = np.abs(wk) * getattr(phi, "last_error", 0.0)
         # each probe's sum over its own rows, as a batch of one sums them
-        ends = np.append(np.flatnonzero(np.diff(probe)) + 1, len(probe))
-        for s, e in zip(np.append(0, ends[:-1]), ends):
-            val[probe[s]], carried[probe[s]] = np.dot(wk[s:e], vals[s:e]), np.sum(werr[s:e])
+        ends = [0, *((probe[1:] != probe[:-1]).nonzero()[0] + 1).tolist(), len(probe)]
+        for s, e in zip(ends[:-1], ends[1:]):
+            val[probe[s]], carried[probe[s]] = np.dot(wk[s:e], vals[s:e]), werr[s:e].sum()
     return val, carried
 
 
@@ -260,7 +261,7 @@ def apply_ks_function(p: PairPotential, box: Box, phi, n, anchors, M, order=64, 
     batch = np.atleast_2d(anchors)[None] if single else anchors
     if batch.shape[1] != n:
         raise ConfigError("anchor count does not match the level n")
-    eW = np.array([p.cross_energy(c[0], c[1:])[1] for c in batch])  # 1 for n = 1
+    eW = p.cross_weights(batch)
     live = np.flatnonzero(eW != 0.0)
     x1, rest = batch[live, 0, 0], batch[live, 1:, 0]
 
@@ -400,7 +401,8 @@ def ks_residual(poly: PartitionPolynomial, z, n_max, order=64, count=64,
         raise ConfigError(f"quadrature order {order} is above the cap of {_ORDER_CAP}")
     if count < 1:
         raise ConfigError(f"probe count {count} is below 1")
-    z_c = smallest_zero(zeros(poly)).z_c
+    zs = zeros(poly).zeros  # smallest_zero's pick; its certificate is never printed here
+    z_c = complex(zs[smallest_index(zs)[0]])
     if abs(z) >= abs(z_c):
         raise ConfigError(f"|z| = {abs(z)} is not below the smallest zero modulus {abs(z_c)}")
 

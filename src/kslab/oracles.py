@@ -51,8 +51,11 @@ class TonksModel:
         return float(mp.lambertw(self.a * z).real) / self.a
 
     def density(self, z):
-        """rho_1(z) = beta*p / (1 + a*beta*p); always below 1/a."""
+        """rho_1(z) = beta*p / (1 + a*beta*p); below 1/a, infinite at the branch point."""
         w = self.pressure(z)
+        if 1.0 + self.a * w <= 0.0:
+            raise BranchError(f"the density diverges at the branch point {self.branch_point}",
+                              z=z, branch_point=self.branch_point)
         return w / (1.0 + self.a * w)
 
     def pressure_series(self, N):

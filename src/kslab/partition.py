@@ -679,6 +679,17 @@ class SmallestZero:
     root_conditioning: float  # sum_m |c_m z_c^m| / |z_c Xi'(z_c)|
 
 
+def smallest_index(z):
+    """(index, tied) of smallest_zero's pick among the zeros z, with no certificate."""
+    mods = np.abs(z)
+    cand = np.where(mods <= mods.min() * (1.0 + _TIE_REL))[0]
+    for i in cand:
+        if z[i].real < 0 and abs(z[i].imag) <= _TIE_REL * mods[i]:
+            return i, len(cand) > 1
+    up = [i for i in cand if z[i].imag >= 0]
+    return (up[0] if up else cand[0]), len(cand) > 1
+
+
 def smallest_zero(zs: ZeroSet) -> SmallestZero:
     """Zero of smallest modulus with a simplicity certificate.
 
@@ -706,18 +717,7 @@ def smallest_zero(zs: ZeroSet) -> SmallestZero:
     from mpmath import mp
 
     z = zs.zeros
-    mods = np.abs(z)
-    mmin = mods.min()
-    cand = np.where(mods <= mmin * (1.0 + _TIE_REL))[0]
-    tie = len(cand) > 1
-    pick = None
-    for i in cand:
-        if z[i].real < 0 and abs(z[i].imag) <= _TIE_REL * mods[i]:
-            pick = i
-            break
-    if pick is None:
-        up = [i for i in cand if z[i].imag >= 0]
-        pick = up[0] if up else cand[0]
+    pick, tie = smallest_index(z)
     z_c = complex(z[pick])
 
     with mp.workdps(zs.digits):
@@ -779,10 +779,34 @@ class CorrelationFamily:
         S, E = anchored_series(self.poly.potential, self.poly.box,
                                configs.reshape(nc, level, self.poly.box.dimension), jmax)
         zpow = self.z ** (level + np.arange(jmax + 1))
-        values = (S * zpow).sum(axis=1) / self.xi
-        self.last_error = ((E * np.abs(zpow)).sum(axis=1)
-                           + np.abs(values) * self.xi_err) / abs(self.xi)
+        values = _row_sum(S, zpow) / self.xi
+        err = np.abs(values) * self.xi_err
+        if E.any():  # an exact series (all-zero E) would add a zero sum: no bit moves
+            err = _row_sum(E, np.abs(zpow)) + err
+        self.last_error = err / abs(self.xi)
         return values
+
+
+def _row_sum(X, w):
+    """(X * w).sum(axis=1) of a C-contiguous product to the bit, one call per
+    column rather than per row.  numpy's pairwise sum of a row starts at 0.0,
+    adds left to right below 8 doubles, and up to 128 adds into 8 lanes (4
+    complex ones) in turn, pairs the lanes up and adds the rest in order."""
+    lanes = 4 if np.iscomplexobj(w) else 8
+    P = X * w
+    if not 0 < len(w) <= 16 * lanes:
+        return np.ascontiguousarray(P).sum(axis=1)
+    cols = list(P.T)  # the product is a temporary: the sums build up in its columns
+    body = len(cols) - len(cols) % lanes if len(cols) >= lanes else 1
+    acc = cols[: min(lanes, body)]
+    for j in range(len(acc), body):
+        acc[j % lanes] += cols[j]
+    while len(acc) > 1:
+        acc = [np.add(left, right, out=left) for left, right in zip(acc[::2], acc[1::2])]
+    for c in cols[body:]:
+        acc[0] += c
+    acc[0] += 0.0
+    return acc[0]
 
 
 def correlation(poly: PartitionPolynomial, z, anchors, degree=None) -> CorrelationValue:

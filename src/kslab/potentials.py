@@ -248,23 +248,19 @@ class PairPotential:
 
     # -- configuration energies ----------------------------------------------
 
-    def cross_energy(self, x1, others):
-        """Energy between one point and a configuration, with its weight.
+    def cross_weights(self, configs):
+        """exp(-beta * W) per configuration (nc, n, dim), W the energy between its
+        first point and the others: 1 for n = 1, 0 where W is infinite.
 
-        This is the difference U(x1, others) - U(others) computed directly
-        from the cross pairs, so it stays well-defined even when the others
-        overlap among themselves.
+        W comes from the cross pairs alone, so it stays well-defined even when
+        the others overlap among themselves; each row sums its pairs as a
+        one-row array would, and the exponential is math.exp, row by row.
         """
-        x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-        others = np.atleast_2d(np.asarray(others, dtype=float))
-        if others.size == 0:
-            return 0.0, 1.0
-        seps = separations(others, x1)
-        phi = np.asarray(self.evaluate_phi(seps), dtype=float)
-        if np.any(np.isinf(phi)):
-            return float("inf"), 0.0
-        W = float(phi.sum())
-        return W, math.exp(-self.beta * W)
+        configs = np.asarray(configs, dtype=float)
+        phi = np.asarray(self.evaluate_phi(separations(configs[:, 1:], configs[:, :1])),
+                         dtype=float)
+        return np.array([0.0 if hit else math.exp(-self.beta * W) for hit, W
+                         in zip(np.isinf(phi).any(axis=1).tolist(), phi.sum(axis=1).tolist())])
 
     def weights_many(self, configs):
         """Vectorized exp(-beta*U) over an array of configurations.

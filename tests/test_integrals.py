@@ -223,9 +223,10 @@ def _hardrod_series_per_row_layout(L, a, anchors, jmax):
 
 
 def test_hardrod_series_bitwise_equal_to_row_layout():
-    # the (gap, order, row) layout, pow only for k >= 2 and the masked pow
-    # change no bit: random rows, anchors on the contact lattice and a hair
-    # off it, overlapping rows, single rows, n = 0..3 and every jmax to 8
+    # the (order, gap, row) layout, pow only for k >= 2 on one gathered run
+    # and the skipped sort of ascending rows change no bit: random rows,
+    # anchors on the contact lattice and a hair off it, overlapping rows,
+    # the rows sorted, single rows, n = 0..3 and every jmax to 8
     rng = np.random.default_rng(17)
     checked = 0
     for L, a in ((5.0, 1.0), (7.3, 0.37), (20.0, 1.0)):
@@ -238,14 +239,15 @@ def test_hardrod_series_bitwise_equal_to_row_layout():
             if n >= 2:
                 rows[250:300, 1] = rows[250:300, 0] + 0.5 * a  # overlapping anchors
             for jmax in range(9):
-                for batch in (rows, rows[:1], rows[151:152]):
+                singles = [rows[i : i + 1] for i in range(0, 600, 50)]
+                for batch in (rows, np.sort(rows, axis=1), *singles):
                     want = _hardrod_series_per_row_layout(L, a, batch, jmax)
                     got = hardrod_anchored_series(L, a, batch, jmax)
                     assert got.shape == want.shape
                     assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
                                           want.view(np.int64))
                     checked += 1
-    assert checked == 3 * 4 * 9 * 3
+    assert checked == 3 * 4 * 9 * 14
 
 
 def test_anchored_series_matches_composition_sum():

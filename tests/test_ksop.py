@@ -162,6 +162,32 @@ def test_residual_preconditions(tonks5):
         ks_residual(tonks5, 0.9, 1)  # outside the zero-free disk
 
 
+def test_zero_check_reads_the_pick_without_its_certificate(tonks5, monkeypatch):
+    # |z| = |z_c| is refused with smallest_zero's modulus: on hard rods z_c
+    # lies on the negative axis, on the free gas at M = 8 the smallest zeros
+    # are a conjugate pair.  The check runs no Newton step, refused or not
+    from kslab import partition
+
+    newton = []
+    real = partition.newton_root
+
+    def counted(*args, **kwargs):
+        newton.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(partition, "newton_root", counted)
+    for poly, conjugate_pair in ((tonks5, False), (make_ideal(M=8), True)):
+        z_c = partition.smallest_zero(zeros(poly)).z_c
+        assert newton and (z_c.imag != 0.0) == conjugate_pair
+        newton.clear()
+        for z in (z_c, abs(z_c), 1j * abs(z_c)):
+            with pytest.raises(ConfigError) as err:
+                ks_residual(poly, z, 1, order=8, count=4)
+            assert f"smallest zero modulus {abs(z_c)}" in str(err.value)
+        assert ks_residual(poly, 0.5 * z_c, 1, order=8, count=4).levels
+        assert not newton
+
+
 def test_apply_preconditions():
     p = PairPotential.hardcore(1.0, dimension=2)
     fam = CallableFamily(lambda lvl, cfg: np.zeros(cfg.shape[0]))
@@ -449,7 +475,7 @@ def _reference_apply(p, box, phi, n, anchors, M, order=64, seed=42):
     x1, rest = float(anchors[0, 0]), anchors[1:, 0].copy()
     eW = 1.0
     if n > 1:
-        _, eW = p.cross_energy(anchors[0], anchors[1:])
+        eW = float(p.cross_weights(anchors[None])[0])
         if eW == 0.0:
             return 0.0 + 0.0j, 0.0
     kmax, inner_order = min(M + 1, 12), max(8, min(order, M + n + 4))

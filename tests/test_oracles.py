@@ -49,6 +49,11 @@ def test_branch_point_rejected():
         m.pressure(m.branch_point - 1e-6)
     # the fold itself is still on the branch
     assert m.pressure(m.branch_point) == pytest.approx(-1.0, rel=1e-6)
+    # where the density diverges: 1 + a * beta * p is 0 there
+    for a in (0.5, 1.0, 2.0):
+        m = TonksModel(a)
+        with pytest.raises(BranchError):
+            m.density(m.branch_point)
 
 
 def test_series_closed_forms():

@@ -13,6 +13,7 @@ from kslab.partition import (
     PartitionPolynomial,
     _mp_aberth,
     _pair_conjugates,
+    _row_sum,
     _scaled_residual,
     assemble,
     correlation,
@@ -591,6 +592,23 @@ def test_derivative_data_at_working_precision():
         kappa = mp.fsum(abs(cm) * abs(z) ** m for m, cm in enumerate(c)) / abs(z * dv)
     assert sm.derivative_certificate == pytest.approx(float(cert), rel=1e-12)
     assert sm.root_conditioning == pytest.approx(float(kappa), rel=1e-12)
+
+
+def test_row_sum_is_numpys_row_reduction():
+    # the family's sums by whole columns give the bits of numpy's own row
+    # reduction of a C-contiguous product: left to right below 8 doubles,
+    # 8 lanes (4 complex) up to 128, a split past that; -0.0 entries, no
+    # columns, and either layout of X
+    rng = np.random.default_rng(11)
+    for J in [*range(20), 63, 64, 65, 127, 128, 129, 140]:
+        X = rng.standard_normal((37, J)) * 10.0 ** rng.integers(-6, 6, (37, J))
+        X[rng.random((37, J)) < 0.2] = -0.0
+        for w in (rng.standard_normal(J), rng.standard_normal(J) + 1j * rng.standard_normal(J)):
+            want = np.ascontiguousarray(X * w).sum(axis=1)
+            for Y in (X, np.asfortranarray(X)):
+                got = np.ascontiguousarray(_row_sum(Y, w))
+                assert got.dtype == want.dtype
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_correlation_family_rows_do_not_depend_on_the_batch(tonks5):

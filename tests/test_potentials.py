@@ -145,10 +145,10 @@ def test_separation_kernel_matches_gathered_differences(family, dim, monkeypatch
             assert np.array_equal(got, _reference_weights_many(p, configs))
             u, v = configs[:, :, None], configs[:, None]
             assert np.array_equal(separations(u, v), _reference_separations(u, v))
-        pts = configs[0]
-        if n:
-            want = _reference_energy(p, _reference_separations(pts[1:], pts[0][None, :]))
-            assert p.cross_energy(pts[0], pts[1:]) == want
+        if n:  # the cross weights of the last batch, row by row
+            want = [_reference_energy(p, _reference_separations(c[1:], c[0][None, :]))[1]
+                    for c in configs]
+            assert np.array_equal(p.cross_weights(configs), want)
     X = _planted_points(rng, (40, dim), a)
     X[3] = X[7]
     want = p.boltzmann(_reference_separations(X[:, None, :], X[None, :, :]))

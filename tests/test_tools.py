@@ -1,5 +1,6 @@
-"""The gain rule of tools/pairs.py, on synthetic pairs of benchmark runs, and
-the output parser that tools/workload_json.py shares with perfbench's worker."""
+"""The gain rule and the regression verdicts of tools/pairs.py, on synthetic
+pairs of benchmark runs, and the output parser that tools/workload_json.py
+shares with perfbench's worker."""
 
 import importlib.util
 from pathlib import Path
@@ -43,6 +44,28 @@ def test_gain_rule_needs_nine_tenths_wins_and_a_gap_past_the_parent_iqr():
     higher = [{"name": "zc_digits", "unit": "digits", "better": "higher"}]
     (line,) = summarize(higher, _runs(parent, [v + 0.5 for v in parent], "zc_digits"))
     assert "wins 10/10" in line and line.endswith("holds")
+
+
+def test_regression_verdicts_against_the_bound():
+    # bound 0.25, relative to the parent's median of 1.045 (IQR 0.045)
+    summarize = _load("pairs").summarize
+    lower = [{"name": "pass_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+    (line,) = summarize(lower, _runs(parent, [v + 0.2 for v in parent]))  # 19 % worse
+    assert "regression within bound" in line
+    (line,) = summarize(lower, _runs(parent, [v + 0.3 for v in parent]))  # 29 % worse
+    assert "regression worse than bound" in line
+    # a parent spread wider than the bound resolves nothing, unless every
+    # change run beats every parent run
+    wide = [0.5, 0.6, 0.7, 0.8, 1.0, 1.1, 1.3, 1.4, 1.5, 1.6]
+    (line,) = summarize(lower, _runs(wide, [v - 0.01 for v in wide]))
+    assert "regression unresolved" in line and line.endswith("does not hold")
+    (line,) = summarize(lower, _runs(wide, [v * 0.1 for v in wide]))
+    assert "regression within bound" in line
+    # higher is better: a fall of more than the bound is the regression
+    higher = [{"name": "zc_digits", "unit": "digits", "better": "higher", "bound": 0.05}]
+    (line,) = summarize(higher, _runs([12.0] * 10, [11.0] * 10, "zc_digits"))
+    assert "regression worse than bound" in line
 
 
 def test_document_is_read_past_the_summary_line(capsys):

@@ -9,10 +9,16 @@ T is BENCHMARK.json's run_seconds, the run length the benchmark judges a
 gain at.  Every run's end-to-end metrics are printed as they arrive.  At
 the end, for each metric of BENCHMARK.json, the summary gives each side's
 median and quartiles over the pairs, how many pairs the change won (ties
-count for neither side), and whether a gain claim holds: the change wins
-at least nine tenths of the pairs and its median is better than the
-parent's by more than the parent's interquartile range.  It exits 1 when a
-run reports a failed command, and 2 when a run does not finish.
+count for neither side), the regression verdict and whether a gain claim
+holds.  The regression verdict reads "within bound" when the change's
+median is worse than the parent's by at most the metric's `bound`, taken
+relative to the parent's median, and "worse than bound" past that; it reads
+"unresolved" when the parent's interquartile range, taken the same way,
+exceeds the bound, unless every change run beats every parent run.  A gain
+claim holds when the change wins at least nine tenths of the pairs and its
+median is better than the parent's by more than the parent's interquartile
+range.  It exits 1 when a run reports a failed command, and 2 when a run
+does not finish.
 
 Standard library only; perfbench is run, never changed.
 """
@@ -45,6 +51,17 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def regression(parent, change, bound, lower):
+    """The regression verdict of one metric over the pairs (see the module doc)."""
+    pq, median = quartiles(parent), statistics.median(change)
+    allowed = bound * (abs(pq[1]) or 1.0)
+    beats = max(change) < min(parent) if lower else min(change) > max(parent)
+    if pq[2] - pq[0] > allowed and not beats:
+        return "unresolved"
+    worse = median - pq[1] if lower else pq[1] - median
+    return "within bound" if worse <= allowed else "worse than bound"
+
+
 def summarize(metrics, runs):
     """One line per metric, and whether each claim holds, from runs[side][pair]."""
     lines, pairs = [], len(runs["parent"])
@@ -56,9 +73,11 @@ def summarize(metrics, runs):
         pq, cq = quartiles(parent), quartiles(change)
         gap = (pq[1] - cq[1]) if lower else (cq[1] - pq[1])
         holds = wins >= 0.9 * pairs and gap > pq[2] - pq[0]
+        verdict = (f"  regression {regression(parent, change, m['bound'], lower)}"
+                   if "bound" in m else "")
         lines.append(
             f"  {name:<20} {m['unit']:<7} parent {pq[1]:.6g} [{pq[0]:.6g}, {pq[2]:.6g}]"
-            f"  change {cq[1]:.6g} [{cq[0]:.6g}, {cq[2]:.6g}]  wins {wins}/{pairs}"
+            f"  change {cq[1]:.6g} [{cq[0]:.6g}, {cq[2]:.6g}]  wins {wins}/{pairs}{verdict}"
             f"  gain claim {'holds' if holds else 'does not hold'}")
     return lines
 
