@@ -27,7 +27,7 @@ from .errors import ConfigError, KslabError, MissingPrerequisite, NumericalError
 from .integrals import Box, build_table, cached_table
 from .ksop import build_ks_matrix, ks_residual
 from .oracles import IdealModel, TonksModel
-from .partition import (assemble, smallest_zero, zeros, zeros_to_json,
+from .partition import (assemble, smallest_pick, smallest_zero, zeros, zeros_to_json,
                         zeros_to_rows)
 from .potentials import PairPotential, regularity_C
 from .spectral import leading_asymptotics, leading_projection, power_convergence, spectrum
@@ -210,10 +210,9 @@ def cmd_spectral(args):
     spec = spectrum(ks)
     rp = leading_projection(ks, spec)
     power = power_convergence(ks, spec, rp.P, n_terms=args.power_terms)
-    eig = spec.eigenvalues
     payload = {
         "operator": ks.to_json(),
-        "eigenvalues": [[v.real, v.imag] for v in eig],
+        "eigenvalues": [[v.real, v.imag] for v in spec.eigenvalues],
         "leading": {
             "lambda_c": [spec.lam_c.real, spec.lam_c.imag],
             "subleading_modulus": spec.lam2_mod,
@@ -233,10 +232,8 @@ def cmd_spectral(args):
             "nilpotent_ratio": rp.nilpotent_ratio,
             "pole_order": rp.pole_order,
         },
-        "laurent": {
-            "P": [[[v.real, v.imag] for v in row] for row in rp.P],
-            "S": [[[v.real, v.imag] for v in row] for row in rp.S],
-        },
+        "laurent": {m: {k: [[v.real, v.imag] for v in g] for k, g in gens.items()}
+                    for m, gens in rp.generators.items()},
         "power_convergence": {
             "fitted_ratio": power.fitted_ratio,
             "median_ratio": power.median_ratio,
@@ -244,11 +241,8 @@ def cmd_spectral(args):
             "n_used": power.n_used,
         },
     }
-    rows = [
-        {"re": v.real, "im": v.imag, "modulus": abs(v),
-         "is_leading": int(v == spec.lam_c)}
-        for v in eig
-    ]
+    rows = [{"re": v.real, "im": v.imag, "modulus": abs(v), "is_leading": int(v == spec.lam_c)}
+            for v in spec.eigenvalues]
     _say(f"lambda_c {spec.lam_c:.10g}  rank(P) {rp.rank}  "
          f"pole order {rp.pole_order}  precision {rp.precision}")
     _emit(args, "spectral", payload, rows, ["re", "im", "modulus", "is_leading"])
@@ -339,7 +333,7 @@ def cmd_claimcheck(args):
     # no singularity): spectral radius 1/|z_c|, activity series radius |z_c|
     singular = p.is_positive and p.family != "ideal"
     if singular:
-        zc_mod = abs(smallest_zero(zeros(poly)).z_c)
+        zc_mod = abs(smallest_pick(poly))
         rows.append(claim_row("spectral radius vs 1/|z_c|", 1.0 / zc_mod,
                               spec.spectral_radius))
 
@@ -365,8 +359,7 @@ def cmd_claimcheck(args):
         lo = assemble(build_table(p, box, max(1, args.M - 1),
                                   order=args.order, seed=args.seed))
         rows.append(claim_row("smallest zero modulus recedes with truncation",
-                              abs(smallest_zero(zeros(lo)).z_c),
-                              abs(smallest_zero(zeros(poly)).z_c),
+                              abs(smallest_pick(lo)), abs(smallest_pick(poly)),
                               relation="at_least"))
     else:
         pattern = sign_pattern(dens)

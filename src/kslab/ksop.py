@@ -56,7 +56,7 @@ from .errors import ConfigError, NumericalError
 from .integrals import (_BLOCK, Box, contact_lattice, contact_lattice_rows, ordered_sector,
                         sobol_replicates)
 from .partition import (CorrelationFamily, PartitionPolynomial, scaled_coefficients,
-                        smallest_index, zeros)
+                        smallest_pick)
 from .potentials import PairPotential
 
 _SOBOL_SAMPLES = 1 << 12
@@ -401,8 +401,7 @@ def ks_residual(poly: PartitionPolynomial, z, n_max, order=64, count=64,
         raise ConfigError(f"quadrature order {order} is above the cap of {_ORDER_CAP}")
     if count < 1:
         raise ConfigError(f"probe count {count} is below 1")
-    zs = zeros(poly).zeros  # smallest_zero's pick; its certificate is never printed here
-    z_c = complex(zs[smallest_index(zs)[0]])
+    z_c = smallest_pick(poly)  # its certificate is never printed here
     if abs(z) >= abs(z_c):
         raise ConfigError(f"|z| = {abs(z)} is not below the smallest zero modulus {abs(z_c)}")
 

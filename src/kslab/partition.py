@@ -690,6 +690,12 @@ def smallest_index(z):
     return (up[0] if up else cand[0]), len(cand) > 1
 
 
+def smallest_pick(poly):
+    """smallest_zero's z_c for poly, without its working-precision certificate."""
+    z = zeros(poly).zeros
+    return complex(z[smallest_index(z)[0]])
+
+
 def smallest_zero(zs: ZeroSet) -> SmallestZero:
     """Zero of smallest modulus with a simplicity certificate.
 
@@ -764,8 +770,7 @@ class CorrelationFamily:
         self.degree = poly.M if degree is None else int(degree)
         self.xi, cond = evaluate(poly, z)
         if abs(self.xi) <= 1e-10 * cond:
-            zc = smallest_zero(zeros(poly)).z_c
-            raise NearPole(f"Xi({z}) is numerically zero", z=z, nearest_zero=zc)
+            raise NearPole(f"Xi({z}) is numerically zero", z=z, nearest_zero=smallest_pick(poly))
         self.xi_err = float(np.polyval(poly.coeff_errors[::-1], abs(self.z)))
         # correlations of a hard-core gas are zero on overlapping
         # configurations, which licenses the rod-packing cutoff in the

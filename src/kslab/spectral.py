@@ -116,6 +116,7 @@ class RieszResult:
     rank: int
     second_singular_ratio: float
     precision: str           # "float64", "mp40", "mp60" or "mp90"
+    generators: dict | None = None  # the closed form's complex128 generators of P and S
 
 
 def _algebra_defects(mat, center, P, S):
@@ -246,8 +247,8 @@ def _closed_form(ctx, b, dvec, center):
     are built once in numpy from complex128 copies of the generators; a
     P or S that is not finite there raises OverflowError.  Returns (P, S,
     idempotency, annihilation and reduced-identity defects, nilpotent
-    ratio, pole order, refined center), or None when the pairing nu^T v
-    vanishes (the leading eigenvalue is not simple).
+    ratio, pole order, refined center, the copies u, nu of P and v, c, t,
+    y, nu of S), or None when nu^T v vanishes (a non-simple eigenvalue).
     """
     M = len(b) - 1
     bc = [ctx.mpf(float(x)) for x in b]
@@ -296,10 +297,12 @@ def _closed_form(ctx, b, dvec, center):
 
     with np.errstate(all="ignore"):  # a copy past the float64 range fails the rung below
         uf, nuf = copies(u, nu)
-        Pf = np.outer(uf, nuf)
         vf, cf = copies(v, cl + t)
-        yf, nuf = copies(y, nu)
-        Sf = -vf[:, None] * np.where(np.tri(M, dtype=bool), cf[:M], cf[M:]) - np.outer(yf, nuf)
+        yf, nus = copies(y, nu)  # S's copy of nu has its own power of 2
+        gens = {"P": {"u": uf, "nu": nuf},
+                "S": {"v": vf, "c": cf[:M], "t": cf[M:], "y": yf, "nu": nus}}
+        Pf = np.outer(uf, nuf)
+        Sf = -vf[:, None] * np.where(np.tri(M, dtype=bool), cf[:M], cf[M:]) - np.outer(yf, nus)
         nS = np.linalg.norm(Sf)
     if not (np.isfinite(nS) and np.all(np.isfinite(Pf))):
         raise OverflowError("P or S is not finite in complex128")
@@ -345,7 +348,7 @@ def _closed_form(ctx, b, dvec, center):
     pole = _pole_from_chain(chain)
 
     return (Pf, Sf, float(idem), float(annih), float(red), float(chain[0]),
-            pole, complex(lam))
+            pole, complex(lam), gens)
 
 
 def leading_projection(ks: KSMatrix, spec: Spectrum) -> RieszResult:
@@ -386,13 +389,11 @@ def leading_projection(ks: KSMatrix, spec: Spectrum) -> RieszResult:
         if laurent is None:
             failures.append(f"{precision}: the pairing nu^T v vanishes")
             continue
-        P, S, idem, annih, red, nil, pole, cen = laurent
+        P, S, idem, annih, red, nil, pole, cen, gens = laurent
         defect = max(idem, annih, red)
-        if defect <= tol:
-            rank, ratio = _svd_ratio(P)
+        if defect <= tol:  # P = u nu^T: rank one, no second singular value
             return RieszResult(P, S, cen, float(radius), 0,
-                               idem, annih, red, nil, pole, rank, ratio,
-                               precision)
+                               idem, annih, red, nil, pole, 1, 0.0, precision, gens)
         failures.append(f"{precision}: defect {defect:.3e} above {tol:g}")
     raise ContourError("leading projection did not certify: " + "; ".join(failures))
 
@@ -406,29 +407,31 @@ class PowerReport:
 
 
 def power_convergence(ks: KSMatrix, spec: Spectrum, P, n_terms=60) -> PowerReport:
-    """Decay of ||(K/lam_c)^n - P|| against the subleading ratio.
+    """Decay of ||((K/lam_c)^n - P) X||_F against the subleading ratio.
 
-    Fits log-linear decay on the part of the tail still above the roundoff
-    floor and reports both the least-squares rate and the median of
-    successive ratios, next to |lam_2 / lam_c|.
+    X is four unit complex probe vectors from np.random.default_rng(0); K
+    acts through the balanced companion's first row and subdiagonal, O(M)
+    per power.  Fits log-linear decay on the tail above the roundoff floor
+    and reports the least-squares rate and the median of successive ratios,
+    next to |lam_2 / lam_c|.
     """
-    A = ks.balancing[0].astype(complex) / (spec.lam_c * ks.scale)
-    stack = np.empty((n_terms, ks.M, ks.M), dtype=complex)
-    term = np.eye(ks.M, dtype=complex)
+    A, lam = ks.balancing[0], spec.lam_c * ks.scale
+    row, sub = A[0][:, None] / lam, np.diagonal(A, -1)[:, None] / lam
+    X = np.random.default_rng(0).standard_normal((ks.M, 8)).view(complex)
+    D = np.empty((n_terms + 1, ks.M, 4), dtype=complex)  # (K/lam_c)^n X, n = 0..n_terms
+    D[0] = X / np.linalg.norm(X, axis=0)
+    PX = np.einsum("ij,jk->ik", P, D[0])  # not matmul: a complex BLAS call adds to peak RSS
     for n in range(n_terms):
-        stack[n] = term = term @ A
-    stack -= P
-    deltas = np.linalg.svd(stack, compute_uv=False)[:, 0]  # one 2-norm per power
-    floor = max(1e-13 * deltas[0], 1e-15)
-    mask = deltas > floor
+        D[n + 1, 0], D[n + 1, 1:] = (row * D[n]).sum(axis=0), sub * D[n, :-1]
+    deltas = np.linalg.norm(D[1:] - PX, axis=(1, 2))
+    mask = deltas > max(1e-13 * deltas[0], 1e-15)  # the roundoff floor
     n_used = int(mask.sum())
     idx = np.arange(1, n_terms + 1)[mask]
     if n_used >= 4:
         half = idx >= idx[len(idx) // 2]  # fit the asymptotic half
         fit = np.polyfit(idx[half], np.log(deltas[mask][half]), 1)
         fitted = float(np.exp(fit[0]))
-        ratios = deltas[mask][1:] / deltas[mask][:-1]
-        median = float(np.median(ratios))
+        median = float(np.median(deltas[mask][1:] / deltas[mask][:-1]))
     else:
         fitted = median = float("nan")
     expected = spec.lam2_mod / abs(spec.lam_c) if abs(spec.lam_c) > 0 else float("nan")

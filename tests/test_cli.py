@@ -16,6 +16,11 @@ import pytest
 import kslab
 from kslab import cli
 from kslab.cli import main
+from kslab.integrals import Box, build_table
+from kslab.ksop import build_ks_matrix
+from kslab.partition import assemble
+from kslab.potentials import PairPotential
+from kslab.spectral import leading_projection, spectrum
 
 
 def run(tmp_path, name, argv):
@@ -200,6 +205,42 @@ def test_spectral_deterministic_up_to_timestamp(tmp_path):
     assert d1 == d2
     assert d1["projection"]["rank"] == 1
     assert d1["projection"]["pole_order"] == 1
+
+
+@pytest.mark.parametrize("L, precision", [(5, "float64"), (40, "mp40")])
+def test_spectral_generators_rebuild_the_dense_laurent_data(tmp_path, L, precision):
+    # the outer products of the emitted complex128 generators are
+    # leading_projection's dense P and S, bit for bit
+    _, out = run(tmp_path, "s.json", ["spectral", "--L", str(L), "--M", str(L + 1)])
+    doc = read_json(out)
+    assert doc["projection"]["precision"] == precision
+    g = {m: {k: np.array(v).view(complex)[:, 0] for k, v in gens.items()}
+         for m, gens in doc["laurent"].items()}
+    P = np.outer(g["P"]["u"], g["P"]["nu"])
+    S = (-g["S"]["v"][:, None] * np.where(np.tri(L + 1, dtype=bool), g["S"]["c"], g["S"]["t"])
+         - np.outer(g["S"]["y"], g["S"]["nu"]))
+    table = build_table(PairPotential.hardcore(1.0), Box((float(L),)), L + 1, order=16, seed=42)
+    ks = build_ks_matrix(assemble(table))
+    rp = leading_projection(ks, spectrum(ks))
+    assert rp.precision == precision
+    assert P.tobytes() == rp.P.tobytes() and S.tobytes() == rp.S.tobytes()
+
+
+def test_wide_spectral_writes_generators_only(tmp_path):
+    # dense P and S at M = 161 took 1.56 MB of JSON
+    rc, out = run(tmp_path, "s.json", ["spectral", "--L", "160", "--M", "161"])
+    assert rc == 0 and out.stat().st_size < 100_000
+
+
+def test_spectral_takes_no_svd(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for L in (5, 40):  # the float64 and the mp40 rung
+        rc, out = run(tmp_path, f"s{L}.json", ["spectral", "--L", str(L), "--M", str(L + 1)])
+        projection = read_json(out)["projection"]
+        assert rc == 0 and (projection["rank"], projection["second_singular_ratio"]) == (1, 0.0)
 
 
 def test_json_holds_one_top_level_key_per_line(tmp_path, monkeypatch):

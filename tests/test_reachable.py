@@ -58,6 +58,8 @@ ALLOWED_FIELDS = {
        for f in ("ok", "monotone", "min_margin", "violations", "grid")},
     **{("spectral", "CoeffAsymptotics", f): "acceptance criterion 06 reads the coefficient fit"
        for f in ("growth_estimate", "fit_rate", "subexp_exponent")},
+    ("spectral", "RieszResult", "S"):
+        "acceptance criteria 02/03 and test_spectral compare the dense S with the contour's",
 }
 
 

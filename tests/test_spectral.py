@@ -338,7 +338,7 @@ def test_closed_form_matches_dense_reference(box):
         want = _dense_closed_form(ctx, b, dvec, spec.lam_c * ks.scale)
     for x, ref in zip(got[:2], want[:2]):  # P, S
         assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(ref)
-    assert got[6:] == want[6:]  # pole order, center
+    assert got[6:8] == want[6:]  # pole order, center; got[8] holds the generators
     assert got[6] == 1
     assert max(got[2:5]) <= tol and max(want[2:5]) <= tol
 
@@ -507,15 +507,16 @@ def _power_fit_per_power(ks, spec, P, n_terms=60):
     return float(np.exp(fit[0])), float(median), int(mask.sum())
 
 
-@pytest.mark.parametrize("L", [5, 20, 40])
-def test_power_convergence_keeps_the_per_power_norm_bits(L):
-    # the batched singular values go through the same LAPACK call per power
+@pytest.mark.parametrize("L", [5, 20, 40, 80])
+def test_power_convergence_on_probes_fits_the_dense_norms(L):
+    # four probe vectors see the decay rate of the dense powers' 2-norms
     ks = build_ks_matrix(make_tonks(L))
     spec = spectrum(ks)
     P = leading_projection(ks, spec).P
     rep = power_convergence(ks, spec, P, n_terms=60)
-    assert (rep.fitted_ratio, rep.median_ratio, rep.n_used) == _power_fit_per_power(
-        ks, spec, P)
+    fitted, _, n_used = _power_fit_per_power(ks, spec, P)
+    assert rep.fitted_ratio == pytest.approx(fitted, rel=0.005)
+    assert rep.n_used == n_used
 
 
 def test_ray_limit_extracts_directional_value():

@@ -1,8 +1,10 @@
-"""The gain rule and the regression verdicts of tools/pairs.py, on synthetic
-pairs of benchmark runs, and the output parser that tools/workload_json.py
-shares with perfbench's worker."""
+"""The gain rule, the regression verdicts and the stale-bytecode warning of
+tools/pairs.py, on synthetic pairs of benchmark runs and a synthetic
+checkout; the output parser that tools/workload_json.py shares with
+perfbench's worker, and its field-by-field comparison."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 from kslab.cli import main
@@ -78,3 +80,28 @@ def test_document_is_read_past_the_summary_line(capsys):
         assert out.startswith("{") != summary
         doc = document(out)
         assert doc["meta"]["command"] == argv[0] and argv[0] in doc
+
+
+def test_stale_bytecode_names_each_pyc_older_than_its_source(tmp_path):
+    stale_bytecode = _load("pairs").stale_bytecode
+    cache = tmp_path / "src" / "pkg" / "__pycache__"
+    cache.mkdir(parents=True)
+    for name, age in (("old", 10), ("fresh", -10)):  # pyc seconds behind its source
+        source = cache.parent / f"{name}.py"
+        source.write_text("x = 1\n")
+        pyc = cache / f"{name}.cpython-311.pyc"
+        pyc.write_bytes(b"")
+        when = source.stat().st_mtime - age
+        os.utime(pyc, (when, when))
+    (cache / "orphan.cpython-311.pyc").write_bytes(b"")  # no source: not compiled from it
+    assert stale_bytecode(tmp_path) == [cache / "old.cpython-311.pyc"]
+    assert stale_bytecode(tmp_path / "missing") == []
+
+
+def test_compare_names_the_fields_that_differ_when_the_shape_changes():
+    compare_docs = _load("workload_json").compare_docs
+    a = {"lam": [1.0, 2.0], "laurent": {"P": [[1.0, 0.0]]}, "n": 3}
+    b = {"lam": [1.0, 2.5], "laurent": {"P": {"u": [1.0]}}, "n": 3}
+    assert compare_docs(a, b) == {"lam[]": 0.2, "laurent.P[][]": None, "laurent.P.u[]": None}
+    assert compare_docs(a, {**a, "lam": [1.0]}) == {"lam[]": None}
+    assert compare_docs(a, a) == {}

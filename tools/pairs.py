@@ -18,7 +18,10 @@ exceeds the bound, unless every change run beats every parent run.  A gain
 claim holds when the change wins at least nine tenths of the pairs and its
 median is better than the parent's by more than the parent's interquartile
 range.  It exits 1 when a run reports a failed command, and 2 when a run
-does not finish.
+does not finish.  Before the first run it warns, on stderr, of every .pyc
+under either checkout's src/ that is older than its source: under
+PYTHONDONTWRITEBYTECODE=1 such a file is recompiled at every worker start,
+and the side that holds it pays for that in setup_s.
 
 Standard library only; perfbench is run, never changed.
 """
@@ -43,6 +46,16 @@ def run_once(checkout, workload, seed, seconds):
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: run.py exited {proc.returncode}: {proc.stderr.strip()}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def stale_bytecode(checkout):
+    """Every .pyc under checkout/src that is older than the .py it was compiled from."""
+    stale = []
+    for pyc in sorted(Path(checkout, "src").rglob("__pycache__/*.pyc")):
+        source = pyc.parent.parent / f"{pyc.name.split('.')[0]}.py"
+        if source.exists() and pyc.stat().st_mtime < source.stat().st_mtime:
+            stale.append(pyc)
+    return stale
 
 
 def quartiles(values):
@@ -93,6 +106,9 @@ def main(argv=None):
     seconds = bench["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     runs = {"parent": [], "change": []}
+    for side, checkout in sides.items():
+        for pyc in stale_bytecode(checkout):
+            print(f"warning: {side} checkout: {pyc} is older than its source", file=sys.stderr)
     failed = 0
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")

@@ -13,8 +13,9 @@ cache directory.
 `compare` reads two such directories and reports, command by command,
 "identical" or, for each field that differs, the largest relative
 difference over its entries (list indices are folded, so `zeros[].re`
-covers every zero).  A field whose values are not numbers, or whose shape
-differs, reads "differs".  It exits 1 when some command differs.
+covers every zero).  A field whose values are not numbers, whose entry
+count differs, or that only one side has, reads "differs".  It exits 1 when
+some command differs.
 
 Standard library only; perfbench is read, never changed.
 """
@@ -63,6 +64,14 @@ def save(seed, out, src):
                 print(f"{path.name}: exit {code}")
 
 
+def _fields(x):
+    """{folded path: [its values in document order]} of a JSON value."""
+    fields = {}
+    for path, v in _leaves(x):
+        fields.setdefault(path, []).append(v)
+    return fields
+
+
 def _leaves(x, path=""):
     """(folded path, value) for every leaf of a JSON value."""
     if isinstance(x, dict):
@@ -90,15 +99,18 @@ def compare_docs(a, b):
     """{field: largest relative difference, or None where not comparable}."""
     if a == b:
         return {}
-    la, lb = list(_leaves(a)), list(_leaves(b))
-    if [p for p, _ in la] != [p for p, _ in lb]:
-        return {"<structure>": None}
+    fa, fb = _fields(a), _fields(b)
     worst = {}
-    for (path, x), (_, y) in zip(la, lb):
-        r = _rel(x, y)
-        if r != 0.0:
-            worst[path] = None if r is None or worst.get(path, 0.0) is None else max(
-                r, worst.get(path, 0.0))
+    for path in sorted(fa.keys() | fb.keys()):
+        xs, ys = fa.get(path, []), fb.get(path, [])
+        if len(xs) != len(ys):
+            worst[path] = None
+            continue
+        for x, y in zip(xs, ys):
+            r = _rel(x, y)
+            if r != 0.0:
+                worst[path] = None if r is None or worst.get(path, 0.0) is None else max(
+                    r, worst.get(path, 0.0))
     return worst
 
 
