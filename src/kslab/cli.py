@@ -209,7 +209,7 @@ def cmd_spectral(args):
     ks = build_ks_matrix(poly)
     spec = spectrum(ks)
     rp = leading_projection(ks, spec)
-    power = power_convergence(ks, spec, rp.P, n_terms=args.power_terms)
+    power = power_convergence(ks, spec, rp.generators["P"], n_terms=args.power_terms)
     payload = {
         "operator": ks.to_json(),
         "eigenvalues": [[v.real, v.imag] for v in spec.eigenvalues],

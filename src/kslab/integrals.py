@@ -14,8 +14,8 @@ total dimension), and "sampling" (scrambled Sobol averages with replicate
 standard errors).  The Sobol points are generated here in numpy from the
 Joe-Kuo direction numbers that scipy ships, with scipy's linear matrix
 scramble and digital shift, and equal those of scipy's Sobol engine bit for
-bit.  Only the table file is read; scipy's statistics package, over a
-second of import time, is never loaded.
+bit.  Only the table file is read, found through scipy's import spec; no
+scipy module is ever loaded (scipy.stats alone takes over a second).
 
 The table quadrature gives every particle the same node set, so its
 tensor sum over all N^m node tuples is contracted pairwise: one N x N
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib.util
 import json
 import logging
 import math
@@ -45,7 +46,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, NumericalError, UseSampling
@@ -434,7 +434,8 @@ def _sobol_table(dim):
     every later one.  For a few dozen coordinates that inflates well under
     a tenth of the 3 MB file.
     """
-    path = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+    scipy = importlib.util.find_spec("scipy")  # locates the package without importing it
+    path = Path(scipy.submodule_search_locations[0]) / "stats" / "_sobol_direction_numbers.npz"
     with zipfile.ZipFile(path) as zf:
         with zf.open("poly.npy") as fh:
             poly = _npy_columns(fh, dim, 1)[:, 0]

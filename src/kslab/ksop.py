@@ -37,10 +37,10 @@ a probe on its own would sum them, so batching moves no bit.
 Truncation bookkeeping, fixed here once and used by the residual check:
 with the degree-M family on the left, the exact finite-truncation identity
 feeds the operator the degree-(M-1) family and, at level 1, replaces the
-inhomogeneous constant 1 by Xi_{M-1}/Xi_M.  With exact integrals the
-residual of that discrete system is zero to rounding at every truncation;
-the gap to the constant-1 form (the genuine truncation tail) is reported
-separately.
+inhomogeneous constant 1 by Xi_{M-1}/Xi_M = 1 - c_M z^M / Xi_M.  With exact
+integrals the residual of that discrete system is zero to rounding at every
+truncation; the gap to the constant-1 form (the genuine truncation tail) is
+reported separately.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .integrals import (_BLOCK, Box, contact_lattice, contact_lattice_rows, ordered_sector,
                         sobol_replicates)
 from .partition import (CorrelationFamily, PartitionPolynomial, scaled_coefficients,
@@ -62,6 +62,23 @@ from .potentials import PairPotential
 _SOBOL_SAMPLES = 1 << 12
 _ORDER_CAP = 1024  # Gauss nodes per panel: leggauss takes 0.2 s at 1024, 1 s at 2048
 _CHUNK = _BLOCK // 128  # entries (cuts, next-level rows) at which a batch of probes splits
+# dgebal's guards: sfmin1 = DLAMCH('S') / DLAMCH('P') = 2^-1022 / 2^-52, sfmin2 = 2 sfmin1
+_SFMIN1, _SFMIN2, _SFMAX2 = 2.0**-970, 2.0**-969, 2.0**969
+
+
+def _doublings(x, y, step=1, strict=True):
+    """How many k >= 0 have x 2^(step k) < y (<= y unless strict), for x, y > 0."""
+    (mx, ex), (my, ey) = math.frexp(x), math.frexp(y)
+    t = ey - ex  # x 2^j < y for j < t, and at j = t as the mantissas compare
+    return 0 if t < 0 else -(-t // step) + (t % step == 0 and (mx < my if strict else mx <= my))
+
+
+def _guarded(k, big, small):
+    """k doublings of big and halvings of small, or as many as keep big below sfmax2 and
+    small above sfmin2 (dgebal's guards); both hold throughout if they hold at step k - 1."""
+    if k and not (big * 2.0 ** (k - 1) < _SFMAX2 and _SFMIN2 * 2.0 ** (k - 1) < small):
+        k = min(k, _doublings(big, _SFMAX2), _doublings(_SFMIN2, small))
+    return k
 
 
 @dataclass
@@ -75,38 +92,49 @@ class KSMatrix:
     def M(self):
         return len(self.coeffs) - 1
 
-    def scaled_matrix(self):
-        """Similarity-equivalent companion built on b_m = c_m * scale^m.
-
-        Its eigenvalues are scale times the unscaled ones; the balanced
-        frame of the Laurent data starts from it.  Raises NumericalError
-        when b leaves the float64 range.
-        """
-        b = scaled_coefficients(self.coeffs, self.scale)
-        out = np.zeros((self.M, self.M))
-        out[0, :] = -b[1:]
-        out[1:, :-1] = np.eye(self.M - 1)
-        return out
-
     @functools.cached_property
     def balancing(self):
-        """(balanced scaled companion, read-only; balancing diagonal), once per matrix.
+        """(first row, subdiagonal, diagonal d) of D^{-1} C D, D = diag(d), once per matrix.
 
-        Diagonal balancing flattens the concave coefficient profile of
-        larger boxes, which no single geometric rescale can, and resolvent
-        work needs it; projections and norm ratios are reported in this
-        frame.  From hard rods L = 70 on scipy's balancer warns of an invalid
-        cast while its diagonal stays finite and positive, checked here.
+        C is the companion on b_m = c_m scale^m, whose eigenvalues are scale
+        times the unscaled ones.  Balancing flattens the concave coefficient
+        profile of larger boxes, which no geometric rescale can; projections
+        and norm ratios are reported in this frame.  d is LAPACK dgebal's job
+        'S' diagonal (Parlett & Reinsch, Numer. Math. 13, 1969), bit for bit
+        scipy's matrix_balance(C, permute=False): radix-2 sweeps, 2-norms with
+        the diagonal, factor 0.95, the sfmin/sfmax guards, each power of 2
+        from frexp.  A column of C holds two entries, a row past the first one.
         """
-        from scipy.linalg import matrix_balance
-
-        with np.errstate(invalid="ignore"):
-            out, T = matrix_balance(self.scaled_matrix(), permute=False)
-        d = np.diag(T)
-        if not np.all(np.isfinite(d) & (d > 0)):
-            raise NumericalError("diagonal balancing of the companion left the float64 range")
-        out.flags.writeable = False
-        return out, d
+        b, M = scaled_coefficients(self.coeffs, self.scale), self.M
+        row, sub, d = (-b[1:]).tolist(), [0.0] + [1.0] * (M - 1) + [0.0], [1.0] * M
+        rescaled = True
+        while rescaled:
+            rescaled = False
+            for i in range(M):
+                c, ca = math.hypot(row[i], sub[i + 1]), max(abs(row[i]), abs(sub[i + 1]))
+                r, ra = (abs(sub[i]),) * 2 if i else (math.hypot(*row), max(map(abs, row)))
+                if c == 0 or r == 0:
+                    continue
+                # dgebal doubles c while c < r / 2, else halves it while c / 2 >= r (c 2^k
+                # against r 2^-k): one loop runs, its count read off the exponents
+                s = c + r
+                k = (_guarded(_doublings(c, r / 2, 2), max(1.0, c, ca), min(r / 2, ra))
+                     or -_guarded(_doublings(r, c / 2, 2, strict=False), max(r, ra),
+                                  min(1.0, c / 2, ca)))
+                f, c, r = 2.0**k, c * 2.0**k, r / 2.0**k
+                if (c + r >= 0.95 * s or (f < 1 and d[i] < 1 and f * d[i] <= _SFMIN1)
+                        or (f > 1 and d[i] > 1 and d[i] >= 2.0**970 / f)):
+                    continue
+                d[i], g, rescaled = d[i] * f, 1 / f, True
+                if i:
+                    sub[i] *= g
+                else:
+                    row = [x * g for x in row]
+                row[i], sub[i + 1] = row[i] * f, sub[i + 1] * f
+        out = np.array(row), np.array(sub[1:M]), np.array(d)
+        for x in out:
+            x.flags.writeable = False
+        return out
 
     def to_json(self):
         return {
@@ -382,8 +410,9 @@ def ks_residual(poly: PartitionPolynomial, z, n_max, order=64, count=64,
 
     The left side is the correlation family at degree M; the operator is
     fed the degree-(M-1) family, which is the exact discrete pairing, and
-    the level-1 inhomogeneity is Xi_{M-1}/Xi_M, exact at finite M.  The
-    gap to the constant 1 of the infinite system is each report's
+    the level-1 inhomogeneity is Xi_{M-1}/Xi_M, exact at finite M, taken
+    as 1 - c_M z^M / Xi_M so that it is exactly 1 where c_M = 0.  The gap
+    to the constant 1 of the infinite system is each report's
     truncation_gap.
     """
     p, box = poly.potential, poly.box
@@ -407,9 +436,8 @@ def ks_residual(poly: PartitionPolynomial, z, n_max, order=64, count=64,
 
     rho = CorrelationFamily(poly, z)
     fam = CorrelationFamily(poly, z, degree=M - 1)
-    xi_lower = complex(np.polyval(poly.coeffs[:-1][::-1], z))
-    const = xi_lower / rho.xi
-    trunc_gap = abs(z) * abs(const - 1.0)
+    tail = poly.coeffs[-1] * z**M / rho.xi
+    const, trunc_gap = 1.0 - tail, abs(z) * abs(tail)
 
     levels = []
     for n in range(1, n_max + 1):

@@ -15,7 +15,7 @@ closed form from the companion eigenvectors, P = v nu^T / nu^T v and
 S = (K - lam + P)^{-1} - P (Kato I §5), and both are rank-structured:
 P = u nu^T and S = -v c^T (c masked by the lower triangle) - y nu^T, so
 only length-M generators are computed at working precision, in O(M), and
-the matrices are formed once in complex128.  The defects are measured from
+neither matrix is ever formed.  The defects and norms are measured from
 the generators; the reduced-identity defect is a triangle bound.  One
 formula is evaluated in float64 and, where float64 cannot certify the
 projection algebra (companion matrices of clustered zeros are strongly
@@ -103,8 +103,8 @@ def spectrum(ks: KSMatrix) -> Spectrum:
 
 @dataclass
 class RieszResult:
-    P: np.ndarray
-    S: np.ndarray            # reduced resolvent, the holomorphic part of R at center
+    P: np.ndarray | None     # dense, on the contour route; the closed form has generators
+    S: np.ndarray | None     # reduced resolvent, the holomorphic part of R at center
     center: complex
     radius: float            # isolating disc; no contour is drawn when n_nodes is 0
     n_nodes: int             # float64 trapezoid nodes; 0 on the closed form
@@ -214,13 +214,13 @@ def _center(ctx, b, center):
 
 
 def _below(x):
-    """Running sums over k < j of x_k, j = 0..len(x)-1."""
-    return list(accumulate(x, initial=0))[:-1]
+    """Running sums over k < j of x_k, j = 0..len(x)."""
+    return list(accumulate(x, initial=0))
 
 
 def _from(x):
-    """Running sums over k >= j of x_k, j = 0..len(x)-1."""
-    return list(accumulate(reversed(x)))[::-1]
+    """Running sums over k >= j of x_k, j = 0..len(x)."""
+    return list(accumulate(reversed(x), initial=0))[::-1]
 
 
 def _closed_form(ctx, b, dvec, center):
@@ -242,13 +242,12 @@ def _closed_form(ctx, b, dvec, center):
     caller's working precision otherwise), and every defect is measured
     from them with prefix and suffix sums, so working-precision arithmetic
     is O(M).  The reduced-identity defect is a triangle bound on
-    ||(A - lam) S - (I - P)||, which errs high; ||S|| in the annihilation
-    defect is only a normaliser and comes from the complex128 S.  P and S
-    are built once in numpy from complex128 copies of the generators; a
-    P or S that is not finite there raises OverflowError.  Returns (P, S,
-    idempotency, annihilation and reduced-identity defects, nilpotent
-    ratio, pole order, refined center, the copies u, nu of P and v, c, t,
-    y, nu of S), or None when nu^T v vanishes (a non-simple eigenvalue).
+    ||(A - lam) S - (I - P)||, which errs high.  The generators are returned
+    as complex128 copies; a copy, ||P|| or ||S|| past the float64 range
+    raises OverflowError.  Returns (idempotency, annihilation and
+    reduced-identity defects, nilpotent ratio, pole order, refined center,
+    the copies u, nu of P and v, c, t, y, nu of S), or None when nu^T v
+    vanishes (a non-simple eigenvalue).
     """
     M = len(b) - 1
     bc = [ctx.mpf(float(x)) for x in b]
@@ -295,21 +294,25 @@ def _closed_form(ctx, b, dvec, center):
         return (np.array([complex(x * s) for x in a]),
                 np.array([complex(x / s) for x in c]))
 
-    with np.errstate(all="ignore"):  # a copy past the float64 range fails the rung below
-        uf, nuf = copies(u, nu)
-        vf, cf = copies(v, cl + t)
-        yf, nus = copies(y, nu)  # S's copy of nu has its own power of 2
-        gens = {"P": {"u": uf, "nu": nuf},
-                "S": {"v": vf, "c": cf[:M], "t": cf[M:], "y": yf, "nu": nus}}
-        Pf = np.outer(uf, nuf)
-        Sf = -vf[:, None] * np.where(np.tri(M, dtype=bool), cf[:M], cf[M:]) - np.outer(yf, nus)
-        nS = np.linalg.norm(Sf)
-    if not (np.isfinite(nS) and np.all(np.isfinite(Pf))):
-        raise OverflowError("P or S is not finite in complex128")
+    uf, nuf = copies(u, nu)
+    vf, cf = copies(v, cl + t)
+    yf, nus = copies(y, nu)  # S's copy of nu has its own power of 2
+    gens = {"P": {"u": uf, "nu": nuf},
+            "S": {"v": vf, "c": cf[:M], "t": cf[M:], "y": yf, "nu": nus}}
 
     nu_norm = norm(nu)
     u_norm = norm(u)
     nP = u_norm * nu_norm
+    cl_sq = _below([abs(cj) ** 2 for cj in cl])
+    t_sq = _from([abs(tj) ** 2 for tj in t])
+    # ||S||_F^2 row by row: row i is -(v_i c_ij + y_i nu_j), c_ij = cl_j to j = i, t_j past
+    cl_nu = _below([ctx.conj(cj) * nj for cj, nj in zip(cl, nu)])
+    t_nu = _from([ctx.conj(tj) * nj for tj, nj in zip(t, nu)])
+    nS = ctx.sqrt(ctx.fsum(abs(vi) ** 2 * (cl_sq[i] + t_sq[i]) + abs(yi) ** 2 * nu_norm ** 2
+                           + 2 * ctx.re(ctx.conj(vi) * yi * (cl_nu[i] + t_nu[i]))
+                           for i, (vi, yi) in enumerate(zip(v, y), start=1)))
+    if not np.isfinite([*uf, *nuf, *vf, *cf, *yf, *nus, float(nP), float(nS)]).all():
+        raise OverflowError("a generator, ||P|| or ||S|| leaves the float64 range")
     nu_u = dot(nu, u)
     idem = abs(nu_u - 1)  # ||P^2 - P|| / ||P|| for P = u nu^T
     # -(nu^T S)_j and -(S u)_i
@@ -319,15 +322,13 @@ def _closed_form(ctx, b, dvec, center):
     t_u = _from([tj * uj for tj, uj in zip(t, u)])
     Su = [vi * (lo + hi + wi * ui) + yi * nu_u
           for vi, yi, lo, hi, wi, ui in zip(v, y, cl_u, t_u, w, u)]
-    annih = max(norm(nuS) * u_norm, norm(Su) * nu_norm) / (nP * ctx.mpf(nS))
+    annih = max(norm(nuS) * u_norm, norm(Su) * nu_norm) / nP / nS
     # rows i >= 1 of (A - lam) S - (I - P) are -c_{i-1,j} e_i - nu_j f_i + delta_ij h_i
     # with e, f the residuals of the v and y recurrences; bounded by the
     # triangle inequality.  Row 0 is taken entry by entry.
     e = [sub[i] * v[i - 1] - lam * v[i] for i in range(1, M)]
     f = [sub[i] * y[i - 1] - lam * y[i] - u[i] for i in range(1, M)]
     h = [lam * v[i] * w[i] - 1 for i in range(1, M)]
-    cl_sq = _below([abs(cj) ** 2 for cj in cl])
-    t_sq = _from([abs(tj) ** 2 for tj in t])
     masked = ctx.sqrt(ctx.fsum(abs(ei) ** 2 * (cl_sq[i] + t_sq[i])
                                for i, ei in enumerate(e, start=1)))
     lower = masked + norm(f) * nu_norm + norm(h)
@@ -347,8 +348,7 @@ def _closed_form(ctx, b, dvec, center):
     chain = [nD * ratio ** (q - 1) / nA**q for q in range(1, 4)]
     pole = _pole_from_chain(chain)
 
-    return (Pf, Sf, float(idem), float(annih), float(red), float(chain[0]),
-            pole, complex(lam), gens)
+    return float(idem), float(annih), float(red), float(chain[0]), pole, complex(lam), gens
 
 
 def leading_projection(ks: KSMatrix, spec: Spectrum) -> RieszResult:
@@ -356,15 +356,15 @@ def leading_projection(ks: KSMatrix, spec: Spectrum) -> RieszResult:
 
     The leading eigenvalue is a simple pole of the resolvent: its residue
     is the rank-one Riesz projection P and its holomorphic part the
-    reduced resolvent S, both in closed form (_closed_form).  The one
-    formula runs in float64, then in mpmath at 40, 60 and 90 digits
+    reduced resolvent S, both in closed form (_closed_form) as generators.
+    The one formula runs in float64, then in mpmath at 40, 60 and 90 digits
     (precision "float64"/"mp40"/"mp60"/"mp90"), stopping at the first rung
     whose measured defects are all within _RTOL in float64 and within
     1e-12 in mpmath.  No contour is drawn (n_nodes 0); radius is the
     isolating disc, half the gap to the rest of the spectrum.  The
     returned defects are the certified ones, measured at the precision
-    that produced P and S.  Raises ContourError naming each rung's failure
-    when none certifies.
+    that produced the generators.  Raises ContourError naming each rung's
+    failure when none certifies.
     """
     from mpmath import fp, mp
 
@@ -373,7 +373,7 @@ def leading_projection(ks: KSMatrix, spec: Spectrum) -> RieszResult:
     center = spec.lam_c * ks.scale
     radius = 0.5 * spec.dist_gap * ks.scale
     b = scaled_coefficients(ks.coeffs, ks.scale)
-    _, dvec = ks.balancing
+    dvec = ks.balancing[2]
     # (precision, arithmetic, working digits, certification threshold); the
     # mpmath rungs keep headroom below the target
     rungs = [("float64", fp, contextlib.nullcontext(), _RTOL)] + [
@@ -389,10 +389,10 @@ def leading_projection(ks: KSMatrix, spec: Spectrum) -> RieszResult:
         if laurent is None:
             failures.append(f"{precision}: the pairing nu^T v vanishes")
             continue
-        P, S, idem, annih, red, nil, pole, cen, gens = laurent
+        idem, annih, red, nil, pole, cen, gens = laurent
         defect = max(idem, annih, red)
         if defect <= tol:  # P = u nu^T: rank one, no second singular value
-            return RieszResult(P, S, cen, float(radius), 0,
+            return RieszResult(None, None, cen, float(radius), 0,
                                idem, annih, red, nil, pole, 1, 0.0, precision, gens)
         failures.append(f"{precision}: defect {defect:.3e} above {tol:g}")
     raise ContourError("leading projection did not certify: " + "; ".join(failures))
@@ -409,18 +409,19 @@ class PowerReport:
 def power_convergence(ks: KSMatrix, spec: Spectrum, P, n_terms=60) -> PowerReport:
     """Decay of ||((K/lam_c)^n - P) X||_F against the subleading ratio.
 
-    X is four unit complex probe vectors from np.random.default_rng(0); K
-    acts through the balanced companion's first row and subdiagonal, O(M)
-    per power.  Fits log-linear decay on the tail above the roundoff floor
-    and reports the least-squares rate and the median of successive ratios,
+    P is given by its generators {"u", "nu"}, P X = u (nu^T X), for four unit
+    complex probes X from np.random.default_rng(0); K acts through the
+    balanced companion's first row and subdiagonal, O(M) per power.  Fits
+    log-linear decay on the tail above the roundoff floor and reports the
+    closed-form least-squares rate and the median of successive ratios,
     next to |lam_2 / lam_c|.
     """
-    A, lam = ks.balancing[0], spec.lam_c * ks.scale
-    row, sub = A[0][:, None] / lam, np.diagonal(A, -1)[:, None] / lam
+    (row, sub, _), lam = ks.balancing, spec.lam_c * ks.scale
+    row, sub = row[:, None] / lam, sub[:, None] / lam
     X = np.random.default_rng(0).standard_normal((ks.M, 8)).view(complex)
     D = np.empty((n_terms + 1, ks.M, 4), dtype=complex)  # (K/lam_c)^n X, n = 0..n_terms
     D[0] = X / np.linalg.norm(X, axis=0)
-    PX = np.einsum("ij,jk->ik", P, D[0])  # not matmul: a complex BLAS call adds to peak RSS
+    PX = P["u"][:, None] * np.einsum("j,jk->k", P["nu"], D[0])  # not matmul: BLAS adds to peak RSS
     for n in range(n_terms):
         D[n + 1, 0], D[n + 1, 1:] = (row * D[n]).sum(axis=0), sub * D[n, :-1]
     deltas = np.linalg.norm(D[1:] - PX, axis=(1, 2))
@@ -429,9 +430,10 @@ def power_convergence(ks: KSMatrix, spec: Spectrum, P, n_terms=60) -> PowerRepor
     idx = np.arange(1, n_terms + 1)[mask]
     if n_used >= 4:
         half = idx >= idx[len(idx) // 2]  # fit the asymptotic half
-        fit = np.polyfit(idx[half], np.log(deltas[mask][half]), 1)
-        fitted = float(np.exp(fit[0]))
-        median = float(np.median(deltas[mask][1:] / deltas[mask][:-1]))
+        x, y = idx[half] - idx[half].mean(), np.log(deltas[mask][half])
+        fitted = float(np.exp((x * (y - y.mean())).sum() / (x * x).sum()))
+        ratios = np.sort(deltas[mask][1:] / deltas[mask][:-1])
+        median = float((ratios[(n_used - 2) // 2] + ratios[(n_used - 1) // 2]) / 2)
     else:
         fitted = median = float("nan")
     expected = spec.lam2_mod / abs(spec.lam_c) if abs(spec.lam_c) > 0 else float("nan")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kslab.integrals import Box, IntegralTable, ZEntry, build_table, panel_rule
-from kslab.partition import assemble
+from kslab.partition import assemble, scaled_coefficients
 from kslab.potentials import PairPotential
 from kslab.slog import SLog
 
@@ -39,6 +39,33 @@ def poly_from_coeffs(c, scale=None):
     ]
     table = IntegralTable(p, box, len(c) - 1, entries)
     return assemble(table, scale=scale)
+
+
+def companion(ks):
+    """ks's companion on b_m = c_m scale^m as a dense matrix: first row -b_1..-b_M,
+    subdiagonal 1."""
+    b = scaled_coefficients(ks.coeffs, ks.scale)
+    out = np.eye(ks.M, k=-1)
+    out[0] = -b[1:]
+    return out
+
+
+def balanced(ks):
+    """The balanced companion as a dense matrix, from ks.balancing's first row and
+    subdiagonal."""
+    row, sub, _ = ks.balancing
+    out = np.diag(sub, -1)
+    out[0] = row
+    return out
+
+
+def dense_laurent(gens):
+    """Dense P = u nu^T and S = -v c^T (c_ij = c_j on i >= j, t_j above) - y nu^T from
+    the closed form's generators."""
+    g = gens["S"]
+    masked = np.where(np.tri(len(g["v"]), dtype=bool), g["c"], g["t"])
+    return (np.outer(gens["P"]["u"], gens["P"]["nu"]),
+            -g["v"][:, None] * masked - np.outer(g["y"], g["nu"]))
 
 
 def rel_err(x, y):

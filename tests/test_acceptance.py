@@ -127,7 +127,7 @@ def test_criterion_03_projection_algebra_defects(battery):
 def test_criterion_04_power_iteration_tracks_gap(battery):
     cases, _ = battery
     case = cases[20.0]
-    power = power_convergence(case.ks, case.spec, case.rp.P, n_terms=60)
+    power = power_convergence(case.ks, case.spec, case.rp.generators["P"], n_terms=60)
     dev = abs(power.fitted_ratio / power.expected_ratio - 1.0)
     _report(4, dev <= 0.05,
             f"fitted {power.fitted_ratio:.6f} vs gap ratio "
@@ -286,7 +286,6 @@ def test_criterion_12_wide_box_laurent_data():
     # O(M), so the mp40 rung certifies P and S in well under a second
     ks = build_ks_matrix(make_tonks(80.0, 81))
     spec = spectrum(ks)
-    ks.balancing  # scipy's balancer, imported on first use, is not timed
     t0 = time.perf_counter()
     rp = leading_projection(ks, spec)
     elapsed = time.perf_counter() - t0

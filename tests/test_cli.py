@@ -22,6 +22,8 @@ from kslab.partition import assemble
 from kslab.potentials import PairPotential
 from kslab.spectral import leading_projection, spectrum
 
+from conftest import dense_laurent
+
 
 def run(tmp_path, name, argv):
     out = tmp_path / name
@@ -209,21 +211,19 @@ def test_spectral_deterministic_up_to_timestamp(tmp_path):
 
 @pytest.mark.parametrize("L, precision", [(5, "float64"), (40, "mp40")])
 def test_spectral_generators_rebuild_the_dense_laurent_data(tmp_path, L, precision):
-    # the outer products of the emitted complex128 generators are
-    # leading_projection's dense P and S, bit for bit
+    # the dense P and S built from the emitted complex128 generators are those
+    # of leading_projection's generators, bit for bit
     _, out = run(tmp_path, "s.json", ["spectral", "--L", str(L), "--M", str(L + 1)])
     doc = read_json(out)
     assert doc["projection"]["precision"] == precision
-    g = {m: {k: np.array(v).view(complex)[:, 0] for k, v in gens.items()}
-         for m, gens in doc["laurent"].items()}
-    P = np.outer(g["P"]["u"], g["P"]["nu"])
-    S = (-g["S"]["v"][:, None] * np.where(np.tri(L + 1, dtype=bool), g["S"]["c"], g["S"]["t"])
-         - np.outer(g["S"]["y"], g["S"]["nu"]))
+    P, S = dense_laurent({m: {k: np.array(v).view(complex)[:, 0] for k, v in gens.items()}
+                          for m, gens in doc["laurent"].items()})
     table = build_table(PairPotential.hardcore(1.0), Box((float(L),)), L + 1, order=16, seed=42)
     ks = build_ks_matrix(assemble(table))
     rp = leading_projection(ks, spectrum(ks))
     assert rp.precision == precision
-    assert P.tobytes() == rp.P.tobytes() and S.tobytes() == rp.S.tobytes()
+    rP, rS = dense_laurent(rp.generators)
+    assert P.tobytes() == rP.tobytes() and S.tobytes() == rS.tobytes()
 
 
 def test_wide_spectral_writes_generators_only(tmp_path):
@@ -540,14 +540,28 @@ def test_module_entry_point(tmp_path):
 
 
 def test_cli_import_skips_scipy_stats_and_integrate(tmp_path):
-    # the two packages cost over a second of start-up; kslab reads the Sobol
-    # table file directly and imports quad only for custom potentials
-    code = ("import sys, kslab.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))")
+    # scipy.stats and scipy.integrate cost over a second of start-up and
+    # scipy.linalg a fifth of one: kslab finds the Sobol table file through
+    # scipy's import spec, balances and integrates itself, and loads no scipy
+    # module, neither on import nor in the spectral, claimcheck and
+    # custom-potential virial commands
+    (tmp_path / "pot.json").write_text(json.dumps(
+        {"family": "custom", "r_values": [0.2, 0.5, 1.0], "phi_values": [5.0, 2.0, 0.0]}))
+    code = ("import sys, kslab.cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(loaded())\n"
+            "for argv in (['spectral', '--L', '5', '--M', '6'],\n"
+            "             ['claimcheck', '--L', '5', '--M', '6', '--terms', '14'],\n"
+            "             ['virial', '--potential-file', 'pot.json', '--L', '3', '--M', '4',\n"
+            "              '--terms', '4']):\n"
+            "    assert kslab.cli.main(argv + ['--out', 'out.json']) == 0, argv\n"
+            "print(loaded())\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=str(tmp_path), env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip().splitlines()[0] == "[]"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_residual_order_above_the_cap_exits_2(capsys):

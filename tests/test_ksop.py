@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -23,14 +24,14 @@ from kslab.ksop import (
 from kslab.partition import assemble, correlation, zeros
 from kslab.potentials import PairPotential
 
-from conftest import make_ideal, make_tonks, poly_from_coeffs
+from conftest import balanced, companion, make_ideal, make_tonks, poly_from_coeffs
 
 
 def test_companion_layout(tonks5):
     ks = build_ks_matrix(tonks5)
     assert ks.M == 6
     np.testing.assert_allclose(ks.to_json()["first_row"], -tonks5.coeffs[1:])
-    A = ks.scaled_matrix()
+    A = companion(ks)
     np.testing.assert_allclose(A[0], -tonks5.coeffs[1:] * ks.scale ** np.arange(1, 7))
     np.testing.assert_allclose(A[1:, :-1], np.eye(5))
     np.testing.assert_allclose(A[1:, -1], 0.0)
@@ -40,7 +41,7 @@ def test_eigenvalues_are_reciprocal_zeros(tonks5):
     # degree drops to 5 (Z_6 = 0), so one eigenvalue is exactly zero and
     # the rest must be 1/z_i for the five partition zeros
     ks = build_ks_matrix(tonks5)
-    lam = np.linalg.eigvals(ks.scaled_matrix()) / ks.scale
+    lam = np.linalg.eigvals(companion(ks)) / ks.scale
     lam = sorted((l for l in lam if abs(l) > 1e-12), key=lambda w: (w.real, w.imag))
     want = sorted((1.0 / z for z in zeros(tonks5).zeros),
                   key=lambda w: (w.real, w.imag))
@@ -51,9 +52,34 @@ def test_eigenvalues_are_reciprocal_zeros(tonks5):
 
 def test_scaled_and_conditioned_are_similar(tonks5):
     ks = build_ks_matrix(tonks5)
-    a = np.sort_complex(np.linalg.eigvals(ks.scaled_matrix()))
-    b = np.sort_complex(np.linalg.eigvals(ks.balancing[0]))
+    a = np.sort_complex(np.linalg.eigvals(companion(ks)))
+    b = np.sort_complex(np.linalg.eigvals(balanced(ks)))
     np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+
+
+_BALANCING_BOXES = {
+    "rods-L2-160": lambda: [make_tonks(float(L)) for L in range(2, 161)],
+    "ideal-M6-M8": lambda: [make_ideal(M=6), make_ideal(M=8)],
+    "step-L5": lambda: [assemble(build_table(PairPotential.step(1.0, 1.0), Box((5.0,)), 6))],
+    "disks-L3": lambda: [assemble(build_table(PairPotential.hardcore(0.7, dimension=2),
+                                              Box((3.0, 3.0)), 4, seed=1))],
+}
+
+
+@pytest.mark.parametrize("box", sorted(_BALANCING_BOXES))
+def test_balancing_is_lapack_dgebal_bit_for_bit(box):
+    # the diagonal, the balanced first row and the subdiagonal against
+    # scipy.linalg.matrix_balance on the dense companion
+    from scipy.linalg import matrix_balance
+
+    for poly in _BALANCING_BOXES[box]():
+        ks = build_ks_matrix(poly)
+        row, sub, d = ks.balancing
+        with np.errstate(invalid="ignore"):  # scipy warns of a cast from L = 70 on
+            B, T = matrix_balance(companion(ks), permute=False)
+        assert np.diag(T).tobytes() == d.tobytes(), ks.M
+        assert B[0].tobytes() == row.tobytes(), ks.M
+        assert np.diagonal(B, -1).tobytes() == sub.tobytes(), ks.M
 
 
 def test_to_json_and_save(tonks5):
@@ -145,6 +171,26 @@ def test_residual_consistent_vs_unit_constant():
     assert gap > 1e-8
     assert rep_c.sup_residual <= rep_c.error_bound
     assert gap > 10 * rep_c.sup_residual
+
+
+@pytest.mark.parametrize("z", [0.2, -0.3, -0.41])
+def test_truncation_gap_is_zero_where_c_M_vanishes(tonks5, z):
+    # Z_6 = 0 at L = 5, so Xi_5 = Xi_6 and the level-1 constant is exactly 1;
+    # the ratio of the two Horner sums it replaced read 2.8e-14 at z = -0.41
+    rep = ks_residual(tonks5, z, 1, order=16, count=4)
+    assert rep.levels[0].truncation_gap == 0.0
+
+
+@pytest.mark.parametrize("z", [0.1, 0.5, 0.2 + 0.3j])
+def test_truncation_gap_of_the_free_gas_matches_the_ratio_form(z):
+    # |z| |Xi_{M-1} / Xi_M - 1| at 50 digits; the float64 ratio of the two
+    # Horner sums cancels to 1.7e-4 relative at z = 0.1
+    poly = make_ideal(M=8)
+    rep = ks_residual(poly, z, 1, order=16, count=4)
+    with mp.workdps(50):
+        c = [mp.mpf(float(x)) for x in poly.coeffs[::-1]]
+        want = float(abs(z) * abs(mp.polyval(c[1:], z) / mp.polyval(c, z) - 1))
+    assert rep.levels[0].truncation_gap == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_residual_report_shape(tonks5):

@@ -67,6 +67,24 @@ def test_regularity_custom_matches_step():
     assert abs(C - want) <= max(1e-6, 10 * err)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("r, phi", [
+    ([0.2, 0.5, 1.0, 1.5], [5.0, 2.0, 0.5, 0.0]),   # soft repulsion
+    ([0.3, 0.8, 1.2, 2.0], [3.0, -0.5, -0.2, 0.0]),  # phi changes sign inside a panel
+    ([0.1, 0.6, 1.0], [40.0, 1.0, 0.0]),             # a steep first panel
+])
+def test_regularity_custom_matches_adaptive_quadrature(r, phi, dim):
+    # the panel rules against quad's adaptive radial integral, within the two bounds
+    from scipy import integrate
+
+    p = PairPotential.custom(np.array(r), np.array(phi), beta=2.0, dimension=dim)
+    C, err = regularity_C(p)
+    val, qerr = integrate.quad(lambda x: abs(p.mayer_f(x)) * x ** (dim - 1), 0.0, r[-1],
+                               points=r[:-1], limit=200)
+    want = val * 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+    assert abs(C - want) <= max(err + want / val * qerr, 1e-13 * want)
+
+
 def test_weights_vectorized_consistent():
     p = PairPotential.hardcore(1.0)
     pts = np.array([[[0.1], [0.5]], [[0.1], [1.6]]])  # overlapping, free

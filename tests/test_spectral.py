@@ -10,7 +10,7 @@ import pytest
 from kslab import partition, spectral
 from kslab.errors import ContourError, InsufficientData, NumericalError
 from kslab.integrals import Box, build_table
-from kslab.ksop import build_ks_matrix
+from kslab.ksop import KSMatrix, build_ks_matrix
 from kslab.partition import (assemble, correlation, scaled_coefficients,
                              smallest_zero, zeros)
 from kslab.potentials import PairPotential
@@ -28,7 +28,8 @@ from kslab.spectral import (
     spectrum,
 )
 
-from conftest import make_ideal, make_tonks, poly_from_coeffs
+from conftest import (balanced, companion, dense_laurent, make_ideal, make_tonks,
+                      poly_from_coeffs)
 
 
 # reference for the closed form: the exact-structure mpmath contour sums
@@ -240,7 +241,7 @@ def test_spectrum_orders_and_gaps(spec5):
 
 
 def test_left_right_pair_is_biorthogonal(ks5, spec5):
-    A = ks5.scaled_matrix()
+    A = companion(ks5)
     lam_s = spec5.lam_c * ks5.scale
     right = lam_s ** np.arange(ks5.M - 1, -1, -1)
     nu = np.array(_left_vector(scaled_coefficients(ks5.coeffs, ks5.scale), lam_s))
@@ -274,11 +275,12 @@ def test_closed_form_projection_matches_mp_contour():
     assert rz.rank == 1
     assert rz.pole_order == 1
     b = ks.coeffs * ks.scale ** np.arange(ks.M + 1)
-    _, T = matrix_balance(ks.scaled_matrix(), permute=False)
+    _, T = matrix_balance(companion(ks), permute=False)
     P, S, *_ = _mp_contour(b, np.diag(T), spec.lam_c * ks.scale,
                            0.5 * spec.dist_gap * ks.scale, 96, 40)
-    assert np.linalg.norm(rz.P - P) <= 1e-12 * np.linalg.norm(P)
-    assert np.linalg.norm(rz.S - S) <= 1e-10 * np.linalg.norm(S)
+    rP, rS = dense_laurent(rz.generators)
+    assert np.linalg.norm(rP - P) <= 1e-12 * np.linalg.norm(P)
+    assert np.linalg.norm(rS - S) <= 1e-10 * np.linalg.norm(S)
 
 
 _FLOAT_BOXES = {
@@ -302,10 +304,11 @@ def test_float64_closed_form_matches_dense_contour(box):
     assert rz.precision == "float64"
     assert rz.rank == 1
     assert rz.pole_order == 1
-    ref = riesz_projection(ks.balancing[0], spec.lam_c * ks.scale,
+    ref = riesz_projection(balanced(ks), spec.lam_c * ks.scale,
                            0.5 * spec.dist_gap * ks.scale)
-    assert np.linalg.norm(rz.P - ref.P) <= 1e-12 * np.linalg.norm(ref.P)
-    assert np.linalg.norm(rz.S - ref.S) <= 1e-11 * np.linalg.norm(ref.S)
+    P, S = dense_laurent(rz.generators)
+    assert np.linalg.norm(P - ref.P) <= 1e-12 * np.linalg.norm(ref.P)
+    assert np.linalg.norm(S - ref.S) <= 1e-11 * np.linalg.norm(ref.S)
 
 
 _DENSE_BOXES = {
@@ -328,7 +331,7 @@ def test_closed_form_matches_dense_reference(box):
     spec = spectrum(ks)
     assert leading_projection(ks, spec).precision == precision
     b = scaled_coefficients(ks.coeffs, ks.scale)
-    _, dvec = ks.balancing
+    dvec = ks.balancing[2]
     if precision == "float64":
         ctx, digits, tol = fp, contextlib.nullcontext(), 1e-10
     else:
@@ -336,11 +339,11 @@ def test_closed_form_matches_dense_reference(box):
     with digits:
         got = _closed_form(ctx, b, dvec, spec.lam_c * ks.scale)
         want = _dense_closed_form(ctx, b, dvec, spec.lam_c * ks.scale)
-    for x, ref in zip(got[:2], want[:2]):  # P, S
+    for x, ref in zip(dense_laurent(got[6]), want[:2]):  # P, S
         assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(ref)
-    assert got[6:8] == want[6:]  # pole order, center; got[8] holds the generators
-    assert got[6] == 1
-    assert max(got[2:5]) <= tol and max(want[2:5]) <= tol
+    assert got[4:6] == want[6:]  # pole order, center
+    assert got[4] == 1
+    assert max(got[:3]) <= tol and max(want[2:5]) <= tol
 
 
 def test_closed_form_multiplications_grow_linearly(monkeypatch):
@@ -352,7 +355,7 @@ def test_closed_form_multiplications_grow_linearly(monkeypatch):
     for L in (20.0, 40.0):
         ks = build_ks_matrix(make_tonks(L))
         spec = spectrum(ks)
-        inputs.append((scaled_coefficients(ks.coeffs, ks.scale), ks.balancing[1],
+        inputs.append((scaled_coefficients(ks.coeffs, ks.scale), ks.balancing[2],
                        spec.lam_c * ks.scale))
     real = mp.mpc.__mul__
     counts = []
@@ -412,7 +415,7 @@ def test_left_eigenvector_residual_wide_boxes(L):
     # forward one loses every digit (relative residual O(1) at L >= 20)
     ks = build_ks_matrix(make_tonks(L))
     spec = spectrum(ks)
-    A = ks.scaled_matrix()
+    A = companion(ks)
     lam_s = spec.lam_c * ks.scale
     nu = np.array(_left_vector(scaled_coefficients(ks.coeffs, ks.scale), lam_s))
     res = np.linalg.norm(nu @ A - lam_s * nu) / (abs(lam_s) * np.linalg.norm(nu))
@@ -435,7 +438,7 @@ def test_leading_projection_escalates_to_mp60(ks20, monkeypatch):
 
     def failing_mp40(ctx, b, dvec, center):
         out = real(ctx, b, dvec, center)
-        return out[:2] + (1e-6,) + out[3:] if ctx is mp and mp.dps == 40 else out
+        return (1e-6,) + out[1:] if ctx is mp and mp.dps == 40 else out
 
     monkeypatch.setattr(spectral, "_closed_form", failing_mp40)
     rz = leading_projection(ks20, spectrum(ks20))
@@ -483,7 +486,8 @@ def test_riesz_projection_on_jordan_companion_wide_radius():
 
 
 def test_power_convergence_tracks_subleading_ratio(ks5, spec5):
-    rep = power_convergence(ks5, spec5, leading_projection(ks5, spec5).P, n_terms=60)
+    rep = power_convergence(ks5, spec5, leading_projection(ks5, spec5).generators["P"],
+                            n_terms=60)
     assert rep.expected_ratio == pytest.approx(
         spec5.lam2_mod / abs(spec5.lam_c), rel=1e-12
     )
@@ -493,7 +497,7 @@ def test_power_convergence_tracks_subleading_ratio(ks5, spec5):
 
 def _power_fit_per_power(ks, spec, P, n_terms=60):
     """(fitted, median, n_used) from one 2-norm call per power of K/lam_c."""
-    A = ks.balancing[0].astype(complex) / (spec.lam_c * ks.scale)
+    A = balanced(ks).astype(complex) / (spec.lam_c * ks.scale)
     deltas = np.empty(n_terms)
     term = np.eye(ks.M, dtype=complex)
     for n in range(1, n_terms + 1):
@@ -512,11 +516,32 @@ def test_power_convergence_on_probes_fits_the_dense_norms(L):
     # four probe vectors see the decay rate of the dense powers' 2-norms
     ks = build_ks_matrix(make_tonks(L))
     spec = spectrum(ks)
-    P = leading_projection(ks, spec).P
+    P = leading_projection(ks, spec).generators["P"]
     rep = power_convergence(ks, spec, P, n_terms=60)
-    fitted, _, n_used = _power_fit_per_power(ks, spec, P)
+    fitted, _, n_used = _power_fit_per_power(ks, spec, np.outer(P["u"], P["nu"]))
     assert rep.fitted_ratio == pytest.approx(fitted, rel=0.005)
     assert rep.n_used == n_used
+
+
+def test_laurent_data_and_probes_hold_no_dense_matrix():
+    # c_m = 1 up to M = 300 puts the zeros on the unit circle, where float64
+    # certifies; the closed form and the probe powers keep O(M) arrays, less
+    # than one complex128 M x M matrix (the dense P and S peaked at 4.8 MB)
+    import tracemalloc
+
+    for M in (20, 300):  # the first run loads what mpmath imports lazily
+        ks = KSMatrix(1.0, np.ones(M + 1))
+        spec = spectrum(ks)
+        ks.balancing
+        tracemalloc.start()
+        try:
+            rp = leading_projection(ks, spec)
+            power_convergence(ks, spec, rp.generators["P"], n_terms=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert rp.precision == "float64"
+    assert peak < 16 * M * M
 
 
 def test_ray_limit_extracts_directional_value():

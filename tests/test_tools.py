@@ -1,7 +1,8 @@
 """The gain rule, the regression verdicts and the stale-bytecode warning of
 tools/pairs.py, on synthetic pairs of benchmark runs and a synthetic
 checkout; the output parser that tools/workload_json.py shares with
-perfbench's worker, and its field-by-field comparison."""
+perfbench's worker, and its field-by-field comparison; tools/fresh.py on one
+fresh process."""
 
 import importlib.util
 import os
@@ -105,3 +106,10 @@ def test_compare_names_the_fields_that_differ_when_the_shape_changes():
     assert compare_docs(a, b) == {"lam[]": 0.2, "laurent.P[][]": None, "laurent.P.u[]": None}
     assert compare_docs(a, {**a, "lam": [1.0]}) == {"lam[]": None}
     assert compare_docs(a, a) == {}
+
+
+def test_fresh_times_a_command_in_a_new_process(capsys):
+    # one round of `python -m kslab.cli --help`: one line, its ratio to itself 1
+    assert _load("fresh").main(["--runs", "1", "--", "--help"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.endswith("ratio  1.000  --help") and float(line.split()[0]) > 0
