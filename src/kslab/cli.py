@@ -209,7 +209,7 @@ def cmd_spectral(args):
     ks = build_ks_matrix(poly)
     spec = spectrum(ks)
     rp = leading_projection(ks, spec)
-    power = power_convergence(ks, spec, rp.generators["P"], n_terms=args.power_terms)
+    power = power_convergence(ks, spec, rp.generators["P"])
     payload = {
         "operator": ks.to_json(),
         "eigenvalues": [[v.real, v.imag] for v in spec.eigenvalues],
@@ -276,7 +276,7 @@ def cmd_cluster(args):
     dens, _, info = _series_pair(args)
     payload = {"density_series": dens.to_rows(), "source": info}
     try:
-        est = radius_estimate(dens, method=args.radius_method)
+        est = radius_estimate(dens)
         payload["radius"] = {
             "method": est.method, "R": est.R,
             "singularity": [est.singularity.real, est.singularity.imag],
@@ -324,10 +324,9 @@ def cmd_claimcheck(args):
 
     rows = []
     spec = spectrum(ks)
-    # default comparison activity: the claimed convergence radius 1/C
-    xi = args.xi if args.xi is not None else (1.0 / C if C > 0 else None)
-    if xi:
-        rows.append(claim_row("spectral radius vs 1/xi", 1.0 / xi, spec.spectral_radius,
+    # compared at the claimed convergence radius xi = 1/C
+    if C > 0:
+        rows.append(claim_row("spectral radius vs 1/xi", C, spec.spectral_radius,
                               relation="at_most"))
     # the paper's main consequence for positive potentials (the free gas claims
     # no singularity): spectral radius 1/|z_c|, activity series radius |z_c|
@@ -341,10 +340,9 @@ def cmd_claimcheck(args):
     dens, pres, _ = (_series_pair(args) if args.extrapolate
                      else _finite_pair(poly, args.terms))
     try:
-        est = radius_estimate(dens, method=args.radius_method)
-        measured_R = est.R
+        measured_R = radius_estimate(dens).R
     except NumericalError:
-        est, measured_R = None, None
+        measured_R = None
     oracle_R = oracle.cluster_radius if oracle is not None else None
     if measured_R is not None:
         claimed_R = 1.0 / C if C > 0 else float("inf")
@@ -449,8 +447,7 @@ def build_parser():
     sub.add_parser("table", parents=[common]).add_argument(
         "--force", action="store_true", help="rebuild even if cached")
     sub.add_parser("zeros", parents=[common])
-    sp_spec = sub.add_parser("spectral", parents=[common])
-    sp_spec.add_argument("--power-terms", type=int, default=60)
+    sub.add_parser("spectral", parents=[common])
     sp_asym = sub.add_parser("asymptotics", parents=[common])
     sp_asym.add_argument("--anchors", default=None,
                          help="semicolon-separated anchors, comma per axis")
@@ -460,12 +457,6 @@ def build_parser():
                           help="series length for cluster analysis")
         sp_c.add_argument("--extrapolate", action="store_true",
                           help="Richardson over box lengths L, 2L, 4L")
-        if name != "virial":  # the commands that estimate a series radius
-            sp_c.add_argument("--radius-method", default="domb_sykes",
-                              choices=("ratio", "root", "domb_sykes"))
-        if name == "claimcheck":
-            sp_c.add_argument("--xi", type=float, default=None,
-                              help="weight for the spectral-radius comparison")
     sp_res = sub.add_parser("residual", parents=[common])
     sp_res.add_argument("--z", default="0.1", help="activity, python complex syntax")
     sp_res.add_argument("--n-max", type=int, default=3)
@@ -486,7 +477,7 @@ _DISPATCH = {
 
 
 # least admissible values of integer options (two Gauss nodes per panel)
-_INT_FLOORS = (("seed", 0), ("M", 0), ("order", 2), ("terms", 0), ("power_terms", 1))
+_INT_FLOORS = (("seed", 0), ("M", 0), ("order", 2), ("terms", 0))
 
 
 def main(argv=None):

@@ -2,12 +2,11 @@
 
 The pressure-like series log Xi comes out of the coefficient recurrence,
 the density series is its Euler derivative over the volume, and everything
-else is series plumbing: radius-of-convergence estimators (ratio, power-
-corrected root fit, Domb-Sykes), Lagrange reversion into the virial series,
-finite-volume extrapolation of thermodynamic-limit coefficients, the
-density lower-bound sweep, and the side-by-side claim table that compares
-a measured radius against the kernel-norm prediction and the closed form
-without adjudicating between them.
+else is series plumbing: the Domb-Sykes radius-of-convergence fit, Lagrange
+reversion into the virial series, finite-volume extrapolation of
+thermodynamic-limit coefficients, the density lower-bound sweep, and the
+side-by-side claim table that compares a measured radius against the
+kernel-norm prediction and the closed form without adjudicating between them.
 """
 
 from __future__ import annotations
@@ -164,7 +163,7 @@ def density_coefficients_extrapolated(p, lengths, N, cache_dir=None, order=16, s
 
 @dataclass
 class RadiusEstimate:
-    method: str  # "ratio", "root", or "domb_sykes"
+    method: str  # always "domb_sykes", the fit that produced it
     R: float  # radius estimate; inf for terminating series
     singularity: complex  # estimated location of the nearest singularity
     sign_pattern: str  # "alternating", "positive", "mixed"
@@ -174,23 +173,19 @@ class RadiusEstimate:
 _MIN_NONZERO = 8  # coefficients a radius fit needs
 
 
-def _tail_points(idx, vals, count):
-    return idx[-count:], vals[-count:]
+def radius_estimate(series: PowerSeries) -> RadiusEstimate:
+    """Radius of convergence of a truncated series by the Domb-Sykes fit.
 
-
-def radius_estimate(series: PowerSeries, method="domb_sykes") -> RadiusEstimate:
-    """Radius of convergence of a truncated series, three estimators.
-
-    "ratio" extrapolates |c_k/c_{k+1}| linearly in 1/k; "root" fits
-    log|c_k| = log A + p log k - k log R, the power factor absorbing
-    subexponential corrections of Stirling type; "domb_sykes" fits the
-    signed consecutive ratio c_k/c_{k-1} against 1/k on the last half of
-    the points, so the intercept carries the singularity's sign.
+    The signed consecutive ratio c_k/c_{k-1} is fitted against 1/k on the
+    last half of the points (Domb & Sykes, Proc. R. Soc. A 240, 1957); the
+    intercept is 1/z_s for the nearest singularity z_s, so its sign places
+    the singularity on the positive or the negative axis.
 
     A series with fewer nonzero entries than _MIN_NONZERO is only accepted
     when it visibly terminates (a long run of exact zeros at the tail), in
     which case the radius is infinite; otherwise InsufficientData.
     """
+    method = "domb_sykes"
     pattern = sign_pattern(series)
     v = series.values
     nz = [k for k in range(1, len(v)) if v[k] != 0.0]
@@ -204,21 +199,6 @@ def radius_estimate(series: PowerSeries, method="domb_sykes") -> RadiusEstimate:
             f"radius estimate needs {_MIN_NONZERO} nonzero coefficients, "
             f"got {len(nz)}")
 
-    if method == "root":
-        k_fit, c_fit = _tail_points(np.array(nz), v[nz], max(_MIN_NONZERO, len(nz) // 2))
-        A = np.column_stack([np.ones_like(k_fit, dtype=float),
-                             np.log(k_fit.astype(float)), k_fit.astype(float)])
-        sol, res, *_ = np.linalg.lstsq(A, np.log(np.abs(c_fit)), rcond=None)
-        R = math.exp(-sol[2])
-        resid = float(res[0]) if len(res) else 0.0
-        sing = -R if pattern == "alternating" else R
-        return RadiusEstimate("root", R, complex(sing), pattern,
-                              {"log_amplitude": float(sol[0]),
-                               "power": float(sol[1]),
-                               "fit_residual": resid,
-                               "n_points": int(len(k_fit))})
-
-    # both ratio variants need consecutive nonzero pairs
     pairs = [(k, v[k] / v[k - 1]) for k in nz if k - 1 in series.nonzero_indices()]
     if len(pairs) < _MIN_NONZERO - 1:
         raise InsufficientData("too few consecutive nonzero ratio points")
@@ -227,10 +207,6 @@ def radius_estimate(series: PowerSeries, method="domb_sykes") -> RadiusEstimate:
     take = max(4, math.ceil(len(rs) / 2))
     ks, rs = ks[-take:], rs[-take:]
 
-    if method == "ratio":
-        rs = np.abs(rs)
-    elif method != "domb_sykes":
-        raise ValueError(f"unknown radius method {method!r}")
     A = np.column_stack([np.ones_like(ks), 1.0 / ks])
     sol, res, *_ = np.linalg.lstsq(A, rs, rcond=None)
     intercept = sol[0]
@@ -238,14 +214,9 @@ def radius_estimate(series: PowerSeries, method="domb_sykes") -> RadiusEstimate:
     if abs(intercept) == 0.0:
         return RadiusEstimate(method, float("inf"), complex("inf"), pattern,
                               {"intercept": 0.0, "n_points": int(len(ks))})
-    R = float(1.0 / abs(intercept))
-    sing = 1.0 / intercept if method == "domb_sykes" else \
-        (-R if pattern == "alternating" else R)
-    return RadiusEstimate(method, R, complex(sing), pattern,
-                          {"intercept": complex(intercept).real,
-                           "slope": float(sol[1]),
-                           "fit_residual": resid,
-                           "n_points": int(len(ks))})
+    return RadiusEstimate(method, float(1.0 / abs(intercept)), complex(1.0 / intercept),
+                          pattern, {"intercept": complex(intercept).real, "slope": float(sol[1]),
+                                    "fit_residual": resid, "n_points": int(len(ks))})
 
 
 # -- reversion and virial series ---------------------------------------------------
@@ -327,7 +298,7 @@ def virial_reversion(density: PowerSeries, pressure: PowerSeries):
     virial = compose_series(pressure, z_of_rho, N)
     virial.variable = "rho"
     try:
-        est = radius_estimate(virial, method="domb_sykes")
+        est = radius_estimate(virial)
     except InsufficientData:
         est = None
     return virial, est

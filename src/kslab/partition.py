@@ -757,11 +757,13 @@ class CorrelationFamily:
     numerator truncated at total degree `degree` (default M): one
     anchored_series call gives every A_j / j! of a batch, times the powers
     z^(level + j), over the full Xi.  Each call leaves the per-row error
-    bound of its values in last_error: the anchored integrals' errors plus
-    |rho| times the table error inside Xi, over |Xi|.  Both sums over j run
-    row by row in a fixed order, so a row's value and bound are the same
-    bits in any batch (a matrix-vector product rounds a one-row batch its
-    own way).  Raises NearPole when z is numerically on a partition zero.
+    bound of its values in last_error: the anchored integrals' errors, the
+    numerator's rounding gamma_(J+2) sum_j S_j |z|^(n+j) (S_j >= 0), and
+    |rho| times the table error inside Xi plus Xi's rounding gamma_(M+1)
+    cond, over |Xi|.  The sums over j run row by row in a fixed order, so a
+    row's value and bound are the same bits in any batch (a matrix-vector
+    product rounds a one-row batch its own way).  Raises NearPole when z is
+    numerically on a partition zero.
     """
 
     def __init__(self, poly: PartitionPolynomial, z, degree=None):
@@ -771,7 +773,7 @@ class CorrelationFamily:
         self.xi, cond = evaluate(poly, z)
         if abs(self.xi) <= 1e-10 * cond:
             raise NearPole(f"Xi({z}) is numerically zero", z=z, nearest_zero=smallest_pick(poly))
-        self.xi_err = float(np.polyval(poly.coeff_errors[::-1], abs(self.z)))
+        self.xi_err = np.polyval(poly.coeff_errors[::-1], abs(self.z)) + _gamma(poly.M + 1) * cond
         # correlations of a hard-core gas are zero on overlapping
         # configurations, which licenses the rod-packing cutoff in the
         # operator quadrature
@@ -785,11 +787,16 @@ class CorrelationFamily:
                                configs.reshape(nc, level, self.poly.box.dimension), jmax)
         zpow = self.z ** (level + np.arange(jmax + 1))
         values = _row_sum(S, zpow) / self.xi
-        err = np.abs(values) * self.xi_err
+        azpow = np.abs(zpow)
+        err = np.abs(values) * self.xi_err + _gamma(jmax + 2) * _row_sum(S, azpow)
         if E.any():  # an exact series (all-zero E) would add a zero sum: no bit moves
-            err = _row_sum(E, np.abs(zpow)) + err
+            err = _row_sum(E, azpow) + err
         self.last_error = err / abs(self.xi)
         return values
+
+
+def _gamma(k):  # k u / (1 - k u) bounds k float64 roundings (Higham 2002, section 3.1)
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
 
 
 def _row_sum(X, w):

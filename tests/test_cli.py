@@ -350,14 +350,13 @@ def test_config_errors_exit_2(capsys):
     assert main(["zeros", "--L", "5", "--M", "-1"]) == 2
     assert main(["table", "--L", "5", "--M", "-1"]) == 2
     assert main(["cluster", "--L", "5", "--terms", "-2"]) == 2
-    assert main(["spectral", "--L", "5", "--M", "6", "--power-terms", "0"]) == 2
     assert main(["table", "--potential", "step", "--a", "1", "--epsilon", "1", "--L", "5",
                  "--M", "3", "--order", "0"]) == 2
     assert main(["zeros", "--L", "inf", "--M", "4"]) == 2
     assert main(["zeros", "--L", "nan", "--M", "4"]) == 2
     assert main(["asymptotics", "--L", "5", "--M", "6", "--anchors", "nan"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.count("configuration error") == 8
+    assert captured.err.count("configuration error") == 7
     assert captured.out == ""
 
 
@@ -640,6 +639,10 @@ def test_extrapolate_honours_order_and_seed(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["zeros", "--xi", "1.0"], ["residual", "--xi", "1.0"],
                                   ["virial", "--radius-method", "ratio"],
+                                  ["cluster", "--radius-method", "ratio"],
+                                  ["claimcheck", "--radius-method", "root"],
+                                  ["claimcheck", "--xi", "1.0"],
+                                  ["spectral", "--power-terms", "5"],
                                   ["residual", "--strategy", "sampling"],
                                   ["residual", "--constant-term", "unit"]])
 def test_options_are_offered_only_where_read(argv, capsys):

@@ -21,7 +21,7 @@ from kslab.ksop import (
     ks_residual,
     probe_anchor_sets,
 )
-from kslab.partition import assemble, correlation, zeros
+from kslab.partition import assemble, correlation, smallest_zero, zeros
 from kslab.potentials import PairPotential
 
 from conftest import balanced, companion, make_ideal, make_tonks, poly_from_coeffs
@@ -191,6 +191,22 @@ def test_truncation_gap_of_the_free_gas_matches_the_ratio_form(z):
         c = [mp.mpf(float(x)) for x in poly.coeffs[::-1]]
         want = float(abs(z) * abs(mp.polyval(c[1:], z) / mp.polyval(c, z) - 1))
     assert rep.levels[0].truncation_gap == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("rods", [True, False])
+def test_residual_bound_covers_rounding_up_to_the_smallest_zero(rods, tonks5):
+    # the bound carries the float64 rounding of the numerator sum and of Xi:
+    # without it hard rods L = 5 read sup 2.2e-15 against a bound of 1.2e-15
+    # at z = -0.3 and 2.5e-7 against 5.6e-8 at z_c (1 - 1e-8), and the free
+    # gas at M = 8 missed it 23x at delta = 0.1 (8 probes fit its unit box up
+    # to level 4)
+    poly, n_max, order, count = (tonks5, 5, 64, 32) if rods else (make_ideal(M=8), 4, 16, 8)
+    z_c = smallest_zero(zeros(poly)).z_c
+    ray = [z_c * (1.0 - 10.0 ** -k) for k in range(1, 9)]
+    for z in ([-0.3, -0.35, -0.4, -0.41] if rods else []) + ray:
+        rep = ks_residual(poly, z, n_max, order=order, count=count)
+        for lv in rep.levels:
+            assert lv.sup_residual <= lv.error_bound, (z, lv.n)
 
 
 def test_residual_report_shape(tonks5):

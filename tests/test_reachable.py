@@ -19,13 +19,19 @@ methods of one name cannot be told apart, so one reached name reaches
 both.  Fields go by the same rule: a field of a reached dataclass is read
 when that reached code names it as an attribute, or it is on the field
 allowlist below.  The unused-import check covers src/kslab and tests.
-Standard library only.
+Every option of every subcommand must be read by cli.py: as `args.<dest>`,
+as `getattr(args, "<dest>", ...)` or through an `_INT_FLOORS` entry, so a
+flag that nothing reads fails as an unreached def does.  Standard library
+only, besides the parser and the floors that cli.py defines.
 """
 
+import argparse
 import ast
 import importlib.util
 import re
 from pathlib import Path
+
+from kslab.cli import _INT_FLOORS, build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "kslab"
@@ -247,3 +253,26 @@ def test_no_unused_imports():
 
 def test_readme_library_example_runs():
     exec(compile(_library_block(), str(README), "exec"), {})
+
+
+def _cli_reads():
+    """The `args` attributes cli.py reads, the _INT_FLOORS names included."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    reads = {name for name, _ in _INT_FLOORS}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "args":
+            reads.add(n.attr)
+        elif (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "getattr"
+              and getattr(n.args[0], "id", None) == "args" and isinstance(n.args[1], ast.Constant)):
+            reads.add(n.args[1].value)
+    return reads
+
+
+def test_every_option_is_read():
+    reads = _cli_reads()
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    unread = sorted(f"{name} {a.option_strings[0]}" for name, sub in commands.items()
+                    for a in sub._actions
+                    if a.option_strings and a.dest != "help" and a.dest not in reads)
+    assert not unread, "options cli.py never reads: " + ", ".join(unread)
