@@ -37,7 +37,6 @@ from .oracles import IdealModel, TonksModel
 from .partition import (PartitionPolynomial, SmallestZero, ZeroSet, assemble,
                         evaluate, smallest_zero, zeros)
 from .potentials import PairPotential, regularity_C
-from .slog import SLog
 from .spectral import (AsymptoticsResult, RieszResult, Spectrum,
                        coefficient_asymptotics, leading_asymptotics,
                        leading_projection, power_convergence, spectrum)
@@ -50,8 +49,8 @@ __all__ = [
     "IntegralTable", "KSMatrix", "KslabError", "MissingPrerequisite",
     "NearPole", "NotRegular", "NumericalError", "PairPotential",
     "PartitionPolynomial", "PowerSeries", "RadiusEstimate", "RieszResult",
-    "SLog", "SmallestZero", "Spectrum", "TonksModel", "UseSampling",
-    "ZeroSet", "anchored_integral", "apply_ks_function", "assemble",
+    "SmallestZero", "Spectrum", "TonksModel", "UseSampling", "ZeroSet",
+    "anchored_integral", "apply_ks_function", "assemble",
     "build_ks_matrix", "build_table", "claim_row", "coefficient_asymptotics",
     "density_bound_check", "density_coefficients_extrapolated",
     "density_series", "evaluate", "ks_residual", "leading_asymptotics",

@@ -181,8 +181,8 @@ def cmd_table(args):
     table = build_table(p, box, args.M, order=args.order, seed=args.seed,
                         cache_dir=args.cache_dir, force=args.force)
     rows = [
-        {"m": e.m, "value": e.slog.value, "sign": e.slog.sign,
-         "log_magnitude": e.slog.log_mag, "error": e.error, "method": e.method}
+        {"m": e.m, "value": e.value, "sign": e.sign,
+         "log_magnitude": e.log_value, "error": e.error, "method": e.method}
         for e in table.entries
     ]
     _emit(args, "table", {"table": table.to_json()}, rows,

@@ -50,7 +50,6 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, NumericalError, UseSampling
 from .potentials import PairPotential, separations
-from .slog import SLog
 
 log = logging.getLogger(__name__)
 
@@ -636,14 +635,30 @@ def anchored_integral(p: PairPotential, box: Box, anchors, m):
 
 @dataclass
 class ZEntry:
+    """Z_m as the cache file records it: sign (-1, 0, +1) and log|Z_m| (-inf at
+    sign 0), which past the float64 range Z_m needs, with its error bound and
+    method.  Every other form of the coefficient is derived from this one."""
+
     m: int
-    slog: SLog
+    sign: int
+    log_value: float
     error: float
     method: str
 
     @property
     def value(self):
-        return self.slog.value
+        """Z_m as a float: 0.0 at sign 0, +-inf past the float64 range."""
+        return signed_exp(self.sign, self.log_value)
+
+
+def signed_exp(sign, log_mag):
+    """sign * exp(log_mag): 0.0 at sign 0, +-inf past the float64 range."""
+    if sign == 0:
+        return 0.0
+    try:
+        return sign * math.exp(log_mag)
+    except OverflowError:
+        return sign * math.inf
 
 
 @dataclass
@@ -671,8 +686,8 @@ class IntegralTable:
             "entries": [
                 {
                     "m": e.m,
-                    "log_value": None if e.slog.sign == 0 else e.slog.log_mag,
-                    "sign": e.slog.sign,
+                    "log_value": None if e.sign == 0 else e.log_value,
+                    "sign": e.sign,
                     "error": e.error,
                     "method": e.method,
                 }
@@ -716,12 +731,13 @@ def load_table(path, p: PairPotential, box: Box):
             raise ValueError("fingerprint mismatch")
         entries = []
         for e in sorted(raw["entries"], key=lambda d: d["m"]):
-            sign = int(e["sign"])
-            lm = float("-inf") if e["log_value"] is None else float(e["log_value"])
+            lm = -math.inf if e["log_value"] is None else float(e["log_value"])
             err = float(e["error"])
-            if not (math.isfinite(err) and lm < math.inf):  # NaN fails both
-                raise ValueError(f"entry m = {e['m']} is not finite")
-            entries.append(ZEntry(int(e["m"]), SLog.from_log(sign, lm), err, e["method"]))
+            # sign -1, 0 or +1, and 0 exactly when log_value is null; NaN fails the bounds
+            if (e["sign"] not in (-1, 0, 1) or (e["sign"] == 0) != (lm == -math.inf)
+                    or not (0.0 <= err < math.inf and lm < math.inf)):
+                raise ValueError(f"entry {e} is not a valid record")
+            entries.append(ZEntry(int(e["m"]), int(e["sign"]), lm, err, e["method"]))
         if [e.m for e in entries] != list(range(len(entries))):
             raise ValueError("entry indices are not 0..M")
         M = int(raw["M"])
@@ -766,7 +782,7 @@ def build_table(p: PairPotential, box: Box, M, order=16, seed=42, cache_dir=None
     for m in range(M + 1):
         log_z = exact_log_Z(p, box, m)
         if log_z is not None:
-            entries.append(ZEntry(m, SLog.from_log(1, log_z), 0.0, "exact"))
+            entries.append(ZEntry(m, int(log_z > -math.inf), log_z, 0.0, "exact"))
             continue
         try:
             val, err = quadrature_Z(p, box, m, order=order)
@@ -774,7 +790,8 @@ def build_table(p: PairPotential, box: Box, M, order=16, seed=42, cache_dir=None
         except UseSampling:
             val, err = sampled_Z(p, box, m, seed=seed)
             method = "sampling"
-        entries.append(ZEntry(m, SLog.from_value(val), err, method))
+        sign = int(math.copysign(1.0, val)) if val else 0
+        entries.append(ZEntry(m, sign, math.log(abs(val)) if val else -math.inf, err, method))
 
     table = IntegralTable(p, box, M, entries, built_with)
     if cache_dir:

@@ -35,17 +35,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Degenerate, NearPole, NumericalError
-from .integrals import IntegralTable, anchored_series
+from .integrals import IntegralTable, anchored_series, signed_exp
 
 _LONG = np.clongdouble
 
 
 @dataclass
 class PartitionPolynomial:
-    """Coefficients c_m = Z_m/m! plus the conditioning scale used on them."""
+    """Coefficients c_m = Z_m/m! plus the conditioning scale used on them.
+    The table's entries stay the authoritative form of c_m past the float64
+    range (log_coeff)."""
 
     coeffs: np.ndarray  # raw float c_m, index m = 0..M
-    coeff_slogs: list  # SLog per coefficient, authoritative for huge tables
     coeff_errors: np.ndarray
     scale: float
     table: IntegralTable
@@ -96,7 +97,8 @@ class PartitionPolynomial:
         """(b, exact): b_m = c_m scale^m, m = 0..M, as mpf at the caller's
         precision, the one source of every evaluation at working precision:
         the closed forms (exact) when mp_coefficients has them, else the
-        float64 b, else past the float64 range the SLog coefficients."""
+        float64 b, else past the float64 range the table entries' sign and
+        log_coeff."""
         import mpmath as mp
 
         s = mp.mpf(self.scale)
@@ -106,8 +108,8 @@ class PartitionPolynomial:
         try:
             return [mp.mpf(float(x)) for x in self.scaled_coeffs()], False
         except NumericalError:
-            return [c.sign * mp.exp(c.log_mag + m * mp.log(s))
-                    for m, c in enumerate(self.coeff_slogs)], False
+            return [e.sign * mp.exp(log_coeff(e) + e.m * mp.log(s))
+                    for e in self.table.entries], False
 
 
 def scaled_coefficients(c, scale):
@@ -120,31 +122,29 @@ def scaled_coefficients(c, scale):
     return b
 
 
-def assemble(table: IntegralTable, scale=None) -> PartitionPolynomial:
+def log_coeff(e):
+    """log|c_m| = log|Z_m| - log m! of a table entry; -inf at sign 0."""
+    return e.log_value - math.lgamma(e.m + 1)
+
+
+def assemble(table: IntegralTable) -> PartitionPolynomial:
     """Partition polynomial from a Z-table.
 
-    The default conditioning scale equalizes the first and last nonzero
-    rescaled coefficients geometrically (computed in log space), which
-    keeps companion entries within a workable range even when the raw
+    The conditioning scale equalizes the first and last nonzero rescaled
+    coefficients geometrically (computed in log space), which keeps
+    companion entries within a workable range even when the raw
     coefficients span a hundred decades.
     """
-    slogs = []
-    coeffs = np.empty(table.M + 1)
-    errs = np.empty(table.M + 1)
-    for e in table.entries:
-        cs = e.slog.scaled(-math.lgamma(e.m + 1))
-        slogs.append(cs)
-        coeffs[e.m] = cs.value
-        errs[e.m] = e.error / math.factorial(e.m) if e.m < 170 else 0.0
-    if scale is None:
-        nz = [m for m in range(1, table.M + 1) if slogs[m].sign != 0]
-        if len(nz) >= 2 and nz[-1] > nz[0]:
-            first, last = nz[0], nz[-1]
-            scale = math.exp((slogs[first].log_mag - slogs[last].log_mag)
-                             / (last - first))
-        else:
-            scale = 1.0
-    return PartitionPolynomial(coeffs, slogs, errs, float(scale), table)
+    logs = [log_coeff(e) for e in table.entries]
+    coeffs = np.array([signed_exp(e.sign, lc) for e, lc in zip(table.entries, logs)])
+    errs = np.array([e.error / math.factorial(e.m) if e.m < 170 else 0.0
+                     for e in table.entries])
+    nz = [m for m in range(1, table.M + 1) if table.entries[m].sign]
+    scale = 1.0
+    if len(nz) >= 2:
+        first, last = nz[0], nz[-1]
+        scale = math.exp((logs[first] - logs[last]) / (last - first))
+    return PartitionPolynomial(coeffs, errs, scale, table)
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -595,7 +595,7 @@ def zeros(poly: PartitionPolynomial) -> ZeroSet:
     conditioning times float64 unit roundoff passes 1e-10 (or is unknown, as
     some float64 root is not finite), or when the scaled coefficients leave
     the float64 range, which skips the float stage.  The ladder takes
-    mp_scaled_coeffs: exact, else float64, else the SLog coefficients.  Its
+    mp_scaled_coeffs: exact, else float64, else the table entries.  Its
     first rung starts from the float64 roots at max(30, log10(deg kappa) +
     20) digits, kappa their largest conditioning, or without distinct finite
     ones from the Newton polygon at 30 digits.  A rung that inclusion_radii
@@ -611,7 +611,7 @@ def zeros(poly: PartitionPolynomial) -> ZeroSet:
         b = np.trim_zeros(poly.scaled_coeffs(), "b")
         deg = len(b) - 1
     except NumericalError:
-        b, deg = None, max(m for m, c in enumerate(poly.coeff_slogs) if c.sign)
+        b, deg = None, max(e.m for e in poly.table.entries if e.sign)
     if deg < 1:
         raise Degenerate("partition polynomial has no zeros: degree 0 after stripping")
     ceiling = max(60, 2 * deg + 20)

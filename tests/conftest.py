@@ -1,5 +1,6 @@
 """Shared fixture builders for the test suite."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from kslab.integrals import Box, IntegralTable, ZEntry, build_table, panel_rule
 from kslab.partition import assemble, scaled_coefficients
 from kslab.potentials import PairPotential
-from kslab.slog import SLog
 
 
 def make_tonks(L, M=None, a=1.0):
@@ -28,17 +28,19 @@ def poly_from_coeffs(c, scale=None):
     """Partition polynomial with prescribed coefficients c_0..c_M.
 
     Entries are tagged synthetic so the exact-coefficient rebuild stays
-    off and the plain float64 pipeline is what gets exercised.
+    off and the plain float64 pipeline is what gets exercised.  A given
+    scale replaces the one assemble picks.
     """
     c = np.asarray(c, dtype=float)
     p = PairPotential.hardcore(1.0)
     box = Box((float(len(c)),))
-    entries = [
-        ZEntry(m, SLog.from_value(c[m] * math.factorial(m)), 0.0, "synthetic")
-        for m in range(len(c))
-    ]
-    table = IntegralTable(p, box, len(c) - 1, entries)
-    return assemble(table, scale=scale)
+    entries = []
+    for m in range(len(c)):
+        z = c[m] * math.factorial(m)
+        entries.append(ZEntry(m, int(np.sign(z)), math.log(abs(z)) if z else -math.inf,
+                              0.0, "synthetic"))
+    poly = assemble(IntegralTable(p, box, len(c) - 1, entries))
+    return poly if scale is None else dataclasses.replace(poly, scale=float(scale))
 
 
 def companion(ks):

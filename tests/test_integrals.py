@@ -31,7 +31,7 @@ def test_hardrod_table_exact():
         want = free**e.m if (e.m == 0 or free > 0) else 0.0
         assert e.value == pytest.approx(want, rel=1e-14, abs=1e-300)
     # packing limit: six rods of length 1 do not fit strictly inside 5
-    assert t.entries[6].slog.sign == 0
+    assert t.entries[6].sign == 0
 
 
 def test_ideal_table_exact():
@@ -169,12 +169,16 @@ def test_cache_round_trip(tmp_path):
     path = cache_path(str(tmp_path), p, box)
     loaded = load_table(path, p, box)
     assert loaded is not None and loaded.M == 6
+    # the entry is the cache record, so it reads back bit for bit
     for a, b in zip(t.entries, loaded.entries):
-        assert (a.m, a.method) == (b.m, b.method)
-        assert a.slog.sign == b.slog.sign
-        assert a.slog.log_mag == pytest.approx(b.slog.log_mag, rel=1e-15) or (
-            a.slog.sign == 0
-        )
+        assert (a.m, a.sign, a.log_value, a.error, a.method) == (
+            b.m, b.sign, b.log_value, b.error, b.method)
+    assert t.entries[6].sign == 0  # the null log_value of an empty entry round-trips
+    # a step table with quadrature entries writes back the document it read
+    step, sbox = PairPotential.step(1.0, 1.0), Box((3.0,))
+    st = build_table(step, sbox, 3, cache_dir=str(tmp_path))
+    assert "quadrature" in {e.method for e in st.entries}
+    assert load_table(cache_path(str(tmp_path), step, sbox), step, sbox).to_json() == st.to_json()
     # a different potential must not collide
     other = cache_path(str(tmp_path), PairPotential.hardcore(0.9), box)
     assert other != path
@@ -582,12 +586,22 @@ def _spoil(raw, text, defect):
         raw["M"] = 5
     elif defect == "nan":
         raw["entries"][2]["log_value"] = float("nan")
+    elif defect == "negative-error":
+        raw["entries"][2]["error"] = -5.0
+    elif defect == "sign-7":
+        raw["entries"][2]["sign"] = 7
+    elif defect == "sign-0-with-log":
+        raw["entries"][2]["sign"] = 0
+    elif defect == "sign-1-with-null":
+        raw["entries"][2]["log_value"] = None
     else:
         return text[: len(text) // 2]
     return json.dumps(raw)
 
 
-@pytest.mark.parametrize("defect", ["schema", "fingerprint", "indices", "M", "nan", "json"])
+@pytest.mark.parametrize("defect", ["schema", "fingerprint", "indices", "M", "nan", "json",
+                                    "negative-error", "sign-7", "sign-0-with-log",
+                                    "sign-1-with-null"])
 def test_rejected_cache_is_rebuilt_with_a_warning(tmp_path, caplog, defect):
     p, box, cache = PairPotential.step(1.0, 1.0), Box((3.0,)), str(tmp_path)
     built = build_table(p, box, 3, cache_dir=cache)

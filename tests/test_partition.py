@@ -29,7 +29,6 @@ from kslab.partition import (
     zeros_to_rows,
 )
 from kslab.potentials import PairPotential
-from kslab.slog import SLog
 
 from conftest import make_ideal, make_tonks, poly_from_coeffs, rel_err, sector_reference
 
@@ -644,14 +643,14 @@ def test_zeros_of_wide_range_float_coefficients_take_the_aberth_ladder():
     assert smallest_zero(zs).z_c == pytest.approx(-1.0, rel=1e-14)
 
 
-def test_zeros_past_the_float_range_take_the_slog_coefficients():
+def test_zeros_past_the_float_range_take_the_table_entries():
     # c_m = K^m e_{4-m}(q) / e_4(q), K = e^400: past c_1 the coefficients
-    # overflow float64; the zeros -q/K come from the SLog coefficients, and
+    # overflow float64; the zeros -q/K come from the table entries, and
     # so does smallest_zero's certificate, |p'| / (|w| |p''|) = 6 / 22 at
     # the root w = -1 of (w + 1)(w + 2)(w + 3)(w + 4)
     q, log_k = np.arange(1.0, 5.0), 400.0
     e = np.poly(-q)[::-1]
-    entries = [ZEntry(m, SLog.from_log(1, m * log_k + math.log(e[m] / e[0]) + math.lgamma(m + 1)),
+    entries = [ZEntry(m, 1, m * log_k + math.log(e[m] / e[0]) + math.lgamma(m + 1),
                       0.0, "synthetic") for m in range(5)]
     poly = assemble(IntegralTable(PairPotential.hardcore(1.0), Box((5.0,)), 4, entries))
     assert np.isinf(poly.coeffs).any()

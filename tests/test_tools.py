@@ -1,10 +1,11 @@
 """The gain rule, the regression verdicts and the stale-bytecode warning of
 tools/pairs.py, on synthetic pairs of benchmark runs and a synthetic
 checkout; the output parser that tools/workload_json.py shares with
-perfbench's worker, and its field-by-field comparison; tools/fresh.py on one
-fresh process."""
+perfbench's worker, its field-by-field comparison and its refusal of a
+missing or empty directory; tools/fresh.py on one fresh process."""
 
 import importlib.util
+import json
 import os
 from pathlib import Path
 
@@ -106,6 +107,19 @@ def test_compare_names_the_fields_that_differ_when_the_shape_changes():
     assert compare_docs(a, b) == {"lam[]": 0.2, "laurent.P[][]": None, "laurent.P.u[]": None}
     assert compare_docs(a, {**a, "lam": [1.0]}) == {"lam[]": None}
     assert compare_docs(a, a) == {}
+
+
+def test_compare_refuses_a_missing_or_empty_directory(tmp_path, capsys):
+    workload_json = _load("workload_json")
+    saved, empty = tmp_path / "saved", tmp_path / "empty"
+    saved.mkdir()
+    empty.mkdir()
+    (saved / "rods-00-zeros.json").write_text(
+        json.dumps({"argv": "zeros", "exit": 0, "doc": {"n": 1}}))
+    assert workload_json.main(["compare", str(saved), str(saved)]) == 0
+    for a, b in ((saved, tmp_path / "missing"), (empty, saved)):
+        assert workload_json.main(["compare", str(a), str(b)]) == 2
+        assert "no saved documents" in capsys.readouterr().err
 
 
 def test_fresh_times_a_command_in_a_new_process(capsys):

@@ -15,7 +15,8 @@ cache directory.
 difference over its entries (list indices are folded, so `zeros[].re`
 covers every zero).  A field whose values are not numbers, whose entry
 count differs, or that only one side has, reads "differs".  It exits 1 when
-some command differs.
+some command differs, and 2 when either directory is missing or holds no
+saved document, so that a mistyped path cannot pass.
 
 Standard library only; perfbench is read, never changed.
 """
@@ -115,6 +116,10 @@ def compare_docs(a, b):
 
 
 def compare(dir_a, dir_b):
+    for d in (dir_a, dir_b):
+        if not any(d.glob("*.json")):
+            print(f"{d}: no saved documents", file=sys.stderr)
+            return 2
     names = sorted({p.name for p in dir_a.glob("*.json")} | {p.name for p in dir_b.glob("*.json")})
     differ = False
     for name in names:
