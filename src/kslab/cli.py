@@ -432,7 +432,8 @@ def build_parser():
     common.add_argument("--L", default=None,
                         help="box extents, comma-separated per axis")
     common.add_argument("--M", type=int, default=8, help="truncation order")
-    common.add_argument("--order", type=int, default=16, help="quadrature order")
+    common.add_argument("--order", type=int, default=16, help="quadrature order (residual: "
+                        "the cap on Gauss nodes per panel)")
     common.add_argument("--seed", type=int, default=42)
     common.add_argument("--out", default=None, help="output file path")
     common.add_argument("--format", default="json", choices=("json", "csv"))

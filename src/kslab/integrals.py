@@ -601,6 +601,15 @@ def _sector_series(p, box, anchors, jmax, extra=0):
     return S, count, reached
 
 
+def nest_is_exact(n, jmax):
+    """Whether _sector_series takes A_1..A_jmax of any n anchors from its nest: jmax <=
+    DIMENSION_CAP, and its deepest level, at most prod_k nodes_k (S + k + 1) rows of
+    an anchor row over S <= (n + 2)(2 jmax + 1) lattice points, fits the point budget."""
+    static = (n + 2) * (2 * jmax + 1)
+    rows = math.prod((jmax - k + 1) // 2 * (static + k + 1) for k in range(jmax))
+    return jmax <= DIMENSION_CAP and rows <= _POINT_BUDGET
+
+
 def _sobol_mean(p, box, anchors, m, n_samples=1 << 14, seed=42, replicates=8):
     """A_m and its error for anchor rows (nc, n, dim), n >= 0, from n_samples
     Sobol points shared by every row (sobol_replicates)."""

@@ -20,7 +20,8 @@ is implemented as a verifier only, with panel quadrature whose panels are
 aligned to the contact lattice of the anchors.  The kernel vanishes beyond
 the interaction range, so the y-integrals live on a short interval around
 x_1; for hard rods every integrand is then piecewise polynomial on the
-panels and the quadrature is exact to rounding.  The nested panel nodes of
+panels, and a family that declares its degree (panel_degree) gets the Gauss
+node counts exact for it, capped by the order.  The nested panel nodes of
 the ordered sector come from integrals.ordered_sector, the builder that
 also integrates the anchored integrals the correlation family is made of,
 here run on the windows of all the probes at once.  For a family that
@@ -181,13 +182,13 @@ def _kernel_window(p: PairPotential, box: Box, x1):
     return np.maximum(0.0, x1 - r), np.minimum(box.extents[0], x1 + r)
 
 
-def _sector_nodes(p, box, x1, rest, m, order, inner_order, kmax, prune=False):
+def _sector_nodes(p, box, x1, rest, nodes, kmax, prune=False):
     """Chunks (rows (R, m), weights, owner) of the ordered sectors y_1 <= ... <= y_m in
     the kernel windows of probes x1 (P,) with other anchors rest (P, n - 1).
 
-    integrals.ordered_sector with `order` nodes per panel at level 1 and
-    `inner_order` below, cut at each probe's contact lattice inside its
-    window (offsets k*a, k >= 2, never cut it).  prune keeps just the rows
+    integrals.ordered_sector with nodes[k - 1] nodes per panel at level k,
+    m = len(nodes), cut at each probe's contact lattice inside its window
+    (offsets k*a, k >= 2, never cut it).  prune keeps just the rows
     where a family that vanishes on hard-core overlap is nonzero, bit for
     bit and in order.  Chunks of several probes stay within _CHUNK rows.
     """
@@ -195,7 +196,7 @@ def _sector_nodes(p, box, x1, rest, m, order, inner_order, kmax, prune=False):
     if window is None:
         return
     lo, hi = window
-    a = p.interaction_range
+    a, m = p.interaction_range, len(nodes)
     if prune:  # m rods overlap in a window of width (m - 1) * a or less: no rows
         hi = np.where((m - 1) * a < hi - lo, hi, lo)
     if not np.any(hi > lo):
@@ -204,31 +205,31 @@ def _sector_nodes(p, box, x1, rest, m, order, inner_order, kmax, prune=False):
     inside = (static > lo[:, None]) & (static < hi[:, None])
     static = np.sort(np.where(inside, static, hi[:, None]), axis=1)
     for rows, weights, owner in ordered_sector(
-            lo, hi, static[:, : inside.sum(axis=1).max()], a, [order] + [inner_order] * (m - 1),
-            gap=a if prune else 0.0, exclude=rest if prune else None, budget=math.inf,
-            split=_CHUNK):
+            lo, hi, static[:, : inside.sum(axis=1).max()], a, nodes, gap=a if prune else 0.0,
+            exclude=rest if prune else None, budget=math.inf, split=_CHUNK):
         if rows.shape[1] == m and len(rows):
             yield rows, weights, owner
 
 
 def _ordered_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax, prune=False):
     """Node rows and weights of one probe: _sector_nodes of a batch of one."""
-    chunks = _sector_nodes(p, box, np.array([float(x1)]), np.reshape(rest_coords, (1, -1)), m,
-                           order, inner_order, kmax, prune)
+    chunks = _sector_nodes(p, box, np.array([float(x1)]), np.reshape(rest_coords, (1, -1)),
+                           [order] + [inner_order] * (m - 1), kmax, prune)
     return next(chunks, (np.empty((0, m)), np.empty(0)))[:2]
 
 
-def _term_quadrature(p, box, phi, n, x1, rest, m, order, inner_order, kmax, prune):
+def _term_quadrature(p, box, phi, n, x1, rest, nodes, kmax, prune):
     """One m-term of the operator sum (without the e^{-W} prefactor) and its carried
     error, per probe: arrays over the first anchors x1 (P,) and the rest (P, n - 1).
-    The m = 0 term is one family call at every probe's other anchors; a term
-    m >= 1 makes one family call per chunk of its nest's rows."""
+    The m = 0 term (no nodes) is one family call at every probe's other anchors;
+    a term m = len(nodes) >= 1 makes one family call per chunk of its nest's rows."""
+    m = len(nodes)
     if m == 0:  # the family at the other anchors
         val = phi(n - 1, rest[:, :, None])
         return val, np.zeros(len(x1)) + getattr(phi, "last_error", 0.0)
     val, carried = np.zeros(len(x1), dtype=complex), np.zeros(len(x1))
     # ordered sector times m! cancels the 1/m! prefactor
-    for ys, ws, probe in _sector_nodes(p, box, x1, rest, m, order, inner_order, kmax, prune):
+    for ys, ws, probe in _sector_nodes(p, box, x1, rest, nodes, kmax, prune):
         # np.prod's order over the m factors, a column at a time rather than a row
         kern = functools.reduce(np.multiply, p.mayer_f(np.abs(ys - x1[probe, None])).T)
         vals = phi(n - 1 + m, np.concatenate([rest[probe], ys], axis=1)[:, :, None])
@@ -239,6 +240,22 @@ def _term_quadrature(p, box, phi, n, x1, rest, m, order, inner_order, kmax, prun
         for s, e in zip(ends[:-1], ends[1:]):
             val[probe[s]], carried[probe[s]] = np.dot(wk[s:e], vals[s:e]), werr[s:e].sum()
     return val, carried
+
+
+def _panel_nodes(phi, n, m, order, inner_order, kmax):
+    """Gauss nodes per level, (fine, coarse), of the m-term's nest at level n: the order
+    rule, or, where phi.panel_degree(n - 1 + m) = d declares a polynomial of total
+    degree d on each cell of the cuts, floor((d + m - k) / 2) + 1 at level k (each
+    inner integral over a cut-dependent limit adds a degree) and one more, capped by
+    the order rule.  The lattice must reach the breakpoints, offsets to (d + 1) a
+    shifted by the m - 1 inner cuts y + a: kmax >= d + m."""
+    fine = [order] + [inner_order] * (m - 1)
+    coarse = [max(4, order // 2)] + [max(6, inner_order - 3)] * (m - 1)
+    d = phi.panel_degree(n - 1 + m) if hasattr(phi, "panel_degree") else None
+    if d is None or kmax < d + m:
+        return fine, coarse
+    exact = [max(1, (d + m - k) // 2 + 1) for k in range(1, m + 1)]
+    return [min(f, e + 1) for f, e in zip(fine, exact)], [min(c, e) for c, e in zip(coarse, exact)]
 
 
 def _term_sampled(p, box, phi, n, x1, rest, m, seed):
@@ -275,8 +292,10 @@ def apply_ks_function(p: PairPotential, box: Box, phi, n, anchors, M, order=64, 
     Returns P values and error bounds; one configuration (n, dim) is a batch
     of one and gives scalars.  For n = 1 the sum starts at m = 1: the
     empty-product constant term of the first equation is the caller's to
-    add.  phi is a family callable (level, configs) -> values.  The bound
-    covers quadrature (order refinement), sampling (replicate spread) and
+    add.  phi is a family callable (level, configs) -> values; order caps
+    the Gauss nodes per panel, which phi.panel_degree can make exact
+    (_panel_nodes).  The bound covers quadrature (order refinement),
+    sampling (replicate spread) and
     the per-row errors a family leaves in phi.last_error.  Each term is built
     for all probes with e^{-W} != 0 at once, and each probe's rows are summed
     as a batch of one sums them: no value depends on the batch.
@@ -306,12 +325,11 @@ def apply_ks_function(p: PairPotential, box: Box, phi, n, anchors, M, order=64, 
             val, e = _term_sampled(p, box, phi, n, x1, rest, m, seed + m)
             total, err = total + val, err + e
             continue
-        fine, carried = _term_quadrature(p, box, phi, n, x1, rest, m, order, inner_order, kmax,
-                                         pruned)
+        nodes = _panel_nodes(phi, n, m, order, inner_order, kmax) if m else ([], [])
+        fine, carried = _term_quadrature(p, box, phi, n, x1, rest, nodes[0], kmax, pruned)
         err += carried
         if m >= 1:
-            coarse, _ = _term_quadrature(p, box, phi, n, x1, rest, m, max(4, order // 2),
-                                         max(6, inner_order - 3), kmax, pruned)
+            coarse, _ = _term_quadrature(p, box, phi, n, x1, rest, nodes[1], kmax, pruned)
             d = fine - coarse  # np.hypot rounds |.| as Python's abs does; np.abs may not
             err += 2.0 * np.hypot(d.real, d.imag) + 1e-15 * np.hypot(fine.real, fine.imag)
         total += fine

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Degenerate, NearPole, NumericalError
-from .integrals import IntegralTable, anchored_series, signed_exp
+from .integrals import IntegralTable, anchored_series, nest_is_exact, signed_exp
 
 _LONG = np.clongdouble
 
@@ -778,6 +778,14 @@ class CorrelationFamily:
         # configurations, which licenses the rod-packing cutoff in the
         # operator quadrature
         self.vanishes_on_overlap = bool(poly.potential.has_hard_core)
+
+    def panel_degree(self, level):
+        """Total degree, in the free coordinates, of the values at `level` on each cell
+        of the contact-lattice cuts, or None where they are not polynomials there: the
+        hard-rod gap series is exact, and a 1-D step's nest is where nest_is_exact holds."""
+        d, p = min(self.poly.M, self.degree) - level, self.poly.potential
+        exact = p.family == "hardcore" or (p.family == "step" and nest_is_exact(level, d))
+        return d if exact and self.poly.box.dimension == 1 else None
 
     def __call__(self, level, configs):
         configs = np.asarray(configs, dtype=float)

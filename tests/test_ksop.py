@@ -7,14 +7,17 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from kslab import ksop
 from kslab.errors import ConfigError
-from kslab.integrals import (Box, build_table, contact_lattice_rows, gauss_legendre,
-                             ordered_sector, panel_rule, sobol_replicates)
+from kslab.integrals import (DIMENSION_CAP, Box, _sector_series, build_table,
+                             contact_lattice_rows, gauss_legendre, nest_is_exact, ordered_sector,
+                             panel_rule, sobol_replicates)
 from kslab.ksop import (
     CallableFamily,
     CorrelationFamily,
     _kernel_window,
     _ordered_nodes,
+    _panel_nodes,
     _term_sampled,
     apply_ks_function,
     build_ks_matrix,
@@ -199,7 +202,8 @@ def test_residual_bound_covers_rounding_up_to_the_smallest_zero(rods, tonks5):
     # without it hard rods L = 5 read sup 2.2e-15 against a bound of 1.2e-15
     # at z = -0.3 and 2.5e-7 against 5.6e-8 at z_c (1 - 1e-8), and the free
     # gas at M = 8 missed it 23x at delta = 0.1 (8 probes fit its unit box up
-    # to level 4)
+    # to level 4).  The hard rods run on the node counts exact for their
+    # degree, which order 64 only caps
     poly, n_max, order, count = (tonks5, 5, 64, 32) if rods else (make_ideal(M=8), 4, 16, 8)
     z_c = smallest_zero(zeros(poly)).z_c
     ray = [z_c * (1.0 - 10.0 ** -k) for k in range(1, 9)]
@@ -373,9 +377,10 @@ def test_pruned_nodes_are_the_nonzero_rows():
 
 def test_workload_residual_feeds_only_live_rows(monkeypatch, tmp_path):
     # the hard-rod residual of the benchmark's residual workload hands the
-    # operator's family 111,942 node rows, and the left side's family its
-    # 47 probe rows; the 743,136 overlap rows the operator used to receive
-    # as well are zeros of the family and are no longer built
+    # operator's family 2,890 node rows, and the left side's family its 47
+    # probe rows.  The overlap rows, zeros of the family, are not built, and
+    # the nest takes the node counts exact for the family's degree: at
+    # --order 64 on every panel it built 111,942 rows
     from kslab.cli import main
 
     rows = []
@@ -388,7 +393,7 @@ def test_workload_residual_feeds_only_live_rows(monkeypatch, tmp_path):
     monkeypatch.setattr(CorrelationFamily, "__call__", counting)
     assert main(["residual", "--L", "5", "--M", "6", "--z", "0.2", "--n-max", "2",
                  "--order", "64", "--probes", "32", "--out", str(tmp_path / "r.json")]) == 0
-    assert sum(rows) == 111_942 + 47
+    assert sum(rows) == 2_890 + 47
 
 
 def test_residual_series_calls(monkeypatch, tmp_path):
@@ -487,8 +492,10 @@ def test_gauss_legendre_rule_is_shared_read_only():
 # -- the batched application against the loop over probes it replaced ---------------
 
 
-def _reference_term_quadrature(p, box, phi, n, x1, rest, m, order, inner_order, kmax):
-    """One probe's m-term by its own nest pass and its own family call."""
+def _reference_term_quadrature(p, box, phi, n, x1, rest, nodes, kmax):
+    """One probe's m-term by its own nest pass, nodes[k - 1] per panel at level k,
+    and its own family call."""
+    m = len(nodes)
     if m == 0:
         val = complex(phi(n - 1, rest.reshape(1, n - 1, 1))[0])
         return val, float(np.sum(getattr(phi, "last_error", 0.0)))
@@ -499,8 +506,8 @@ def _reference_term_quadrature(p, box, phi, n, x1, rest, m, order, inner_order, 
         return 0.0 + 0.0j, 0.0
     static = contact_lattice_rows(box.extents[0], r, kmax, np.append(rest, x1)[None])
     *_, (ys, ws, _) = ordered_sector(
-        np.array([lo]), np.array([hi]), static, r, [order] + [inner_order] * (m - 1),
-        gap=r if prune else 0.0, exclude=rest[None] if prune else None, budget=math.inf)
+        np.array([lo]), np.array([hi]), static, r, nodes, gap=r if prune else 0.0,
+        exclude=rest[None] if prune else None, budget=math.inf)
     if len(ws) == 0:
         return 0.0 + 0.0j, 0.0
     kern = np.prod(p.mayer_f(np.abs(ys - x1)), axis=1)
@@ -533,7 +540,8 @@ def _reference_term_sampled(p, box, phi, n, x1, rest, m, seed):
 
 def _reference_apply(p, box, phi, n, anchors, M, order=64, seed=42):
     """(K phi) at one anchor configuration, one probe at a time, as the
-    operator was applied before its terms were batched over probes."""
+    operator was applied before its terms were batched over probes, with the
+    operator's own node counts per level (_panel_nodes)."""
     x1, rest = float(anchors[0, 0]), anchors[1:, 0].copy()
     eW = 1.0
     if n > 1:
@@ -548,13 +556,11 @@ def _reference_apply(p, box, phi, n, anchors, M, order=64, seed=42):
             val, e = _reference_term_sampled(p, box, phi, n, x1, rest, m, seed + m)
             total, err = total + val, err + e
             continue
-        fine, carried = _reference_term_quadrature(p, box, phi, n, x1, rest, m, order,
-                                                   inner_order, kmax)
+        nodes = _panel_nodes(phi, n, m, order, inner_order, kmax) if m else ([], [])
+        fine, carried = _reference_term_quadrature(p, box, phi, n, x1, rest, nodes[0], kmax)
         err += carried
         if m >= 1:
-            coarse, _ = _reference_term_quadrature(p, box, phi, n, x1, rest, m,
-                                                   max(4, order // 2), max(6, inner_order - 3),
-                                                   kmax)
+            coarse, _ = _reference_term_quadrature(p, box, phi, n, x1, rest, nodes[1], kmax)
             err += 2.0 * abs(fine - coarse) + 1e-15 * abs(fine)
         total += fine
     return eW * total, eW * err
@@ -615,3 +621,96 @@ def test_batched_application_matches_probe_loop_off_hard_rods():
     fam = CorrelationFamily(poly, 0.1, degree=3)
     _assert_batch_matches_reference(step, poly.box, fam, 1, np.array([[[0.5]], [[3.7]]]), 4,
                                     order=12)
+
+
+# -- node counts exact for the family's degree ------------------------------------------
+
+
+def _order_rule_application(*args, **kwargs):
+    """apply_ks_function with the exact-degree rule bypassed in its helper."""
+    real = ksop._panel_nodes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ksop, "_panel_nodes", lambda phi, *rest: real(None, *rest))
+        return apply_ks_function(*args, **kwargs)
+
+
+@pytest.mark.parametrize("L, M", [(5.0, 6), (10.0, 11)])
+@pytest.mark.parametrize("z", [0.2, -0.3, 0.3 + 0.2j])
+def test_exact_degree_rule_gives_the_order_64_sums(L, M, z):
+    # hard-rod correlations are polynomials between the cuts, so the node
+    # counts exact for their degree give the order-64 sums to rounding, and
+    # each side's bound covers the gap
+    poly = make_tonks(L, M=M)
+    p, box = poly.potential, poly.box
+    fam = CorrelationFamily(poly, z, degree=M - 1)
+    fine, coarse = _panel_nodes(fam, 1, 2, 64, M + 5, M + 1)
+    assert fine == [c + 1 for c in coarse] and fine[0] < M
+    for n in (1, 2, 3):
+        probes = np.array(probe_anchor_sets(box, p, n, count=8))
+        value, bound = apply_ks_function(p, box, fam, n, probes, M)
+        ref, ref_bound = _order_rule_application(p, box, fam, n, probes, M)
+        gap = np.abs(value - ref)
+        assert gap.max() <= 1e-13 * np.abs(ref).max()
+        assert np.all(gap <= bound) and np.all(gap <= ref_bound)
+
+
+def test_understated_degree_is_caught_by_the_refinement_term(tonks5):
+    # a family that declares d - 2 gets too few coarse nodes; the fine rule,
+    # one node more per level, is then exact, and 2 |fine - coarse| shows the
+    # coarse rule's miss in the bound
+    class Understated(CorrelationFamily):
+        def panel_degree(self, level):
+            return super().panel_degree(level) - 2
+
+    p, box = tonks5.potential, tonks5.box
+    honest, fam = CorrelationFamily(tonks5, 0.2, degree=5), Understated(tonks5, 0.2, degree=5)
+    for n in (1, 2):
+        probes = np.array(probe_anchor_sets(box, p, n, count=8))
+        value, bound = apply_ks_function(p, box, fam, n, probes, 6)
+        ref, _ = _order_rule_application(p, box, fam, n, probes, 6)
+        assert np.all(np.abs(value - ref) <= bound)
+        assert bound.max() > 1e3 * apply_ks_function(p, box, honest, n, probes, 6)[1].max()
+
+
+def test_families_outside_the_rule_keep_the_order_rule_bit_for_bit():
+    # a callable declares no degree.  At hard rods M = 14 the lattice stops at
+    # kmax = 12: it does not reach offset (d + 1) a = 13 a of the m = 1 term,
+    # nor the m = 2 term's breakpoint at 12 a shifted by its inner cut y + a
+    def same(*args, **kwargs):
+        got, want = apply_ks_function(*args, **kwargs), _order_rule_application(*args, **kwargs)
+        for g, w in zip(got, want):
+            assert np.array_equal(np.asarray(g).view(np.int64), np.asarray(w).view(np.int64))
+
+    smooth = CallableFamily(lambda lvl, cfg: (0.3 + 0.1j) ** lvl * np.cos(cfg.sum(axis=(1, 2))))
+    pairs = np.array([[[0.3], [2.0]], [[2.5], [4.1]], [[4.7], [1.2]]])
+    same(PairPotential.step(0.8, 1.3), Box((5.0,)), smooth, 2, pairs, 6, order=12)
+    rods = make_tonks(14.0, M=14)
+    fam = CorrelationFamily(rods, 0.1, degree=13)
+    for m in (1, 2):
+        assert _panel_nodes(fam, 1, m, 64, 19, 12) == _panel_nodes(None, 1, m, 64, 19, 12)
+    assert _panel_nodes(fam, 2, 1, 64, 20, 12) != _panel_nodes(None, 2, 1, 64, 20, 12)
+    probes = np.array(probe_anchor_sets(rods.box, rods.potential, 1, count=8))
+    same(rods.potential, rods.box, fam, 1, probes, 14, order=24)
+
+
+def test_step_family_declares_its_degree_only_where_the_nest_gives_every_column():
+    # three anchors spread at L = 12 stop the step nest at order 3 of 4, at
+    # the point budget: nest_is_exact refuses that pair, and each pair it
+    # admits reaches its order.  Where the step family declares its degree,
+    # the exact counts give the order-rule sums to rounding
+    step = PairPotential.step(0.8, 1.3)
+    anchors = np.array([[[6.0], [6.37], [6.74]]])
+    assert _sector_series(step, Box((12.0,)), anchors, 4)[2][0] == 3
+    assert not nest_is_exact(3, 4)
+    for n in (1, 2, 3):
+        for jmax in filter(lambda j: nest_is_exact(n, j), range(DIMENSION_CAP + 1)):
+            assert _sector_series(step, Box((12.0,)), anchors[:, :n], jmax)[2][0] == jmax
+    poly = assemble(build_table(step, Box((4.0,)), 4, order=12))
+    fam = CorrelationFamily(poly, 0.1, degree=3)
+    assert [fam.panel_degree(level) for level in (1, 2, 3)] == [2, 1, 0]
+    probes = np.array(probe_anchor_sets(poly.box, step, 1, count=4))
+    value, bound = apply_ks_function(step, poly.box, fam, 1, probes, 4, order=12)
+    ref, ref_bound = _order_rule_application(step, poly.box, fam, 1, probes, 4, order=12)
+    gap = np.abs(value - ref)
+    assert gap.max() <= 1e-13 * np.abs(ref).max()
+    assert np.all(gap <= bound) and np.all(gap <= ref_bound)

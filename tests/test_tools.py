@@ -2,12 +2,16 @@
 tools/pairs.py, on synthetic pairs of benchmark runs and a synthetic
 checkout; the output parser that tools/workload_json.py shares with
 perfbench's worker, its field-by-field comparison and its refusal of a
-missing or empty directory; tools/fresh.py on one fresh process."""
+missing or empty directory; tools/fresh.py on one fresh process; and the
+arguments that tools/pairs.py and tools/fresh.py refuse before any run."""
 
 import importlib.util
 import json
 import os
+import subprocess
 from pathlib import Path
+
+import pytest
 
 from kslab.cli import main
 
@@ -127,3 +131,22 @@ def test_fresh_times_a_command_in_a_new_process(capsys):
     assert _load("fresh").main(["--runs", "1", "--", "--help"]) == 0
     (line,) = capsys.readouterr().out.splitlines()
     assert line.endswith("ratio  1.000  --help") and float(line.split()[0]) > 0
+
+
+def test_pair_tools_refuse_bad_arguments_before_any_run(monkeypatch, capsys):
+    # an unknown workload, no pairs and no rounds exit 2 through argparse;
+    # they used to end in a JSONDecodeError, an IndexError in quartiles and
+    # a StatisticsError.  No process starts
+    def no_process(*args, **kwargs):
+        raise AssertionError("a process started")
+
+    monkeypatch.setattr(subprocess, "run", no_process)
+    pairs, fresh = _load("pairs"), _load("fresh")
+    pair_args = ["--parent", str(TOOLS.parent), "--seed", "1"]
+    for tool, argv, why in (
+            (pairs, pair_args + ["--workload", "all", "--pairs", "1"], "invalid choice: 'all'"),
+            (pairs, pair_args + ["--workload", "residual", "--pairs", "0"], "0 is below 1"),
+            (fresh, ["--runs", "0", "--", "--help"], "0 is below 1")):
+        with pytest.raises(SystemExit) as exc:
+            tool.main(argv)
+        assert exc.value.code == 2 and why in capsys.readouterr().err

@@ -9,7 +9,8 @@ drift in the machine's speed reach every command alike.  Prints, per
 command, its median over the N rounds and its ratio to the first command's
 median.  The processes run with this checkout's src/ (or SRC) on PYTHONPATH,
 in a scratch working directory, with their output discarded.  Exits 1 when
-a process exits non-zero.
+a process exits non-zero, and 2, before any process starts, when --runs is
+below 1.
 
 Standard library only.
 """
@@ -29,9 +30,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def at_least_one(text):
+    """An argparse type: an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--runs", type=int, default=5, help="rounds (default 5)")
+    ap.add_argument("--runs", type=at_least_one, default=5, help="rounds (default 5)")
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding kslab")
     ap.add_argument("commands", nargs="+", help="kslab command lines, one per argument")
     args = ap.parse_args(argv)

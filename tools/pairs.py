@@ -18,10 +18,11 @@ exceeds the bound, unless every change run beats every parent run.  A gain
 claim holds when the change wins at least nine tenths of the pairs and its
 median is better than the parent's by more than the parent's interquartile
 range.  It exits 1 when a run reports a failed command, and 2 when a run
-does not finish.  Before the first run it warns, on stderr, of every .pyc
-under either checkout's src/ that is older than its source: under
-PYTHONDONTWRITEBYTECODE=1 such a file is recompiled at every worker start,
-and the side that holds it pays for that in setup_s.
+does not finish, or, before any run, when the workload is not one of
+BENCHMARK.json's or --pairs is below 1.  Before the first run it warns, on
+stderr, of every .pyc under either checkout's src/ that is older than its
+source: under PYTHONDONTWRITEBYTECODE=1 such a file is recompiled at every
+worker start, and the side that holds it pays for that in setup_s.
 
 Standard library only; perfbench is run, never changed.
 """
@@ -95,14 +96,22 @@ def summarize(metrics, runs):
     return lines
 
 
+def at_least_one(text):
+    """An argparse type: an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
 def main(argv=None):
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", required=True, type=int)
+    ap.add_argument("--workload", required=True, choices=[w["name"] for w in bench["workloads"]])
+    ap.add_argument("--pairs", required=True, type=at_least_one)
     ap.add_argument("--seed", required=True, type=int)
     args = ap.parse_args(argv)
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     runs = {"parent": [], "change": []}
