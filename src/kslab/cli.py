@@ -404,8 +404,10 @@ def cmd_residual(args):
     report = ks_residual(poly, z, args.n_max, order=args.order, count=args.probes,
                          seed=args.seed)
     gap = max(lv.truncation_gap for lv in report.levels)
+    worst = max(report.levels, key=lambda lv: lv.coefficient_residual)
     _say(f"sup residual {report.sup_residual:.3e}  error bound "
-         f"{report.error_bound:.3e}  truncation gap {gap:.3e}")
+         f"{report.error_bound:.3e}  truncation gap {gap:.3e}  coefficient residual "
+         f"{worst.coefficient_residual:.3e} within {worst.coefficient_bound:.3e}")
     rows = [
         {"n": lv.n, "sup_residual": lv.sup_residual, "error_bound": lv.error_bound,
          "truncation_gap": lv.truncation_gap, "n_probes": lv.n_probes}

@@ -23,25 +23,25 @@ x_1; for hard rods every integrand is then piecewise polynomial on the
 panels, and a family that declares its degree (panel_degree) gets the Gauss
 node counts exact for it, capped by the order.  The nested panel nodes of
 the ordered sector come from integrals.ordered_sector, the builder that
-also integrates the anchored integrals the correlation family is made of,
+also integrates the anchored integrals the numerator family is made of,
 here run on the windows of all the probes at once.  For a family that
 vanishes on hard-core overlap, no panel is built where two rods overlap.
-The correlations on both sides come from partition.CorrelationFamily,
-re-exported here, whose rows do not depend on the batch they come in: the
-left side of each level is one family call over all its probes, and the
-right side one batched application over all the probes, with one family
-call for the m = 0 term, one nest pass per rule and one family call per
-chunk of rows for a quadrature term, and one family call per replicate
-for a sampled term.  Each probe's sum runs over its own rows in the order
+K acts on each entry of a family whose rows are arrays (phi.row_shape).
+Both sides of the residual come from partition.NumeratorFamily, whose rows
+do not depend on the batch they come in: the left side of each level is
+one family call over all its probes, and the right side one batched
+application over all the probes, with one family call for the m = 0 term,
+one nest pass per rule and one family call per chunk of rows for a
+quadrature term, and one per replicate for a sampled term.  Each probe's sum runs over its own rows in the order
 a probe on its own would sum them, so batching moves no bit.
 
 Truncation bookkeeping, fixed here once and used by the residual check:
-with the degree-M family on the left, the exact finite-truncation identity
-feeds the operator the degree-(M-1) family and, at level 1, replaces the
-inhomogeneous constant 1 by Xi_{M-1}/Xi_M = 1 - c_M z^M / Xi_M.  With exact
-integrals the residual of that discrete system is zero to rounding at every
-truncation; the gap to the constant-1 form (the genuine truncation tail) is
-reported separately.
+times Xi_M, the truncated equations rho = z (delta + K rho) hold power by
+power in z, as the z-free identity N^(M)_n[k] = delta_(n1) c_(k-1) +
+(K N^(M-1))_n[k-1], k = 1..M, between numerator coefficients at degree M
+and at degree M - 1 fed to the operator: with exact integrals its residual
+is zero to rounding at every truncation.  The gap to the infinite system's
+level-1 constant 1 (the genuine truncation tail) is reported separately.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ import numpy as np
 from .errors import ConfigError
 from .integrals import (_BLOCK, Box, contact_lattice, contact_lattice_rows, ordered_sector,
                         sobol_replicates)
-from .partition import (CorrelationFamily, PartitionPolynomial, scaled_coefficients,
-                        smallest_pick)
+from .partition import (NumeratorFamily, PartitionPolynomial, _gamma, evaluate,
+                        scaled_coefficients, smallest_pick)
 from .potentials import PairPotential
 
 _SOBOL_SAMPLES = 1 << 12
@@ -211,34 +211,38 @@ def _sector_nodes(p, box, x1, rest, nodes, kmax, prune=False):
             yield rows, weights, owner
 
 
-def _ordered_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax, prune=False):
-    """Node rows and weights of one probe: _sector_nodes of a batch of one."""
-    chunks = _sector_nodes(p, box, np.array([float(x1)]), np.reshape(rest_coords, (1, -1)),
-                           [order] + [inner_order] * (m - 1), kmax, prune)
-    return next(chunks, (np.empty((0, m)), np.empty(0)))[:2]
+def _per_row(x, vals):
+    """Per-row x (R,) shaped to broadcast against family values vals (R, ...)."""
+    return x.reshape(x.shape + (1,) * (vals.ndim - 1))
+
+
+def _row_zeros(phi, count):
+    """Complex value and real error accumulators of shape (count,) + phi.row_shape."""
+    shape = (count,) + getattr(phi, "row_shape", ())
+    return np.zeros(shape, dtype=complex), np.zeros(shape)
 
 
 def _term_quadrature(p, box, phi, n, x1, rest, nodes, kmax, prune):
     """One m-term of the operator sum (without the e^{-W} prefactor) and its carried
-    error, per probe: arrays over the first anchors x1 (P,) and the rest (P, n - 1).
+    error per probe (and row entry), over first anchors x1 (P,) and the rest (P, n - 1).
     The m = 0 term (no nodes) is one family call at every probe's other anchors;
     a term m = len(nodes) >= 1 makes one family call per chunk of its nest's rows."""
     m = len(nodes)
     if m == 0:  # the family at the other anchors
         val = phi(n - 1, rest[:, :, None])
-        return val, np.zeros(len(x1)) + getattr(phi, "last_error", 0.0)
-    val, carried = np.zeros(len(x1), dtype=complex), np.zeros(len(x1))
+        return val, np.zeros(val.shape) + getattr(phi, "last_error", 0.0)
+    val, carried = _row_zeros(phi, len(x1))
     # ordered sector times m! cancels the 1/m! prefactor
     for ys, ws, probe in _sector_nodes(p, box, x1, rest, nodes, kmax, prune):
         # np.prod's order over the m factors, a column at a time rather than a row
         kern = functools.reduce(np.multiply, p.mayer_f(np.abs(ys - x1[probe, None])).T)
         vals = phi(n - 1 + m, np.concatenate([rest[probe], ys], axis=1)[:, :, None])
         wk = ws * kern
-        werr = np.abs(wk) * getattr(phi, "last_error", 0.0)
+        werr = _per_row(np.abs(wk), vals) * getattr(phi, "last_error", 0.0)
         # each probe's sum over its own rows, as a batch of one sums them
         ends = [0, *((probe[1:] != probe[:-1]).nonzero()[0] + 1).tolist(), len(probe)]
         for s, e in zip(ends[:-1], ends[1:]):
-            val[probe[s]], carried[probe[s]] = np.dot(wk[s:e], vals[s:e]), werr[s:e].sum()
+            val[probe[s]], carried[probe[s]] = np.dot(wk[s:e], vals[s:e]), werr[s:e].sum(axis=0)
     return val, carried
 
 
@@ -259,10 +263,10 @@ def _panel_nodes(phi, n, m, order, inner_order, kmax):
 
 
 def _term_sampled(p, box, phi, n, x1, rest, m, seed):
-    """One m-term and its error per probe from one replicate-sampled pass: every
-    probe averages over the same Sobol points, mapped onto its window, with one
-    family call per replicate over all the probes' points."""
-    val, err = np.zeros(len(x1), dtype=complex), np.zeros(len(x1))
+    """One m-term and its error per probe and row entry from one replicate-sampled
+    pass: every probe averages over the same Sobol points, mapped onto its window,
+    with one family call per replicate over all the probes' points."""
+    val, err = _row_zeros(phi, len(x1))
     window = _kernel_window(p, box, x1)
     if window is None:
         return val, err
@@ -276,12 +280,14 @@ def _term_sampled(p, box, phi, n, x1, rest, m, seed):
         kern = np.prod(p.mayer_f(np.abs(ys - np.repeat(x1, len(u))[:, None])), axis=1)
         configs = np.concatenate([np.repeat(rest, len(u), axis=0), ys], axis=1)
         vals = phi(level, configs[:, :, None])
+        kern = _per_row(kern, vals)
         carried = np.abs(kern) * getattr(phi, "last_error", 0.0)
-        return np.stack([kern * vals, carried]).reshape(2, len(live), -1).mean(axis=2) * scale
+        means = np.stack([kern * vals, carried]).reshape((2, len(live), -1) + vals.shape[1:])
+        return means.mean(axis=2) * _per_row(scale, vals)
 
     mean, spread = sobol_replicates(m, _SOBOL_SAMPLES, seed, 8, estimate)
     fac = math.factorial(m)
-    val[live] = (mean[0].view(float) / fac).view(complex)  # part by part, as complex / int
+    val[live] = (mean[0].view(float) / fac).view(mean.dtype)  # part by part, as complex / int
     err[live] = (spread[0] + mean[1].real) / fac
     return val, err
 
@@ -289,16 +295,18 @@ def _term_sampled(p, box, phi, n, x1, rest, m, seed):
 def apply_ks_function(p: PairPotential, box: Box, phi, n, anchors, M, order=64, seed=42):
     """(K phi) at a batch of anchor configurations (P, n, dim), summed over m = 0..M-n.
 
-    Returns P values and error bounds; one configuration (n, dim) is a batch
-    of one and gives scalars.  For n = 1 the sum starts at m = 1: the
+    Returns values and error bounds of shape (P,) plus phi.row_shape, the
+    trailing axes of a family whose rows are arrays (K acts on each entry);
+    one configuration (n, dim) is a batch of one and gives one row, scalars
+    for a family of numbers.  For n = 1 the sum starts at m = 1: the
     empty-product constant term of the first equation is the caller's to
     add.  phi is a family callable (level, configs) -> values; order caps
     the Gauss nodes per panel, which phi.panel_degree can make exact
     (_panel_nodes).  The bound covers quadrature (order refinement),
-    sampling (replicate spread) and
-    the per-row errors a family leaves in phi.last_error.  Each term is built
-    for all probes with e^{-W} != 0 at once, and each probe's rows are summed
-    as a batch of one sums them: no value depends on the batch.
+    sampling (replicate spread) and the per-row errors a family leaves in
+    phi.last_error.  Each term is built for all probes with e^{-W} != 0 at
+    once, and each probe's rows are summed as a batch of one sums them: no
+    value depends on the batch.
     """
     if box.dimension != 1:
         raise ConfigError(f"the operator application is one-dimensional; the box has "
@@ -314,7 +322,7 @@ def apply_ks_function(p: PairPotential, box: Box, phi, n, anchors, M, order=64, 
 
     kmax = min(M + 1, 12)
     inner_order = max(8, min(order, M + n + 4))
-    total, err = np.zeros(len(live), dtype=complex), np.zeros(len(live))
+    total, err = _row_zeros(phi, len(live))
     # the kernel does not keep the y's apart: only a family that dies on
     # overlaps licenses pruning, and it zeroes every term past two kernel
     # coordinates (a window spans two rod diameters).  Other families' terms
@@ -333,9 +341,12 @@ def apply_ks_function(p: PairPotential, box: Box, phi, n, anchors, M, order=64, 
             d = fine - coarse  # np.hypot rounds |.| as Python's abs does; np.abs may not
             err += 2.0 * np.hypot(d.real, d.imag) + 1e-15 * np.hypot(fine.real, fine.imag)
         total += fine
-    value, bound = np.zeros(len(batch), dtype=complex), np.zeros(len(batch))
-    value[live], bound[live] = eW[live] * total, eW[live] * err
-    return (complex(value[0]), float(bound[0])) if single else (value, bound)
+    value, bound = _row_zeros(phi, len(batch))
+    weight = _per_row(eW[live], total)
+    value[live], bound[live] = weight * total, weight * err
+    if not single:
+        return value, bound
+    return (value[0], bound[0]) if value.ndim > 1 else (complex(value[0]), float(bound[0]))
 
 
 # -- residual of the full system --------------------------------------------------
@@ -346,9 +357,11 @@ class LevelResidual:
     n: int
     sup_residual: float
     error_bound: float
-    truncation_gap: float  # |consistent constant - 1| contribution at this level
+    truncation_gap: float  # what the infinite system's level-1 constant 1 would add
     n_probes: int
     sup_rho: float
+    coefficient_residual: float  # worst residual of the z-free identity, over k and probes
+    coefficient_bound: float
 
 
 @dataclass
@@ -383,6 +396,8 @@ class KSResidualReport:
                     "truncation_gap": l.truncation_gap,
                     "n_probes": l.n_probes,
                     "sup_rho": l.sup_rho,
+                    "coefficient_residual": l.coefficient_residual,
+                    "coefficient_bound": l.coefficient_bound,
                 }
                 for l in self.levels
             ],
@@ -426,12 +441,14 @@ def ks_residual(poly: PartitionPolynomial, z, n_max, order=64, count=64,
                 seed=42) -> KSResidualReport:
     """Residual of the truncated integral-equation system at activity z.
 
-    The left side is the correlation family at degree M; the operator is
-    fed the degree-(M-1) family, which is the exact discrete pairing, and
-    the level-1 inhomogeneity is Xi_{M-1}/Xi_M, exact at finite M, taken
-    as 1 - c_M z^M / Xi_M so that it is exactly 1 where c_M = 0.  The gap
-    to the constant 1 of the infinite system is each report's
-    truncation_gap.
+    Each level checks the z-free identity of the module docstring at its
+    probes and reports the worst coefficient residual R_k and bound B_k: the
+    integrals' errors, the operator's bound, two roundings of the difference
+    and, at level 1, c_(k-1)'s table error and float64 rounding.  The residual
+    at z is derived, r = sum_k z^k R_k / Xi_M(z), with bound sum_k |z|^k B_k /
+    |Xi_M| plus the sum's rounding and |r| times Xi's relative error.
+    truncation_gap is |z| |c_M z^M / Xi_M|, what the constant 1 in place of
+    Xi_(M-1) / Xi_M would add at level 1.
     """
     p, box = poly.potential, poly.box
     M = poly.M
@@ -452,28 +469,38 @@ def ks_residual(poly: PartitionPolynomial, z, n_max, order=64, count=64,
     if abs(z) >= abs(z_c):
         raise ConfigError(f"|z| = {abs(z)} is not below the smallest zero modulus {abs(z_c)}")
 
-    rho = CorrelationFamily(poly, z)
-    fam = CorrelationFamily(poly, z, degree=M - 1)
-    tail = poly.coeffs[-1] * z**M / rho.xi
-    const, trunc_gap = 1.0 - tail, abs(z) * abs(tail)
+    numerators, fed = NumeratorFamily(poly), NumeratorFamily(poly, degree=M - 1)
+    xi, cond = evaluate(poly, z)
+    xi_rel = (np.polyval(poly.coeff_errors[::-1], abs(z)) + _gamma(M + 1) * cond) / abs(xi)
+    trunc_gap = abs(z) * abs(poly.coeffs[-1] * z**M / xi)
+    zpow = complex(z) ** np.arange(1, M + 1)  # powers k = 1..M; N_n[0] = 0 for n >= 1
+    azpow = np.abs(zpow)
+    c = poly.coeffs[:M]
+    # c_m = exp(log|Z_m| - lgamma(m + 1)), where a closed form's m log(free) rounds
+    # twice: hard rods at L = 20 reach 0.72 of this bound
+    c_err = poly.coeff_errors[:M] + np.array(
+        [2 * (abs(e.log_value) + math.lgamma(e.m + 1) + 1) * 2.0**-53 * abs(cm) if e.sign
+         else 0.0 for e, cm in zip(poly.table.entries, c.tolist())])
 
     levels = []
     for n in range(1, n_max + 1):
-        sup_r = sup_b = 0.0
         probes = probe_anchor_sets(box, p, n, count=count)
         if not probes:
             raise ConfigError(f"no probe configuration fits level {n} in the box; "
                               f"lower n_max or raise the probe count")
-        lhs = rho(n, np.array(probes))
-        ops, op_errs = apply_ks_function(p, box, fam, n, np.array(probes), M, order=order,
+        lhs = numerators(n, np.array(probes))[:, 1:]
+        ops, op_errs = apply_ks_function(p, box, fed, n, np.array(probes), M, order=order,
                                          seed=seed)
-        for value, error, op, op_err in zip(lhs, rho.last_error, ops.tolist(), op_errs.tolist()):
-            rhs = z * (const + op) if n == 1 else z * op
-            sup_r = max(sup_r, abs(value - rhs))
-            sup_b = max(sup_b, error + abs(z) * op_err)
-        sup_rho = max(abs(value) for value in lhs)
-        sup_b = max(sup_b, 1e-15 * (abs(z) + sup_rho))  # roundoff floor
-        levels.append(LevelResidual(n, sup_r, sup_b, trunc_gap if n == 1 else 0.0,
-                                    len(probes), sup_rho))
+        rhs = ops + c if n == 1 else ops
+        res = lhs - rhs
+        bound = (numerators.last_error[:, 1:] + op_errs + (c_err if n == 1 else 0.0)
+                 + _gamma(2) * (np.abs(lhs) + np.abs(rhs)))
+        r = (res * zpow).sum(axis=1) / xi
+        r_bound = ((bound * azpow).sum(axis=1) + _gamma(2 * M + 1)
+                   * (np.abs(res) * azpow).sum(axis=1)) / abs(xi) + np.abs(r) * xi_rel
+        rho = (lhs * zpow).sum(axis=1) / xi
+        levels.append(LevelResidual(
+            n, float(np.abs(r).max()), float(r_bound.max()), trunc_gap if n == 1 else 0.0,
+            len(probes), float(np.abs(rho).max()), float(np.abs(res).max()),
+            float(bound.max())))
     return KSResidualReport(complex(z), M, order, levels)
-

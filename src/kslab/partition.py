@@ -23,8 +23,8 @@ mp_scaled_coeffs at the ZeroSet's certified digits.
 Away from the zeros, evaluation uses Horner in 80-bit extended precision
 together with the coefficient-magnitude sum as a condition estimate, which
 is what the zero residuals and near-pole guards are measured against.
-Correlations N(z; x)/Xi(z) and their error bounds all come from
-CorrelationFamily.
+Correlations are N(z; x)/Xi(z), with the numerator's z-free coefficients
+from NumeratorFamily.
 """
 
 from __future__ import annotations
@@ -750,30 +750,20 @@ class CorrelationValue:
     degree: int  # total z-degree kept in the numerator
 
 
-class CorrelationFamily:
-    """Correlations rho(z; x) at one activity as a vectorized anchored-function family.
+class NumeratorFamily:
+    """Numerator coefficients of the correlations as a z-free anchored-function family.
 
-    Evaluates rho(z; configs) for whole batches of configurations, with the
-    numerator truncated at total degree `degree` (default M): one
-    anchored_series call gives every A_j / j! of a batch, times the powers
-    z^(level + j), over the full Xi.  Each call leaves the per-row error
-    bound of its values in last_error: the anchored integrals' errors, the
-    numerator's rounding gamma_(J+2) sum_j S_j |z|^(n+j) (S_j >= 0), and
-    |rho| times the table error inside Xi plus Xi's rounding gamma_(M+1)
-    cond, over |Xi|.  The sums over j run row by row in a fixed order, so a
-    row's value and bound are the same bits in any batch (a matrix-vector
-    product rounds a one-row batch its own way).  Raises NearPole when z is
-    numerically on a partition zero.
+    A level-n row holds N_n[k], the coefficient of z^k in N_n(z; x) = sum_j
+    A_j(x) z^(n+j) / j!, for k = 0..degree (default M): column n + j is
+    A_j / j!, j <= min(M, degree) - n, from one anchored_series call per
+    batch, and every other column is zero.  Each call leaves the entries'
+    integral error bounds in last_error, of the rows' shape.
     """
 
-    def __init__(self, poly: PartitionPolynomial, z, degree=None):
+    def __init__(self, poly: PartitionPolynomial, degree=None):
         self.poly = poly
-        self.z = complex(z)
         self.degree = poly.M if degree is None else int(degree)
-        self.xi, cond = evaluate(poly, z)
-        if abs(self.xi) <= 1e-10 * cond:
-            raise NearPole(f"Xi({z}) is numerically zero", z=z, nearest_zero=smallest_pick(poly))
-        self.xi_err = np.polyval(poly.coeff_errors[::-1], abs(self.z)) + _gamma(poly.M + 1) * cond
+        self.row_shape = (self.degree + 1,)
         # correlations of a hard-core gas are zero on overlapping
         # configurations, which licenses the rod-packing cutoff in the
         # operator quadrature
@@ -793,45 +783,22 @@ class CorrelationFamily:
         jmax = min(self.poly.M, self.degree) - level  # below 0: no terms, all zero
         S, E = anchored_series(self.poly.potential, self.poly.box,
                                configs.reshape(nc, level, self.poly.box.dimension), jmax)
-        zpow = self.z ** (level + np.arange(jmax + 1))
-        values = _row_sum(S, zpow) / self.xi
-        azpow = np.abs(zpow)
-        err = np.abs(values) * self.xi_err + _gamma(jmax + 2) * _row_sum(S, azpow)
-        if E.any():  # an exact series (all-zero E) would add a zero sum: no bit moves
-            err = _row_sum(E, azpow) + err
-        self.last_error = err / abs(self.xi)
-        return values
+        rows, self.last_error = np.zeros((2, nc) + self.row_shape)
+        rows[:, level : level + S.shape[1]] = S
+        self.last_error[:, level : level + S.shape[1]] = E
+        return rows
 
 
 def _gamma(k):  # k u / (1 - k u) bounds k float64 roundings (Higham 2002, section 3.1)
     return k * 2.0**-53 / (1.0 - k * 2.0**-53)
 
 
-def _row_sum(X, w):
-    """(X * w).sum(axis=1) of a C-contiguous product to the bit, one call per
-    column rather than per row.  numpy's pairwise sum of a row starts at 0.0,
-    adds left to right below 8 doubles, and up to 128 adds into 8 lanes (4
-    complex ones) in turn, pairs the lanes up and adds the rest in order."""
-    lanes = 4 if np.iscomplexobj(w) else 8
-    P = X * w
-    if not 0 < len(w) <= 16 * lanes:
-        return np.ascontiguousarray(P).sum(axis=1)
-    cols = list(P.T)  # the product is a temporary: the sums build up in its columns
-    body = len(cols) - len(cols) % lanes if len(cols) >= lanes else 1
-    acc = cols[: min(lanes, body)]
-    for j in range(len(acc), body):
-        acc[j % lanes] += cols[j]
-    while len(acc) > 1:
-        acc = [np.add(left, right, out=left) for left, right in zip(acc[::2], acc[1::2])]
-    for c in cols[body:]:
-        acc[0] += c
-    acc[0] += 0.0
-    return acc[0]
-
-
 def correlation(poly: PartitionPolynomial, z, anchors, degree=None) -> CorrelationValue:
-    """n-point correlation rho(z; x_1..x_n) at total degree `degree` (default
-    M): one row of CorrelationFamily.  Anchors outside the box give zero."""
+    """n-point correlation rho = N / Xi of one NumeratorFamily row at total degree
+    `degree` (default M), with the bound of the integrals' errors, the numerator's
+    rounding gamma_(J+2) sum_j S_j |z|^(n+j) (S_j >= 0) and |rho| times Xi's table
+    error and rounding gamma_(M+1) cond, over |Xi|.  Raises NearPole when z is
+    numerically on a partition zero.  Anchors outside the box give zero."""
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     n = anchors.shape[0]
     if n < 1:
@@ -841,24 +808,21 @@ def correlation(poly: PartitionPolynomial, z, anchors, degree=None) -> Correlati
     if degree < n:
         raise ValueError("degree budget smaller than the anchor count")
 
-    fam = CorrelationFamily(poly, z, degree)
-    value = fam(n, anchors[None])[0]
-    return CorrelationValue(complex(value), float(fam.last_error[0]), n, fam.z, degree)
-
-
-def numerator_coefficients(poly: PartitionPolynomial, anchors, degree=None):
-    """Coefficients of N(z) = sum_m A_m z^{n+m}/m! and their error bounds,
-    indexed by the power of z up to degree (default M)."""
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    n = anchors.shape[0]
-    if degree is None:
-        degree = poly.M
-    S, E = anchored_series(poly.potential, poly.box, anchors[None], min(poly.M, degree) - n)
-    out = np.zeros(degree + 1)
-    errs = np.zeros(degree + 1)
-    out[n : n + S.shape[1]] = S[0]
-    errs[n : n + S.shape[1]] = E[0]
-    return out, errs
+    z = complex(z)
+    xi, cond = evaluate(poly, z)
+    if abs(xi) <= 1e-10 * cond:
+        raise NearPole(f"Xi({z}) is numerically zero", z=z, nearest_zero=smallest_pick(poly))
+    xi_err = np.polyval(poly.coeff_errors[::-1], abs(z)) + _gamma(poly.M + 1) * cond
+    fam = NumeratorFamily(poly, degree)
+    cols = slice(n, min(poly.M, degree) + 1)
+    S, E = fam(n, anchors[None])[:, cols], fam.last_error[:, cols]
+    zpow = z ** (n + np.arange(S.shape[1]))
+    value = (S * zpow).sum(axis=1) / xi
+    azpow = np.abs(zpow)
+    err = np.abs(value) * xi_err + _gamma(S.shape[1] + 1) * (S * azpow).sum(axis=1)
+    if E.any():  # an exact series (all-zero E) would add a zero sum: no bit moves
+        err = (E * azpow).sum(axis=1) + err
+    return CorrelationValue(complex(value[0]), float(err[0] / abs(xi)), n, z, degree)
 
 
 # -- exports -----------------------------------------------------------------------

@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import ContourError, Degenerate, InsufficientData, NumericalError
 from .ksop import KSMatrix
-from .partition import (_TIE_REL, PartitionPolynomial, fixed_terms, fixed_values,
-                        float_roots, newton_root, numerator_coefficients, root_stage_defect,
+from .partition import (_TIE_REL, NumeratorFamily, PartitionPolynomial, fixed_terms,
+                        fixed_values, float_roots, newton_root, root_stage_defect,
                         scaled_coefficients, smallest_zero, zeros)
 
 _RTOL = 1e-10  # projection algebra defect that certifies in float64
@@ -531,7 +531,7 @@ def leading_asymptotics(poly: PartitionPolynomial, anchors) -> AsymptoticsResult
 
         -N(z_c) / (z_c^{n+1} Xi'(z_c)),
 
-    with N the truncated numerator at these anchors.  Xi and Xi' come from
+    with N the NumeratorFamily row at these anchors.  Xi and Xi' come from
     fixed_values on mp_scaled_coeffs at the zeros' certified digits, so the
     routes share Xi and their disagreement isolates extrapolation error.
     N is summed in float64; both bounds add its error, the integrals' plus
@@ -549,7 +549,8 @@ def leading_asymptotics(poly: PartitionPolynomial, anchors) -> AsymptoticsResult
     if not math.isfinite(t0) or t0 <= 0:
         raise Degenerate("no isolated smallest zero to expand around")
 
-    num, num_err = numerator_coefficients(poly, anchors, degree=poly.M)
+    fam = NumeratorFamily(poly)
+    num, num_err = fam(n, anchors[None])[0], fam.last_error[0]
     with mp.workdps(zs.digits):  # Xi(z) and Xi'(z) are p(z/s) and p'(z/s)/s
         b, _ = poly.mp_scaled_coeffs()
         terms, s = fixed_terms(b), mp.mpf(poly.scale)

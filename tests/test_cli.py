@@ -422,6 +422,18 @@ def test_residual_csv_levels(tmp_path):
     assert all(float(r["sup_residual"]) <= 1e-12 for r in rows)
 
 
+def test_residual_summary_and_json_carry_the_coefficient_check(tmp_path, capsys):
+    rc, out = run(tmp_path, "r.json", ["residual", "--L", "5", "--M", "6", "--z", "0.2",
+                                       "--n-max", "2", "--order", "16", "--probes", "8"])
+    assert rc == 0
+    levels = read_json(out)["residual"]["levels"]
+    worst = max(levels, key=lambda lv: lv["coefficient_residual"])
+    assert all(lv["coefficient_residual"] <= lv["coefficient_bound"] for lv in levels)
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.endswith(f"coefficient residual {worst['coefficient_residual']:.3e} "
+                            f"within {worst['coefficient_bound']:.3e}")
+
+
 def test_claimcheck_free_gas_consistent(tmp_path):
     rc, out = run(tmp_path, "cc.json",
                   ["claimcheck", "--potential", "ideal", "--L", "1", "--M", "6",

@@ -14,17 +14,17 @@ from kslab.integrals import (DIMENSION_CAP, Box, _sector_series, build_table,
                              panel_rule, sobol_replicates)
 from kslab.ksop import (
     CallableFamily,
-    CorrelationFamily,
     _kernel_window,
-    _ordered_nodes,
     _panel_nodes,
+    _sector_nodes,
     _term_sampled,
     apply_ks_function,
     build_ks_matrix,
     ks_residual,
     probe_anchor_sets,
 )
-from kslab.partition import assemble, correlation, smallest_zero, zeros
+from kslab.partition import (NumeratorFamily, _gamma, assemble, correlation, evaluate,
+                             smallest_zero, zeros)
 from kslab.potentials import PairPotential
 
 from conftest import balanced, companion, make_ideal, make_tonks, poly_from_coeffs
@@ -142,26 +142,32 @@ def test_sampling_spread_is_reported():
 
 
 def test_family_rows_match_correlation_on_a_step_table():
-    # a step table carries nonzero coeff_errors, so each row's bound must
-    # hold the table error of Xi exactly as partition.correlation counts it
+    # a step table carries nonzero coeff_errors, so the bound of each row's
+    # correlation N / Xi must hold the table error of Xi exactly as
+    # partition.correlation counts it, besides the row's integral errors
     poly = assemble(build_table(PairPotential.step(1.0, 1.0), Box((5.0,)), 6))
     assert np.any(poly.coeff_errors > 0)
     z, degree = 0.15 + 0.05j, 5
-    fam = CorrelationFamily(poly, z, degree=degree)
+    fam = NumeratorFamily(poly, degree=degree)
     rows = np.array([[[0.4], [2.1]], [[1.7], [3.6]], [[2.5], [4.9]]])
-    values = fam(2, rows)
-    for row, value, error in zip(rows, values, fam.last_error):
+    numerators = fam(2, rows)
+    xi, cond = evaluate(poly, z)
+    xi_err = np.polyval(poly.coeff_errors[::-1], abs(z)) + _gamma(poly.M + 1) * cond
+    zpow = z ** np.arange(degree + 1)
+    for row, N, E in zip(rows, numerators, fam.last_error):
+        value = N @ zpow / xi
+        error = (E @ abs(zpow) + _gamma(degree) * (N @ abs(zpow)) + abs(value) * xi_err) / abs(xi)
         want = correlation(poly, z, row, degree)
         assert abs(value - want.value) <= 1e-12 * abs(want.value)
         assert abs(error - want.error) <= 1e-12 * want.error
 
 
 def test_overlapping_anchor_pair_zeroes_both_sides(tonks5):
-    z = 0.2
-    fam = CorrelationFamily(tonks5, z, degree=5)
+    fam = NumeratorFamily(tonks5, degree=5)
     anch = np.array([[2.5], [2.9]])  # closer than the rod diameter
     val, err = apply_ks_function(tonks5.potential, tonks5.box, fam, 2, anch, 6)
-    assert val == 0.0 and err == 0.0
+    assert val.shape == err.shape == (6,)
+    assert not val.any() and not err.any()
 
 
 def test_residual_consistent_vs_unit_constant():
@@ -211,6 +217,46 @@ def test_residual_bound_covers_rounding_up_to_the_smallest_zero(rods, tonks5):
         rep = ks_residual(poly, z, n_max, order=order, count=count)
         for lv in rep.levels:
             assert lv.sup_residual <= lv.error_bound, (z, lv.n)
+
+
+@pytest.mark.parametrize("rods", [True, False])
+def test_residual_bound_tracks_the_residual_up_to_the_smallest_zero(rods, tonks5):
+    # the residual at z and its bound share the one division by Xi_M(z), so
+    # bound / sup stays put as z nears z_c: from delta = 1e-1 to 1e-8 it read
+    # 7.8-8.0 on hard rods L = 5 and 25-32 on the free gas at M = 8.  The
+    # bound of rho = N / Xi grew as 1 / delta^2 (51 -> 4.8e8, 530 -> 8.1e9)
+    poly, n_max, order, count = (tonks5, 5, 64, 32) if rods else (make_ideal(M=8), 4, 16, 8)
+    z_c = smallest_zero(zeros(poly)).z_c
+    ratios = []
+    for k in range(1, 9):
+        rep = ks_residual(poly, z_c * (1.0 - 10.0**-k), n_max, order=order, count=count)
+        for lv in rep.levels:
+            assert lv.sup_residual <= lv.error_bound, (k, lv.n)
+        ratios.append(rep.error_bound / rep.sup_residual)
+    assert max(ratios) <= 10 * min(ratios), ratios
+
+
+@pytest.mark.parametrize("box", ["rods-L5", "rods-L10", "rods-L20", "gas-M6", "gas-M8", "step"])
+def test_coefficient_residuals_lie_within_their_bounds(box):
+    # the z-free identity N^(M)_n[k] = delta_(n1) c_(k-1) + (K N^(M-1))_n[k-1]
+    # at levels 1-2.  At L = 20 the level-1 bound needs the float64 rounding
+    # of c_(k-1) itself: without it the worst residual 6.4e-11 exceeds it
+    poly = {
+        "rods-L5": lambda: make_tonks(5.0, M=6),
+        "rods-L10": lambda: make_tonks(10.0, M=11),
+        "rods-L20": lambda: make_tonks(20.0, M=21),
+        "gas-M6": lambda: make_ideal(M=6),
+        "gas-M8": lambda: make_ideal(M=8),
+        "step": lambda: assemble(build_table(PairPotential.step(0.8, 1.3), Box((4.0,)), 4,
+                                             order=12)),
+    }[box]()
+    rep = ks_residual(poly, 0.1, 2, order=16, count=16)
+    for lv in rep.levels:
+        assert lv.coefficient_residual <= lv.coefficient_bound, lv.n
+        assert math.isfinite(lv.coefficient_bound)
+    doc = rep.to_json()["levels"]
+    assert [d["coefficient_residual"] for d in doc] == [lv.coefficient_residual
+                                                       for lv in rep.levels]
 
 
 def test_residual_report_shape(tonks5):
@@ -310,6 +356,13 @@ def _recursive_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax):
     return np.asarray(rows).reshape(-1, m), np.asarray(weights)
 
 
+def _one_probe_nodes(p, box, x1, rest_coords, m, order, inner_order, kmax, prune=False):
+    """Node rows and weights of one probe: _sector_nodes of a batch of one."""
+    chunks = _sector_nodes(p, box, np.array([float(x1)]), np.reshape(rest_coords, (1, -1)),
+                           [order] + [inner_order] * (m - 1), kmax, prune)
+    return next(chunks, (np.empty((0, m)), np.empty(0)))[:2]
+
+
 def test_ordered_nodes_match_recursive_reference():
     potentials = [PairPotential.hardcore(1.0), PairPotential.hardcore(0.37),
                   PairPotential.step(0.8, 1.3)]
@@ -327,7 +380,7 @@ def test_ordered_nodes_match_recursive_reference():
                      for kmax in (3, 12)] + [(3, 5, 3, 3)]
             for rest in anchor_sets:
                 for m, order, inner, kmax in cases:
-                    got = _ordered_nodes(p, box, x1, rest, m, order, inner, kmax)
+                    got = _one_probe_nodes(p, box, x1, rest, m, order, inner, kmax)
                     want = _recursive_nodes(p, box, x1, rest, m, order, inner, kmax)
                     assert got[0].shape == want[0].shape
                     assert got[1].shape == want[1].shape
@@ -335,8 +388,8 @@ def test_ordered_nodes_match_recursive_reference():
                     assert np.array_equal(got[1], want[1])
                     checked += len(want[1]) > 0
     assert checked == 3 * 3 * 3 * 9
-    rows, weights = _ordered_nodes(PairPotential.ideal(), Box((5.0,)), 2.0,
-                                   np.array([3.0]), 2, 16, 8, 3)
+    rows, weights = _one_probe_nodes(PairPotential.ideal(), Box((5.0,)), 2.0,
+                                     np.array([3.0]), 2, 16, 8, 3)
     assert rows.shape == (0, 2) and weights.shape == (0,)
 
 
@@ -348,7 +401,7 @@ def test_pruned_nodes_are_the_nonzero_rows():
     for a in (1.0, 0.37):
         for L in (2.0, 5.0, 7.3):
             p, box = PairPotential.hardcore(a), Box((L,))
-            fam = CorrelationFamily(make_tonks(L, a=a), 0.05)
+            fam = NumeratorFamily(make_tonks(L, a=a))
             x1 = 0.45 * L
             # x1 + 0.6a lies inside the kernel window
             anchor_sets = [np.empty(0), np.array([0.1 * L]), np.array([x1 + 0.6 * a]),
@@ -356,12 +409,12 @@ def test_pruned_nodes_are_the_nonzero_rows():
             for rest in anchor_sets:
                 for m, order, inner in ((1, 64, 12), (2, 24, 11), (2, 5, 8)):
                     args = (p, box, x1, rest, m, order, inner, 3)
-                    rows, weights = _ordered_nodes(*args)
-                    prows, pweights = _ordered_nodes(*args, prune=True)
+                    rows, weights = _one_probe_nodes(*args)
+                    prows, pweights = _one_probe_nodes(*args, prune=True)
                     configs = np.concatenate(
                         [np.broadcast_to(rest, (len(rows), len(rest))), rows], axis=1)
                     vals = fam(len(rest) + m, configs.reshape(len(rows), -1, 1))
-                    nonzero = vals != 0
+                    nonzero = vals.any(axis=1)
                     assert np.array_equal(prows, rows[nonzero])
                     assert np.array_equal(pweights, weights[nonzero])
                     kept = {tuple(r) for r in prows}
@@ -384,13 +437,13 @@ def test_workload_residual_feeds_only_live_rows(monkeypatch, tmp_path):
     from kslab.cli import main
 
     rows = []
-    real = CorrelationFamily.__call__
+    real = NumeratorFamily.__call__
 
     def counting(self, level, configs):
         rows.append(len(configs))
         return real(self, level, configs)
 
-    monkeypatch.setattr(CorrelationFamily, "__call__", counting)
+    monkeypatch.setattr(NumeratorFamily, "__call__", counting)
     assert main(["residual", "--L", "5", "--M", "6", "--z", "0.2", "--n-max", "2",
                  "--order", "64", "--probes", "32", "--out", str(tmp_path / "r.json")]) == 0
     assert sum(rows) == 2_890 + 47
@@ -407,7 +460,7 @@ def test_residual_series_calls(monkeypatch, tmp_path):
 
     calls = {"left": 0, "family": 0, "series": 0, "nest": 0}
     series, nest = partition.anchored_series, integrals._sector_series
-    family = CorrelationFamily.__call__
+    family = NumeratorFamily.__call__
 
     def counted_series(*args, **kwargs):
         calls["series"] += 1
@@ -424,7 +477,7 @@ def test_residual_series_calls(monkeypatch, tmp_path):
 
     monkeypatch.setattr(partition, "anchored_series", counted_series)
     monkeypatch.setattr(integrals, "_sector_series", counted)
-    monkeypatch.setattr(CorrelationFamily, "__call__", family_call)
+    monkeypatch.setattr(NumeratorFamily, "__call__", family_call)
     out = str(tmp_path / "r.json")
     assert main(["residual", "--L", "5", "--M", "6", "--z", "0.2", "--n-max", "2",
                  "--order", "64", "--probes", "32", "--out", out]) == 0
@@ -492,13 +545,18 @@ def test_gauss_legendre_rule_is_shared_read_only():
 # -- the batched application against the loop over probes it replaced ---------------
 
 
+def _column(x, vals):
+    """x (R,) against a family's values (R,) or rows (R, K)."""
+    return x[:, None] if vals.ndim > 1 else x
+
+
 def _reference_term_quadrature(p, box, phi, n, x1, rest, nodes, kmax):
     """One probe's m-term by its own nest pass, nodes[k - 1] per panel at level k,
-    and its own family call."""
+    and its own family call: a number, or an array for a family of rows."""
     m = len(nodes)
     if m == 0:
-        val = complex(phi(n - 1, rest.reshape(1, n - 1, 1))[0])
-        return val, float(np.sum(getattr(phi, "last_error", 0.0)))
+        val = phi(n - 1, rest.reshape(1, n - 1, 1))[0] + 0.0j
+        return val, np.sum(getattr(phi, "last_error", 0.0), axis=0) + 0.0
     prune = p.family == "hardcore" and getattr(phi, "vanishes_on_overlap", False)
     r = p.interaction_range
     lo, hi = max(0.0, x1 - r), min(box.extents[0], x1 + r)
@@ -514,7 +572,8 @@ def _reference_term_quadrature(p, box, phi, n, x1, rest, nodes, kmax):
     configs = np.concatenate([np.broadcast_to(rest, (len(ws), n - 1)), ys], axis=1)
     vals = phi(n - 1 + m, configs.reshape(-1, n - 1 + m, 1))
     wk = ws * kern
-    return complex(np.dot(wk, vals)), float(np.sum(np.abs(wk) * getattr(phi, "last_error", 0.0)))
+    carried = _column(np.abs(wk), vals) * getattr(phi, "last_error", 0.0)
+    return np.dot(wk, vals) + 0.0j, np.sum(carried, axis=0)
 
 
 def _reference_term_sampled(p, box, phi, n, x1, rest, m, seed):
@@ -530,11 +589,14 @@ def _reference_term_sampled(p, box, phi, n, x1, rest, m, seed):
         kern = np.prod(p.mayer_f(np.abs(ys - x1)), axis=1)
         configs = np.concatenate([np.broadcast_to(rest, (len(ys), n - 1)), ys], axis=1)
         vals = phi(level, configs.reshape(-1, level, 1))
+        kern = _column(kern, vals)
         carried = np.abs(kern) * getattr(phi, "last_error", 0.0)
-        return np.array([np.mean(kern * vals), np.mean(carried)]) * (hi - lo) ** m
+        return np.array([np.mean(kern * vals, axis=0), np.mean(carried, axis=0)]) * (hi - lo) ** m
 
     mean, spread = sobol_replicates(m, 1 << 12, seed, 8, estimate)
     fac = math.factorial(m)
+    if mean.ndim > 1:  # rows of real entries
+        return mean[0] / fac + 0.0j, (spread[0] + mean[1].real) / fac
     return complex(mean[0]) / fac, (float(spread[0]) + mean[1].real) / fac
 
 
@@ -561,7 +623,8 @@ def _reference_apply(p, box, phi, n, anchors, M, order=64, seed=42):
         err += carried
         if m >= 1:
             coarse, _ = _reference_term_quadrature(p, box, phi, n, x1, rest, nodes[1], kmax)
-            err += 2.0 * abs(fine - coarse) + 1e-15 * abs(fine)
+            d = fine - coarse
+            err += 2.0 * np.hypot(d.real, d.imag) + 1e-15 * np.hypot(fine.real, fine.imag)
         total += fine
     return eW * total, eW * err
 
@@ -569,11 +632,19 @@ def _reference_apply(p, box, phi, n, anchors, M, order=64, seed=42):
 def _assert_batch_matches_reference(p, box, phi, n, probes, M, **kwargs):
     values, bounds = apply_ks_function(p, box, phi, n, probes, M, **kwargs)
     want = [_reference_apply(p, box, phi, n, anchors, M, **kwargs) for anchors in probes]
-    assert values.shape == bounds.shape == (len(probes),)
-    assert np.array_equal(values.view(np.int64), np.array([v for v, _ in want]).view(np.int64))
-    assert np.array_equal(bounds.view(np.int64), np.array([b for _, b in want]).view(np.int64))
-    # a configuration on its own is a batch of one and gives the same scalars
+    shape = (len(probes),) + getattr(phi, "row_shape", ())
+    want_values = np.array([np.broadcast_to(v, shape[1:]) for v, _ in want])
+    want_bounds = np.array([np.broadcast_to(b, shape[1:]) for _, b in want])
+    assert values.shape == bounds.shape == shape
+    assert np.array_equal(values.view(np.int64), want_values.view(np.int64))
+    assert np.array_equal(bounds.view(np.int64), want_bounds.view(np.int64))
+    # a configuration on its own is a batch of one and gives the same scalars,
+    # or the same row
     one = apply_ks_function(p, box, phi, n, probes[0], M, **kwargs)
+    if len(shape) > 1:
+        assert np.array_equal(one[0].view(np.int64), values[0].view(np.int64))
+        assert np.array_equal(one[1].view(np.int64), bounds[0].view(np.int64))
+        return values
     assert type(one[0]) is complex and type(one[1]) is float
     assert one == (values[0], bounds[0])
     return values
@@ -584,14 +655,14 @@ def test_batched_application_matches_probe_loop_on_hard_rods(tonks5):
     # clipped at both walls; level 2 holds the overlapping pair (e^{-W} = 0)
     # and level 3 the m = 0 term at two anchors
     p, box = tonks5.potential, tonks5.box
-    fam = CorrelationFamily(tonks5, 0.2, degree=5)
+    fam = NumeratorFamily(tonks5, degree=5)
     walls = {1: [[[0.05]], [[4.98]]], 2: [[[0.1], [2.0]], [[4.95], [1.0]]],
              3: [[[0.2], [1.5], [3.9]], [[4.9], [0.5], [2.5]]]}
     for n in (1, 2, 3):
         probes = np.array(probe_anchor_sets(box, p, n, count=12) + walls[n])
         values = _assert_batch_matches_reference(p, box, fam, n, probes, 6, order=24)
         if n == 2:
-            assert values[-3] == 0.0  # the overlapping pair
+            assert not values[-3].any()  # the overlapping pair
     # more probes than one chunk holds at the default order
     probes = np.array(probe_anchor_sets(box, p, 1, count=32))
     _assert_batch_matches_reference(p, box, fam, 1, probes, 6)
@@ -604,7 +675,7 @@ def test_batched_application_matches_probe_loop_off_hard_rods():
     probes2 = np.array([[[0.3], [2.0]], [[2.5], [4.1]], [[4.7], [1.2]], [[2.0], [2.5]]])
     # the free gas: no kernel window, only the m = 0 term survives
     ideal = PairPotential.ideal()
-    gas = CorrelationFamily(make_ideal(5.0, M=6), 0.1 + 0.05j, degree=5)
+    gas = NumeratorFamily(make_ideal(5.0, M=6), degree=5)
     _assert_batch_matches_reference(ideal, box, gas, 2, probes2, 6, order=16)
     # the step with a family that does not vanish on overlap: m >= 3 sampled,
     # over windows of many widths
@@ -618,7 +689,7 @@ def test_batched_application_matches_probe_loop_off_hard_rods():
     _assert_batch_matches_reference(step, box, smooth, 2, pairs, 5, seed=3)  # m = 3 sampled
     # a step correlation family carries a per-row error into the bound
     poly = assemble(build_table(step, Box((4.0,)), 4, order=12))
-    fam = CorrelationFamily(poly, 0.1, degree=3)
+    fam = NumeratorFamily(poly, degree=3)
     _assert_batch_matches_reference(step, poly.box, fam, 1, np.array([[[0.5]], [[3.7]]]), 4,
                                     order=12)
 
@@ -642,33 +713,36 @@ def test_exact_degree_rule_gives_the_order_64_sums(L, M, z):
     # each side's bound covers the gap
     poly = make_tonks(L, M=M)
     p, box = poly.potential, poly.box
-    fam = CorrelationFamily(poly, z, degree=M - 1)
+    fam = NumeratorFamily(poly, degree=M - 1)
+    zpow = z ** np.arange(M)
     fine, coarse = _panel_nodes(fam, 1, 2, 64, M + 5, M + 1)
     assert fine == [c + 1 for c in coarse] and fine[0] < M
     for n in (1, 2, 3):
         probes = np.array(probe_anchor_sets(box, p, n, count=8))
         value, bound = apply_ks_function(p, box, fam, n, probes, M)
         ref, ref_bound = _order_rule_application(p, box, fam, n, probes, M)
-        gap = np.abs(value - ref)
-        assert gap.max() <= 1e-13 * np.abs(ref).max()
-        assert np.all(gap <= bound) and np.all(gap <= ref_bound)
+        # K applied to the numerators summed at z: Xi times K applied to rho
+        gap = np.abs((value - ref) @ zpow)
+        assert gap.max() <= 1e-13 * np.abs(ref @ zpow).max()
+        assert np.all(gap <= bound @ abs(zpow)) and np.all(gap <= ref_bound @ abs(zpow))
 
 
 def test_understated_degree_is_caught_by_the_refinement_term(tonks5):
     # a family that declares d - 2 gets too few coarse nodes; the fine rule,
     # one node more per level, is then exact, and 2 |fine - coarse| shows the
     # coarse rule's miss in the bound
-    class Understated(CorrelationFamily):
+    class Understated(NumeratorFamily):
         def panel_degree(self, level):
             return super().panel_degree(level) - 2
 
     p, box = tonks5.potential, tonks5.box
-    honest, fam = CorrelationFamily(tonks5, 0.2, degree=5), Understated(tonks5, 0.2, degree=5)
+    honest, fam = NumeratorFamily(tonks5, degree=5), Understated(tonks5, degree=5)
+    zpow = 0.2 ** np.arange(6)  # the numerators summed at z = 0.2
     for n in (1, 2):
         probes = np.array(probe_anchor_sets(box, p, n, count=8))
         value, bound = apply_ks_function(p, box, fam, n, probes, 6)
         ref, _ = _order_rule_application(p, box, fam, n, probes, 6)
-        assert np.all(np.abs(value - ref) <= bound)
+        assert np.all(np.abs((value - ref) @ zpow) <= bound @ zpow)
         assert bound.max() > 1e3 * apply_ks_function(p, box, honest, n, probes, 6)[1].max()
 
 
@@ -685,7 +759,7 @@ def test_families_outside_the_rule_keep_the_order_rule_bit_for_bit():
     pairs = np.array([[[0.3], [2.0]], [[2.5], [4.1]], [[4.7], [1.2]]])
     same(PairPotential.step(0.8, 1.3), Box((5.0,)), smooth, 2, pairs, 6, order=12)
     rods = make_tonks(14.0, M=14)
-    fam = CorrelationFamily(rods, 0.1, degree=13)
+    fam = NumeratorFamily(rods, degree=13)
     for m in (1, 2):
         assert _panel_nodes(fam, 1, m, 64, 19, 12) == _panel_nodes(None, 1, m, 64, 19, 12)
     assert _panel_nodes(fam, 2, 1, 64, 20, 12) != _panel_nodes(None, 2, 1, 64, 20, 12)
@@ -706,7 +780,7 @@ def test_step_family_declares_its_degree_only_where_the_nest_gives_every_column(
         for jmax in filter(lambda j: nest_is_exact(n, j), range(DIMENSION_CAP + 1)):
             assert _sector_series(step, Box((12.0,)), anchors[:, :n], jmax)[2][0] == jmax
     poly = assemble(build_table(step, Box((4.0,)), 4, order=12))
-    fam = CorrelationFamily(poly, 0.1, degree=3)
+    fam = NumeratorFamily(poly, degree=3)
     assert [fam.panel_degree(level) for level in (1, 2, 3)] == [2, 1, 0]
     probes = np.array(probe_anchor_sets(poly.box, step, 1, count=4))
     value, bound = apply_ks_function(step, poly.box, fam, 1, probes, 4, order=12)

@@ -9,11 +9,11 @@ from kslab import partition
 from kslab.errors import Degenerate, NearPole, NumericalError
 from kslab.integrals import Box, IntegralTable, ZEntry, build_table, hardrod_anchored_series
 from kslab.partition import (
-    CorrelationFamily,
+    NumeratorFamily,
     PartitionPolynomial,
+    _gamma,
     _mp_aberth,
     _pair_conjugates,
-    _row_sum,
     _scaled_residual,
     assemble,
     correlation,
@@ -23,7 +23,6 @@ from kslab.partition import (
     fixed_values,
     float_roots,
     inclusion_radii,
-    numerator_coefficients,
     smallest_zero,
     zeros,
     zeros_to_rows,
@@ -178,8 +177,8 @@ def test_correlation_vanishes_outside_box(tonks5):
 def _per_order_reference(poly, z, anchors, degree):
     """Numerator coefficients and correlation, one order at a time.
 
-    This is the loop correlation and numerator_coefficients ran before they
-    took every order from one anchored_series call, with its per-family
+    This is the loop correlation and the numerator coefficients ran before
+    they took every order from one anchored_series call, with its per-family
     branches written out and references that bypass the series: V^m for
     the ideal gas, column m of the gap series for hard rods and the
     recursive sector sum for the 1-D step.  Anchors outside the box give
@@ -217,13 +216,14 @@ def test_batched_correlation_matches_per_order_loop(tonks5):
         rtol = 1e-12 if poly is step else 1e-15
         for degree in range(len(anchors), poly.M + 1):
             want_c, want_rho = _per_order_reference(poly, z, anchors, degree)
-            got_c, _ = numerator_coefficients(poly, anchors, degree=degree)
+            got_c = NumeratorFamily(poly, degree)(len(anchors), anchors[None])[0]
             rho = correlation(poly, z, anchors, degree=degree).value
             assert np.all(np.abs(got_c - want_c) <= rtol * np.abs(want_c))
             assert abs(rho - want_rho) <= rtol * abs(want_rho)
         # anchors outside the box, or not numbers, carry no weight
         for bad in ([[-0.5]], [[poly.box.extents[0] + 1.0]], [[1.0], [np.nan]]):
-            got_c, got_e = numerator_coefficients(poly, np.array(bad))
+            fam = NumeratorFamily(poly)
+            got_c, got_e = fam(len(bad), np.array(bad)[None])[0], fam.last_error[0]
             assert np.all(got_c == 0.0) and np.all(got_e == 0.0)
             assert correlation(poly, z, np.array(bad)).value == 0.0
 
@@ -593,44 +593,37 @@ def test_derivative_data_at_working_precision():
     assert sm.root_conditioning == pytest.approx(float(kappa), rel=1e-12)
 
 
-def test_row_sum_is_numpys_row_reduction():
-    # the family's sums by whole columns give the bits of numpy's own row
-    # reduction of a C-contiguous product: left to right below 8 doubles,
-    # 8 lanes (4 complex) up to 128, a split past that; -0.0 entries, no
-    # columns, and either layout of X
-    rng = np.random.default_rng(11)
-    for J in [*range(20), 63, 64, 65, 127, 128, 129, 140]:
-        X = rng.standard_normal((37, J)) * 10.0 ** rng.integers(-6, 6, (37, J))
-        X[rng.random((37, J)) < 0.2] = -0.0
-        for w in (rng.standard_normal(J), rng.standard_normal(J) + 1j * rng.standard_normal(J)):
-            want = np.ascontiguousarray(X * w).sum(axis=1)
-            for Y in (X, np.asfortranarray(X)):
-                got = np.ascontiguousarray(_row_sum(Y, w))
-                assert got.dtype == want.dtype
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
 def test_correlation_family_rows_do_not_depend_on_the_batch(tonks5):
-    # each row is summed in a fixed order, so a configuration's rho and bound
-    # are the same bits alone, in a small batch, in a 2,048-row one and
-    # through correlation()
+    # a configuration's numerator row and its errors are the same bits alone,
+    # in a small batch and in a 2,048-row one, and correlation() sums that
+    # row over Xi in a fixed order: rho and its bound are the same bits as
+    # the row of the large batch gives
     rng = np.random.default_rng(5)
     step = assemble(build_table(PairPotential.step(1.0, 1.0), Box((4.0,)), 4))
     for poly in (tonks5, step):
-        for z in (0.2, 0.1 + 0.3j):
-            fam = CorrelationFamily(poly, z)
-            for level in (1, 2):
-                configs = np.sort(rng.uniform(0.0, poly.box.extents[0], (2048, level)),
-                                  axis=1)[:, :, None]
-                want, want_err = fam(level, configs), fam.last_error.copy()
-                for size in (1, 2, 7):
-                    for s in range(0, 70, size):
-                        got = fam(level, configs[s : s + size])
-                        assert np.array_equal(got, want[s : s + size])
-                        assert np.array_equal(fam.last_error, want_err[s : s + size])
+        fam = NumeratorFamily(poly)
+        for level in (1, 2):
+            configs = np.sort(rng.uniform(0.0, poly.box.extents[0], (2048, level)),
+                              axis=1)[:, :, None]
+            want, want_err = fam(level, configs), fam.last_error.copy()
+            for size in (1, 2, 7):
+                for s in range(0, 70, size):
+                    got = fam(level, configs[s : s + size])
+                    assert np.array_equal(got, want[s : s + size])
+                    assert np.array_equal(fam.last_error, want_err[s : s + size])
+            for z in (0.2, 0.1 + 0.3j):
+                xi, cond = evaluate(poly, z)
+                xi_err = np.polyval(poly.coeff_errors[::-1], abs(z)) + _gamma(poly.M + 1) * cond
+                zpow = complex(z) ** np.arange(level, poly.M + 1)
                 for s in range(10):
+                    S, E = want[s : s + 1, level:], want_err[s : s + 1, level:]
+                    value = (S * zpow).sum(axis=1) / xi
+                    err = (np.abs(value) * xi_err
+                           + _gamma(S.shape[1] + 1) * (S * abs(zpow)).sum(axis=1))
+                    if E.any():
+                        err = (E * abs(zpow)).sum(axis=1) + err
                     c = correlation(poly, z, configs[s])
-                    assert (c.value, c.error) == (want[s], want_err[s])
+                    assert (c.value, c.error) == (value[0], err[0] / abs(xi))
 
 
 def test_zeros_of_wide_range_float_coefficients_take_the_aberth_ladder():

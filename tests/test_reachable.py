@@ -44,7 +44,6 @@ ALLOWED = {
     ("spectral", "coefficient_asymptotics"): "acceptance criterion 06 locates the pole from coefficient growth",
     ("cluster", "density_bound_check"): "acceptance criterion 09 checks the density bound with it",
     ("ksop", "CallableFamily"): "acceptance criterion 10 applies the operator to a callable through it",
-    ("ksop", "_ordered_nodes"): "test_ksop.py compares the nest with its recursive reference through it",
     ("spectral", "riesz_projection"): "the dense reference for the closed-form Laurent data (criteria 02, 03)",
 }
 
