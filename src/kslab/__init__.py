@@ -16,18 +16,17 @@ The pipeline runs from a pair potential to certified spectral data:
    the reduced resolvent, certified nilpotent defect and pole order,
    power-iteration convergence, and correlation-ray asymptotics.
 6. `cluster` handles activity and virial expansions: log-series,
-   thermodynamic-limit extrapolation, radius estimates, series
-   reversion, bound checks, and claim tables.
+   thermodynamic-limit extrapolation, radius estimates, the virial
+   series by Lagrange inversion, bound checks, and claim tables.
 7. `oracles` provides exactly solvable references (hard rods on a
    segment, ideal gas) every numerical path is tested against.
 
 `cli` exposes the whole chain as the `kslab` command.
 """
 
-from .cluster import (BoundReport, PowerSeries, RadiusEstimate, claim_row,
-                      density_bound_check, density_coefficients_extrapolated,
-                      density_series, log_series, radius_estimate, revert_series,
-                      richardson, sign_pattern, virial_reversion)
+from .cluster import (BoundReport, RadiusEstimate, claim_row, density_bound_check,
+                      density_coefficients_extrapolated, density_series, log_series,
+                      radius_estimate, richardson, sign_pattern, virial_reversion)
 from .errors import (BranchError, ConfigError, ContourError, Degenerate,
                      InsufficientData, KslabError, MissingPrerequisite,
                      NearPole, NotRegular, NumericalError, UseSampling)
@@ -48,13 +47,13 @@ __all__ = [
     "ContourError", "Degenerate", "IdealModel", "InsufficientData",
     "IntegralTable", "KSMatrix", "KslabError", "MissingPrerequisite",
     "NearPole", "NotRegular", "NumericalError", "PairPotential",
-    "PartitionPolynomial", "PowerSeries", "RadiusEstimate", "RieszResult",
+    "PartitionPolynomial", "RadiusEstimate", "RieszResult",
     "SmallestZero", "Spectrum", "TonksModel", "UseSampling", "ZeroSet",
     "anchored_integral", "apply_ks_function", "assemble",
     "build_ks_matrix", "build_table", "claim_row", "coefficient_asymptotics",
     "density_bound_check", "density_coefficients_extrapolated",
     "density_series", "evaluate", "ks_residual", "leading_asymptotics",
     "leading_projection", "log_series", "power_convergence",
-    "radius_estimate", "regularity_C", "revert_series", "richardson",
+    "radius_estimate", "regularity_C", "richardson",
     "sign_pattern", "smallest_zero", "spectrum", "virial_reversion", "zeros",
 ]

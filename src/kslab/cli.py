@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cluster import (PowerSeries, claim_row, density_coefficients_extrapolated,
-                      density_series, log_series, radius_estimate, sign_pattern,
+from .cluster import (claim_row, density_coefficients_extrapolated, density_series,
+                      log_series, radius_estimate, series_rows, sign_pattern,
                       virial_reversion)
 from .errors import ConfigError, KslabError, MissingPrerequisite, NumericalError
 from .integrals import Box, build_table, cached_table
@@ -130,17 +130,13 @@ def _emit(args, command, payload, rows, row_fields):
         _say(text)
 
 
-def _finite_pair(poly, N):
-    """(density, pressure) activity series of one finite box."""
-    ls = log_series(poly, N)
-    volume = poly.box.volume
-    return (density_series(ls, volume),
-            PowerSeries.from_values(ls.values / volume, "z"),
-            {"box": list(poly.box.extents)})
+def _finite_density(poly, N):
+    """Density activity series of one finite box."""
+    return density_series(log_series(poly, N), poly.box.volume)
 
 
-def _series_pair(args):
-    """(density, pressure) activity series, finite box or extrapolated."""
+def _density(args):
+    """Density activity series and its source, finite box or extrapolated."""
     p = _potential(args)
     N = args.terms
     if args.extrapolate:
@@ -150,26 +146,20 @@ def _series_pair(args):
         lengths = (ext[0], 2 * ext[0], 4 * ext[0])
         dens, errs, _ = density_coefficients_extrapolated(
             p, lengths, N, cache_dir=args.cache_dir, order=args.order, seed=args.seed)
-        # pressure coefficients ell_k / L are density coefficients over k,
-        # and Richardson is linear, so the density ladder carries them too
-        vals = dens.values
-        pres_vals = np.zeros(N + 1)
-        pres_vals[1:] = vals[1:] / np.arange(1, N + 1)
         # keep only orders the ladder actually resolves: high orders lose
         # all significant digits to cancellation in the finite-volume
         # recurrence and come out comparable to their own error estimate
         cut = N
         for k in range(1, N + 1):
-            if vals[k] != 0.0 and errs[k] >= 0.1 * abs(vals[k]):
+            if dens[k] != 0.0 and errs[k] >= 0.1 * abs(dens[k]):
                 cut = k - 1
                 break
-        dens = PowerSeries.from_values(vals[: cut + 1], "z")
-        pres = PowerSeries.from_values(pres_vals[: cut + 1], "z")
-        return dens, pres, {"lengths": list(lengths), "kept_orders": cut,
-                            "errors": errs[: cut + 1].tolist()}
+        return dens[: cut + 1], {"lengths": list(lengths), "kept_orders": cut,
+                                 "errors": errs[: cut + 1].tolist()}
     # coefficient k of log Xi needs c_1..c_k, so the table must reach N
     _, _, table = _table(args, M=max(args.M, N))
-    return _finite_pair(assemble(table), N)
+    poly = assemble(table)
+    return _finite_density(poly, N), {"box": list(poly.box.extents)}
 
 
 # -- commands ----------------------------------------------------------------------
@@ -273,8 +263,8 @@ def cmd_asymptotics(args):
 
 
 def cmd_cluster(args):
-    dens, _, info = _series_pair(args)
-    payload = {"density_series": dens.to_rows(), "source": info}
+    dens, info = _density(args)
+    payload = {"density_series": series_rows(dens), "source": info}
     try:
         est = radius_estimate(dens)
         payload["radius"] = {
@@ -286,27 +276,27 @@ def cmd_cluster(args):
     except NumericalError as exc:
         payload["radius"] = None
         _say(f"radius not estimated: {exc}")
-    _emit(args, "cluster", payload, dens.to_rows(), ["n", "coefficient", "sign"])
+    _emit(args, "cluster", payload, payload["density_series"], ["n", "coefficient", "sign"])
     return 0
 
 
 def cmd_virial(args):
     p = _potential(args)
-    dens, pres, info = _series_pair(args)
-    vir, est = virial_reversion(dens, pres)
+    dens, info = _density(args)
+    vir, est = virial_reversion(dens)
     C, _ = regularity_C(p)
-    payload = {"virial_series": vir.to_rows(), "source": info}
+    payload = {"virial_series": series_rows(vir), "source": info}
     if est is not None:
         payload["radius"] = {"method": est.method, "R": est.R,
                              "sign_pattern": est.sign_pattern}
         if C > 0:
-            payload["bound"] = claim_row("virial radius vs half kernel norm",
+            payload["bound"] = claim_row("virial radius vs half inverse kernel norm",
                                          1.0 / (2.0 * C), est.R,
                                          relation="at_least")
         _say(f"virial radius {est.R:.8g}")
     else:
         payload["radius"] = None
-    _emit(args, "virial", payload, vir.to_rows(), ["n", "coefficient", "sign"])
+    _emit(args, "virial", payload, payload["virial_series"], ["n", "coefficient", "sign"])
     return 0
 
 
@@ -337,8 +327,7 @@ def cmd_claimcheck(args):
                               spec.spectral_radius))
 
     # the finite-box series come from the table built above
-    dens, pres, _ = (_series_pair(args) if args.extrapolate
-                     else _finite_pair(poly, args.terms))
+    dens = _density(args)[0] if args.extrapolate else _finite_density(poly, args.terms)
     try:
         measured_R = radius_estimate(dens).R
     except NumericalError:
@@ -370,7 +359,7 @@ def cmd_claimcheck(args):
             "uncertainty": None,
             "verdict": "consistent" if pattern == "alternating" else "inconsistent",
         })
-        vir, vest = virial_reversion(dens, pres)
+        _, vest = virial_reversion(dens)
         if vest is not None and C > 0:
             rows.append(claim_row(
                 "virial radius vs half inverse kernel norm",

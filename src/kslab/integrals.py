@@ -60,6 +60,7 @@ _BLOCK = 1 << 18  # elements per working array of the tensor contraction and sam
 _SOBOL_BITS = 30  # digits per Sobol coordinate, scipy's default
 _SOBOL_MAXDIM = 21201  # coordinates in the Joe-Kuo table
 _TABLE_SAMPLES = 1 << 16  # Sobol points per sampled table entry
+_SOBOL_REPLICATES = 8  # independently scrambled blocks behind each sampled mean and error
 
 
 @dataclass(frozen=True)
@@ -610,7 +611,7 @@ def nest_is_exact(n, jmax):
     return jmax <= DIMENSION_CAP and rows <= _POINT_BUDGET
 
 
-def _sobol_mean(p, box, anchors, m, n_samples=1 << 14, seed=42, replicates=8):
+def _sobol_mean(p, box, anchors, m, n_samples=1 << 14, seed=42):
     """A_m and its error for anchor rows (nc, n, dim), n >= 0, from n_samples
     Sobol points shared by every row (sobol_replicates)."""
     nc, n, dim = anchors.shape
@@ -625,7 +626,7 @@ def _sobol_mean(p, box, anchors, m, n_samples=1 << 14, seed=42, replicates=8):
             means.append(p.weights_many(full.reshape(-1, n + m, dim)).reshape(len(b), -1).mean(1))
         return np.concatenate(means)
 
-    mean, err = sobol_replicates(dim * m, n_samples, seed, replicates, estimate)
+    mean, err = sobol_replicates(dim * m, n_samples, seed, _SOBOL_REPLICATES, estimate)
     return box.volume**m * mean, box.volume**m * err
 
 

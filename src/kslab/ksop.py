@@ -54,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .integrals import (_BLOCK, Box, contact_lattice, contact_lattice_rows, ordered_sector,
-                        sobol_replicates)
+from .integrals import (_BLOCK, _SOBOL_REPLICATES, Box, contact_lattice, contact_lattice_rows,
+                        ordered_sector, sobol_replicates)
 from .partition import (NumeratorFamily, PartitionPolynomial, _gamma, evaluate,
                         scaled_coefficients, smallest_pick)
 from .potentials import PairPotential
@@ -285,7 +285,7 @@ def _term_sampled(p, box, phi, n, x1, rest, m, seed):
         means = np.stack([kern * vals, carried]).reshape((2, len(live), -1) + vals.shape[1:])
         return means.mean(axis=2) * _per_row(scale, vals)
 
-    mean, spread = sobol_replicates(m, _SOBOL_SAMPLES, seed, 8, estimate)
+    mean, spread = sobol_replicates(m, _SOBOL_SAMPLES, seed, _SOBOL_REPLICATES, estimate)
     fac = math.factorial(m)
     val[live] = (mean[0].view(float) / fac).view(mean.dtype)  # part by part, as complex / int
     err[live] = (spread[0] + mean[1].real) / fac

@@ -13,9 +13,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kslab.cluster import (PowerSeries, claim_row, density_bound_check,
-                           density_coefficients_extrapolated, density_series,
-                           log_series, radius_estimate, virial_reversion)
+from kslab.cluster import (claim_row, density_bound_check, density_coefficients_extrapolated,
+                           density_series, log_series, radius_estimate, virial_reversion)
 from kslab.integrals import Box
 from kslab.ksop import (CallableFamily, apply_ks_function, build_ks_matrix,
                         ks_residual)
@@ -152,7 +151,7 @@ def test_criterion_06_coefficient_growth_locates_pole(battery):
     cases, _ = battery
     lam_c = cases[5.0].spec.lam_c.real
     dens = density_series(log_series(make_tonks(5.0, M=30), 30), 5.0)
-    ratio = dens.values[30] / dens.values[29]
+    ratio = dens[30] / dens[29]
     rel = abs(ratio - lam_c) / abs(lam_c)
     k = np.arange(41)
     double = coefficient_asymptotics((k + 1) * 2.5**k)
@@ -190,11 +189,9 @@ def test_criterion_08_extrapolated_series_vs_closed_form():
         HARD_RODS, (20.0, 40.0, 80.0), 12)
     model = TonksModel(1.0)
     ref = model.density_series(12)
-    worst = max(abs(s.values[k] - ref[k - 1]) / abs(ref[k - 1])
+    worst = max(abs(s[k] - ref[k - 1]) / abs(ref[k - 1])
                 for k in range(1, 9))
-    long = PowerSeries.from_values(
-        np.concatenate([[0.0], model.density_series(30)]), "z")
-    est = radius_estimate(long)
+    est = radius_estimate(np.concatenate([[0.0], model.density_series(30)]))
     C, _ = regularity_C(HARD_RODS)
     row = claim_row("activity radius vs inverse kernel norm",
                     1.0 / C, est.R, oracle=model.cluster_radius)
@@ -211,11 +208,7 @@ def test_criterion_08_extrapolated_series_vs_closed_form():
 
 def test_criterion_09_virial_radius_and_density_bound():
     model = TonksModel(1.0)
-    dens = PowerSeries.from_values(
-        np.concatenate([[0.0], model.density_series(14)]), "z")
-    pres = PowerSeries.from_values(
-        np.concatenate([[0.0], model.pressure_series(14)]), "z")
-    _, est = virial_reversion(dens, pres)
+    _, est = virial_reversion(np.concatenate([[0.0], model.density_series(14)]))
     C, _ = regularity_C(HARD_RODS)
     rep = density_bound_check(model, C, np.linspace(0.02, 2.0, 100), tol=1e-9)
     ok = abs(est.R - model.virial_radius) <= 1e-6

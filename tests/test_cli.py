@@ -498,6 +498,7 @@ def test_virial_hard_rods_bound_row(tmp_path):
                   ["virial", "--L", "8", "--M", "9", "--terms", "10"])
     assert rc == 0
     doc = read_json(out)
+    assert doc["bound"]["quantity"] == "virial radius vs half inverse kernel norm"
     assert doc["bound"]["relation"] == "at_least"
     assert doc["bound"]["claimed"] == pytest.approx(0.25, rel=1e-12)
     coeffs = {r["n"]: r["coefficient"] for r in doc["virial_series"]}

@@ -49,9 +49,9 @@ ALLOWED = {
 
 # methods that no command calls, kept on purpose
 ALLOWED_METHODS = {
-    ("oracles", "TonksModel", "density_series"): "acceptance criterion 08 compares the extrapolated series with it; 09 reverts it",
-    ("oracles", "TonksModel", "pressure_series"): "acceptance criterion 09 reverts it into the virial series",
-    ("oracles", "TonksModel", "virial_radius"): "acceptance criterion 09 checks the reverted series' radius against it",
+    ("oracles", "TonksModel", "density_series"): "acceptance criterion 08 compares the extrapolated series with it; 09 inverts it",
+    ("oracles", "TonksModel", "pressure_series"): "test_oracles::test_series_closed_forms checks rho = z d(beta p)/dz on it, the identity virial inversion rests on",
+    ("oracles", "TonksModel", "virial_radius"): "acceptance criterion 09 checks the inverted series' radius against it",
     ("potentials", "PairPotential", "ideal"): "one constructor per potential family; commands build from a config",
     ("potentials", "PairPotential", "step"): "one constructor per potential family; commands build from a config",
     ("potentials", "PairPotential", "custom"): "one constructor per potential family; commands build from a config",
