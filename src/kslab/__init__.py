@@ -15,9 +15,9 @@ The pipeline runs from a pair potential to certified spectral data:
 5. `spectral` extracts the leading eigenvalue, its Riesz projection,
    the reduced resolvent, certified nilpotent defect and pole order,
    power-iteration convergence, and correlation-ray asymptotics.
-6. `cluster` handles activity and virial expansions: log-series,
-   thermodynamic-limit extrapolation, radius estimates, the virial
-   series by Lagrange inversion, bound checks, and claim tables.
+6. `cluster` handles activity and virial expansions in exact rationals:
+   log-series, thermodynamic-limit extrapolation, radius estimates, the
+   virial series by Lagrange inversion, bound checks, and claim tables.
 7. `oracles` provides exactly solvable references (hard rods on a
    segment, ideal gas) every numerical path is tested against.
 

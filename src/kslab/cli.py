@@ -130,11 +130,6 @@ def _emit(args, command, payload, rows, row_fields):
         _say(text)
 
 
-def _finite_density(poly, N):
-    """Density activity series of one finite box."""
-    return density_series(log_series(poly, N), poly.box.volume)
-
-
 def _density(args):
     """Density activity series and its source, finite box or extrapolated."""
     p = _potential(args)
@@ -146,9 +141,8 @@ def _density(args):
         lengths = (ext[0], 2 * ext[0], 4 * ext[0])
         dens, errs, _ = density_coefficients_extrapolated(
             p, lengths, N, cache_dir=args.cache_dir, order=args.order, seed=args.seed)
-        # keep only orders the ladder actually resolves: high orders lose
-        # all significant digits to cancellation in the finite-volume
-        # recurrence and come out comparable to their own error estimate
+        # keep only orders the ladder resolves: past a tenth of the value, the
+        # last Richardson correction says finite-volume terms remain
         cut = N
         for k in range(1, N + 1):
             if dens[k] != 0.0 and errs[k] >= 0.1 * abs(dens[k]):
@@ -157,9 +151,8 @@ def _density(args):
         return dens[: cut + 1], {"lengths": list(lengths), "kept_orders": cut,
                                  "errors": errs[: cut + 1].tolist()}
     # coefficient k of log Xi needs c_1..c_k, so the table must reach N
-    _, _, table = _table(args, M=max(args.M, N))
-    poly = assemble(table)
-    return _finite_density(poly, N), {"box": list(poly.box.extents)}
+    _, box, table = _table(args, M=max(args.M, N))
+    return density_series(log_series(assemble(table), N), box.volume), {"box": list(box.extents)}
 
 
 # -- commands ----------------------------------------------------------------------
@@ -327,7 +320,8 @@ def cmd_claimcheck(args):
                               spec.spectral_radius))
 
     # the finite-box series come from the table built above
-    dens = _density(args)[0] if args.extrapolate else _finite_density(poly, args.terms)
+    dens = (_density(args)[0] if args.extrapolate else
+            density_series(log_series(poly, args.terms), box.volume))
     try:
         measured_R = radius_estimate(dens).R
     except NumericalError:

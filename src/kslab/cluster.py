@@ -1,10 +1,13 @@
 """Cluster and virial series analysis.
 
 The pressure-like series log Xi comes out of the coefficient recurrence,
-the density series is its Euler derivative over the volume, and everything
-else is plumbing on coefficient arrays indexed by power: the Domb-Sykes
-radius-of-convergence fit, the virial series by Lagrange inversion of the
-density, finite-volume extrapolation of thermodynamic-limit coefficients,
+the density series is its Euler derivative over the volume, and the virial
+series is the density's Lagrange inversion, all three in exact rationals on
+the partition polynomial's exact coefficients; each value is rounded to
+float64 once, where it leaves that chain (rounded).  Everything else is
+plumbing on coefficient arrays indexed by power: the Domb-Sykes
+radius-of-convergence fit, finite-volume extrapolation of thermodynamic-limit
+coefficients,
 the density lower-bound sweep, and the side-by-side claim table that
 compares a measured radius against the kernel-norm prediction and the closed
 form without adjudicating between them.
@@ -14,20 +17,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import InsufficientData, NumericalError
+from .errors import ConfigError, InsufficientData, NumericalError
 from .integrals import Box, build_table
 from .partition import PartitionPolynomial, assemble
 
 # -- series rows and sign pattern -----------------------------------------------
 
 
+def rounded(values):
+    """Series coefficients, exact or not, rounded once to float64 where they
+    leave the exact chain; NumericalError past the float64 range."""
+    try:
+        out = np.array([float(v) for v in values])
+        if np.isfinite(out).all():
+            return out
+    except OverflowError:
+        pass
+    raise NumericalError("series coefficients leave the float64 range; reduce N or the box")
+
+
 def series_rows(values):
     """CSV-ready rows (power, coefficient, sign) of a coefficient array."""
     return [{"n": k, "coefficient": v, "sign": (v > 0) - (v < 0)}
-            for k, v in enumerate(map(float, values))]
+            for k, v in enumerate(rounded(values).tolist())]
 
 
 def sign_pattern(values):
@@ -43,55 +59,38 @@ def sign_pattern(values):
     return "positive" if np.all(signs > 0) else "mixed"
 
 
-# -- log, density, exp -----------------------------------------------------------
+# -- log, density -----------------------------------------------------------------
 
 
 def log_series(poly: PartitionPolynomial, N):
-    """First N coefficients of log Xi(z).
+    """First N coefficients of log Xi(z), as exact Fractions (an object array).
 
-    Standard recurrence from Xi * (log Xi)' = Xi': coefficient k depends on
-    c_1..c_k only, so any truncation M >= N gives the exact finite-volume
-    values.  The constant term is dropped (c_0 = 1 for a partition
-    polynomial; a nonunit constant would only shift log Xi by a constant).
-
-    A coefficient whose value lands below the roundoff bound propagated
-    through its own recurrence is reported as an exact zero: at working
-    precision it is indistinguishable from one, and keeping the junk would
-    fake a sign pattern and a radius where the series actually terminates
-    (the free gas cancels every coefficient past the first).
+    Standard recurrence from Xi * (log Xi)' = Xi' on poly.rational_coeffs,
+    which rounds nothing: coefficient k depends on c_1..c_k only, so any
+    truncation M >= N gives the exact finite-volume values, and a series that
+    terminates (the free gas past its first coefficient) gives exact zeros.
+    The constant term is dropped (c_0 = 1 for a partition polynomial; a
+    nonunit constant only shifts log Xi).  NumericalError when some c_m it
+    needs has no exact value (past the float64 range).
     """
-    c = np.zeros(N + 1)
-    upto = min(N, poly.M)
-    c[: upto + 1] = poly.coeffs[: upto + 1]
-    if c[0] == 0.0:
+    c = poly.rational_coeffs[: N + 1]
+    if None in c:
+        raise NumericalError("a coefficient past the float64 range has no exact value; "
+                             "reduce N or the box")
+    c = c + [Fraction(0)] * (N + 1 - len(c))
+    if c[0] == 0:
         raise NumericalError("series log needs a nonzero constant term")
-    if c[0] != 1.0:
-        c = c / c[0]
-    if not np.isfinite(c).all():
-        raise NumericalError(
-            "coefficients overflow float64; reduce N or the box")
-    eps = np.finfo(float).eps
-    ell = np.zeros(N + 1)
-    bound = np.zeros(N + 1)
+    c = [x / c[0] for x in c]
+    ell = [Fraction(0)] * (N + 1)
     for k in range(1, N + 1):
-        acc = k * c[k]
-        mag = abs(acc)
-        carried = 0.0
-        for j in range(1, k):
-            t = j * ell[j] * c[k - j]
-            acc -= t
-            mag += abs(t)
-            carried += j * bound[j] * abs(c[k - j])
-        ell[k] = acc / k
-        bound[k] = ((k + 2) * eps * mag + carried) / k
-        if abs(ell[k]) <= bound[k]:
-            ell[k] = 0.0
-    return ell
+        ell[k] = (k * c[k] - sum(j * ell[j] * c[k - j] for j in range(1, k))) / k
+    return np.array(ell, dtype=object)
 
 
 def density_series(ell, volume):
-    """One-point density series rho_1(z) = (z d/dz log Xi) / |box|."""
-    return ell * np.arange(len(ell)) / float(volume)
+    """One-point density series rho_1(z) = (z d/dz log Xi) / |box|, in Fractions."""
+    v = Fraction(volume)
+    return np.array([k * x / v for k, x in enumerate(ell)], dtype=object)
 
 
 # -- finite-volume extrapolation ---------------------------------------------------
@@ -101,38 +100,38 @@ def richardson(values, ratio=2.0, first_order=1):
     """Eliminate successive 1/L^p terms from values at L, ratio*L, ratio^2*L, ...
 
     Assumes f(L) = f_inf + A1/L^p + A2/L^(p+1) + ... with p = first_order.
-    Returns (extrapolated, error_estimate), the latter being the last
-    correction applied, which is an honest scale for what remains.
+    Returns (extrapolated, error_estimate) in float64, the latter being the
+    last correction applied, which is an honest scale for what remains.
+    Exact values (Fractions) are combined exactly and rounded once at the end.
     """
-    t = [float(v) for v in values]
+    t = list(values)
     if len(t) < 2:
         raise InsufficientData("Richardson needs at least two values")
     p = first_order
     last_step = abs(t[-1] - t[0])
     while len(t) > 1:
-        fac = ratio**p
-        nxt = [(fac * t[i + 1] - t[i]) / (fac - 1.0) for i in range(len(t) - 1)]
+        fac = Fraction(ratio) ** p
+        nxt = [(fac * t[i + 1] - t[i]) / (fac - 1) for i in range(len(t) - 1)]
         last_step = abs(nxt[-1] - t[-1])
         t = nxt
         p += 1
-    return t[0], last_step
+    return tuple(rounded([t[0], last_step]).tolist())
 
 
 def density_coefficients_extrapolated(p, lengths, N, cache_dir=None, order=16, seed=42):
     """Thermodynamic-limit density coefficients from a ladder of box lengths.
 
     Builds the finite-volume density series at each 1-D box length (tables
-    from build_table with the given order and seed) and Richardson-
-    extrapolates coefficient by coefficient (leading error is order 1/L).
-    Returns (series, per-coefficient error estimates, per-length series list).
+    from build_table with the given order and seed), exact for closed-form
+    tables, and Richardson-extrapolates coefficient by coefficient (leading
+    error is order 1/L).  Returns (float64 series, per-coefficient error
+    estimates, per-length list of exact series).
     """
     per_len = []
     for L in lengths:
         table = build_table(p, Box((float(L),)), N, order=order, seed=seed, cache_dir=cache_dir)
-        poly = assemble(table)
-        per_len.append(density_series(log_series(poly, N), L))
-    vals = np.zeros(N + 1)
-    errs = np.zeros(N + 1)
+        per_len.append(density_series(log_series(assemble(table), N), L))
+    vals, errs = np.zeros((2, N + 1))
     for k in range(1, N + 1):
         seq = [s[k] for s in per_len]
         ratio = lengths[1] / lengths[0]
@@ -153,6 +152,7 @@ class RadiusEstimate:
 
 
 _MIN_NONZERO = 8  # coefficients a radius fit needs
+_MAX_ORDERS = 64  # virial_reversion's ceiling: at 64 orders its exact O(N^3) takes 0.5-4 s
 
 
 def radius_estimate(v) -> RadiusEstimate:
@@ -163,11 +163,13 @@ def radius_estimate(v) -> RadiusEstimate:
     intercept is 1/z_s for the nearest singularity z_s, so its sign places
     the singularity on the positive or the negative axis.
 
-    A series with fewer nonzero entries than _MIN_NONZERO is only accepted
-    when it visibly terminates (a long run of exact zeros at the tail), in
-    which case the radius is infinite; otherwise InsufficientData.
+    The fit runs on the rounded coefficients.  A series with fewer nonzero
+    entries than _MIN_NONZERO is only accepted when it visibly terminates (a
+    long run of exact zeros at the tail), in which case the radius is
+    infinite; otherwise InsufficientData.
     """
     method = "domb_sykes"
+    v = rounded(v)
     pattern = sign_pattern(v)
     nz = [k for k in range(1, len(v)) if v[k] != 0.0]
     if len(nz) < _MIN_NONZERO:
@@ -204,39 +206,40 @@ def radius_estimate(v) -> RadiusEstimate:
 
 
 def virial_reversion(density):
-    """Pressure as a series in density, plus its radius estimate.
+    """Pressure as a series in density, in exact rationals, plus its radius estimate.
 
     Since z d(beta p)/dz = rho(z), Lagrange inversion of rho(z) = z / phi(z)
-    gives the virial coefficients from the density alone:
-    B_n = [z^(n-1)] phi(z)^(n-1) / n with phi = z / rho(z) (Flajolet &
-    Sedgewick, Analytic Combinatorics, 2009, Thm A.2).  phi comes from one
-    triangular reciprocal of rho(z)/z and each power of phi from the one
-    before, so the series costs O(N^3).  Returns (virial series in rho,
-    RadiusEstimate); the estimate is None when the virial series terminates
-    too fast to measure and also fails the terminating-series test.
-
-    The powers of phi grow fast for series with a finite activity radius,
-    and their coefficient n - 1 cancels down to a modest virial
-    coefficient: from the closed-form hard-rod density the relative
-    roundoff grows by about 4x per order, to 3.4e-9 at N = 14 and 1.1e-5
-    at N = 20, so keep N near 14 in double precision unless the tail is
-    going to be discarded anyway.
+    gives B_n = [z^(n-1)] phi(z)^(n-1) / n (Flajolet & Sedgewick, Analytic
+    Combinatorics, 2009, Thm A.2), on the exact density (floats at their binary
+    values).  In integers: rho(z)/z = Q(z)/D, phi(z) = (D/Q_0) S(z/Q_0) with
+    S_0 = 1, S_k = -sum_j Q_j Q_0^(j-1) S_(k-j), and B_n = D^a P_a / (n Q_0^(2a)),
+    a = n - 1, for P = S^a from k P_k = sum_j ((a+1) j - k) S_j P_(k-j) (Knuth,
+    TAOCP vol. 2, 4.7), whose divisions are exact.  That is O(N^3), so more than
+    _MAX_ORDERS orders raise ConfigError.  Returns (object array of Fractions,
+    RadiusEstimate or None when the series terminates too fast to measure and
+    fails the terminating-series test).
     """
     N = len(density) - 1
-    if N < 1 or density[1] == 0.0:
+    if N > _MAX_ORDERS:
+        raise ConfigError(f"the virial series takes at most {_MAX_ORDERS} orders, got {N}")
+    if N < 1 or density[1] == 0:
         raise InsufficientData("virial series needs a nonzero linear density coefficient")
-    if density[0] != 0.0:
+    if density[0] != 0:
         raise InsufficientData("virial series needs a zero constant density term")
-    q = density[1:]  # rho(z) / z
-    phi = np.zeros(N)
-    for k in range(N):
-        phi[k] = ((k == 0) - q[1 : k + 1] @ phi[:k][::-1]) / q[0]
-    virial = np.zeros(N + 1)
-    virial[1] = 1.0
-    power = np.ones(1)
+    q = [Fraction(x) for x in density[1:]]  # rho(z) / z
+    D = math.lcm(*(x.denominator for x in q))
+    Q = [x.numerator * (D // x.denominator) for x in q]
+    S = [1] + [0] * (N - 1)
+    for k in range(1, N):
+        S[k] = -sum(Q[j] * Q[0] ** (j - 1) * S[k - j] for j in range(1, k + 1))
+    virial = [Fraction(0), Fraction(1)] + [Fraction(0)] * (N - 1)
     for n in range(2, N + 1):
-        power = np.convolve(power, phi)[:N]
-        virial[n] = power[n - 1] / n
+        a = n - 1
+        P = [1] + [0] * a
+        for k in range(1, a + 1):
+            P[k] = sum(((a + 1) * j - k) * S[j] * P[k - j] for j in range(1, k + 1)) // k
+        virial[n] = Fraction(D**a * P[a], n * Q[0] ** (2 * a))
+    virial = np.array(virial, dtype=object)
     try:
         est = radius_estimate(virial)
     except InsufficientData:

@@ -96,8 +96,8 @@ class Box:
 # -- closed forms ------------------------------------------------------------
 
 
-def _free_length(p, box, m, num):
-    """free with Z_m = free^m in the arithmetic num (float or mpmath.mpf), or
+def free_length(p, box, m, num):
+    """free with Z_m = free^m in the arithmetic num (float or Fraction), or
     None without a closed form: 1 for Z_0, the volume V for the ideal gas
     and every m = 1, L - (m-1)a for hard rods on a segment."""
     if m == 0:
@@ -110,27 +110,12 @@ def _free_length(p, box, m, num):
 
 
 def exact_log_Z(p, box, m):
-    """log Z_m for the closed-form routes (_free_length), or None; -inf once
+    """log Z_m for the closed-form routes (free_length), or None; -inf once
     the rods no longer fit."""
-    free = _free_length(p, box, m, float)
+    free = free_length(p, box, m, float)
     if free is None:
         return None
     return m * math.log(free) if free > 0.0 else float("-inf")
-
-
-def exact_mp_Z(p, box, m):
-    """Z_m of the closed-form routes under the caller's mpmath working
-    precision, or None.  For a wide hard-rod box the smallest zero is so
-    ill-conditioned that the double rounding of the coefficients alone
-    moves it in the third decimal, so root finding cannot re-use the
-    float64 table.
-    """
-    import mpmath as mp
-
-    free = _free_length(p, box, m, mp.mpf)
-    if free is None:
-        return None
-    return free**m if free > 0 else mp.mpf(0)
 
 
 def hardrod_anchored_series(L, a, anchors, jmax):

@@ -29,13 +29,15 @@ from NumeratorFamily.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import Degenerate, NearPole, NumericalError
-from .integrals import IntegralTable, anchored_series, nest_is_exact, signed_exp
+from .integrals import IntegralTable, anchored_series, free_length, nest_is_exact, signed_exp
 
 _LONG = np.clongdouble
 
@@ -43,8 +45,8 @@ _LONG = np.clongdouble
 @dataclass
 class PartitionPolynomial:
     """Coefficients c_m = Z_m/m! plus the conditioning scale used on them.
-    The table's entries stay the authoritative form of c_m past the float64
-    range (log_coeff)."""
+    rational_coeffs holds each c_m exactly; past the float64 range of a
+    non-closed-form entry the table's entry stays its form (log_coeff)."""
 
     coeffs: np.ndarray  # raw float c_m, index m = 0..M
     coeff_errors: np.ndarray
@@ -70,46 +72,42 @@ class PartitionPolynomial:
         """
         return scaled_coefficients(self.coeffs, self.scale)
 
-    def mp_coefficients(self):
-        """Coefficients rebuilt in arbitrary precision, or None.
+    @property
+    def exact(self):
+        """Whether every table entry came from a closed form."""
+        return all(e.method == "exact" for e in self.table.entries)
 
-        Available only when every table entry came from a closed form; the
-        values are re-derived from the potential and box under the caller's
-        mpmath precision, so no float64 rounding of the table enters.  The
-        smallest zero of a wide hard-rod box is sensitive enough that this
-        distinction decides its third decimal.
-        """
-        from .integrals import exact_mp_Z
-
-        if any(e.method != "exact" for e in self.table.entries):
-            return None
-        import mpmath as mp
-
-        out = []
-        for e in self.table.entries:
-            zval = exact_mp_Z(self.table.potential, self.table.box, e.m)
-            if zval is None:
-                return None
-            out.append(zval / mp.factorial(e.m))
+    @functools.cached_property
+    def rational_coeffs(self):
+        """c_m, m = 0..M, as exact Fractions, the one source of c_m past float64:
+        Z_m/m! by free_length for an "exact" entry, so no rounding of the table
+        enters, else the float64 c_m's binary value, or None past its range."""
+        out, p, box = [], self.potential, self.box
+        for e, c in zip(self.table.entries, self.coeffs):
+            free = free_length(p, box, e.m, Fraction) if e.method == "exact" else None
+            if free is not None:
+                out.append(free**e.m / math.factorial(e.m) if free > 0 else Fraction(0))
+            else:
+                out.append(Fraction(c) if math.isfinite(c) else None)
         return out
 
+    def mp_coefficients(self):
+        """c_m as mpf: rational_coeffs correctly rounded at the caller's mpmath
+        precision, or where None the entry's sign and log_coeff."""
+        from mpmath import mp
+        from mpmath.libmp import from_rational, round_nearest
+
+        return [e.sign * mp.exp(log_coeff(e)) if c is None else
+                mp.make_mpf(from_rational(c.numerator, c.denominator, mp.prec, round_nearest))
+                for e, c in zip(self.table.entries, self.rational_coeffs)]
+
     def mp_scaled_coeffs(self):
-        """(b, exact): b_m = c_m scale^m, m = 0..M, as mpf at the caller's
-        precision, the one source of every evaluation at working precision:
-        the closed forms (exact) when mp_coefficients has them, else the
-        float64 b, else past the float64 range the table entries' sign and
-        log_coeff."""
+        """(b, exact): b_m = c_m scale^m from mp_coefficients, the one source of
+        every evaluation at working precision, and the exact flag."""
         import mpmath as mp
 
         s = mp.mpf(self.scale)
-        cs = self.mp_coefficients()
-        if cs is not None:
-            return [c * s**m for m, c in enumerate(cs)], True
-        try:
-            return [mp.mpf(float(x)) for x in self.scaled_coeffs()], False
-        except NumericalError:
-            return [e.sign * mp.exp(log_coeff(e) + e.m * mp.log(s))
-                    for e in self.table.entries], False
+        return [c * s**m for m, c in enumerate(self.mp_coefficients())], self.exact
 
 
 def scaled_coefficients(c, scale):
@@ -595,7 +593,7 @@ def zeros(poly: PartitionPolynomial) -> ZeroSet:
     conditioning times float64 unit roundoff passes 1e-10 (or is unknown, as
     some float64 root is not finite), or when the scaled coefficients leave
     the float64 range, which skips the float stage.  The ladder takes
-    mp_scaled_coeffs: exact, else float64, else the table entries.  Its
+    mp_scaled_coeffs, rational_coeffs rounded at its ceiling.  Its
     first rung starts from the float64 roots at max(30, log10(deg kappa) +
     20) digits, kappa their largest conditioning, or without distinct finite
     ones from the Newton polygon at 30 digits.  A rung that inclusion_radii

@@ -187,6 +187,10 @@ def test_exit_codes_over_a_grid(tmp_path, capsys):
                      ("zeros", "--potential-file", str(nan_file), "--L", "4", "--M", "5"): 2,
                      ("table", "--beta", "nan", "--L", "4", "--M", "5", "--cache-dir",
                       str(tmp_path / "nan-cache")): 2})
+    # exact series past the float64 range, and past the inversion's 64 orders
+    huge = ("--a", "1e15", "--L", "1e16", "--M", "11", "--terms", "24")
+    expected.update({("virial", *huge): 4, ("cluster", *huge): 4,
+                     ("virial", "--L", "8", "--M", "9", "--terms", "65"): 2})
     runs += [list(argv) for argv in expected]
     for i, argv in enumerate(runs):
         rc = main(argv + ["--out", str(tmp_path / f"{i}.json")])
@@ -482,15 +486,37 @@ def test_claimcheck_main_consequence_rows(tmp_path):
 
 
 def test_cluster_extrapolated_source(tmp_path, capsys):
-    rc, out = run(tmp_path, "cl.json",
-                  ["cluster", "--L", "8", "--terms", "6", "--extrapolate"])
+    # Richardson over L, 2L, 4L on exact finite-box coefficients keeps every
+    # order, each on the Tonks coefficient (-n)^(n-1) / (n-1)!
+    for L, terms in ((8, 6), (20, 12)):
+        rc, out = run(tmp_path, f"cl{L}.json",
+                      ["cluster", "--L", str(L), "--terms", str(terms), "--extrapolate"])
+        assert rc == 0
+        doc = read_json(out)
+        assert doc["source"]["lengths"] == [L, 2.0 * L, 4.0 * L]
+        assert doc["source"]["kept_orders"] == terms
+        for r in doc["density_series"][1:]:
+            n = r["n"]
+            assert abs(r["coefficient"] * math.factorial(n - 1) / (-n) ** (n - 1) - 1) <= 1e-12
+        # 6 coefficients are too few for a radius fit; the payload says so
+        assert (doc["radius"] is None) == (terms < 8)
+    assert "radius not estimated" in capsys.readouterr().out
+
+
+def test_virial_radius_at_L40_matches_claimcheck(tmp_path):
+    # the L = 40 virial series has radius near 1 with positive coefficients,
+    # and claimcheck reads the same radius and verdict
+    box = ["--L", "40", "--M", "41", "--terms", "14"]
+    rc, out = run(tmp_path, "v.json", ["virial", *box])
     assert rc == 0
     doc = read_json(out)
-    assert doc["source"]["lengths"] == [8.0, 16.0, 32.0]
-    assert doc["source"]["kept_orders"] == 6
-    # 6 coefficients are too few for a radius fit; the payload says so
-    assert doc["radius"] is None
-    assert "radius not estimated" in capsys.readouterr().out
+    assert abs(doc["radius"]["R"] - 1.0) <= 0.05
+    assert doc["radius"]["sign_pattern"] == "positive"
+    rc, out = run(tmp_path, "cc.json", ["claimcheck", *box])
+    assert rc == 0
+    row = {r["quantity"]: r for r in read_json(out)["rows"]}[doc["bound"]["quantity"]]
+    assert row["measured"] == doc["radius"]["R"]
+    assert row["verdict"] == doc["bound"]["verdict"] == "consistent"
 
 
 def test_virial_hard_rods_bound_row(tmp_path):

@@ -4,6 +4,7 @@ import math
 import types
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,6 +22,7 @@ from kslab.cluster import (
 )
 from kslab.errors import InsufficientData
 from kslab.oracles import TonksModel
+from kslab.partition import zeros
 from kslab.potentials import PairPotential
 
 from conftest import make_ideal, make_tonks
@@ -69,6 +71,39 @@ def test_log_series_is_truncation_independent():
     assert np.array_equal(full, short)
 
 
+def _rods_log_mp(L, N):
+    """log Xi coefficients of hard rods (a = 1) from the closed form, by the
+    same recurrence at 80 digits in mpmath."""
+    with mp.workdps(80):
+        c = [mp.mpf(max(0, L - (m - 1))) ** m / mp.factorial(m) for m in range(N + 1)]
+        ell = [mp.mpf(0)] * (N + 1)
+        for k in range(1, N + 1):
+            ell[k] = (k * c[k] - mp.fsum(j * ell[j] * c[k - j] for j in range(1, k))) / k
+    return ell
+
+
+def test_log_series_against_independent_references():
+    # hard rods at L = 40, where each step of the recurrence cancels by ~1e5:
+    # every l_k, k <= 20, against an 80-digit recurrence and against
+    # -(1/k) sum_i z_i^-k over the certified zeros of the full-degree polynomial
+    poly = make_tonks(40.0)
+    ell = log_series(poly, 20)
+    ref = _rods_log_mp(40, 20)
+    assert max(abs(float(ell[k]) / float(ref[k]) - 1) for k in range(1, 21)) <= 1e-14
+    z = zeros(poly).zeros
+    assert len(z) == 40
+    sums = [-np.sum(z ** -k).real / k for k in range(1, 21)]
+    assert max(abs(sums[k - 1] / float(ell[k]) - 1) for k in range(1, 21)) <= 1e-13
+    # L = 5 truncated at packing: nonzero at every order up to 60, and equal
+    # to the exact closed-form recurrence
+    ell = log_series(make_tonks(5.0, M=6), 60)
+    c = [Fraction(max(0, 5 - (m - 1)) ** m, math.factorial(m)) for m in range(61)]
+    want = [Fraction(0)] * 61
+    for k in range(1, 61):
+        want[k] = (k * c[k] - sum(j * want[j] * c[k - j] for j in range(1, k))) / k
+    assert all(ell[1:] != 0) and list(ell) == want
+
+
 def test_free_gas_log_series_terminates():
     ell = log_series(make_ideal(V=3.0, M=8), 8)
     assert np.flatnonzero(ell).tolist() == [1]
@@ -82,7 +117,7 @@ def test_free_gas_log_series_terminates():
 def test_density_series_scaling(tonks5):
     ell = log_series(tonks5, 5)
     rho = density_series(ell, 5.0)
-    assert np.allclose(rho, ell * np.arange(6) / 5.0)
+    assert np.array_equal(rho, [k * x / 5 for k, x in enumerate(ell)])
 
 
 def test_richardson_eliminates_power_corrections():
@@ -175,11 +210,12 @@ def _rods_virial_exact(L, N):
 
 
 def test_virial_inversion_matches_exact_rationals():
-    # a finite box against exact reversion and composition, and the
+    # finite boxes against exact reversion and composition, and the
     # thermodynamic limit against the closed form B_n = 1
-    vir, _ = virial_reversion(density_series(log_series(make_tonks(8.0, M=9), 10), 8.0))
-    exact = _rods_virial_exact(8, 10)
-    assert max(abs(vir[n] / float(exact[n]) - 1) for n in range(1, 11)) <= 1e-11
+    for L, M, N, tol in ((8, 9, 10, 1e-11), (40, 41, 14, 1e-14)):
+        vir, _ = virial_reversion(density_series(log_series(make_tonks(L, M=M), N), L))
+        exact = _rods_virial_exact(L, N)
+        assert max(abs(vir[n] / float(exact[n]) - 1) for n in range(1, N + 1)) <= tol
     tonks = series(np.concatenate([[0.0], TonksModel(1.0).density_series(14)]))
     vir, _ = virial_reversion(tonks)
     assert np.abs(vir[1:] - 1.0).max() <= 1e-8

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -13,9 +14,9 @@ from kslab import integrals
 from kslab.errors import ConfigError, NumericalError
 from kslab.integrals import (DIMENSION_CAP, Box, anchored_integral, anchored_series,
                              build_table, cache_path, cached_table, contact_lattice,
-                             exact_mp_Z,
-                             hardrod_anchored_series, load_table, panel_rule,
+                             free_length, hardrod_anchored_series, load_table, panel_rule,
                              quadrature_Z, scrambled_sobol, sobol_directions)
+from kslab.partition import assemble
 from kslab.potentials import PairPotential
 
 from conftest import hardrod_composition_sum, sector_reference
@@ -42,16 +43,18 @@ def test_ideal_table_exact():
 
 
 def test_exact_mp_matches_float_route():
+    # the exact closed form, rounded at 50 digits, against the float64 table
     p = PairPotential.hardcore(1.0)
     box = Box((5.0,))
+    poly = assemble(build_table(p, box, 6))
     with mp.workdps(50):
-        for m in range(7):
-            zm = exact_mp_Z(p, box, m)
+        for m, cm in enumerate(poly.mp_coefficients()):
+            zm = cm * mp.factorial(m)
             free = 5.0 - (m - 1)
             want = free**m if (m == 0 or free > 0) else 0.0
             assert abs(float(zm) - want) <= 1e-12 * max(1.0, want)
         # no closed form for the step family
-        assert exact_mp_Z(PairPotential.step(0.5, 1.0), box, 2) is None
+        assert free_length(PairPotential.step(0.5, 1.0), box, 2, Fraction) is None
 
 
 def test_step_quadrature_against_closed_form():

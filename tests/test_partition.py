@@ -229,10 +229,14 @@ def test_batched_correlation_matches_per_order_loop(tonks5):
 
 
 def test_mp_coefficients_only_for_closed_forms(tonks5):
+    # closed forms give exact c_m; any other table gives its float64 c_m
+    # exactly, and only the former is flagged exact
     cs = tonks5.mp_coefficients()
-    assert cs is not None
-    assert float(cs[2]) == pytest.approx(8.0, rel=1e-15)  # 16 / 2!
-    assert poly_from_coeffs([1.0, 1.0, 0.3]).mp_coefficients() is None
+    assert tonks5.exact and tonks5.rational_coeffs[2] == 8  # 16 / 2!
+    assert float(cs[2]) == pytest.approx(8.0, rel=1e-15)
+    poly = poly_from_coeffs([1.0, 1.0, 0.3])
+    assert not poly.exact
+    assert [float(c) for c in poly.mp_coefficients()] == poly.coeffs.tolist()
 
 
 def test_gaps_are_mutual(tonks5):
@@ -569,6 +573,7 @@ def test_double_root_never_certifies(monkeypatch):
     c = np.polynomial.polynomial.polyfromroots([-1, -1, -2, -3, -5, -7])
     monkeypatch.setattr(PartitionPolynomial, "mp_coefficients",
                         lambda self: [mp.mpf(x) for x in c])
+    monkeypatch.setattr(PartitionPolynomial, "exact", True)
     with pytest.raises(NumericalError,
                        match=r"inclusion-radius certificate failed at \[30, .*60\] digits"):
         zeros(poly_from_coeffs(c, scale=1.0))
