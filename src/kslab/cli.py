@@ -20,9 +20,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cluster import (claim_row, density_coefficients_extrapolated, density_series,
-                      log_series, radius_estimate, series_rows, sign_pattern,
-                      virial_reversion)
+from .cluster import (check_orders, claim_row, density_coefficients_extrapolated,
+                      density_series, log_series, radius_estimate, series_rows,
+                      sign_pattern, virial_reversion)
 from .errors import ConfigError, KslabError, MissingPrerequisite, NumericalError
 from .integrals import Box, build_table, cached_table
 from .ksop import build_ks_matrix, ks_residual
@@ -274,6 +274,7 @@ def cmd_cluster(args):
 
 
 def cmd_virial(args):
+    check_orders(args.terms)
     p = _potential(args)
     dens, info = _density(args)
     vir, est = virial_reversion(dens)
@@ -294,6 +295,7 @@ def cmd_virial(args):
 
 
 def cmd_claimcheck(args):
+    check_orders(args.terms)  # every potential, before any table or operator work
     p = _potential(args)
     _, box, table = _table(args, M=max(args.M, args.terms))
     poly = assemble(table)
@@ -307,6 +309,7 @@ def cmd_claimcheck(args):
 
     rows = []
     spec = spectrum(ks)
+    zc_mod = abs(smallest_pick(spec.zeros))
     # compared at the claimed convergence radius xi = 1/C
     if C > 0:
         rows.append(claim_row("spectral radius vs 1/xi", C, spec.spectral_radius,
@@ -315,7 +318,6 @@ def cmd_claimcheck(args):
     # no singularity): spectral radius 1/|z_c|, activity series radius |z_c|
     singular = p.is_positive and p.family != "ideal"
     if singular:
-        zc_mod = abs(smallest_pick(poly))
         rows.append(claim_row("spectral radius vs 1/|z_c|", 1.0 / zc_mod,
                               spec.spectral_radius))
 
@@ -340,7 +342,7 @@ def cmd_claimcheck(args):
         lo = assemble(build_table(p, box, max(1, args.M - 1),
                                   order=args.order, seed=args.seed))
         rows.append(claim_row("smallest zero modulus recedes with truncation",
-                              abs(smallest_pick(lo)), abs(smallest_pick(poly)),
+                              abs(smallest_pick(zeros(lo))), zc_mod,
                               relation="at_least"))
     else:
         pattern = sign_pattern(dens)

@@ -205,6 +205,11 @@ def radius_estimate(v) -> RadiusEstimate:
 # -- virial series -----------------------------------------------------------------
 
 
+def check_orders(N):  # virial_reversion's ceiling, which cli checks before any table work
+    if N > _MAX_ORDERS:
+        raise ConfigError(f"the virial series takes at most {_MAX_ORDERS} orders, got {N}")
+
+
 def virial_reversion(density):
     """Pressure as a series in density, in exact rationals, plus its radius estimate.
 
@@ -220,8 +225,7 @@ def virial_reversion(density):
     fails the terminating-series test).
     """
     N = len(density) - 1
-    if N > _MAX_ORDERS:
-        raise ConfigError(f"the virial series takes at most {_MAX_ORDERS} orders, got {N}")
+    check_orders(N)
     if N < 1 or density[1] == 0:
         raise InsufficientData("virial series needs a nonzero linear density coefficient")
     if density[0] != 0:

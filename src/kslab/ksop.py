@@ -57,7 +57,7 @@ from .errors import ConfigError
 from .integrals import (_BLOCK, _SOBOL_REPLICATES, Box, contact_lattice, contact_lattice_rows,
                         ordered_sector, sobol_replicates)
 from .partition import (NumeratorFamily, PartitionPolynomial, _gamma, evaluate,
-                        scaled_coefficients, smallest_pick)
+                        smallest_pick, zeros)
 from .potentials import PairPotential
 
 _SOBOL_SAMPLES = 1 << 12
@@ -82,16 +82,11 @@ def _guarded(k, big, small):
     return k
 
 
-@dataclass
 class KSMatrix:
-    """Companion realization at truncation M: first row -c_1..-c_M, subdiagonal 1."""
+    """Companion realization at truncation M of poly: first row -c_1..-c_M, subdiagonal 1."""
 
-    scale: float
-    coeffs: np.ndarray  # c_0..c_M of the underlying polynomial
-
-    @property
-    def M(self):
-        return len(self.coeffs) - 1
+    def __init__(self, poly: PartitionPolynomial):
+        self.poly, self.scale, self.M = poly, poly.scale, poly.M
 
     @functools.cached_property
     def balancing(self):
@@ -106,7 +101,7 @@ class KSMatrix:
         the diagonal, factor 0.95, the sfmin/sfmax guards, each power of 2
         from frexp.  A column of C holds two entries, a row past the first one.
         """
-        b, M = scaled_coefficients(self.coeffs, self.scale), self.M
+        b, M = self.poly.scaled_coeffs(), self.M
         row, sub, d = (-b[1:]).tolist(), [0.0] + [1.0] * (M - 1) + [0.0], [1.0] * M
         rescaled = True
         while rescaled:
@@ -140,16 +135,18 @@ class KSMatrix:
     def to_json(self):
         return {
             "M": self.M,
-            "first_row": [float(v) for v in -self.coeffs[1:]],  # unscaled: -c_1..-c_M
+            "first_row": [float(v) for v in -self.poly.coeffs[1:]],  # unscaled: -c_1..-c_M
             "scale": self.scale,
         }
 
 
 def build_ks_matrix(poly: PartitionPolynomial) -> KSMatrix:
-    """Companion matrix of the truncated operator from a partition polynomial."""
+    """Companion matrix of the truncated operator from a partition polynomial; its
+    entries b_m = c_m scale^m are float64, so NumericalError past that range."""
     if poly.M < 1:
         raise ConfigError("need M >= 1 to build the operator matrix")
-    return KSMatrix(poly.scale, poly.coeffs.copy())
+    poly.scaled_coeffs()
+    return KSMatrix(poly)
 
 
 # -- anchored-function families -------------------------------------------------
@@ -465,7 +462,7 @@ def ks_residual(poly: PartitionPolynomial, z, n_max, order=64, count=64,
         raise ConfigError(f"quadrature order {order} is above the cap of {_ORDER_CAP}")
     if count < 1:
         raise ConfigError(f"probe count {count} is below 1")
-    z_c = smallest_pick(poly)  # its certificate is never printed here
+    z_c = smallest_pick(zeros(poly))  # its certificate is never printed here
     if abs(z) >= abs(z_c):
         raise ConfigError(f"|z| = {abs(z)} is not below the smallest zero modulus {abs(z_c)}")
 

@@ -5,16 +5,17 @@ The finite-truncation partition function is the polynomial
     Xi(z) = sum_{m=0..M} c_m z^m,   c_m = Z_m / m!,
 
 assembled from an integral table.  Everything downstream hangs off its
-zeros, so the zero finder is deliberately careful.  Its one float64 root
-stage, float_roots, takes balanced companion eigenvalues, an Aberth-Ehrlich
-polish to scaled residual _POLISH_TOL and enforced conjugate symmetry; the
-operator's spectrum reads its eigenvalues 1/z from the same stage.  When
-the companion matrix spans too many orders of magnitude, the smallest zero
-is too ill-conditioned for float64 coefficients or the coefficients leave
-the float64 range, the zeros come from Aberth-Ehrlich passes on a ladder of
-working digits set by the measured root conditioning, each certified by
-Weierstrass inclusion radii (Bini and Robol, MPSolve, 2014), which reuse
-the evaluations each root froze on.  The passes evaluate p and p' by
+zeros, so the zero finder is deliberately careful, and the operator's
+spectrum reads its eigenvalues 1/z from the same ZeroSet.  The zeros start
+as balanced companion eigenvalues; on the lapack route an Aberth-Ehrlich
+polish to scaled residual _POLISH_TOL and enforced conjugate symmetry
+finish them in float64.  When the companion matrix spans too many orders
+of magnitude, the smallest zero is too ill-conditioned for float64
+coefficients or the coefficients leave the float64 range, the zeros come
+from Aberth-Ehrlich passes on a ladder of working digits set by the
+measured root conditioning, each certified by Weierstrass inclusion radii
+(Bini and Robol, MPSolve, 2014), which reuse the evaluations each root
+froze on.  The passes evaluate p and p' by
 fixed_horner, a fixed-point Horner on Python integers, and so does every
 evaluation of Xi at or near a zero: the smallest zero's certificate and
 spectral's centers and asymptotics run newton_root and fixed_values on
@@ -66,11 +67,14 @@ class PartitionPolynomial:
         return self.table.potential
 
     def scaled_coeffs(self):
-        """b_m = c_m * scale^m, the polynomial actually handed to solvers.
-
-        Raises NumericalError when the product leaves the float64 range.
-        """
-        return scaled_coefficients(self.coeffs, self.scale)
+        """b_m = c_m * scale^m in float64, the polynomial handed to float64 solvers;
+        NumericalError when some b_m is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = self.coeffs * self.scale ** np.arange(len(self.coeffs))
+        if not np.all(np.isfinite(b)):
+            raise NumericalError(
+                f"scaled coefficients c_m * {self.scale:.6g}^m leave the float64 range")
+        return b
 
     @property
     def exact(self):
@@ -108,16 +112,6 @@ class PartitionPolynomial:
 
         s = mp.mpf(self.scale)
         return [c * s**m for m, c in enumerate(self.mp_coefficients())], self.exact
-
-
-def scaled_coefficients(c, scale):
-    """b_m = c_m * scale^m; NumericalError when some b_m is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = c * scale ** np.arange(len(c))
-    if not np.all(np.isfinite(b)):
-        raise NumericalError(
-            f"scaled coefficients c_m * {scale:.6g}^m leave the float64 range")
-    return b
 
 
 def log_coeff(e):
@@ -220,12 +214,6 @@ class ZeroSet:
         d = np.abs(zs[:, None] - zs[None, :])
         np.fill_diagonal(d, np.inf)
         return d.min(axis=1)
-
-
-def _scaled_residual(b, w):
-    """|p(w)| relative to the accumulated coefficient magnitude at w."""
-    acc, mag, _ = horner(b, w, magnitude=True)
-    return (np.abs(acc) / (mag + np.longdouble(1e-300))).astype(float)
 
 
 def _pair_conjugates(w):
@@ -536,28 +524,30 @@ def inclusion_radii(terms, roots):
     return w, rel, bool(ok), lk.max() / math.log2(10)
 
 
-_POLISH_TOL = 1e-15  # scaled residual the float64 root stage polishes to
+_POLISH_TOL = 1e-15  # scaled residual the lapack route polishes to
 _POLISH_SWEEPS = 60
+_SEED_SWEEPS = 8  # polish sweeps of the ladder's starts: hard rods L = 30-160 run 3-9 % faster
 
 
-def float_roots(b):
-    """All roots of sum b_m w^m (b ascending, b_deg != 0): the float64 root stage.
-
-    Companion eigenvalues (LAPACK balances the matrix), refined together by
-    Aberth-Ehrlich sweeps until every scaled residual is <= _POLISH_TOL or
-    for _POLISH_SWEEPS sweeps, then paired into exact conjugates.  A step
-    that is not finite (values past the float64 range on wide boxes) is not
-    taken.  zeros' lapack route returns these roots times the scale, and
-    spectrum's eigenvalues are their reciprocals.
-    """
+def companion_roots(b):
+    """Eigenvalues of the companion of sum b_m w^m (b ascending, b_deg != 0), which
+    LAPACK balances: the roots zeros routes on and seeds its ladder from."""
     deg = len(b) - 1
     comp = np.zeros((deg, deg))
     comp[0, :] = -b[:-1][::-1] / b[-1]
     comp[1:, :-1] = np.eye(deg - 1)
-    w = np.linalg.eigvals(comp).astype(complex)
+    return np.linalg.eigvals(comp).astype(complex)
+
+
+def polish_roots(b, w, sweeps=_POLISH_SWEEPS):
+    """The roots w of sum b_m w^m refined together by float64 Aberth-Ehrlich sweeps
+    until every scaled residual is <= _POLISH_TOL or for `sweeps` sweeps, then paired
+    into exact conjugates: the lapack route's zeros, or the ladder's starts.  A step
+    that is not finite (values past the float64 range on wide boxes) is not taken."""
+    deg = len(b) - 1
     db = b[1:] * np.arange(1, deg + 1)
     with np.errstate(all="ignore"):
-        for _ in range(_POLISH_SWEEPS):
+        for _ in range(sweeps):
             pv, mag, E = horner(b, w, magnitude=True)
             if (np.abs(pv) / (mag + np.longdouble(1e-300))).max() <= _POLISH_TOL:
                 break
@@ -572,36 +562,25 @@ def float_roots(b):
     return _pair_conjugates(w)
 
 
-def root_stage_defect(w):
-    """Why the float64 roots w cannot stand for distinct roots: a short
-    description, or None when every root is finite and no two coincide.
-    zeros seeds its Aberth pass from them only then; spectrum refuses them."""
-    if not np.all(np.isfinite(w)):
-        return "some float64 root is not finite"
-    if np.unique(w).size < w.size:
-        return "two float64 roots coincide"
-    return None
-
-
 def zeros(poly: PartitionPolynomial) -> ZeroSet:
-    """All zeros of Xi.
+    """All zeros of Xi, in the arithmetic that certifies them.
 
-    float_roots runs on the activity-rescaled coefficients of every box, and
-    on the lapack route its roots are the zeros.  They come instead from a
-    ladder of _mp_aberth passes when the companion has entry dynamic range
-    past 1e14, when the exact coefficients exist and the smallest root's
-    conditioning times float64 unit roundoff passes 1e-10 (or is unknown, as
-    some float64 root is not finite), or when the scaled coefficients leave
-    the float64 range, which skips the float stage.  The ladder takes
-    mp_scaled_coeffs, rational_coeffs rounded at its ceiling.  Its
-    first rung starts from the float64 roots at max(30, log10(deg kappa) +
-    20) digits, kappa their largest conditioning, or without distinct finite
-    ones from the Newton polygon at 30 digits.  A rung that inclusion_radii
-    do not certify starts the next from its roots at max(log10(deg kappa) +
-    20, digits + 10) digits, kappa now at those roots, and at least twice
-    the digits when kappa 10^-digits > 1e-6 (they were not resolved).  Past
-    the ceiling, max(60, 2 deg + 20) digits, NumericalError.  ZeroSet.digits
-    is the certified rung (lapack: the first rung's).
+    companion_roots runs on the activity-rescaled coefficients b of every
+    box, and on the lapack route polish_roots finishes them as the zeros.
+    The ladder of _mp_aberth passes on mp_scaled_coeffs (rational_coeffs
+    rounded at its ceiling) takes over when the companion's entry range
+    passes 1e14, when the coefficients are exact and the smallest root's
+    conditioning kappa times float64 unit roundoff passes 1e-10 (or is
+    unknown, as some root is not finite), or when b leaves the float64
+    range.  Its first rung starts from the companion roots after
+    _SEED_SWEEPS polish sweeps, at max(30, log10(deg kappa) + 20) digits
+    (kappa their largest), or without distinct finite starts from the Newton
+    polygon at 30 digits.  A rung that inclusion_radii do not certify starts
+    the next from its roots at max(log10(deg kappa) + 20, digits + 10)
+    digits, kappa now at those roots, and at least twice the digits when
+    kappa 10^-digits > 1e-6 (not resolved); past the ceiling, max(60, 2 deg
+    + 20) digits, NumericalError.  ZeroSet.digits is the certified rung, at
+    which spectral.leading_projection works (lapack: the first rung's).
     """
     import mpmath as mp
 
@@ -621,7 +600,7 @@ def zeros(poly: PartitionPolynomial) -> ZeroSet:
         ratio = np.abs(b[:-1] / b[-1])
         ratio = np.append(ratio[ratio != 0], [1.0] * (deg > 1))
         dynamic = ratio.max() / ratio.min() if ratio.size else 1.0
-        w = float_roots(b)
+        w = companion_roots(b)
         if np.all(np.isfinite(w)):  # conditioning of every root, p and p' scaled by 2^-E
             _, mag, E = horner(b, w, magnitude=True)
             dv, _, Ed = horner(b[1:] * np.arange(1, deg + 1), w, magnitude=True)
@@ -640,7 +619,8 @@ def zeros(poly: PartitionPolynomial) -> ZeroSet:
         method = ("mpmath-exact" if exact else
                   "mpmath" if b is None or dynamic > 1e14 else "lapack")
         if method != "lapack":
-            seeded = w is not None and root_stage_defect(w) is None  # distinct finite starts
+            w = None if w is None else polish_roots(b, w, _SEED_SWEEPS)
+            seeded = w is not None and np.all(np.isfinite(w)) and np.unique(w).size == deg
             starts, tried = [mp.mpc(x) for x in w] if seeded else None, []
             digits = digits if seeded else 30
             while True:
@@ -657,9 +637,12 @@ def zeros(poly: PartitionPolynomial) -> ZeroSet:
                 nxt = max(math.ceil(math.log10(deg) + lk) + 20, digits + 10)
                 digits = min(max(nxt, 2 * digits) if lk - digits > -6 else nxt, ceiling)
             w = _pair_conjugates(w)
+    if method == "lapack":
+        w = polish_roots(b, w)
     if b is None:  # the ladder's coefficients in longdouble, whose range is wider
         b = np.array([mp.nstr(c, 21) for c in bmp], dtype=np.longdouble)
-    res = _scaled_residual(b, w)
+    acc, mag, _ = horner(b, w, magnitude=True)  # |p(w)| against sum_m |b_m| |w|^m
+    res = (np.abs(acc) / (mag + np.longdouble(1e-300))).astype(float)
     zs = w * poly.scale
     order = np.lexsort((zs.imag, zs.real, np.abs(zs)))
     return ZeroSet(zs[order], res[order], method, poly, digits)
@@ -688,10 +671,9 @@ def smallest_index(z):
     return (up[0] if up else cand[0]), len(cand) > 1
 
 
-def smallest_pick(poly):
-    """smallest_zero's z_c for poly, without its working-precision certificate."""
-    z = zeros(poly).zeros
-    return complex(z[smallest_index(z)[0]])
+def smallest_pick(zs: ZeroSet):
+    """smallest_zero's z_c among the zeros zs, without its working-precision certificate."""
+    return complex(zs.zeros[smallest_index(zs.zeros)[0]])
 
 
 def smallest_zero(zs: ZeroSet) -> SmallestZero:
@@ -809,7 +791,8 @@ def correlation(poly: PartitionPolynomial, z, anchors, degree=None) -> Correlati
     z = complex(z)
     xi, cond = evaluate(poly, z)
     if abs(xi) <= 1e-10 * cond:
-        raise NearPole(f"Xi({z}) is numerically zero", z=z, nearest_zero=smallest_pick(poly))
+        raise NearPole(f"Xi({z}) is numerically zero", z=z,
+                       nearest_zero=smallest_pick(zeros(poly)))
     xi_err = np.polyval(poly.coeff_errors[::-1], abs(z)) + _gamma(poly.M + 1) * cond
     fam = NumeratorFamily(poly, degree)
     cols = slice(n, min(poly.M, degree) + 1)

@@ -1,10 +1,10 @@
 """Spectral analysis of the operator matrix.
 
-Eigenvalues are 1/z for the roots z of partition.float_roots, the float64
-root stage of zeros' lapack route, so lam_c z_c = 1 to one rounding there.
-The leading eigenvalue's Laurent data (projection, reduced resolvent,
-nilpotent part) are computed and reported in the balanced frame, where
-norm ratios are meaningful.  The resolvent sign convention is
+Eigenvalues are 1/z for the certified zeros z of partition.zeros, so
+lam_c z_c = 1 to one rounding on every box.  The leading eigenvalue's
+Laurent data (projection, reduced resolvent, nilpotent part) are computed
+and reported in the balanced frame, where norm ratios are meaningful.  The
+resolvent sign convention is
 
     R(lam) = (K - lam)^(-1),      P = -(1/2 pi i) oint R(lam) dlam.
 
@@ -16,11 +16,11 @@ S = (K - lam + P)^{-1} - P (Kato I §5), and both are rank-structured:
 P = u nu^T and S = -v c^T (c masked by the lower triangle) - y nu^T, so
 only length-M generators are computed at working precision, in O(M), and
 neither matrix is ever formed.  The defects and norms are measured from
-the generators; the reduced-identity defect is a triangle bound.  One
-formula is evaluated in float64 and, where float64 cannot certify the
-projection algebra (companion matrices of clustered zeros are strongly
-non-normal), in mpmath at 40, 60 or 90 digits; every rung takes its center
-from partition.newton_root, at 53 bits on the float64 rung.  riesz_projection keeps
+the generators; the reduced-identity defect is a triangle bound.  The
+formula is evaluated once, in the arithmetic that certified the zeros:
+float64 on their lapack route, else mpmath at their digits (companion
+matrices of clustered zeros are strongly non-normal), its center from
+partition.newton_root at that precision.  riesz_projection keeps
 the dense contour route, P = -(r/N) sum_k R(lam_k) e^{i theta_k} on a
 circle of radius r with S the plain node average of R, for general
 matrices and as an independent check of the closed form.  The correlation
@@ -37,11 +37,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ContourError, Degenerate, InsufficientData, NumericalError
+from .errors import ContourError, Degenerate, InsufficientData
 from .ksop import KSMatrix
-from .partition import (_TIE_REL, NumeratorFamily, PartitionPolynomial, fixed_terms,
-                        fixed_values, float_roots, newton_root, root_stage_defect,
-                        scaled_coefficients, smallest_zero, zeros)
+from .partition import (_TIE_REL, NumeratorFamily, PartitionPolynomial, ZeroSet, fixed_terms,
+                        fixed_values, newton_root, smallest_zero, zeros)
 
 _RTOL = 1e-10  # projection algebra defect that certifies in float64
 
@@ -53,6 +52,7 @@ class Spectrum:
     lam2_mod: float
     dist_gap: float          # min distance from lam_c to the rest (unscaled)
     is_tie: bool
+    zeros: ZeroSet           # the zeros the eigenvalues are the reciprocals of
 
     @property
     def spectral_radius(self):
@@ -80,17 +80,13 @@ def spectrum(ks: KSMatrix) -> Spectrum:
     """Eigenvalues of the operator matrix, the leading eigenvalue identified.
 
     The companion's characteristic polynomial is lam^M Xi(1/lam), so its
-    eigenvalues are 1/(w scale) for the roots w that partition.float_roots
-    gives zeros' lapack route, plus an exact 0 per stripped degree.  Raises
-    NumericalError when those roots are not finite and distinct.
+    eigenvalues are 1/z for the zeros z of zeros(ks.poly), whatever route
+    certified them, plus an exact 0 per stripped degree; the ZeroSet is kept
+    as Spectrum.zeros.
     """
-    b = scaled_coefficients(ks.coeffs, ks.scale)
-    w = float_roots(np.trim_zeros(b, "b"))
-    defect = root_stage_defect(w)
-    if defect:
-        raise NumericalError(f"companion eigenvalues unusable: {defect}")
+    zs = zeros(ks.poly)
     # + 0 turns the -0j of 1/(x + 0j), x < 0, back into +0j
-    lam = np.append(1 / (w * ks.scale), np.zeros(ks.M - len(w), dtype=complex)) + 0
+    lam = np.append(1 / zs.zeros, np.zeros(ks.M - len(zs.zeros), dtype=complex)) + 0
     order = np.lexsort((lam.imag, lam.real, -np.abs(lam)))
     lam = lam[order]
     lam_c = complex(lam[0])
@@ -98,7 +94,7 @@ def spectrum(ks: KSMatrix) -> Spectrum:
     lam2 = float(np.max(np.abs(rest))) if len(rest) else 0.0
     tie = len(rest) > 0 and (abs(lam_c) - lam2) <= _TIE_REL * abs(lam_c)
     dist = float(np.min(np.abs(rest - lam_c))) if len(rest) else math.inf
-    return Spectrum(lam, lam_c, lam2, dist, tie)
+    return Spectrum(lam, lam_c, lam2, dist, tie, zs)
 
 
 @dataclass
@@ -115,7 +111,7 @@ class RieszResult:
     pole_order: int                    # pole order at the center; 0 = not resolved in chain cap
     rank: int
     second_singular_ratio: float
-    precision: str           # "float64", "mp40", "mp60" or "mp90"
+    precision: str           # "float64" or "mp<digits>"
     generators: dict | None = None  # the closed form's complex128 generators of P and S
 
 
@@ -239,7 +235,8 @@ def _closed_form(ctx, b, dvec, center):
     with y the subdiagonal solve of u and t_j = -(w_j sigma_j + nu_j nu^T y)
     / (nu^T v), sigma_j = sum_{i>=j} nu_i v_i.  Only these length-M
     generators are computed in ctx (mpmath.fp for float64, mpmath.mp at the
-    caller's working precision otherwise), and every defect is measured
+    caller's working precision otherwise), from b given as ctx numbers and
+    the float64 balancing diagonal dvec, and every defect is measured
     from them with prefix and suffix sums, so working-precision arithmetic
     is O(M).  The reduced-identity defect is a triangle bound on
     ||(A - lam) S - (I - P)||, which errs high.  The generators are returned
@@ -250,14 +247,13 @@ def _closed_form(ctx, b, dvec, center):
     vanishes (a non-simple eigenvalue).
     """
     M = len(b) - 1
-    bc = [ctx.mpf(float(x)) for x in b]
-    d = [ctx.mpf(float(x)) for x in dvec]
-    lam = _center(ctx, bc, center)
+    d = dvec.tolist()
+    lam = _center(ctx, b, center)
     # balanced companion A = T^{-1} C T: first row a0, subdiagonal sub[i]
-    a0 = [-bc[k + 1] * d[k] / d[0] for k in range(M)]
+    a0 = [-b[k + 1] * d[k] / d[0] for k in range(M)]
     sub = [None] + [d[i - 1] / d[i] for i in range(1, M)]
     v = [lam ** (M - 1 - i) / d[i] for i in range(M)]
-    nu = [x * d[i] for i, x in enumerate(_left_vector(bc, lam))]
+    nu = [x * d[i] for i, x in enumerate(_left_vector(b, lam))]
     zero = ctx.mpf(0)
 
     def dot(x, y):
@@ -357,14 +353,13 @@ def leading_projection(ks: KSMatrix, spec: Spectrum) -> RieszResult:
     The leading eigenvalue is a simple pole of the resolvent: its residue
     is the rank-one Riesz projection P and its holomorphic part the
     reduced resolvent S, both in closed form (_closed_form) as generators.
-    The one formula runs in float64, then in mpmath at 40, 60 and 90 digits
-    (precision "float64"/"mp40"/"mp60"/"mp90"), stopping at the first rung
-    whose measured defects are all within _RTOL in float64 and within
-    1e-12 in mpmath.  No contour is drawn (n_nodes 0); radius is the
-    isolating disc, half the gap to the rest of the spectrum.  The
-    returned defects are the certified ones, measured at the precision
-    that produced the generators.  Raises ContourError naming each rung's
-    failure when none certifies.
+    It runs once, in the arithmetic that certified spec.zeros: float64 on
+    the float64 b on the lapack route (precision "float64"), else mpmath at
+    max(40, ZeroSet.digits) digits on mp_scaled_coeffs ("mp<digits>").  Its
+    defects, measured at that precision, must be within _RTOL in float64
+    and 1e-12 in mpmath, else ContourError names the defect.  No contour is
+    drawn (n_nodes 0); radius is the isolating disc, half the gap to the
+    rest of the spectrum.
     """
     from mpmath import fp, mp
 
@@ -372,30 +367,26 @@ def leading_projection(ks: KSMatrix, spec: Spectrum) -> RieszResult:
         raise Degenerate("no spectral gap isolates the leading eigenvalue")
     center = spec.lam_c * ks.scale
     radius = 0.5 * spec.dist_gap * ks.scale
-    b = scaled_coefficients(ks.coeffs, ks.scale)
-    dvec = ks.balancing[2]
-    # (precision, arithmetic, working digits, certification threshold); the
-    # mpmath rungs keep headroom below the target
-    rungs = [("float64", fp, contextlib.nullcontext(), _RTOL)] + [
-        (f"mp{dps}", mp, mp.workdps(dps), 1e-12) for dps in (40, 60, 90)]
-    failures = []
-    for precision, ctx, digits, tol in rungs:
-        try:
-            with digits:
-                laurent = _closed_form(ctx, b, dvec, center)
-        except ArithmeticError as exc:  # float64 overflow on wide boxes
-            failures.append(f"{precision}: {type(exc).__name__}: {exc}")
-            continue
-        if laurent is None:
-            failures.append(f"{precision}: the pairing nu^T v vanishes")
-            continue
+    if spec.zeros.method == "lapack":
+        precision, ctx, digits, tol = "float64", fp, contextlib.nullcontext(), _RTOL
+    else:
+        dps = max(40, spec.zeros.digits)
+        precision, ctx, digits, tol = f"mp{dps}", mp, mp.workdps(dps), 1e-12
+    try:
+        with digits:
+            b = ks.poly.scaled_coeffs().tolist() if ctx is fp else ks.poly.mp_scaled_coeffs()[0]
+            laurent = _closed_form(ctx, b, ks.balancing[2], center)
+        why = "the pairing nu^T v vanishes"
+    except ArithmeticError as exc:  # a copy or norm past the float64 range
+        laurent, why = None, f"{type(exc).__name__}: {exc}"
+    if laurent is not None:
         idem, annih, red, nil, pole, cen, gens = laurent
         defect = max(idem, annih, red)
         if defect <= tol:  # P = u nu^T: rank one, no second singular value
             return RieszResult(None, None, cen, float(radius), 0,
                                idem, annih, red, nil, pole, 1, 0.0, precision, gens)
-        failures.append(f"{precision}: defect {defect:.3e} above {tol:g}")
-    raise ContourError("leading projection did not certify: " + "; ".join(failures))
+        why = f"defect {defect:.3e} above {tol:g}"
+    raise ContourError(f"leading projection did not certify: {precision}: {why}")
 
 
 @dataclass

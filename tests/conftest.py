@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kslab.integrals import Box, IntegralTable, ZEntry, build_table, panel_rule
-from kslab.partition import assemble, scaled_coefficients
+from kslab.partition import assemble
 from kslab.potentials import PairPotential
 
 
@@ -46,7 +46,7 @@ def poly_from_coeffs(c, scale=None):
 def companion(ks):
     """ks's companion on b_m = c_m scale^m as a dense matrix: first row -b_1..-b_M,
     subdiagonal 1."""
-    b = scaled_coefficients(ks.coeffs, ks.scale)
+    b = ks.poly.scaled_coeffs()
     out = np.eye(ks.M, k=-1)
     out[0] = -b[1:]
     return out

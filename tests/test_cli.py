@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -150,19 +151,20 @@ def test_zeros_past_float_range_certifies(tmp_path):
 
 def test_wide_spectral_box_warns_nothing(tmp_path):
     # at L = 80 the float64 eigenvector pair overflows and scipy's balancer
-    # casts an invalid value; neither may reach stderr as a RuntimeWarning
+    # casts an invalid value; neither may reach stderr as a RuntimeWarning.
+    # The closed form runs at the 72 digits that certified the zeros
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, out = run(tmp_path, "s.json", ["spectral", "--L", "80", "--M", "81"])
     assert rc == 0
-    assert read_json(out)["projection"]["precision"] == "mp40"
+    assert read_json(out)["projection"]["precision"] == "mp72"
 
 
 def test_exit_codes_over_a_grid(tmp_path, capsys):
     # every run ends in a documented exit code, never a traceback, and each
     # failure says why in one line on stderr; hard rods at L = 200 leave the
-    # float64 range (spectral exits 4), and L = 40, M = 82 runs past close
-    # packing
+    # float64 range (spectral exits 4 before any root finding, in under
+    # 0.5 s), and L = 40, M = 82 runs past close packing
     boxes = [["--L", str(L), "--M", str(M)]
              for L in (5, 40, 200) for M in (L + 1, 2 * L + 2)]
     boxes += [["--potential", "ideal", "--L", "40", "--M", "41"]]
@@ -174,7 +176,9 @@ def test_exit_codes_over_a_grid(tmp_path, capsys):
     expected = {("zeros", "--L", "5", "--M", "6", "--cache-dir", str(empty)): 3,
                 ("zeros", "--L", "x", "--M", "6"): 2,
                 ("residual", "--L", "3,3", "--M", "4", "--z", "0.1", "--n-max", "1"): 2,
-                ("spectral", "--L", "5", "--M", "0"): 2}
+                ("spectral", "--L", "5", "--M", "0"): 2,
+                ("spectral", "--L", "200", "--M", "201"): 4}
+    limits = {("spectral", "--L", "200", "--M", "201"): 0.5}
     # potential parameters that are not numbers, and a beta that is not finite
     step = ("--potential", "step", "--a", "1", "--epsilon", "1", "--L", "4", "--M", "5")
     nan_file = tmp_path / "nan-epsilon.json"
@@ -193,7 +197,9 @@ def test_exit_codes_over_a_grid(tmp_path, capsys):
                      ("virial", "--L", "8", "--M", "9", "--terms", "65"): 2})
     runs += [list(argv) for argv in expected]
     for i, argv in enumerate(runs):
+        t0 = time.perf_counter()
         rc = main(argv + ["--out", str(tmp_path / f"{i}.json")])
+        assert time.perf_counter() - t0 < limits.get(tuple(argv), math.inf), argv
         err = capsys.readouterr().err
         assert rc in (0, 2, 3, 4), argv
         assert rc == expected.get(tuple(argv), rc), argv
@@ -213,7 +219,7 @@ def test_spectral_deterministic_up_to_timestamp(tmp_path):
     assert d1["projection"]["pole_order"] == 1
 
 
-@pytest.mark.parametrize("L, precision", [(5, "float64"), (40, "mp40")])
+@pytest.mark.parametrize("L, precision", [(5, "float64"), (40, "mp46")])
 def test_spectral_generators_rebuild_the_dense_laurent_data(tmp_path, L, precision):
     # the dense P and S built from the emitted complex128 generators are those
     # of leading_projection's generators, bit for bit
@@ -241,7 +247,7 @@ def test_spectral_takes_no_svd(tmp_path, monkeypatch):
         raise AssertionError("np.linalg.svd called")
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
-    for L in (5, 40):  # the float64 and the mp40 rung
+    for L in (5, 40):  # the lapack and the ladder route
         rc, out = run(tmp_path, f"s{L}.json", ["spectral", "--L", str(L), "--M", str(L + 1)])
         projection = read_json(out)["projection"]
         assert rc == 0 and (projection["rank"], projection["second_singular_ratio"]) == (1, 0.0)
@@ -378,7 +384,7 @@ def test_unconverged_projection_exits_4(capsys, monkeypatch):
     assert main(["spectral", "--L", "20", "--M", "21"]) == 4
     err = capsys.readouterr().err
     assert "numerical failure: leading projection did not certify" in err
-    assert "float64: the pairing nu^T v vanishes" in err
+    assert "mp40: the pairing nu^T v vanishes" in err
     assert "Traceback" not in err
 
 
@@ -407,11 +413,27 @@ def test_extrapolated_virial_builds_each_table_once(tmp_path, monkeypatch):
 
 
 def test_claimcheck_builds_its_table_once(tmp_path, monkeypatch):
+    # one table and one zero set per claimcheck: the spectrum's ZeroSet gives
+    # z_c.  Past the inversion's 64 orders it refuses before any of that work,
+    # for every potential (the free gas inverts nothing, yet exits 2 too)
+    import kslab.partition
+    import kslab.spectral
+
     calls = _count_build_table(monkeypatch)
+    zero_sets, real = [], kslab.partition.zeros
+    for mod in (kslab.partition, kslab.spectral, cli):
+        monkeypatch.setattr(mod, "zeros", lambda poly: zero_sets.append(poly.M) or real(poly))
     rc, _ = run(tmp_path, "cc.json",
                 ["claimcheck", "--L", "5", "--M", "6", "--terms", "14"])
     assert rc == 0
     assert calls == [(5.0,)]
+    assert zero_sets == [14]
+    calls.clear()
+    for potential in ("hardcore", "ideal"):
+        rc, _ = run(tmp_path, "cc65.json", ["claimcheck", "--potential", potential,
+                                            "--L", "8", "--M", "9", "--terms", "65"])
+        assert rc == 2
+    assert calls == [] and zero_sets == [14]
 
 
 def test_residual_csv_levels(tmp_path):
@@ -514,9 +536,14 @@ def test_virial_radius_at_L40_matches_claimcheck(tmp_path):
     assert doc["radius"]["sign_pattern"] == "positive"
     rc, out = run(tmp_path, "cc.json", ["claimcheck", *box])
     assert rc == 0
-    row = {r["quantity"]: r for r in read_json(out)["rows"]}[doc["bound"]["quantity"]]
+    rows = {r["quantity"]: r for r in read_json(out)["rows"]}
+    row = rows[doc["bound"]["quantity"]]
     assert row["measured"] == doc["radius"]["R"]
     assert row["verdict"] == doc["bound"]["verdict"] == "consistent"
+    # the spectrum's eigenvalues are 1/z of the same certified zeros
+    spectral_row = rows["spectral radius vs 1/|z_c|"]
+    assert abs(spectral_row["measured"] / spectral_row["claimed"] - 1) <= 1e-15
+    assert spectral_row["verdict"] == "consistent"
 
 
 def test_virial_hard_rods_bound_row(tmp_path):

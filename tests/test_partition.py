@@ -14,15 +14,16 @@ from kslab.partition import (
     _gamma,
     _mp_aberth,
     _pair_conjugates,
-    _scaled_residual,
     assemble,
+    companion_roots,
     correlation,
     evaluate,
     fixed_horner,
     fixed_terms,
     fixed_values,
-    float_roots,
+    horner,
     inclusion_radii,
+    polish_roots,
     smallest_zero,
     zeros,
     zeros_to_rows,
@@ -266,11 +267,17 @@ def _exact_scaled(L, dps):
     return b
 
 
+def _ladder_seeds(b):
+    """The starts zeros hands its ladder: the companion roots of b rounded to
+    float64, polished for _SEED_SWEEPS sweeps."""
+    return polish_roots(b, companion_roots(b), partition._SEED_SWEEPS)
+
+
 def _float_seeds(b):
-    """float_roots of the float64 coefficients, as mpc starts."""
+    """_ladder_seeds of the float64 coefficients, as mpc starts."""
     import mpmath as mp
 
-    return [mp.mpc(w) for w in float_roots(np.array([float(x) for x in b]))]
+    return [mp.mpc(w) for w in _ladder_seeds(np.array([float(x) for x in b]))]
 
 
 def test_fixed_horner_matches_mpmath_across_magnitudes():
@@ -296,7 +303,8 @@ def test_fixed_horner_matches_mpmath_across_magnitudes():
 
 def test_scaled_residual_past_extended_range():
     # hard rods at L = 160: |w|^deg passes 1e4932 at the largest zero's
-    # modulus, where unscaled extended-precision sums overflow to NaN
+    # modulus, where unscaled extended-precision sums overflow to NaN; zeros
+    # takes each zero's residual as |p| / mag from one scaled horner pass
     import warnings
 
     import mpmath as mp
@@ -306,7 +314,8 @@ def test_scaled_residual_past_extended_range():
     w = -1.2e50 / poly.scale * np.exp(1j * np.array([0.0, 1e-3, 2.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = _scaled_residual(b, w)
+        acc, mag, _ = horner(b, w, magnitude=True)
+        res = (np.abs(acc) / (mag + np.longdouble(1e-300))).astype(float)
     assert np.all(np.isfinite(res))
     with mp.workdps(40):
         for r, x in zip(res, w):
@@ -465,8 +474,8 @@ def _record_starts(monkeypatch):
 
 def test_float_seeds_past_float_range(monkeypatch):
     # a common factor 1e400 leaves the roots alone but takes the exact
-    # coefficients out of float64: the seeds still come from float_roots of
-    # the float64 coefficients, and the zeros are the same
+    # coefficients out of float64: the seeds still come from the float64
+    # coefficients' companion roots, and the zeros are the same
     import mpmath as mp
 
     poly = make_tonks(20.0)
@@ -478,7 +487,7 @@ def test_float_seeds_past_float_range(monkeypatch):
     got = zeros(poly)
     assert got.method == "mpmath-exact"
     assert np.array_equal(got.zeros, want.zeros)
-    seeds = float_roots(np.trim_zeros(poly.scaled_coeffs(), "b"))
+    seeds = _ladder_seeds(np.trim_zeros(poly.scaled_coeffs(), "b"))
     assert np.array_equal([complex(x) for x in seen[0]], seeds)
 
 
@@ -492,14 +501,14 @@ def test_bad_float_seeds_fall_back_to_newton_polygon(monkeypatch, fault):
 
     poly = make_tonks(20.0)
     want = zeros(poly)
-    real = partition.float_roots
+    real = partition.companion_roots
 
     def faulty(b):
         w = real(b)
         w[-1] = w[-2] if fault == "duplicate" else complex(np.nan, 0.0)
         return w
 
-    monkeypatch.setattr(partition, "float_roots", faulty)
+    monkeypatch.setattr(partition, "companion_roots", faulty)
     seen = _record_starts(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -534,7 +543,7 @@ def test_inclusion_radii_refuse_a_converged_wrong_pass(monkeypatch):
     import mpmath as mp
 
     poly = make_tonks(80.0)
-    seeds = float_roots(np.trim_zeros(poly.scaled_coeffs(), "b"))
+    seeds = _ladder_seeds(np.trim_zeros(poly.scaled_coeffs(), "b"))
     b = _exact_scaled(80.0, 180)
     with mp.workdps(45):
         roots = _mp_aberth(b, starts=[mp.mpc(x) for x in seeds])

@@ -2,17 +2,18 @@
 
 import cmath
 import contextlib
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from kslab import partition, spectral
-from kslab.errors import ContourError, InsufficientData, NumericalError
-from kslab.integrals import Box, build_table
+from kslab.errors import ContourError, InsufficientData
+from kslab.integrals import Box, IntegralTable, ZEntry, build_table
 from kslab.ksop import KSMatrix, build_ks_matrix
-from kslab.partition import (assemble, correlation, scaled_coefficients,
-                             smallest_zero, zeros)
+from kslab.partition import (PartitionPolynomial, assemble, companion_roots, correlation,
+                             polish_roots, smallest_zero, zeros)
 from kslab.potentials import PairPotential
 from kslab.spectral import (
     _center,
@@ -34,7 +35,7 @@ from conftest import (balanced, companion, dense_laurent, make_ideal, make_tonks
 
 # reference for the closed form: the exact-structure mpmath contour sums
 def _mp_contour(b, dvec, center, radius, n_nodes, dps):
-    """Contour sums of the balanced companion resolvent in mpmath.
+    """Contour sums of the balanced companion resolvent in mpmath, b as mpf.
 
     The companion inverse has closed-form rows: a suffix Horner pass gives
     the top row, every other row follows by shift-and-divide, and the
@@ -46,8 +47,8 @@ def _mp_contour(b, dvec, center, radius, n_nodes, dps):
 
     M = len(b) - 1
     with mp.workdps(dps):
-        bmp = [mpf(float(x)) for x in b]
-        dmp = [mpf(float(x)) for x in dvec]
+        bmp = list(b)
+        dmp = [mpf(x) for x in dvec.tolist()]
         cen = _center(mp, bmp, center)
 
         P = [[mpc(0)] * M for _ in range(M)]
@@ -137,13 +138,12 @@ def _dense_closed_form(ctx, b, dvec, center):
     tuple as spectral._closed_form.
     """
     M = len(b) - 1
-    bc = [ctx.mpf(float(x)) for x in b]
-    d = [ctx.mpf(float(x)) for x in dvec]
-    lam = _center(ctx, bc, center)
-    a0 = [-bc[k + 1] * d[k] / d[0] for k in range(M)]
+    d = dvec.tolist()
+    lam = _center(ctx, b, center)
+    a0 = [-b[k + 1] * d[k] / d[0] for k in range(M)]
     sub = [None] + [d[i - 1] / d[i] for i in range(1, M)]
     v = [lam ** (M - 1 - i) / d[i] for i in range(M)]
-    nu = [x * d[i] for i, x in enumerate(_left_vector(bc, lam))]
+    nu = [x * d[i] for i, x in enumerate(_left_vector(b, lam))]
 
     def dot(x, y):
         return ctx.fsum(xi * yi for xi, yi in zip(x, y))
@@ -244,7 +244,7 @@ def test_left_right_pair_is_biorthogonal(ks5, spec5):
     A = companion(ks5)
     lam_s = spec5.lam_c * ks5.scale
     right = lam_s ** np.arange(ks5.M - 1, -1, -1)
-    nu = np.array(_left_vector(scaled_coefficients(ks5.coeffs, ks5.scale), lam_s))
+    nu = np.array(_left_vector(ks5.poly.scaled_coeffs(), lam_s))
     pairing = np.dot(nu, right)  # bilinear nu^T v, no conjugation
     assert abs(pairing) > 1e-12 * np.linalg.norm(nu) * np.linalg.norm(right)
     left = nu / pairing
@@ -265,7 +265,9 @@ def test_leading_projection_tonks(ks5, spec5):
 
 def test_closed_form_projection_matches_mp_contour():
     # at L = 20 float64 cannot certify the contour; the closed-form Laurent
-    # data must reproduce what the mp40 contour integrates
+    # data must reproduce what the mp40 contour integrates on the same
+    # exact coefficients
+    from mpmath import mp
     from scipy.linalg import matrix_balance
 
     ks = build_ks_matrix(make_tonks(20.0))
@@ -274,7 +276,8 @@ def test_closed_form_projection_matches_mp_contour():
     assert (rz.precision, rz.n_nodes) == ("mp40", 0)
     assert rz.rank == 1
     assert rz.pole_order == 1
-    b = ks.coeffs * ks.scale ** np.arange(ks.M + 1)
+    with mp.workdps(40):
+        b = ks.poly.mp_scaled_coeffs()[0]
     _, T = matrix_balance(companion(ks), permute=False)
     P, S, *_ = _mp_contour(b, np.diag(T), spec.lam_c * ks.scale,
                            0.5 * spec.dist_gap * ks.scale, 96, 40)
@@ -314,29 +317,29 @@ def test_float64_closed_form_matches_dense_contour(box):
 _DENSE_BOXES = {
     "rods-L10": ("float64", lambda: make_tonks(10.0)),
     "rods-L20": ("mp40", lambda: make_tonks(20.0)),
-    "rods-L40": ("mp40", lambda: make_tonks(40.0)),
-    "rods-L80": ("mp40", lambda: make_tonks(80.0)),
+    "rods-L40": ("mp46", lambda: make_tonks(40.0)),
+    "rods-L80": ("mp72", lambda: make_tonks(80.0)),
     "step-L5": ("float64", _FLOAT_BOXES["step-L5"]),
 }
 
 
 @pytest.mark.parametrize("box", sorted(_DENSE_BOXES))
 def test_closed_form_matches_dense_reference(box):
-    # the generator form against the dense closed form, both at the rung
-    # that certifies the box
+    # the generator form against the dense closed form, both in the
+    # arithmetic that certified the box's zeros
     from mpmath import fp, mp
 
     precision, make = _DENSE_BOXES[box]
     ks = build_ks_matrix(make())
     spec = spectrum(ks)
     assert leading_projection(ks, spec).precision == precision
-    b = scaled_coefficients(ks.coeffs, ks.scale)
     dvec = ks.balancing[2]
     if precision == "float64":
         ctx, digits, tol = fp, contextlib.nullcontext(), 1e-10
     else:
         ctx, digits, tol = mp, mp.workdps(int(precision[2:])), 1e-12
     with digits:
+        b = ks.poly.scaled_coeffs().tolist() if ctx is fp else ks.poly.mp_scaled_coeffs()[0]
         got = _closed_form(ctx, b, dvec, spec.lam_c * ks.scale)
         want = _dense_closed_form(ctx, b, dvec, spec.lam_c * ks.scale)
     for x, ref in zip(dense_laurent(got[6]), want[:2]):  # P, S
@@ -355,8 +358,9 @@ def test_closed_form_multiplications_grow_linearly(monkeypatch):
     for L in (20.0, 40.0):
         ks = build_ks_matrix(make_tonks(L))
         spec = spectrum(ks)
-        inputs.append((scaled_coefficients(ks.coeffs, ks.scale), ks.balancing[2],
-                       spec.lam_c * ks.scale))
+        with mp.workdps(40):
+            b = ks.poly.mp_scaled_coeffs()[0]
+        inputs.append((b, ks.balancing[2], spec.lam_c * ks.scale))
     real = mp.mpc.__mul__
     counts = []
 
@@ -372,21 +376,32 @@ def test_closed_form_multiplications_grow_linearly(monkeypatch):
     assert counts[1] <= 2.5 * counts[0]
 
 
-def test_spectrum_refuses_coincident_float_roots():
-    # (w - 1e90)(1 + ... + w^59): the float64 root stage returns 3 distinct
-    # values for its 60 roots, which are no eigenvalues to report
+def test_spectrum_of_coincident_float_roots_is_the_certified_zeros():
+    # (w - 1e90)(1 + ... + w^59): the companion's float64 eigenvalues hold 3
+    # distinct values for its 60 roots; the eigenvalues are 1/z for the 60
+    # zeros the ladder certifies instead
     poly = poly_from_coeffs([-1e90] + [1 - 1e90] * 59 + [1.0], scale=1.0)
-    with pytest.raises(NumericalError, match="two float64 roots coincide"):
-        spectrum(build_ks_matrix(poly))
+    assert np.unique(companion_roots(poly.scaled_coeffs())).size == 3
+    spec = spectrum(build_ks_matrix(poly))
+    zs = spec.zeros
+    assert zs.method == "mpmath"
+    assert np.unique(zs.zeros).size == 60
+    assert np.array_equal(np.sort_complex(spec.eigenvalues), np.sort_complex(1 / zs.zeros + 0))
 
 
-@pytest.mark.parametrize("box", sorted(_FLOAT_BOXES))
+_SHARED_BOXES = {**_FLOAT_BOXES,
+                 **{f"rods-L{L}": (lambda L=L: make_tonks(float(L))) for L in (20, 40, 80)}}
+
+
+@pytest.mark.parametrize("box", sorted(_SHARED_BOXES))
 def test_spectrum_and_zeros_share_one_root_stage(box):
-    # the operator's eigenvalues are the reciprocals of the very roots zeros
-    # reports, so lam_c z_c = 1 to the rounding of one division
-    poly = _FLOAT_BOXES[box]()
+    # the operator's eigenvalues are the reciprocals of the very zeros that
+    # zeros reports, on either route, so lam_c z_c = 1 to the rounding of one
+    # division (the float64 root stage alone read 0.092 at L = 40 and 0.80 at
+    # L = 80)
+    poly = _SHARED_BOXES[box]()
     zs = zeros(poly)
-    assert zs.method == "lapack"
+    assert zs.method == ("lapack" if box in _FLOAT_BOXES else "mpmath-exact")
     spec = spectrum(build_ks_matrix(poly))
     assert abs(spec.lam_c * smallest_zero(zs).z_c - 1) <= 1e-15
     lam = spec.eigenvalues[spec.eigenvalues != 0]
@@ -404,7 +419,9 @@ def test_wide_box_spectrum_warns_nothing(L):
         warnings.simplefilter("error")
         spec = spectrum(ks)
         rz = leading_projection(ks, spec)
-    assert (rz.precision, rz.rank, rz.pole_order) == ("mp40", 1, 1)
+    assert spec.zeros.digits > 40
+    assert (rz.precision, rz.rank, rz.pole_order) == (f"mp{spec.zeros.digits}", 1, 1)
+    assert abs(spec.lam_c * smallest_zero(spec.zeros).z_c - 1) <= 1e-15
     assert np.all(np.isfinite(spec.eigenvalues))
     assert len(spec.eigenvalues) == ks.M
 
@@ -412,57 +429,67 @@ def test_wide_box_spectrum_warns_nothing(L):
 @pytest.mark.parametrize("L", [20.0, 40.0])
 def test_left_eigenvector_residual_wide_boxes(L):
     # the backward recurrence keeps the left pair accurate where the
-    # forward one loses every digit (relative residual O(1) at L >= 20)
+    # forward one loses every digit (relative residual O(1) at L >= 20), at
+    # the float64 companion's leading eigenvalue: 1/w for the smallest of
+    # its float64 coefficients' roots, polished
     ks = build_ks_matrix(make_tonks(L))
-    spec = spectrum(ks)
     A = companion(ks)
-    lam_s = spec.lam_c * ks.scale
-    nu = np.array(_left_vector(scaled_coefficients(ks.coeffs, ks.scale), lam_s))
+    b = np.trim_zeros(ks.poly.scaled_coeffs(), "b")
+    w = polish_roots(b, companion_roots(b))
+    lam_s = 1 / w[np.argmin(np.abs(w))]
+    nu = np.array(_left_vector(ks.poly.scaled_coeffs(), lam_s))
     res = np.linalg.norm(nu @ A - lam_s * nu) / (abs(lam_s) * np.linalg.norm(nu))
     assert res <= 1e-12
 
 
-def test_leading_projection_failure_names_both_routes(ks20, monkeypatch):
-    monkeypatch.setattr(spectral, "_closed_form", lambda *args: None)
-    with pytest.raises(ContourError) as err:
-        leading_projection(ks20, spectrum(ks20))
-    msg = str(err.value)
-    for precision in ("float64", "mp40", "mp60", "mp90"):
-        assert f"{precision}: the pairing nu^T v vanishes" in msg
-
-
-def test_leading_projection_escalates_to_mp60(ks20, monkeypatch):
+def test_leading_projection_failure_names_both_routes(ks5, spec5, ks20, monkeypatch):
+    # the closed form runs once, in the arithmetic that certified the zeros
+    # (float64 on the lapack route at L = 5, 40 digits on the ladder's at
+    # L = 20); when it does not certify, the error names that arithmetic and
+    # the defect
     from mpmath import mp
 
     real = spectral._closed_form
+    calls = []
 
-    def failing_mp40(ctx, b, dvec, center):
+    def failing(ctx, b, dvec, center):
+        calls.append(ctx)
         out = real(ctx, b, dvec, center)
-        return (1e-6,) + out[1:] if ctx is mp and mp.dps == 40 else out
+        return (1e-6,) + out[1:] if ctx is mp else out
 
-    monkeypatch.setattr(spectral, "_closed_form", failing_mp40)
-    rz = leading_projection(ks20, spectrum(ks20))
-    assert (rz.precision, rz.n_nodes) == ("mp60", 0)
-    assert max(rz.idempotency_defect, rz.annihilation_defect, rz.reduced_identity_defect) <= 1e-12
-    assert rz.rank == 1 and rz.pole_order == 1
+    monkeypatch.setattr(spectral, "_closed_form", failing)
+    spec20 = spectrum(ks20)
+    with pytest.raises(ContourError, match=r"certify: mp40: defect 1\.000e-06 above 1e-12$"):
+        leading_projection(ks20, spec20)
+    assert calls == [mp]
+    rz = leading_projection(ks5, spec5)
+    assert (rz.precision, rz.n_nodes, rz.rank, rz.pole_order) == ("float64", 0, 1, 1)
+    monkeypatch.setattr(spectral, "_closed_form", lambda *args: None)
+    for ks, spec, precision in ((ks5, spec5, "float64"), (ks20, spec20, "mp40")):
+        with pytest.raises(ContourError,
+                           match=f"did not certify: {precision}: the pairing nu\\^T v vanishes$"):
+            leading_projection(ks, spec)
 
 
 def test_float64_overflow_escalates(monkeypatch):
-    # at L = 80 the balanced eigenvector norms overflow float64; that rung
-    # fails with a named overflow, not a traceback, and mp40 certifies
-    from mpmath import mp
-
+    # at L = 80 the balanced eigenvector norms overflow float64, and the
+    # box's zeros come from the ladder: the closed form runs in mpmath at
+    # their digits and certifies.  An overflow in that one evaluation is
+    # named, not a traceback
     ks = build_ks_matrix(make_tonks(80.0))
     spec = spectrum(ks)
     rz = leading_projection(ks, spec)
-    assert rz.precision == "mp40"
+    assert spec.zeros.method == "mpmath-exact"
+    assert rz.precision == f"mp{spec.zeros.digits}"
     assert rz.rank == 1 and rz.pole_order == 1
-    real = spectral._closed_form
-    monkeypatch.setattr(spectral, "_closed_form",
-                        lambda ctx, *args: None if ctx is mp else real(ctx, *args))
+
+    def overflowing(*args):
+        raise OverflowError("a generator, ||P|| or ||S|| leaves the float64 range")
+
+    monkeypatch.setattr(spectral, "_closed_form", overflowing)
     with pytest.raises(ContourError) as err:
         leading_projection(ks, spec)
-    assert "float64: OverflowError" in str(err.value)
+    assert f"{rz.precision}: OverflowError" in str(err.value)
 
 
 def test_riesz_projection_on_jordan_companion():
@@ -530,7 +557,9 @@ def test_laurent_data_and_probes_hold_no_dense_matrix():
     import tracemalloc
 
     for M in (20, 300):  # the first run loads what mpmath imports lazily
-        ks = KSMatrix(1.0, np.ones(M + 1))
+        entries = [ZEntry(m, 1, math.lgamma(m + 1), 0.0, "synthetic") for m in range(M + 1)]
+        table = IntegralTable(PairPotential.hardcore(1.0), Box((M + 1.0,)), M, entries)
+        ks = KSMatrix(PartitionPolynomial(np.ones(M + 1), np.zeros(M + 1), 1.0, table))
         spec = spectrum(ks)
         ks.balancing
         tracemalloc.start()
@@ -602,18 +631,20 @@ def test_rod_asymptotics_bound_a_cancelling_numerator(L):
 
 @pytest.mark.parametrize("L", [20.0, 40.0, 80.0])
 def test_mp40_center_takes_few_kernel_evaluations(monkeypatch, L):
-    # Newton on fixed_horner stops once a step no longer shrinks: 3, 4 and
-    # 5 evaluations at L = 20, 40 and 80, where an eight-step cap ran all 8
+    # Newton on fixed_horner, at the digits leading_projection takes (40 at
+    # L = 20, the ZeroSet's 46 and 72 at L = 40 and 80), stops once a step no
+    # longer shrinks: 3, 5 and 3 evaluations, where an eight-step cap ran all 8
     from mpmath import mp
 
     ks = build_ks_matrix(make_tonks(L))
     spec = spectrum(ks)
-    b = scaled_coefficients(ks.coeffs, ks.scale)
+    digits = mp.workdps(max(40, spec.zeros.digits))
+    with digits:
+        bmp = ks.poly.mp_scaled_coeffs()[0]
     calls, real = [], partition.fixed_horner
     monkeypatch.setattr(partition, "fixed_horner",
                         lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
-    with mp.workdps(40):
-        bmp = [mp.mpf(float(x)) for x in b]
+    with digits:
         lam = _center(mp, bmp, spec.lam_c * ks.scale)
         # 1/lam is a root of the polynomial to the working precision's noise
         w = 1 / lam
