@@ -471,6 +471,36 @@ def test_leading_projection_failure_names_both_routes(ks5, spec5, ks20, monkeypa
             leading_projection(ks, spec)
 
 
+def test_leading_projection_escalates_to_mp60(ks20, monkeypatch):
+    # the closed form's digits follow the zero set: zeros that took 60
+    # digits to certify take the one evaluation to mp60, and an mp40
+    # evaluation that would fail is never made
+    import dataclasses
+
+    from mpmath import mp
+
+    real = spectral._closed_form
+    dps = []
+
+    def failing_mp40(ctx, b, dvec, center):
+        dps.append(mp.dps)
+        out = real(ctx, b, dvec, center)
+        return (1e-6,) + out[1:] if ctx is mp and mp.dps == 40 else out
+
+    monkeypatch.setattr(spectral, "_closed_form", failing_mp40)
+    spec = spectrum(ks20)
+    assert spec.zeros.method == "mpmath-exact" and spec.zeros.digits <= 40
+    with pytest.raises(ContourError, match=r"certify: mp40: defect"):
+        leading_projection(ks20, spec)
+    spec60 = dataclasses.replace(spec, zeros=dataclasses.replace(spec.zeros, digits=60))
+    dps.clear()
+    rz = leading_projection(ks20, spec60)
+    assert dps == [60]
+    assert (rz.precision, rz.n_nodes) == ("mp60", 0)
+    assert max(rz.idempotency_defect, rz.annihilation_defect, rz.reduced_identity_defect) <= 1e-12
+    assert rz.rank == 1 and rz.pole_order == 1
+
+
 def test_float64_overflow_escalates(monkeypatch):
     # at L = 80 the balanced eigenvector norms overflow float64, and the
     # box's zeros come from the ladder: the closed form runs in mpmath at
