@@ -36,6 +36,7 @@ from .spectral import leading_asymptotics, leading_projection, power_convergence
 
 
 def _potential(args) -> PairPotential:
+    dim = len(_extents(args))
     if getattr(args, "potential_file", None):
         try:
             with open(args.potential_file) as fh:
@@ -45,14 +46,19 @@ def _potential(args) -> PairPotential:
         except json.JSONDecodeError as exc:
             raise ConfigError(
                 f"{args.potential_file} is not valid JSON: {exc}") from None
-        cfg.setdefault("dimension", len(_extents(args)))
-        return PairPotential.from_config(cfg)
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{args.potential_file} holds no JSON object")
+        p = PairPotential.from_config({"dimension": dim, **cfg})
+        if p.dimension != dim:
+            raise ConfigError(f"{args.potential_file} sets dimension {p.dimension}, "
+                              f"but --L gives a box of dimension {dim}")
+        return p
     cfg = {
         "family": args.potential,
         "a": args.a,
         "epsilon": args.epsilon,
         "beta": args.beta,
-        "dimension": len(_extents(args)),
+        "dimension": dim,
     }
     return PairPotential.from_config(cfg)
 
@@ -108,11 +114,19 @@ def _say(text):
         os.close(devnull)
 
 
+def _open_out(path, **kwargs):
+    """path opened for writing; one that cannot be is a configuration error."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _emit(args, command, payload, rows, row_fields):
     """Write JSON (payload + meta) or CSV (rows); print a file note."""
     if args.format == "csv":
         out = args.out or f"{command}.csv"
-        with open(out, "w", newline="") as fh:
+        with _open_out(out, newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=row_fields)
             writer.writeheader()
             writer.writerows(rows)
@@ -123,7 +137,7 @@ def _emit(args, command, payload, rows, row_fields):
     text = "{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
                                for k, v in sorted(doc.items())) + "\n}"
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open_out(args.out) as fh:
             fh.write(text + "\n")
         _say(f"wrote {args.out}")
     else:
@@ -181,7 +195,7 @@ def cmd_zeros(args):
     rows = zeros_to_rows(zs, sm)
     _say(f"smallest zero {sm.z_c:.12g}  certificate {sm.derivative_certificate:.3e}  "
          f"min gap {sm.min_gap:.3e}  tie {sm.tie}")
-    _emit(args, "zeros", {"zeros": zeros_to_json(zs, sm)}, rows,
+    _emit(args, "zeros", {"zeros": zeros_to_json(zs, sm, rows)}, rows,
           ["re", "im", "residual", "is_smallest", "gap"])
     return 0
 
@@ -243,6 +257,9 @@ def cmd_asymptotics(args):
             raise ConfigError(f"cannot parse --anchors {args.anchors!r}: {exc}") from None
         if not np.all(np.isfinite(anchors)):
             raise ConfigError(f"--anchors {args.anchors!r} has a non-finite coordinate")
+        if anchors.shape[1] != box.dimension:
+            raise ConfigError(f"--anchors {args.anchors!r}: each anchor needs one "
+                              f"coordinate per axis of --L ({box.dimension})")
     else:
         anchors = [[0.5 * e for e in box.extents]]
     res = leading_asymptotics(poly, anchors)
@@ -298,8 +315,8 @@ def cmd_claimcheck(args):
     check_orders(args.terms)  # every potential, before any table or operator work
     p = _potential(args)
     _, box, table = _table(args, M=max(args.M, args.terms))
-    poly = assemble(table)
-    ks = build_ks_matrix(poly)
+    poly = assemble(table)  # the series run on the whole table, the operator at --M
+    ks = build_ks_matrix(assemble(table.truncated(args.M)))
     C, _ = regularity_C(p)
     oracle = None
     if p.family == "hardcore" and box.dimension == 1:
@@ -476,6 +493,8 @@ def main(argv=None):
             value = getattr(args, name, floor)
             if value < floor:
                 raise ConfigError(f"--{name.replace('_', '-')} {value} is below {floor}")
+        if args.cache_dir and os.path.exists(args.cache_dir) and not os.path.isdir(args.cache_dir):
+            raise ConfigError(f"--cache-dir {args.cache_dir} is not a directory")
         return _DISPATCH[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -670,6 +670,12 @@ class IntegralTable:
     def fingerprint(self):
         return table_fingerprint(self.potential, self.box)
 
+    def truncated(self, M):
+        """The table of the first M + 1 entries (M <= self.M): itself at its own M."""
+        if M == self.M:
+            return self
+        return IntegralTable(self.potential, self.box, M, self.entries[: M + 1], self.built_with)
+
     def to_json(self):
         return {
             "schema_version": SCHEMA_VERSION,
@@ -753,9 +759,7 @@ def cached_table(cache_dir, p: PairPotential, box: Box, M, order=16, seed=42):
     stored = load_table(cache_path(cache_dir, p, box), p, box)
     if stored is None or stored.M < M or stored.built_with != built_with:
         return None, stored
-    if stored.M == M:
-        return stored, stored
-    return IntegralTable(p, box, M, stored.entries[: M + 1], built_with), stored
+    return stored.truncated(M), stored
 
 
 def build_table(p: PairPotential, box: Box, M, order=16, seed=42, cache_dir=None,

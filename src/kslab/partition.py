@@ -14,12 +14,12 @@ of magnitude, the smallest zero is too ill-conditioned for float64
 coefficients or the coefficients leave the float64 range, the zeros come
 from Aberth-Ehrlich passes on a ladder of working digits set by the
 measured root conditioning, each certified by Weierstrass inclusion radii
-(Bini and Robol, MPSolve, 2014), which reuse the evaluations each root
-froze on.  The passes evaluate p and p' by
-fixed_horner, a fixed-point Horner on Python integers, and so does every
-evaluation of Xi at or near a zero: the smallest zero's certificate and
-spectral's centers and asymptotics run newton_root and fixed_values on
-mp_scaled_coeffs at the ZeroSet's certified digits.
+(Bini and Robol, MPSolve, 2014), which take the evaluations each root
+froze on.  The passes evaluate p and p' by fixed_horner, a fixed-point
+Horner on Python integers, and so does every evaluation of Xi at or near a
+zero: the smallest zero's certificate evaluates Xi' and Xi'' once at the
+zero the ZeroSet holds, and spectral's centers and asymptotics run
+fixed_values, all on mp_scaled_coeffs at the ZeroSet's certified digits.
 
 Away from the zeros, evaluation uses Horner in 80-bit extended precision
 together with the coefficient-magnitude sum as a condition estimate, which
@@ -95,23 +95,17 @@ class PartitionPolynomial:
                 out.append(Fraction(c) if math.isfinite(c) else None)
         return out
 
-    def mp_coefficients(self):
-        """c_m as mpf: rational_coeffs correctly rounded at the caller's mpmath
-        precision, or where None the entry's sign and log_coeff."""
+    def mp_scaled_coeffs(self):
+        """b_m = c_m scale^m at the caller's mpmath precision, the one source of
+        every evaluation at working precision: c_m is rational_coeffs correctly
+        rounded, or where None the entry's sign and log_coeff."""
         from mpmath import mp
         from mpmath.libmp import from_rational, round_nearest
 
-        return [e.sign * mp.exp(log_coeff(e)) if c is None else
-                mp.make_mpf(from_rational(c.numerator, c.denominator, mp.prec, round_nearest))
-                for e, c in zip(self.table.entries, self.rational_coeffs)]
-
-    def mp_scaled_coeffs(self):
-        """(b, exact): b_m = c_m scale^m from mp_coefficients, the one source of
-        every evaluation at working precision, and the exact flag."""
-        import mpmath as mp
-
         s = mp.mpf(self.scale)
-        return [c * s**m for m, c in enumerate(self.mp_coefficients())], self.exact
+        return [(e.sign * mp.exp(log_coeff(e)) if c is None else
+                 mp.make_mpf(from_rational(c.numerator, c.denominator, mp.prec, round_nearest)))
+                * s**m for m, (e, c) in enumerate(zip(self.table.entries, self.rational_coeffs))]
 
 
 def log_coeff(e):
@@ -273,29 +267,6 @@ def _newton_polygon_starts(b):
     return starts
 
 
-def newton_root(b, w):
-    """Root of sum b_m w^m near the mpc w by Newton at the mpmath working
-    precision, b ascending real mpmath numbers, p and p' from fixed_horner:
-    at most eight steps, ending once a step is below 10^(2-dps) |w|, or once
-    a step is no shorter than the one before (the evaluation noise), which
-    is not taken."""
-    from mpmath import mp
-
-    terms, last = fixed_terms(b), mp.inf
-    for _ in range(8):
-        val, dval = fixed_values(terms, w, second=False)
-        if dval == 0:
-            break
-        step = val / dval
-        if abs(step) >= last:
-            break
-        w -= step
-        if abs(step) < mp.mpf(10) ** (2 - mp.dps) * abs(w):
-            break
-        last = abs(step)
-    return w
-
-
 # -- fixed-point Horner on Python integers -------------------------------------
 
 _GUARD_BITS = 16  # fraction bits of fixed_horner past the working precision
@@ -404,38 +375,27 @@ def fixed_values(terms, x, second=True):
     return out
 
 
-class Roots(list):
-    """_mp_aberth's roots, as mpc at the working precision, and for each the
-    fixed_horner result at the fixed-point point where it froze on its
-    residual, or None where it froze on its step; coeffs (the mantissas and
-    exponents) and prec say which polynomial and precision they belong to.
-    inclusion_radii takes those evaluations instead of evaluating again."""
-
-    def __init__(self, roots, coeffs, prec, frozen):
-        super().__init__(roots)
-        self.coeffs, self.prec, self.frozen = coeffs, prec, frozen
-
-
-def _mp_aberth(b, starts=None):
-    """All roots of sum b_m w^m (b real, b_0, b_deg != 0) at the working precision.
+def _mp_aberth(terms, starts):
+    """All roots of p = sum b_m w^m (b real, b_0, b_deg != 0, terms =
+    fixed_terms(b)) at the working precision, from the mpc starts.
 
     One rung of zeros' precision ladder: Gauss-Seidel Aberth-Ehrlich sweeps
-    from starts (default: the Newton polygon's), in fixed_horner's integers,
-    which carry each root as (re, im, e) until the pass ends.  The step is
-    p / (p' - p S) at root w_i, with the repulsion S = sum_j 1/(w_i - w_j)
-    from a complex128 copy of the roots, as it only needs a few digits.  A
-    root is frozen once its residual reaches the rounding level of the
-    evaluation, (deg + 1) eps sum_m |b_m| |w|^m, or its correction drops
-    below eps |w|; NumericalError when some root still moves after _MAX_SWEEPS.
-    The roots come back as a Roots list, with the evaluation each root froze
-    on its residual at.
+    in fixed_horner's integers, which carry each root as (re, im, e) until
+    the pass ends.  The step is p / (p' - p S) at root w_i, with the
+    repulsion S = sum_j 1/(w_i - w_j) from a complex128 copy of the roots,
+    as it only needs a few digits.  A root is frozen once its residual
+    reaches the rounding level of the evaluation, (deg + 1) eps sum_m |b_m|
+    |w|^m, or its correction drops below eps |w|; NumericalError when some
+    root still moves after _MAX_SWEEPS.  Returns (roots, frozen): the roots
+    as mpc, and for each the fixed_horner result at the fixed-point point
+    where it froze on its residual, or None where it froze on its step, for
+    inclusion_radii.
     """
     from mpmath import mp
 
-    deg = len(b) - 1
+    deg = len(terms[0]) - 1
     f = mp.prec + _GUARD_BITS
-    terms = fixed_terms(b)
-    w = list(_newton_polygon_starts(b) if starts is None else starts)
+    w = list(starts)
     wc = np.array([complex(x) for x in w])
     frozen = [None] * deg
     live = list(range(deg))
@@ -472,15 +432,14 @@ def _mp_aberth(b, starts=None):
                 still.append(i)
         live = still
         if not live:
-            return Roots([mp.mpc(mp.mpf((x[0], x[2])), mp.mpf((x[1], x[2])))
-                          if isinstance(x, tuple) else x for x in w],
-                         terms[:2], mp.prec, frozen)
+            return [mp.mpc(mp.mpf((x[0], x[2])), mp.mpf((x[1], x[2])))
+                    if isinstance(x, tuple) else x for x in w], frozen
     raise NumericalError(
         f"Aberth iteration left {len(live)} of {deg} roots unconverged after "
         f"{_MAX_SWEEPS} sweeps at {mp.dps} digits")
 
 
-def inclusion_radii(terms, roots):
+def inclusion_radii(terms, roots, frozen):
     """Weierstrass inclusion radii r_i of the deg mpc roots of p = sum b_m w^m.
 
     The discs |w - w_i| <= r_i = deg |p(w_i)| / (|b_deg| prod_{j != i}
@@ -493,18 +452,14 @@ def inclusion_radii(terms, roots):
     |w_i - w_j|, so each disc holds one root and its complex128 rounding is
     settled.  Returns (complex128 w, r_i / |w_i|, certified, the largest
     log10 (sum_m |b_m| |w_i|^m / |w_i p'(w_i)|) from the same evaluations).
-    w_i is the fixed-point point p was evaluated at: for Roots from
-    _mp_aberth on the same coefficients and precision, the one where the
-    root froze on its residual; otherwise (a root that froze on its step)
-    the root rounded down to fixed point by a new evaluation.
+    frozen[i] is fixed_horner's result on terms at this precision where root
+    i froze on its residual (_mp_aberth's second value), and w_i the
+    fixed-point point it was taken at; where frozen[i] is None, root i is
+    rounded down to fixed point by a new evaluation.
     """
     from mpmath import mp
 
     n, f = len(roots), mp.prec + _GUARD_BITS
-    frozen = [None] * n
-    if (isinstance(roots, Roots) and roots.prec == mp.prec
-            and roots.coeffs == terms[:2]):
-        frozen = roots.frozen
     w = np.empty(n, dtype=complex)
     lp, lk = np.empty((2, n))  # log2 (|p| + e_i) and log2 kappa_i
     for i, x in enumerate(roots):
@@ -567,20 +522,23 @@ def zeros(poly: PartitionPolynomial) -> ZeroSet:
 
     companion_roots runs on the activity-rescaled coefficients b of every
     box, and on the lapack route polish_roots finishes them as the zeros.
-    The ladder of _mp_aberth passes on mp_scaled_coeffs (rational_coeffs
-    rounded at its ceiling) takes over when the companion's entry range
-    passes 1e14, when the coefficients are exact and the smallest root's
-    conditioning kappa times float64 unit roundoff passes 1e-10 (or is
-    unknown, as some root is not finite), or when b leaves the float64
-    range.  Its first rung starts from the companion roots after
-    _SEED_SWEEPS polish sweeps, at max(30, log10(deg kappa) + 20) digits
-    (kappa their largest), or without distinct finite starts from the Newton
-    polygon at 30 digits.  A rung that inclusion_radii do not certify starts
+    The ladder of _mp_aberth passes on mp_scaled_coeffs (rounded at its
+    ceiling, max(60, 2 deg + 20) digits) takes over when the companion's
+    entry range passes 1e14 (infinite when b leaves the float64 range), or
+    when the coefficients are exact and the smallest root's conditioning
+    kappa times float64 unit roundoff passes 1e-10 (or is unknown, as some
+    root is not finite).  Its first rung starts from the companion roots
+    after _SEED_SWEEPS polish sweeps, at max(30, log10(deg kappa) + 20)
+    digits (kappa their largest), or without distinct finite starts from
+    the Newton polygon at 30 digits.  Each rung rounds the coefficients once
+    (fixed_terms) for its pass and its inclusion_radii, which take the
+    evaluations the pass froze on.  A rung that they do not certify starts
     the next from its roots at max(log10(deg kappa) + 20, digits + 10)
     digits, kappa now at those roots, and at least twice the digits when
-    kappa 10^-digits > 1e-6 (not resolved); past the ceiling, max(60, 2 deg
-    + 20) digits, NumericalError.  ZeroSet.digits is the certified rung, at
-    which spectral.leading_projection works (lapack: the first rung's).
+    kappa 10^-digits > 1e-6 (not resolved); past the ceiling,
+    NumericalError.  ZeroSet.digits is the certified rung, at which
+    smallest_zero and spectral.leading_projection work (lapack: the first
+    rung's).
     """
     import mpmath as mp
 
@@ -592,7 +550,7 @@ def zeros(poly: PartitionPolynomial) -> ZeroSet:
     if deg < 1:
         raise Degenerate("partition polynomial has no zeros: degree 0 after stripping")
     ceiling = max(60, 2 * deg + 20)
-    kappa, method, digits, w = math.inf, "lapack", 30, None
+    dynamic, kappa, digits, w = math.inf, math.inf, 30, None
     if b is not None:
         # routing on the raw companion entry range, the ratios b_m / b_deg and the
         # subdiagonal's ones: LAPACK balances internally on the eig path, and
@@ -607,40 +565,38 @@ def zeros(poly: PartitionPolynomial) -> ZeroSet:
             with np.errstate(divide="ignore", over="ignore"):
                 kap = (np.ldexp(mag / np.abs(dv), E - Ed) / np.abs(w)).astype(float)
             digits = int(np.clip(np.ceil(np.log10(deg * kap.max())) + 20, 30, ceiling))
-            if dynamic <= 1e14:
-                kappa = kap[np.argmin(np.abs(w))]
+            kappa = kap[np.argmin(np.abs(w))]
     # coefficient rounding alone moves z_c by (unit roundoff) x (root
     # conditioning), so past 1e-10 closed-form families are rebuilt in full
-    # precision rather than re-read from the float64 table
-    if kappa * np.finfo(float).eps > 1e-10:
+    # precision rather than re-read from the float64 table; any other table
+    # is its float64 values, which the ladder cannot improve on
+    if dynamic > 1e14 or poly.exact and kappa * np.finfo(float).eps > 1e-10:
+        method = "mpmath-exact" if poly.exact else "mpmath"
         with mp.workdps(ceiling):
-            bmp, exact = poly.mp_scaled_coeffs()
-        bmp = bmp[:deg + 1]
-        method = ("mpmath-exact" if exact else
-                  "mpmath" if b is None or dynamic > 1e14 else "lapack")
-        if method != "lapack":
-            w = None if w is None else polish_roots(b, w, _SEED_SWEEPS)
-            seeded = w is not None and np.all(np.isfinite(w)) and np.unique(w).size == deg
-            starts, tried = [mp.mpc(x) for x in w] if seeded else None, []
-            digits = digits if seeded else 30
-            while True:
-                tried.append(digits)
-                with mp.workdps(digits):
-                    starts = _mp_aberth(bmp, starts=starts)
-                    w, rel, ok, lk = inclusion_radii(fixed_terms(bmp), starts)
-                if ok:
-                    break
-                if digits >= ceiling:
-                    raise NumericalError(
-                        f"inclusion-radius certificate failed at {tried} digits: largest "
-                        f"radius {rel.max():.2g} |w|, not disjoint discs within 2^-64 |w|")
-                nxt = max(math.ceil(math.log10(deg) + lk) + 20, digits + 10)
-                digits = min(max(nxt, 2 * digits) if lk - digits > -6 else nxt, ceiling)
-            w = _pair_conjugates(w)
-    if method == "lapack":
-        w = polish_roots(b, w)
-    if b is None:  # the ladder's coefficients in longdouble, whose range is wider
-        b = np.array([mp.nstr(c, 21) for c in bmp], dtype=np.longdouble)
+            bmp = poly.mp_scaled_coeffs()[:deg + 1]
+        w = None if w is None else polish_roots(b, w, _SEED_SWEEPS)
+        seeded = w is not None and np.all(np.isfinite(w)) and np.unique(w).size == deg
+        roots, tried = [mp.mpc(x) for x in w] if seeded else None, []
+        digits = digits if seeded else 30
+        while True:
+            tried.append(digits)
+            with mp.workdps(digits):  # fixed_terms rounds bmp to this precision
+                terms = fixed_terms(bmp)
+                roots, frozen = _mp_aberth(terms, roots or _newton_polygon_starts(bmp))
+                w, rel, ok, lk = inclusion_radii(terms, roots, frozen)
+            if ok:
+                break
+            if digits >= ceiling:
+                raise NumericalError(
+                    f"inclusion-radius certificate failed at {tried} digits: largest "
+                    f"radius {rel.max():.2g} |w|, not disjoint discs within 2^-64 |w|")
+            nxt = max(math.ceil(math.log10(deg) + lk) + 20, digits + 10)
+            digits = min(max(nxt, 2 * digits) if lk - digits > -6 else nxt, ceiling)
+        w = _pair_conjugates(w)
+        if b is None:  # the ladder's coefficients in longdouble, whose range is wider
+            b = np.array([mp.nstr(c, 21) for c in bmp], dtype=np.longdouble)
+    else:
+        method, w = "lapack", polish_roots(b, w)
     acc, mag, _ = horner(b, w, magnitude=True)  # |p(w)| against sum_m |b_m| |w|^m
     res = (np.abs(acc) / (mag + np.longdouble(1e-300))).astype(float)
     zs = w * poly.scale
@@ -690,10 +646,11 @@ def smallest_zero(zs: ZeroSet) -> SmallestZero:
     exponentially with the box when zeros cluster toward the bulk
     singularity, which says the root is expensive to locate, not that it
     is degenerate; that is why it is not part of the pass/fail pair.  Both
-    come from newton_root's z_c and fixed_values' Xi' and Xi'' on
-    mp_scaled_coeffs at ZeroSet.digits, where float64 evaluation noise would
-    swamp |Xi'(z_c)| on clustered zero sets; both ratios are invariant under
-    the activity rescaling, so everything stays in the scaled frame.
+    come from one fixed_values evaluation of Xi' and Xi'' on
+    mp_scaled_coeffs at ZeroSet.digits, at the zero that zeros returned (w
+    = z_c / scale), where float64 evaluation noise would swamp |Xi'(z_c)| on
+    clustered zero sets; both ratios are invariant under the activity
+    rescaling, so everything stays in the scaled frame.
 
     Moduli within _TIE_REL of the minimum count as tied; a tie is broken
     toward the negative real axis when such a candidate exists, otherwise
@@ -707,8 +664,8 @@ def smallest_zero(zs: ZeroSet) -> SmallestZero:
     z_c = complex(z[pick])
 
     with mp.workdps(zs.digits):
-        b, _ = zs.poly.mp_scaled_coeffs()
-        w = newton_root(b, mp.mpc(z_c) / mp.mpf(zs.poly.scale))
+        b = zs.poly.mp_scaled_coeffs()
+        w = mp.mpc(z_c) / mp.mpf(zs.poly.scale)
         _, dv, ddv = fixed_values(fixed_terms(b), w)
         cond = mp.fsum(abs(bm) * abs(w) ** m for m, bm in enumerate(b))
         cert = float(abs(dv) / (abs(w) * abs(ddv))) if ddv != 0 else math.inf
@@ -825,9 +782,9 @@ def zeros_to_rows(zs: ZeroSet, smallest: SmallestZero):
     return rows
 
 
-def zeros_to_json(zs: ZeroSet, smallest: SmallestZero):
+def zeros_to_json(zs: ZeroSet, smallest: SmallestZero, rows):
     return {
-        "zeros": zeros_to_rows(zs, smallest),
+        "zeros": rows,
         "method": zs.method,
         "smallest": {
             "re": smallest.z_c.real,

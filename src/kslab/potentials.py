@@ -111,8 +111,8 @@ class PairPotential:
             raise ConfigError(f"unknown potential family {self.family!r}")
         if not 0 < self.beta < math.inf:
             raise ConfigError(f"beta must be positive and finite, got {self.beta}")
-        if math.isnan(self.a) or math.isnan(self.epsilon):
-            raise ConfigError("range a and step height epsilon must not be NaN")
+        if not math.isfinite(self.a) or math.isnan(self.epsilon):
+            raise ConfigError("range a must be finite and step height epsilon not NaN")
         if self.dimension < 1:
             raise ConfigError("dimension must be >= 1")
         if self.family in ("hardcore", "step") and self.a <= 0:
@@ -155,13 +155,15 @@ class PairPotential:
         """Build from the structured config mapping (keys: family, a, epsilon, beta, dimension)."""
         if "family" not in cfg:
             raise ConfigError("potential config needs a 'family' key")
-        kwargs = dict(
-            family=cfg["family"],
-            a=float(cfg.get("a", 1.0)),
-            epsilon=float(cfg.get("epsilon", 0.0)),
-            beta=float(cfg.get("beta", 1.0)),
-            dimension=int(cfg.get("dimension", 1)),
-        )
+        try:
+            dim = float(cfg.get("dimension", 1))
+            kwargs = dict(family=cfg["family"], a=float(cfg.get("a", 1.0)),
+                          epsilon=float(cfg.get("epsilon", 0.0)),
+                          beta=float(cfg.get("beta", 1.0)), dimension=int(dim))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"potential config values must be numbers: {exc}") from None
+        if kwargs["dimension"] != dim:
+            raise ConfigError(f"potential config dimension must be an integer, got {dim:g}")
         if cfg["family"] == "custom":
             try:
                 kwargs["table"] = (cfg["r_values"], cfg["phi_values"])

@@ -20,7 +20,7 @@ the generators; the reduced-identity defect is a triangle bound.  The
 formula is evaluated once, in the arithmetic that certified the zeros:
 float64 on their lapack route, else mpmath at their digits (companion
 matrices of clustered zeros are strongly non-normal), its center from
-partition.newton_root at that precision.  riesz_projection keeps
+Newton on partition.fixed_values at that precision.  riesz_projection keeps
 the dense contour route, P = -(r/N) sum_k R(lam_k) e^{i theta_k} on a
 circle of radius r with S the plain node average of R, for general
 matrices and as an independent check of the closed form.  The correlation
@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ContourError, Degenerate, InsufficientData
 from .ksop import KSMatrix
 from .partition import (_TIE_REL, NumeratorFamily, PartitionPolynomial, ZeroSet, fixed_terms,
-                        fixed_values, newton_root, smallest_zero, zeros)
+                        fixed_values, smallest_zero, zeros)
 
 _RTOL = 1e-10  # projection algebra defect that certifies in float64
 
@@ -201,12 +201,28 @@ def riesz_projection(mat, center, radius) -> RieszResult:
 
 
 def _center(ctx, b, center):
-    """Companion eigenvalue near center as a ctx number: 1/w for newton_root's
-    root w of sum b_m w^m, at 53 bits for mpmath.fp."""
+    """Companion eigenvalue near center as a ctx number: 1/w for the root w of
+    sum b_m w^m (b ascending reals) by Newton from 1/center at
+    the working precision, 53 bits for mpmath.fp, p and p' from fixed_values:
+    at most eight steps, ending once a step is below 10^(2-dps) |w|, or once a
+    step is no shorter than the one before (the evaluation noise), which is
+    not taken."""
     from mpmath import fp, mp
 
     with mp.workprec(53) if ctx is fp else contextlib.nullcontext():
-        return ctx.mpc(1 / newton_root(b, 1 / mp.mpc(center)))
+        terms, w, last = fixed_terms(b), 1 / mp.mpc(center), mp.inf
+        for _ in range(8):
+            val, dval = fixed_values(terms, w, second=False)
+            if dval == 0:
+                break
+            step = val / dval
+            if abs(step) >= last:
+                break
+            w -= step
+            if abs(step) < mp.mpf(10) ** (2 - mp.dps) * abs(w):
+                break
+            last = abs(step)
+        return ctx.mpc(1 / w)
 
 
 def _below(x):
@@ -374,7 +390,7 @@ def leading_projection(ks: KSMatrix, spec: Spectrum) -> RieszResult:
         precision, ctx, digits, tol = f"mp{dps}", mp, mp.workdps(dps), 1e-12
     try:
         with digits:
-            b = ks.poly.scaled_coeffs().tolist() if ctx is fp else ks.poly.mp_scaled_coeffs()[0]
+            b = ks.poly.scaled_coeffs().tolist() if ctx is fp else ks.poly.mp_scaled_coeffs()
             laurent = _closed_form(ctx, b, ks.balancing[2], center)
         why = "the pairing nu^T v vanishes"
     except ArithmeticError as exc:  # a copy or norm past the float64 range
@@ -543,8 +559,7 @@ def leading_asymptotics(poly: PartitionPolynomial, anchors) -> AsymptoticsResult
     fam = NumeratorFamily(poly)
     num, num_err = fam(n, anchors[None])[0], fam.last_error[0]
     with mp.workdps(zs.digits):  # Xi(z) and Xi'(z) are p(z/s) and p'(z/s)/s
-        b, _ = poly.mp_scaled_coeffs()
-        terms, s = fixed_terms(b), mp.mpf(poly.scale)
+        terms, s = fixed_terms(poly.mp_scaled_coeffs()), mp.mpf(poly.scale)
 
         def g(z):
             N = sum(c * z**k for k, c in enumerate(num))

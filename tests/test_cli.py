@@ -370,6 +370,40 @@ def test_config_errors_exit_2(capsys):
     assert captured.out == ""
 
 
+_FROM_OUTSIDE = {  # argv, and the --potential-file it reads (None: no file)
+    "a-infinite": (["zeros", "--L", "5", "--a", "inf"], None),
+    "a-string": (["zeros", "--L", "5", "--M", "4"], {"family": "hardcore", "a": "wide"}),
+    "epsilon-null": (["zeros", "--L", "5", "--M", "4"],
+                     {"family": "step", "a": 1, "epsilon": None}),
+    "dimension-string": (["zeros", "--L", "5", "--M", "4"],
+                         {"family": "hardcore", "dimension": "two"}),
+    "list": (["zeros", "--L", "5", "--M", "4"], [{"family": "hardcore"}]),
+    "dimension-against-L": (["claimcheck", "--L", "5", "--M", "6", "--terms", "6"],
+                            {"family": "hardcore", "dimension": 2}),
+    "dimension-fraction": (["zeros", "--L", "3,3", "--M", "2"],
+                           {"family": "hardcore", "a": 0.7, "dimension": 2.7}),
+    "anchors-against-L": (["asymptotics", "--L", "5", "--M", "6", "--anchors", "1,2"], None),
+    "out-missing-dir": (["zeros", "--L", "5", "--M", "4", "--out", "{tmp}/missing/z.json"],
+                        None),
+    "cache-dir-file": (["table", "--L", "5", "--M", "4", "--cache-dir", "{tmp}/file"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FROM_OUTSIDE))
+def test_input_from_outside_exits_2(tmp_path, capsys, case):
+    # flags and potential files that cannot describe the run end in one
+    # configuration error line: no traceback, and no answer for another box
+    argv, cfg = _FROM_OUTSIDE[case]
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    (tmp_path / "file").write_text("")
+    if cfg is not None:
+        (tmp_path / "potential.json").write_text(json.dumps(cfg))
+        argv += ["--potential-file", str(tmp_path / "potential.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
 def test_degenerate_polynomial_exits_4(capsys):
     assert main(["zeros", "--potential", "ideal", "--L", "1", "--M", "0"]) == 4
     assert "numerical failure" in capsys.readouterr().err
@@ -427,13 +461,27 @@ def test_claimcheck_builds_its_table_once(tmp_path, monkeypatch):
                 ["claimcheck", "--L", "5", "--M", "6", "--terms", "14"])
     assert rc == 0
     assert calls == [(5.0,)]
-    assert zero_sets == [14]
+    assert zero_sets == [6]  # the operator's, at --M; the series read all 14 entries
     calls.clear()
     for potential in ("hardcore", "ideal"):
         rc, _ = run(tmp_path, "cc65.json", ["claimcheck", "--potential", potential,
                                             "--L", "8", "--M", "9", "--terms", "65"])
         assert rc == 2
-    assert calls == [] and zero_sets == [14]
+    assert calls == [] and zero_sets == [6]
+
+
+def test_claimcheck_operator_is_spectral_at_M(tmp_path):
+    # the step box's table runs to --terms 8, but the operator, as in
+    # spectral, is the M = 6 one: 1.6792, not the M = 8 operator's 1.6982
+    box = ["--potential", "step", "--a", "1", "--epsilon", "1", "--L", "5", "--M", "6"]
+    rc, out = run(tmp_path, "cc.json", ["claimcheck", *box, "--terms", "8"])
+    assert rc == 0
+    rows = {r["quantity"]: r for r in read_json(out)["rows"]}
+    rc, sp = run(tmp_path, "sp.json", ["spectral", *box])
+    assert rc == 0
+    radius = abs(complex(*read_json(sp)["leading"]["lambda_c"]))
+    assert radius == pytest.approx(1.6792, abs=1e-4)
+    assert rows["spectral radius vs 1/|z_c|"]["measured"] == radius
 
 
 def test_residual_csv_levels(tmp_path):

@@ -48,8 +48,8 @@ def test_exact_mp_matches_float_route():
     box = Box((5.0,))
     poly = assemble(build_table(p, box, 6))
     with mp.workdps(50):
-        for m, cm in enumerate(poly.mp_coefficients()):
-            zm = cm * mp.factorial(m)
+        for m, bm in enumerate(poly.mp_scaled_coeffs()):
+            zm = bm / mp.mpf(poly.scale) ** m * mp.factorial(m)
             free = 5.0 - (m - 1)
             want = free**m if (m == 0 or free > 0) else 0.0
             assert abs(float(zm) - want) <= 1e-12 * max(1.0, want)

@@ -277,27 +277,28 @@ def test_residual_preconditions(tonks5):
 def test_zero_check_reads_the_pick_without_its_certificate(tonks5, monkeypatch):
     # |z| = |z_c| is refused with smallest_zero's modulus: on hard rods z_c
     # lies on the negative axis, on the free gas at M = 8 the smallest zeros
-    # are a conjugate pair.  The check runs no Newton step, refused or not
+    # are a conjugate pair.  The check makes no working-precision evaluation
+    # of Xi, as the certificate does, refused or not
     from kslab import partition
 
-    newton = []
-    real = partition.newton_root
+    kernel = []
+    real = partition.fixed_horner
 
     def counted(*args, **kwargs):
-        newton.append(1)
+        kernel.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(partition, "newton_root", counted)
+    monkeypatch.setattr(partition, "fixed_horner", counted)
     for poly, conjugate_pair in ((tonks5, False), (make_ideal(M=8), True)):
         z_c = partition.smallest_zero(zeros(poly)).z_c
-        assert newton and (z_c.imag != 0.0) == conjugate_pair
-        newton.clear()
+        assert kernel and (z_c.imag != 0.0) == conjugate_pair
+        kernel.clear()
         for z in (z_c, abs(z_c), 1j * abs(z_c)):
             with pytest.raises(ConfigError) as err:
                 ks_residual(poly, z, 1, order=8, count=4)
             assert f"smallest zero modulus {abs(z_c)}" in str(err.value)
         assert ks_residual(poly, 0.5 * z_c, 1, order=8, count=4).levels
-        assert not newton
+        assert not kernel
 
 
 def test_apply_preconditions():

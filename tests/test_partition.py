@@ -91,9 +91,9 @@ def test_wide_box_zeros_match_mpmath_polyroots():
     assert zs.method == "mpmath-exact"
     deg = len(zs.zeros)
     with mp.workdps(max(60, 2 * deg + 20)):
-        cs = poly.mp_coefficients()[: deg + 1]
-        ref = [complex(r) for r in mp.polyroots(cs[::-1], maxsteps=400,
-                                                 extraprec=200)]
+        bs = poly.mp_scaled_coeffs()[: deg + 1]
+        ref = [complex(r * mp.mpf(poly.scale))
+               for r in mp.polyroots(bs[::-1], maxsteps=400, extraprec=200)]
     for r in ref:
         assert np.min(np.abs(zs.zeros - r)) <= 1e-14 * abs(r)
 
@@ -105,7 +105,7 @@ def test_unconverged_aberth_raises_numerical_error(monkeypatch):
     with mp.workdps(60):
         b = [mp.mpf(float(c)) for c in make_tonks(20.0).scaled_coeffs()[:21]]
         with pytest.raises(NumericalError):
-            _mp_aberth(b)
+            _aberth(b)
 
 
 def test_ideal_zeros_match_companion_reference():
@@ -229,15 +229,17 @@ def test_batched_correlation_matches_per_order_loop(tonks5):
             assert correlation(poly, z, np.array(bad)).value == 0.0
 
 
-def test_mp_coefficients_only_for_closed_forms(tonks5):
+def test_mp_scaled_coeffs_only_for_closed_forms(tonks5):
     # closed forms give exact c_m; any other table gives its float64 c_m
     # exactly, and only the former is flagged exact
-    cs = tonks5.mp_coefficients()
+    import mpmath as mp
+
+    bs = tonks5.mp_scaled_coeffs()
     assert tonks5.exact and tonks5.rational_coeffs[2] == 8  # 16 / 2!
-    assert float(cs[2]) == pytest.approx(8.0, rel=1e-15)
-    poly = poly_from_coeffs([1.0, 1.0, 0.3])
+    assert float(bs[2] / mp.mpf(tonks5.scale) ** 2) == pytest.approx(8.0, rel=1e-15)
+    poly = poly_from_coeffs([1.0, 1.0, 0.3], scale=1.0)
     assert not poly.exact
-    assert [float(c) for c in poly.mp_coefficients()] == poly.coeffs.tolist()
+    assert [float(b) for b in poly.mp_scaled_coeffs()] == poly.coeffs.tolist()
 
 
 def test_gaps_are_mutual(tonks5):
@@ -260,11 +262,17 @@ def _exact_scaled(L, dps):
 
     poly = make_tonks(L)
     with mp.workdps(dps):
-        s = mp.mpf(poly.scale)
-        b = [c * s**m for m, c in enumerate(poly.mp_coefficients())]
+        b = poly.mp_scaled_coeffs()
     while b[-1] == 0:  # rods past packing
         b.pop()
     return b
+
+
+def _aberth(b, starts=None):
+    """_mp_aberth's (roots, frozen) for the mpf coefficients b, from starts or,
+    as zeros takes them without seeds, from the Newton polygon."""
+    starts = partition._newton_polygon_starts(b) if starts is None else starts
+    return _mp_aberth(fixed_terms(b), starts)
 
 
 def _ladder_seeds(b):
@@ -330,7 +338,7 @@ def test_fixed_horner_residual_at_exact_roots():
 
     with mp.workdps(100):
         b = _exact_scaled(40.0, 100)
-        roots = _mp_aberth(b)
+        roots, _ = _aberth(b)
         terms = fixed_terms(b)
         worst = 0.0
         for r in roots:
@@ -347,8 +355,8 @@ def test_seeded_aberth_matches_newton_polygon_start(L):
     dps = max(60, 2 * int(L) + 20)
     with mp.workdps(dps):
         b = _exact_scaled(L, dps)
-        seeded = _mp_aberth(b, starts=_float_seeds(b))
-        plain = _mp_aberth(b)
+        seeded, _ = _aberth(b, _float_seeds(b))
+        plain, _ = _aberth(b)
     as128 = [_pair_conjugates(np.array([complex(r) for r in w])) for w in (seeded, plain)]
     assert np.array_equal(*as128)
 
@@ -368,7 +376,7 @@ def test_seeded_aberth_evaluation_count(monkeypatch):
         b = _exact_scaled(40.0, 100)
         seeds = _float_seeds(b)
         monkeypatch.setattr(partition, "fixed_horner", counting_kernel)
-        _mp_aberth(b, starts=seeds)
+        _aberth(b, seeds)
     assert len(kernel) / (len(b) - 1) <= 11
 
 
@@ -447,7 +455,7 @@ def test_fixed_point_aberth_matches_mpmath_horner_pass(case):
         with mp.workdps(dps):
             starts = _float_seeds(b)
     with mp.workdps(dps):
-        got = _mp_aberth(b, starts=starts)
+        got, _ = _aberth(b, starts)
         want = _mp_horner_aberth(b, starts)
     as128 = [np.array([complex(r) for r in w]) for w in (got, want)]
     if case == "huge-root":
@@ -464,9 +472,9 @@ def _record_starts(monkeypatch):
     """Wrap _mp_aberth so that the starts zeros hands it are kept."""
     seen, real = [], partition._mp_aberth
 
-    def recording(b, starts=None):
+    def recording(terms, starts):
         seen.append(starts)
-        return real(b, starts=starts)
+        return real(terms, starts)
 
     monkeypatch.setattr(partition, "_mp_aberth", recording)
     return seen
@@ -480,8 +488,8 @@ def test_float_seeds_past_float_range(monkeypatch):
 
     poly = make_tonks(20.0)
     want = zeros(poly)
-    real = PartitionPolynomial.mp_coefficients
-    monkeypatch.setattr(PartitionPolynomial, "mp_coefficients",
+    real = PartitionPolynomial.mp_scaled_coeffs
+    monkeypatch.setattr(PartitionPolynomial, "mp_scaled_coeffs",
                         lambda self: [c * mp.mpf("1e400") for c in real(self)])
     seen = _record_starts(monkeypatch)
     got = zeros(poly)
@@ -509,11 +517,13 @@ def test_bad_float_seeds_fall_back_to_newton_polygon(monkeypatch, fault):
         return w
 
     monkeypatch.setattr(partition, "companion_roots", faulty)
-    seen = _record_starts(monkeypatch)
+    seen, polygon, real_polygon = _record_starts(monkeypatch), [], partition._newton_polygon_starts
+    monkeypatch.setattr(partition, "_newton_polygon_starts",
+                        lambda b: polygon.append(real_polygon(b)) or polygon[-1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = zeros(poly)
-    assert seen == [None]
+    assert len(seen) == 1 and seen == polygon
     assert got.method == "mpmath-exact"
     assert np.array_equal(got.zeros, want.zeros)
 
@@ -526,7 +536,7 @@ def test_mp_aberth_huge_root_past_extended_range():
     with mp.workdps(80):
         R = mp.mpf("1e90")
         b = _huge_root_fixture()
-        roots = _mp_aberth(b)
+        roots, _ = _aberth(b)
         assert min(abs(r - R) for r in roots) <= mp.mpf("1e-70") * R
         unity = sorted(roots, key=abs)[:59]
         assert max(abs(r**60 - 1) for r in unity) <= mp.mpf("1e-70")
@@ -546,13 +556,12 @@ def test_inclusion_radii_refuse_a_converged_wrong_pass(monkeypatch):
     seeds = _ladder_seeds(np.trim_zeros(poly.scaled_coeffs(), "b"))
     b = _exact_scaled(80.0, 180)
     with mp.workdps(45):
-        roots = _mp_aberth(b, starts=[mp.mpc(x) for x in seeds])
-        w, rel, ok, _ = inclusion_radii(fixed_terms(b), roots)
+        w, rel, ok, _ = inclusion_radii(fixed_terms(b), *_aberth(b, [mp.mpc(x) for x in seeds]))
     assert rel_err(w[np.argmin(np.abs(w))] * poly.scale, -0.36815400035903173) > 1e-7
     assert not ok and rel.max() > 1e-3
     seen, real = [], partition.inclusion_radii
     monkeypatch.setattr(partition, "inclusion_radii",
-                        lambda terms, roots: seen.append(real(terms, roots)) or seen[-1])
+                        lambda *args: seen.append(real(*args)) or seen[-1])
     zs = zeros(poly)
     assert [s[2] for s in seen] == [False] * (len(seen) - 1) + [True]
     assert seen[-1][1].max() <= 2.0**-64
@@ -573,6 +582,36 @@ def test_ladder_evaluates_no_frozen_root_again(monkeypatch):
     assert len(calls) <= 441
 
 
+def test_smallest_zero_evaluates_once_at_the_returned_zero(tonks5, monkeypatch):
+    # the certificate reads Xi' and Xi'' at the zero that zeros returned, on
+    # the lapack route and on the ladder, with no Newton step to find it
+    # again: one fixed_horner call, at z_c / scale
+    seen, real = [], partition.fixed_horner
+    monkeypatch.setattr(partition, "fixed_horner",
+                        lambda terms, x, *args: seen.append(x) or real(terms, x, *args))
+    for poly, method in ((tonks5, "lapack"), (make_tonks(20.0), "mpmath-exact")):
+        zs = zeros(poly)
+        assert zs.method == method
+        seen.clear()
+        sm = smallest_zero(zs)
+        assert len(seen) == 1
+        assert complex(seen[0]) * poly.scale == pytest.approx(sm.z_c, rel=1e-15)
+
+
+def test_lapack_route_rounds_no_working_precision_coefficients(monkeypatch):
+    # hard rods at L = 16 as a table with no closed form: the smallest root's
+    # kappa u passes 1e-10, which sends only exact coefficients up the ladder,
+    # so the zeros stay on lapack and no coefficient is rounded in mpmath
+    assert zeros(make_tonks(16.0)).method == "mpmath-exact"
+    poly = poly_from_coeffs(make_tonks(16.0).coeffs)
+    calls, real = [], PartitionPolynomial.mp_scaled_coeffs
+    monkeypatch.setattr(PartitionPolynomial, "mp_scaled_coeffs",
+                        lambda self: calls.append(1) or real(self))
+    zs = zeros(poly)
+    assert zs.method == "lapack" and calls == []
+    assert smallest_zero(zs).root_conditioning * np.finfo(float).eps > 1e-10
+
+
 def test_double_root_never_certifies(monkeypatch):
     # (w + 1)^2 (w + 2)(w + 3)(w + 5)(w + 7): the two approximations of the
     # double root never separate into disjoint discs, so every rung up to
@@ -580,7 +619,7 @@ def test_double_root_never_certifies(monkeypatch):
     import mpmath as mp
 
     c = np.polynomial.polynomial.polyfromroots([-1, -1, -2, -3, -5, -7])
-    monkeypatch.setattr(PartitionPolynomial, "mp_coefficients",
+    monkeypatch.setattr(PartitionPolynomial, "mp_scaled_coeffs",
                         lambda self: [mp.mpf(x) for x in c])
     monkeypatch.setattr(PartitionPolynomial, "exact", True)
     with pytest.raises(NumericalError,
@@ -596,7 +635,8 @@ def test_derivative_data_at_working_precision():
 
     sm = smallest_zero(zeros(make_tonks(40.0)))
     with mp.workdps(100):
-        c = make_tonks(40.0).mp_coefficients()
+        poly = make_tonks(40.0)
+        c = [bm / mp.mpf(poly.scale) ** m for m, bm in enumerate(poly.mp_scaled_coeffs())]
         d1 = [m * cm for m, cm in enumerate(c)][1:]
         d2 = [m * cm for m, cm in enumerate(d1)][1:]
         z = mp.findroot(lambda x: mp.polyval(c[::-1], x), mp.mpf(sm.z_c.real))

@@ -277,7 +277,7 @@ def test_closed_form_projection_matches_mp_contour():
     assert rz.rank == 1
     assert rz.pole_order == 1
     with mp.workdps(40):
-        b = ks.poly.mp_scaled_coeffs()[0]
+        b = ks.poly.mp_scaled_coeffs()
     _, T = matrix_balance(companion(ks), permute=False)
     P, S, *_ = _mp_contour(b, np.diag(T), spec.lam_c * ks.scale,
                            0.5 * spec.dist_gap * ks.scale, 96, 40)
@@ -339,7 +339,7 @@ def test_closed_form_matches_dense_reference(box):
     else:
         ctx, digits, tol = mp, mp.workdps(int(precision[2:])), 1e-12
     with digits:
-        b = ks.poly.scaled_coeffs().tolist() if ctx is fp else ks.poly.mp_scaled_coeffs()[0]
+        b = ks.poly.scaled_coeffs().tolist() if ctx is fp else ks.poly.mp_scaled_coeffs()
         got = _closed_form(ctx, b, dvec, spec.lam_c * ks.scale)
         want = _dense_closed_form(ctx, b, dvec, spec.lam_c * ks.scale)
     for x, ref in zip(dense_laurent(got[6]), want[:2]):  # P, S
@@ -359,7 +359,7 @@ def test_closed_form_multiplications_grow_linearly(monkeypatch):
         ks = build_ks_matrix(make_tonks(L))
         spec = spectrum(ks)
         with mp.workdps(40):
-            b = ks.poly.mp_scaled_coeffs()[0]
+            b = ks.poly.mp_scaled_coeffs()
         inputs.append((b, ks.balancing[2], spec.lam_c * ks.scale))
     real = mp.mpc.__mul__
     counts = []
@@ -670,7 +670,7 @@ def test_mp40_center_takes_few_kernel_evaluations(monkeypatch, L):
     spec = spectrum(ks)
     digits = mp.workdps(max(40, spec.zeros.digits))
     with digits:
-        bmp = ks.poly.mp_scaled_coeffs()[0]
+        bmp = ks.poly.mp_scaled_coeffs()
     calls, real = [], partition.fixed_horner
     monkeypatch.setattr(partition, "fixed_horner",
                         lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
